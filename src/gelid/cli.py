@@ -20,8 +20,8 @@ from .config import load_config
 from .errors import ConfigError, DataError, GelidError
 from .frames import load_track, write_descriptor_csv
 from .pipeline import (ClassifierBundle, classify_segments, export_report,
-                       hierarchy_to_json, load_manifest, parse_subtitle_file,
-                       run_pipeline)
+                       hierarchy_to_json, keyframe_lookup, load_manifest,
+                       parse_subtitle_file, run_pipeline)
 from .segmentation import (read_segments_jsonl, segment_video,
                            write_segments_jsonl)
 from .subtitles import transcript_to_dict
@@ -109,10 +109,10 @@ def cmd_features(args) -> int:
         ngram_max=config.ngram_max, stopwords=stopwords, min_df=config.min_df)
     table = (features.load_embedding_table(config.embedding_path)
              if config.embedding_path else None)
-    vectors = [features.assemble_features(
-        s, transcripts[s.video_id], tracks[s.video_id], vocab=vocab,
-        table=table, ngram_max=config.ngram_max, stopwords=stopwords,
-        groups=config.feature_group_list()) for s in segments]
+    vectors = features.assemble_all(
+        segments, transcripts, tracks, vocab=vocab, table=table,
+        ngram_max=config.ngram_max, stopwords=stopwords,
+        groups=config.feature_group_list())
     out = _out_dir(args)
     _write(out / "features.csv", features.write_feature_csv(vectors))
     _write(out / "vocabulary.json",
@@ -184,17 +184,6 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _keyframe_lookup(segments, tracks):
-    lookup = {}
-    for seg in segments:
-        track = tracks[seg.video_id]
-        by_ts = {f.timestamp_ms: f.histogram for f in track.frames}
-        rows = [by_ts[ts] for ts in seg.keyframe_timestamps if ts in by_ts]
-        if rows:
-            lookup[seg.segment_id] = np.stack(rows)
-    return lookup
-
-
 def _require_labels(segments, labels: dict[str, str]) -> None:
     missing = [s.segment_id for s in segments if s.segment_id not in labels]
     if missing:
@@ -211,7 +200,7 @@ def cmd_group(args) -> int:
     informative = [s for s in segments
                    if labels[s.segment_id]
                    != models.IssueLabel.NON_INFORMATIVE.value]
-    lookup = _keyframe_lookup(informative, tracks)
+    lookup = keyframe_lookup(informative, tracks)
     ids = [s.segment_id for s in informative if s.segment_id in lookup]
     assignment = clustering.group_by_context(
         ids, lookup, algorithm=config.context_algorithm,

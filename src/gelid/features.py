@@ -188,19 +188,17 @@ def video_features(segment: Segment, track: VideoTrack) -> FeatureVector:
     Segments with fewer than 2 frames get zero motion and had_video=0;
     empty video is itself a signal (likely non-informative).
     """
-    inside = [f for f in track.frames
-              if segment.start_ms <= f.timestamp_ms < segment.end_ms]
+    rows = track.window(segment.start_ms, segment.end_ms)
+    luminance = track.luminance[rows]
     duration_s = segment.duration_ms / 1000.0
-    n = len(inside)
+    n = luminance.size
     if n >= 2:
-        hists = np.stack([f.histogram for f in inside])
-        motion = np.abs(np.diff(hists, axis=0)).sum(axis=1)
+        motion = np.abs(np.diff(track.histograms[rows], axis=0)).sum(axis=1)
         motion_mean, motion_std = float(motion.mean()), float(motion.std())
         had_video = 1.0
     else:
         motion_mean = motion_std = 0.0
         had_video = 0.0
-    luminance = np.array([f.luminance_mean for f in inside])
     values = np.array([
         duration_s,
         float(n),
@@ -217,20 +215,40 @@ def video_features(segment: Segment, track: VideoTrack) -> FeatureVector:
 _SPEECH_NAMES = ("speech:density", "speech:words_per_second", "speech:n_cues")
 
 
-def speech_features(segment: Segment, transcript: Transcript) -> FeatureVector:
+@dataclass(frozen=True)
+class CueColumns:
+    """A transcript's cue timings and word counts as columns, by start."""
+
+    starts_ms: np.ndarray  # (C,) int64, non-decreasing
+    ends_ms: np.ndarray    # (C,) int64
+    words: np.ndarray      # (C,) int64
+    reach_ms: np.ndarray   # (C,) latest end among cues[:i+1]
+
+
+def cue_columns(transcript: Transcript) -> CueColumns:
+    """Build once per transcript; speech_features reads it per segment."""
+    cues = sorted(transcript.cues, key=lambda c: c.start_ms)
+    ends = np.array([c.end_ms for c in cues], dtype=np.int64)
+    return CueColumns(
+        starts_ms=np.array([c.start_ms for c in cues], dtype=np.int64),
+        ends_ms=ends,
+        words=np.array([len(c.text.split()) for c in cues], dtype=np.int64),
+        reach_ms=np.maximum.accumulate(ends) if ends.size else ends)
+
+
+def speech_features(segment: Segment, cues: CueColumns) -> FeatureVector:
     """Speech-timing statistics over cues overlapping the segment window."""
     duration_ms = segment.duration_ms
-    overlap_ms = 0
-    words = 0
-    n_cues = 0
-    for cue in transcript.cues:
-        lo = max(cue.start_ms, segment.start_ms)
-        hi = min(cue.end_ms, segment.end_ms)
-        if hi <= lo:
-            continue
-        n_cues += 1
-        overlap_ms += hi - lo
-        words += len(cue.text.split())
+    # cues past `hi` start at or after the end; cues before `lo` (and all
+    # earlier ones) end at or before the start
+    lo = int(np.searchsorted(cues.reach_ms, segment.start_ms, side="right"))
+    hi = int(np.searchsorted(cues.starts_ms, segment.end_ms, side="left"))
+    overlap = (np.minimum(cues.ends_ms[lo:hi], segment.end_ms)
+               - np.maximum(cues.starts_ms[lo:hi], segment.start_ms))
+    hit = overlap > 0
+    n_cues = int(hit.sum())
+    overlap_ms = int(overlap[hit].sum())
+    words = int(cues.words[lo:hi][hit].sum())
     density = overlap_ms / duration_ms if duration_ms else 0.0
     wps = words / (duration_ms / 1000.0) if duration_ms else 0.0
     values = np.array([density, wps, float(n_cues)])
@@ -260,13 +278,16 @@ def mask_feature_groups(fv: FeatureVector, groups) -> FeatureVector:
 
 
 def assemble_features(segment: Segment, transcript: Transcript,
-                      track: VideoTrack, vocab: Vocabulary | None = None,
+                      track: VideoTrack, cues: CueColumns,
+                      vocab: Vocabulary | None = None,
                       table: EmbeddingTable | None = None,
                       ngram_max: int = 1, stopwords=frozenset(),
                       groups=FEATURE_GROUPS) -> FeatureVector:
-    """Concatenate the requested feature groups in canonical order."""
-    text = " ".join(c.text for c in transcript.cues
-                    if c.index in set(segment.cue_indices))
+    """Concatenate the requested feature groups in canonical order.
+
+    `cues` are the transcript's `cue_columns`, built once per transcript.
+    """
+    text = segment_text(segment, transcript)
     parts = []
     for group in FEATURE_GROUPS:
         if group not in groups:
@@ -283,13 +304,25 @@ def assemble_features(segment: Segment, transcript: Transcript,
         elif group == "video":
             parts.append(video_features(segment, track))
         elif group == "speech":
-            parts.append(speech_features(segment, transcript))
+            parts.append(speech_features(segment, cues))
     return concat_features(parts, segment_id=segment.segment_id)
 
 
+def assemble_all(segments: list[Segment], transcripts: dict[str, Transcript],
+                 tracks: dict[str, VideoTrack], **options
+                 ) -> list[FeatureVector]:
+    """assemble_features for each segment, with cue columns built once
+    per video; `options` are assemble_features' keyword arguments."""
+    cues = {vid: cue_columns(transcripts[vid])
+            for vid in {s.video_id for s in segments}}
+    return [assemble_features(s, transcripts[s.video_id], tracks[s.video_id],
+                              cues[s.video_id], **options)
+            for s in segments]
+
+
 def segment_text(segment: Segment, transcript: Transcript) -> str:
-    return " ".join(c.text for c in transcript.cues
-                    if c.index in set(segment.cue_indices))
+    wanted = set(segment.cue_indices)
+    return " ".join(c.text for c in transcript.cues if c.index in wanted)
 
 
 def smote_oversample(x: np.ndarray, y: np.ndarray, k_neighbors: int = 5,

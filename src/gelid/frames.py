@@ -8,16 +8,17 @@ as CSV.
 
 from __future__ import annotations
 
-import csv
 import io
 import logging
 import re
-from dataclasses import dataclass, field
+import warnings
+from collections.abc import Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import DataError, InternalError, ParseError
 
 log = logging.getLogger(__name__)
 
@@ -29,48 +30,130 @@ _HIST_ATOL = 1e-9
 _LUMA = np.array([0.299, 0.587, 0.114])
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrameDescriptor:
+    """One frame of a VideoTrack, as a row view of its columns."""
+
     timestamp_ms: int
     histogram: np.ndarray  # (3 * bins,) float64, each channel block sums to 1
     luminance_mean: float
 
-    def validate(self, atol: float = _HIST_ATOL) -> None:
-        if self.histogram.ndim != 1 or self.histogram.size % _CHANNELS:
-            raise DataError(f"histogram length {self.histogram.size} is not a "
-                            f"multiple of {_CHANNELS}")
-        blocks = self.histogram.reshape(_CHANNELS, -1)
-        if np.any(self.histogram < 0):
-            raise DataError("histogram has negative bins")
-        if not np.allclose(blocks.sum(axis=1), 1.0, atol=atol, rtol=0):
-            raise DataError("histogram channel blocks must each sum to 1")
-        if not 0.0 <= self.luminance_mean <= 1.0:
-            raise DataError(f"luminance {self.luminance_mean} outside [0,1]")
-
 
 @dataclass
 class VideoTrack:
+    """A video's frame descriptors as columns; row i is frame i.
+
+    Timestamps strictly increase, so the frames in [start, end) are one
+    contiguous slice (see `window`).
+    """
+
     video_id: str
-    frames: list[FrameDescriptor] = field(default_factory=list)
+    timestamps_ms: np.ndarray  # (F,) int64
+    histograms: np.ndarray     # (F, 3 * bins) float64
+    luminance: np.ndarray      # (F,) float64 in [0, 1]
     duration_ms: int = 0
 
+    @classmethod
+    def from_frames(cls, video_id: str, frames,
+                    duration_ms: int = 0) -> "VideoTrack":
+        frames = list(frames)
+        width = (frames[0].histogram.size if frames
+                 else _CHANNELS * DEFAULT_BINS)
+        return cls(video_id,
+                   np.array([f.timestamp_ms for f in frames], dtype=np.int64),
+                   np.array([f.histogram for f in frames],
+                            dtype=np.float64).reshape(len(frames), width),
+                   np.array([f.luminance_mean for f in frames],
+                            dtype=np.float64),
+                   duration_ms)
+
+    @property
+    def frames(self) -> "FrameRows":
+        """Read-only row views, one per frame; the columns are the fast
+        path."""
+        return FrameRows(self)
+
+    def window(self, start_ms: int, end_ms: int) -> slice:
+        """Rows of the frames with start_ms <= timestamp < end_ms."""
+        lo, hi = np.searchsorted(self.timestamps_ms, (start_ms, end_ms))
+        return slice(int(lo), int(hi))
+
+    def histograms_at(self, timestamps_ms) -> np.ndarray:
+        """Histogram rows of the frames at these timestamps, in order;
+        timestamps without a frame are skipped."""
+        stamps = self.timestamps_ms
+        if not stamps.size:
+            return self.histograms
+        wanted = np.asarray(timestamps_ms, dtype=np.int64)
+        rows = np.minimum(np.searchsorted(stamps, wanted), stamps.size - 1)
+        return self.histograms[rows[stamps[rows] == wanted]]
+
     def validate(self) -> None:
-        stamps = [f.timestamp_ms for f in self.frames]
-        if stamps != sorted(stamps):
-            raise DataError("track frames are not sorted by timestamp")
-        if len(set(stamps)) != len(stamps):
-            raise DataError("track has duplicate frame timestamps")
-        if stamps and stamps[-1] > self.duration_ms:
-            raise DataError(f"last frame at {stamps[-1]} ms exceeds duration "
-                            f"{self.duration_ms} ms")
+        fault = self._first_fault()
+        if fault is not None:
+            row, message = fault
+            raise DataError(f"frame {row}: {message}")
 
-    def histogram_matrix(self) -> np.ndarray:
-        if not self.frames:
-            return np.zeros((0, _CHANNELS * DEFAULT_BINS))
-        return np.stack([f.histogram for f in self.frames])
+    def _first_fault(self) -> tuple[int, str] | None:
+        """Row and reason of the first frame that breaks a track invariant.
 
-    def timestamps(self) -> np.ndarray:
-        return np.array([f.timestamp_ms for f in self.frames], dtype=np.int64)
+        Timestamps strictly increase and stay within the duration, bins
+        are non-negative, every channel block sums to 1 and luminance lies
+        in [0, 1]. The block-sum tolerance allows for the 9-decimal
+        rounding of the descriptor CSV, which can drift a block sum by
+        bins/2 * 1e-9.
+        """
+        stamps, hists = self.timestamps_ms, self.histograms
+        lum = self.luminance
+        n = stamps.size
+        if (stamps.shape != (n,) or lum.shape != (n,) or hists.ndim != 2
+                or hists.shape[0] != n or hists.shape[1] % _CHANNELS):
+            raise DataError(f"track columns disagree: timestamps "
+                            f"{stamps.shape}, histograms {hists.shape}, "
+                            f"luminance {lum.shape}")
+        bins = hists.shape[1] // _CHANNELS
+        sums = hists.reshape(n, _CHANNELS, bins).sum(axis=2)
+        steps = np.zeros(n, dtype=bool)
+        steps[1:] = np.diff(stamps) <= 0
+        # a row's first failing check names it; NaN fails every comparison
+        checks = [
+            (steps, lambda i: f"non-monotone timestamp {stamps[i]} after "
+                              f"{stamps[i - 1]}"),
+            (stamps > self.duration_ms,
+             lambda i: f"frame at {stamps[i]} ms exceeds duration "
+                       f"{self.duration_ms} ms"),
+            ((hists < 0).any(axis=1),
+             lambda i: "histogram has negative bins"),
+            (~(np.abs(sums - 1.0) <= _HIST_ATOL * bins).all(axis=1),
+             lambda i: "histogram channel blocks must each sum to 1"),
+            (~((lum >= 0.0) & (lum <= 1.0)),
+             lambda i: f"luminance {lum[i]} outside [0,1]"),
+        ]
+        faults = [(int(np.argmax(bad)), describe)
+                  for bad, describe in checks if bad.any()]
+        if not faults:
+            return None
+        row, describe = min(faults, key=lambda fault: fault[0])
+        return row, describe(row)
+
+
+class FrameRows(Sequence):
+    """A track's frames as a sequence of FrameDescriptor row views."""
+
+    def __init__(self, track: VideoTrack):
+        self._track = track
+
+    def __len__(self) -> int:
+        return self._track.timestamps_ms.size
+
+    def __getitem__(self, index: int) -> FrameDescriptor:
+        track = self._track
+        return FrameDescriptor(int(track.timestamps_ms[index]),
+                               track.histograms[index],
+                               float(track.luminance[index]))
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other)
 
 
 def compute_histogram(image: np.ndarray,
@@ -171,16 +254,15 @@ def descriptor_csv_header(bins_per_channel: int = DEFAULT_BINS) -> list[str]:
 def write_descriptor_csv(track: VideoTrack, path: str | Path | io.TextIOBase,
                          bins_per_channel: int | None = None) -> None:
     """Write `timestamp_ms,h0..h47,luminance` rows, 9 decimal digits."""
+    width = track.histograms.shape[1]
     if bins_per_channel is None:
-        size = track.frames[0].histogram.size if track.frames else (
-            _CHANNELS * DEFAULT_BINS)
-        bins_per_channel = size // _CHANNELS
-    rows = [",".join([str(f.timestamp_ms)]
-                     + [f"{v:.9f}" for v in f.histogram]
-                     + [f"{f.luminance_mean:.9f}"])
-            for f in track.frames]
-    text = "\n".join([",".join(descriptor_csv_header(bins_per_channel))] + rows)
-    text += "\n"
+        bins_per_channel = width // _CHANNELS
+    row_format = ",".join(["%d"] + ["%.9f"] * (width + 1))
+    rows = [row_format % (ts, *hist, lum) for ts, hist, lum in zip(
+        track.timestamps_ms.tolist(), track.histograms.tolist(),
+        track.luminance.tolist())]
+    header = ",".join(descriptor_csv_header(bins_per_channel))
+    text = "\n".join([header] + rows) + "\n"
     if isinstance(path, io.TextIOBase):
         path.write(text)
     else:
@@ -189,45 +271,102 @@ def write_descriptor_csv(track: VideoTrack, path: str | Path | io.TextIOBase,
 
 def read_descriptor_csv(path: str | Path, video_id: str = "",
                         duration_ms: int | None = None) -> VideoTrack:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty descriptor CSV") from None
-        if header[0] != "timestamp_ms" or header[-1] != "luminance":
-            raise ParseError(f"{path}: bad descriptor CSV header")
-        frames = []
-        prev = None
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}: row has {len(row)} fields, "
-                                 f"expected {len(header)}", line_no)
-            ts = int(row[0])
-            if prev is not None and ts <= prev:
-                raise ParseError(f"{path}: non-monotone timestamp {ts} after "
-                                 f"{prev}", line_no)
-            prev = ts
-            hist = np.array([float(v) for v in row[1:-1]])
-            desc = FrameDescriptor(timestamp_ms=ts, histogram=hist,
-                                   luminance_mean=float(row[-1]))
-            # 9-decimal quantization can drift a block sum by bins/2 * 1e-9
-            desc.validate(atol=_HIST_ATOL * (hist.size // _CHANNELS))
-            frames.append(desc)
-    return _build_track(frames, video_id, duration_ms)
+    """Parse and validate a descriptor CSV in one vectorized pass.
 
-
-def _build_track(frames: list[FrameDescriptor], video_id: str,
-                 duration_ms: int | None) -> VideoTrack:
-    frames.sort(key=lambda f: f.timestamp_ms)
+    Rows are strict: a bad row raises a ParseError naming the file and
+    its line; nothing is clamped or skipped except blank lines.
+    """
+    try:
+        timestamps, histograms, luminance = _parse_descriptor_csv(path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
     if duration_ms is None:
-        duration_ms = frames[-1].timestamp_ms if frames else 0
-    track = VideoTrack(video_id=video_id, frames=frames,
-                       duration_ms=duration_ms)
-    track.validate()
+        duration_ms = int(timestamps[-1]) if timestamps.size else 0
+    track = VideoTrack(video_id, timestamps, histograms, luminance,
+                       duration_ms)
+    fault = track._first_fault()
+    if fault is not None:
+        row, message = fault
+        raise ParseError(f"{path}: {message}", _line_of_row(path, row))
     return track
+
+
+def _parse_descriptor_csv(path: str | Path):
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        if header == [""]:
+            raise ParseError(f"{path}: empty descriptor CSV", 1)
+        width = len(header) - 2
+        if (header[0] != "timestamp_ms" or header[-1] != "luminance"
+                or width < _CHANNELS or width % _CHANNELS):
+            raise ParseError(f"{path}: bad descriptor CSV header", 1)
+        row_dtype = np.dtype([("ts", np.int64), ("hist", np.float64, (width,)),
+                              ("lum", np.float64)])
+        try:
+            table = _load_rows(fh, row_dtype)
+        except (ValueError, DeprecationWarning):
+            table = None
+    if table is None:
+        raise _unparsable_row(path, row_dtype)
+    return (table["ts"].copy(),
+            np.ascontiguousarray(table["hist"]).reshape(len(table), width),
+            table["lum"].copy())
+
+
+def _load_rows(lines, row_dtype: np.dtype) -> np.ndarray:
+    """np.loadtxt of CSV rows into `row_dtype`, strict on integers.
+
+    Older NumPy reads '1500.5' into an integer field as 1500 with
+    only a DeprecationWarning; raising it keeps such rows rejected.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # header-only file
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(lines, dtype=row_dtype, delimiter=",",
+                          comments=None, ndmin=1)
+
+
+def _data_lines(path: str | Path):
+    """(line number, text) of every non-blank line after the header."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line_no > 1 and line.strip("\r\n"):
+                yield line_no, line
+
+
+def _line_of_row(path: str | Path, row: int) -> int:
+    for index, (line_no, _) in enumerate(_data_lines(path)):
+        if index == row:
+            return line_no
+    raise InternalError(f"{path}: no data row {row}")
+
+
+def _unparsable_row(path: str | Path, row_dtype: np.dtype) -> ParseError:
+    """Locate the first row the vectorized parse rejected and say why."""
+    n_fields = row_dtype["hist"].shape[0] + 2
+    for line_no, line in _data_lines(path):
+        try:
+            _load_rows([line], row_dtype)
+        except (ValueError, DeprecationWarning) as exc:
+            cells = line.rstrip("\r\n").split(",")
+            if len(cells) != n_fields:
+                reason = f"row has {len(cells)} fields, expected {n_fields}"
+            elif not _parses(int, cells[0]):
+                reason = f"timestamp {cells[0]!r} is not an integer"
+            else:
+                reason = next((f"non-numeric value {c!r}" for c in cells[1:]
+                               if not _parses(float, c)), str(exc))
+            return ParseError(f"{path}: {reason}", line_no)
+    raise InternalError(f"{path}: parse failed but every row parses")
+
+
+def _parses(kind, text: str) -> bool:
+    try:
+        kind(text)
+    except ValueError:
+        return False
+    return True
 
 
 def load_track(path: str | Path, video_id: str = "",
@@ -237,7 +376,7 @@ def load_track(path: str | Path, video_id: str = "",
     path = Path(path)
     if path.is_dir():
         by_stamp: dict[int, Path] = {}
-        frames = []
+        hists, lums = [], []
         for entry in sorted(path.iterdir()):
             if entry.suffix.lower() != ".ppm":
                 continue
@@ -252,10 +391,21 @@ def load_track(path: str | Path, video_id: str = "",
             by_stamp[ts] = entry
             hist, luminance = compute_histogram(
                 parse_ppm_frame(entry.read_bytes()), bins_per_channel)
-            frames.append(FrameDescriptor(ts, hist, luminance))
-        if not frames:
+            hists.append(hist)
+            lums.append(luminance)
+        if not by_stamp:
             log.warning("no frames found in %s; track is empty", path)
-        return _build_track(frames, video_id, duration_ms)
+        timestamps = np.array(list(by_stamp), dtype=np.int64)
+        order = np.argsort(timestamps)
+        if duration_ms is None:
+            duration_ms = int(timestamps.max()) if timestamps.size else 0
+        hists = np.array(hists, dtype=np.float64).reshape(
+            len(hists), _CHANNELS * bins_per_channel)
+        track = VideoTrack(video_id, timestamps[order], hists[order],
+                           np.array(lums, dtype=np.float64)[order],
+                           duration_ms)
+        track.validate()
+        return track
     if path.is_file():
         return read_descriptor_csv(path, video_id, duration_ms)
     raise DataError(f"track source {path} does not exist")

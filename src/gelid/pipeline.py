@@ -262,13 +262,15 @@ class PipelineResult:
     bundle: ClassifierBundle
 
 
-def _segment_keyframes(segment: Segment,
-                       track: VideoTrack) -> np.ndarray:
-    by_ts = {f.timestamp_ms: f.histogram for f in track.frames}
-    rows = [by_ts[ts] for ts in segment.keyframe_timestamps if ts in by_ts]
-    if not rows:
-        return np.zeros((0, 0))
-    return np.stack(rows)
+def keyframe_lookup(segments: list[Segment],
+                    tracks: dict[str, VideoTrack]) -> dict[str, np.ndarray]:
+    """Keyframe histograms of each segment that has at least one."""
+    lookup = {}
+    for s in segments:
+        rows = tracks[s.video_id].histograms_at(s.keyframe_timestamps)
+        if rows.size:
+            lookup[s.segment_id] = rows
+    return lookup
 
 
 def _maybe_smote(matrix: np.ndarray, y: np.ndarray,
@@ -307,10 +309,9 @@ def _train_bundle(segments: list[Segment],
     table = (features.load_embedding_table(config.embedding_path)
              if config.embedding_path else None)
     groups = config.feature_group_list()
-    vectors = [features.assemble_features(
-        s, transcripts[s.video_id], tracks[s.video_id], vocab=vocab,
-        table=table, ngram_max=config.ngram_max, stopwords=stopwords,
-        groups=groups) for s in labeled]
+    vectors = features.assemble_all(
+        labeled, transcripts, tracks, vocab=vocab, table=table,
+        ngram_max=config.ngram_max, stopwords=stopwords, groups=groups)
     matrix, names = features.feature_matrix(vectors)
     y = np.array([training_labels[s.segment_id] for s in labeled])
     matrix, y = _maybe_smote(matrix, y, config)
@@ -329,11 +330,10 @@ def classify_segments(segments: list[Segment],
                       bundle: ClassifierBundle) -> dict[str, str]:
     if "embedding" in bundle.feature_groups and bundle.embedding is None:
         raise DataError("bundle uses embedding features but carries no table")
-    vectors = [features.assemble_features(
-        s, transcripts[s.video_id], tracks[s.video_id],
-        vocab=bundle.vocabulary, table=bundle.embedding,
-        ngram_max=bundle.ngram_max, stopwords=bundle.stopwords,
-        groups=bundle.feature_groups) for s in segments]
+    vectors = features.assemble_all(
+        segments, transcripts, tracks, vocab=bundle.vocabulary,
+        table=bundle.embedding, ngram_max=bundle.ngram_max,
+        stopwords=bundle.stopwords, groups=bundle.feature_groups)
     matrix, names = features.feature_matrix(vectors)
     labels = models.predict(bundle.model, matrix, feature_names=names)
     return {s.segment_id: lbl for s, lbl in zip(segments, labels)}
@@ -349,13 +349,11 @@ def build_hierarchy(segments: list[Segment],
     informative = [s for s in segments
                    if predictions[s.segment_id]
                    != models.IssueLabel.NON_INFORMATIVE.value]
-    keyframes = {}
+    keyframes = keyframe_lookup(informative, tracks)
     clusterable = []
     bare = []
     for s in informative:
-        kf = _segment_keyframes(s, tracks[s.video_id])
-        if kf.size:
-            keyframes[s.segment_id] = kf
+        if s.segment_id in keyframes:
             clusterable.append(s.segment_id)
         else:
             bare.append(s.segment_id)

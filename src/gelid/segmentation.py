@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 from .frames import VideoTrack
@@ -91,6 +92,25 @@ class SegmenterConfig:
 ShotDetector = Callable[[VideoTrack, SegmenterConfig], list[ShotTransition]]
 
 
+def adaptive_thresholds(dists: np.ndarray, window: int,
+                        alpha: float) -> np.ndarray:
+    """mean + alpha * std of the `window` distances before each one.
+
+    dists[j] = d(j, j+1). The first window - 1 thresholds see fewer
+    distances; thresholds[0] sees none and is NaN. Each value is
+    bit-identical to `w.mean() + alpha * w.std()` over its own window.
+    """
+    thresholds = np.full(dists.size, np.nan)
+    for i in range(1, min(window, dists.size)):
+        head = dists[:i]
+        thresholds[i] = head.mean() + alpha * head.std()
+    if dists.size > window:
+        windows = sliding_window_view(dists[:-1], window)
+        thresholds[window:] = (windows.mean(axis=1)
+                               + alpha * windows.std(axis=1))
+    return thresholds
+
+
 def detect_shot_transitions(track: VideoTrack,
                             cfg: SegmenterConfig) -> list[ShotTransition]:
     """Adaptive-threshold histogram-difference shot detection.
@@ -100,21 +120,16 @@ def detect_shot_transitions(track: VideoTrack,
     previous accepted transition is at least min_shot_ms back.
     """
     cfg.validate()
-    if len(track.frames) < 2:
+    stamps = track.timestamps_ms
+    if stamps.size < 2:
         log.warning("track %s has %d frame(s); no transitions detectable",
-                    track.video_id, len(track.frames))
+                    track.video_id, stamps.size)
         return []
-    hists = track.histogram_matrix()
-    stamps = track.timestamps()
-    dists = np.abs(np.diff(hists, axis=0)).sum(axis=1)  # dists[j] = d(j, j+1)
+    dists = np.abs(np.diff(track.histograms, axis=0)).sum(axis=1)
+    thresholds = adaptive_thresholds(dists, cfg.window, cfg.alpha)
     transitions: list[ShotTransition] = []
     prev_ms: int | None = None
-    for i in range(1, len(dists)):  # frame index i+1; needs >= 1 prior distance
-        lo = max(0, i - cfg.window)
-        window = dists[lo:i]
-        threshold = window.mean() + cfg.alpha * window.std()
-        if dists[i] <= threshold:
-            continue
+    for i in np.flatnonzero(dists > thresholds):
         ts = int(stamps[i + 1])
         if prev_ms is not None and ts - prev_ms < cfg.min_shot_ms:
             continue
@@ -172,7 +187,8 @@ def _keyframes_for(start_ms: int, end_ms: int, shot_times: list[int],
             if ts not in chosen:
                 chosen.append(ts)
     if not chosen:
-        inside = stamps[(stamps >= start_ms) & (stamps < end_ms)]
+        inside = stamps[np.searchsorted(stamps, start_ms):
+                        np.searchsorted(stamps, end_ms)]
         if inside.size:
             mid = (start_ms + end_ms) // 2
             ts = int(inside[np.argmin(np.abs(inside - mid))])
@@ -209,7 +225,7 @@ def build_segments(track: VideoTrack, cuts: list[CutPoint],
             pieces[short - 1][1] = pieces[short][1]
         del pieces[short]
 
-    stamps = track.timestamps()
+    stamps = track.timestamps_ms
     shot_times = sorted({c.source_shot_ms for c in cuts})
     segments = []
     for idx, (start, end) in enumerate(pieces):

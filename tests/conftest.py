@@ -63,7 +63,7 @@ def write_video(root: Path, video_id: str, scenes: list[dict]) -> dict:
                              f"{format_srt_timestamp(end)}\n{text}\n")
             cue_index += 1
         at += duration
-    track = VideoTrack(video_id, frames, at)
+    track = VideoTrack.from_frames(video_id, frames, at)
     write_descriptor_csv(track, root / f"{video_id}.descriptors.csv")
     (root / f"{video_id}.srt").write_text("\n".join(cue_lines),
                                           encoding="utf-8", newline="\n")

@@ -35,6 +35,49 @@ def test_data_error_exits_2_and_writes_nothing(tmp_path):
     assert not (out / "segments.jsonl").exists()  # no partial artifacts
 
 
+def _set_cell(column, value):
+    def corrupt(cells, previous):
+        cells[column] = value
+        return cells
+    return corrupt
+
+
+# each case rewrites data row 4 (line 5) of vid_a's descriptor CSV
+_BAD_DESCRIPTOR_ROWS = {
+    "non_numeric_cell": _set_cell(3, "abc"),
+    "non_integer_timestamp": _set_cell(0, "1500.5"),
+    "wrong_field_count": lambda cells, previous: cells[:-1],
+    "duplicate_timestamp": lambda cells, previous: [previous[0]] + cells[1:],
+    "decreasing_timestamp":
+        lambda cells, previous: [str(int(previous[0]) - 1)] + cells[1:],
+    "negative_bin": _set_cell(1, "-0.100000000"),
+    "bad_block_sum": lambda cells, previous:
+        [cells[0], f"{float(cells[1]) + 0.1:.9f}"] + cells[2:],
+    "luminance_out_of_range": _set_cell(-1, "1.500000000"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "segment"])
+@pytest.mark.parametrize("case", sorted(_BAD_DESCRIPTOR_ROWS))
+def test_bad_descriptor_row_exits_2_naming_file_and_line(tmp_path, capsys,
+                                                         command, case):
+    paths = _world(tmp_path)
+    csv_path = paths["root"] / "vid_a.descriptors.csv"
+    lines = csv_path.read_text().splitlines()
+    lines[4] = ",".join(_BAD_DESCRIPTOR_ROWS[case](lines[4].split(","),
+                                                   lines[3].split(",")))
+    csv_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main([command, "--manifest", str(paths["manifest"]),
+                 "--config", str(paths["config"]),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert str(csv_path) in err
+    assert "line 5" in err
+    assert "Traceback" not in err
+
+
 def test_missing_manifest_exits_2(tmp_path):
     code = main(["segment", "--manifest", str(tmp_path / "nope.json"),
                  "--seed", "1", "--out", str(tmp_path / "out")])

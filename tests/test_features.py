@@ -10,8 +10,9 @@ from gelid.features import (EmbeddingTable, FeatureVector, assemble_features,
                             embedding_features, feature_matrix,
                             fit_vocabulary, load_embedding_table,
                             mask_feature_groups, read_feature_csv,
-                            smote_oversample, speech_features, text_features,
-                            tokenize, video_features, write_feature_csv)
+                            cue_columns, smote_oversample, speech_features,
+                            text_features, tokenize, video_features,
+                            write_feature_csv)
 from gelid.frames import FrameDescriptor, VideoTrack
 from gelid.segmentation import Segment
 from gelid.subtitles import Cue, Transcript
@@ -151,7 +152,7 @@ def _seg(start, end, cue_indices=(), video_id="vid", keyframes=()):
 
 def test_video_features_black_segment():
     frames = [FrameDescriptor(t, _hist(0), 0.0) for t in (0, 500, 1000)]
-    track = VideoTrack("vid", frames, 2000)
+    track = VideoTrack.from_frames("vid", frames, 2000)
     fv = video_features(_seg(0, 2000), track)
     by = dict(zip(fv.names, fv.values))
     assert by["video:luminance_mean"] == 0.0
@@ -161,7 +162,7 @@ def test_video_features_black_segment():
 
 def test_video_features_constant_frames_zero_motion():
     frames = [FrameDescriptor(t, _hist(3), 0.4) for t in (0, 500, 1000)]
-    track = VideoTrack("vid", frames, 2000)
+    track = VideoTrack.from_frames("vid", frames, 2000)
     by = dict(zip(*[(video_features(_seg(0, 2000), track)).names,
                     (video_features(_seg(0, 2000), track)).values]))
     assert by["video:motion_mean"] == 0.0
@@ -171,7 +172,7 @@ def test_video_features_constant_frames_zero_motion():
 def test_video_features_alternating_frames_motion_from_oracle():
     hists = [_hist(0), _hist(15), _hist(0), _hist(15)]
     frames = [FrameDescriptor(i * 500, h, 0.0) for i, h in enumerate(hists)]
-    track = VideoTrack("vid", frames, 2000)
+    track = VideoTrack.from_frames("vid", frames, 2000)
     fv = video_features(_seg(0, 2000), track)
     # independent brute-force L1 oracle
     expected = []
@@ -184,7 +185,8 @@ def test_video_features_alternating_frames_motion_from_oracle():
 
 
 def test_video_features_single_frame_flags_no_video():
-    track = VideoTrack("vid", [FrameDescriptor(100, _hist(0), 0.5)], 2000)
+    track = VideoTrack.from_frames(
+        "vid", [FrameDescriptor(100, _hist(0), 0.5)], 2000)
     by = dict(zip(*[(video_features(_seg(0, 2000), track)).names,
                     (video_features(_seg(0, 2000), track)).values]))
     assert by["video:had_video"] == 0.0
@@ -198,14 +200,15 @@ def _transcript(cue_specs):
 
 
 def test_speech_features_no_cues_all_zero():
-    fv = speech_features(_seg(0, 5000), Transcript(video_id="vid"))
+    fv = speech_features(_seg(0, 5000),
+                         cue_columns(Transcript(video_id="vid")))
     assert not fv.values.any()
 
 
 def test_speech_features_full_span_cue_density_one():
     t = _transcript([(0, 5000, "talking the whole time")])
-    by = dict(zip(*[(speech_features(_seg(0, 5000), t)).names,
-                    (speech_features(_seg(0, 5000), t)).values]))
+    by = dict(zip(*[(speech_features(_seg(0, 5000), cue_columns(t))).names,
+                    (speech_features(_seg(0, 5000), cue_columns(t))).values]))
     assert by["speech:density"] == 1.0
     assert by["speech:n_cues"] == 1.0
 
@@ -213,8 +216,8 @@ def test_speech_features_full_span_cue_density_one():
 def test_speech_features_words_per_second():
     t = _transcript([(0, 5000, "one two three four five six seven eight "
                                "nine ten")])
-    by = dict(zip(*[(speech_features(_seg(0, 5000), t)).names,
-                    (speech_features(_seg(0, 5000), t)).values]))
+    by = dict(zip(*[(speech_features(_seg(0, 5000), cue_columns(t))).names,
+                    (speech_features(_seg(0, 5000), cue_columns(t))).values]))
     assert by["speech:words_per_second"] == 2.0
 
 
@@ -222,7 +225,7 @@ def test_speech_features_words_per_second():
 
 def _mini_world():
     frames = [FrameDescriptor(t, _hist(0), 0.0) for t in (0, 1000, 2000)]
-    track = VideoTrack("vid", frames, 4000)
+    track = VideoTrack.from_frames("vid", frames, 4000)
     transcript = _transcript([(0, 2000, "the game crashed hard.")])
     seg = _seg(0, 4000, cue_indices=(1,))
     vocab = fit_vocabulary(["game crashed", "lag spike"])
@@ -231,7 +234,8 @@ def _mini_world():
 
 def test_assemble_concatenates_groups_in_order():
     seg, transcript, track, vocab = _mini_world()
-    fv = assemble_features(seg, transcript, track, vocab=vocab)
+    fv = assemble_features(seg, transcript, track,
+                           cue_columns(transcript), vocab=vocab)
     groups = [n.split(":", 1)[0] for n in fv.names]
     assert groups == sorted(groups, key=["text", "embedding", "video",
                                          "speech"].index)
@@ -240,7 +244,8 @@ def test_assemble_concatenates_groups_in_order():
 
 def test_masking_selects_named_groups_and_is_idempotent():
     seg, transcript, track, vocab = _mini_world()
-    fv = assemble_features(seg, transcript, track, vocab=vocab)
+    fv = assemble_features(seg, transcript, track,
+                           cue_columns(transcript), vocab=vocab)
     text_only = mask_feature_groups(fv, ["text"])
     assert all(n.startswith("text:") for n in text_only.names)
     again = mask_feature_groups(text_only, ["text"])
@@ -250,7 +255,8 @@ def test_masking_selects_named_groups_and_is_idempotent():
 
 def test_masking_unknown_group_is_error():
     seg, transcript, track, vocab = _mini_world()
-    fv = assemble_features(seg, transcript, track, vocab=vocab)
+    fv = assemble_features(seg, transcript, track,
+                           cue_columns(transcript), vocab=vocab)
     with pytest.raises(DataError):
         mask_feature_groups(fv, ["audio"])
 
@@ -273,12 +279,13 @@ def test_features_always_finite(text, seed):
         from gelid.frames import compute_histogram
         hist, lum = compute_histogram(img)
         frames.append(FrameDescriptor(i * 500, hist, lum))
-    track = VideoTrack("vid", frames, 5000)
+    track = VideoTrack.from_frames("vid", frames, 5000)
     transcript = _transcript([(0, 2500, text.replace("\n", " ") or "x")]) \
         if text.strip() else Transcript(video_id="vid")
     seg = _seg(0, 5000, cue_indices=(1,) if transcript.cues else ())
     vocab = fit_vocabulary(["fallback token"])
-    fv = assemble_features(seg, transcript, track, vocab=vocab)
+    fv = assemble_features(seg, transcript, track,
+                           cue_columns(transcript), vocab=vocab)
     assert np.all(np.isfinite(fv.values))
 
 

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -162,7 +163,8 @@ def test_load_track_empty_directory_warns(tmp_path, caplog):
 def test_descriptor_csv_row_parses(tmp_path):
     hist = np.zeros(48)
     hist[[0, 16, 32]] = 1.0
-    track = VideoTrack("vid", [FrameDescriptor(1000, hist, 0.5)], 1000)
+    track = VideoTrack.from_frames("vid", [FrameDescriptor(1000, hist, 0.5)],
+                                   1000)
     path = tmp_path / "d.csv"
     write_descriptor_csv(track, path)
     again = read_descriptor_csv(path, "vid")
@@ -173,8 +175,8 @@ def test_descriptor_csv_row_parses(tmp_path):
 def test_descriptor_csv_non_monotone_is_error(tmp_path):
     hist = np.zeros(48)
     hist[[0, 16, 32]] = 1.0
-    track = VideoTrack("vid", [FrameDescriptor(0, hist, 0.0),
-                               FrameDescriptor(10, hist, 0.0)], 10)
+    track = VideoTrack.from_frames("vid", [FrameDescriptor(0, hist, 0.0),
+                                           FrameDescriptor(10, hist, 0.0)], 10)
     path = tmp_path / "d.csv"
     write_descriptor_csv(track, path)
     lines = path.read_text().splitlines()
@@ -190,7 +192,7 @@ def test_descriptor_csv_round_trip_is_exact_to_9_digits(tmp_path):
         raw = rng.random(48).reshape(3, 16)
         hist = (raw / raw.sum(axis=1, keepdims=True)).ravel()
         frames.append(FrameDescriptor(i * 100, hist, float(rng.random())))
-    track = VideoTrack("vid", frames, 300)
+    track = VideoTrack.from_frames("vid", frames, 300)
     p1 = tmp_path / "a.csv"
     write_descriptor_csv(track, p1)
     again = read_descriptor_csv(p1, "vid")
@@ -206,7 +208,7 @@ def test_descriptor_csv_round_trip_is_exact_to_9_digits(tmp_path):
 def test_descriptor_csv_via_stringio():
     hist = np.zeros(48)
     hist[[0, 16, 32]] = 1.0
-    track = VideoTrack("vid", [FrameDescriptor(0, hist, 0.0)], 0)
+    track = VideoTrack.from_frames("vid", [FrameDescriptor(0, hist, 0.0)], 0)
     buf = io.StringIO()
     write_descriptor_csv(track, buf)
     assert buf.getvalue().startswith("timestamp_ms,h0,")
@@ -215,6 +217,64 @@ def test_descriptor_csv_via_stringio():
 def test_track_validation_rejects_late_frames():
     hist = np.zeros(48)
     hist[[0, 16, 32]] = 1.0
-    track = VideoTrack("vid", [FrameDescriptor(2000, hist, 0.0)], 1000)
+    track = VideoTrack.from_frames("vid", [FrameDescriptor(2000, hist, 0.0)],
+                                   1000)
     with pytest.raises(DataError):
         track.validate()
+
+
+def _two_row_csv(tmp_path):
+    hist = np.zeros(48)
+    hist[[0, 16, 32]] = 1.0
+    track = VideoTrack.from_frames("vid", [FrameDescriptor(0, hist, 0.0),
+                                           FrameDescriptor(10, hist, 0.0)], 10)
+    path = tmp_path / "d.csv"
+    write_descriptor_csv(track, path)
+    return path
+
+
+def test_descriptor_csv_error_line_counts_blank_lines(tmp_path):
+    path = _two_row_csv(tmp_path)
+    header, first, second = path.read_text().splitlines()
+    bad = second.rsplit(",", 1)[0] + ",1.5"   # luminance out of range
+    path.write_text("\n".join([header, "", first, "", bad]) + "\n")
+    with pytest.raises(ParseError, match="luminance") as err:
+        read_descriptor_csv(path)
+    assert err.value.line == 5
+    path.write_text("\n".join([header, first, "", "x" + bad]) + "\n")
+    with pytest.raises(ParseError, match="not an integer") as err:
+        read_descriptor_csv(path)
+    assert err.value.line == 4
+
+
+def test_descriptor_csv_rejects_fractional_timestamp_on_older_numpy(
+        tmp_path, monkeypatch):
+    # older NumPy truncates '10.5' into an int64 field and only warns
+    real_loadtxt = np.loadtxt
+
+    def truncating_loadtxt(lines, **kwargs):
+        rows = []
+        for line in lines:
+            stamp, rest = line.split(",", 1)
+            if "." in stamp:
+                warnings.warn("loadtxt(): Parsing an integer via a float is "
+                              "deprecated.", DeprecationWarning)
+                stamp = str(int(float(stamp)))
+            rows.append(f"{stamp},{rest}")
+        return real_loadtxt(rows, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+    path = _two_row_csv(tmp_path)
+    header, first, second = path.read_text().splitlines()
+    path.write_text("\n".join([header, first, "10.5" + second[2:]]) + "\n")
+    with pytest.raises(ParseError, match="not an integer") as err:
+        read_descriptor_csv(path)
+    assert err.value.line == 3
+
+
+def test_descriptor_csv_not_utf8_is_parse_error(tmp_path):
+    path = _two_row_csv(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b",0.000000000\n",
+                                               b",\xff0.0\n", 1))
+    with pytest.raises(ParseError, match="not UTF-8"):
+        read_descriptor_csv(path)

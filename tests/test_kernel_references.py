@@ -1,0 +1,238 @@
+"""The vectorized per-frame kernels against plain loop references.
+
+Each reference is the straightforward loop over frames or cues that the
+columnar code replaced. The vectorized versions must agree exactly (==,
+not a tolerance) on random tracks and transcripts, including empty
+tracks, 0- and 1-frame windows, windows that reach past either end of the
+track, windows longer than the track and cues that straddle a segment
+boundary.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gelid.features import (BLANK_LUMINANCE, cue_columns, speech_features,
+                            video_features)
+from gelid.frames import VideoTrack, read_descriptor_csv, write_descriptor_csv
+from gelid.pipeline import keyframe_lookup
+from gelid.segmentation import (SegmenterConfig, Segment, ShotTransition,
+                                adaptive_thresholds, detect_shot_transitions)
+from gelid.subtitles import Cue, Transcript
+
+# --- loop references ---------------------------------------------------------
+
+
+def ref_video_values(segment, track):
+    inside = [f for f in track.frames
+              if segment.start_ms <= f.timestamp_ms < segment.end_ms]
+    n = len(inside)
+    if n >= 2:
+        hists = np.stack([f.histogram for f in inside])
+        motion = np.abs(np.diff(hists, axis=0)).sum(axis=1)
+        motion_mean, motion_std = float(motion.mean()), float(motion.std())
+        had_video = 1.0
+    else:
+        motion_mean = motion_std = 0.0
+        had_video = 0.0
+    luminance = np.array([f.luminance_mean for f in inside])
+    return np.array([
+        segment.duration_ms / 1000.0, float(n), motion_mean, motion_std,
+        float(luminance.mean()) if n else 0.0,
+        float((luminance < BLANK_LUMINANCE).mean()) if n else 0.0,
+        had_video])
+
+
+def ref_speech_values(segment, transcript):
+    duration_ms = segment.duration_ms
+    overlap_ms = words = n_cues = 0
+    for cue in transcript.cues:
+        lo = max(cue.start_ms, segment.start_ms)
+        hi = min(cue.end_ms, segment.end_ms)
+        if hi <= lo:
+            continue
+        n_cues += 1
+        overlap_ms += hi - lo
+        words += len(cue.text.split())
+    density = overlap_ms / duration_ms if duration_ms else 0.0
+    wps = words / (duration_ms / 1000.0) if duration_ms else 0.0
+    return np.array([density, wps, float(n_cues)])
+
+
+def ref_thresholds(dists, window, alpha):
+    out = [np.nan]
+    for i in range(1, len(dists)):
+        w = dists[max(0, i - window):i]
+        out.append(w.mean() + alpha * w.std())
+    return np.array(out[:len(dists)])
+
+
+def ref_shot_transitions(track, cfg):
+    frames = track.frames
+    if len(frames) < 2:
+        return []
+    hists = np.stack([f.histogram for f in frames])
+    stamps = [f.timestamp_ms for f in frames]
+    dists = np.abs(np.diff(hists, axis=0)).sum(axis=1)
+    transitions, prev_ms = [], None
+    for i in range(1, len(dists)):
+        window = dists[max(0, i - cfg.window):i]
+        if dists[i] <= window.mean() + cfg.alpha * window.std():
+            continue
+        ts = stamps[i + 1]
+        if prev_ms is not None and ts - prev_ms < cfg.min_shot_ms:
+            continue
+        transitions.append(ShotTransition(ts, float(dists[i])))
+        prev_ms = ts
+    return transitions
+
+
+def ref_keyframe_lookup(segments, tracks):
+    lookup = {}
+    for seg in segments:
+        by_ts = {f.timestamp_ms: f.histogram
+                 for f in tracks[seg.video_id].frames}
+        rows = [by_ts[ts] for ts in seg.keyframe_timestamps if ts in by_ts]
+        if rows:
+            lookup[seg.segment_id] = np.stack(rows)
+    return lookup
+
+
+# --- random inputs -----------------------------------------------------------
+
+
+def _random_track(seed, n_frames, repeat=0.5, bins=4):
+    """Frames 1..400 ms apart; scenes repeat a histogram, so many distance
+    windows are all-zero or tie their threshold."""
+    rng = np.random.default_rng(seed)
+    stamps = np.cumsum(rng.integers(1, 400, size=n_frames)) - 1
+    hists = np.empty((n_frames, 3 * bins))
+    for i in range(n_frames):
+        if i and rng.random() < repeat:
+            hists[i] = hists[i - 1]
+        else:
+            raw = rng.integers(0, 5, size=(3, bins)).astype(float) + 0.5
+            hists[i] = (raw / raw.sum(axis=1, keepdims=True)).ravel()
+    luminance = rng.choice([0.0, 0.01, 0.04, 0.05, 0.5, 1.0], size=n_frames)
+    duration = int(stamps[-1]) + 1 if n_frames else 1000
+    return VideoTrack("vid", stamps.astype(np.int64), hists, luminance,
+                      duration)
+
+
+def _windows(rng, track, count):
+    """Segments around and beyond the frames, some empty or one frame."""
+    top = int(track.duration_ms) + 500
+    out = []
+    for k in range(count):
+        start = int(rng.integers(-500, top))
+        end = start + int(rng.choice([0, 1, int(rng.integers(1, top + 1))]))
+        if track.timestamps_ms.size and k % 4 == 0:
+            at = int(rng.choice(track.timestamps_ms))
+            start, end = at, at + 1  # exactly one frame
+        out.append(Segment(f"vid_{k:04d}", "vid", start, end))
+    return out
+
+
+_tracks = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 60),
+                    st.sampled_from([0.0, 0.5, 0.9]))
+
+
+@given(_tracks)
+@settings(max_examples=80, deadline=None)
+def test_video_features_match_loop_reference(spec):
+    seed, n_frames, repeat = spec
+    track = _random_track(seed, n_frames, repeat)
+    rng = np.random.default_rng(seed + 1)
+    for segment in _windows(rng, track, 12):
+        values = video_features(segment, track).values
+        assert values.tobytes() == ref_video_values(segment, track).tobytes()
+
+
+@given(st.lists(st.floats(0, 10, allow_nan=False), max_size=200)
+       .map(np.array), st.integers(1, 150), st.floats(0.01, 10))
+@settings(max_examples=150, deadline=None)
+def test_adaptive_thresholds_match_loop_reference(dists, window, alpha):
+    assert adaptive_thresholds(dists, window, alpha).tobytes() == \
+        ref_thresholds(dists, window, alpha).tobytes()
+
+
+@given(_tracks, st.integers(1, 80), st.sampled_from([0.5, 1.0, 3.0]),
+       st.sampled_from([0, 300, 2000]))
+@settings(max_examples=120, deadline=None)
+def test_shot_transitions_match_loop_reference(spec, window, alpha,
+                                               min_shot_ms):
+    track = _random_track(*spec)
+    cfg = SegmenterConfig(window=window, alpha=alpha, min_shot_ms=min_shot_ms)
+    assert detect_shot_transitions(track, cfg) == \
+        ref_shot_transitions(track, cfg)
+
+
+_cue_specs = st.lists(
+    st.tuples(st.integers(0, 20000), st.integers(0, 6000),
+              st.integers(0, 6)), max_size=25)
+
+
+@given(_cue_specs, st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_speech_features_match_loop_reference(specs, seed):
+    cues = [Cue(i + 1, start, start + length, " ".join(["w"] * words))
+            for i, (start, length, words) in enumerate(specs)]
+    transcript = Transcript("vid", cues)
+    columns = cue_columns(transcript)
+    rng = np.random.default_rng(seed)
+    edges = [c.start_ms for c in cues] + [c.end_ms for c in cues] + [0]
+    segments = []
+    for k in range(10):
+        # segment edges on, just inside or just past cue edges, so some
+        # cues straddle a segment boundary
+        start = int(rng.choice(edges)) + int(rng.integers(-1, 2))
+        end = start + int(rng.integers(0, 8000))
+        segments.append(Segment(f"vid_{k:04d}", "vid", start, end))
+    for segment in segments:
+        values = speech_features(segment, columns).values
+        assert values.tobytes() == \
+            ref_speech_values(segment, transcript).tobytes()
+
+
+@given(_tracks, st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_keyframe_lookup_matches_loop_reference(spec, seed):
+    track = _random_track(*spec)
+    rng = np.random.default_rng(seed)
+    segments = []
+    for k in range(8):
+        present = (list(rng.choice(track.timestamps_ms, size=3))
+                   if track.timestamps_ms.size else [])
+        absent = [-1, int(track.duration_ms) + 7, 10 ** 12]
+        picked = [int(t) for t in present + absent
+                  if rng.random() < 0.6]
+        segments.append(Segment(f"vid_{k:04d}", "vid", 0, 1,
+                                keyframe_timestamps=tuple(picked)))
+    tracks = {"vid": track}
+    got = keyframe_lookup(segments, tracks)
+    want = ref_keyframe_lookup(segments, tracks)
+    assert got.keys() == want.keys()
+    for sid, rows in want.items():
+        assert got[sid].tobytes() == rows.tobytes()
+        assert got[sid].shape == rows.shape
+
+
+@given(_tracks)
+@settings(max_examples=40, deadline=None)
+def test_descriptor_csv_matches_per_cell_format_and_parse(tmp_path_factory,
+                                                          spec):
+    track = _random_track(*spec)
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    write_descriptor_csv(track, path)
+    assert path.read_text().splitlines()[1:] == [
+        ",".join([str(f.timestamp_ms)] + [f"{v:.9f}" for v in f.histogram]
+                 + [f"{f.luminance_mean:.9f}"])
+        for f in track.frames]
+    again = read_descriptor_csv(path, "vid", track.duration_ms)
+    rows = [line.split(",")
+            for line in path.read_text().splitlines()[1:]]
+    assert again.timestamps_ms.tolist() == [int(r[0]) for r in rows]
+    assert again.histograms.tolist() == \
+        [[float(v) for v in r[1:-1]] for r in rows]
+    assert again.luminance.tolist() == [float(r[-1]) for r in rows]
+    assert again.histograms.shape == (len(rows), track.histograms.shape[1])

@@ -22,8 +22,8 @@ def _hist(dominant_bin):
 def _track(stamps_and_bins, duration=None, video_id="vid"):
     frames = [FrameDescriptor(ts, _hist(b), 1.0 if b == 15 else 0.0)
               for ts, b in stamps_and_bins]
-    return VideoTrack(video_id, frames,
-                      duration or max(ts for ts, _ in stamps_and_bins))
+    return VideoTrack.from_frames(
+        video_id, frames, duration or max(ts for ts, _ in stamps_and_bins))
 
 
 def _constant_track(n=20, step=1000):

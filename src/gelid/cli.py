@@ -22,7 +22,7 @@ from .frames import load_track, write_descriptor_csv
 from .pipeline import (ClassifierBundle, classify_segments, export_report,
                        hierarchy_to_json, keyframe_lookup, load_manifest,
                        parse_subtitle_file, run_pipeline)
-from .segmentation import (read_segments_jsonl, segment_video,
+from .segmentation import (Segment, read_segments_jsonl, segment_video,
                            write_segments_jsonl)
 from .subtitles import transcript_to_dict
 
@@ -95,14 +95,20 @@ def cmd_segment(args) -> int:
     return 0
 
 
-def _read_segments(path: str):
-    return read_segments_jsonl(Path(path).read_text(encoding="utf-8"))
+def _read_segments(path: str, videos) -> list[Segment]:
+    """Segments of a segments.jsonl, each naming one of `videos`."""
+    segments = read_segments_jsonl(Path(path).read_text(encoding="utf-8"))
+    unknown = sorted({s.video_id for s in segments}.difference(videos))
+    if unknown:
+        raise DataError(f"{path}: segments name video(s) not in the "
+                        f"manifest: {', '.join(unknown)}")
+    return segments
 
 
 def cmd_features(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     _, transcripts, tracks = _load_inputs(args, config)
-    segments = _read_segments(args.segments)
+    segments = _read_segments(args.segments, tracks)
     stopwords = config.stopword_set()
     vocab = features.fit_vocabulary(
         [features.segment_text(s, transcripts[s.video_id]) for s in segments],
@@ -172,7 +178,7 @@ def _load_bundle(path: str) -> ClassifierBundle:
 def cmd_classify(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     _, transcripts, tracks = _load_inputs(args, config)
-    segments = _read_segments(args.segments)
+    segments = _read_segments(args.segments, tracks)
     bundle = _load_bundle(args.model)
     predictions = classify_segments(segments, transcripts, tracks, bundle)
     out = _out_dir(args)
@@ -194,7 +200,7 @@ def _require_labels(segments, labels: dict[str, str]) -> None:
 def cmd_group(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     _, _, tracks = _load_inputs(args, config)
-    segments = _read_segments(args.segments)
+    segments = _read_segments(args.segments, tracks)
     labels = _read_segment_labels(args.labels)
     _require_labels(segments, labels)
     informative = [s for s in segments
@@ -217,7 +223,7 @@ def cmd_group(args) -> int:
 def cmd_cluster(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     manifest, transcripts, tracks = _load_inputs(args, config)
-    segments = _read_segments(args.segments)
+    segments = _read_segments(args.segments, tracks)
     labels = _read_segment_labels(args.labels)
     _require_labels(segments, labels)
     bundle = _load_bundle(args.model)

@@ -121,17 +121,71 @@ def issue_distance(text_a: np.ndarray, keyframes_a: np.ndarray,
     return alpha * text_term + (1.0 - alpha) * visual_term
 
 
+# Keyframe-pair similarities are computed one tile of segment blocks at a
+# time; a tile's (rows, cols, D) intermediate stays near this many bytes.
+_BLOCK_BYTES = 4 << 20
+
+
+def _segment_blocks(counts: np.ndarray, max_rows: int) -> list[range]:
+    """Consecutive segments holding at most max_rows keyframes together,
+    except that every block holds at least one segment."""
+    blocks, start, rows = [], 0, 0
+    for k, count in enumerate(counts.tolist()):
+        if k > start and rows + count > max_rows:
+            blocks.append(range(start, k))
+            start, rows = k, 0
+        rows += count
+    blocks.append(range(start, len(counts)))
+    return blocks
+
+
+def _context_values(ids: tuple[str, ...],
+                    keyframes: dict[str, np.ndarray]) -> np.ndarray:
+    """Context distances of every segment pair, each equal bit for bit to
+    `context_distance`: the same minimum-sum over D per keyframe pair,
+    then one mean per segment pair over its contiguous ka * kb block."""
+    n = len(ids)
+    values = np.zeros((n, n))
+    if n < 2:
+        return values
+    stacks = [np.atleast_2d(keyframes[i]) for i in ids]
+    counts = np.array([k.shape[0] for k in stacks])
+    if not counts.all():
+        raise DataError("context distance needs at least one keyframe per "
+                        "segment")
+    stacked = np.concatenate(stacks)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    # a tile is at most max_rows x max_rows keyframes unless one segment
+    # alone has more
+    max_rows = math.isqrt(_BLOCK_BYTES // (stacked.itemsize
+                                            * stacked.shape[1]))
+    blocks = _segment_blocks(counts, max_rows)
+    for bi, rows in enumerate(blocks):
+        for cols in blocks[bi:]:
+            sims = np.minimum(
+                stacked[offsets[rows.start]:offsets[rows.stop], None, :],
+                stacked[None, offsets[cols.start]:offsets[cols.stop], :]
+            ).sum(axis=2) / _CHANNELS
+            i, j = np.meshgrid(rows, cols, indexing="ij")
+            i, j = i[i < j], j[i < j]
+            for ka, kb in set(zip(counts[i].tolist(), counts[j].tolist())):
+                pick = (counts[i] == ka) & (counts[j] == kb)
+                pi, pj = i[pick], j[pick]
+                r = (offsets[pi] - offsets[rows.start])[:, None, None] \
+                    + np.arange(ka)[:, None]
+                c = (offsets[pj] - offsets[cols.start])[:, None, None] \
+                    + np.arange(kb)
+                means = sims[r, c].reshape(pi.size, ka * kb).mean(axis=1)
+                values[pi, pj] = values[pj, pi] = np.clip(1.0 - means,
+                                                          0.0, 1.0)
+    return values
+
+
 def build_context_matrix(ids, keyframes: dict[str, np.ndarray]
                          ) -> DistanceMatrix:
     """Pairwise context distances; d(X, X) = 0 by convention."""
     ids = tuple(ids)
-    n = len(ids)
-    values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = context_distance(keyframes[ids[i]], keyframes[ids[j]])
-            values[i, j] = values[j, i] = d
-    matrix = DistanceMatrix(ids=ids, values=values)
+    matrix = DistanceMatrix(ids=ids, values=_context_values(ids, keyframes))
     matrix.validate()
     return matrix
 
@@ -139,15 +193,22 @@ def build_context_matrix(ids, keyframes: dict[str, np.ndarray]
 def build_issue_matrix(ids, texts: dict[str, np.ndarray],
                        keyframes: dict[str, np.ndarray],
                        alpha: float = 0.5) -> DistanceMatrix:
+    """Pairwise `issue_distance`: alpha 1 needs no keyframes, alpha 0 no
+    texts."""
+    if not 0.0 <= alpha <= 1.0:
+        raise DataError(f"alpha {alpha} outside [0, 1]")
     ids = tuple(ids)
     n = len(ids)
-    values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = issue_distance(texts[ids[i]], keyframes[ids[i]],
-                               texts[ids[j]], keyframes[ids[j]], alpha)
-            values[i, j] = values[j, i] = d
-    matrix = DistanceMatrix(ids=ids, values=values)
+    text_term = np.zeros((n, n))
+    if alpha > 0:
+        for i in range(n):
+            for j in range(i + 1, n):
+                text_term[i, j] = text_term[j, i] = cosine_distance(
+                    texts[ids[i]], texts[ids[j]])
+    visual_term = (_context_values(ids, keyframes) if alpha < 1
+                   else np.zeros((n, n)))
+    matrix = DistanceMatrix(
+        ids=ids, values=alpha * text_term + (1.0 - alpha) * visual_term)
     matrix.validate()
     return matrix
 

@@ -28,6 +28,7 @@ class ParseError(DataError):
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
+        self.detail = message
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import clustering, features, models
 from .config import RunConfig
-from .errors import ConfigError, DataError, StageError
+from .errors import ConfigError, DataError, ParseError, StageError
 from .frames import VideoTrack, load_track
 from .segmentation import Segment, segment_video
 from .subtitles import Transcript, parse_srt, parse_vtt
@@ -86,9 +86,11 @@ def load_manifest(path: str | Path) -> Manifest:
 
 def parse_subtitle_file(path: Path, video_id: str) -> Transcript:
     data = path.read_bytes()
-    if path.suffix.lower() == ".vtt":
-        return parse_vtt(data, video_id=video_id)
-    return parse_srt(data, video_id=video_id)
+    parse = parse_vtt if path.suffix.lower() == ".vtt" else parse_srt
+    try:
+        return parse(data, video_id=video_id)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc.detail}", exc.line) from None
 
 
 # ---------------------------------------------------------------------------

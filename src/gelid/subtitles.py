@@ -58,7 +58,13 @@ def _clean_text(raw: str) -> str:
 
 def _decode(data: bytes | str) -> str:
     if isinstance(data, bytes):
-        text = data.decode("utf-8-sig")
+        try:
+            text = data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            # exc.object is the input past any byte-order mark
+            raise ParseError(f"not UTF-8 text ({exc.reason})",
+                             exc.object.count(b"\n", 0, exc.start) + 1
+                             ) from None
     else:
         text = data.lstrip("﻿")
     return text.replace("\r\n", "\n").replace("\r", "\n")

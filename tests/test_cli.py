@@ -78,6 +78,59 @@ def test_bad_descriptor_row_exits_2_naming_file_and_line(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "segment"])
+def test_undecodable_subtitles_exit_2_naming_file(tmp_path, capsys, command):
+    paths = _world(tmp_path)
+    srt_path = paths["root"] / "vid_a.srt"
+    # the first cue's text, on line 3, starts "the game"
+    srt_path.write_bytes(srt_path.read_bytes().replace(b"game", b"g\xffme",
+                                                       1))
+    capsys.readouterr()
+    code = main([command, "--manifest", str(paths["manifest"]),
+                 "--config", str(paths["config"]),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert str(srt_path) in err
+    assert "line 3" in err and "not UTF-8" in err
+    assert "Traceback" not in err
+
+
+_SEGMENT_STAGES = {
+    "features": [],
+    "classify": ["--model"],
+    "group": ["--labels"],
+    "cluster": ["--labels", "--model"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SEGMENT_STAGES))
+def test_segments_naming_unknown_video_exit_2(tmp_path, capsys, command):
+    paths = _world(tmp_path)
+    m, c = str(paths["manifest"]), str(paths["config"])
+    stage = tmp_path / "stage"
+    assert main(["segment", "--manifest", m, "--config", c,
+                 "--out", str(stage)]) == 0
+    segments_path = stage / "segments.jsonl"
+    rows = [json.loads(line)
+            for line in segments_path.read_text().splitlines()]
+    rows[0]["video_id"] = "zz"
+    segments_path.write_text(
+        "\n".join(json.dumps(row) for row in rows) + "\n")
+    # the check comes before these files would be read
+    extra = [arg for flag in _SEGMENT_STAGES[command]
+             for arg in (flag, str(tmp_path / "unused"))]
+    capsys.readouterr()
+    code = main([command, "--manifest", m, "--config", c,
+                 "--segments", str(segments_path), *extra,
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert str(segments_path) in err
+    assert "zz" in err
+    assert "Traceback" not in err
+
+
 def test_missing_manifest_exits_2(tmp_path):
     code = main(["segment", "--manifest", str(tmp_path / "nope.json"),
                  "--seed", "1", "--out", str(tmp_path / "out")])

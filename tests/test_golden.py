@@ -12,6 +12,13 @@ import pytest
 
 from conftest import THREE_VIDEO_WORLD, write_world
 from gelid.cli import main
+from gelid.clustering import build_context_matrix, build_issue_matrix
+from gelid.config import load_config
+from gelid.features import segment_text, text_features
+from gelid.frames import load_track
+from gelid.models import IssueLabel
+from gelid.pipeline import (keyframe_lookup, load_manifest,
+                            parse_subtitle_file, run_pipeline)
 
 _CLUSTERERS = {
     "dbscan": {},
@@ -80,3 +87,58 @@ def test_golden_ingest_descriptor_csv(tmp_path):
     # ingest rewrites the descriptor CSV it read without changing a byte
     assert written.read_bytes() == \
         (paths["root"] / "vid_a.descriptors.csv").read_bytes()
+
+
+# --- distance matrices -------------------------------------------------------
+
+# alpha 0 is the context matrix itself; alpha 1 is text only
+GOLDEN_CONTEXT_MATRIX_SHA256 = (
+    "90b89b6a7137f217fea6a3dbba0599f171404fe8f2a783b0fd9b944b721a27a5")
+
+GOLDEN_ISSUE_MATRIX_SHA256 = {
+    0.0: "90b89b6a7137f217fea6a3dbba0599f171404fe8f2a783b0fd9b944b721a27a5",
+    0.5: "3cdc38c94bcd83e6fe818269e80f3efbb594dd98d30d49cd13990d98d2e19310",
+    1.0: "831000db38f6c4faf2a2c892d71ed49f8a0e08e057926169f95b98883d3950ff",
+}
+
+
+@pytest.fixture(scope="module")
+def informative_inputs(tmp_path_factory):
+    """Ids, keyframes and tf-idf text vectors of the world's informative
+    segments, built the way `build_hierarchy` builds them."""
+    paths = write_world(tmp_path_factory.mktemp("world"), THREE_VIDEO_WORLD)
+    config = load_config(str(paths["config"]))
+    manifest = load_manifest(paths["manifest"])
+    result = run_pipeline(manifest, config)
+    transcripts = {e.video_id: parse_subtitle_file(e.subtitles, e.video_id)
+                   for e in manifest.videos}
+    tracks = {e.video_id: load_track(e.frames, e.video_id, e.duration_ms,
+                                     config.bins_per_channel)
+              for e in manifest.videos}
+    informative = [s for s in result.segments
+                   if result.predictions[s.segment_id]
+                   != IssueLabel.NON_INFORMATIVE.value]
+    bundle = result.bundle
+    texts = {s.segment_id: text_features(
+        segment_text(s, transcripts[s.video_id]), bundle.vocabulary,
+        bundle.ngram_max, bundle.stopwords).values for s in informative}
+    keyframes = keyframe_lookup(informative, tracks)
+    return [s.segment_id for s in informative], texts, keyframes
+
+
+def _digest(matrix) -> str:
+    return hashlib.sha256(matrix.values.tobytes()).hexdigest()
+
+
+def test_golden_context_matrix(informative_inputs):
+    ids, _, keyframes = informative_inputs
+    assert len(ids) == 6
+    matrix = build_context_matrix(ids, keyframes)
+    assert _digest(matrix) == GOLDEN_CONTEXT_MATRIX_SHA256
+
+
+@pytest.mark.parametrize("alpha", sorted(GOLDEN_ISSUE_MATRIX_SHA256))
+def test_golden_issue_matrix(informative_inputs, alpha):
+    ids, texts, keyframes = informative_inputs
+    matrix = build_issue_matrix(ids, texts, keyframes, alpha)
+    assert _digest(matrix) == GOLDEN_ISSUE_MATRIX_SHA256[alpha]

@@ -1,17 +1,25 @@
-"""The vectorized per-frame kernels against plain loop references.
+"""The vectorized kernels against plain loop references.
 
-Each reference is the straightforward loop over frames or cues that the
-columnar code replaced. The vectorized versions must agree exactly (==,
-not a tolerance) on random tracks and transcripts, including empty
-tracks, 0- and 1-frame windows, windows that reach past either end of the
-track, windows longer than the track and cues that straddle a segment
-boundary.
+Each reference is the straightforward loop over frames, cues or segment
+pairs that the vectorized code replaced. The vectorized versions must
+agree exactly (==, not a tolerance) on random tracks, transcripts and
+keyframe sets, including empty tracks, 0- and 1-frame windows, windows
+that reach past either end of the track, windows longer than the track,
+cues that straddle a segment boundary, identical segments, zero text
+vectors and distance matrices computed one segment block at a time.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gelid import clustering
+from gelid.clustering import (build_context_matrix, build_issue_matrix,
+                              context_distance, issue_distance)
+from gelid.errors import DataError
 from gelid.features import (BLANK_LUMINANCE, cue_columns, speech_features,
                             video_features)
 from gelid.frames import VideoTrack, read_descriptor_csv, write_descriptor_csv
@@ -96,6 +104,27 @@ def ref_keyframe_lookup(segments, tracks):
         if rows:
             lookup[seg.segment_id] = np.stack(rows)
     return lookup
+
+
+def ref_context_matrix(ids, keyframes):
+    n = len(ids)
+    values = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = context_distance(keyframes[ids[i]], keyframes[ids[j]])
+            values[i, j] = values[j, i] = d
+    return values
+
+
+def ref_issue_matrix(ids, texts, keyframes, alpha):
+    n = len(ids)
+    values = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = issue_distance(texts[ids[i]], keyframes[ids[i]],
+                               texts[ids[j]], keyframes[ids[j]], alpha)
+            values[i, j] = values[j, i] = d
+    return values
 
 
 # --- random inputs -----------------------------------------------------------
@@ -236,3 +265,81 @@ def test_descriptor_csv_matches_per_cell_format_and_parse(tmp_path_factory,
         [[float(v) for v in r[1:-1]] for r in rows]
     assert again.luminance.tolist() == [float(r[-1]) for r in rows]
     assert again.histograms.shape == (len(rows), track.histograms.shape[1])
+
+
+def _random_segments(seed, n, bins, max_keyframes, vocab=6):
+    """Keyframes and text vectors for n segments. Some segments copy an
+    earlier one's keyframes or text, some texts are zero vectors, and
+    keyframe counts mix within one set."""
+    rng = np.random.default_rng(seed)
+    ids = [f"seg_{k:03d}" for k in rng.permutation(n)]
+    keyframes, texts = {}, {}
+    for k, sid in enumerate(ids):
+        if k and rng.random() < 0.2:
+            keyframes[sid] = keyframes[ids[int(rng.integers(k))]].copy()
+        else:
+            count = int(rng.integers(1, max_keyframes + 1))
+            raw = rng.random((count, 3, bins)) * (rng.random() < 0.8)
+            raw += rng.integers(0, 2, size=(count, 3, bins)) + 1e-3
+            keyframes[sid] = (raw / raw.sum(axis=2, keepdims=True)).reshape(
+                count, 3 * bins)
+        draw = rng.random()
+        if draw < 0.2:
+            texts[sid] = np.zeros(vocab)
+        elif k and draw < 0.4:
+            texts[sid] = texts[ids[int(rng.integers(k))]].copy()
+        else:
+            texts[sid] = rng.random(vocab) * rng.integers(0, 2, size=vocab)
+    return ids, keyframes, texts
+
+
+def _one_segment_blocks(enabled):
+    """A block budget of one byte puts every segment in its own block."""
+    budget = 1 if enabled else clustering._BLOCK_BYTES
+    return mock.patch.object(clustering, "_BLOCK_BYTES", budget)
+
+
+_segment_sets = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 9),
+                          st.sampled_from([2, 16]), st.integers(1, 12))
+
+
+@given(_segment_sets, st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_context_matrix_matches_loop_reference(spec, one_row_blocks):
+    ids, keyframes, _ = _random_segments(*spec)
+    with _one_segment_blocks(one_row_blocks):
+        got = build_context_matrix(ids, keyframes)
+    assert got.ids == tuple(ids)
+    assert np.array_equal(got.values, ref_context_matrix(ids, keyframes))
+
+
+@given(_segment_sets, st.sampled_from([0.0, 0.5, 1.0]), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_issue_matrix_matches_loop_reference(spec, alpha, one_row_blocks):
+    ids, keyframes, texts = _random_segments(*spec)
+    with _one_segment_blocks(one_row_blocks):
+        got = build_issue_matrix(ids, texts, keyframes, alpha)
+    assert got.ids == tuple(ids)
+    assert np.array_equal(got.values,
+                          ref_issue_matrix(ids, texts, keyframes, alpha))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_small_matrices_match_loop_reference(n, alpha):
+    ids, keyframes, texts = _random_segments(7, n, 16, 4)
+    assert np.array_equal(build_context_matrix(ids, keyframes).values,
+                          ref_context_matrix(ids, keyframes))
+    assert np.array_equal(build_issue_matrix(ids, texts, keyframes,
+                                             alpha).values,
+                          ref_issue_matrix(ids, texts, keyframes, alpha))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_segment_without_keyframes_raises(alpha):
+    ids, keyframes, texts = _random_segments(3, 4, 2, 3)
+    keyframes[ids[2]] = np.empty((0, 6))
+    with pytest.raises(DataError, match="at least one keyframe"):
+        build_context_matrix(ids, keyframes)
+    with pytest.raises(DataError, match="at least one keyframe"):
+        build_issue_matrix(ids, texts, keyframes, alpha)

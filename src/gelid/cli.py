@@ -13,17 +13,11 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import clustering, features, models, stats
+from . import features, pipeline, stats
 from .config import load_config
 from .errors import ConfigError, DataError, GelidError
-from .frames import load_track, write_descriptor_csv
-from .pipeline import (ClassifierBundle, classify_segments, export_report,
-                       hierarchy_to_json, keyframe_lookup, load_manifest,
-                       parse_subtitle_file, run_pipeline)
-from .segmentation import (Segment, read_segments_jsonl, segment_video,
-                           write_segments_jsonl)
+from .frames import write_descriptor_csv
+from .segmentation import Segment, read_segments_jsonl, write_segments_jsonl
 from .subtitles import transcript_to_dict
 
 log = logging.getLogger("gelid")
@@ -40,56 +34,27 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _read_json(path: str):
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from None
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _load_inputs(args, config):
-    manifest = load_manifest(args.manifest)
-    transcripts, tracks = {}, {}
-    for entry in manifest.videos:
-        transcripts[entry.video_id] = parse_subtitle_file(entry.subtitles,
-                                                          entry.video_id)
-        tracks[entry.video_id] = load_track(entry.frames, entry.video_id,
-                                            entry.duration_ms,
-                                            config.bins_per_channel)
-    return manifest, transcripts, tracks
+def _ingest(args, config):
+    return pipeline.ingest(pipeline.load_manifest(args.manifest), config)
 
 
 def cmd_ingest(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
-    manifest, transcripts, tracks = _load_inputs(args, config)
-    out = _out_dir(args)
-    for entry in manifest.videos:
-        _write(out / f"{entry.video_id}.transcript.json",
-               json.dumps(transcript_to_dict(transcripts[entry.video_id]),
+    transcripts, tracks = _ingest(args, config)
+    out = Path(args.out)
+    for video_id, track in tracks.items():
+        _write(out / f"{video_id}.transcript.json",
+               json.dumps(transcript_to_dict(transcripts[video_id]),
                           sort_keys=True, indent=2) + "\n")
-        write_descriptor_csv(tracks[entry.video_id],
-                             out / f"{entry.video_id}.descriptors.csv")
-    print(f"ingested {len(manifest.videos)} video(s) into {out}")
+        write_descriptor_csv(track, out / f"{video_id}.descriptors.csv")
+    print(f"ingested {len(tracks)} video(s) into {out}")
     return 0
 
 
 def cmd_segment(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
-    manifest, transcripts, tracks = _load_inputs(args, config)
-    seg_cfg = config.segmenter_config()
-    segments = []
-    for entry in manifest.videos:
-        segments += segment_video(tracks[entry.video_id],
-                                  transcripts[entry.video_id], seg_cfg)
-    out = _out_dir(args)
+    segments = pipeline.segment(*_ingest(args, config), config)
+    out = Path(args.out)
     _write(out / "segments.jsonl", write_segments_jsonl(segments))
     print(f"wrote {len(segments)} segment(s) to {out / 'segments.jsonl'}")
     return 0
@@ -107,19 +72,11 @@ def _read_segments(path: str, videos) -> list[Segment]:
 
 def cmd_features(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
-    _, transcripts, tracks = _load_inputs(args, config)
+    transcripts, tracks = _ingest(args, config)
     segments = _read_segments(args.segments, tracks)
-    stopwords = config.stopword_set()
-    vocab = features.fit_vocabulary(
-        [features.segment_text(s, transcripts[s.video_id]) for s in segments],
-        ngram_max=config.ngram_max, stopwords=stopwords, min_df=config.min_df)
-    table = (features.load_embedding_table(config.embedding_path)
-             if config.embedding_path else None)
-    vectors = features.assemble_all(
-        segments, transcripts, tracks, vocab=vocab, table=table,
-        ngram_max=config.ngram_max, stopwords=stopwords,
-        groups=config.feature_group_list())
-    out = _out_dir(args)
+    vocab, vectors = pipeline.extract_features(segments, transcripts, tracks,
+                                               config)
+    out = Path(args.out)
     _write(out / "features.csv", features.write_feature_csv(vectors))
     _write(out / "vocabulary.json",
            json.dumps(vocab.to_dict(), sort_keys=True, indent=2) + "\n")
@@ -127,94 +84,61 @@ def cmd_features(args) -> int:
     return 0
 
 
-def _read_segment_labels(path: str) -> dict[str, str]:
-    labels = {}
-    for line_no, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        if "segment_id" not in obj or "label" not in obj:
-            raise DataError(f"{path}:{line_no}: need segment_id and label")
-        labels[obj["segment_id"]] = obj["label"]
-    return labels
-
-
 def cmd_train(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     vectors = features.read_feature_csv(
-        Path(args.features).read_text(encoding="utf-8"))
-    vocab = features.Vocabulary.from_dict(_read_json(args.vocabulary))
-    labels = _read_segment_labels(args.labels)
-    labeled = [fv for fv in vectors if fv.segment_id in labels]
-    if not labeled:
-        raise DataError("no feature rows match the provided labels")
-    matrix, names = features.feature_matrix(labeled)
-    y = np.array([labels[fv.segment_id] for fv in labeled])
-    from .pipeline import _maybe_smote
-    matrix, y = _maybe_smote(matrix, y, config)
-    model = models.train(config.model_kind, matrix, y,
-                         hyper=config.model_hyper(), seed=config.seed,
-                         feature_names=names)
-    table = (features.load_embedding_table(config.embedding_path)
-             if config.embedding_path else None)
-    bundle = ClassifierBundle(model=model, vocabulary=vocab,
-                              feature_groups=config.feature_group_list(),
-                              ngram_max=config.ngram_max,
-                              stopwords=config.stopword_set(),
-                              embedding=table)
-    out = Path(args.out)
-    _write(out, bundle.to_json() + "\n")
-    print(f"trained {config.model_kind} on {matrix.shape[0]} row(s); "
-          f"model at {out}")
+        Path(args.features).read_text(encoding="utf-8"), args.features)
+    vocab = features.Vocabulary.from_dict(
+        pipeline.read_json(args.vocabulary))
+    labels = pipeline.load_segment_labels(args.labels)
+    matrix, names = features.feature_matrix(vectors)
+    bundle = pipeline.train_bundle(
+        matrix, names, [labels.get(fv.segment_id) for fv in vectors], vocab,
+        config)
+    _write(Path(args.out), bundle.to_json() + "\n")
+    print(f"trained {config.model_kind}; model at {args.out}")
     return 0
 
 
-def _load_bundle(path: str) -> ClassifierBundle:
-    from .pipeline import load_bundle
-    return load_bundle(path)
+def _write_labels(out: Path, predictions: dict[str, str]) -> None:
+    _write(out / "labels.jsonl", "".join(
+        json.dumps({"segment_id": sid, "label": predictions[sid]},
+                   sort_keys=True) + "\n"
+        for sid in sorted(predictions)))
 
 
 def cmd_classify(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
-    _, transcripts, tracks = _load_inputs(args, config)
+    transcripts, tracks = _ingest(args, config)
     segments = _read_segments(args.segments, tracks)
-    bundle = _load_bundle(args.model)
-    predictions = classify_segments(segments, transcripts, tracks, bundle)
-    out = _out_dir(args)
-    lines = [json.dumps({"segment_id": sid, "label": predictions[sid]},
-                        sort_keys=True)
-             for sid in sorted(predictions)]
-    _write(out / "labels.jsonl", "\n".join(lines) + "\n")
+    bundle = pipeline.load_bundle(args.model)
+    predictions = pipeline.classify_segments(segments, transcripts, tracks,
+                                             bundle)
+    _write_labels(Path(args.out), predictions)
     print(f"classified {len(predictions)} segment(s)")
     return 0
 
 
-def _require_labels(segments, labels: dict[str, str]) -> None:
+def _read_labels_of(path: str, segments) -> dict[str, str]:
+    """Segment labels of a labels.jsonl that labels every segment."""
+    labels = pipeline.load_segment_labels(path)
     missing = [s.segment_id for s in segments if s.segment_id not in labels]
     if missing:
-        raise DataError(f"labels file is missing segment(s): "
+        raise DataError(f"{path}: labels file is missing segment(s): "
                         f"{missing[:5]}{'...' if len(missing) > 5 else ''}")
+    return labels
 
 
 def cmd_group(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
-    _, _, tracks = _load_inputs(args, config)
+    _, tracks = _ingest(args, config)
     segments = _read_segments(args.segments, tracks)
-    labels = _read_segment_labels(args.labels)
-    _require_labels(segments, labels)
-    informative = [s for s in segments
-                   if labels[s.segment_id]
-                   != models.IssueLabel.NON_INFORMATIVE.value]
-    lookup = keyframe_lookup(informative, tracks)
-    ids = [s.segment_id for s in informative if s.segment_id in lookup]
-    assignment = clustering.group_by_context(
-        ids, lookup, algorithm=config.context_algorithm,
-        params=config.context_params())
-    out = _out_dir(args)
+    assignment, _ = pipeline.group_contexts(
+        segments, _read_labels_of(args.labels, segments), tracks, config)
+    out = Path(args.out)
     _write(out / "contexts.json",
            json.dumps(assignment.to_dict(), sort_keys=True, indent=2) + "\n")
-    print(f"grouped {len(ids)} segment(s) into "
+    print(f"grouped {len(assignment.ids)} segment(s) into "
           f"{len(assignment.clusters())} context(s) "
           f"+ {len(assignment.noise())} noise")
     return 0
@@ -222,16 +146,14 @@ def cmd_group(args) -> int:
 
 def cmd_cluster(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
-    manifest, transcripts, tracks = _load_inputs(args, config)
+    transcripts, tracks = _ingest(args, config)
     segments = _read_segments(args.segments, tracks)
-    labels = _read_segment_labels(args.labels)
-    _require_labels(segments, labels)
-    bundle = _load_bundle(args.model)
-    from .pipeline import build_hierarchy  # stage shares the run logic
-    hierarchy = build_hierarchy(segments, labels, transcripts, tracks,
-                                config, bundle)
-    out = _out_dir(args)
-    _write(out / "hierarchy.json", hierarchy_to_json(hierarchy))
+    labels = _read_labels_of(args.labels, segments)
+    bundle = pipeline.load_bundle(args.model)
+    hierarchy = pipeline.build_hierarchy(segments, labels, transcripts,
+                                         tracks, config, bundle)
+    out = Path(args.out)
+    _write(out / "hierarchy.json", pipeline.hierarchy_to_json(hierarchy))
     print(f"wrote hierarchy with {hierarchy['counts']['n_contexts']} "
           f"context(s) to {out / 'hierarchy.json'}")
     return 0
@@ -241,19 +163,17 @@ def cmd_run(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     if args.model:
         config.model_path = args.model
-    manifest = load_manifest(args.manifest)
-    result = run_pipeline(manifest, config)
-    out = _out_dir(args)
+    result = pipeline.run_pipeline(pipeline.load_manifest(args.manifest),
+                                   config)
+    out = Path(args.out)
     _write(out / "segments.jsonl", write_segments_jsonl(result.segments))
-    lines = [json.dumps({"segment_id": sid,
-                         "label": result.predictions[sid]}, sort_keys=True)
-             for sid in sorted(result.predictions)]
-    _write(out / "labels.jsonl", "\n".join(lines) + "\n")
-    _write(out / "hierarchy.json", hierarchy_to_json(result.hierarchy))
+    _write_labels(out, result.predictions)
+    _write(out / "hierarchy.json",
+           pipeline.hierarchy_to_json(result.hierarchy))
     _write(out / "model.json", result.bundle.to_json() + "\n")
     _write(out / "run_report.json",
            json.dumps(result.run_report, sort_keys=True, indent=2) + "\n")
-    export_report(result.hierarchy, "html", out / "report.html")
+    pipeline.export_report(result.hierarchy, "html", out / "report.html")
     counts = result.hierarchy["counts"]
     print(f"run complete: {counts['n_segments']} segments, "
           f"{counts['n_informative']} informative, "
@@ -262,21 +182,21 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    hierarchy = _read_json(args.hierarchy)
-    export_report(hierarchy, args.format, args.out)
+    hierarchy = pipeline.read_json(args.hierarchy)
+    pipeline.export_report(hierarchy, args.format, args.out)
     print(f"wrote {args.format} report to {args.out}")
     return 0
 
 
 def _read_json_array(path: str) -> list:
-    obj = _read_json(path)
+    obj = pipeline.read_json(path)
     if not isinstance(obj, list):
         raise DataError(f"{path}: expected a JSON array")
     return obj
 
 
 def _partition_from_file(path: str) -> stats.Partition:
-    obj = _read_json(path)
+    obj = pipeline.read_json(path)
     if "groups" in obj:
         return stats.Partition.from_groups(obj["groups"])
     if "mapping" in obj:
@@ -286,21 +206,15 @@ def _partition_from_file(path: str) -> stats.Partition:
 
 def cmd_eval(args) -> int:
     stat = args.stat
-    if stat == "mojofm":
+    if stat in ("mojofm", "mno"):
         a = _partition_from_file(args.partition_a)
         b = _partition_from_file(args.partition_b)
-        mno_value = (stats.mno_enumerated(a, b) if args.oracle
-                     else stats.mno(a, b))
-        result = {"stat": stat, "mno": mno_value,
-                  "max_mno": stats.max_mno(b),
-                  "mojofm": stats.mojo_fm(a, b),
-                  "oracle": bool(args.oracle)}
-    elif stat == "mno":
-        a = _partition_from_file(args.partition_a)
-        b = _partition_from_file(args.partition_b)
-        value = (stats.mno_enumerated(a, b) if args.oracle
-                 else stats.mno(a, b))
-        result = {"stat": stat, "mno": value, "oracle": bool(args.oracle)}
+        result = {"stat": stat, "oracle": bool(args.oracle),
+                  "mno": (stats.mno_enumerated(a, b) if args.oracle
+                          else stats.mno(a, b))}
+        if stat == "mojofm":
+            result.update(max_mno=stats.max_mno(b),
+                          mojofm=stats.mojo_fm(a, b))
     elif stat == "kappa":
         result = {"stat": stat,
                   "kappa": stats.cohens_kappa(_read_json_array(args.x),

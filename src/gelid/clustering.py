@@ -14,7 +14,6 @@ breaks on item id, so results are independent of input order.
 from __future__ import annotations
 
 import heapq
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -478,7 +477,3 @@ def cluster_issues(segment_ids, texts: dict[str, np.ndarray],
     assignment.medoids = _medoids(assignment, matrix)
     assignment.params["alpha"] = alpha
     return assignment
-
-
-def assignment_to_json(assignment: ClusterAssignment) -> str:
-    return json.dumps(assignment.to_dict(), sort_keys=True)

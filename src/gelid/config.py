@@ -27,56 +27,56 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-# dotted key -> (attribute, type, default)
-_KEY_SPEC: dict[str, tuple[str, type, object]] = {
-    "seed": ("seed", int, None),
-    "split.evaluation": ("split_evaluation", float, 0.1),
-    "split.test": ("split_test", float, 0.9),
-    "segmenter.k_seconds": ("k_seconds", int, 5),
-    "segmenter.alpha": ("alpha", float, 3.0),
-    "segmenter.window": ("window", int, 24),
-    "segmenter.min_shot_ms": ("min_shot_ms", int, 2000),
-    "segmenter.min_segment_ms": ("min_segment_ms", int, 3000),
-    "segmenter.silence_ms": ("silence_ms", int, 3000),
-    "segmenter.gap_ms": ("gap_ms", int, 1500),
-    "segmenter.max_keyframes": ("max_keyframes", int, 10),
-    "frames.bins_per_channel": ("bins_per_channel", int, 16),
-    "features.ngram_max": ("ngram_max", int, 1),
-    "features.min_df": ("min_df", int, 1),
-    "features.stopwords": ("stopwords", str, ""),
-    "features.embedding_path": ("embedding_path", str, ""),
-    "features.groups": ("feature_groups", str, "text,video,speech"),
-    "model.kind": ("model_kind", str, "logistic_regression"),
-    "model.l2": ("l2", float, 1e-4),
-    "model.iterations": ("iterations", int, 500),
-    "model.learning_rate": ("learning_rate", float, 0.1),
-    "model.n_trees": ("n_trees", int, 100),
-    "model.min_leaf": ("min_leaf", int, 2),
-    "model.max_depth": ("max_depth", int, 0),  # 0 means unlimited
-    "model.hidden": ("hidden", int, 64),
-    "model.epochs": ("epochs", int, 50),
-    "model.batch_size": ("batch_size", int, 32),
-    "model.ffn_learning_rate": ("ffn_learning_rate", float, 0.01),
-    "train.labels_path": ("labels_path", str, ""),
-    "train.model_path": ("model_path", str, ""),
-    "train.smote": ("smote", bool, True),
-    "train.smote_k": ("smote_k", int, 5),
-    "clustering.context_algorithm": ("context_algorithm", str, "dbscan"),
-    "clustering.context_eps": ("context_eps", float, 0.3),
-    "clustering.context_min_pts": ("context_min_pts", int, 3),
-    "clustering.context_eps_max": ("context_eps_max", float, 1.0),
-    "clustering.context_eps_cut": ("context_eps_cut", float, 0.3),
-    "clustering.context_bandwidth": ("context_bandwidth", float, 0.25),
-    "clustering.issue_algorithm": ("issue_algorithm", str, "dbscan"),
-    "clustering.issue_eps": ("issue_eps", float, 0.3),
-    "clustering.issue_min_pts": ("issue_min_pts", int, 2),
-    "clustering.issue_eps_max": ("issue_eps_max", float, 1.0),
-    "clustering.issue_eps_cut": ("issue_eps_cut", float, 0.3),
-    "clustering.issue_bandwidth": ("issue_bandwidth", float, 0.25),
-    "clustering.alpha": ("issue_alpha", float, 0.5),
+# dotted key -> (attribute, type); defaults are the RunConfig fields
+_KEY_SPEC: dict[str, tuple[str, type]] = {
+    "seed": ("seed", int),
+    "split.evaluation": ("split_evaluation", float),
+    "split.test": ("split_test", float),
+    "segmenter.k_seconds": ("k_seconds", int),
+    "segmenter.alpha": ("alpha", float),
+    "segmenter.window": ("window", int),
+    "segmenter.min_shot_ms": ("min_shot_ms", int),
+    "segmenter.min_segment_ms": ("min_segment_ms", int),
+    "segmenter.silence_ms": ("silence_ms", int),
+    "segmenter.gap_ms": ("gap_ms", int),
+    "segmenter.max_keyframes": ("max_keyframes", int),
+    "frames.bins_per_channel": ("bins_per_channel", int),
+    "features.ngram_max": ("ngram_max", int),
+    "features.min_df": ("min_df", int),
+    "features.stopwords": ("stopwords", str),
+    "features.embedding_path": ("embedding_path", str),
+    "features.groups": ("feature_groups", str),
+    "model.kind": ("model_kind", str),
+    "model.l2": ("l2", float),
+    "model.iterations": ("iterations", int),
+    "model.learning_rate": ("learning_rate", float),
+    "model.n_trees": ("n_trees", int),
+    "model.min_leaf": ("min_leaf", int),
+    "model.max_depth": ("max_depth", int),  # 0 means unlimited
+    "model.hidden": ("hidden", int),
+    "model.epochs": ("epochs", int),
+    "model.batch_size": ("batch_size", int),
+    "model.ffn_learning_rate": ("ffn_learning_rate", float),
+    "train.labels_path": ("labels_path", str),
+    "train.model_path": ("model_path", str),
+    "train.smote": ("smote", bool),
+    "train.smote_k": ("smote_k", int),
+    "clustering.context_algorithm": ("context_algorithm", str),
+    "clustering.context_eps": ("context_eps", float),
+    "clustering.context_min_pts": ("context_min_pts", int),
+    "clustering.context_eps_max": ("context_eps_max", float),
+    "clustering.context_eps_cut": ("context_eps_cut", float),
+    "clustering.context_bandwidth": ("context_bandwidth", float),
+    "clustering.issue_algorithm": ("issue_algorithm", str),
+    "clustering.issue_eps": ("issue_eps", float),
+    "clustering.issue_min_pts": ("issue_min_pts", int),
+    "clustering.issue_eps_max": ("issue_eps_max", float),
+    "clustering.issue_eps_cut": ("issue_eps_cut", float),
+    "clustering.issue_bandwidth": ("issue_bandwidth", float),
+    "clustering.alpha": ("issue_alpha", float),
 }
 
-_ATTR_TO_KEY = {attr: key for key, (attr, _, _) in _KEY_SPEC.items()}
+_ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEY_SPEC.items()}
 
 
 @dataclass
@@ -137,6 +137,8 @@ class RunConfig:
             raise ConfigError("split fractions must sum to 1")
         if not 0.0 <= self.split_evaluation <= 1.0:
             raise ConfigError("split.evaluation must lie in [0, 1]")
+        if not 0.0 <= self.issue_alpha <= 1.0:
+            raise ConfigError("clustering.alpha must lie in [0, 1]")
         if self.model_kind not in ("logistic_regression", "random_forest",
                                    "feedforward_net"):
             raise ConfigError(f"unknown model.kind {self.model_kind!r}")
@@ -194,7 +196,7 @@ class RunConfig:
 
 
 def _convert(key: str, raw: str):
-    _, typ, _ = _KEY_SPEC[key]
+    _, typ = _KEY_SPEC[key]
     try:
         if typ is bool:
             return _parse_bool(raw)
@@ -224,7 +226,7 @@ def parse_config(text: str) -> RunConfig:
 
 def apply_env_overrides(cfg: RunConfig, environ=None) -> RunConfig:
     environ = os.environ if environ is None else environ
-    for key, (attr, _, _) in _KEY_SPEC.items():
+    for key, (attr, _) in _KEY_SPEC.items():
         env_name = ENV_PREFIX + key.replace(".", "_").upper()
         if env_name in environ:
             setattr(cfg, attr, _convert(key, environ[env_name]))

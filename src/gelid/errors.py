@@ -49,4 +49,6 @@ class StageError(GelidError):
         self.cause = cause
         where = f"stage '{stage}'" + (f", video '{video_id}'" if video_id else "")
         super().__init__(f"{where}: {cause}")
-        self.exit_code = getattr(cause, "exit_code", 3)
+        # an unreadable input file is a data error, not an internal one
+        self.exit_code = getattr(cause, "exit_code",
+                                 2 if isinstance(cause, OSError) else 3)

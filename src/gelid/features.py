@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, ParseError
 from .frames import VideoTrack
 from .segmentation import Segment
 from .subtitles import Transcript
@@ -383,26 +383,36 @@ def feature_matrix(vectors: list[FeatureVector]) -> tuple[np.ndarray, list[str]]
 
 
 def write_feature_csv(vectors: list[FeatureVector]) -> str:
-    """CSV with a header row of feature names; one row per segment."""
+    """CSV with a header row of feature names; one row per segment.
+
+    Values are written with `repr`, so reading the file back gives every
+    float bit for bit."""
     matrix, names = feature_matrix(vectors)
     lines = [",".join(["segment_id"] + names)]
     for fv, row in zip(vectors, matrix):
-        lines.append(",".join([fv.segment_id] + [f"{v:.12g}" for v in row]))
+        lines.append(",".join([fv.segment_id]
+                              + [repr(v) for v in row.tolist()]))
     return "\n".join(lines) + "\n"
 
 
-def read_feature_csv(text: str) -> list[FeatureVector]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+def read_feature_csv(text: str, path: str = "features.csv"
+                     ) -> list[FeatureVector]:
+    """Rows of a `write_feature_csv` file; `path` names it in errors."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
     if not lines:
-        raise DataError("empty feature CSV")
-    header = lines[0].split(",")
+        raise DataError(f"{path}: empty feature CSV")
+    header = lines[0][1].split(",")
     if header[0] != "segment_id":
-        raise DataError("feature CSV must start with a segment_id column")
+        raise DataError(f"{path}: the first column must be segment_id")
     names = tuple(header[1:])
     out = []
-    for ln in lines[1:]:
+    for line_no, ln in lines[1:]:
         cells = ln.split(",")
-        out.append(FeatureVector(
-            values=np.array([float(v) for v in cells[1:]]),
-            names=names, segment_id=cells[0]))
+        try:
+            out.append(FeatureVector(
+                values=np.array([float(v) for v in cells[1:]]),
+                names=names, segment_id=cells[0]))
+        except (ValueError, DataError) as exc:
+            raise ParseError(f"{path}: {exc}", line_no) from None
     return out

@@ -1,11 +1,12 @@
-"""End-to-end orchestration: ingest -> segment -> classify -> group ->
-cluster -> report, under one manifest and one config.
+"""End-to-end orchestration: ingest -> segment -> features -> train ->
+classify -> group -> cluster -> report, under one manifest and one config.
 
-Stages communicate through documented JSON/CSV artifacts so each one is
-independently runnable from the CLI. Every artifact is canonical (sorted
-keys, LF endings) and everything downstream of the seed is deterministic,
-so re-running a manifest reproduces byte-identical outputs. Partial outputs
-are never written: a failing stage aborts before the write phase.
+Each stage is one function here. `run_pipeline` calls them in order; the
+CLI runs each one on its own, exchanging documented JSON/CSV artifacts.
+Every artifact is canonical (sorted keys, LF endings) and everything
+downstream of the seed is deterministic, so re-running a manifest
+reproduces byte-identical outputs. Partial outputs are never written: a
+failing stage aborts before the write phase.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import html as html_lib
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,14 +58,21 @@ class Manifest:
             raise DataError(f"duplicate video_id(s) in manifest: {dupes}")
 
 
+def read_json(path: str | Path):
+    """A JSON file's value; an unreadable or invalid file is a DataError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise DataError(f"{path} is not valid JSON: {exc}") from None
+
+
 def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"manifest {path} is not valid JSON: {exc}") from None
+    obj = read_json(path)
+    if not isinstance(obj, dict):
+        raise DataError(f"manifest {path}: expected a JSON object")
     if obj.get("schema_version") != MANIFEST_SCHEMA_VERSION:
         raise DataError(f"unsupported manifest schema_version "
                         f"{obj.get('schema_version')!r}")
@@ -71,7 +80,7 @@ def load_manifest(path: str | Path) -> Manifest:
     videos = []
     for entry in obj.get("videos", []):
         for key in ("video_id", "subtitles", "frames"):
-            if key not in entry:
+            if not isinstance(entry, dict) or key not in entry:
                 raise DataError(f"manifest entry missing {key!r}: {entry}")
         videos.append(VideoEntry(
             video_id=entry["video_id"],
@@ -149,14 +158,16 @@ def load_bundle(path: str | Path) -> ClassifierBundle:
     try:
         return ClassifierBundle.from_json(
             Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read classifier bundle {path}: "
+    except KeyError as exc:
+        raise DataError(f"classifier bundle {path}: missing key "
                         f"{exc}") from None
+    except (ValueError, DataError) as exc:  # JSON syntax is a ValueError
+        raise DataError(f"classifier bundle {path}: {exc}") from None
 
 
-def load_label_probes(path: str | Path) -> list[dict]:
-    """Training label probes: JSONL of {video_id, at_ms, label}."""
-    probes = []
+def _read_label_rows(path: str | Path, keys: tuple[str, ...]) -> list[dict]:
+    """JSONL rows, each an object with `keys` and a known `label`."""
+    rows = []
     for line_no, line in enumerate(
             Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
@@ -165,14 +176,25 @@ def load_label_probes(path: str | Path) -> list[dict]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{line_no}: bad JSON: {exc}") from None
-        for key in ("video_id", "at_ms", "label"):
-            if key not in obj:
-                raise DataError(f"{path}:{line_no}: probe missing {key!r}")
+        for key in keys:
+            if not isinstance(obj, dict) or key not in obj:
+                raise DataError(f"{path}:{line_no}: row missing {key!r}")
         if obj["label"] not in models.LABEL_ORDER:
             raise DataError(f"{path}:{line_no}: unknown label "
                             f"{obj['label']!r}")
-        probes.append(obj)
-    return probes
+        rows.append(obj)
+    return rows
+
+
+def load_label_probes(path: str | Path) -> list[dict]:
+    """Training label probes: JSONL of {video_id, at_ms, label}."""
+    return _read_label_rows(path, ("video_id", "at_ms", "label"))
+
+
+def load_segment_labels(path: str | Path) -> dict[str, str]:
+    """Segment labels: JSONL of {segment_id, label}; a later row wins."""
+    return {row["segment_id"]: row["label"]
+            for row in _read_label_rows(path, ("segment_id", "label"))}
 
 
 def match_probes(probes: list[dict],
@@ -252,7 +274,9 @@ def split_dataset(segment_ids: list[str], labels: dict[str, str],
 
 
 # ---------------------------------------------------------------------------
-# Pipeline stages
+# Pipeline stages: `run_pipeline` calls them in order, and each stage
+# subcommand of the CLI calls one of them between reading its input
+# artifacts and writing its outputs.
 
 
 @dataclass
@@ -262,6 +286,139 @@ class PipelineResult:
     segments: list[Segment]
     predictions: dict[str, str]
     bundle: ClassifierBundle
+
+
+@dataclass
+class StageClock:
+    """Runs stage steps, timing each and naming the stage and video of a
+    step that fails (`StageError`)."""
+
+    timings: list[dict] = field(default_factory=list)
+
+    def __call__(self, stage: str, fn, video_id: str | None = None):
+        start = time.perf_counter()
+        try:
+            out = fn()
+        except Exception as exc:
+            raise StageError(stage, video_id, exc) from exc
+        self.timings.append({"stage": stage, "video_id": video_id,
+                             "seconds": time.perf_counter() - start})
+        return out
+
+
+def ingest(manifest: Manifest, config: RunConfig,
+           timed: StageClock | None = None
+           ) -> tuple[dict[str, Transcript], dict[str, VideoTrack]]:
+    """Ingest stage: each video's transcript and descriptor track."""
+    timed = timed or StageClock()
+    transcripts, tracks = {}, {}
+    for e in manifest.videos:
+        transcripts[e.video_id] = timed(
+            "ingest", lambda: parse_subtitle_file(e.subtitles, e.video_id),
+            e.video_id)
+        tracks[e.video_id] = timed(
+            "ingest", lambda: load_track(e.frames, e.video_id, e.duration_ms,
+                                         config.bins_per_channel),
+            e.video_id)
+    return transcripts, tracks
+
+
+def segment(transcripts: dict[str, Transcript],
+            tracks: dict[str, VideoTrack], config: RunConfig,
+            timed: StageClock | None = None) -> list[Segment]:
+    """Segment stage: every video's segments, in manifest order."""
+    timed = timed or StageClock()
+    seg_cfg = config.segmenter_config()
+    segments: list[Segment] = []
+    for video_id, track in tracks.items():
+        segments += timed(
+            "segment", lambda: segment_video(track, transcripts[video_id],
+                                             seg_cfg),
+            video_id)
+    return segments
+
+
+def _embedding_table(config: RunConfig) -> features.EmbeddingTable | None:
+    return (features.load_embedding_table(config.embedding_path)
+            if config.embedding_path else None)
+
+
+def extract_features(segments: list[Segment],
+                     transcripts: dict[str, Transcript],
+                     tracks: dict[str, VideoTrack], config: RunConfig
+                     ) -> tuple[features.Vocabulary,
+                                list[features.FeatureVector]]:
+    """Features stage: fit the vocabulary on every segment given, labelled
+    or not, then assemble one feature vector per segment."""
+    stopwords = config.stopword_set()
+    vocab = features.fit_vocabulary(
+        [features.segment_text(s, transcripts[s.video_id]) for s in segments],
+        ngram_max=config.ngram_max, stopwords=stopwords, min_df=config.min_df)
+    vectors = features.assemble_all(
+        segments, transcripts, tracks, vocab=vocab,
+        table=_embedding_table(config), ngram_max=config.ngram_max,
+        stopwords=stopwords, groups=config.feature_group_list())
+    return vocab, vectors
+
+
+def _maybe_smote(matrix: np.ndarray, y: np.ndarray,
+                 config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Oversample an unbalanced training set when SMOTE's precondition holds.
+
+    SMOTE needs >= 2 members per minority class; with a singleton class the
+    set is left unbalanced (with a warning) rather than aborting the run.
+    """
+    classes, counts = np.unique(y, return_counts=True)
+    if not config.smote or counts.min() == counts.max():
+        return matrix, y  # off, or already balanced
+    if counts.min() < 2:
+        log.warning("skipping SMOTE: class(es) %s have a single member",
+                    sorted(str(c) for c in classes[counts < 2]))
+        return matrix, y
+    return features.smote_oversample(matrix, y, k_neighbors=config.smote_k,
+                                     seed=config.seed)
+
+
+def train_bundle(matrix: np.ndarray, names: list[str],
+                 labels: list[str | None], vocabulary: features.Vocabulary,
+                 config: RunConfig) -> ClassifierBundle:
+    """Train stage: fit `config.model_kind` on the rows of `matrix` that
+    have a label (`labels[i]` is None for an unlabelled row)."""
+    rows = [i for i, label in enumerate(labels) if label is not None]
+    if not rows:
+        raise DataError("no segment has a training label")
+    x, y = _maybe_smote(matrix[rows], np.array([labels[i] for i in rows]),
+                        config)
+    model = models.train(config.model_kind, x, y,
+                         hyper=config.model_hyper(), seed=config.seed,
+                         feature_names=names)
+    return ClassifierBundle(model=model, vocabulary=vocabulary,
+                            feature_groups=config.feature_group_list(),
+                            ngram_max=config.ngram_max,
+                            stopwords=config.stopword_set(),
+                            embedding=_embedding_table(config))
+
+
+def classify(bundle: ClassifierBundle, matrix: np.ndarray, names: list[str],
+             segment_ids: list[str]) -> dict[str, str]:
+    """Classify stage: the bundle's label for each row of `matrix`."""
+    if "embedding" in bundle.feature_groups and bundle.embedding is None:
+        raise DataError("bundle uses embedding features but carries no table")
+    return dict(zip(segment_ids, models.predict(bundle.model, matrix,
+                                                feature_names=names)))
+
+
+def classify_segments(segments: list[Segment],
+                      transcripts: dict[str, Transcript],
+                      tracks: dict[str, VideoTrack],
+                      bundle: ClassifierBundle) -> dict[str, str]:
+    """Classify with a trained bundle, assembling features its way."""
+    vectors = features.assemble_all(
+        segments, transcripts, tracks, vocab=bundle.vocabulary,
+        table=bundle.embedding, ngram_max=bundle.ngram_max,
+        stopwords=bundle.stopwords, groups=bundle.feature_groups)
+    matrix, names = features.feature_matrix(vectors)
+    return classify(bundle, matrix, names, [s.segment_id for s in segments])
 
 
 def keyframe_lookup(segments: list[Segment],
@@ -275,70 +432,31 @@ def keyframe_lookup(segments: list[Segment],
     return lookup
 
 
-def _maybe_smote(matrix: np.ndarray, y: np.ndarray,
-                 config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Oversample an unbalanced training set when SMOTE's precondition holds.
+def group_contexts(segments: list[Segment], labels: dict[str, str],
+                   tracks: dict[str, VideoTrack], config: RunConfig
+                   ) -> tuple[clustering.ClusterAssignment,
+                              dict[str, np.ndarray]]:
+    """Group stage: cluster the informative segments by visual context.
 
-    SMOTE needs >= 2 members per minority class; with a singleton class the
-    set is left unbalanced (with a warning) rather than aborting the run.
+    A segment without keyframes is noise, so it becomes its own context.
+    Returns the assignment and the keyframes of the segments that have
+    them.
     """
-    if not config.smote or np.unique(y).size < 2:
-        return matrix, y
-    counts = {lbl: int((y == lbl).sum()) for lbl in np.unique(y)}
-    if len(set(counts.values())) == 1:
-        return matrix, y  # already balanced
-    if min(counts.values()) < 2:
-        log.warning("skipping SMOTE: class(es) %s have a single member",
-                    sorted(str(k) for k, v in counts.items() if v < 2))
-        return matrix, y
-    return features.smote_oversample(matrix, y, k_neighbors=config.smote_k,
-                                     seed=config.seed)
-
-
-def _train_bundle(segments: list[Segment],
-                  transcripts: dict[str, Transcript],
-                  tracks: dict[str, VideoTrack],
-                  training_labels: dict[str, str],
-                  config: RunConfig) -> ClassifierBundle:
-    labeled = [s for s in segments if s.segment_id in training_labels]
-    if not labeled:
-        raise DataError("no training segments matched the label probes")
-    stopwords = config.stopword_set()
-    vocab = features.fit_vocabulary(
-        [features.segment_text(s, transcripts[s.video_id]) for s in labeled],
-        ngram_max=config.ngram_max, stopwords=stopwords,
-        min_df=config.min_df)
-    table = (features.load_embedding_table(config.embedding_path)
-             if config.embedding_path else None)
-    groups = config.feature_group_list()
-    vectors = features.assemble_all(
-        labeled, transcripts, tracks, vocab=vocab, table=table,
-        ngram_max=config.ngram_max, stopwords=stopwords, groups=groups)
-    matrix, names = features.feature_matrix(vectors)
-    y = np.array([training_labels[s.segment_id] for s in labeled])
-    matrix, y = _maybe_smote(matrix, y, config)
-    model = models.train(config.model_kind, matrix, y,
-                         hyper=config.model_hyper(), seed=config.seed,
-                         feature_names=names)
-    return ClassifierBundle(model=model, vocabulary=vocab,
-                            feature_groups=groups,
-                            ngram_max=config.ngram_max, stopwords=stopwords,
-                            embedding=table)
-
-
-def classify_segments(segments: list[Segment],
-                      transcripts: dict[str, Transcript],
-                      tracks: dict[str, VideoTrack],
-                      bundle: ClassifierBundle) -> dict[str, str]:
-    if "embedding" in bundle.feature_groups and bundle.embedding is None:
-        raise DataError("bundle uses embedding features but carries no table")
-    vectors = features.assemble_all(
-        segments, transcripts, tracks, vocab=bundle.vocabulary,
-        table=bundle.embedding, ngram_max=bundle.ngram_max,
-        stopwords=bundle.stopwords, groups=bundle.feature_groups)
-    matrix, names = features.feature_matrix(vectors)
-    labels = models.predict(bundle.model, matrix, feature_names=names)
-    return {s.segment_id: lbl for s, lbl in zip(segments, labels)}
+    segments = [s for s in segments if labels[s.segment_id]
+                != models.IssueLabel.NON_INFORMATIVE.value]
+    keyframes = keyframe_lookup(segments, tracks)
+    bare = [s.segment_id for s in segments if s.segment_id not in keyframes]
+    for sid in bare:
+        log.warning("segment %s has no keyframes; becomes its own context",
+                    sid)
+    assignment = clustering.group_by_context(
+        [s.segment_id for s in segments if s.segment_id in keyframes],
+        keyframes, algorithm=config.context_algorithm,
+        params=config.context_params())
+    assignment = replace(
+        assignment, ids=assignment.ids + tuple(bare),
+        labels={**assignment.labels, **dict.fromkeys(bare, clustering.NOISE)})
+    return assignment, keyframes
 
 
 def build_hierarchy(segments: list[Segment],
@@ -347,28 +465,13 @@ def build_hierarchy(segments: list[Segment],
                     tracks: dict[str, VideoTrack],
                     config: RunConfig,
                     bundle: ClassifierBundle) -> dict:
+    """Contexts > categories > issue clusters of the informative segments."""
     by_id = {s.segment_id: s for s in segments}
-    informative = [s for s in segments
-                   if predictions[s.segment_id]
-                   != models.IssueLabel.NON_INFORMATIVE.value]
-    keyframes = keyframe_lookup(informative, tracks)
-    clusterable = []
-    bare = []
-    for s in informative:
-        if s.segment_id in keyframes:
-            clusterable.append(s.segment_id)
-        else:
-            bare.append(s.segment_id)
-            log.warning("segment %s has no keyframes; becomes its own "
-                        "context", s.segment_id)
-
-    assignment = clustering.group_by_context(
-        clusterable, keyframes, algorithm=config.context_algorithm,
-        params=config.context_params())
-    context_groups = [members for _, members in
-                      sorted(assignment.clusters().items())]
+    assignment, keyframes = group_contexts(segments, predictions, tracks,
+                                           config)
+    informative = [by_id[sid] for sid in assignment.ids]
+    context_groups = list(assignment.clusters().values())
     context_groups += [[sid] for sid in assignment.noise()]
-    context_groups += [[sid] for sid in bare]
     context_groups.sort(key=lambda g: min(g))
 
     # issue clustering reuses the classifier's vocabulary and tokenizer
@@ -383,30 +486,24 @@ def build_hierarchy(segments: list[Segment],
     for ci, members in enumerate(context_groups):
         context_id = f"ctx_{ci:04d}"
         segs = [by_id[m] for m in members]
-        label_counts: dict[str, int] = {}
-        for s in segs:
-            lbl = predictions[s.segment_id]
-            label_counts[lbl] = label_counts.get(lbl, 0) + 1
+        label_counts = Counter(predictions[m] for m in members)
         categories = []
         for label in INFORMATIVE_LABELS:
-            in_category = sorted(s.segment_id for s in segs
-                                 if predictions[s.segment_id] == label)
+            in_category = sorted(m for m in members
+                                 if predictions[m] == label)
             if not in_category:
                 continue
             with_kf = [sid for sid in in_category if sid in keyframes]
-            without_kf = [sid for sid in in_category if sid not in keyframes]
-            issue = clustering.cluster_issues(
-                with_kf, text_vectors, keyframes, alpha=config.issue_alpha,
-                algorithm=config.issue_algorithm,
-                params=config.issue_params()) if with_kf else None
-            cluster_groups: list[tuple[list[str], str]] = []
-            if issue is not None:
-                for cid, cluster_members in sorted(issue.clusters().items()):
-                    cluster_groups.append(
-                        (cluster_members, issue.medoids.get(
-                            cid, min(cluster_members))))
+            cluster_groups = [([sid], sid) for sid in in_category
+                              if sid not in keyframes]
+            if with_kf:
+                issue = clustering.cluster_issues(
+                    with_kf, text_vectors, keyframes, alpha=config.issue_alpha,
+                    algorithm=config.issue_algorithm,
+                    params=config.issue_params())
+                cluster_groups += [(group, issue.medoids.get(cid, min(group)))
+                                   for cid, group in issue.clusters().items()]
                 cluster_groups += [([sid], sid) for sid in issue.noise()]
-            cluster_groups += [([sid], sid) for sid in without_kf]
             cluster_groups.sort(key=lambda g: min(g[0]))
             categories.append({
                 "label": label,
@@ -446,53 +543,31 @@ def run_pipeline(manifest: Manifest, config: RunConfig,
     """Execute every stage in order; deterministic given the seed."""
     config.validate()
     manifest.validate()
-    timings: list[dict] = []
+    timed = StageClock()
+    transcripts, tracks = ingest(manifest, config, timed)
+    segments = segment(transcripts, tracks, config, timed)
 
-    def timed(stage: str, fn, video_id: str | None = None):
-        start = time.perf_counter()
-        try:
-            out = fn()
-        except Exception as exc:
-            raise StageError(stage, video_id, exc) from exc
-        timings.append({"stage": stage, "video_id": video_id,
-                        "seconds": time.perf_counter() - start})
-        return out
-
-    transcripts: dict[str, Transcript] = {}
-    tracks: dict[str, VideoTrack] = {}
-    for entry in manifest.videos:
-        transcripts[entry.video_id] = timed(
-            "ingest", lambda e=entry: parse_subtitle_file(e.subtitles,
-                                                          e.video_id),
-            entry.video_id)
-        tracks[entry.video_id] = timed(
-            "ingest", lambda e=entry: load_track(
-                e.frames, e.video_id, e.duration_ms,
-                config.bins_per_channel),
-            entry.video_id)
-
-    segments: list[Segment] = []
-    seg_cfg = config.segmenter_config()
-    for entry in manifest.videos:
-        segments += timed(
-            "segment", lambda e=entry: segment_video(
-                tracks[e.video_id], transcripts[e.video_id], seg_cfg),
-            entry.video_id)
-
-    if bundle is None:
-        if config.model_path:
-            bundle = timed("train", lambda: load_bundle(config.model_path))
-        elif config.labels_path:
-            probes = load_label_probes(config.labels_path)
-            training_labels = match_probes(probes, segments)
-            bundle = timed("train", lambda: _train_bundle(
-                segments, transcripts, tracks, training_labels, config))
-        else:
-            raise ConfigError("run_pipeline needs train.model_path or "
-                              "train.labels_path (or a bundle argument)")
-
-    predictions = timed("classify", lambda: classify_segments(
-        segments, transcripts, tracks, bundle))
+    if bundle is None and config.model_path:
+        bundle = timed("train", lambda: load_bundle(config.model_path))
+    if bundle is not None:
+        predictions = timed("classify", lambda: classify_segments(
+            segments, transcripts, tracks, bundle))
+    elif config.labels_path:
+        probes = load_label_probes(config.labels_path)
+        training_labels = match_probes(probes, segments)
+        vocab, vectors = timed("features", lambda: extract_features(
+            segments, transcripts, tracks, config))
+        matrix, names = features.feature_matrix(vectors)
+        ids = [fv.segment_id for fv in vectors]
+        del vectors  # their per-row name tuples outweigh the matrix
+        bundle = timed("train", lambda: train_bundle(
+            matrix, names, [training_labels.get(sid) for sid in ids], vocab,
+            config))
+        predictions = timed("classify", lambda: classify(
+            bundle, matrix, names, ids))
+    else:
+        raise ConfigError("run_pipeline needs train.model_path or "
+                          "train.labels_path (or a bundle argument)")
 
     hierarchy = timed("group+cluster", lambda: build_hierarchy(
         segments, predictions, transcripts, tracks, config, bundle))
@@ -507,7 +582,7 @@ def run_pipeline(manifest: Manifest, config: RunConfig,
         "seed": config.seed,
         "videos": [v.video_id for v in manifest.videos],
         "counts": counts,
-        "stage_timings": timings,
+        "stage_timings": timed.timings,
         "notes": (["all segments classified non-informative"]
                   if counts["n_informative"] == 0 else []),
     }

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
 from conftest import THREE_VIDEO_WORLD, write_world
+from gelid import pipeline
 from gelid.cli import main
+from gelid.segmentation import read_segments_jsonl
 
 
 def _world(tmp_path, videos=None, overrides=None):
@@ -161,69 +164,83 @@ def test_run_twice_same_seed_byte_identical_hierarchy(tmp_path):
         (out2 / "hierarchy.json").read_bytes()
 
 
-def test_stagewise_chain_matches_run(tmp_path):
-    paths = _world(tmp_path)
+def _stage_chain(paths, stage):
+    """Every stage subcommand in order, writing into `stage`; the
+    segment labels for `train` come from the world's probe file."""
     m, c = str(paths["manifest"]), str(paths["config"])
-    stage = tmp_path / "stage"
+    segments_path = str(stage / "segments.jsonl")
+    world = ["--manifest", m, "--config", c]
+    seg = [*world, "--segments", segments_path]
+    assert main(["ingest", *world, "--out", str(stage / "ingest")]) == 0
+    assert main(["segment", *world, "--out", str(stage)]) == 0
+    assert main(["features", *seg, "--out", str(stage)]) == 0
 
-    assert main(["ingest", "--manifest", m, "--config", c,
-                 "--out", str(stage / "ingest")]) == 0
-    assert (stage / "ingest" / "vid_a.transcript.json").exists()
-    assert (stage / "ingest" / "vid_a.descriptors.csv").exists()
-
-    assert main(["segment", "--manifest", m, "--config", c,
-                 "--out", str(stage)]) == 0
-    segments_path = stage / "segments.jsonl"
-
-    assert main(["features", "--manifest", m, "--config", c,
-                 "--segments", str(segments_path),
-                 "--out", str(stage)]) == 0
-    features_csv = stage / "features.csv"
-    assert features_csv.read_text().startswith("segment_id,")
-
-    # labels keyed by segment id, derived from the probe file
-    from gelid.pipeline import load_label_probes, match_probes
-    from gelid.segmentation import read_segments_jsonl
-    segments = read_segments_jsonl(segments_path.read_text())
-    probes = load_label_probes(paths["labels"])
-    seg_labels = match_probes(probes, segments)
+    segments = read_segments_jsonl((stage / "segments.jsonl").read_text())
+    seg_labels = pipeline.match_probes(
+        pipeline.load_label_probes(paths["labels"]), segments)
     labels_path = stage / "seg_labels.jsonl"
     labels_path.write_text("\n".join(
         json.dumps({"segment_id": k, "label": v})
         for k, v in sorted(seg_labels.items())) + "\n")
 
-    assert main(["train", "--config", c, "--features", str(features_csv),
+    assert main(["train", "--config", c,
+                 "--features", str(stage / "features.csv"),
                  "--vocabulary", str(stage / "vocabulary.json"),
                  "--labels", str(labels_path),
                  "--out", str(stage / "model.json")]) == 0
+    model = ["--model", str(stage / "model.json")]
+    labels = ["--labels", str(stage / "labels.jsonl")]
+    assert main(["classify", *seg, *model, "--out", str(stage)]) == 0
+    assert main(["group", *seg, *labels, "--out", str(stage)]) == 0
+    assert main(["cluster", *seg, *labels, *model, "--out", str(stage)]) == 0
 
-    assert main(["classify", "--manifest", m, "--config", c,
-                 "--segments", str(segments_path),
-                 "--model", str(stage / "model.json"),
-                 "--out", str(stage)]) == 0
+
+def test_stagewise_chain_matches_run(tmp_path):
+    paths = _world(tmp_path)
+    stage = tmp_path / "stage"
+    _stage_chain(paths, stage)
+    assert (stage / "ingest" / "vid_a.transcript.json").exists()
+    assert (stage / "ingest" / "vid_a.descriptors.csv").exists()
+    assert (stage / "features.csv").read_text().startswith("segment_id,")
     predicted = [json.loads(line) for line in
                  (stage / "labels.jsonl").read_text().splitlines()]
     assert len(predicted) == 9
-
-    assert main(["group", "--manifest", m, "--config", c,
-                 "--segments", str(segments_path),
-                 "--labels", str(stage / "labels.jsonl"),
-                 "--out", str(stage)]) == 0
     contexts = json.loads((stage / "contexts.json").read_text())
     assert contexts["algorithm"] == "dbscan"
-
-    assert main(["cluster", "--manifest", m, "--config", c,
-                 "--segments", str(segments_path),
-                 "--labels", str(stage / "labels.jsonl"),
-                 "--model", str(stage / "model.json"),
-                 "--out", str(stage)]) == 0
     hierarchy = json.loads((stage / "hierarchy.json").read_text())
 
     # end-to-end run on the same inputs produces the same hierarchy
-    assert main(["run", "--manifest", m, "--config", c,
+    assert main(["run", "--manifest", str(paths["manifest"]),
+                 "--config", str(paths["config"]),
                  "--out", str(stage / "full")]) == 0
     full = json.loads((stage / "full" / "hierarchy.json").read_text())
     assert hierarchy == full
+
+
+def _drop_probes(paths, keep):
+    probes = paths["labels"].read_text().splitlines()
+    paths["labels"].write_text(
+        "\n".join(p for p in probes if keep(json.loads(p))) + "\n")
+
+
+def test_stagewise_chain_matches_run_with_partial_labels(tmp_path):
+    # 3 of the 9 segments carry no training label: the vocabulary is still
+    # fitted on all 9 segments, by `gelid features` and by `gelid run`
+    paths = _world(tmp_path)
+    dropped = {("vid_a", "Logic"), ("vid_b", "NonInformative"),
+               ("vid_c", "Presentation")}
+    _drop_probes(paths, lambda p: (p["video_id"], p["label"]) not in dropped)
+    stage, full = tmp_path / "stage", tmp_path / "full"
+    _stage_chain(paths, stage)
+    assert main(["run", "--manifest", str(paths["manifest"]),
+                 "--config", str(paths["config"]), "--out", str(full)]) == 0
+
+    vocabulary = json.loads((stage / "vocabulary.json").read_text())
+    assert vocabulary["n_documents"] == 9
+    assert vocabulary == json.loads((full / "model.json").read_text())[
+        "vocabulary"]
+    for name in ("model.json", "labels.jsonl", "hierarchy.json"):
+        assert (stage / name).read_bytes() == (full / name).read_bytes(), name
 
 
 def test_report_from_hierarchy(tmp_path):
@@ -329,3 +346,145 @@ def test_eval_kappa_and_simulations(tmp_path, capsys):
     power = json.loads(capsys.readouterr().out)
     assert power["power"] > 0.9
     assert 0.0 <= power["power_mann_whitney"] <= 1.0
+
+
+def test_segment_without_keyframes_is_its_own_context(tmp_path, monkeypatch):
+    # vid_c_0001 (Presentation) loses its keyframes; its features, which
+    # read every frame of its window, and so its label are unchanged
+    real = pipeline.segment_video
+
+    def segment_video(*args):
+        return [dataclasses.replace(s, keyframe_timestamps=())
+                if s.segment_id == "vid_c_0001" else s
+                for s in real(*args)]
+
+    monkeypatch.setattr(pipeline, "segment_video", segment_video)
+    paths = _world(tmp_path)
+    stage, full = tmp_path / "stage", tmp_path / "full"
+    _stage_chain(paths, stage)
+    assert main(["run", "--manifest", str(paths["manifest"]),
+                 "--config", str(paths["config"]), "--out", str(full)]) == 0
+
+    contexts = json.loads((stage / "contexts.json").read_text())
+    assert "vid_c_0001" in contexts["noise"]
+    for out in (stage, full):
+        hierarchy = json.loads((out / "hierarchy.json").read_text())
+        alone = [c for c in hierarchy["contexts"]
+                 if [m for cat in c["categories"] for cl in cat["clusters"]
+                     for m in cl["members"]] == ["vid_c_0001"]]
+        assert len(alone) == 1 and alone[0]["summary"]["n_segments"] == 1
+    assert (stage / "hierarchy.json").read_bytes() == \
+        (full / "hierarchy.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def staged(tmp_path_factory):
+    """The world and every stage artifact of the chain, built once."""
+    root = tmp_path_factory.mktemp("staged")
+    paths = write_world(root / "world", THREE_VIDEO_WORLD)
+    _stage_chain(paths, root / "stage")
+    return paths, root / "stage"
+
+
+def _rewrite_line(src, dst, index, edit):
+    lines = src.read_text().splitlines()
+    lines[index] = edit(lines[index])
+    dst.write_text("\n".join(lines) + "\n")
+
+
+def _fails_naming(capsys, argv, *names):
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    for name in names:
+        assert name in err, err
+    assert "Traceback" not in err
+
+
+_BAD_FEATURE_CELLS = {
+    "non_numeric_cell": lambda cells: cells[:3] + ["abc"] + cells[4:],
+    "short_row": lambda cells: cells[:-1],
+    "not_finite": lambda cells: cells[:3] + ["nan"] + cells[4:],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_FEATURE_CELLS))
+def test_bad_feature_row_exits_2_naming_file_and_line(staged, tmp_path,
+                                                      capsys, case):
+    paths, stage = staged
+    bad = tmp_path / "features.csv"
+    _rewrite_line(stage / "features.csv", bad, 2, lambda line: ",".join(
+        _BAD_FEATURE_CELLS[case](line.split(","))))
+    _fails_naming(capsys, [
+        "train", "--config", str(paths["config"]), "--features", str(bad),
+        "--vocabulary", str(stage / "vocabulary.json"),
+        "--labels", str(stage / "seg_labels.jsonl"),
+        "--out", str(tmp_path / "model.json")], str(bad), "line 3")
+
+
+@pytest.mark.parametrize("row", ["not json",
+                                 '{"segment_id": "vid_a_0000", '
+                                 '"label": "Bogus"}'])
+@pytest.mark.parametrize("command", ["train", "group", "cluster"])
+def test_bad_segment_label_row_exits_2_naming_file_and_line(
+        staged, tmp_path, capsys, command, row):
+    paths, stage = staged
+    source = {"train": "seg_labels.jsonl"}.get(command, "labels.jsonl")
+    bad = tmp_path / "labels.jsonl"
+    _rewrite_line(stage / source, bad, 1, lambda line: row)
+    world = ["--manifest", str(paths["manifest"]),
+             "--config", str(paths["config"])]
+    argv = {
+        "train": ["train", "--config", str(paths["config"]),
+                  "--features", str(stage / "features.csv"),
+                  "--vocabulary", str(stage / "vocabulary.json"),
+                  "--out", str(tmp_path / "model.json")],
+        "group": ["group", *world, "--out", str(tmp_path / "out")],
+        "cluster": ["cluster", *world, "--model", str(stage / "model.json"),
+                    "--out", str(tmp_path / "out")],
+    }[command]
+    if command != "train":
+        argv += ["--segments", str(stage / "segments.jsonl")]
+    _fails_naming(capsys, argv + ["--labels", str(bad)], f"{bad}:2")
+
+
+def test_alpha_outside_unit_interval_exits_1_before_ingest(tmp_path, capsys):
+    paths = _world(tmp_path, overrides={"clustering.alpha": 1.5})
+    (paths["root"] / "vid_a.srt").unlink()  # ingest would exit 2
+    code = main(["run", "--manifest", str(paths["manifest"]),
+                 "--config", str(paths["config"]),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "clustering.alpha" in capsys.readouterr().err
+
+
+def test_manifest_that_is_a_list_exits_2(tmp_path, capsys):
+    paths = _world(tmp_path)
+    paths["manifest"].write_text("[]\n")
+    _fails_naming(capsys, ["segment", "--manifest", str(paths["manifest"]),
+                           "--config", str(paths["config"]),
+                           "--out", str(tmp_path / "out")],
+                  str(paths["manifest"]))
+
+
+def test_bundle_missing_key_exits_2_naming_file(staged, tmp_path, capsys):
+    paths, stage = staged
+    bundle = json.loads((stage / "model.json").read_text())
+    del bundle["ngram_max"]
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(bundle))
+    _fails_naming(capsys, [
+        "classify", "--manifest", str(paths["manifest"]),
+        "--config", str(paths["config"]),
+        "--segments", str(stage / "segments.jsonl"), "--model", str(bad),
+        "--out", str(tmp_path / "out")], str(bad), "ngram_max")
+
+
+@pytest.mark.parametrize("command", ["run", "segment"])
+def test_missing_subtitle_file_exits_2(tmp_path, capsys, command):
+    paths = _world(tmp_path)
+    (paths["root"] / "vid_b.srt").unlink()
+    _fails_naming(capsys, [command, "--manifest", str(paths["manifest"]),
+                           "--config", str(paths["config"]),
+                           "--out", str(tmp_path / "out")], "vid_b.srt")

@@ -301,6 +301,14 @@ def test_feature_csv_round_trip():
     assert np.array_equal(again[0].values, [1.5, -2.0])
 
 
+def test_feature_csv_round_trip_is_exact():
+    values = np.array([0.1 + 0.2, 1 / 3, 5e-324, -2.5e17, 0.0])
+    fvs = [FeatureVector(values=values, names=tuple("abcde"),
+                         segment_id="s1")]
+    again = read_feature_csv(write_feature_csv(fvs))
+    assert again[0].values.tobytes() == values.tobytes()
+
+
 def test_feature_matrix_rejects_misaligned_names():
     fvs = [FeatureVector(values=np.array([1.0]), names=("a",), segment_id="x"),
            FeatureVector(values=np.array([1.0]), names=("b",), segment_id="y")]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -74,27 +75,27 @@ def cmd_features(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     transcripts, tracks = _ingest(args, config)
     segments = _read_segments(args.segments, tracks)
-    vocab, vectors = pipeline.extract_features(segments, transcripts, tracks,
-                                               config)
+    vocab, matrix = pipeline.extract_features(segments, transcripts, tracks,
+                                              config)
     out = Path(args.out)
-    _write(out / "features.csv", features.write_feature_csv(vectors))
+    _write(out / "features.csv", features.write_feature_csv(matrix))
     _write(out / "vocabulary.json",
            json.dumps(vocab.to_dict(), sort_keys=True, indent=2) + "\n")
-    print(f"wrote features for {len(vectors)} segment(s) to {out}")
+    print(f"wrote features for {len(matrix.segment_ids)} segment(s) to {out}")
     return 0
 
 
 def cmd_train(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
-    vectors = features.read_feature_csv(
+    matrix = features.read_feature_csv(
         Path(args.features).read_text(encoding="utf-8"), args.features)
-    vocab = features.Vocabulary.from_dict(
-        pipeline.read_json(args.vocabulary))
-    labels = pipeline.load_segment_labels(args.labels)
-    matrix, names = features.feature_matrix(vectors)
+    vocab_obj = pipeline.read_json(args.vocabulary)
+    try:
+        vocab = features.Vocabulary.from_dict(vocab_obj)
+    except DataError as exc:
+        raise DataError(f"vocabulary {args.vocabulary}: {exc}") from None
     bundle = pipeline.train_bundle(
-        matrix, names, [labels.get(fv.segment_id) for fv in vectors], vocab,
-        config)
+        matrix, pipeline.load_segment_labels(args.labels), vocab, config)
     _write(Path(args.out), bundle.to_json() + "\n")
     print(f"trained {config.model_kind}; model at {args.out}")
     return 0
@@ -183,29 +184,73 @@ def cmd_run(args) -> int:
 
 def cmd_report(args) -> int:
     hierarchy = pipeline.read_json(args.hierarchy)
+    version = pipeline.HIERARCHY_SCHEMA_VERSION
+    if not (isinstance(hierarchy, dict) and isinstance(
+            hierarchy.get("contexts"), list)
+            and hierarchy.get("schema_version") == version):
+        raise DataError(f"{args.hierarchy}: not a hierarchy (an object with "
+                        f"schema_version {version} and a list of contexts)")
     pipeline.export_report(hierarchy, args.format, args.out)
     print(f"wrote {args.format} report to {args.out}")
     return 0
 
 
-def _read_json_array(path: str) -> list:
+def _finite(value) -> bool:
+    """A JSON number that is neither NaN nor infinite."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or a huge integer
+        return False
+
+
+def _label(value) -> bool:
+    """An id or a category: a string or a finite number."""
+    return isinstance(value, str) or _finite(value)
+
+
+def _read_sample(path: str, ratings: bool = False) -> list:
+    """A JSON array of finite numbers; ratings may also be strings."""
     obj = pipeline.read_json(path)
-    if not isinstance(obj, list):
-        raise DataError(f"{path}: expected a JSON array")
+    if not isinstance(obj, list) \
+            or not all(map(_label if ratings else _finite, obj)):
+        raise DataError(f"{path}: expected a JSON array of "
+                        + ("strings or " if ratings else "") + "finite numbers")
     return obj
 
 
 def _partition_from_file(path: str) -> stats.Partition:
+    """{"groups": [[id, ...], ...]} or {"mapping": {id: group, ...}}."""
     obj = pipeline.read_json(path)
-    if "groups" in obj:
-        return stats.Partition.from_groups(obj["groups"])
-    if "mapping" in obj:
-        return stats.Partition.from_mapping(obj["mapping"])
-    raise DataError(f"{path}: partition file needs 'groups' or 'mapping'")
+    obj = obj if isinstance(obj, dict) else {}
+    groups, mapping = obj.get("groups"), obj.get("mapping")
+    try:
+        if isinstance(groups, list) and groups and all(
+                isinstance(g, list) and all(map(_label, g)) for g in groups):
+            return stats.Partition.from_groups(groups)
+        if isinstance(mapping, dict) and mapping \
+                and all(map(_label, mapping.values())):
+            return stats.Partition.from_mapping(mapping)
+        raise DataError("expected an object with 'groups', a non-empty list "
+                        "of lists of ids, or 'mapping', a non-empty object "
+                        "of group labels")
+    except DataError as exc:
+        raise DataError(f"partition {path}: {exc}") from None
+
+
+# the input flags each statistic reads
+_EVAL_INPUTS = {"mojofm": ("partition_a", "partition_b"),
+                "mno": ("partition_a", "partition_b"),
+                "kappa": ("x", "y"), "mann-whitney": ("x", "y"),
+                "cliffs-delta": ("x", "y"), "bh": ("p",), "margin": ("n",)}
 
 
 def cmd_eval(args) -> int:
     stat = args.stat
+    missing = [f"--{name.replace('_', '-')}"
+               for name in _EVAL_INPUTS.get(stat, ())
+               if getattr(args, name) is None]
+    if missing:
+        raise ConfigError(f"--stat {stat} needs {' and '.join(missing)}")
     if stat in ("mojofm", "mno"):
         a = _partition_from_file(args.partition_a)
         b = _partition_from_file(args.partition_b)
@@ -216,22 +261,19 @@ def cmd_eval(args) -> int:
             result.update(max_mno=stats.max_mno(b),
                           mojofm=stats.mojo_fm(a, b))
     elif stat == "kappa":
-        result = {"stat": stat,
-                  "kappa": stats.cohens_kappa(_read_json_array(args.x),
-                                              _read_json_array(args.y))}
+        result = {"stat": stat, "kappa": stats.cohens_kappa(
+            _read_sample(args.x, True), _read_sample(args.y, True))}
     elif stat == "mann-whitney":
-        r = stats.mann_whitney_u(_read_json_array(args.x),
-                                 _read_json_array(args.y))
+        r = stats.mann_whitney_u(_read_sample(args.x), _read_sample(args.y))
         result = {"stat": stat, "u": r.u, "p_value": r.p_value,
                   "exact": r.exact}
     elif stat == "cliffs-delta":
-        r = stats.cliffs_delta(_read_json_array(args.x),
-                               _read_json_array(args.y))
+        r = stats.cliffs_delta(_read_sample(args.x), _read_sample(args.y))
         result = {"stat": stat, "delta": r.delta, "magnitude": r.magnitude}
     elif stat == "bh":
         result = {"stat": stat,
                   "adjusted": stats.benjamini_hochberg(
-                      _read_json_array(args.p))}
+                      _read_sample(args.p))}
     elif stat == "margin":
         result = {"stat": stat,
                   "margin_of_error": stats.margin_of_error(args.n,

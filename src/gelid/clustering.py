@@ -339,7 +339,7 @@ def optics(matrix: DistanceMatrix, min_pts: int, eps_max: float,
         params={"min_pts": min_pts, "eps_max": eps_max, "eps_cut": eps_cut})
 
 
-def mean_shift(ids, points: np.ndarray, bandwidth: float, tol: float = 1e-3,
+def mean_shift(ids, points: np.ndarray, bandwidth: float, tol: float = 1e-4,
                max_iter: int = 300) -> ClusterAssignment:
     """Flat-kernel mean shift on dense vectors; every point gets a cluster.
 
@@ -393,7 +393,7 @@ def segment_embedding(keyframes: np.ndarray) -> np.ndarray:
 DEFAULT_CONTEXT_PARAMS = {
     "dbscan": {"eps": 0.3, "min_pts": 3},
     "optics": {"min_pts": 3, "eps_max": 1.0, "eps_cut": 0.3},
-    "mean_shift": {"bandwidth": 0.25, "tol": 1e-4, "max_iter": 300},
+    "mean_shift": {"bandwidth": 0.25},
 }
 
 

@@ -1,8 +1,8 @@
 """Segment feature extraction and class rebalancing.
 
-Feature vectors concatenate named groups so model variants (text only,
-video only, everything) are produced by masking groups, never by refitting.
-Names carry a `group:` prefix; masking is idempotent. Raw audio is out of
+A stage's features are one `FeatureMatrix`: a row per segment and a named
+column per feature, laid out as one block per selected group in
+`FEATURE_GROUPS` order. Names carry a `group:` prefix. Raw audio is out of
 scope, so speech-timing statistics derived from subtitle cues stand in for
 vocal activity.
 """
@@ -10,6 +10,7 @@ vocal activity.
 from __future__ import annotations
 
 import logging
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,17 +36,20 @@ def tokenize(text: str) -> list[str]:
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray
+class FeatureMatrix:
+    """One row of named feature values per segment."""
+
+    segment_ids: tuple[str, ...]
     names: tuple[str, ...]
-    segment_id: str = ""
+    values: np.ndarray  # (len(segment_ids), len(names))
 
     def __post_init__(self):
-        if self.values.shape != (len(self.names),):
-            raise DataError(f"{len(self.names)} names for "
-                            f"{self.values.shape} values")
+        if self.values.shape != (len(self.segment_ids), len(self.names)):
+            raise DataError(f"{self.values.shape} feature values for "
+                            f"{len(self.segment_ids)} segments x "
+                            f"{len(self.names)} names")
         if not np.all(np.isfinite(self.values)):
-            raise DataError("feature vector contains NaN or Inf")
+            raise DataError("feature matrix contains NaN or Inf")
 
 
 @dataclass(frozen=True)
@@ -57,8 +61,13 @@ class Vocabulary:
     def __post_init__(self):
         if len(self.terms) != len(set(self.terms)):
             raise DataError("vocabulary terms must be unique")
-        if any(df < 1 for df in self.document_frequencies):
-            raise DataError("document frequencies must be >= 1")
+        if len(self.document_frequencies) != len(self.terms):
+            raise DataError(f"{len(self.document_frequencies)} document "
+                            f"frequencies for {len(self.terms)} terms")
+        if any(not 1 <= df <= self.n_documents
+               for df in self.document_frequencies):
+            raise DataError("document frequencies must lie in "
+                            "[1, n_documents]")
 
     def to_dict(self) -> dict:
         return {"schema_version": 1, "terms": list(self.terms),
@@ -66,12 +75,22 @@ class Vocabulary:
                 "n_documents": self.n_documents}
 
     @staticmethod
-    def from_dict(obj: dict) -> "Vocabulary":
+    def from_dict(obj) -> "Vocabulary":
+        """A `to_dict` value; a missing key or a mistyped field is a
+        DataError."""
+        obj = obj if isinstance(obj, dict) else {}
         if obj.get("schema_version") != 1:
             raise DataError(f"unsupported vocabulary schema_version "
                             f"{obj.get('schema_version')!r}")
-        return Vocabulary(terms=tuple(obj["terms"]),
-                          document_frequencies=tuple(obj["document_frequencies"]),
+        terms, dfs = obj.get("terms"), obj.get("document_frequencies")
+        if not (isinstance(terms, list) and isinstance(dfs, list)
+                and all(isinstance(t, str) for t in terms)
+                and all(type(d) is int for d in dfs)
+                and type(obj.get("n_documents")) is int):
+            raise DataError("needs 'terms', a list of strings, "
+                            "'document_frequencies', a list of integers, "
+                            "and the integer 'n_documents'")
+        return Vocabulary(terms=tuple(terms), document_frequencies=tuple(dfs),
                           n_documents=obj["n_documents"])
 
 
@@ -110,27 +129,29 @@ def fit_vocabulary(texts, ngram_max: int = 1,
                       n_documents=len(texts))
 
 
-def text_features(text: str, vocab: Vocabulary, ngram_max: int = 1,
-                  stopwords=frozenset(), segment_id: str = "") -> FeatureVector:
-    """tf-idf weights over the fitted vocabulary, L2-normalized.
+def text_features(texts: list[str], vocab: Vocabulary, ngram_max: int = 1,
+                  stopwords=frozenset()) -> np.ndarray:
+    """(n, terms) tf-idf weights over the fitted vocabulary, one
+    L2-normalized row per text.
 
     tf is the raw in-segment count; idf = ln((1+N)/(1+df)) + 1. Tokens
     outside the vocabulary are ignored; empty text gives the zero vector.
     """
+    stopwords = frozenset(stopwords)
     index = {t: i for i, t in enumerate(vocab.terms)}
-    weights = np.zeros(len(vocab.terms))
-    for term in _document_terms(text, ngram_max, frozenset(stopwords)):
-        i = index.get(term)
-        if i is not None:
-            weights[i] += 1.0
     idf = np.log((1 + vocab.n_documents)
                  / (1 + np.asarray(vocab.document_frequencies))) + 1.0
-    weights *= idf
-    norm = np.linalg.norm(weights)
-    if norm > 0:
-        weights /= norm
-    names = tuple(f"text:{t}" for t in vocab.terms)
-    return FeatureVector(values=weights, names=names, segment_id=segment_id)
+    out = np.zeros((len(texts), len(vocab.terms)))
+    for row, text in zip(out, texts):
+        for term in _document_terms(text, ngram_max, stopwords):
+            i = index.get(term)
+            if i is not None:
+                row[i] += 1.0
+        row *= idf
+        norm = np.linalg.norm(row)
+        if norm > 0:
+            row /= norm
+    return out
 
 
 @dataclass(frozen=True)
@@ -166,23 +187,26 @@ def load_embedding_table(path: str | Path) -> EmbeddingTable:
     return EmbeddingTable(vectors=vectors, dim=dim)
 
 
-def embedding_features(text: str, table: EmbeddingTable,
-                       segment_id: str = "") -> FeatureVector:
-    """Mean of the vectors of in-table tokens; zero vector when none hit."""
+def embedding_features(texts: list[str], table: EmbeddingTable
+                       ) -> np.ndarray:
+    """(n, dim): per text, the mean of the vectors of its in-table tokens;
+    a zero row when none hit."""
     if not table.vectors:
         raise DataError("embedding table is empty")
-    hits = [table.vectors[t] for t in tokenize(text) if t in table.vectors]
-    mean = np.mean(hits, axis=0) if hits else np.zeros(table.dim)
-    names = tuple(f"embedding:{i}" for i in range(table.dim))
-    return FeatureVector(values=mean, names=names, segment_id=segment_id)
+    out = np.zeros((len(texts), table.dim))
+    for row, text in zip(out, texts):
+        hits = [table.vectors[t] for t in tokenize(text) if t in table.vectors]
+        if hits:
+            row[:] = np.mean(hits, axis=0)
+    return out
 
 
-_VIDEO_NAMES = ("video:duration_s", "video:n_frames", "video:motion_mean",
-                "video:motion_std", "video:luminance_mean",
-                "video:blank_fraction", "video:had_video")
+VIDEO_NAMES = ("video:duration_s", "video:n_frames", "video:motion_mean",
+               "video:motion_std", "video:luminance_mean",
+               "video:blank_fraction", "video:had_video")
 
 
-def video_features(segment: Segment, track: VideoTrack) -> FeatureVector:
+def video_features(segment: Segment, track: VideoTrack) -> np.ndarray:
     """Six motion/luminance statistics plus a had_video flag.
 
     Segments with fewer than 2 frames get zero motion and had_video=0;
@@ -199,7 +223,7 @@ def video_features(segment: Segment, track: VideoTrack) -> FeatureVector:
     else:
         motion_mean = motion_std = 0.0
         had_video = 0.0
-    values = np.array([
+    return np.array([
         duration_s,
         float(n),
         motion_mean,
@@ -208,11 +232,9 @@ def video_features(segment: Segment, track: VideoTrack) -> FeatureVector:
         float((luminance < BLANK_LUMINANCE).mean()) if n else 0.0,
         had_video,
     ])
-    return FeatureVector(values=values, names=_VIDEO_NAMES,
-                         segment_id=segment.segment_id)
 
 
-_SPEECH_NAMES = ("speech:density", "speech:words_per_second", "speech:n_cues")
+SPEECH_NAMES = ("speech:density", "speech:words_per_second", "speech:n_cues")
 
 
 @dataclass(frozen=True)
@@ -236,7 +258,7 @@ def cue_columns(transcript: Transcript) -> CueColumns:
         reach_ms=np.maximum.accumulate(ends) if ends.size else ends)
 
 
-def speech_features(segment: Segment, cues: CueColumns) -> FeatureVector:
+def speech_features(segment: Segment, cues: CueColumns) -> np.ndarray:
     """Speech-timing statistics over cues overlapping the segment window."""
     duration_ms = segment.duration_ms
     # cues past `hi` start at or after the end; cues before `lo` (and all
@@ -251,73 +273,47 @@ def speech_features(segment: Segment, cues: CueColumns) -> FeatureVector:
     words = int(cues.words[lo:hi][hit].sum())
     density = overlap_ms / duration_ms if duration_ms else 0.0
     wps = words / (duration_ms / 1000.0) if duration_ms else 0.0
-    values = np.array([density, wps, float(n_cues)])
-    return FeatureVector(values=values, names=_SPEECH_NAMES,
-                         segment_id=segment.segment_id)
+    return np.array([density, wps, float(n_cues)])
 
 
-def concat_features(parts: list[FeatureVector],
-                    segment_id: str = "") -> FeatureVector:
-    values = (np.concatenate([p.values for p in parts]) if parts
-              else np.zeros(0))
-    names = tuple(n for p in parts for n in p.names)
-    return FeatureVector(values=values, names=names, segment_id=segment_id)
-
-
-def mask_feature_groups(fv: FeatureVector, groups) -> FeatureVector:
-    """Keep only features whose `group:` prefix is in groups. Idempotent."""
-    groups = set(groups)
-    unknown = groups - set(FEATURE_GROUPS)
-    if unknown:
-        raise DataError(f"unknown feature group(s): {sorted(unknown)}")
-    keep = [i for i, name in enumerate(fv.names)
-            if name.split(":", 1)[0] in groups]
-    return FeatureVector(values=fv.values[keep],
-                         names=tuple(fv.names[i] for i in keep),
-                         segment_id=fv.segment_id)
-
-
-def assemble_features(segment: Segment, transcript: Transcript,
-                      track: VideoTrack, cues: CueColumns,
+def assemble_features(segments: list[Segment],
+                      transcripts: dict[str, Transcript],
+                      tracks: dict[str, VideoTrack],
                       vocab: Vocabulary | None = None,
                       table: EmbeddingTable | None = None,
                       ngram_max: int = 1, stopwords=frozenset(),
-                      groups=FEATURE_GROUPS) -> FeatureVector:
-    """Concatenate the requested feature groups in canonical order.
-
-    `cues` are the transcript's `cue_columns`, built once per transcript.
-    """
-    text = segment_text(segment, transcript)
-    parts = []
+                      groups=FEATURE_GROUPS) -> FeatureMatrix:
+    """The segments' feature matrix: one block per requested group, in
+    `FEATURE_GROUPS` order. The embedding group is skipped without a
+    table."""
+    texts = [segment_text(s, transcripts[s.video_id]) for s in segments]
+    blocks, names = [], []
     for group in FEATURE_GROUPS:
         if group not in groups:
             continue
         if group == "text":
             if vocab is None:
                 raise DataError("text features requested without a vocabulary")
-            parts.append(text_features(text, vocab, ngram_max, stopwords,
-                                       segment.segment_id))
-        elif group == "embedding":
-            if table is None:
-                continue  # embedding group is optional without a table
-            parts.append(embedding_features(text, table, segment.segment_id))
+            blocks.append(text_features(texts, vocab, ngram_max, stopwords))
+            names += [f"text:{t}" for t in vocab.terms]
+        elif group == "embedding" and table is not None:
+            blocks.append(embedding_features(texts, table))
+            names += [f"embedding:{i}" for i in range(table.dim)]
         elif group == "video":
-            parts.append(video_features(segment, track))
+            blocks.append(np.reshape([
+                video_features(s, tracks[s.video_id]) for s in segments],
+                (len(segments), len(VIDEO_NAMES))))
+            names += VIDEO_NAMES
         elif group == "speech":
-            parts.append(speech_features(segment, cues))
-    return concat_features(parts, segment_id=segment.segment_id)
-
-
-def assemble_all(segments: list[Segment], transcripts: dict[str, Transcript],
-                 tracks: dict[str, VideoTrack], **options
-                 ) -> list[FeatureVector]:
-    """assemble_features for each segment, with cue columns built once
-    per video; `options` are assemble_features' keyword arguments."""
-    cues = {vid: cue_columns(transcripts[vid])
-            for vid in {s.video_id for s in segments}}
-    return [assemble_features(s, transcripts[s.video_id], tracks[s.video_id],
-                              cues[s.video_id], **options)
-            for s in segments]
+            cues = {vid: cue_columns(transcripts[vid])
+                    for vid in {s.video_id for s in segments}}
+            blocks.append(np.reshape([
+                speech_features(s, cues[s.video_id]) for s in segments],
+                (len(segments), len(SPEECH_NAMES))))
+            names += SPEECH_NAMES
+    values = np.hstack(blocks) if blocks else np.zeros((len(segments), 0))
+    return FeatureMatrix(segment_ids=tuple(s.segment_id for s in segments),
+                         names=tuple(names), values=values)
 
 
 def segment_text(segment: Segment, transcript: Transcript) -> str:
@@ -370,34 +366,20 @@ def smote_oversample(x: np.ndarray, y: np.ndarray, k_neighbors: int = 5,
             np.concatenate([y, np.array(synth_y, dtype=y.dtype)]))
 
 
-def feature_matrix(vectors: list[FeatureVector]) -> tuple[np.ndarray, list[str]]:
-    """Stack vectors into (n, d), checking name alignment."""
-    if not vectors:
-        raise DataError("no feature vectors to stack")
-    names = vectors[0].names
-    for fv in vectors[1:]:
-        if fv.names != names:
-            raise DataError(f"feature names differ between segments "
-                            f"{vectors[0].segment_id!r} and {fv.segment_id!r}")
-    return np.stack([fv.values for fv in vectors]), list(names)
-
-
-def write_feature_csv(vectors: list[FeatureVector]) -> str:
+def write_feature_csv(matrix: FeatureMatrix) -> str:
     """CSV with a header row of feature names; one row per segment.
 
     Values are written with `repr`, so reading the file back gives every
     float bit for bit."""
-    matrix, names = feature_matrix(vectors)
-    lines = [",".join(["segment_id"] + names)]
-    for fv, row in zip(vectors, matrix):
-        lines.append(",".join([fv.segment_id]
-                              + [repr(v) for v in row.tolist()]))
+    lines = [",".join(("segment_id",) + matrix.names)]
+    for sid, row in zip(matrix.segment_ids, matrix.values.tolist()):
+        lines.append(",".join([sid] + [repr(v) for v in row]))
     return "\n".join(lines) + "\n"
 
 
-def read_feature_csv(text: str, path: str = "features.csv"
-                     ) -> list[FeatureVector]:
-    """Rows of a `write_feature_csv` file; `path` names it in errors."""
+def read_feature_csv(text: str, path: str = "features.csv") -> FeatureMatrix:
+    """The matrix of a `write_feature_csv` file; `path` names it in errors,
+    with the line of a bad row."""
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
              if ln.strip()]
     if not lines:
@@ -406,13 +388,16 @@ def read_feature_csv(text: str, path: str = "features.csv"
     if header[0] != "segment_id":
         raise DataError(f"{path}: the first column must be segment_id")
     names = tuple(header[1:])
-    out = []
+    ids, rows = [], []
     for line_no, ln in lines[1:]:
         cells = ln.split(",")
         try:
-            out.append(FeatureVector(
-                values=np.array([float(v) for v in cells[1:]]),
-                names=names, segment_id=cells[0]))
-        except (ValueError, DataError) as exc:
+            row = [float(v) for v in cells[1:]]
+            if len(row) != len(names) or not all(map(math.isfinite, row)):
+                raise ValueError(f"expected {len(names)} finite values")
+        except ValueError as exc:
             raise ParseError(f"{path}: {exc}", line_no) from None
-    return out
+        ids.append(cells[0])
+        rows.append(row)
+    return FeatureMatrix(segment_ids=tuple(ids), names=names,
+                         values=np.reshape(rows, (len(rows), len(names))))

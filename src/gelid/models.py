@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.stats import rankdata
 
 from .errors import DataError
 
@@ -349,17 +350,7 @@ def _rank_auc(scores: np.ndarray, positives: np.ndarray) -> float | None:
     n_neg = positives.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2 + 1
-        i = j + 1
-    u = ranks[positives].sum() - n_pos * (n_pos + 1) / 2
+    u = rankdata(scores)[positives].sum() - n_pos * (n_pos + 1) / 2
     return float(u / (n_pos * n_neg))
 
 

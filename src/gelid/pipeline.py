@@ -346,19 +346,18 @@ def _embedding_table(config: RunConfig) -> features.EmbeddingTable | None:
 def extract_features(segments: list[Segment],
                      transcripts: dict[str, Transcript],
                      tracks: dict[str, VideoTrack], config: RunConfig
-                     ) -> tuple[features.Vocabulary,
-                                list[features.FeatureVector]]:
+                     ) -> tuple[features.Vocabulary, features.FeatureMatrix]:
     """Features stage: fit the vocabulary on every segment given, labelled
-    or not, then assemble one feature vector per segment."""
+    or not, then assemble their feature matrix."""
     stopwords = config.stopword_set()
     vocab = features.fit_vocabulary(
         [features.segment_text(s, transcripts[s.video_id]) for s in segments],
         ngram_max=config.ngram_max, stopwords=stopwords, min_df=config.min_df)
-    vectors = features.assemble_all(
+    matrix = features.assemble_features(
         segments, transcripts, tracks, vocab=vocab,
         table=_embedding_table(config), ngram_max=config.ngram_max,
         stopwords=stopwords, groups=config.feature_group_list())
-    return vocab, vectors
+    return vocab, matrix
 
 
 def _maybe_smote(matrix: np.ndarray, y: np.ndarray,
@@ -379,19 +378,21 @@ def _maybe_smote(matrix: np.ndarray, y: np.ndarray,
                                      seed=config.seed)
 
 
-def train_bundle(matrix: np.ndarray, names: list[str],
-                 labels: list[str | None], vocabulary: features.Vocabulary,
+def train_bundle(matrix: features.FeatureMatrix,
+                 labels_by_segment_id: dict[str, str],
+                 vocabulary: features.Vocabulary,
                  config: RunConfig) -> ClassifierBundle:
-    """Train stage: fit `config.model_kind` on the rows of `matrix` that
-    have a label (`labels[i]` is None for an unlabelled row)."""
-    rows = [i for i, label in enumerate(labels) if label is not None]
+    """Train stage: fit `config.model_kind` on the rows of `matrix` whose
+    segment has a label."""
+    rows = [i for i, sid in enumerate(matrix.segment_ids)
+            if sid in labels_by_segment_id]
     if not rows:
         raise DataError("no segment has a training label")
-    x, y = _maybe_smote(matrix[rows], np.array([labels[i] for i in rows]),
-                        config)
+    y = np.array([labels_by_segment_id[matrix.segment_ids[i]] for i in rows])
+    x, y = _maybe_smote(matrix.values[rows], y, config)
     model = models.train(config.model_kind, x, y,
                          hyper=config.model_hyper(), seed=config.seed,
-                         feature_names=names)
+                         feature_names=matrix.names)
     return ClassifierBundle(model=model, vocabulary=vocabulary,
                             feature_groups=config.feature_group_list(),
                             ngram_max=config.ngram_max,
@@ -399,13 +400,13 @@ def train_bundle(matrix: np.ndarray, names: list[str],
                             embedding=_embedding_table(config))
 
 
-def classify(bundle: ClassifierBundle, matrix: np.ndarray, names: list[str],
-             segment_ids: list[str]) -> dict[str, str]:
+def classify(bundle: ClassifierBundle,
+             matrix: features.FeatureMatrix) -> dict[str, str]:
     """Classify stage: the bundle's label for each row of `matrix`."""
     if "embedding" in bundle.feature_groups and bundle.embedding is None:
         raise DataError("bundle uses embedding features but carries no table")
-    return dict(zip(segment_ids, models.predict(bundle.model, matrix,
-                                                feature_names=names)))
+    return dict(zip(matrix.segment_ids, models.predict(
+        bundle.model, matrix.values, feature_names=matrix.names)))
 
 
 def classify_segments(segments: list[Segment],
@@ -413,12 +414,10 @@ def classify_segments(segments: list[Segment],
                       tracks: dict[str, VideoTrack],
                       bundle: ClassifierBundle) -> dict[str, str]:
     """Classify with a trained bundle, assembling features its way."""
-    vectors = features.assemble_all(
+    return classify(bundle, features.assemble_features(
         segments, transcripts, tracks, vocab=bundle.vocabulary,
         table=bundle.embedding, ngram_max=bundle.ngram_max,
-        stopwords=bundle.stopwords, groups=bundle.feature_groups)
-    matrix, names = features.feature_matrix(vectors)
-    return classify(bundle, matrix, names, [s.segment_id for s in segments])
+        stopwords=bundle.stopwords, groups=bundle.feature_groups))
 
 
 def keyframe_lookup(segments: list[Segment],
@@ -476,11 +475,10 @@ def build_hierarchy(segments: list[Segment],
 
     # issue clustering reuses the classifier's vocabulary and tokenizer
     # settings so its tf-idf space matches the one the labels came from
-    text_vectors = {
-        s.segment_id: features.text_features(
-            features.segment_text(s, transcripts[s.video_id]),
-            bundle.vocabulary, bundle.ngram_max, bundle.stopwords).values
-        for s in informative}
+    text_vectors = dict(zip(assignment.ids, features.text_features(
+        [features.segment_text(s, transcripts[s.video_id])
+         for s in informative],
+        bundle.vocabulary, bundle.ngram_max, bundle.stopwords)))
 
     contexts = []
     for ci, members in enumerate(context_groups):
@@ -555,16 +553,11 @@ def run_pipeline(manifest: Manifest, config: RunConfig,
     elif config.labels_path:
         probes = load_label_probes(config.labels_path)
         training_labels = match_probes(probes, segments)
-        vocab, vectors = timed("features", lambda: extract_features(
+        vocab, matrix = timed("features", lambda: extract_features(
             segments, transcripts, tracks, config))
-        matrix, names = features.feature_matrix(vectors)
-        ids = [fv.segment_id for fv in vectors]
-        del vectors  # their per-row name tuples outweigh the matrix
         bundle = timed("train", lambda: train_bundle(
-            matrix, names, [training_labels.get(sid) for sid in ids], vocab,
-            config))
-        predictions = timed("classify", lambda: classify(
-            bundle, matrix, names, ids))
+            matrix, training_labels, vocab, config))
+        predictions = timed("classify", lambda: classify(bundle, matrix))
     else:
         raise ConfigError("run_pipeline needs train.model_path or "
                           "train.labels_path (or a bundle argument)")

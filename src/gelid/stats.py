@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import erfc as _np_erfc
+from scipy.stats import rankdata
 from scipy.stats import t as student_t
 
 from .errors import DataError, InternalError
@@ -304,20 +305,6 @@ class MannWhitneyResult:
     exact: bool
 
 
-def _midranks(pooled: np.ndarray) -> np.ndarray:
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(len(pooled))
-    sorted_vals = pooled[order]
-    i = 0
-    while i < len(sorted_vals):
-        j = i
-        while j + 1 < len(sorted_vals) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2 + 1  # midrank, 1-based
-        i = j + 1
-    return ranks
-
-
 def mann_whitney_u(x, y) -> MannWhitneyResult:
     """Two-sided Mann-Whitney U test.
 
@@ -332,7 +319,7 @@ def mann_whitney_u(x, y) -> MannWhitneyResult:
         raise DataError("both samples must be non-empty")
     n1, n2 = x.size, y.size
     pooled = np.concatenate([x, y])
-    ranks = _midranks(pooled)
+    ranks = rankdata(pooled)  # 1-based midranks
     u = float(ranks[:n1].sum() - n1 * (n1 + 1) / 2)
     if n1 + n2 <= 20:
         p = _exact_u_p_value(ranks, n1, n2, u)

@@ -1,7 +1,12 @@
 import dataclasses
+import io
 import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import THREE_VIDEO_WORLD, write_world
 from gelid import pipeline
@@ -488,3 +493,120 @@ def test_missing_subtitle_file_exits_2(tmp_path, capsys, command):
     _fails_naming(capsys, [command, "--manifest", str(paths["manifest"]),
                            "--config", str(paths["config"]),
                            "--out", str(tmp_path / "out")], "vid_b.srt")
+
+
+def test_vocabulary_missing_key_exits_2_naming_file(staged, tmp_path,
+                                                     capsys):
+    paths, stage = staged
+    bad = tmp_path / "vocabulary.json"
+    bad.write_text('{"schema_version": 1}')
+    _fails_naming(capsys, [
+        "train", "--config", str(paths["config"]),
+        "--features", str(stage / "features.csv"), "--vocabulary", str(bad),
+        "--labels", str(stage / "seg_labels.jsonl"),
+        "--out", str(tmp_path / "model.json")], str(bad), "terms")
+
+
+@pytest.mark.parametrize("text", ['{"foo": 1}', "[]",
+                                  '{"schema_version": 1, "contexts": 5}'])
+def test_report_on_a_non_hierarchy_exits_2_naming_file(tmp_path, capsys,
+                                                       text):
+    bad = tmp_path / "hierarchy.json"
+    bad.write_text(text)
+    out = tmp_path / "report.html"
+    _fails_naming(capsys, ["report", "--hierarchy", str(bad),
+                           "--out", str(out)], str(bad))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ['"groups"', '{"groups": 5}',
+                                  '{"groups": [["a"], 5]}',
+                                  '{"groups": [["a", ["b"]]]}',
+                                  '{"mapping": {"a": [1]}}',
+                                  '{"groups": []}'])
+def test_eval_bad_partition_exits_2_naming_file(tmp_path, capsys, text):
+    bad, good = tmp_path / "a.json", tmp_path / "b.json"
+    bad.write_text(text)
+    good.write_text(json.dumps({"groups": [["a", "b"], ["c"]]}))
+    _fails_naming(capsys, ["eval", "--stat", "mojofm", "--partition-a",
+                           str(bad), "--partition-b", str(good)], str(bad))
+
+
+@pytest.mark.parametrize("stat", ["mann-whitney", "cliffs-delta", "kappa"])
+@pytest.mark.parametrize("text", ['[NaN, 2, "a"]', "[1, Infinity]", "[true]",
+                                  '{"x": 1}', "[[1]]"])
+def test_eval_bad_sample_exits_2_naming_file(tmp_path, capsys, stat, text):
+    x, y = tmp_path / "x.json", tmp_path / "y.json"
+    x.write_text("[1, 2, 3]")
+    y.write_text(text)
+    _fails_naming(capsys, ["eval", "--stat", stat, "--x", str(x),
+                           "--y", str(y)], str(y))
+
+
+@pytest.mark.parametrize("argv", [["--stat", "mojofm"],
+                                  ["--stat", "mno", "--partition-a", "a"],
+                                  ["--stat", "kappa", "--x", "x"],
+                                  ["--stat", "bh"], ["--stat", "margin"]])
+def test_eval_without_an_input_the_stat_needs_exits_1(capsys, argv):
+    assert main(["eval", *argv]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "needs --" in err
+    assert "Traceback" not in err
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8)
+_PAYLOADS = st.binary(max_size=40) | _JSON_VALUES.map(
+    lambda value: json.dumps(value).encode())
+
+
+def _is_numeric_sample(payload: bytes) -> bool:
+    """A non-empty JSON array of finite numbers: a valid sample."""
+    try:
+        obj = json.loads(payload)
+    except ValueError:
+        return False
+    return isinstance(obj, list) and bool(obj) and all(
+        type(v) in (int, float) and abs(v) <= sys.float_info.max
+        for v in obj)
+
+
+@pytest.mark.parametrize("target", ["vocabulary", "hierarchy", "partition",
+                                    "sample"])
+@given(payload=_PAYLOADS)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+def test_malformed_artifact_exits_1_or_2(staged, tmp_path_factory, target,
+                                         payload):
+    assume(target != "sample" or not _is_numeric_sample(payload))
+    paths, stage = staged
+    work = tmp_path_factory.getbasetemp() / "fuzz"
+    work.mkdir(exist_ok=True)
+    bad = work / f"{target}.json"
+    bad.write_bytes(payload)
+    good_partition = work / "good_partition.json"
+    good_partition.write_text(json.dumps({"groups": [["a", "b"], ["c"]]}))
+    good_sample = work / "good_sample.json"
+    good_sample.write_text("[1, 2, 3]")
+    argv = {
+        "vocabulary": ["train", "--config", str(paths["config"]),
+                       "--features", str(stage / "features.csv"),
+                       "--vocabulary", str(bad),
+                       "--labels", str(stage / "seg_labels.jsonl"),
+                       "--out", str(work / "model.json")],
+        "hierarchy": ["report", "--hierarchy", str(bad),
+                      "--out", str(work / "report.html")],
+        "partition": ["eval", "--stat", "mojofm", "--partition-a", str(bad),
+                      "--partition-b", str(good_partition)],
+        "sample": ["eval", "--stat", "mann-whitney", "--x", str(good_sample),
+                   "--y", str(bad)],
+    }[target]
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (1, 2), err.getvalue()
+    assert "error:" in err.getvalue()

@@ -58,8 +58,7 @@ def test_tfidf_matches_sklearn_with_aligned_tokenizer():
     ref_terms = list(vectorizer.get_feature_names_out())
     vocab = fit_vocabulary(docs)
     assert list(vocab.terms) == ref_terms
-    for row, doc in enumerate(docs):
-        ours = text_features(doc, vocab).values
+    for row, ours in enumerate(text_features(docs, vocab)):
         assert np.allclose(ours, ref[row], atol=1e-12)
 
 

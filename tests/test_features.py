@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gelid.errors import DataError
-from gelid.features import (EmbeddingTable, FeatureVector, assemble_features,
-                            embedding_features, feature_matrix,
-                            fit_vocabulary, load_embedding_table,
-                            mask_feature_groups, read_feature_csv,
-                            cue_columns, smote_oversample, speech_features,
-                            text_features, tokenize, video_features,
-                            write_feature_csv)
+from gelid.features import (SPEECH_NAMES, VIDEO_NAMES, EmbeddingTable,
+                            FeatureMatrix, Vocabulary, assemble_features,
+                            cue_columns, embedding_features, fit_vocabulary,
+                            load_embedding_table, read_feature_csv,
+                            smote_oversample, speech_features, text_features,
+                            tokenize, video_features, write_feature_csv)
 from gelid.frames import FrameDescriptor, VideoTrack
 from gelid.segmentation import Segment
 from gelid.subtitles import Cue, Transcript
@@ -62,38 +61,38 @@ def test_tokenize_alphanumeric_runs():
 
 def test_text_features_empty_text_zero_vector():
     vocab = fit_vocabulary(["bug", "lag"])
-    fv = text_features("", vocab)
-    assert fv.values.shape == (2,)
-    assert not fv.values.any()
+    values = text_features([""], vocab)[0]
+    assert values.shape == (2,)
+    assert not values.any()
 
 
 def test_text_features_single_token_unit_norm():
     vocab = fit_vocabulary(["bug", "lag"])
-    fv = text_features("bug", vocab)
-    assert np.linalg.norm(fv.values) == pytest.approx(1.0)
-    assert fv.values[0] > 0 and fv.values[1] == 0
+    values = text_features(["bug"], vocab)[0]
+    assert np.linalg.norm(values) == pytest.approx(1.0)
+    assert values[0] > 0 and values[1] == 0
 
 
 def test_text_features_tfidf_arithmetic():
     # tf = (2, 1), idf identical for both terms -> direction (2, 1)/sqrt(5)
     vocab = fit_vocabulary(["bug bug", "lag"])
-    fv = text_features("bug bug lag", vocab)
+    values = text_features(["bug bug lag"], vocab)[0]
     w = math.log(3 / 2) + 1
     raw = np.array([2 * w, 1 * w])
-    assert np.allclose(fv.values, raw / np.linalg.norm(raw))
-    assert np.allclose(fv.values, [2 / math.sqrt(5), 1 / math.sqrt(5)])
+    assert np.allclose(values, raw / np.linalg.norm(raw))
+    assert np.allclose(values, [2 / math.sqrt(5), 1 / math.sqrt(5)])
 
 
 def test_text_features_out_of_vocabulary_ignored():
     vocab = fit_vocabulary(["bug"])
-    fv = text_features("quantum flux bug", vocab)
-    assert np.linalg.norm(fv.values) == pytest.approx(1.0)
+    values = text_features(["quantum flux bug"], vocab)[0]
+    assert np.linalg.norm(values) == pytest.approx(1.0)
 
 
 def test_transform_does_not_mutate_vocabulary():
     vocab = fit_vocabulary(["bug bug", "lag"])
     before = (vocab.terms, vocab.document_frequencies, vocab.n_documents)
-    text_features("totally new words here", vocab)
+    text_features(["totally new words here"], vocab)
     assert (vocab.terms, vocab.document_frequencies, vocab.n_documents) \
         == before
 
@@ -106,18 +105,18 @@ def _table():
 
 
 def test_embedding_features_no_hits_zero_vector():
-    fv = embedding_features("nothing known", _table())
-    assert np.array_equal(fv.values, [0.0, 0.0])
+    values = embedding_features(["nothing known"], _table())[0]
+    assert np.array_equal(values, [0.0, 0.0])
 
 
 def test_embedding_features_single_token():
-    fv = embedding_features("bug", _table())
-    assert np.array_equal(fv.values, [1.0, 0.0])
+    values = embedding_features(["bug"], _table())[0]
+    assert np.array_equal(values, [1.0, 0.0])
 
 
 def test_embedding_features_mean_of_two():
-    fv = embedding_features("bug lag", _table())
-    assert np.array_equal(fv.values, [0.5, 1.0])
+    values = embedding_features(["bug lag"], _table())[0]
+    assert np.array_equal(values, [0.5, 1.0])
 
 
 def test_load_embedding_table(tmp_path):
@@ -153,8 +152,7 @@ def _seg(start, end, cue_indices=(), video_id="vid", keyframes=()):
 def test_video_features_black_segment():
     frames = [FrameDescriptor(t, _hist(0), 0.0) for t in (0, 500, 1000)]
     track = VideoTrack.from_frames("vid", frames, 2000)
-    fv = video_features(_seg(0, 2000), track)
-    by = dict(zip(fv.names, fv.values))
+    by = dict(zip(VIDEO_NAMES, video_features(_seg(0, 2000), track)))
     assert by["video:luminance_mean"] == 0.0
     assert by["video:blank_fraction"] == 1.0
     assert by["video:had_video"] == 1.0
@@ -163,8 +161,7 @@ def test_video_features_black_segment():
 def test_video_features_constant_frames_zero_motion():
     frames = [FrameDescriptor(t, _hist(3), 0.4) for t in (0, 500, 1000)]
     track = VideoTrack.from_frames("vid", frames, 2000)
-    by = dict(zip(*[(video_features(_seg(0, 2000), track)).names,
-                    (video_features(_seg(0, 2000), track)).values]))
+    by = dict(zip(VIDEO_NAMES, video_features(_seg(0, 2000), track)))
     assert by["video:motion_mean"] == 0.0
     assert by["video:motion_std"] == 0.0
 
@@ -173,12 +170,11 @@ def test_video_features_alternating_frames_motion_from_oracle():
     hists = [_hist(0), _hist(15), _hist(0), _hist(15)]
     frames = [FrameDescriptor(i * 500, h, 0.0) for i, h in enumerate(hists)]
     track = VideoTrack.from_frames("vid", frames, 2000)
-    fv = video_features(_seg(0, 2000), track)
+    by = dict(zip(VIDEO_NAMES, video_features(_seg(0, 2000), track)))
     # independent brute-force L1 oracle
     expected = []
     for a, b in zip(hists, hists[1:]):
         expected.append(sum(abs(x - y) for x, y in zip(a, b)))
-    by = dict(zip(fv.names, fv.values))
     assert by["video:motion_mean"] == pytest.approx(np.mean(expected))
     assert by["video:motion_std"] == pytest.approx(np.std(expected))
     assert by["video:motion_mean"] == pytest.approx(6.0)
@@ -187,8 +183,7 @@ def test_video_features_alternating_frames_motion_from_oracle():
 def test_video_features_single_frame_flags_no_video():
     track = VideoTrack.from_frames(
         "vid", [FrameDescriptor(100, _hist(0), 0.5)], 2000)
-    by = dict(zip(*[(video_features(_seg(0, 2000), track)).names,
-                    (video_features(_seg(0, 2000), track)).values]))
+    by = dict(zip(VIDEO_NAMES, video_features(_seg(0, 2000), track)))
     assert by["video:had_video"] == 0.0
     assert by["video:motion_mean"] == 0.0
 
@@ -200,15 +195,15 @@ def _transcript(cue_specs):
 
 
 def test_speech_features_no_cues_all_zero():
-    fv = speech_features(_seg(0, 5000),
-                         cue_columns(Transcript(video_id="vid")))
-    assert not fv.values.any()
+    values = speech_features(_seg(0, 5000),
+                             cue_columns(Transcript(video_id="vid")))
+    assert not values.any()
 
 
 def test_speech_features_full_span_cue_density_one():
     t = _transcript([(0, 5000, "talking the whole time")])
-    by = dict(zip(*[(speech_features(_seg(0, 5000), cue_columns(t))).names,
-                    (speech_features(_seg(0, 5000), cue_columns(t))).values]))
+    by = dict(zip(SPEECH_NAMES,
+                  speech_features(_seg(0, 5000), cue_columns(t))))
     assert by["speech:density"] == 1.0
     assert by["speech:n_cues"] == 1.0
 
@@ -216,12 +211,12 @@ def test_speech_features_full_span_cue_density_one():
 def test_speech_features_words_per_second():
     t = _transcript([(0, 5000, "one two three four five six seven eight "
                                "nine ten")])
-    by = dict(zip(*[(speech_features(_seg(0, 5000), cue_columns(t))).names,
-                    (speech_features(_seg(0, 5000), cue_columns(t))).values]))
+    by = dict(zip(SPEECH_NAMES,
+                  speech_features(_seg(0, 5000), cue_columns(t))))
     assert by["speech:words_per_second"] == 2.0
 
 
-# --- assembly and masking -------------------------------------------------------
+# --- assembly ---------------------------------------------------------------
 
 def _mini_world():
     frames = [FrameDescriptor(t, _hist(0), 0.0) for t in (0, 1000, 2000)]
@@ -234,36 +229,50 @@ def _mini_world():
 
 def test_assemble_concatenates_groups_in_order():
     seg, transcript, track, vocab = _mini_world()
-    fv = assemble_features(seg, transcript, track,
-                           cue_columns(transcript), vocab=vocab)
-    groups = [n.split(":", 1)[0] for n in fv.names]
+    matrix = assemble_features([seg], {"vid": transcript}, {"vid": track},
+                               vocab=vocab)
+    groups = [n.split(":", 1)[0] for n in matrix.names]
     assert groups == sorted(groups, key=["text", "embedding", "video",
                                          "speech"].index)
-    assert len(fv.values) == len(vocab.terms) + 7 + 3
+    assert len(matrix.values[0]) == len(vocab.terms) + 7 + 3
 
 
-def test_masking_selects_named_groups_and_is_idempotent():
+def test_assemble_rows_equal_one_segment_at_a_time():
+    # each group's block is built for all segments at once; a row must not
+    # depend on the other segments
     seg, transcript, track, vocab = _mini_world()
-    fv = assemble_features(seg, transcript, track,
-                           cue_columns(transcript), vocab=vocab)
-    text_only = mask_feature_groups(fv, ["text"])
-    assert all(n.startswith("text:") for n in text_only.names)
-    again = mask_feature_groups(text_only, ["text"])
-    assert np.array_equal(text_only.values, again.values)
-    assert text_only.names == again.names
+    transcript = _transcript([(0, 2000, "the game crashed hard."),
+                              (2500, 3900, "lag spike, lag")])
+    segments = [_seg(0, 2000, (1,)), _seg(2000, 4000, (2,)), _seg(0, 4000),
+                _seg(1000, 4000, (1, 2))]
+    world = ({"vid": transcript}, {"vid": track})
+    matrix = assemble_features(segments, *world, vocab=vocab,
+                               table=_table())
+    assert matrix.segment_ids == tuple(s.segment_id for s in segments)
+    for k, segment in enumerate(segments):
+        alone = assemble_features([segment], *world, vocab=vocab,
+                                  table=_table())
+        assert alone.names == matrix.names
+        assert alone.values[0].tobytes() == matrix.values[k].tobytes()
 
 
-def test_masking_unknown_group_is_error():
-    seg, transcript, track, vocab = _mini_world()
-    fv = assemble_features(seg, transcript, track,
-                           cue_columns(transcript), vocab=vocab)
+def test_assemble_without_segments_is_an_empty_matrix():
+    _, transcript, track, vocab = _mini_world()
+    matrix = assemble_features([], {"vid": transcript}, {"vid": track},
+                               vocab=vocab)
+    assert matrix.values.shape == (0, len(vocab.terms) + 7 + 3)
+
+
+def test_matrix_rejects_nan():
     with pytest.raises(DataError):
-        mask_feature_groups(fv, ["audio"])
+        FeatureMatrix(segment_ids=("s",), names=("x",),
+                      values=np.array([[np.nan]]))
 
 
-def test_feature_vector_rejects_nan():
+def test_matrix_rejects_shape_mismatch():
     with pytest.raises(DataError):
-        FeatureVector(values=np.array([np.nan]), names=("x",))
+        FeatureMatrix(segment_ids=("s", "t"), names=("x",),
+                      values=np.array([[1.0, 2.0]]))
 
 
 @given(st.text(max_size=60),
@@ -284,36 +293,44 @@ def test_features_always_finite(text, seed):
         if text.strip() else Transcript(video_id="vid")
     seg = _seg(0, 5000, cue_indices=(1,) if transcript.cues else ())
     vocab = fit_vocabulary(["fallback token"])
-    fv = assemble_features(seg, transcript, track,
-                           cue_columns(transcript), vocab=vocab)
-    assert np.all(np.isfinite(fv.values))
+    matrix = assemble_features([seg], {"vid": transcript}, {"vid": track},
+                               vocab=vocab)
+    assert np.all(np.isfinite(matrix.values))
 
 
-# --- feature CSV ----------------------------------------------------------------
+# --- vocabulary and feature CSV files ---------------------------------------
+
+@pytest.mark.parametrize("obj", [
+    {"schema_version": 1},
+    [],
+    {"schema_version": 1, "terms": "bug", "document_frequencies": [1],
+     "n_documents": 1},
+    {"schema_version": 1, "terms": ["bug"], "document_frequencies": [1.5],
+     "n_documents": 2},
+    {"schema_version": 1, "terms": ["bug"], "document_frequencies": [1],
+     "n_documents": None},
+    {"schema_version": 1, "terms": ["bug", "lag"],
+     "document_frequencies": [1], "n_documents": 1},
+])
+def test_vocabulary_from_bad_dict_is_data_error(obj):
+    with pytest.raises(DataError):
+        Vocabulary.from_dict(obj)
+
 
 def test_feature_csv_round_trip():
-    fvs = [FeatureVector(values=np.array([1.5, -2.0]), names=("a", "b"),
-                         segment_id="s1"),
-           FeatureVector(values=np.array([0.0, 3.25]), names=("a", "b"),
-                         segment_id="s2")]
-    again = read_feature_csv(write_feature_csv(fvs))
-    assert [fv.segment_id for fv in again] == ["s1", "s2"]
-    assert np.array_equal(again[0].values, [1.5, -2.0])
+    matrix = FeatureMatrix(segment_ids=("s1", "s2"), names=("a", "b"),
+                           values=np.array([[1.5, -2.0], [0.0, 3.25]]))
+    again = read_feature_csv(write_feature_csv(matrix))
+    assert again.segment_ids == ("s1", "s2")
+    assert np.array_equal(again.values[0], [1.5, -2.0])
 
 
 def test_feature_csv_round_trip_is_exact():
     values = np.array([0.1 + 0.2, 1 / 3, 5e-324, -2.5e17, 0.0])
-    fvs = [FeatureVector(values=values, names=tuple("abcde"),
-                         segment_id="s1")]
-    again = read_feature_csv(write_feature_csv(fvs))
-    assert again[0].values.tobytes() == values.tobytes()
-
-
-def test_feature_matrix_rejects_misaligned_names():
-    fvs = [FeatureVector(values=np.array([1.0]), names=("a",), segment_id="x"),
-           FeatureVector(values=np.array([1.0]), names=("b",), segment_id="y")]
-    with pytest.raises(DataError):
-        feature_matrix(fvs)
+    matrix = FeatureMatrix(segment_ids=("s1",), names=tuple("abcde"),
+                           values=values[None, :])
+    again = read_feature_csv(write_feature_csv(matrix))
+    assert again.values[0].tobytes() == values.tobytes()
 
 
 # --- SMOTE ------------------------------------------------------------------------

@@ -119,11 +119,12 @@ def informative_inputs(tmp_path_factory):
                    if result.predictions[s.segment_id]
                    != IssueLabel.NON_INFORMATIVE.value]
     bundle = result.bundle
-    texts = {s.segment_id: text_features(
-        segment_text(s, transcripts[s.video_id]), bundle.vocabulary,
-        bundle.ngram_max, bundle.stopwords).values for s in informative}
+    ids = [s.segment_id for s in informative]
+    texts = dict(zip(ids, text_features(
+        [segment_text(s, transcripts[s.video_id]) for s in informative],
+        bundle.vocabulary, bundle.ngram_max, bundle.stopwords)))
     keyframes = keyframe_lookup(informative, tracks)
-    return [s.segment_id for s in informative], texts, keyframes
+    return ids, texts, keyframes
 
 
 def _digest(matrix) -> str:

@@ -173,7 +173,7 @@ def test_video_features_match_loop_reference(spec):
     track = _random_track(seed, n_frames, repeat)
     rng = np.random.default_rng(seed + 1)
     for segment in _windows(rng, track, 12):
-        values = video_features(segment, track).values
+        values = video_features(segment, track)
         assert values.tobytes() == ref_video_values(segment, track).tobytes()
 
 
@@ -218,7 +218,7 @@ def test_speech_features_match_loop_reference(specs, seed):
         end = start + int(rng.integers(0, 8000))
         segments.append(Segment(f"vid_{k:04d}", "vid", start, end))
     for segment in segments:
-        values = speech_features(segment, columns).values
+        values = speech_features(segment, columns)
         assert values.tobytes() == \
             ref_speech_values(segment, transcript).tobytes()
 

@@ -18,8 +18,8 @@ from . import features, pipeline, stats
 from .config import load_config
 from .errors import ConfigError, DataError, GelidError
 from .frames import write_descriptor_csv
-from .segmentation import Segment, read_segments_jsonl, write_segments_jsonl
-from .subtitles import transcript_to_dict
+from .segmentation import write_segments_jsonl
+from .subtitles import write_srt
 
 log = logging.getLogger("gelid")
 
@@ -44,9 +44,7 @@ def cmd_ingest(args) -> int:
     transcripts, tracks = _ingest(args, config)
     out = Path(args.out)
     for video_id, track in tracks.items():
-        _write(out / f"{video_id}.transcript.json",
-               json.dumps(transcript_to_dict(transcripts[video_id]),
-                          sort_keys=True, indent=2) + "\n")
+        _write(out / f"{video_id}.srt", write_srt(transcripts[video_id]))
         write_descriptor_csv(track, out / f"{video_id}.descriptors.csv")
     print(f"ingested {len(tracks)} video(s) into {out}")
     return 0
@@ -61,20 +59,10 @@ def cmd_segment(args) -> int:
     return 0
 
 
-def _read_segments(path: str, videos) -> list[Segment]:
-    """Segments of a segments.jsonl, each naming one of `videos`."""
-    segments = read_segments_jsonl(Path(path).read_text(encoding="utf-8"))
-    unknown = sorted({s.video_id for s in segments}.difference(videos))
-    if unknown:
-        raise DataError(f"{path}: segments name video(s) not in the "
-                        f"manifest: {', '.join(unknown)}")
-    return segments
-
-
 def cmd_features(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     transcripts, tracks = _ingest(args, config)
-    segments = _read_segments(args.segments, tracks)
+    segments = pipeline.load_segments(args.segments, tracks)
     vocab, matrix = pipeline.extract_features(segments, transcripts, tracks,
                                               config)
     out = Path(args.out)
@@ -87,8 +75,8 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
-    matrix = features.read_feature_csv(
-        Path(args.features).read_text(encoding="utf-8"), args.features)
+    matrix = features.read_feature_csv(pipeline.read_text(args.features),
+                                       args.features)
     vocab_obj = pipeline.read_json(args.vocabulary)
     try:
         vocab = features.Vocabulary.from_dict(vocab_obj)
@@ -111,7 +99,7 @@ def _write_labels(out: Path, predictions: dict[str, str]) -> None:
 def cmd_classify(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     transcripts, tracks = _ingest(args, config)
-    segments = _read_segments(args.segments, tracks)
+    segments = pipeline.load_segments(args.segments, tracks)
     bundle = pipeline.load_bundle(args.model)
     predictions = pipeline.classify_segments(segments, transcripts, tracks,
                                              bundle)
@@ -133,7 +121,7 @@ def _read_labels_of(path: str, segments) -> dict[str, str]:
 def cmd_group(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     _, tracks = _ingest(args, config)
-    segments = _read_segments(args.segments, tracks)
+    segments = pipeline.load_segments(args.segments, tracks)
     assignment, _ = pipeline.group_contexts(
         segments, _read_labels_of(args.labels, segments), tracks, config)
     out = Path(args.out)
@@ -148,7 +136,7 @@ def cmd_group(args) -> int:
 def cmd_cluster(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     transcripts, tracks = _ingest(args, config)
-    segments = _read_segments(args.segments, tracks)
+    segments = pipeline.load_segments(args.segments, tracks)
     labels = _read_labels_of(args.labels, segments)
     bundle = pipeline.load_bundle(args.model)
     hierarchy = pipeline.build_hierarchy(segments, labels, transcripts,
@@ -182,14 +170,38 @@ def cmd_run(args) -> int:
     return 0
 
 
+# each level below a hierarchy's contexts: the key every node of the level
+# has, and the list of its children
+_HIERARCHY_LEVELS = (("context_id", "categories"), ("label", "clusters"),
+                     ("cluster_id", "members"))
+
+
+def _check_nodes(path: str, nodes: list, level: int = 0) -> None:
+    """A DataError naming `path` at the first context, category or cluster
+    in `nodes`, or below them, that a report cannot render."""
+    key, children = _HIERARCHY_LEVELS[level]
+    for node in nodes:
+        summary = node.get("summary", {}) if isinstance(node, dict) else None
+        if not (isinstance(summary, dict) and key in node
+                and isinstance(node.get(children), list)
+                and isinstance(summary.get("label_distribution", {}), dict)):
+            raise DataError(f"{path}: expected an object with {key!r} and a "
+                            f"list of {children!r}, got "
+                            f"{json.dumps(node)[:80]}")
+        if level + 1 < len(_HIERARCHY_LEVELS):
+            _check_nodes(path, node[children], level + 1)
+
+
 def cmd_report(args) -> int:
     hierarchy = pipeline.read_json(args.hierarchy)
     version = pipeline.HIERARCHY_SCHEMA_VERSION
     if not (isinstance(hierarchy, dict) and isinstance(
             hierarchy.get("contexts"), list)
+            and isinstance(hierarchy.get("counts", {}), dict)
             and hierarchy.get("schema_version") == version):
         raise DataError(f"{args.hierarchy}: not a hierarchy (an object with "
                         f"schema_version {version} and a list of contexts)")
+    _check_nodes(args.hierarchy, hierarchy["contexts"])
     pipeline.export_report(hierarchy, args.format, args.out)
     print(f"wrote {args.format} report to {args.out}")
     return 0
@@ -254,9 +266,7 @@ def cmd_eval(args) -> int:
     if stat in ("mojofm", "mno"):
         a = _partition_from_file(args.partition_a)
         b = _partition_from_file(args.partition_b)
-        result = {"stat": stat, "oracle": bool(args.oracle),
-                  "mno": (stats.mno_enumerated(a, b) if args.oracle
-                          else stats.mno(a, b))}
+        result = {"stat": stat, "mno": stats.mno(a, b)}
         if stat == "mojofm":
             result.update(max_mno=stats.max_mno(b),
                           mojofm=stats.mojo_fm(a, b))
@@ -307,17 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
                                  "issue reports.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, manifest=True, config=True, out=True):
-        if manifest:
-            p.add_argument("--manifest", required=True,
-                           help="dataset manifest JSON")
-        if config:
-            p.add_argument("--config", default=None,
-                           help="flat key=value run config")
-            p.add_argument("--seed", type=int, default=None,
-                           help="seed override (mandatory somewhere)")
-        if out:
-            p.add_argument("--out", required=True, help="output directory")
+    def common(p):
+        p.add_argument("--manifest", required=True,
+                       help="dataset manifest JSON")
+        p.add_argument("--config", default=None,
+                       help="flat key=value run config")
+        p.add_argument("--seed", type=int, default=None,
+                       help="seed override (mandatory somewhere)")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("ingest", help="normalize subtitles and descriptors")
     common(p)
@@ -392,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sims", type=int, default=1000)
     p.add_argument("--sim-seed", type=int, default=0)
     p.add_argument("--extras", type=int, default=0)
-    p.add_argument("--oracle", action="store_true",
-                   help="use enumeration oracles (test builds)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 

@@ -390,39 +390,33 @@ def segment_embedding(keyframes: np.ndarray) -> np.ndarray:
     return kf.mean(axis=0)
 
 
-DEFAULT_CONTEXT_PARAMS = {
-    "dbscan": {"eps": 0.3, "min_pts": 3},
-    "optics": {"min_pts": 3, "eps_max": 1.0, "eps_cut": 0.3},
-    "mean_shift": {"bandwidth": 0.25},
-}
+CLUSTERERS = ("dbscan", "optics", "mean_shift")
 
 
 def group_by_context(segment_ids, keyframes: dict[str, np.ndarray],
-                     algorithm: str = "dbscan",
-                     params: dict | None = None) -> ClusterAssignment:
-    """Cluster informative segments by visual context.
+                     algorithm: str, params: dict) -> ClusterAssignment:
+    """Cluster informative segments by visual context, with every parameter
+    of `algorithm` given in `params`.
 
     Density methods run on the pairwise keyframe measure; mean shift runs
     on mean-keyframe-histogram embeddings. Noise becomes singleton contexts
     downstream.
     """
     segment_ids = tuple(segment_ids)
-    if algorithm not in DEFAULT_CONTEXT_PARAMS:
+    if algorithm not in CLUSTERERS:
         raise DataError(f"unknown clustering algorithm {algorithm!r}")
     if not segment_ids:
         log.warning("no informative segments; nothing to group")
         return ClusterAssignment(ids=(), labels={}, algorithm=algorithm,
-                                 params=params or {})
-    merged = dict(DEFAULT_CONTEXT_PARAMS[algorithm])
-    merged.update(params or {})
+                                 params=params)
     if algorithm == "mean_shift":
         points = np.stack([segment_embedding(keyframes[s])
                            for s in segment_ids])
-        return mean_shift(segment_ids, points, **merged)
+        return mean_shift(segment_ids, points, **params)
     matrix = build_context_matrix(segment_ids, keyframes)
     if algorithm == "dbscan":
-        return dbscan(matrix, **merged)
-    return optics(matrix, **merged)
+        return dbscan(matrix, **params)
+    return optics(matrix, **params)
 
 
 def _medoids(assignment: ClusterAssignment,
@@ -441,10 +435,10 @@ def _medoids(assignment: ClusterAssignment,
 
 
 def cluster_issues(segment_ids, texts: dict[str, np.ndarray],
-                   keyframes: dict[str, np.ndarray], alpha: float = 0.5,
-                   algorithm: str = "dbscan",
-                   params: dict | None = None) -> ClusterAssignment:
-    """Cluster same-context, same-category segments by specific issue.
+                   keyframes: dict[str, np.ndarray], alpha: float,
+                   algorithm: str, params: dict) -> ClusterAssignment:
+    """Cluster same-context, same-category segments by specific issue, with
+    every parameter of `algorithm` given in `params`.
 
     For mean shift, segments embed as the concatenation of the
     sqrt(alpha)-scaled unit text vector and the sqrt(1-alpha)-scaled mean
@@ -452,13 +446,11 @@ def cluster_issues(segment_ids, texts: dict[str, np.ndarray],
     distance; density methods use the blended measure itself.
     """
     segment_ids = tuple(segment_ids)
-    if algorithm not in DEFAULT_CONTEXT_PARAMS:
+    if algorithm not in CLUSTERERS:
         raise DataError(f"unknown clustering algorithm {algorithm!r}")
     if not segment_ids:
         return ClusterAssignment(ids=(), labels={}, algorithm=algorithm,
-                                 params=params or {})
-    merged = dict(DEFAULT_CONTEXT_PARAMS[algorithm])
-    merged.update(params or {})
+                                 params=params)
     matrix = build_issue_matrix(segment_ids, texts, keyframes, alpha)
     if algorithm == "mean_shift":
         embeds = []
@@ -469,11 +461,11 @@ def cluster_issues(segment_ids, texts: dict[str, np.ndarray],
             embeds.append(np.concatenate([
                 math.sqrt(alpha) * unit,
                 math.sqrt(1.0 - alpha) * segment_embedding(keyframes[s])]))
-        assignment = mean_shift(segment_ids, np.stack(embeds), **merged)
+        assignment = mean_shift(segment_ids, np.stack(embeds), **params)
     elif algorithm == "dbscan":
-        assignment = dbscan(matrix, **merged)
+        assignment = dbscan(matrix, **params)
     else:
-        assignment = optics(matrix, **merged)
+        assignment = optics(matrix, **params)
     assignment.medoids = _medoids(assignment, matrix)
     assignment.params["alpha"] = alpha
     return assignment

@@ -12,7 +12,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
+from .clustering import CLUSTERERS
 from .errors import ConfigError
+from .features import FEATURE_GROUPS
+from .frames import DEFAULT_BINS
+from .models import (DEFAULT_HYPER, KIND_FFN, KIND_FOREST, KIND_LOGISTIC,
+                     MODEL_KINDS)
 from .segmentation import SegmenterConfig
 
 ENV_PREFIX = "GELID_"
@@ -30,8 +35,6 @@ def _parse_bool(raw: str) -> bool:
 # dotted key -> (attribute, type); defaults are the RunConfig fields
 _KEY_SPEC: dict[str, tuple[str, type]] = {
     "seed": ("seed", int),
-    "split.evaluation": ("split_evaluation", float),
-    "split.test": ("split_test", float),
     "segmenter.k_seconds": ("k_seconds", int),
     "segmenter.alpha": ("alpha", float),
     "segmenter.window": ("window", int),
@@ -77,38 +80,41 @@ _KEY_SPEC: dict[str, tuple[str, type]] = {
 }
 
 _ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEY_SPEC.items()}
+_LOGISTIC, _FOREST, _FFN = (DEFAULT_HYPER[kind]
+                            for kind in (KIND_LOGISTIC, KIND_FOREST, KIND_FFN))
 
 
 @dataclass
 class RunConfig:
+    """Every setting of a run. A default that a library module also
+    applies is read from it; the clusterers take theirs from here."""
+
     seed: int | None = None
-    split_evaluation: float = 0.1
-    split_test: float = 0.9
-    k_seconds: int = 5
-    alpha: float = 3.0
-    window: int = 24
-    min_shot_ms: int = 2000
-    min_segment_ms: int = 3000
-    silence_ms: int = 3000
-    gap_ms: int = 1500
-    max_keyframes: int = 10
-    bins_per_channel: int = 16
+    k_seconds: int = SegmenterConfig.k_seconds
+    alpha: float = SegmenterConfig.alpha
+    window: int = SegmenterConfig.window
+    min_shot_ms: int = SegmenterConfig.min_shot_ms
+    min_segment_ms: int = SegmenterConfig.min_segment_ms
+    silence_ms: int = SegmenterConfig.silence_ms
+    gap_ms: int = SegmenterConfig.gap_ms
+    max_keyframes: int = SegmenterConfig.max_keyframes
+    bins_per_channel: int = DEFAULT_BINS
     ngram_max: int = 1
     min_df: int = 1
     stopwords: str = ""
     embedding_path: str = ""
     feature_groups: str = "text,video,speech"
-    model_kind: str = "logistic_regression"
-    l2: float = 1e-4
-    iterations: int = 500
-    learning_rate: float = 0.1
-    n_trees: int = 100
-    min_leaf: int = 2
-    max_depth: int = 0
-    hidden: int = 64
-    epochs: int = 50
-    batch_size: int = 32
-    ffn_learning_rate: float = 0.01
+    model_kind: str = KIND_LOGISTIC
+    l2: float = _LOGISTIC["l2"]
+    iterations: int = _LOGISTIC["iterations"]
+    learning_rate: float = _LOGISTIC["learning_rate"]
+    n_trees: int = _FOREST["n_trees"]
+    min_leaf: int = _FOREST["min_leaf"]
+    max_depth: int = _FOREST["max_depth"] or 0
+    hidden: int = _FFN["hidden"]
+    epochs: int = _FFN["epochs"]
+    batch_size: int = _FFN["batch_size"]
+    ffn_learning_rate: float = _FFN["learning_rate"]
     labels_path: str = ""
     model_path: str = ""
     smote: bool = True
@@ -133,18 +139,18 @@ class RunConfig:
                               "config, GELID_SEED, or --seed)")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
-        if abs(self.split_evaluation + self.split_test - 1.0) > 1e-9:
-            raise ConfigError("split fractions must sum to 1")
-        if not 0.0 <= self.split_evaluation <= 1.0:
-            raise ConfigError("split.evaluation must lie in [0, 1]")
         if not 0.0 <= self.issue_alpha <= 1.0:
             raise ConfigError("clustering.alpha must lie in [0, 1]")
-        if self.model_kind not in ("logistic_regression", "random_forest",
-                                   "feedforward_net"):
+        if self.model_kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model.kind {self.model_kind!r}")
         for group in self.feature_group_list():
-            if group not in ("text", "embedding", "video", "speech"):
+            if group not in FEATURE_GROUPS:
                 raise ConfigError(f"unknown feature group {group!r}")
+        for attr in ("context_algorithm", "issue_algorithm"):
+            if getattr(self, attr) not in CLUSTERERS:
+                raise ConfigError(f"unknown {_ATTR_TO_KEY[attr]} "
+                                  f"{getattr(self, attr)!r}; expected one of "
+                                  f"{', '.join(CLUSTERERS)}")
         try:
             self.segmenter_config().validate()
         except Exception as exc:

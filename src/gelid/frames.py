@@ -251,17 +251,15 @@ def descriptor_csv_header(bins_per_channel: int = DEFAULT_BINS) -> list[str]:
             + ["luminance"])
 
 
-def write_descriptor_csv(track: VideoTrack, path: str | Path | io.TextIOBase,
-                         bins_per_channel: int | None = None) -> None:
+def write_descriptor_csv(track: VideoTrack,
+                         path: str | Path | io.TextIOBase) -> None:
     """Write `timestamp_ms,h0..h47,luminance` rows, 9 decimal digits."""
     width = track.histograms.shape[1]
-    if bins_per_channel is None:
-        bins_per_channel = width // _CHANNELS
     row_format = ",".join(["%d"] + ["%.9f"] * (width + 1))
     rows = [row_format % (ts, *hist, lum) for ts, hist, lum in zip(
         track.timestamps_ms.tolist(), track.histograms.tolist(),
         track.luminance.tolist())]
-    header = ",".join(descriptor_csv_header(bins_per_channel))
+    header = ",".join(descriptor_csv_header(width // _CHANNELS))
     text = "\n".join([header] + rows) + "\n"
     if isinstance(path, io.TextIOBase):
         path.write(text)

@@ -25,7 +25,7 @@ from . import clustering, features, models
 from .config import RunConfig
 from .errors import ConfigError, DataError, ParseError, StageError
 from .frames import VideoTrack, load_track
-from .segmentation import Segment, segment_video
+from .segmentation import Segment, segment_from_dict, segment_video
 from .subtitles import Transcript, parse_srt, parse_vtt
 
 log = logging.getLogger(__name__)
@@ -58,13 +58,21 @@ class Manifest:
             raise DataError(f"duplicate video_id(s) in manifest: {dupes}")
 
 
+def read_text(path: str | Path) -> str:
+    """A UTF-8 file's text; an unreadable file is a DataError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def read_json(path: str | Path):
     """A JSON file's value; an unreadable or invalid file is a DataError."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # bad JSON or bad UTF-8
+        return json.loads(read_text(path))
+    except ValueError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -74,22 +82,33 @@ def load_manifest(path: str | Path) -> Manifest:
     if not isinstance(obj, dict):
         raise DataError(f"manifest {path}: expected a JSON object")
     if obj.get("schema_version") != MANIFEST_SCHEMA_VERSION:
-        raise DataError(f"unsupported manifest schema_version "
+        raise DataError(f"manifest {path}: unsupported schema_version "
                         f"{obj.get('schema_version')!r}")
+    if not isinstance(obj.get("videos"), list):
+        raise DataError(f"manifest {path}: expected a list of videos")
     base = path.parent
     videos = []
-    for entry in obj.get("videos", []):
+    for entry in obj["videos"]:
         for key in ("video_id", "subtitles", "frames"):
-            if not isinstance(entry, dict) or key not in entry:
-                raise DataError(f"manifest entry missing {key!r}: {entry}")
+            if not isinstance(entry, dict) or not isinstance(entry.get(key),
+                                                             str):
+                raise DataError(f"manifest {path}: entry without a string "
+                                f"{key!r}: {entry}")
+        duration_ms = entry.get("duration_ms")
+        if duration_ms is not None and type(duration_ms) is not int:
+            raise DataError(f"manifest {path}: duration_ms of "
+                            f"{entry['video_id']} is not an integer")
         videos.append(VideoEntry(
             video_id=entry["video_id"],
             subtitles=base / entry["subtitles"],
             frames=base / entry["frames"],
-            duration_ms=entry.get("duration_ms"),
+            duration_ms=duration_ms,
         ))
     manifest = Manifest(videos=videos)
-    manifest.validate()
+    try:
+        manifest.validate()
+    except DataError as exc:
+        raise DataError(f"manifest {path}: {exc}") from None
     return manifest
 
 
@@ -165,36 +184,65 @@ def load_bundle(path: str | Path) -> ClassifierBundle:
         raise DataError(f"classifier bundle {path}: {exc}") from None
 
 
-def _read_label_rows(path: str | Path, keys: tuple[str, ...]) -> list[dict]:
-    """JSONL rows, each an object with `keys` and a known `label`."""
+def _is_ms(value) -> bool:
+    return type(value) is int and 0 <= value < 2 ** 63
+
+
+# the check of the value under each key of the JSONL rows gelid reads
+_ROW_CHECKS = {
+    "segment_id": lambda value: isinstance(value, str),
+    "video_id": lambda value: isinstance(value, str),
+    "start_ms": _is_ms, "end_ms": _is_ms, "at_ms": _is_ms,
+    "cue_indices": lambda value: (isinstance(value, list)
+                                  and all(map(_is_ms, value))),
+    "keyframe_timestamps": lambda value: (isinstance(value, list)
+                                          and all(map(_is_ms, value))),
+    "label": lambda value: value in models.LABEL_ORDER,
+}
+
+
+def _read_rows(path: str | Path, keys: tuple[str, ...]) -> list[dict]:
+    """JSONL rows, each an object whose value under every one of `keys`
+    passes that key's check; any other row is a DataError naming the file
+    and line."""
     rows = []
-    for line_no, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise DataError(f"{path}:{line_no}: bad JSON: {exc}") from None
         for key in keys:
             if not isinstance(obj, dict) or key not in obj:
                 raise DataError(f"{path}:{line_no}: row missing {key!r}")
-        if obj["label"] not in models.LABEL_ORDER:
-            raise DataError(f"{path}:{line_no}: unknown label "
-                            f"{obj['label']!r}")
+            if not _ROW_CHECKS[key](obj[key]):
+                raise DataError(f"{path}:{line_no}: bad {key} {obj[key]!r}")
         rows.append(obj)
     return rows
 
 
+def load_segments(path: str | Path, videos) -> list[Segment]:
+    """Segments of a segments.jsonl, each naming one of `videos`."""
+    segments = [segment_from_dict(row) for row in _read_rows(path, (
+        "segment_id", "video_id", "start_ms", "end_ms", "cue_indices",
+        "keyframe_timestamps"))]
+    unknown = sorted({s.video_id for s in segments}.difference(videos))
+    if unknown:
+        raise DataError(f"{path}: segments name video(s) not in the "
+                        f"manifest: {', '.join(unknown)}")
+    return segments
+
+
 def load_label_probes(path: str | Path) -> list[dict]:
     """Training label probes: JSONL of {video_id, at_ms, label}."""
-    return _read_label_rows(path, ("video_id", "at_ms", "label"))
+    return _read_rows(path, ("video_id", "at_ms", "label"))
 
 
 def load_segment_labels(path: str | Path) -> dict[str, str]:
     """Segment labels: JSONL of {segment_id, label}; a later row wins."""
     return {row["segment_id"]: row["label"]
-            for row in _read_label_rows(path, ("segment_id", "label"))}
+            for row in _read_rows(path, ("segment_id", "label"))}
 
 
 def match_probes(probes: list[dict],
@@ -220,57 +268,6 @@ def match_probes(probes: list[dict],
                         probe["label"], probe["label"])
         labels[hit.segment_id] = probe["label"]
     return labels
-
-
-# ---------------------------------------------------------------------------
-# Dataset split
-
-
-def split_dataset(segment_ids: list[str], labels: dict[str, str],
-                  fractions: tuple[float, float] = (0.1, 0.9),
-                  seed: int = 0) -> tuple[list[str], list[str]]:
-    """Stratified (evaluation, test) split; disjoint, union = input.
-
-    Evaluation quota is round(n * f_eval), allocated per label by largest
-    remainder so each label's share stays within one item of proportional.
-    """
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise DataError("split fractions must sum to 1")
-    f_eval = fractions[0]
-    ids = sorted(segment_ids)
-    n = len(ids)
-    target = int(round(n * f_eval))
-    rng = np.random.default_rng(seed)
-    by_label: dict[str, list[str]] = {}
-    for sid in ids:
-        by_label.setdefault(labels[sid], []).append(sid)
-    for members in by_label.values():
-        if len(members) < 2:
-            log.warning("label with %d member(s) cannot be stratified; "
-                        "best effort", len(members))
-    quotas = {}
-    remainders = []
-    assigned = 0
-    for label in sorted(by_label):
-        exact = len(by_label[label]) * f_eval
-        quotas[label] = int(exact)
-        assigned += quotas[label]
-        remainders.append((-(exact - int(exact)), label))
-    for _, label in sorted(remainders):
-        if assigned >= target:
-            break
-        if quotas[label] < len(by_label[label]):
-            quotas[label] += 1
-            assigned += 1
-    evaluation: list[str] = []
-    test: list[str] = []
-    for label in sorted(by_label):
-        members = list(by_label[label])
-        order = rng.permutation(len(members))
-        chosen = {members[i] for i in order[:quotas[label]]}
-        evaluation += [m for m in members if m in chosen]
-        test += [m for m in members if m not in chosen]
-    return sorted(evaluation), sorted(test)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,8 @@ someone is speaking at (or shortly after) the shifted time, the cut snaps to
 the end of that sentence. The segments between consecutive cuts tile
 [0, duration) exactly.
 
-Shot detection is pluggable: any callable (track, config) -> [ShotTransition]
-can replace the default adaptive-threshold histogram detector, e.g. a learned
-model. The default flags frame i when the L1 histogram distance to frame i-1
-exceeds mean + alpha * std of the preceding window of distances.
+The shot detector flags frame i when the L1 histogram distance to frame
+i-1 exceeds mean + alpha * std of the preceding window of distances.
 """
 
 from __future__ import annotations
@@ -19,14 +17,13 @@ import enum
 import json
 import logging
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 from .frames import VideoTrack
-from .subtitles import SentenceSpan, Transcript, sentence_spans
+from .subtitles import DEFAULT_GAP_MS, SentenceSpan, Transcript, sentence_spans
 
 log = logging.getLogger(__name__)
 
@@ -72,7 +69,7 @@ class SegmenterConfig:
     min_shot_ms: int = 2000
     min_segment_ms: int = 3000
     silence_ms: int = 3000
-    gap_ms: int = 1500
+    gap_ms: int = DEFAULT_GAP_MS
     max_keyframes: int = 10
 
     def validate(self) -> None:
@@ -87,9 +84,6 @@ class SegmenterConfig:
                 raise DataError(f"{name} must be >= 0")
         if self.max_keyframes < 1:
             raise DataError("max_keyframes must be >= 1")
-
-
-ShotDetector = Callable[[VideoTrack, SegmenterConfig], list[ShotTransition]]
 
 
 def adaptive_thresholds(dists: np.ndarray, window: int,
@@ -248,10 +242,8 @@ def build_segments(track: VideoTrack, cuts: list[CutPoint],
 
 
 def segment_video(track: VideoTrack, transcript: Transcript,
-                  cfg: SegmenterConfig,
-                  detector: ShotDetector = detect_shot_transitions
-                  ) -> list[Segment]:
-    shots = detector(track, cfg)
+                  cfg: SegmenterConfig) -> list[Segment]:
+    shots = detect_shot_transitions(track, cfg)
     cuts = derive_cut_points(shots, transcript, cfg)
     # subtitles can outlast the track: a cut snapped to a sentence ending
     # at or past the video end adds no boundary
@@ -284,8 +276,3 @@ def segment_from_dict(obj: dict) -> Segment:
 def write_segments_jsonl(segments: list[Segment]) -> str:
     return "".join(json.dumps(segment_to_dict(s), sort_keys=True) + "\n"
                    for s in segments)
-
-
-def read_segments_jsonl(text: str) -> list[Segment]:
-    return [segment_from_dict(json.loads(line))
-            for line in text.splitlines() if line.strip()]

@@ -3,17 +3,15 @@ rank tests, effect sizes, multiple-comparison correction, sampling margins,
 and Monte-Carlo power/variability simulations.
 
 Everything here is deterministic given its inputs (and seed, where one
-applies). Enumeration oracles used to validate the fast paths are exported
-with an `_enumerated` suffix; they are intentionally slow and guarded.
+applies). The enumeration oracles that check the fast paths live in the
+tests.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -115,64 +113,6 @@ def mno(a: Partition, b: Partition) -> int:
     return _mno_from_overlaps(_overlap_matrix(la, lb), a.n_objects)
 
 
-def mno_enumerated(a: Partition, b: Partition) -> int:
-    """Exhaustive minimum over every tag assignment (oracle; small inputs).
-
-    Uses a used-tag-set sweep, which scans the same assignment space as the
-    plain product enumeration but tolerates more groups. Guarded at 20 B
-    groups.
-    """
-    la, lb = _aligned_labels(a, b)
-    table = _overlap_matrix(la, lb)
-    ga, gb = table.shape
-    if gb > 20:
-        raise DataError(f"enumeration oracle limited to 20 B-groups, got {gb}")
-    states = {0: 0}
-    for i in range(ga):
-        nxt: dict[int, int] = {}
-        for mask, overlap in states.items():
-            for t in range(gb):
-                m2 = mask | (1 << t)
-                v = overlap + int(table[i, t])
-                if nxt.get(m2, -1) < v:
-                    nxt[m2] = v
-        states = nxt
-    gain = max(ov + bin(mask).count("1") for mask, ov in states.items())
-    return a.n_objects + ga - gain
-
-
-def mno_enumerated_product(a: Partition, b: Partition) -> int:
-    """Literal enumeration of all g_B^g_A tag assignments (tiny inputs)."""
-    la, lb = _aligned_labels(a, b)
-    table = _overlap_matrix(la, lb)
-    ga, gb = table.shape
-    if gb ** ga > 2_000_000:
-        raise DataError(f"product enumeration infeasible for {ga}x{gb} groups")
-    n = a.n_objects
-    best = None
-    for tau in itertools.product(range(gb), repeat=ga):
-        overlap = sum(int(table[i, t]) for i, t in enumerate(tau))
-        cost = (n - overlap) + (ga - len(set(tau)))
-        if best is None or cost < best:
-            best = cost
-    return best
-
-
-def _set_partitions(n: int):
-    """All set partitions of range(n) as label arrays (restricted growth)."""
-    labels = [0] * n
-
-    def rec(i: int, max_used: int):
-        if i == n:
-            yield np.array(labels, dtype=np.int64)
-            return
-        for g in range(max_used + 2):
-            labels[i] = g
-            yield from rec(i + 1, max(max_used, g))
-
-    yield from rec(1, 0) if n > 1 else iter([np.zeros(1, dtype=np.int64)])
-
-
 def _spread_matching_number(sizes: tuple[int, ...]) -> int:
     """Max matching of the tableau adversary's best-tag graph.
 
@@ -195,8 +135,8 @@ def _max_mno_closed_form(sizes: tuple[int, ...], n: int) -> int:
     (gain b_max), a spread tableau (gain = its matching number), and a
     star that splits the top k groups into anchors absorbing the rest
     (gain k + b_{k+1}, needs sum(b_i - 1, i<=k) >= b_{k+1} anchors).
-    Validated exhaustively against enumeration for every group-size
-    multiset with n <= 10.
+    The tests check it against enumeration over every set partition, for
+    every group-size multiset with n <= 10.
     """
     s = tuple(sorted(sizes, reverse=True))
     g = len(s)
@@ -208,38 +148,10 @@ def _max_mno_closed_form(sizes: tuple[int, ...], n: int) -> int:
     return n - min(gains)
 
 
-@lru_cache(maxsize=256)
-def _max_mno_enumerated(sizes: tuple[int, ...]) -> int:
-    """Max of mno(E, B) over all partitions E, by enumeration (n <= 10).
-
-    Depends only on B's group sizes: relabeling objects permutes the
-    candidate set E bijectively.
-    """
-    n = sum(sizes)
-    lb = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    best = 0
-    for la in _set_partitions(n):
-        table = _overlap_matrix(la, lb)
-        best = max(best, _mno_from_overlaps(table, n))
-    return best
-
-
-_MAX_ENUMERABLE = 10
-
-
 def max_mno(b: Partition) -> int:
     """max(mno(forall E_A, B)): the distance of the farthest partition."""
-    sizes = tuple(sorted((len(g) for g in b.groups()), reverse=True))
-    n = b.n_objects
-    closed = _max_mno_closed_form(sizes, n)
-    if n <= _MAX_ENUMERABLE:
-        enumerated = _max_mno_enumerated(sizes)
-        if enumerated != closed:
-            raise InternalError(
-                f"max-mno closed form {closed} disagrees with enumeration "
-                f"{enumerated} for sizes {sizes}; refusing to continue")
-        return enumerated
-    return closed
+    return _max_mno_closed_form(tuple(len(g) for g in b.groups()),
+                                b.n_objects)
 
 
 def mojo_fm(a: Partition, b: Partition) -> float:

@@ -39,7 +39,6 @@ class Cue:
 class Transcript:
     video_id: str
     cues: list[Cue] = field(default_factory=list)
-    language: str = "und"
 
 
 @dataclass(frozen=True)
@@ -87,8 +86,8 @@ def _parse_vtt_timestamp(token: str, line_no: int) -> int:
     return ((h * 60 + mi) * 60 + s) * 1000 + ms
 
 
-def _finalize(raw_cues: list[tuple[int, int, int, str]], video_id: str,
-              language: str) -> Transcript:
+def _finalize(raw_cues: list[tuple[int, int, int, str]],
+              video_id: str) -> Transcript:
     """Sort by (start, declared order), renumber 1..n, drop empties."""
     kept = []
     for order, (start_ms, end_ms, line_no, text) in enumerate(raw_cues):
@@ -105,11 +104,10 @@ def _finalize(raw_cues: list[tuple[int, int, int, str]], video_id: str,
     kept.sort(key=lambda c: (c[0], c[1]))
     cues = [Cue(index=i + 1, start_ms=s, end_ms=e, text=t)
             for i, (s, _, e, t) in enumerate(kept)]
-    return Transcript(video_id=video_id, cues=cues, language=language)
+    return Transcript(video_id=video_id, cues=cues)
 
 
-def parse_srt(data: bytes | str, video_id: str = "",
-              language: str = "und") -> Transcript:
+def parse_srt(data: bytes | str, video_id: str = "") -> Transcript:
     """Parse SubRip subtitles. An empty file yields an empty transcript."""
     text = _decode(data)
     raw_cues: list[tuple[int, int, int, str]] = []
@@ -137,11 +135,10 @@ def parse_srt(data: bytes | str, video_id: str = "",
             i += 1
         raw_cues.append((start_ms, end_ms, timing_line_no,
                          _clean_text(" ".join(body))))
-    return _finalize(raw_cues, video_id, language)
+    return _finalize(raw_cues, video_id)
 
 
-def parse_vtt(data: bytes | str, video_id: str = "",
-              language: str = "und") -> Transcript:
+def parse_vtt(data: bytes | str, video_id: str = "") -> Transcript:
     """Parse WebVTT subtitles. NOTE/STYLE/REGION blocks are skipped."""
     text = _decode(data)
     lines = text.split("\n")
@@ -179,7 +176,7 @@ def parse_vtt(data: bytes | str, video_id: str = "",
             i += 1
         raw_cues.append((start_ms, end_ms, timing_line_no,
                          _clean_text(" ".join(body))))
-    return _finalize(raw_cues, video_id, language)
+    return _finalize(raw_cues, video_id)
 
 
 def format_srt_timestamp(ms: int) -> str:
@@ -230,22 +227,3 @@ def sentence_spans(transcript: Transcript,
             group = []
     return spans
 
-
-def transcript_to_dict(t: Transcript) -> dict:
-    return {
-        "schema_version": 1,
-        "video_id": t.video_id,
-        "language": t.language,
-        "cues": [{"index": c.index, "start_ms": c.start_ms,
-                  "end_ms": c.end_ms, "text": c.text} for c in t.cues],
-    }
-
-
-def transcript_from_dict(obj: dict) -> Transcript:
-    if obj.get("schema_version") != 1:
-        raise ParseError(f"unsupported transcript schema_version "
-                         f"{obj.get('schema_version')!r}")
-    cues = [Cue(index=c["index"], start_ms=c["start_ms"],
-                end_ms=c["end_ms"], text=c["text"]) for c in obj["cues"]]
-    return Transcript(video_id=obj["video_id"], cues=cues,
-                      language=obj.get("language", "und"))

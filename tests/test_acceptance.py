@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from conftest import THREE_VIDEO_WORLD, write_world
+from mno_oracles import mno_enumerated
 from gelid.clustering import group_by_context
+from gelid.config import RunConfig
 from gelid.models import (LABEL_ORDER, MODEL_KINDS, ffn_loss_and_grad,
                           ffn_pack, ffn_shapes, logistic_loss_and_grad,
                           predict, train)
@@ -22,8 +24,8 @@ from gelid.segmentation import SegmenterConfig, ShotTransition, SnapRule, \
     derive_cut_points
 from gelid.stats import (Partition, cliffs_delta, cohens_kappa,
                          benjamini_hochberg, mann_whitney_u, margin_of_error,
-                         mno, mno_enumerated, mojo_fm, sample_std,
-                         simulate_likert_std, simulate_power)
+                         mno, mojo_fm, sample_std, simulate_likert_std,
+                         simulate_power)
 from gelid.subtitles import Cue, Transcript
 from gelid.features import smote_oversample
 
@@ -189,8 +191,10 @@ def test_criterion_8_planted_context_recovery():
                 truth[sid] = scene
         planted = Partition.from_mapping(truth)
         for algorithm in ("dbscan", "optics", "mean_shift"):
-            out = group_by_context(sorted(keyframes), keyframes,
-                                   algorithm=algorithm)
+            out = group_by_context(
+                sorted(keyframes), keyframes, algorithm=algorithm,
+                params=RunConfig(context_algorithm=algorithm)
+                .context_params())
             got = Partition.from_mapping(
                 {sid: (lbl if lbl != -1 else f"noise_{sid}")
                  for sid, lbl in out.labels.items()})

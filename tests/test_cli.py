@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import THREE_VIDEO_WORLD, write_world
 from gelid import pipeline
 from gelid.cli import main
-from gelid.segmentation import read_segments_jsonl
+from gelid.subtitles import parse_srt
 
 
 def _world(tmp_path, videos=None, overrides=None):
@@ -180,7 +180,8 @@ def _stage_chain(paths, stage):
     assert main(["segment", *world, "--out", str(stage)]) == 0
     assert main(["features", *seg, "--out", str(stage)]) == 0
 
-    segments = read_segments_jsonl((stage / "segments.jsonl").read_text())
+    segments = pipeline.load_segments(stage / "segments.jsonl",
+                                      THREE_VIDEO_WORLD)
     seg_labels = pipeline.match_probes(
         pipeline.load_label_probes(paths["labels"]), segments)
     labels_path = stage / "seg_labels.jsonl"
@@ -204,7 +205,9 @@ def test_stagewise_chain_matches_run(tmp_path):
     paths = _world(tmp_path)
     stage = tmp_path / "stage"
     _stage_chain(paths, stage)
-    assert (stage / "ingest" / "vid_a.transcript.json").exists()
+    normalized = (stage / "ingest" / "vid_a.srt").read_bytes()
+    assert parse_srt(normalized, "vid_a") == parse_srt(
+        (paths["root"] / "vid_a.srt").read_bytes(), "vid_a")
     assert (stage / "ingest" / "vid_a.descriptors.csv").exists()
     assert (stage / "features.csv").read_text().startswith("segment_id,")
     predicted = [json.loads(line) for line in
@@ -288,11 +291,11 @@ def test_eval_mojofm_with_and_without_oracle(tmp_path, capsys):
     assert main(["eval", "--stat", "mojofm", "--partition-a", str(pa),
                  "--partition-b", str(pb)]) == 0
     plain = json.loads(capsys.readouterr().out)
+    assert plain == {"stat": "mojofm", "mno": 1, "max_mno": 2,
+                     "mojofm": 50.0}
+    # the enumeration oracle lives in the tests, not behind a flag
     assert main(["eval", "--stat", "mojofm", "--partition-a", str(pa),
-                 "--partition-b", str(pb), "--oracle"]) == 0
-    oracle = json.loads(capsys.readouterr().out)
-    assert plain["mno"] == oracle["mno"] == 1
-    assert plain["mojofm"] == oracle["mojofm"]
+                 "--partition-b", str(pb), "--oracle"]) == 1
 
 
 def test_eval_stats_outputs(tmp_path, capsys):
@@ -464,6 +467,57 @@ def test_alpha_outside_unit_interval_exits_1_before_ingest(tmp_path, capsys):
     assert "clustering.alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["context_algorithm", "issue_algorithm"])
+def test_unknown_clustering_algorithm_exits_1_before_ingest(tmp_path, capsys,
+                                                             key):
+    paths = _world(tmp_path, overrides={f"clustering.{key}": "kmeans"})
+    (paths["root"] / "vid_a.srt").unlink()  # ingest would exit 2
+    code = main(["run", "--manifest", str(paths["manifest"]),
+                 "--config", str(paths["config"]),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"clustering.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["5", "{}", "not json", '{"segment_id": 1}',
+                                 "[1,2]"])
+def test_bad_segments_row_exits_2_naming_file_and_line(staged, tmp_path,
+                                                       capsys, row):
+    paths, stage = staged
+    bad = tmp_path / "segments.jsonl"
+    _rewrite_line(stage / "segments.jsonl", bad, 1, lambda line: row)
+    _fails_naming(capsys, [
+        "features", "--manifest", str(paths["manifest"]),
+        "--config", str(paths["config"]), "--segments", str(bad),
+        "--out", str(tmp_path / "out")], f"{bad}:2")
+
+
+@pytest.mark.parametrize("edit", [lambda m: m.update(videos=5),
+                                  lambda m: m.pop("videos"),
+                                  lambda m: m["videos"][0].update(frames=5)],
+                         ids=["videos_5", "no_videos", "frames_5"])
+def test_manifest_without_a_list_of_videos_exits_2(tmp_path, capsys, edit):
+    paths = _world(tmp_path)
+    manifest = json.loads(paths["manifest"].read_text())
+    edit(manifest)
+    paths["manifest"].write_text(json.dumps(manifest))
+    _fails_naming(capsys, ["segment", "--manifest", str(paths["manifest"]),
+                           "--config", str(paths["config"]),
+                           "--out", str(tmp_path / "out")],
+                  str(paths["manifest"]))
+
+
+def test_probe_with_a_non_integer_time_exits_2_naming_file_and_line(
+        tmp_path, capsys):
+    paths = _world(tmp_path)
+    _rewrite_line(paths["labels"], paths["labels"], 2, lambda line: json.dumps(
+        {**json.loads(line), "at_ms": "x"}))
+    _fails_naming(capsys, ["run", "--manifest", str(paths["manifest"]),
+                           "--config", str(paths["config"]),
+                           "--out", str(tmp_path / "out")],
+                  f"{paths['labels']}:3", "at_ms")
+
+
 def test_manifest_that_is_a_list_exits_2(tmp_path, capsys):
     paths = _world(tmp_path)
     paths["manifest"].write_text("[]\n")
@@ -507,8 +561,19 @@ def test_vocabulary_missing_key_exits_2_naming_file(staged, tmp_path,
         "--out", str(tmp_path / "model.json")], str(bad), "terms")
 
 
-@pytest.mark.parametrize("text", ['{"foo": 1}', "[]",
-                                  '{"schema_version": 1, "contexts": 5}'])
+@pytest.mark.parametrize("text", [
+    '{"foo": 1}', "[]", '{"schema_version": 1, "contexts": 5}',
+    '{"schema_version": 1, "contexts": [5]}',
+    '{"schema_version": 1, "contexts": [{}]}',
+    '{"schema_version": 1, "contexts": [{"context_id": "c", '
+    '"categories": [], "summary": 5}]}',
+    '{"schema_version": 1, "contexts": [{"context_id": "c", '
+    '"categories": [{"label": "Logic"}]}]}',
+    '{"schema_version": 1, "contexts": [{"context_id": "c", '
+    '"categories": [{"label": "Logic", "clusters": [null]}]}]}',
+    '{"schema_version": 1, "contexts": [{"context_id": "c", '
+    '"categories": [{"label": "Logic", "clusters": '
+    '[{"cluster_id": "k", "members": 5}]}]}]}'])
 def test_report_on_a_non_hierarchy_exits_2_naming_file(tmp_path, capsys,
                                                        text):
     bad = tmp_path / "hierarchy.json"
@@ -576,18 +641,25 @@ def _is_numeric_sample(payload: bytes) -> bool:
 
 
 @pytest.mark.parametrize("target", ["vocabulary", "hierarchy", "partition",
-                                    "sample"])
+                                    "sample", "segments", "manifest",
+                                    "probes"])
 @given(payload=_PAYLOADS)
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much])
 def test_malformed_artifact_exits_1_or_2(staged, tmp_path_factory, target,
                                          payload):
     assume(target != "sample" or not _is_numeric_sample(payload))
+    assume(target != "segments" or payload.strip())  # else: no segments
     paths, stage = staged
     work = tmp_path_factory.getbasetemp() / "fuzz"
     work.mkdir(exist_ok=True)
     bad = work / f"{target}.json"
     bad.write_bytes(payload)
+    probes_config = work / "probes.conf"
+    probes_config.write_text(paths["config"].read_text().replace(
+        str(paths["labels"]), str(bad)))
+    world = ["--manifest", str(paths["manifest"]),
+             "--config", str(paths["config"])]
     good_partition = work / "good_partition.json"
     good_partition.write_text(json.dumps({"groups": [["a", "b"], ["c"]]}))
     good_sample = work / "good_sample.json"
@@ -604,6 +676,14 @@ def test_malformed_artifact_exits_1_or_2(staged, tmp_path_factory, target,
                       "--partition-b", str(good_partition)],
         "sample": ["eval", "--stat", "mann-whitney", "--x", str(good_sample),
                    "--y", str(bad)],
+        "segments": ["features", *world, "--segments", str(bad),
+                     "--out", str(work / "out")],
+        "manifest": ["segment", "--manifest", str(bad),
+                     "--config", str(paths["config"]),
+                     "--out", str(work / "out")],
+        "probes": ["run", "--manifest", str(paths["manifest"]),
+                   "--config", str(probes_config),
+                   "--out", str(work / "out")],
     }[target]
     err = io.StringIO()
     with redirect_stderr(err), redirect_stdout(io.StringIO()):

@@ -8,6 +8,7 @@ from gelid.clustering import (NOISE, DistanceMatrix, build_context_matrix,
                               cosine_distance, dbscan, group_by_context,
                               histogram_intersection, issue_distance,
                               mean_shift, optics, segment_embedding)
+from gelid.config import RunConfig
 from gelid.errors import DataError
 from gelid.stats import Partition, mojo_fm
 
@@ -305,7 +306,8 @@ def test_group_by_context_identical_segments_share_context():
 
 def test_group_by_context_empty_warns(caplog):
     with caplog.at_level("WARNING"):
-        out = group_by_context([], {}, algorithm="dbscan")
+        out = group_by_context([], {}, algorithm="dbscan",
+                               params={"eps": 0.3, "min_pts": 3})
     assert out.labels == {}
 
 
@@ -329,7 +331,9 @@ def _planted_scenes(n_scenes=3, per_scene=4, seed=0):
 @pytest.mark.parametrize("algorithm", ["dbscan", "optics", "mean_shift"])
 def test_group_by_context_recovers_planted_scenes(algorithm):
     keyframes, truth = _planted_scenes()
-    out = group_by_context(sorted(keyframes), keyframes, algorithm=algorithm)
+    out = group_by_context(
+        sorted(keyframes), keyframes, algorithm=algorithm,
+        params=RunConfig(context_algorithm=algorithm).context_params())
     assert len(out.clusters()) == 3
     got = Partition.from_mapping(out.labels)
     want = Partition.from_mapping(truth)

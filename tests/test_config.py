@@ -60,10 +60,10 @@ def test_cli_seed_override(tmp_path):
     assert cfg.seed == 42
 
 
-def test_split_fractions_must_sum_to_one():
-    cfg = parse_config("seed = 1\nsplit.evaluation = 0.2\nsplit.test = 0.9\n")
-    with pytest.raises(ConfigError, match="sum to 1"):
-        cfg.validate()
+@pytest.mark.parametrize("key", ["split.evaluation", "split.test"])
+def test_split_keys_are_unknown(key):
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config(f"seed = 1\n{key} = 0.5\n")
 
 
 def test_bad_model_kind_rejected():

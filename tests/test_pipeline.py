@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from conftest import THREE_VIDEO_WORLD, write_world
@@ -8,8 +7,7 @@ from gelid.config import load_config
 from gelid.errors import ConfigError, DataError, StageError
 from gelid.pipeline import (ClassifierBundle, Manifest, VideoEntry,
                             export_report, hierarchy_to_html,
-                            hierarchy_to_json, load_manifest, run_pipeline,
-                            split_dataset)
+                            hierarchy_to_json, load_manifest, run_pipeline)
 
 
 def _run_world(tmp_path, videos, overrides=None, seed=1234):
@@ -43,61 +41,6 @@ def test_manifest_schema_version_checked(tmp_path):
                                                  "videos": []}))
     with pytest.raises(DataError, match="schema_version"):
         load_manifest(tmp_path / "m.json")
-
-
-# --- split ---------------------------------------------------------------------
-
-def test_split_100_into_10_90():
-    ids = [f"s{i:03d}" for i in range(100)]
-    labels = {sid: ["Logic", "Balance", "Performance", "Presentation",
-                    "NonInformative"][i % 5] for i, sid in enumerate(ids)}
-    evaluation, test = split_dataset(ids, labels, fractions=(0.1, 0.9),
-                                     seed=0)
-    assert len(evaluation) == 10 and len(test) == 90
-    assert set(evaluation) | set(test) == set(ids)
-    assert not set(evaluation) & set(test)
-
-
-def test_split_zero_fraction_gives_empty_evaluation():
-    ids = [f"s{i}" for i in range(10)]
-    labels = {sid: "Logic" if i % 2 else "Balance"
-              for i, sid in enumerate(ids)}
-    evaluation, test = split_dataset(ids, labels, fractions=(0.0, 1.0),
-                                     seed=1)
-    assert evaluation == []
-    assert len(test) == 10
-
-
-def test_split_stratification_within_one_item():
-    rng = np.random.default_rng(5)
-    ids = [f"s{i:03d}" for i in range(200)]
-    label_pool = ["Logic"] * 120 + ["Balance"] * 60 + ["Performance"] * 20
-    labels = {sid: label_pool[i] for i, sid in enumerate(ids)}
-    evaluation, _ = split_dataset(ids, labels, fractions=(0.1, 0.9), seed=2)
-    counts = {}
-    for sid in evaluation:
-        counts[labels[sid]] = counts.get(labels[sid], 0) + 1
-    assert abs(counts.get("Logic", 0) - 12) <= 1
-    assert abs(counts.get("Balance", 0) - 6) <= 1
-    assert abs(counts.get("Performance", 0) - 2) <= 1
-
-
-def test_split_single_member_class_warns(caplog):
-    ids = ["a", "b", "c"]
-    labels = {"a": "Logic", "b": "Logic", "c": "Balance"}
-    with caplog.at_level("WARNING"):
-        evaluation, test = split_dataset(ids, labels, fractions=(0.5, 0.5),
-                                         seed=0)
-    assert set(evaluation) | set(test) == set(ids)
-    assert any("stratif" in rec.message for rec in caplog.records)
-
-
-def test_split_deterministic():
-    ids = [f"s{i}" for i in range(40)]
-    labels = {sid: "Logic" if i % 3 else "Balance"
-              for i, sid in enumerate(ids)}
-    assert split_dataset(ids, labels, seed=7) == split_dataset(ids, labels,
-                                                               seed=7)
 
 
 # --- report export ----------------------------------------------------------------

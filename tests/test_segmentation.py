@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from gelid.errors import DataError
 from gelid.frames import FrameDescriptor, VideoTrack
+from gelid.pipeline import load_segments
 from gelid.segmentation import (CutPoint, SegmenterConfig, ShotTransition,
                                 SnapRule, build_segments, derive_cut_points,
-                                detect_shot_transitions, read_segments_jsonl,
-                                segment_video, write_segments_jsonl)
+                                detect_shot_transitions, segment_video,
+                                write_segments_jsonl)
 from gelid.subtitles import Cue, Transcript
 
 
@@ -198,11 +199,13 @@ def test_keyframes_capped_at_max():
     assert len(segs[0].keyframe_timestamps) == 10
 
 
-def test_segment_jsonl_round_trip():
+def test_segment_jsonl_round_trip(tmp_path):
     track = _constant_track(n=61)
     segs = build_segments(track, _cuts_at([20000]), EMPTY_T,
                           SegmenterConfig())
-    assert read_segments_jsonl(write_segments_jsonl(segs)) == segs
+    path = tmp_path / "segments.jsonl"
+    path.write_text(write_segments_jsonl(segs))
+    assert load_segments(path, {track.video_id}) == segs
 
 
 # --- properties ------------------------------------------------------------

@@ -10,10 +10,12 @@ from gelid.errors import DataError
 from gelid.stats import (Partition, RatingSample, atomicity_score,
                          benjamini_hochberg, cliffs_delta, cohens_kappa,
                          mann_whitney_u, margin_of_error, max_mno, mno,
-                         mno_enumerated, mno_enumerated_product, mojo_fm,
-                         normal_quantile, sample_std, simulate_likert_std,
-                         simulate_power)
-from gelid.stats import _max_mno_closed_form, _set_partitions
+                         mojo_fm, normal_quantile, sample_std,
+                         simulate_likert_std, simulate_power)
+from gelid.stats import _max_mno_closed_form
+from mno_oracles import (integer_partitions, max_mno_enumerated,
+                         mno_enumerated, mno_enumerated_product,
+                         set_partitions)
 
 
 def _partition_from_labels(labels):
@@ -22,7 +24,7 @@ def _partition_from_labels(labels):
 
 
 def _all_partitions(n):
-    return [_partition_from_labels(labels) for labels in _set_partitions(n)]
+    return [_partition_from_labels(labels) for labels in set_partitions(n)]
 
 
 # --- mno -------------------------------------------------------------------
@@ -183,6 +185,55 @@ def test_max_mno_closed_form_matches_enumeration_n7():
         seen.add(sizes)
         enumerated = max(mno(e, b) for e in parts)
         assert _max_mno_closed_form(sizes, 7) == enumerated, sizes
+
+
+# max over all partitions E of mno(E, B), for every group-size multiset of
+# B with 8 to 10 objects, as `max_mno_enumerated` computes it (170 s CPU)
+_MAX_MNO_N8_TO_10 = {
+    (8,): 7, (7, 1): 6, (6, 2): 6, (6, 1, 1): 6, (5, 3): 6, (5, 2, 1): 5,
+    (5, 1, 1, 1): 6, (4, 4): 6, (4, 3, 1): 5, (4, 2, 2): 5, (4, 2, 1, 1): 5,
+    (4, 1, 1, 1, 1): 6, (3, 3, 2): 5, (3, 3, 1, 1): 5, (3, 2, 2, 1): 5,
+    (3, 2, 1, 1, 1): 5, (3, 1, 1, 1, 1, 1): 6, (2, 2, 2, 2): 6,
+    (2, 2, 2, 1, 1): 6, (2, 2, 1, 1, 1, 1): 6, (2, 1, 1, 1, 1, 1, 1): 6,
+    (1, 1, 1, 1, 1, 1, 1, 1): 7, (9,): 8, (8, 1): 7, (7, 2): 7, (7, 1, 1): 7,
+    (6, 3): 7, (6, 2, 1): 6, (6, 1, 1, 1): 7, (5, 4): 7, (5, 3, 1): 6,
+    (5, 2, 2): 6, (5, 2, 1, 1): 6, (5, 1, 1, 1, 1): 7, (4, 4, 1): 6,
+    (4, 3, 2): 6, (4, 3, 1, 1): 6, (4, 2, 2, 1): 6, (4, 2, 1, 1, 1): 6,
+    (4, 1, 1, 1, 1, 1): 7, (3, 3, 3): 6, (3, 3, 2, 1): 6, (3, 3, 1, 1, 1): 6,
+    (3, 2, 2, 2): 6, (3, 2, 2, 1, 1): 6, (3, 2, 1, 1, 1, 1): 6,
+    (3, 1, 1, 1, 1, 1, 1): 7, (2, 2, 2, 2, 1): 7, (2, 2, 2, 1, 1, 1): 7,
+    (2, 2, 1, 1, 1, 1, 1): 7, (2, 1, 1, 1, 1, 1, 1, 1): 7,
+    (1, 1, 1, 1, 1, 1, 1, 1, 1): 8, (10,): 9, (9, 1): 8, (8, 2): 8,
+    (8, 1, 1): 8, (7, 3): 8, (7, 2, 1): 7, (7, 1, 1, 1): 8, (6, 4): 8,
+    (6, 3, 1): 7, (6, 2, 2): 7, (6, 2, 1, 1): 7, (6, 1, 1, 1, 1): 8, (5, 5): 8,
+    (5, 4, 1): 7, (5, 3, 2): 7, (5, 3, 1, 1): 7, (5, 2, 2, 1): 7,
+    (5, 2, 1, 1, 1): 7, (5, 1, 1, 1, 1, 1): 8, (4, 4, 2): 7, (4, 4, 1, 1): 7,
+    (4, 3, 3): 7, (4, 3, 2, 1): 6, (4, 3, 1, 1, 1): 7, (4, 2, 2, 2): 7,
+    (4, 2, 2, 1, 1): 7, (4, 2, 1, 1, 1, 1): 7, (4, 1, 1, 1, 1, 1, 1): 8,
+    (3, 3, 3, 1): 7, (3, 3, 2, 2): 7, (3, 3, 2, 1, 1): 7,
+    (3, 3, 1, 1, 1, 1): 7, (3, 2, 2, 2, 1): 7, (3, 2, 2, 1, 1, 1): 7,
+    (3, 2, 1, 1, 1, 1, 1): 7, (3, 1, 1, 1, 1, 1, 1, 1): 8, (2, 2, 2, 2, 2): 8,
+    (2, 2, 2, 2, 1, 1): 8, (2, 2, 2, 1, 1, 1, 1): 8,
+    (2, 2, 1, 1, 1, 1, 1, 1): 8, (2, 1, 1, 1, 1, 1, 1, 1, 1): 8,
+    (1, 1, 1, 1, 1, 1, 1, 1, 1, 1): 9,
+}
+
+
+def test_max_mno_closed_form_matches_enumerated_table_n8_to_10():
+    assert sorted(_MAX_MNO_N8_TO_10) == sorted(
+        sizes for n in (8, 9, 10) for sizes in integer_partitions(n))
+    for sizes, enumerated in _MAX_MNO_N8_TO_10.items():
+        assert _max_mno_closed_form(sizes, sum(sizes)) == enumerated, sizes
+        b = Partition.from_groups([[f"{g}_{i}" for i in range(size)]
+                                   for g, size in enumerate(sizes)])
+        assert max_mno(b) == enumerated, sizes
+
+
+@pytest.mark.exhaustive
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_max_mno_enumerated_table_n8_to_10(n):
+    for sizes in integer_partitions(n):
+        assert max_mno_enumerated(sizes) == _MAX_MNO_N8_TO_10[sizes], sizes
 
 
 def test_max_mno_closed_form_used_above_enumeration_limit():

@@ -63,8 +63,9 @@ def cmd_features(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     transcripts, tracks = _ingest(args, config)
     segments = pipeline.load_segments(args.segments, tracks)
+    table = pipeline.embedding_table(config)
     vocab, matrix = pipeline.extract_features(segments, transcripts, tracks,
-                                              config)
+                                              config, table)
     out = Path(args.out)
     _write(out / "features.csv", features.write_feature_csv(matrix))
     _write(out / "vocabulary.json",
@@ -83,7 +84,8 @@ def cmd_train(args) -> int:
     except DataError as exc:
         raise DataError(f"vocabulary {args.vocabulary}: {exc}") from None
     bundle = pipeline.train_bundle(
-        matrix, pipeline.load_segment_labels(args.labels), vocab, config)
+        matrix, pipeline.load_segment_labels(args.labels), vocab, config,
+        pipeline.embedding_table(config))
     _write(Path(args.out), bundle.to_json() + "\n")
     print(f"trained {config.model_kind}; model at {args.out}")
     return 0
@@ -150,10 +152,9 @@ def cmd_cluster(args) -> int:
 
 def cmd_run(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
-    if args.model:
-        config.model_path = args.model
-    result = pipeline.run_pipeline(pipeline.load_manifest(args.manifest),
-                                   config)
+    manifest = pipeline.load_manifest(args.manifest)
+    bundle = pipeline.load_bundle(args.model) if args.model else None
+    result = pipeline.run_pipeline(manifest, config, bundle=bundle)
     out = Path(args.out)
     _write(out / "segments.jsonl", write_segments_jsonl(result.segments))
     _write_labels(out, result.predictions)

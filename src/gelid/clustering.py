@@ -110,7 +110,7 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def issue_distance(text_a: np.ndarray, keyframes_a: np.ndarray,
                    text_b: np.ndarray, keyframes_b: np.ndarray,
-                   alpha: float = 0.5) -> float:
+                   alpha: float) -> float:
     """alpha * cosine text distance + (1 - alpha) * context distance."""
     if not 0.0 <= alpha <= 1.0:
         raise DataError(f"alpha {alpha} outside [0, 1]")
@@ -191,7 +191,7 @@ def build_context_matrix(ids, keyframes: dict[str, np.ndarray]
 
 def build_issue_matrix(ids, texts: dict[str, np.ndarray],
                        keyframes: dict[str, np.ndarray],
-                       alpha: float = 0.5) -> DistanceMatrix:
+                       alpha: float) -> DistanceMatrix:
     """Pairwise `issue_distance`: alpha 1 needs no keyframes, alpha 0 no
     texts."""
     if not 0.0 <= alpha <= 1.0:
@@ -390,7 +390,10 @@ def segment_embedding(keyframes: np.ndarray) -> np.ndarray:
     return kf.mean(axis=0)
 
 
-CLUSTERERS = ("dbscan", "optics", "mean_shift")
+# each clusterer and the names of the parameters a caller gives it
+CLUSTERERS = {"dbscan": ("eps", "min_pts"),
+              "optics": ("min_pts", "eps_max", "eps_cut"),
+              "mean_shift": ("bandwidth",)}
 
 
 def group_by_context(segment_ids, keyframes: dict[str, np.ndarray],

@@ -103,8 +103,8 @@ def _document_terms(text: str, ngram_max: int, stopwords: frozenset[str]
     return terms
 
 
-def fit_vocabulary(texts, ngram_max: int = 1,
-                   stopwords=frozenset(), min_df: int = 1) -> Vocabulary:
+def fit_vocabulary(texts, ngram_max: int, stopwords, min_df: int
+                   ) -> Vocabulary:
     """Fit a bag-of-words vocabulary on training texts only."""
     if ngram_max not in (1, 2):
         raise DataError(f"ngram_max must be 1 or 2, got {ngram_max}")
@@ -129,8 +129,8 @@ def fit_vocabulary(texts, ngram_max: int = 1,
                       n_documents=len(texts))
 
 
-def text_features(texts: list[str], vocab: Vocabulary, ngram_max: int = 1,
-                  stopwords=frozenset()) -> np.ndarray:
+def text_features(texts: list[str], vocab: Vocabulary, ngram_max: int,
+                  stopwords) -> np.ndarray:
     """(n, terms) tf-idf weights over the fitted vocabulary, one
     L2-normalized row per text.
 
@@ -167,21 +167,27 @@ class EmbeddingTable:
 
 
 def load_embedding_table(path: str | Path) -> EmbeddingTable:
-    """Read `token v1 ... vd` lines (pretrained; never trained here)."""
+    """Read `token v1 ... vd` lines (pretrained; never trained here); a
+    line that is not UTF-8 or holds a non-finite value is a ParseError."""
     vectors: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
+    for line_no, line in enumerate(Path(path).read_bytes().splitlines(),
+                                   start=1):
+        try:  # UnicodeDecodeError is a ValueError
+            parts = line.decode("utf-8").split()
             vec = np.array([float(v) for v in parts[1:]])
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise DataError(f"{path}:{line_no}: embedding dimension "
-                                f"{vec.size} != {dim}")
-            vectors[parts[0]] = vec
+            if not np.all(np.isfinite(vec)):
+                raise ValueError("embedding values must be finite")
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}", line_no) from None
+        if not parts:
+            continue
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise DataError(f"{path}:{line_no}: embedding dimension "
+                            f"{vec.size} != {dim}")
+        vectors[parts[0]] = vec
     if not vectors:
         raise DataError(f"{path}: empty embedding table")
     return EmbeddingTable(vectors=vectors, dim=dim)
@@ -279,13 +285,12 @@ def speech_features(segment: Segment, cues: CueColumns) -> np.ndarray:
 def assemble_features(segments: list[Segment],
                       transcripts: dict[str, Transcript],
                       tracks: dict[str, VideoTrack],
-                      vocab: Vocabulary | None = None,
-                      table: EmbeddingTable | None = None,
-                      ngram_max: int = 1, stopwords=frozenset(),
-                      groups=FEATURE_GROUPS) -> FeatureMatrix:
+                      vocab: Vocabulary | None,
+                      table: EmbeddingTable | None,
+                      ngram_max: int, stopwords, groups) -> FeatureMatrix:
     """The segments' feature matrix: one block per requested group, in
-    `FEATURE_GROUPS` order. The embedding group is skipped without a
-    table."""
+    `FEATURE_GROUPS` order. The text group needs `vocab`, the embedding
+    group `table`."""
     texts = [segment_text(s, transcripts[s.video_id]) for s in segments]
     blocks, names = [], []
     for group in FEATURE_GROUPS:
@@ -296,7 +301,10 @@ def assemble_features(segments: list[Segment],
                 raise DataError("text features requested without a vocabulary")
             blocks.append(text_features(texts, vocab, ngram_max, stopwords))
             names += [f"text:{t}" for t in vocab.terms]
-        elif group == "embedding" and table is not None:
+        elif group == "embedding":
+            if table is None:
+                raise DataError("embedding features requested without a "
+                                "table")
             blocks.append(embedding_features(texts, table))
             names += [f"embedding:{i}" for i in range(table.dim)]
         elif group == "video":
@@ -321,8 +329,8 @@ def segment_text(segment: Segment, transcript: Transcript) -> str:
     return " ".join(c.text for c in transcript.cues if c.index in wanted)
 
 
-def smote_oversample(x: np.ndarray, y: np.ndarray, k_neighbors: int = 5,
-                     seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def smote_oversample(x: np.ndarray, y: np.ndarray, k_neighbors: int,
+                     seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Grow every minority class to the majority count with SMOTE.
 
     Synthetic points are x + u * (nn - x) with u ~ Uniform(0, 1) and nn one

@@ -265,8 +265,8 @@ def _tree_predict(node: dict, row: np.ndarray) -> np.ndarray:
 # Public API
 
 
-def train(kind: str, x: np.ndarray, y, hyper: dict | None = None,
-          seed: int = 0, feature_names=None) -> TrainedModel:
+def train(kind: str, x: np.ndarray, y, *, seed: int,
+          hyper: dict | None = None, feature_names=None) -> TrainedModel:
     """Train one of the three model kinds on a dense (n, d) matrix."""
     if kind not in MODEL_KINDS:
         raise DataError(f"unknown model kind {kind!r}; expected {MODEL_KINDS}")
@@ -400,29 +400,64 @@ def model_to_json(model: TrainedModel) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def float_array(value, shape: tuple, what: str) -> np.ndarray:
+    """A JSON value as a float array of `shape` (None: any length); another
+    value is a DataError naming `what` (ragged nesting: a ValueError)."""
+    array = np.asarray(value)
+    if not (array.dtype.kind in "iuf" and array.ndim == len(shape)
+            and all(n in (size, None) for size, n in zip(array.shape, shape))
+            and np.all(np.isfinite(array))):
+        raise DataError(f"{what}: expected finite numbers of shape {shape}")
+    return array.astype(float)
+
+
 def model_from_json(text: str) -> TrainedModel:
+    """A `model_to_json` model; any other shape is a DataError."""
     obj = json.loads(text)
+    obj = obj if isinstance(obj, dict) else {}
     version = obj.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise DataError(f"unsupported model schema_version {version!r}; "
                         f"this build reads version {MODEL_SCHEMA_VERSION}")
-    kind = obj["kind"]
+    kind, names = obj.get("kind"), obj.get("feature_names")
+    scale, params = obj.get("standardization"), obj.get("parameters")
     if kind not in MODEL_KINDS:
         raise DataError(f"unknown model kind {kind!r}")
-    params = obj["parameters"]
-    if kind == KIND_LOGISTIC:
-        parameters = {"weights": np.array(params["weights"]),
-                      "bias": np.array(params["bias"])}
-    elif kind == KIND_FFN:
-        parameters = {k: np.array(params[k]) for k in ("w1", "b1", "w2", "b2")}
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+            and obj.get("label_order") == list(LABEL_ORDER)
+            and isinstance(scale, dict) and isinstance(params, dict)
+            and isinstance(obj.get("hyper"), dict)):
+        raise DataError(f"a model needs 'feature_names', a list of strings, "
+                        f"'label_order' {list(LABEL_ORDER)}, and the objects "
+                        f"'standardization', 'hyper' and 'parameters'")
+    d = len(names)
+    if kind == KIND_FOREST:
+        trees = params.get("trees")
+        if not (isinstance(trees, list) and trees):
+            raise DataError("model trees must be a non-empty list")
+        nodes = list(trees)  # every node: a leaf or a split on a feature
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, dict) and "leaf" in node:
+                float_array(node["leaf"], (N_LABELS,), "a leaf")
+            elif (isinstance(node, dict) and type(node.get("feature")) is int
+                  and 0 <= node["feature"] < d):
+                float_array(node.get("threshold"), (), "a threshold")
+                nodes += [node.get("left"), node.get("right")]
+            else:
+                raise DataError(f"tree node {json.dumps(node)[:80]} is not "
+                                f"a leaf or a split on one of {d} features")
+        parameters = {"trees": trees}
     else:
-        parameters = {"trees": params["trees"]}
+        # a hidden size of -1, unlike None, matches no array
+        shapes = ({"weights": (d, N_LABELS), "bias": (N_LABELS,)}
+                  if kind == KIND_LOGISTIC else
+                  dict(zip(("w1", "b1", "w2", "b2"),
+                           ffn_shapes(d, obj["hyper"].get("hidden") or -1))))
+        parameters = {key: float_array(params.get(key), shape, key)
+                      for key, shape in shapes.items()}
     return TrainedModel(
-        kind=kind,
-        feature_names=tuple(obj["feature_names"]),
-        label_order=tuple(obj["label_order"]),
-        mean=np.array(obj["standardization"]["mean"]),
-        std=np.array(obj["standardization"]["std"]),
-        hyper=obj["hyper"],
-        parameters=parameters,
-    )
+        kind=kind, feature_names=tuple(names), label_order=LABEL_ORDER,
+        mean=float_array(scale.get("mean"), (d,), "standardization mean"),
+        std=float_array(scale.get("std"), (d,), "standardization std"),
+        hyper=obj["hyper"], parameters=parameters)

@@ -153,19 +153,30 @@ class ClassifierBundle:
 
     @staticmethod
     def from_json(text: str) -> "ClassifierBundle":
+        """A `to_json` bundle; any other shape is a DataError."""
         obj = json.loads(text)
+        obj = obj if isinstance(obj, dict) else {}
         if obj.get("schema_version") != BUNDLE_SCHEMA_VERSION:
             raise DataError(f"unsupported classifier bundle schema_version "
                             f"{obj.get('schema_version')!r}")
-        table = None
-        if obj.get("embedding"):
-            vectors = {tok: np.array(vec)
-                       for tok, vec in obj["embedding"].items()}
+        embedding, table = obj.get("embedding"), None
+        if not (all(isinstance(obj.get(key), list)
+                    and all(isinstance(v, str) for v in obj[key])
+                    for key in ("feature_groups", "stopwords"))
+                and type(obj.get("ngram_max")) is int
+                and (embedding is None or isinstance(embedding, dict))):
+            raise DataError("a bundle needs 'feature_groups' and 'stopwords', "
+                            "lists of strings, the integer 'ngram_max' and "
+                            "'embedding', an object or null")
+        if embedding:
+            vectors = {tok: models.float_array(vec, (None,),
+                                               f"embedding of {tok!r}")
+                       for tok, vec in embedding.items()}
             dim = next(iter(vectors.values())).size
             table = features.EmbeddingTable(vectors=vectors, dim=dim)
         return ClassifierBundle(
-            model=models.model_from_json(json.dumps(obj["model"])),
-            vocabulary=features.Vocabulary.from_dict(obj["vocabulary"]),
+            model=models.model_from_json(json.dumps(obj.get("model"))),
+            vocabulary=features.Vocabulary.from_dict(obj.get("vocabulary")),
             feature_groups=tuple(obj["feature_groups"]),
             ngram_max=obj["ngram_max"],
             stopwords=frozenset(obj["stopwords"]),
@@ -177,9 +188,6 @@ def load_bundle(path: str | Path) -> ClassifierBundle:
     try:
         return ClassifierBundle.from_json(
             Path(path).read_text(encoding="utf-8"))
-    except KeyError as exc:
-        raise DataError(f"classifier bundle {path}: missing key "
-                        f"{exc}") from None
     except (ValueError, DataError) as exc:  # JSON syntax is a ValueError
         raise DataError(f"classifier bundle {path}: {exc}") from None
 
@@ -201,10 +209,11 @@ _ROW_CHECKS = {
 }
 
 
-def _read_rows(path: str | Path, keys: tuple[str, ...]) -> list[dict]:
-    """JSONL rows, each an object whose value under every one of `keys`
-    passes that key's check; any other row is a DataError naming the file
-    and line."""
+def _read_rows(path: str | Path, keys: tuple[str, ...]
+               ) -> list[tuple[int, dict]]:
+    """JSONL rows with their line numbers, each an object whose value under
+    every one of `keys` passes that key's check; any other row is a
+    DataError naming the file and line."""
     rows = []
     for line_no, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
@@ -218,31 +227,39 @@ def _read_rows(path: str | Path, keys: tuple[str, ...]) -> list[dict]:
                 raise DataError(f"{path}:{line_no}: row missing {key!r}")
             if not _ROW_CHECKS[key](obj[key]):
                 raise DataError(f"{path}:{line_no}: bad {key} {obj[key]!r}")
-        rows.append(obj)
+        rows.append((line_no, obj))
     return rows
 
 
 def load_segments(path: str | Path, videos) -> list[Segment]:
-    """Segments of a segments.jsonl, each naming one of `videos`."""
-    segments = [segment_from_dict(row) for row in _read_rows(path, (
-        "segment_id", "video_id", "start_ms", "end_ms", "cue_indices",
-        "keyframe_timestamps"))]
-    unknown = sorted({s.video_id for s in segments}.difference(videos))
-    if unknown:
-        raise DataError(f"{path}: segments name video(s) not in the "
-                        f"manifest: {', '.join(unknown)}")
-    return segments
+    """Segments of a segments.jsonl, each with a segment_id of its own, an
+    end_ms after its start_ms and one of `videos`."""
+    segments: dict[str, Segment] = {}
+    for line_no, row in _read_rows(path, (
+            "segment_id", "video_id", "start_ms", "end_ms", "cue_indices",
+            "keyframe_timestamps")):
+        if row["segment_id"] in segments:
+            raise DataError(f"{path}:{line_no}: segment_id "
+                            f"{row['segment_id']!r} repeats an earlier row")
+        if row["end_ms"] <= row["start_ms"]:
+            raise DataError(f"{path}:{line_no}: end_ms {row['end_ms']} is "
+                            f"not after start_ms {row['start_ms']}")
+        if row["video_id"] not in videos:
+            raise DataError(f"{path}:{line_no}: video {row['video_id']!r} "
+                            f"is not in the manifest")
+        segments[row["segment_id"]] = segment_from_dict(row)
+    return list(segments.values())
 
 
 def load_label_probes(path: str | Path) -> list[dict]:
     """Training label probes: JSONL of {video_id, at_ms, label}."""
-    return _read_rows(path, ("video_id", "at_ms", "label"))
+    return [row for _, row in _read_rows(path, ("video_id", "at_ms", "label"))]
 
 
 def load_segment_labels(path: str | Path) -> dict[str, str]:
     """Segment labels: JSONL of {segment_id, label}; a later row wins."""
     return {row["segment_id"]: row["label"]
-            for row in _read_rows(path, ("segment_id", "label"))}
+            for _, row in _read_rows(path, ("segment_id", "label"))}
 
 
 def match_probes(probes: list[dict],
@@ -335,14 +352,16 @@ def segment(transcripts: dict[str, Transcript],
     return segments
 
 
-def _embedding_table(config: RunConfig) -> features.EmbeddingTable | None:
+def embedding_table(config: RunConfig) -> features.EmbeddingTable | None:
+    """The table at features.embedding_path, if one is set."""
     return (features.load_embedding_table(config.embedding_path)
             if config.embedding_path else None)
 
 
 def extract_features(segments: list[Segment],
                      transcripts: dict[str, Transcript],
-                     tracks: dict[str, VideoTrack], config: RunConfig
+                     tracks: dict[str, VideoTrack], config: RunConfig,
+                     table: features.EmbeddingTable | None
                      ) -> tuple[features.Vocabulary, features.FeatureMatrix]:
     """Features stage: fit the vocabulary on every segment given, labelled
     or not, then assemble their feature matrix."""
@@ -352,7 +371,7 @@ def extract_features(segments: list[Segment],
         ngram_max=config.ngram_max, stopwords=stopwords, min_df=config.min_df)
     matrix = features.assemble_features(
         segments, transcripts, tracks, vocab=vocab,
-        table=_embedding_table(config), ngram_max=config.ngram_max,
+        table=table, ngram_max=config.ngram_max,
         stopwords=stopwords, groups=config.feature_group_list())
     return vocab, matrix
 
@@ -377,10 +396,10 @@ def _maybe_smote(matrix: np.ndarray, y: np.ndarray,
 
 def train_bundle(matrix: features.FeatureMatrix,
                  labels_by_segment_id: dict[str, str],
-                 vocabulary: features.Vocabulary,
-                 config: RunConfig) -> ClassifierBundle:
+                 vocabulary: features.Vocabulary, config: RunConfig,
+                 table: features.EmbeddingTable | None) -> ClassifierBundle:
     """Train stage: fit `config.model_kind` on the rows of `matrix` whose
-    segment has a label."""
+    segment has a label; the bundle carries `table` for classification."""
     rows = [i for i, sid in enumerate(matrix.segment_ids)
             if sid in labels_by_segment_id]
     if not rows:
@@ -394,14 +413,12 @@ def train_bundle(matrix: features.FeatureMatrix,
                             feature_groups=config.feature_group_list(),
                             ngram_max=config.ngram_max,
                             stopwords=config.stopword_set(),
-                            embedding=_embedding_table(config))
+                            embedding=table)
 
 
 def classify(bundle: ClassifierBundle,
              matrix: features.FeatureMatrix) -> dict[str, str]:
     """Classify stage: the bundle's label for each row of `matrix`."""
-    if "embedding" in bundle.feature_groups and bundle.embedding is None:
-        raise DataError("bundle uses embedding features but carries no table")
     return dict(zip(matrix.segment_ids, models.predict(
         bundle.model, matrix.values, feature_names=matrix.names)))
 
@@ -448,7 +465,7 @@ def group_contexts(segments: list[Segment], labels: dict[str, str],
     assignment = clustering.group_by_context(
         [s.segment_id for s in segments if s.segment_id in keyframes],
         keyframes, algorithm=config.context_algorithm,
-        params=config.context_params())
+        params=config.cluster_params("context"))
     assignment = replace(
         assignment, ids=assignment.ids + tuple(bare),
         labels={**assignment.labels, **dict.fromkeys(bare, clustering.NOISE)})
@@ -495,7 +512,7 @@ def build_hierarchy(segments: list[Segment],
                 issue = clustering.cluster_issues(
                     with_kf, text_vectors, keyframes, alpha=config.issue_alpha,
                     algorithm=config.issue_algorithm,
-                    params=config.issue_params())
+                    params=config.cluster_params("issue"))
                 cluster_groups += [(group, issue.medoids.get(cid, min(group)))
                                    for cid, group in issue.clusters().items()]
                 cluster_groups += [([sid], sid) for sid in issue.noise()]
@@ -542,22 +559,21 @@ def run_pipeline(manifest: Manifest, config: RunConfig,
     transcripts, tracks = ingest(manifest, config, timed)
     segments = segment(transcripts, tracks, config, timed)
 
-    if bundle is None and config.model_path:
-        bundle = timed("train", lambda: load_bundle(config.model_path))
     if bundle is not None:
         predictions = timed("classify", lambda: classify_segments(
             segments, transcripts, tracks, bundle))
     elif config.labels_path:
         probes = load_label_probes(config.labels_path)
         training_labels = match_probes(probes, segments)
+        table = embedding_table(config)
         vocab, matrix = timed("features", lambda: extract_features(
-            segments, transcripts, tracks, config))
+            segments, transcripts, tracks, config, table))
         bundle = timed("train", lambda: train_bundle(
-            matrix, training_labels, vocab, config))
+            matrix, training_labels, vocab, config, table))
         predictions = timed("classify", lambda: classify(bundle, matrix))
     else:
-        raise ConfigError("run_pipeline needs train.model_path or "
-                          "train.labels_path (or a bundle argument)")
+        raise ConfigError("run needs train.labels_path or a pretrained "
+                          "bundle (run --model)")
 
     hierarchy = timed("group+cluster", lambda: build_hierarchy(
         segments, predictions, transcripts, tracks, config, bundle))

@@ -382,7 +382,7 @@ class PowerEstimate:
 
 
 def simulate_power(group_size: int, mean_shift: float, sd: float, alpha: float,
-                   n_sims: int = 10_000, seed: int = 0) -> PowerEstimate:
+                   n_sims: int, seed: int = 0) -> PowerEstimate:
     """Monte-Carlo power of a two-sided two-sample comparison.
 
     Draws two normal groups whose means differ by mean_shift and reports the

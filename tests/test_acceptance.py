@@ -194,7 +194,7 @@ def test_criterion_8_planted_context_recovery():
             out = group_by_context(
                 sorted(keyframes), keyframes, algorithm=algorithm,
                 params=RunConfig(context_algorithm=algorithm)
-                .context_params())
+                .cluster_params("context"))
             got = Partition.from_mapping(
                 {sid: (lbl if lbl != -1 else f"noise_{sid}")
                  for sid, lbl in out.labels.items()})

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import THREE_VIDEO_WORLD, write_world
-from gelid import pipeline
+from gelid import features, pipeline
 from gelid.cli import main
 from gelid.subtitles import parse_srt
 
@@ -265,15 +265,97 @@ def test_report_from_hierarchy(tmp_path):
             "n_contexts"]
 
 
-def test_env_override_applies(tmp_path, monkeypatch):
+def test_gelid_environment_variables_are_ignored(tmp_path, monkeypatch):
+    # as config keys, these would change the seed and merge each video's
+    # three 20 s scenes into two segments
     paths = _world(tmp_path)
+    argv = ["run", "--manifest", str(paths["manifest"]),
+            "--config", str(paths["config"])]
+    assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    monkeypatch.setenv("GELID_SEED", "99")
     monkeypatch.setenv("GELID_SEGMENTER_MIN_SEGMENT_MS", "25000")
-    out = tmp_path / "out"
-    assert main(["segment", "--manifest", str(paths["manifest"]),
-                 "--config", str(paths["config"]), "--out", str(out)]) == 0
-    lines = (out / "segments.jsonl").read_text().splitlines()
-    # 25 s minimum merges each video's three 20 s scenes into two segments
-    assert len(lines) < 9
+    assert main([*argv, "--out", str(tmp_path / "env")]) == 0
+    assert (tmp_path / "plain" / "hierarchy.json").read_bytes() == \
+        (tmp_path / "env" / "hierarchy.json").read_bytes()
+
+
+def _run_then_run_with_its_model(paths, tmp_path):
+    """`run`, then `run --model` with the first run's model.json; each
+    run's output directory."""
+    argv = ["run", "--manifest", str(paths["manifest"]),
+            "--config", str(paths["config"])]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([*argv, "--out", str(first)]) == 0
+    assert main([*argv, "--model", str(first / "model.json"),
+                 "--out", str(second)]) == 0
+    for name in ("labels.jsonl", "hierarchy.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    return first, second
+
+
+def test_run_with_the_model_of_a_run_reproduces_it(tmp_path):
+    _run_then_run_with_its_model(_world(tmp_path), tmp_path)
+
+
+def test_model_path_key_exits_1_as_unknown(tmp_path, capsys):
+    paths = _world(tmp_path, overrides={"train.model_path": "model.json"})
+    code = main(["run", "--manifest", str(paths["manifest"]),
+                 "--config", str(paths["config"]),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "unknown key 'train.model_path'" in capsys.readouterr().err
+
+
+def _embedding_world(tmp_path, table: bytes):
+    table_path = tmp_path / "table.txt"
+    table_path.write_bytes(table)
+    return _world(tmp_path, overrides={
+        "features.groups": "text,embedding,video,speech",
+        "features.embedding_path": str(table_path)}), table_path
+
+
+def test_run_with_an_embedding_table_reads_it_once(tmp_path, monkeypatch):
+    paths, _ = _embedding_world(
+        tmp_path, b"game 1.0 0.0\nlag 0.0 1.0\nboss 0.5 0.5\n")
+    reads = []
+    load = features.load_embedding_table
+    monkeypatch.setattr(features, "load_embedding_table",
+                        lambda path: reads.append(path) or load(path))
+    first, _ = _run_then_run_with_its_model(paths, tmp_path)
+    assert len(reads) == 1
+    bundle = json.loads((first / "model.json").read_text())
+    assert sorted(bundle["embedding"]) == ["boss", "game", "lag"]
+    assert "embedding:1" in bundle["model"]["feature_names"]
+
+
+@pytest.mark.parametrize("line", [b"lag 0.0 x", b"lag 0.0 nan",
+                                  b"l\xffg 0.0 1.0"])
+@pytest.mark.parametrize("command", ["run", "features"])
+def test_bad_embedding_line_exits_2_naming_file_and_line(tmp_path, capsys,
+                                                        command, line):
+    paths, table_path = _embedding_world(tmp_path,
+                                         b"game 1.0 0.0\n" + line + b"\n")
+    segments = []
+    if command == "features":
+        segments = ["--segments", str(tmp_path / "segments.jsonl")]
+        assert main(["segment", "--manifest", str(paths["manifest"]),
+                     "--config", str(paths["config"]),
+                     "--out", str(tmp_path)]) == 0
+    _fails_naming(capsys, [command, "--manifest", str(paths["manifest"]),
+                           "--config", str(paths["config"]), *segments,
+                           "--out", str(tmp_path / "out")],
+                  str(table_path), "line 2")
+
+
+def test_embedding_group_without_a_table_exits_1_before_ingest(tmp_path,
+                                                                capsys):
+    paths = _world(tmp_path, overrides={"features.groups": "text,embedding"})
+    (paths["root"] / "vid_a.srt").unlink()  # ingest would exit 2
+    code = main(["run", "--manifest", str(paths["manifest"]),
+                 "--config", str(paths["config"]),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "features.embedding_path" in capsys.readouterr().err
 
 
 def test_eval_margin(tmp_path, capsys):
@@ -479,13 +561,24 @@ def test_unknown_clustering_algorithm_exits_1_before_ingest(tmp_path, capsys,
     assert f"clustering.{key}" in capsys.readouterr().err
 
 
+# rows that are valid alone: the edit of line 2 from lines 1 and 2
+_BAD_SEGMENTS_ROWS = {
+    "repeated_segment_id": lambda first, line: first,
+    "end_not_after_start": lambda first, line: json.dumps(
+        {**json.loads(line), "end_ms": json.loads(line)["start_ms"]}),
+}
+
+
 @pytest.mark.parametrize("row", ["5", "{}", "not json", '{"segment_id": 1}',
-                                 "[1,2]"])
+                                 "[1,2]", *_BAD_SEGMENTS_ROWS])
 def test_bad_segments_row_exits_2_naming_file_and_line(staged, tmp_path,
                                                        capsys, row):
     paths, stage = staged
     bad = tmp_path / "segments.jsonl"
-    _rewrite_line(stage / "segments.jsonl", bad, 1, lambda line: row)
+    first = (stage / "segments.jsonl").read_text().splitlines()[0]
+    edit = _BAD_SEGMENTS_ROWS.get(row, lambda first, line: row)
+    _rewrite_line(stage / "segments.jsonl", bad, 1,
+                  lambda line: edit(first, line))
     _fails_naming(capsys, [
         "features", "--manifest", str(paths["manifest"]),
         "--config", str(paths["config"]), "--segments", str(bad),
@@ -525,6 +618,23 @@ def test_manifest_that_is_a_list_exits_2(tmp_path, capsys):
                            "--config", str(paths["config"]),
                            "--out", str(tmp_path / "out")],
                   str(paths["manifest"]))
+
+
+@pytest.mark.parametrize("text", [
+    "[]", "5", '{"schema_version": 1, "model": 5}',
+    "embedding_is_a_list"])
+def test_malformed_model_exits_2_naming_file(staged, tmp_path, capsys, text):
+    paths, stage = staged
+    if text == "embedding_is_a_list":
+        text = json.dumps({**json.loads((stage / "model.json").read_text()),
+                           "embedding": [[1.0, 2.0]]})
+    bad = tmp_path / "model.json"
+    bad.write_text(text)
+    _fails_naming(capsys, [
+        "classify", "--manifest", str(paths["manifest"]),
+        "--config", str(paths["config"]),
+        "--segments", str(stage / "segments.jsonl"), "--model", str(bad),
+        "--out", str(tmp_path / "out")], str(bad))
 
 
 def test_bundle_missing_key_exits_2_naming_file(staged, tmp_path, capsys):
@@ -642,7 +752,7 @@ def _is_numeric_sample(payload: bytes) -> bool:
 
 @pytest.mark.parametrize("target", ["vocabulary", "hierarchy", "partition",
                                     "sample", "segments", "manifest",
-                                    "probes"])
+                                    "probes", "model"])
 @given(payload=_PAYLOADS)
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much])
@@ -684,6 +794,9 @@ def test_malformed_artifact_exits_1_or_2(staged, tmp_path_factory, target,
         "probes": ["run", "--manifest", str(paths["manifest"]),
                    "--config", str(probes_config),
                    "--out", str(work / "out")],
+        "model": ["classify", *world,
+                  "--segments", str(stage / "segments.jsonl"),
+                  "--model", str(bad), "--out", str(work / "out")],
     }[target]
     err = io.StringIO()
     with redirect_stderr(err), redirect_stdout(io.StringIO()):

@@ -333,7 +333,8 @@ def test_group_by_context_recovers_planted_scenes(algorithm):
     keyframes, truth = _planted_scenes()
     out = group_by_context(
         sorted(keyframes), keyframes, algorithm=algorithm,
-        params=RunConfig(context_algorithm=algorithm).context_params())
+        params=RunConfig(
+            context_algorithm=algorithm).cluster_params("context"))
     assert len(out.clusters()) == 3
     got = Partition.from_mapping(out.labels)
     want = Partition.from_mapping(truth)

@@ -1,7 +1,7 @@
 import pytest
 
-from gelid.config import (RunConfig, apply_env_overrides, load_config,
-                          parse_config, serialize_config)
+from gelid.config import (RunConfig, load_config, parse_config,
+                          serialize_config)
 from gelid.errors import ConfigError
 
 
@@ -39,14 +39,6 @@ def test_round_trip_identity():
     assert serialize_config(again) == serialize_config(cfg)
 
 
-def test_env_override_wins_over_file():
-    cfg = parse_config("seed = 1\nsegmenter.k_seconds = 0\n")
-    apply_env_overrides(cfg, {"GELID_SEGMENTER_K_SECONDS": "10",
-                              "GELID_SEED": "99"})
-    assert cfg.k_seconds == 10
-    assert cfg.seed == 99
-
-
 def test_seed_is_mandatory():
     cfg = RunConfig()
     with pytest.raises(ConfigError, match="seed"):
@@ -56,7 +48,7 @@ def test_seed_is_mandatory():
 def test_cli_seed_override(tmp_path):
     path = tmp_path / "c.conf"
     path.write_text("segmenter.k_seconds = 5\n")
-    cfg = load_config(str(path), environ={}, seed_override=42)
+    cfg = load_config(str(path), seed_override=42)
     assert cfg.seed == 42
 
 
@@ -84,6 +76,65 @@ def test_model_hyper_by_kind():
     assert cfg.model_hyper() == {"n_trees": 25, "min_leaf": 2, "max_depth": 4}
     cfg2 = parse_config("seed = 1\nmodel.kind = feedforward_net\n")
     assert cfg2.model_hyper()["learning_rate"] == 0.01
+
+
+# every key with its default, in declaration order
+DEFAULTS = "".join(f"{line}\n" for line in (
+    "seed = 1",
+    "segmenter.k_seconds = 5",
+    "segmenter.alpha = 3.0",
+    "segmenter.window = 24",
+    "segmenter.min_shot_ms = 2000",
+    "segmenter.min_segment_ms = 3000",
+    "segmenter.silence_ms = 3000",
+    "segmenter.gap_ms = 1500",
+    "segmenter.max_keyframes = 10",
+    "frames.bins_per_channel = 16",
+    "features.ngram_max = 1",
+    "features.min_df = 1",
+    "features.stopwords = ",
+    "features.embedding_path = ",
+    "features.groups = text,video,speech",
+    "model.kind = logistic_regression",
+    "model.l2 = 0.0001",
+    "model.iterations = 500",
+    "model.learning_rate = 0.1",
+    "model.n_trees = 100",
+    "model.min_leaf = 2",
+    "model.max_depth = 0",
+    "model.hidden = 64",
+    "model.epochs = 50",
+    "model.batch_size = 32",
+    "model.ffn_learning_rate = 0.01",
+    "train.labels_path = ",
+    "train.smote = true",
+    "train.smote_k = 5",
+    "clustering.context_algorithm = dbscan",
+    "clustering.context_eps = 0.3",
+    "clustering.context_min_pts = 3",
+    "clustering.context_eps_max = 1.0",
+    "clustering.context_eps_cut = 0.3",
+    "clustering.context_bandwidth = 0.25",
+    "clustering.issue_algorithm = dbscan",
+    "clustering.issue_eps = 0.3",
+    "clustering.issue_min_pts = 2",
+    "clustering.issue_eps_max = 1.0",
+    "clustering.issue_eps_cut = 0.3",
+    "clustering.issue_bandwidth = 0.25",
+    "clustering.alpha = 0.5",
+))
+
+
+def test_serialized_defaults_name_every_key_once():
+    assert serialize_config(RunConfig(seed=1)) == DEFAULTS
+    assert parse_config(DEFAULTS) == RunConfig(seed=1)
+
+
+def test_unreadable_config_is_a_config_error(tmp_path):
+    path = tmp_path / "c.conf"
+    path.write_bytes(b"seed = 1\n# caf\xe9\n")
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(str(path))
 
 
 def test_boolean_parsing():

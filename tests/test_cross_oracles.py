@@ -56,9 +56,10 @@ def test_tfidf_matches_sklearn_with_aligned_tokenizer():
     vectorizer = text_mod.TfidfVectorizer(analyzer=tokenize)
     ref = vectorizer.fit_transform(docs).toarray()
     ref_terms = list(vectorizer.get_feature_names_out())
-    vocab = fit_vocabulary(docs)
+    vocab = fit_vocabulary(docs, ngram_max=1, stopwords=frozenset(),
+                           min_df=1)
     assert list(vocab.terms) == ref_terms
-    for row, ours in enumerate(text_features(docs, vocab)):
+    for row, ours in enumerate(text_features(docs, vocab, 1, frozenset())):
         assert np.allclose(ours, ref[row], atol=1e-12)
 
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gelid.errors import DataError
-from gelid.features import (SPEECH_NAMES, VIDEO_NAMES, EmbeddingTable,
-                            FeatureMatrix, Vocabulary, assemble_features,
+from gelid.errors import DataError, ParseError
+from gelid.features import (FEATURE_GROUPS, SPEECH_NAMES, VIDEO_NAMES,
+                            EmbeddingTable, FeatureMatrix, Vocabulary,
+                            assemble_features,
                             cue_columns, embedding_features, fit_vocabulary,
                             load_embedding_table, read_feature_csv,
                             smote_oversample, speech_features, text_features,
@@ -17,10 +18,19 @@ from gelid.segmentation import Segment
 from gelid.subtitles import Cue, Transcript
 
 
+# the tokenizer settings of RunConfig's defaults
+TEXT = {"ngram_max": 1, "stopwords": frozenset()}
+
+
+def _fit(texts, ngram_max=1, stopwords=frozenset(), min_df=1):
+    return fit_vocabulary(texts, ngram_max=ngram_max, stopwords=stopwords,
+                          min_df=min_df)
+
+
 # --- vocabulary -------------------------------------------------------------
 
 def test_fit_vocabulary_document_frequencies():
-    vocab = fit_vocabulary(["bug bug", "lag"])
+    vocab = _fit(["bug bug", "lag"])
     assert vocab.terms == ("bug", "lag")
     assert vocab.document_frequencies == (1, 1)
     assert vocab.n_documents == 2
@@ -28,16 +38,16 @@ def test_fit_vocabulary_document_frequencies():
 
 def test_fit_vocabulary_min_df_filters_all_terms():
     with pytest.raises(DataError, match="no surviving terms"):
-        fit_vocabulary(["bug bug", "lag"], min_df=2)
+        _fit(["bug bug", "lag"], min_df=2)
 
 
 def test_fit_vocabulary_bigrams():
-    vocab = fit_vocabulary(["game crashed"], ngram_max=2)
+    vocab = _fit(["game crashed"], ngram_max=2)
     assert "game crashed" in vocab.terms
 
 
 def test_fit_vocabulary_stopwords_removed_before_ngrams():
-    vocab = fit_vocabulary(["the game crashed"], ngram_max=2,
+    vocab = _fit(["the game crashed"], ngram_max=2,
                            stopwords={"the"})
     assert "game crashed" in vocab.terms
     assert all("the" not in t.split() for t in vocab.terms)
@@ -45,11 +55,11 @@ def test_fit_vocabulary_stopwords_removed_before_ngrams():
 
 def test_fit_vocabulary_all_empty_is_error():
     with pytest.raises(DataError):
-        fit_vocabulary(["", "   ", "\n"])
+        _fit(["", "   ", "\n"])
 
 
 def test_fit_vocabulary_terms_lexicographic():
-    vocab = fit_vocabulary(["zebra apple", "mango apple"])
+    vocab = _fit(["zebra apple", "mango apple"])
     assert list(vocab.terms) == sorted(vocab.terms)
 
 
@@ -60,23 +70,23 @@ def test_tokenize_alphanumeric_runs():
 # --- tf-idf ------------------------------------------------------------------
 
 def test_text_features_empty_text_zero_vector():
-    vocab = fit_vocabulary(["bug", "lag"])
-    values = text_features([""], vocab)[0]
+    vocab = _fit(["bug", "lag"])
+    values = text_features([""], vocab, **TEXT)[0]
     assert values.shape == (2,)
     assert not values.any()
 
 
 def test_text_features_single_token_unit_norm():
-    vocab = fit_vocabulary(["bug", "lag"])
-    values = text_features(["bug"], vocab)[0]
+    vocab = _fit(["bug", "lag"])
+    values = text_features(["bug"], vocab, **TEXT)[0]
     assert np.linalg.norm(values) == pytest.approx(1.0)
     assert values[0] > 0 and values[1] == 0
 
 
 def test_text_features_tfidf_arithmetic():
     # tf = (2, 1), idf identical for both terms -> direction (2, 1)/sqrt(5)
-    vocab = fit_vocabulary(["bug bug", "lag"])
-    values = text_features(["bug bug lag"], vocab)[0]
+    vocab = _fit(["bug bug", "lag"])
+    values = text_features(["bug bug lag"], vocab, **TEXT)[0]
     w = math.log(3 / 2) + 1
     raw = np.array([2 * w, 1 * w])
     assert np.allclose(values, raw / np.linalg.norm(raw))
@@ -84,15 +94,15 @@ def test_text_features_tfidf_arithmetic():
 
 
 def test_text_features_out_of_vocabulary_ignored():
-    vocab = fit_vocabulary(["bug"])
-    values = text_features(["quantum flux bug"], vocab)[0]
+    vocab = _fit(["bug"])
+    values = text_features(["quantum flux bug"], vocab, **TEXT)[0]
     assert np.linalg.norm(values) == pytest.approx(1.0)
 
 
 def test_transform_does_not_mutate_vocabulary():
-    vocab = fit_vocabulary(["bug bug", "lag"])
+    vocab = _fit(["bug bug", "lag"])
     before = (vocab.terms, vocab.document_frequencies, vocab.n_documents)
-    text_features(["totally new words here"], vocab)
+    text_features(["totally new words here"], vocab, **TEXT)
     assert (vocab.terms, vocab.document_frequencies, vocab.n_documents) \
         == before
 
@@ -132,6 +142,24 @@ def test_load_embedding_table_dimension_mismatch(tmp_path):
     path.write_text("bug 1.0 0.0\nlag 0.0\n")
     with pytest.raises(DataError):
         load_embedding_table(path)
+
+
+@pytest.mark.parametrize("line", [b"lag 0.0 two", b"lag 0.0 nan",
+                                  b"lag 0.0 inf", b"l\xffg 0.0 2.0"])
+def test_load_embedding_table_bad_line_names_file_and_line(tmp_path, line):
+    path = tmp_path / "emb.txt"
+    path.write_bytes(b"bug 1.0 0.0\n" + line + b"\n")
+    with pytest.raises(ParseError, match="emb.txt") as info:
+        load_embedding_table(path)
+    assert info.value.line == 2
+
+
+def test_assemble_embedding_without_a_table_is_an_error():
+    seg, transcript, track, vocab = _mini_world()
+    with pytest.raises(DataError, match="without a table"):
+        assemble_features([seg], {"vid": transcript}, {"vid": track},
+                          vocab=vocab, table=None, **TEXT,
+                          groups=FEATURE_GROUPS)
 
 
 # --- video / speech features ---------------------------------------------------
@@ -223,18 +251,19 @@ def _mini_world():
     track = VideoTrack.from_frames("vid", frames, 4000)
     transcript = _transcript([(0, 2000, "the game crashed hard.")])
     seg = _seg(0, 4000, cue_indices=(1,))
-    vocab = fit_vocabulary(["game crashed", "lag spike"])
+    vocab = _fit(["game crashed", "lag spike"])
     return seg, transcript, track, vocab
 
 
 def test_assemble_concatenates_groups_in_order():
     seg, transcript, track, vocab = _mini_world()
     matrix = assemble_features([seg], {"vid": transcript}, {"vid": track},
-                               vocab=vocab)
+                               vocab=vocab, table=_table(), **TEXT,
+                               groups=FEATURE_GROUPS)
     groups = [n.split(":", 1)[0] for n in matrix.names]
     assert groups == sorted(groups, key=["text", "embedding", "video",
                                          "speech"].index)
-    assert len(matrix.values[0]) == len(vocab.terms) + 7 + 3
+    assert len(matrix.values[0]) == len(vocab.terms) + 2 + 7 + 3
 
 
 def test_assemble_rows_equal_one_segment_at_a_time():
@@ -247,11 +276,12 @@ def test_assemble_rows_equal_one_segment_at_a_time():
                 _seg(1000, 4000, (1, 2))]
     world = ({"vid": transcript}, {"vid": track})
     matrix = assemble_features(segments, *world, vocab=vocab,
-                               table=_table())
+                               table=_table(), **TEXT, groups=FEATURE_GROUPS)
     assert matrix.segment_ids == tuple(s.segment_id for s in segments)
     for k, segment in enumerate(segments):
         alone = assemble_features([segment], *world, vocab=vocab,
-                                  table=_table())
+                                  table=_table(), **TEXT,
+                                  groups=FEATURE_GROUPS)
         assert alone.names == matrix.names
         assert alone.values[0].tobytes() == matrix.values[k].tobytes()
 
@@ -259,8 +289,9 @@ def test_assemble_rows_equal_one_segment_at_a_time():
 def test_assemble_without_segments_is_an_empty_matrix():
     _, transcript, track, vocab = _mini_world()
     matrix = assemble_features([], {"vid": transcript}, {"vid": track},
-                               vocab=vocab)
-    assert matrix.values.shape == (0, len(vocab.terms) + 7 + 3)
+                               vocab=vocab, table=_table(), **TEXT,
+                               groups=FEATURE_GROUPS)
+    assert matrix.values.shape == (0, len(vocab.terms) + 2 + 7 + 3)
 
 
 def test_matrix_rejects_nan():
@@ -292,9 +323,10 @@ def test_features_always_finite(text, seed):
     transcript = _transcript([(0, 2500, text.replace("\n", " ") or "x")]) \
         if text.strip() else Transcript(video_id="vid")
     seg = _seg(0, 5000, cue_indices=(1,) if transcript.cues else ())
-    vocab = fit_vocabulary(["fallback token"])
+    vocab = _fit(["fallback token"])
     matrix = assemble_features([seg], {"vid": transcript}, {"vid": track},
-                               vocab=vocab)
+                               vocab=vocab, table=_table(), **TEXT,
+                               groups=FEATURE_GROUPS)
     assert np.all(np.isfinite(matrix.values))
 
 
@@ -374,7 +406,7 @@ def test_smote_singleton_class_is_error():
     x = np.array([[0.0], [1.0], [2.0]])
     y = np.array(["a", "a", "b"])
     with pytest.raises(DataError, match="single member"):
-        smote_oversample(x, y)
+        smote_oversample(x, y, k_neighbors=5, seed=0)
 
 
 def test_smote_synthetics_lie_between_same_class_originals():
@@ -402,6 +434,6 @@ def test_smote_synthetics_lie_between_same_class_originals():
 def test_smote_deterministic_with_seed():
     x = np.vstack([np.zeros((5, 2)), np.ones((2, 2)) + np.arange(2)])
     y = np.array(["a"] * 5 + ["b"] * 2)
-    out1 = smote_oversample(x, y, seed=4)
-    out2 = smote_oversample(x, y, seed=4)
+    out1 = smote_oversample(x, y, k_neighbors=5, seed=4)
+    out2 = smote_oversample(x, y, k_neighbors=5, seed=4)
     assert np.array_equal(out1[0], out2[0])

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from gelid.errors import DataError
-from gelid.models import (DEFAULT_HYPER, KIND_FOREST, KIND_LOGISTIC,
+from gelid.models import (DEFAULT_HYPER, KIND_FFN, KIND_FOREST, KIND_LOGISTIC,
                           LABEL_ORDER, MODEL_KINDS, IssueLabel, evaluate,
                           ffn_loss_and_grad, ffn_pack, ffn_shapes,
                           logistic_loss_and_grad, model_from_json,
@@ -98,26 +100,26 @@ def test_single_class_training_is_error():
     x = np.zeros((4, 2))
     y = np.array(["Logic"] * 4)
     with pytest.raises(DataError):
-        train(KIND_LOGISTIC, x, y)
+        train(KIND_LOGISTIC, x, y, seed=0)
 
 
 def test_nan_feature_is_error():
     x = np.array([[0.0, np.nan], [1.0, 2.0]])
     y = np.array(["Logic", "Balance"])
     with pytest.raises(DataError):
-        train(KIND_LOGISTIC, x, y)
+        train(KIND_LOGISTIC, x, y, seed=0)
 
 
 def test_unknown_label_is_error():
     x = np.zeros((2, 2))
     with pytest.raises(DataError):
-        train(KIND_LOGISTIC, x, np.array(["Logic", "Gameplay"]))
+        train(KIND_LOGISTIC, x, np.array(["Logic", "Gameplay"]), seed=0)
 
 
 def test_unknown_hyper_key_is_error():
     x, y = _blobs(n_per_class=3)
     with pytest.raises(DataError):
-        train(KIND_LOGISTIC, x, y, hyper={"momentum": 0.9})
+        train(KIND_LOGISTIC, x, y, hyper={"momentum": 0.9}, seed=0)
 
 
 # --- prediction ------------------------------------------------------------------
@@ -155,14 +157,14 @@ def test_unanimous_forest_gives_probability_one():
 def test_feature_name_mismatch_is_error():
     x, y = _blobs(n_per_class=3)
     model = train(KIND_LOGISTIC, x, y,
-                  feature_names=[f"f{i}" for i in range(x.shape[1])])
+                  feature_names=[f"f{i}" for i in range(x.shape[1])], seed=0)
     with pytest.raises(DataError):
         predict_proba(model, x, feature_names=["a", "b", "c", "d"])
 
 
 def test_dimension_mismatch_is_error():
     x, y = _blobs(n_per_class=3)
-    model = train(KIND_LOGISTIC, x, y)
+    model = train(KIND_LOGISTIC, x, y, seed=0)
     with pytest.raises(DataError):
         predict_proba(model, x[:, :2])
 
@@ -268,8 +270,52 @@ def test_model_json_round_trip_all_kinds():
 
 def test_model_json_version_refusal():
     x, y = _blobs(n_per_class=3)
-    model = train(KIND_LOGISTIC, x, y)
+    model = train(KIND_LOGISTIC, x, y, seed=0)
     text = model_to_json(model).replace('"schema_version": 1',
                                         '"schema_version": 99')
     with pytest.raises(DataError, match="schema_version"):
         model_from_json(text)
+
+
+def _edit_parameters(kind, edit):
+    """A model_to_json text of `kind` after `edit(payload)`."""
+    x, y = _blobs(n_per_class=3)
+    hyper = {"n_trees": 2, "max_depth": 2} if kind == KIND_FOREST else None
+    payload = json.loads(model_to_json(train(kind, x, y, hyper=hyper,
+                                             seed=0)))
+    edit(payload)
+    return json.dumps(payload)
+
+
+def _set_root(tree):
+    def edit(payload):
+        payload["parameters"]["trees"][0] = tree
+    return edit
+
+
+@pytest.mark.parametrize("kind,edit", [
+    (KIND_LOGISTIC, lambda p: p["parameters"].update(weights=[[1.0]])),
+    (KIND_LOGISTIC, lambda p: p["parameters"].update(bias=["a"] * 5)),
+    (KIND_LOGISTIC, lambda p: p["standardization"].update(std=[1.0, None])),
+    (KIND_LOGISTIC, lambda p: p.update(feature_names="f0")),
+    (KIND_LOGISTIC, lambda p: p.update(label_order=["Logic"])),
+    (KIND_LOGISTIC, lambda p: p.update(parameters=[])),
+    (KIND_FFN, lambda p: p["parameters"].update(b1=[0.0])),
+    (KIND_FFN, lambda p: p["hyper"].update(hidden=3)),
+    (KIND_FOREST, lambda p: p["parameters"].update(trees=[])),
+    (KIND_FOREST, _set_root({"leaf": ["0.2"] * 5})),
+    (KIND_FOREST, _set_root({"feature": 4, "threshold": 0.0,
+                             "left": {"leaf": [1.0, 0, 0, 0, 0]},
+                             "right": {"leaf": [1.0, 0, 0, 0, 0]}})),
+    (KIND_FOREST, _set_root({"feature": 0, "threshold": "0",
+                             "left": {"leaf": [1.0, 0, 0, 0, 0]},
+                             "right": {"leaf": [1.0, 0, 0, 0, 0]}})),
+    (KIND_FOREST, _set_root({"feature": 0, "threshold": 0.0,
+                             "left": {"leaf": [1.0, 0, 0, 0, 0]}})),
+], ids=["weights_shape", "bias_strings", "std_null", "names_string",
+        "label_order", "parameters_list", "ffn_b1_shape", "ffn_hidden",
+        "no_trees", "leaf_strings", "split_feature_out_of_range",
+        "threshold_string", "split_without_right"])
+def test_model_of_another_shape_is_a_data_error(kind, edit):
+    with pytest.raises(DataError):
+        model_from_json(_edit_parameters(kind, edit))

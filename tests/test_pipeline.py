@@ -13,7 +13,7 @@ from gelid.pipeline import (ClassifierBundle, Manifest, VideoEntry,
 def _run_world(tmp_path, videos, overrides=None, seed=1234):
     paths = write_world(tmp_path / "world", videos, seed=seed,
                         config_overrides=overrides or {})
-    config = load_config(str(paths["config"]), environ={})
+    config = load_config(str(paths["config"]))
     manifest = load_manifest(paths["manifest"])
     return run_pipeline(manifest, config), paths
 
@@ -148,7 +148,7 @@ def test_run_pipeline_all_non_informative_empty_hierarchy(tmp_path):
     # two classes, so train on the two-scene world and classify a manifest
     # whose only video matches the non-informative scene.
     paths = write_world(tmp_path / "train_world", world, seed=5)
-    config = load_config(str(paths["config"]), environ={})
+    config = load_config(str(paths["config"]))
     manifest = load_manifest(paths["manifest"])
     result = run_pipeline(manifest, config)
     bundle = result.bundle
@@ -158,7 +158,7 @@ def test_run_pipeline_all_non_informative_empty_hierarchy(tmp_path):
                 "label": "NonInformative"}],
     }
     paths2 = write_world(tmp_path / "apply_world", lonely, seed=6)
-    config2 = load_config(str(paths2["config"]), environ={})
+    config2 = load_config(str(paths2["config"]))
     manifest2 = load_manifest(paths2["manifest"])
     result2 = run_pipeline(manifest2, config2, bundle=bundle)
     assert result2.hierarchy["counts"]["n_informative"] == 0
@@ -179,7 +179,7 @@ def test_run_pipeline_stage_error_names_stage_and_video(tmp_path):
     # corrupt one subtitle file
     (tmp_path / "world" / "vid_b.srt").write_text(
         "1\n00:00:01,000 --> bogus\nbroken\n")
-    config = load_config(str(paths["config"]), environ={})
+    config = load_config(str(paths["config"]))
     manifest = load_manifest(paths["manifest"])
     with pytest.raises(StageError) as err:
         run_pipeline(manifest, config)
@@ -191,7 +191,7 @@ def test_run_pipeline_stage_error_names_stage_and_video(tmp_path):
 def test_run_pipeline_without_model_or_labels_is_config_error(tmp_path):
     paths = write_world(tmp_path / "world", THREE_VIDEO_WORLD,
                         config_overrides={"train.labels_path": ""})
-    config = load_config(str(paths["config"]), environ={})
+    config = load_config(str(paths["config"]))
     manifest = load_manifest(paths["manifest"])
     with pytest.raises((ConfigError, StageError)):
         run_pipeline(manifest, config)
@@ -257,7 +257,7 @@ def test_match_probes_warns_on_conflicting_labels(caplog):
 def test_bundle_round_trip_preserves_predictions(tmp_path):
     result, paths = _run_world(tmp_path, THREE_VIDEO_WORLD)
     clone = ClassifierBundle.from_json(result.bundle.to_json())
-    config = load_config(str(paths["config"]), environ={})
+    config = load_config(str(paths["config"]))
     manifest = load_manifest(paths["manifest"])
     result2 = run_pipeline(manifest, config, bundle=clone)
     assert result2.predictions == result.predictions

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -78,11 +77,11 @@ def cmd_train(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     matrix = features.read_feature_csv(pipeline.read_text(args.features),
                                        args.features)
-    vocab_obj = pipeline.read_json(args.vocabulary)
+    vocab_obj = pipeline.read_json(args.vocabulary, dict)
     try:
         vocab = features.Vocabulary.from_dict(vocab_obj)
     except DataError as exc:
-        raise DataError(f"vocabulary {args.vocabulary}: {exc}") from None
+        raise DataError(f"{args.vocabulary}: {exc}") from None
     bundle = pipeline.train_bundle(
         matrix, pipeline.load_segment_labels(args.labels), vocab, config,
         pipeline.embedding_table(config))
@@ -171,83 +170,34 @@ def cmd_run(args) -> int:
     return 0
 
 
-# each level below a hierarchy's contexts: the key every node of the level
-# has, and the list of its children
-_HIERARCHY_LEVELS = (("context_id", "categories"), ("label", "clusters"),
-                     ("cluster_id", "members"))
-
-
-def _check_nodes(path: str, nodes: list, level: int = 0) -> None:
-    """A DataError naming `path` at the first context, category or cluster
-    in `nodes`, or below them, that a report cannot render."""
-    key, children = _HIERARCHY_LEVELS[level]
-    for node in nodes:
-        summary = node.get("summary", {}) if isinstance(node, dict) else None
-        if not (isinstance(summary, dict) and key in node
-                and isinstance(node.get(children), list)
-                and isinstance(summary.get("label_distribution", {}), dict)):
-            raise DataError(f"{path}: expected an object with {key!r} and a "
-                            f"list of {children!r}, got "
-                            f"{json.dumps(node)[:80]}")
-        if level + 1 < len(_HIERARCHY_LEVELS):
-            _check_nodes(path, node[children], level + 1)
-
-
 def cmd_report(args) -> int:
-    hierarchy = pipeline.read_json(args.hierarchy)
-    version = pipeline.HIERARCHY_SCHEMA_VERSION
-    if not (isinstance(hierarchy, dict) and isinstance(
-            hierarchy.get("contexts"), list)
-            and isinstance(hierarchy.get("counts", {}), dict)
-            and hierarchy.get("schema_version") == version):
-        raise DataError(f"{args.hierarchy}: not a hierarchy (an object with "
-                        f"schema_version {version} and a list of contexts)")
-    _check_nodes(args.hierarchy, hierarchy["contexts"])
+    hierarchy = pipeline.read_json(args.hierarchy, pipeline.HIERARCHY_SHAPE)
     pipeline.export_report(hierarchy, args.format, args.out)
     print(f"wrote {args.format} report to {args.out}")
     return 0
 
 
-def _finite(value) -> bool:
-    """A JSON number that is neither NaN nor infinite."""
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):  # not a number, or a huge integer
-        return False
-
-
-def _label(value) -> bool:
-    """An id or a category: a string or a finite number."""
-    return isinstance(value, str) or _finite(value)
-
-
-def _read_sample(path: str, ratings: bool = False) -> list:
-    """A JSON array of finite numbers; ratings may also be strings."""
-    obj = pipeline.read_json(path)
-    if not isinstance(obj, list) \
-            or not all(map(_label if ratings else _finite, obj)):
-        raise DataError(f"{path}: expected a JSON array of "
-                        + ("strings or " if ratings else "") + "finite numbers")
-    return obj
+# an id, a group or a rating: a string or a number
+_LABEL = (str, float)
+# a sample file: a JSON array of numbers, or of labels for kappa's ratings
+_SAMPLE, _RATINGS = [float], [_LABEL]
+_PARTITION = {"groups?": [[_LABEL]], "mapping?": {str: _LABEL}}
 
 
 def _partition_from_file(path: str) -> stats.Partition:
-    """{"groups": [[id, ...], ...]} or {"mapping": {id: group, ...}}."""
-    obj = pipeline.read_json(path)
-    obj = obj if isinstance(obj, dict) else {}
-    groups, mapping = obj.get("groups"), obj.get("mapping")
+    """{"groups": [[id, ...], ...]} or {"mapping": {id: group, ...}}; by
+    its groups if it has both."""
+    obj = pipeline.read_json(path, _PARTITION)
     try:
-        if isinstance(groups, list) and groups and all(
-                isinstance(g, list) and all(map(_label, g)) for g in groups):
-            return stats.Partition.from_groups(groups)
-        if isinstance(mapping, dict) and mapping \
-                and all(map(_label, mapping.values())):
-            return stats.Partition.from_mapping(mapping)
-        raise DataError("expected an object with 'groups', a non-empty list "
-                        "of lists of ids, or 'mapping', a non-empty object "
-                        "of group labels")
+        partition = (stats.Partition.from_groups(obj["groups"])
+                     if "groups" in obj
+                     else stats.Partition.from_mapping(obj.get("mapping", {})))
+        if not partition.n_objects:
+            raise DataError("expected 'groups' or 'mapping' with at least "
+                            "one object")
     except DataError as exc:
-        raise DataError(f"partition {path}: {exc}") from None
+        raise DataError(f"{path}: {exc}") from None
+    return partition
 
 
 # the input flags each statistic reads
@@ -273,18 +223,21 @@ def cmd_eval(args) -> int:
                           mojofm=stats.mojo_fm(a, b))
     elif stat == "kappa":
         result = {"stat": stat, "kappa": stats.cohens_kappa(
-            _read_sample(args.x, True), _read_sample(args.y, True))}
+            pipeline.read_json(args.x, _RATINGS),
+            pipeline.read_json(args.y, _RATINGS))}
     elif stat == "mann-whitney":
-        r = stats.mann_whitney_u(_read_sample(args.x), _read_sample(args.y))
+        r = stats.mann_whitney_u(pipeline.read_json(args.x, _SAMPLE),
+                                 pipeline.read_json(args.y, _SAMPLE))
         result = {"stat": stat, "u": r.u, "p_value": r.p_value,
                   "exact": r.exact}
     elif stat == "cliffs-delta":
-        r = stats.cliffs_delta(_read_sample(args.x), _read_sample(args.y))
+        r = stats.cliffs_delta(pipeline.read_json(args.x, _SAMPLE),
+                               pipeline.read_json(args.y, _SAMPLE))
         result = {"stat": stat, "delta": r.delta, "magnitude": r.magnitude}
     elif stat == "bh":
         result = {"stat": stat,
                   "adjusted": stats.benjamini_hochberg(
-                      _read_sample(args.p))}
+                      pipeline.read_json(args.p, _SAMPLE))}
     elif stat == "margin":
         result = {"stat": stat,
                   "margin_of_error": stats.margin_of_error(args.n,

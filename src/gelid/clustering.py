@@ -20,12 +20,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import (DataError, check_shape, non_negative, positive,
+                     positive_int)
 
 log = logging.getLogger(__name__)
 
 NOISE = -1
 _CHANNELS = 3
+
+# each clusterer and the range of each parameter a caller gives it
+CLUSTERERS = {"dbscan": {"eps": positive, "min_pts": positive_int},
+              "optics": {"min_pts": positive_int, "eps_max": positive,
+                         "eps_cut": positive},
+              "mean_shift": {"bandwidth": positive}}
+
+
+def blend_weight(value) -> bool:
+    """a number in [0, 1]"""
+    return non_negative(value) and value <= 1
 
 
 @dataclass
@@ -112,8 +124,7 @@ def issue_distance(text_a: np.ndarray, keyframes_a: np.ndarray,
                    text_b: np.ndarray, keyframes_b: np.ndarray,
                    alpha: float) -> float:
     """alpha * cosine text distance + (1 - alpha) * context distance."""
-    if not 0.0 <= alpha <= 1.0:
-        raise DataError(f"alpha {alpha} outside [0, 1]")
+    check_shape(alpha, blend_weight, "alpha")
     text_term = cosine_distance(text_a, text_b) if alpha > 0 else 0.0
     visual_term = (context_distance(keyframes_a, keyframes_b)
                    if alpha < 1 else 0.0)
@@ -194,8 +205,7 @@ def build_issue_matrix(ids, texts: dict[str, np.ndarray],
                        alpha: float) -> DistanceMatrix:
     """Pairwise `issue_distance`: alpha 1 needs no keyframes, alpha 0 no
     texts."""
-    if not 0.0 <= alpha <= 1.0:
-        raise DataError(f"alpha {alpha} outside [0, 1]")
+    check_shape(alpha, blend_weight, "alpha")
     ids = tuple(ids)
     n = len(ids)
     text_term = np.zeros((n, n))
@@ -232,10 +242,8 @@ def dbscan(matrix: DistanceMatrix, eps: float, min_pts: int
     each other share a cluster; border points attach to the core neighbor
     with the lowest id; the rest is noise.
     """
-    if eps <= 0:
-        raise DataError("eps must be > 0")
-    if min_pts < 1:
-        raise DataError("min_pts must be >= 1")
+    check_shape({"eps": eps, "min_pts": min_pts}, CLUSTERERS["dbscan"],
+                "dbscan")
     matrix.validate()
     ids = matrix.ids
     n = len(ids)
@@ -275,10 +283,10 @@ def optics(matrix: DistanceMatrix, min_pts: int, eps_max: float,
            eps_cut: float) -> ClusterAssignment:
     """OPTICS ordering with reachability capped at eps_max, then a flat
     extraction at eps_cut (DBSCAN-equivalent up to border ties)."""
-    if not 0 < eps_cut <= eps_max:
-        raise DataError("require 0 < eps_cut <= eps_max")
-    if min_pts < 1:
-        raise DataError("min_pts must be >= 1")
+    check_shape({"min_pts": min_pts, "eps_max": eps_max, "eps_cut": eps_cut},
+                CLUSTERERS["optics"], "optics")
+    if eps_cut > eps_max:
+        raise DataError("optics needs eps_cut <= eps_max")
     matrix.validate()
     ids = matrix.ids
     n = len(ids)
@@ -347,8 +355,8 @@ def mean_shift(ids, points: np.ndarray, bandwidth: float, tol: float = 1e-4,
     until it moves less than tol; converged modes closer than bandwidth / 2
     merge. No noise: modes always exist.
     """
-    if bandwidth <= 0:
-        raise DataError("bandwidth must be > 0")
+    check_shape({"bandwidth": bandwidth}, CLUSTERERS["mean_shift"],
+                "mean_shift")
     if tol <= 0 or max_iter < 1:
         raise DataError("tol must be > 0 and max_iter >= 1")
     ids = tuple(ids)
@@ -390,12 +398,6 @@ def segment_embedding(keyframes: np.ndarray) -> np.ndarray:
     return kf.mean(axis=0)
 
 
-# each clusterer and the names of the parameters a caller gives it
-CLUSTERERS = {"dbscan": ("eps", "min_pts"),
-              "optics": ("min_pts", "eps_max", "eps_cut"),
-              "mean_shift": ("bandwidth",)}
-
-
 def group_by_context(segment_ids, keyframes: dict[str, np.ndarray],
                      algorithm: str, params: dict) -> ClusterAssignment:
     """Cluster informative segments by visual context, with every parameter
@@ -406,8 +408,7 @@ def group_by_context(segment_ids, keyframes: dict[str, np.ndarray],
     downstream.
     """
     segment_ids = tuple(segment_ids)
-    if algorithm not in CLUSTERERS:
-        raise DataError(f"unknown clustering algorithm {algorithm!r}")
+    check_shape(algorithm, set(CLUSTERERS), "clustering algorithm")
     if not segment_ids:
         log.warning("no informative segments; nothing to group")
         return ClusterAssignment(ids=(), labels={}, algorithm=algorithm,
@@ -449,8 +450,7 @@ def cluster_issues(segment_ids, texts: dict[str, np.ndarray],
     distance; density methods use the blended measure itself.
     """
     segment_ids = tuple(segment_ids)
-    if algorithm not in CLUSTERERS:
-        raise DataError(f"unknown clustering algorithm {algorithm!r}")
+    check_shape(algorithm, set(CLUSTERERS), "clustering algorithm")
     if not segment_ids:
         return ClusterAssignment(ids=(), labels={}, algorithm=algorithm,
                                  params=params)

@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .clustering import CLUSTERERS
-from .errors import ConfigError
-from .features import FEATURE_GROUPS
-from .frames import DEFAULT_BINS
-from .models import (DEFAULT_HYPER, KIND_FFN, KIND_FOREST, KIND_LOGISTIC,
-                     MODEL_KINDS)
+from .clustering import CLUSTERERS, blend_weight
+from .errors import ConfigError, DataError, check_shape, positive_int
+from .features import FEATURE_GROUPS, NGRAM_MAX
+from .frames import DEFAULT_BINS, histogram_bins
+from .models import (DEFAULT_HYPER, HYPER_SHAPES, KIND_FFN, KIND_FOREST,
+                     KIND_LOGISTIC, MODEL_KINDS)
 from .segmentation import SegmenterConfig
 
 
@@ -100,26 +100,18 @@ class RunConfig:
                               "config, or pass --seed)")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
-        if not 0.0 <= self.issue_alpha <= 1.0:
-            raise ConfigError("clustering.alpha must lie in [0, 1]")
-        if self.model_kind not in MODEL_KINDS:
-            raise ConfigError(f"unknown model.kind {self.model_kind!r}")
-        for group in self.feature_group_list():
-            if group not in FEATURE_GROUPS:
-                raise ConfigError(f"unknown feature group {group!r}")
-            if group == "embedding" and not self.embedding_path:
-                raise ConfigError("features.groups names embedding but "
-                                  "features.embedding_path is not set")
-        for stage in ("context", "issue"):
-            algorithm = getattr(self, f"{stage}_algorithm")
-            if algorithm not in CLUSTERERS:
-                raise ConfigError(f"unknown clustering.{stage}_algorithm "
-                                  f"{algorithm!r}; expected one of "
-                                  f"{', '.join(CLUSTERERS)}")
-        try:
+        try:  # each module that takes a setting holds its range
+            for key, shape in _SHAPES.items():
+                check_shape(getattr(self, _FIELDS[key].name), shape, key)
+            check_shape(list(self.feature_group_list()),
+                        [set(FEATURE_GROUPS)], "features.groups")
             self.segmenter_config().validate()
-        except Exception as exc:
+        except DataError as exc:
             raise ConfigError(str(exc)) from None
+        if "embedding" in self.feature_group_list() \
+                and not self.embedding_path:
+            raise ConfigError("features.groups names embedding but "
+                              "features.embedding_path is not set")
 
     def segmenter_config(self) -> SegmenterConfig:
         return SegmenterConfig(**{f.name: getattr(self, f.name)
@@ -152,6 +144,20 @@ class RunConfig:
 
 
 _FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
+_STAGES = ("context", "issue")
+# the range of each setting that has one, as a shape (see `check_shape`);
+# SegmenterConfig holds the segmenter's. model.learning_rate is logistic's.
+_SHAPES = {
+    "model.kind": set(MODEL_KINDS),
+    **{f"model.{name}": shape for kind in reversed(MODEL_KINDS)
+       for name, shape in HYPER_SHAPES[kind].items()},
+    "model.ffn_learning_rate": HYPER_SHAPES[KIND_FFN]["learning_rate"],
+    "frames.bins_per_channel": histogram_bins, "features.ngram_max": NGRAM_MAX,
+    "features.min_df": positive_int, "train.smote_k": positive_int,
+    **{f"clustering.{stage}_algorithm": set(CLUSTERERS) for stage in _STAGES},
+    **{f"clustering.{stage}_{name}": shape for stage in _STAGES
+       for params in CLUSTERERS.values() for name, shape in params.items()},
+    "clustering.alpha": blend_weight}
 # a field's annotation -> its parser; a bool reads true/false and friends
 _PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
 

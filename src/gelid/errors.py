@@ -1,8 +1,12 @@
-"""Exception hierarchy shared by all gelid modules.
+"""Exception hierarchy shared by all gelid modules, and `check_shape`, which
+holds an input or a setting to its declared shape.
 
 Exit-code mapping used by the CLI: ConfigError -> 1, DataError -> 2,
 InternalError -> 3.
 """
+
+import json
+import sys
 
 
 class GelidError(Exception):
@@ -52,3 +56,75 @@ class StageError(GelidError):
         # an unreadable input file is a data error, not an internal one
         self.exit_code = getattr(cause, "exit_code",
                                  2 if isinstance(cause, OSError) else 3)
+
+
+def count(value) -> bool:
+    """an integer in [0, 2**63)"""
+    return type(value) is int and 0 <= value < 2 ** 63
+
+
+def positive_int(value) -> bool:
+    """an integer >= 1"""
+    return type(value) is int and value >= 1
+
+
+def positive(value) -> bool:
+    """a finite number > 0"""
+    return _fault(value, float, "") is None and value > 0
+
+
+def non_negative(value) -> bool:
+    """a finite number >= 0"""
+    return _fault(value, float, "") is None and value >= 0
+
+
+def check_shape(value, shape, where: str) -> None:
+    """A DataError `<where><path>: expected ..., got ...` unless `value`,
+    named by `where` (`<file>[:<line>]: $` for JSON), has `shape`: a type
+    (`float` is a finite number; `int` and `float` take no bool); `[shape]`,
+    a list of it; `{key: shape, "optional key?": shape}`, an object with
+    those keys and maybe others, or `{str: shape}` for any keys; a tuple,
+    one of its shapes; a set, one of its values; or a predicate, which its
+    docstring describes. `path` leads to the first bad part."""
+    fault = _fault(value, shape, "")
+    if fault is not None:
+        raise DataError(where + fault)
+
+
+def _fault(value, shape, path: str) -> str | None:
+    """Why `value`, at `path`, lacks `shape`; None when it has it."""
+    if isinstance(shape, list) and isinstance(value, list):
+        return next(filter(None, (_fault(item, shape[0], f"{path}[{i}]")
+                                  for i, item in enumerate(value))), None)
+    if isinstance(shape, dict) and isinstance(value, dict):
+        items = (dict.fromkeys(value, shape[str]) if str in shape else
+                 {key.removesuffix("?"): item for key, item in shape.items()
+                  if not key.endswith("?") or key[:-1] in value})
+        return next(filter(None, (
+            _fault(value[key], item, f"{path}.{key}") if key in value
+            else f"{path}.{key}: expected {_describe(item)}, got nothing"
+            for key, item in items.items())), None)
+    if isinstance(shape, tuple):
+        ok = any(_fault(value, one, path) is None for one in shape)
+    elif isinstance(shape, set):
+        ok = any(type(value) is type(one) and value == one for one in shape)
+    elif shape is float:  # a NumPy float is a float; no JSON value is one
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max)
+    elif isinstance(shape, type):
+        ok = type(value) is int if shape is int else isinstance(value, shape)
+    else:  # a predicate, or a list or object shape the value does not match
+        ok = not isinstance(shape, (list, dict)) and bool(shape(value))
+    return None if ok else (f"{path}: expected {_describe(shape)}, got "
+                            f"{json.dumps(value, default=repr)[:80]}")
+
+
+def _describe(shape) -> str:
+    if isinstance(shape, tuple):
+        return " or ".join(map(_describe, shape))
+    if isinstance(shape, set):
+        return " or ".join(sorted(map(json.dumps, shape)))
+    if isinstance(shape, (list, dict)):
+        shape = type(shape)
+    return {float: "a finite number", int: "an integer", str: "a string",
+            list: "a list", dict: "an object"}.get(shape) or shape.__doc__

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import DataError, ParseError, check_shape, positive_int
 from .frames import VideoTrack
 from .segmentation import Segment
 from .subtitles import Transcript
@@ -25,6 +25,7 @@ from .subtitles import Transcript
 log = logging.getLogger(__name__)
 
 FEATURE_GROUPS = ("text", "embedding", "video", "speech")
+NGRAM_MAX = {1, 2}  # the n-gram orders a vocabulary can hold
 BLANK_LUMINANCE = 0.05
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -75,23 +76,17 @@ class Vocabulary:
                 "n_documents": self.n_documents}
 
     @staticmethod
-    def from_dict(obj) -> "Vocabulary":
-        """A `to_dict` value; a missing key or a mistyped field is a
-        DataError."""
-        obj = obj if isinstance(obj, dict) else {}
-        if obj.get("schema_version") != 1:
-            raise DataError(f"unsupported vocabulary schema_version "
-                            f"{obj.get('schema_version')!r}")
-        terms, dfs = obj.get("terms"), obj.get("document_frequencies")
-        if not (isinstance(terms, list) and isinstance(dfs, list)
-                and all(isinstance(t, str) for t in terms)
-                and all(type(d) is int for d in dfs)
-                and type(obj.get("n_documents")) is int):
-            raise DataError("needs 'terms', a list of strings, "
-                            "'document_frequencies', a list of integers, "
-                            "and the integer 'n_documents'")
-        return Vocabulary(terms=tuple(terms), document_frequencies=tuple(dfs),
-                          n_documents=obj["n_documents"])
+    def from_dict(obj, where: str = "$") -> "Vocabulary":
+        """A `to_dict` value; any other shape is a DataError naming
+        `where`, the JSON path of `obj`."""
+        check_shape(obj, VOCABULARY_SHAPE, where)
+        return Vocabulary(tuple(obj["terms"]),
+                          tuple(obj["document_frequencies"]),
+                          obj["n_documents"])
+
+
+VOCABULARY_SHAPE = {"schema_version": {1}, "terms": [str],
+                    "document_frequencies": [int], "n_documents": int}
 
 
 def _document_terms(text: str, ngram_max: int, stopwords: frozenset[str]
@@ -106,8 +101,7 @@ def _document_terms(text: str, ngram_max: int, stopwords: frozenset[str]
 def fit_vocabulary(texts, ngram_max: int, stopwords, min_df: int
                    ) -> Vocabulary:
     """Fit a bag-of-words vocabulary on training texts only."""
-    if ngram_max not in (1, 2):
-        raise DataError(f"ngram_max must be 1 or 2, got {ngram_max}")
+    check_shape(ngram_max, NGRAM_MAX, "ngram_max")
     stopwords = frozenset(stopwords)
     texts = list(texts)
     if not texts:
@@ -337,8 +331,7 @@ def smote_oversample(x: np.ndarray, y: np.ndarray, k_neighbors: int,
     of the k nearest same-class neighbors by Euclidean distance. Originals
     are preserved and come first in the output.
     """
-    if k_neighbors < 1:
-        raise DataError("k_neighbors must be >= 1")
+    check_shape(k_neighbors, positive_int, "k_neighbors")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:

@@ -18,13 +18,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, InternalError, ParseError
+from .errors import DataError, InternalError, ParseError, check_shape
 
 log = logging.getLogger(__name__)
 
 DEFAULT_BINS = 16
 _CHANNELS = 3
 _HIST_ATOL = 1e-9
+
+
+def histogram_bins(value) -> bool:
+    """an integer in [2, 64]"""
+    return type(value) is int and 2 <= value <= 64
+
 
 # Rec. 601 luma weights
 _LUMA = np.array([0.299, 0.587, 0.114])
@@ -164,8 +170,7 @@ def compute_histogram(image: np.ndarray,
     Bin b of a channel counts values in [b*256/B, (b+1)*256/B); every
     channel block is L1-normalized, so the result is pixel-order free.
     """
-    if not 2 <= bins_per_channel <= 64:
-        raise DataError(f"bins_per_channel {bins_per_channel} outside [2, 64]")
+    check_shape(bins_per_channel, histogram_bins, "bins_per_channel")
     pixels = np.asarray(image, dtype=np.uint8).reshape(-1, _CHANNELS)
     if pixels.shape[0] == 0:
         raise DataError("cannot compute histogram of a zero-pixel image")
@@ -387,8 +392,11 @@ def load_track(path: str | Path, video_id: str = "",
                 raise DataError(f"duplicate frame timestamp {ts} ms from "
                                 f"{by_stamp[ts].name} and {entry.name}")
             by_stamp[ts] = entry
-            hist, luminance = compute_histogram(
-                parse_ppm_frame(entry.read_bytes()), bins_per_channel)
+            try:
+                hist, luminance = compute_histogram(
+                    parse_ppm_frame(entry.read_bytes()), bins_per_channel)
+            except ParseError as exc:
+                raise ParseError(f"{entry}: {exc.detail}", exc.line) from None
             hists.append(hist)
             lums.append(luminance)
         if not by_stamp:

@@ -10,7 +10,6 @@ code the optimizer runs.
 from __future__ import annotations
 
 import enum
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -18,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import rankdata
 
-from .errors import DataError
+from .errors import (DataError, check_shape, count, non_negative, positive,
+                     positive_int)
 
 log = logging.getLogger(__name__)
 
@@ -46,6 +46,15 @@ DEFAULT_HYPER = {
     KIND_FOREST: {"n_trees": 100, "min_leaf": 2, "max_depth": None},
     KIND_FFN: {"hidden": 64, "epochs": 50, "batch_size": 32,
                "learning_rate": 0.01},
+}
+# the range of each hyper-parameter (see check_shape)
+HYPER_SHAPES = {
+    KIND_LOGISTIC: {"l2": non_negative, "iterations": count,
+                    "learning_rate": positive},
+    KIND_FOREST: {"n_trees": positive_int, "min_leaf": positive_int,
+                  "max_depth": ({None}, count)},
+    KIND_FFN: {"hidden": positive_int, "epochs": positive_int,
+               "batch_size": positive_int, "learning_rate": positive},
 }
 
 
@@ -268,8 +277,7 @@ def _tree_predict(node: dict, row: np.ndarray) -> np.ndarray:
 def train(kind: str, x: np.ndarray, y, *, seed: int,
           hyper: dict | None = None, feature_names=None) -> TrainedModel:
     """Train one of the three model kinds on a dense (n, d) matrix."""
-    if kind not in MODEL_KINDS:
-        raise DataError(f"unknown model kind {kind!r}; expected {MODEL_KINDS}")
+    check_shape(kind, set(MODEL_KINDS), "model kind")
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:
         raise DataError("training matrix must be (n, d) with n >= 1")
@@ -286,6 +294,7 @@ def train(kind: str, x: np.ndarray, y, *, seed: int,
         raise DataError(f"unknown hyper-parameter(s) for {kind}: "
                         f"{sorted(unknown)}")
     merged.update(hyper or {})
+    check_shape(merged, HYPER_SHAPES[kind], f"{kind} hyper-parameters: $")
     mean, std = _standardize_fit(x)
     xs = (x - mean) / std
     if kind == KIND_LOGISTIC:
@@ -383,8 +392,8 @@ def evaluate(model: TrainedModel, x: np.ndarray, y) -> EvaluationReport:
 # Serialization
 
 
-def model_to_json(model: TrainedModel) -> str:
-    payload = {
+def model_to_dict(model: TrainedModel) -> dict:
+    return {
         "schema_version": MODEL_SCHEMA_VERSION,
         "kind": model.kind,
         "feature_names": list(model.feature_names),
@@ -397,7 +406,6 @@ def model_to_json(model: TrainedModel) -> str:
             for k, v in model.parameters.items()
         },
     }
-    return json.dumps(payload, sort_keys=True)
 
 
 def float_array(value, shape: tuple, what: str) -> np.ndarray:
@@ -411,41 +419,40 @@ def float_array(value, shape: tuple, what: str) -> np.ndarray:
     return array.astype(float)
 
 
-def model_from_json(text: str) -> TrainedModel:
-    """A `model_to_json` model; any other shape is a DataError."""
-    obj = json.loads(text)
-    obj = obj if isinstance(obj, dict) else {}
-    version = obj.get("schema_version")
-    if version != MODEL_SCHEMA_VERSION:
-        raise DataError(f"unsupported model schema_version {version!r}; "
-                        f"this build reads version {MODEL_SCHEMA_VERSION}")
-    kind, names = obj.get("kind"), obj.get("feature_names")
-    scale, params = obj.get("standardization"), obj.get("parameters")
-    if kind not in MODEL_KINDS:
-        raise DataError(f"unknown model kind {kind!r}")
-    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
-            and obj.get("label_order") == list(LABEL_ORDER)
-            and isinstance(scale, dict) and isinstance(params, dict)
-            and isinstance(obj.get("hyper"), dict)):
-        raise DataError(f"a model needs 'feature_names', a list of strings, "
-                        f"'label_order' {list(LABEL_ORDER)}, and the objects "
-                        f"'standardization', 'hyper' and 'parameters'")
+def _is_label_order(value) -> bool:
+    """the labels in gelid's order"""
+    return value == list(LABEL_ORDER)
+
+
+# a model_to_dict value; float_array and the tree walk check the numbers
+MODEL_SHAPE = {"schema_version": {MODEL_SCHEMA_VERSION},
+               "kind": set(MODEL_KINDS), "feature_names": [str],
+               "label_order": _is_label_order,
+               "standardization": {"mean": list, "std": list},
+               "hyper": dict, "parameters": dict}
+
+
+def model_from_dict(obj, where: str = "$") -> TrainedModel:
+    """A `model_to_dict` value; any other shape is a DataError naming
+    `where`, the JSON path of `obj`."""
+    check_shape(obj, MODEL_SHAPE, where)
+    kind, names, params = obj["kind"], obj["feature_names"], obj["parameters"]
     d = len(names)
     if kind == KIND_FOREST:
         trees = params.get("trees")
         if not (isinstance(trees, list) and trees):
-            raise DataError("model trees must be a non-empty list")
+            raise DataError(f"{where}: model trees must be a non-empty list")
         nodes = list(trees)  # every node: a leaf or a split on a feature
         while nodes:
             node = nodes.pop()
             if isinstance(node, dict) and "leaf" in node:
-                float_array(node["leaf"], (N_LABELS,), "a leaf")
+                float_array(node["leaf"], (N_LABELS,), f"{where}: a leaf")
             elif (isinstance(node, dict) and type(node.get("feature")) is int
                   and 0 <= node["feature"] < d):
-                float_array(node.get("threshold"), (), "a threshold")
+                float_array(node.get("threshold"), (), f"{where}: a threshold")
                 nodes += [node.get("left"), node.get("right")]
             else:
-                raise DataError(f"tree node {json.dumps(node)[:80]} is not "
+                raise DataError(f"{where}: tree node {str(node)[:80]} is not "
                                 f"a leaf or a split on one of {d} features")
         parameters = {"trees": trees}
     else:
@@ -454,10 +461,12 @@ def model_from_json(text: str) -> TrainedModel:
                   if kind == KIND_LOGISTIC else
                   dict(zip(("w1", "b1", "w2", "b2"),
                            ffn_shapes(d, obj["hyper"].get("hidden") or -1))))
-        parameters = {key: float_array(params.get(key), shape, key)
+        parameters = {key: float_array(params.get(key), shape,
+                                       f"{where}.parameters.{key}")
                       for key, shape in shapes.items()}
+    scale = obj["standardization"]
     return TrainedModel(
         kind=kind, feature_names=tuple(names), label_order=LABEL_ORDER,
-        mean=float_array(scale.get("mean"), (d,), "standardization mean"),
-        std=float_array(scale.get("std"), (d,), "standardization std"),
+        mean=float_array(scale["mean"], (d,), f"{where}.standardization.mean"),
+        std=float_array(scale["std"], (d,), f"{where}.standardization.std"),
         hyper=obj["hyper"], parameters=parameters)

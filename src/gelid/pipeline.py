@@ -23,9 +23,11 @@ import numpy as np
 
 from . import clustering, features, models
 from .config import RunConfig
-from .errors import ConfigError, DataError, ParseError, StageError
+from .errors import (ConfigError, DataError, ParseError, StageError,
+                     check_shape, count)
 from .frames import VideoTrack, load_track
-from .segmentation import Segment, segment_from_dict, segment_video
+from .segmentation import (SEGMENT_SHAPE, Segment, segment_from_dict,
+                           segment_video)
 from .subtitles import Transcript, parse_srt, parse_vtt
 
 log = logging.getLogger(__name__)
@@ -37,6 +39,26 @@ BUNDLE_SCHEMA_VERSION = 1
 INFORMATIVE_LABELS = tuple(
     name for name in models.LABEL_ORDER
     if name != models.IssueLabel.NON_INFORMATIVE.value)
+
+# the JSON inputs read here; the others' shapes live with their data
+_MANIFEST_SHAPE = {"schema_version": {MANIFEST_SCHEMA_VERSION},
+                  "videos": [{"video_id": str, "subtitles": str,
+                              "frames": str, "duration_ms?": (int, {None})}]}
+_BUNDLE_SHAPE = {"schema_version": {BUNDLE_SCHEMA_VERSION}, "model": dict,
+                 "vocabulary": dict,
+                 "feature_groups": [set(features.FEATURE_GROUPS)],
+                 "ngram_max": features.NGRAM_MAX, "stopwords": [str],
+                 "embedding": ({str: [float]}, {None})}
+_LABEL = set(models.LABEL_ORDER)
+_SEGMENT_LABEL_SHAPE = {"segment_id": str, "label": _LABEL}
+_PROBE_SHAPE = {"video_id": str, "at_ms": count, "label": _LABEL}
+_CLUSTER = {"cluster_id": str, "medoid": str, "members": [str]}
+_SUMMARY = {"n_segments": int, "total_duration_ms": int,
+            "label_distribution": {str: int}}
+_CONTEXT = {"context_id": str, "summary": _SUMMARY,
+            "categories": [{"label": str, "clusters": [_CLUSTER]}]}
+HIERARCHY_SHAPE = {"schema_version": {HIERARCHY_SCHEMA_VERSION},
+                   "contexts": [_CONTEXT], "counts": {str: int}}
 
 
 @dataclass(frozen=True)
@@ -68,47 +90,29 @@ def read_text(path: str | Path) -> str:
         raise DataError(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def read_json(path: str | Path):
-    """A JSON file's value; an unreadable or invalid file is a DataError."""
+def read_json(path: str | Path, shape):
+    """A JSON file's value, of `shape`; an unreadable or invalid file, or a
+    value of another shape, is a DataError naming the file."""
     try:
-        return json.loads(read_text(path))
+        value = json.loads(read_text(path))
     except ValueError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from None
+    check_shape(value, shape, f"{path}: $")
+    return value
 
 
 def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
-    obj = read_json(path)
-    if not isinstance(obj, dict):
-        raise DataError(f"manifest {path}: expected a JSON object")
-    if obj.get("schema_version") != MANIFEST_SCHEMA_VERSION:
-        raise DataError(f"manifest {path}: unsupported schema_version "
-                        f"{obj.get('schema_version')!r}")
-    if not isinstance(obj.get("videos"), list):
-        raise DataError(f"manifest {path}: expected a list of videos")
-    base = path.parent
-    videos = []
-    for entry in obj["videos"]:
-        for key in ("video_id", "subtitles", "frames"):
-            if not isinstance(entry, dict) or not isinstance(entry.get(key),
-                                                             str):
-                raise DataError(f"manifest {path}: entry without a string "
-                                f"{key!r}: {entry}")
-        duration_ms = entry.get("duration_ms")
-        if duration_ms is not None and type(duration_ms) is not int:
-            raise DataError(f"manifest {path}: duration_ms of "
-                            f"{entry['video_id']} is not an integer")
-        videos.append(VideoEntry(
-            video_id=entry["video_id"],
-            subtitles=base / entry["subtitles"],
-            frames=base / entry["frames"],
-            duration_ms=duration_ms,
-        ))
-    manifest = Manifest(videos=videos)
+    manifest = Manifest(videos=[
+        VideoEntry(video_id=entry["video_id"],
+                   subtitles=path.parent / entry["subtitles"],
+                   frames=path.parent / entry["frames"],
+                   duration_ms=entry.get("duration_ms"))
+        for entry in read_json(path, _MANIFEST_SHAPE)["videos"]])
     try:
         manifest.validate()
     except DataError as exc:
-        raise DataError(f"manifest {path}: {exc}") from None
+        raise DataError(f"{path}: {exc}") from None
     return manifest
 
 
@@ -139,7 +143,7 @@ class ClassifierBundle:
     def to_json(self) -> str:
         payload = {
             "schema_version": BUNDLE_SCHEMA_VERSION,
-            "model": json.loads(models.model_to_json(self.model)),
+            "model": models.model_to_dict(self.model),
             "vocabulary": self.vocabulary.to_dict(),
             "feature_groups": list(self.feature_groups),
             "ngram_max": self.ngram_max,
@@ -155,28 +159,17 @@ class ClassifierBundle:
     def from_json(text: str) -> "ClassifierBundle":
         """A `to_json` bundle; any other shape is a DataError."""
         obj = json.loads(text)
-        obj = obj if isinstance(obj, dict) else {}
-        if obj.get("schema_version") != BUNDLE_SCHEMA_VERSION:
-            raise DataError(f"unsupported classifier bundle schema_version "
-                            f"{obj.get('schema_version')!r}")
-        embedding, table = obj.get("embedding"), None
-        if not (all(isinstance(obj.get(key), list)
-                    and all(isinstance(v, str) for v in obj[key])
-                    for key in ("feature_groups", "stopwords"))
-                and type(obj.get("ngram_max")) is int
-                and (embedding is None or isinstance(embedding, dict))):
-            raise DataError("a bundle needs 'feature_groups' and 'stopwords', "
-                            "lists of strings, the integer 'ngram_max' and "
-                            "'embedding', an object or null")
-        if embedding:
-            vectors = {tok: models.float_array(vec, (None,),
-                                               f"embedding of {tok!r}")
-                       for tok, vec in embedding.items()}
+        check_shape(obj, _BUNDLE_SHAPE, "$")
+        table = None
+        if obj["embedding"]:
+            vectors = {tok: np.array(vec, dtype=float)
+                       for tok, vec in obj["embedding"].items()}
             dim = next(iter(vectors.values())).size
             table = features.EmbeddingTable(vectors=vectors, dim=dim)
         return ClassifierBundle(
-            model=models.model_from_json(json.dumps(obj.get("model"))),
-            vocabulary=features.Vocabulary.from_dict(obj.get("vocabulary")),
+            model=models.model_from_dict(obj["model"], "$.model"),
+            vocabulary=features.Vocabulary.from_dict(obj["vocabulary"],
+                                                     "$.vocabulary"),
             feature_groups=tuple(obj["feature_groups"]),
             ngram_max=obj["ngram_max"],
             stopwords=frozenset(obj["stopwords"]),
@@ -189,45 +182,22 @@ def load_bundle(path: str | Path) -> ClassifierBundle:
         return ClassifierBundle.from_json(
             Path(path).read_text(encoding="utf-8"))
     except (ValueError, DataError) as exc:  # JSON syntax is a ValueError
-        raise DataError(f"classifier bundle {path}: {exc}") from None
+        raise DataError(f"{path}: {exc}") from None
 
 
-def _is_ms(value) -> bool:
-    return type(value) is int and 0 <= value < 2 ** 63
-
-
-# the check of the value under each key of the JSONL rows gelid reads
-_ROW_CHECKS = {
-    "segment_id": lambda value: isinstance(value, str),
-    "video_id": lambda value: isinstance(value, str),
-    "start_ms": _is_ms, "end_ms": _is_ms, "at_ms": _is_ms,
-    "cue_indices": lambda value: (isinstance(value, list)
-                                  and all(map(_is_ms, value))),
-    "keyframe_timestamps": lambda value: (isinstance(value, list)
-                                          and all(map(_is_ms, value))),
-    "label": lambda value: value in models.LABEL_ORDER,
-}
-
-
-def _read_rows(path: str | Path, keys: tuple[str, ...]
-               ) -> list[tuple[int, dict]]:
-    """JSONL rows with their line numbers, each an object whose value under
-    every one of `keys` passes that key's check; any other row is a
+def _read_rows(path: str | Path, shape) -> list[tuple[int, dict]]:
+    """JSONL rows of `shape` with their line numbers; any other row is a
     DataError naming the file and line."""
     rows = []
     for line_no, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            row = json.loads(line)
         except ValueError as exc:
             raise DataError(f"{path}:{line_no}: bad JSON: {exc}") from None
-        for key in keys:
-            if not isinstance(obj, dict) or key not in obj:
-                raise DataError(f"{path}:{line_no}: row missing {key!r}")
-            if not _ROW_CHECKS[key](obj[key]):
-                raise DataError(f"{path}:{line_no}: bad {key} {obj[key]!r}")
-        rows.append((line_no, obj))
+        check_shape(row, shape, f"{path}:{line_no}: $")
+        rows.append((line_no, row))
     return rows
 
 
@@ -235,9 +205,7 @@ def load_segments(path: str | Path, videos) -> list[Segment]:
     """Segments of a segments.jsonl, each with a segment_id of its own, an
     end_ms after its start_ms and one of `videos`."""
     segments: dict[str, Segment] = {}
-    for line_no, row in _read_rows(path, (
-            "segment_id", "video_id", "start_ms", "end_ms", "cue_indices",
-            "keyframe_timestamps")):
+    for line_no, row in _read_rows(path, SEGMENT_SHAPE):
         if row["segment_id"] in segments:
             raise DataError(f"{path}:{line_no}: segment_id "
                             f"{row['segment_id']!r} repeats an earlier row")
@@ -253,13 +221,13 @@ def load_segments(path: str | Path, videos) -> list[Segment]:
 
 def load_label_probes(path: str | Path) -> list[dict]:
     """Training label probes: JSONL of {video_id, at_ms, label}."""
-    return [row for _, row in _read_rows(path, ("video_id", "at_ms", "label"))]
+    return [row for _, row in _read_rows(path, _PROBE_SHAPE)]
 
 
 def load_segment_labels(path: str | Path) -> dict[str, str]:
     """Segment labels: JSONL of {segment_id, label}; a later row wins."""
     return {row["segment_id"]: row["label"]
-            for _, row in _read_rows(path, ("segment_id", "label"))}
+            for _, row in _read_rows(path, _SEGMENT_LABEL_SHAPE)}
 
 
 def match_probes(probes: list[dict],
@@ -554,6 +522,9 @@ def run_pipeline(manifest: Manifest, config: RunConfig,
                  bundle: ClassifierBundle | None = None) -> PipelineResult:
     """Execute every stage in order; deterministic given the seed."""
     config.validate()
+    if bundle is None and not config.labels_path:
+        raise ConfigError("run needs train.labels_path or a pretrained "
+                          "bundle (run --model)")
     manifest.validate()
     timed = StageClock()
     transcripts, tracks = ingest(manifest, config, timed)
@@ -562,7 +533,7 @@ def run_pipeline(manifest: Manifest, config: RunConfig,
     if bundle is not None:
         predictions = timed("classify", lambda: classify_segments(
             segments, transcripts, tracks, bundle))
-    elif config.labels_path:
+    else:
         probes = load_label_probes(config.labels_path)
         training_labels = match_probes(probes, segments)
         table = embedding_table(config)
@@ -571,9 +542,6 @@ def run_pipeline(manifest: Manifest, config: RunConfig,
         bundle = timed("train", lambda: train_bundle(
             matrix, training_labels, vocab, config, table))
         predictions = timed("classify", lambda: classify(bundle, matrix))
-    else:
-        raise ConfigError("run needs train.labels_path or a pretrained "
-                          "bundle (run --model)")
 
     hierarchy = timed("group+cluster", lambda: build_hierarchy(
         segments, predictions, transcripts, tracks, config, bundle))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError
+from .errors import DataError, check_shape, count, positive, positive_int
 from .frames import VideoTrack
 from .subtitles import DEFAULT_GAP_MS, SentenceSpan, Transcript, sentence_spans
 
@@ -61,6 +61,12 @@ class Segment:
         return self.end_ms - self.start_ms
 
 
+# a segments.jsonl row, as write_segments_jsonl writes it
+SEGMENT_SHAPE = {"segment_id": str, "video_id": str, "start_ms": count,
+                 "end_ms": count, "cue_indices": [count],
+                 "keyframe_timestamps": [count]}
+
+
 @dataclass
 class SegmenterConfig:
     k_seconds: int = 5          # streamer reaction shift; evaluated set {0, 5, 10}
@@ -73,17 +79,13 @@ class SegmenterConfig:
     max_keyframes: int = 10
 
     def validate(self) -> None:
-        if self.k_seconds < 0:
-            raise DataError("k_seconds must be >= 0")
-        if self.alpha <= 0:
-            raise DataError("alpha must be > 0")
-        if self.window < 1:
-            raise DataError("window must be >= 1")
-        for name in ("min_shot_ms", "min_segment_ms", "silence_ms", "gap_ms"):
-            if getattr(self, name) < 0:
-                raise DataError(f"{name} must be >= 0")
-        if self.max_keyframes < 1:
-            raise DataError("max_keyframes must be >= 1")
+        check_shape(vars(self), _SEGMENTER_SHAPE, "segmenter")
+
+
+_SEGMENTER_SHAPE = {"k_seconds": count, "alpha": positive,
+                    "window": positive_int, "min_shot_ms": count,
+                    "min_segment_ms": count, "silence_ms": count,
+                    "gap_ms": count, "max_keyframes": positive_int}
 
 
 def adaptive_thresholds(dists: np.ndarray, window: int,
@@ -251,28 +253,12 @@ def segment_video(track: VideoTrack, transcript: Transcript,
     return build_segments(track, cuts, transcript, cfg)
 
 
-def segment_to_dict(seg: Segment) -> dict:
-    return {
-        "segment_id": seg.segment_id,
-        "video_id": seg.video_id,
-        "start_ms": seg.start_ms,
-        "end_ms": seg.end_ms,
-        "cue_indices": list(seg.cue_indices),
-        "keyframe_timestamps": list(seg.keyframe_timestamps),
-    }
-
-
-def segment_from_dict(obj: dict) -> Segment:
-    return Segment(
-        segment_id=obj["segment_id"],
-        video_id=obj["video_id"],
-        start_ms=obj["start_ms"],
-        end_ms=obj["end_ms"],
-        cue_indices=tuple(obj.get("cue_indices", ())),
-        keyframe_timestamps=tuple(obj.get("keyframe_timestamps", ())),
-    )
+def segment_from_dict(row: dict) -> Segment:
+    """The segment of a SEGMENT_SHAPE row."""
+    return Segment(**{key: tuple(row[key]) if isinstance(row[key], list)
+                      else row[key] for key in SEGMENT_SHAPE})
 
 
 def write_segments_jsonl(segments: list[Segment]) -> str:
-    return "".join(json.dumps(segment_to_dict(s), sort_keys=True) + "\n"
+    return "".join(json.dumps(vars(s), sort_keys=True) + "\n"
                    for s in segments)

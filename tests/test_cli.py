@@ -549,6 +549,34 @@ def test_alpha_outside_unit_interval_exits_1_before_ingest(tmp_path, capsys):
     assert "clustering.alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("model.n_trees", 0), ("model.iterations", -5), ("train.smote_k", 0),
+    ("features.ngram_max", 3), ("clustering.issue_eps", 0),
+    ("frames.bins_per_channel", 100), ("model.ffn_learning_rate", -1),
+    ("model.max_depth", -1), ("clustering.context_min_pts", 0),
+    ("segmenter.window", 0), ("model.l2", "nan")])
+def test_setting_out_of_range_exits_1_before_ingest(tmp_path, capsys, key,
+                                                    value):
+    paths = _world(tmp_path, overrides={key: value})
+    (paths["root"] / "vid_a.srt").unlink()  # ingest would exit 2
+    code = main(["run", "--manifest", str(paths["manifest"]),
+                 "--config", str(paths["config"]),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"error: {key}: expected" in err
+
+
+def test_run_without_labels_or_model_exits_1_before_ingest(tmp_path, capsys):
+    paths = _world(tmp_path, overrides={"train.labels_path": ""})
+    (paths["root"] / "vid_b.srt").unlink()  # ingest would exit 2
+    code = main(["run", "--manifest", str(paths["manifest"]),
+                 "--config", str(paths["config"]),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "train.labels_path" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["context_algorithm", "issue_algorithm"])
 def test_unknown_clustering_algorithm_exits_1_before_ingest(tmp_path, capsys,
                                                              key):
@@ -709,7 +737,7 @@ def test_eval_bad_partition_exits_2_naming_file(tmp_path, capsys, text):
 
 @pytest.mark.parametrize("stat", ["mann-whitney", "cliffs-delta", "kappa"])
 @pytest.mark.parametrize("text", ['[NaN, 2, "a"]', "[1, Infinity]", "[true]",
-                                  '{"x": 1}', "[[1]]"])
+                                  '{"x": 1}', "[[1]]", "[1" + "0" * 400 + "]"])
 def test_eval_bad_sample_exits_2_naming_file(tmp_path, capsys, stat, text):
     x, y = tmp_path / "x.json", tmp_path / "y.json"
     x.write_text("[1, 2, 3]")
@@ -752,7 +780,7 @@ def _is_numeric_sample(payload: bytes) -> bool:
 
 @pytest.mark.parametrize("target", ["vocabulary", "hierarchy", "partition",
                                     "sample", "segments", "manifest",
-                                    "probes", "model"])
+                                    "probes", "model", "labels"])
 @given(payload=_PAYLOADS)
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much])
@@ -797,6 +825,10 @@ def test_malformed_artifact_exits_1_or_2(staged, tmp_path_factory, target,
         "model": ["classify", *world,
                   "--segments", str(stage / "segments.jsonl"),
                   "--model", str(bad), "--out", str(work / "out")],
+        "labels": ["train", "--config", str(paths["config"]),
+                   "--features", str(stage / "features.csv"),
+                   "--vocabulary", str(stage / "vocabulary.json"),
+                   "--labels", str(bad), "--out", str(work / "model.json")],
     }[target]
     err = io.StringIO()
     with redirect_stderr(err), redirect_stdout(io.StringIO()):

@@ -1,0 +1,70 @@
+import re
+
+import pytest
+
+from gelid.errors import (DataError, check_shape, count, positive,
+                          positive_int)
+
+_ROW = {"id": str, "at_ms": count, "tags?": [str], "label": {"a", "b"}}
+
+
+@pytest.mark.parametrize("value", [
+    {"id": "x", "at_ms": 0, "label": "a"},
+    {"id": "x", "at_ms": 5, "label": "b", "tags": [], "extra": None},
+])
+def test_values_of_the_shape_pass(value):
+    check_shape(value, _ROW, "rows.jsonl:1: $")
+
+
+@pytest.mark.parametrize("value,message", [
+    (5, "$: expected an object, got 5"),
+    ({"at_ms": 0, "label": "a"}, "$.id: expected a string, got nothing"),
+    ({"id": "x", "at_ms": -1, "label": "a"},
+     "$.at_ms: expected an integer in [0, 2**63), got -1"),
+    ({"id": "x", "at_ms": True, "label": "a"},
+     "$.at_ms: expected an integer in [0, 2**63), got true"),
+    ({"id": "x", "at_ms": 0, "label": "c"},
+     '$.label: expected "a" or "b", got "c"'),
+    ({"id": "x", "at_ms": 0, "label": "a", "tags": ["t", 1]},
+     "$.tags[1]: expected a string, got 1"),
+])
+def test_a_mismatch_names_where_and_the_path(value, message):
+    with pytest.raises(DataError) as err:
+        check_shape(value, _ROW, "rows.jsonl:1: $")
+    assert str(err.value) == "rows.jsonl:1: " + message
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True,
+                                   10 ** 400, "1", None])
+def test_a_finite_number_is_neither_a_bool_nor_too_large(value):
+    with pytest.raises(DataError):
+        check_shape(value, float, "x")
+
+
+def test_a_set_takes_its_values_of_the_same_type_only():
+    check_shape(1, {1}, "x")
+    for value in (True, 1.0, [1]):
+        with pytest.raises(DataError):
+            check_shape(value, {1}, "x")
+
+
+def test_object_of_any_keys_and_one_of_several_shapes():
+    shape = {str: (str, float)}
+    check_shape({"a": "x", "b?": 2.5}, shape, "x")
+    with pytest.raises(DataError, match=r"x\$\.b\?: expected a string or a "
+                                        r"finite number, got \[\]"):
+        check_shape({"a": "x", "b?": []}, shape, "x$")
+
+
+@pytest.mark.parametrize("predicate,good,bad", [
+    (count, [0, 2 ** 63 - 1], [-1, 2 ** 63, 1.0]),
+    (positive_int, [1], [0, True]),
+    (positive, [1e-300, 2], [0, -1.5, float("inf"), False]),
+])
+def test_range_predicates(predicate, good, bad):
+    for value in good:
+        check_shape(value, predicate, "setting")
+    for value in bad:
+        with pytest.raises(DataError, match=re.escape(
+                f"setting: expected {predicate.__doc__}, got ")):
+            check_shape(value, predicate, "setting")

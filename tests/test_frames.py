@@ -153,6 +153,14 @@ def test_load_track_duplicate_timestamps_names_both_sources(tmp_path):
     assert "5.ppm" in str(err.value) and "05.ppm" in str(err.value)
 
 
+def test_load_track_bad_frame_names_its_file(tmp_path):
+    (tmp_path / "0.ppm").write_bytes(_ppm_bytes(0))
+    (tmp_path / "1000.ppm").write_bytes(b"P6 2")
+    with pytest.raises(ParseError, match="truncated PPM header") as err:
+        load_track(tmp_path, "vid")
+    assert str(tmp_path / "1000.ppm") in str(err.value)
+
+
 def test_load_track_empty_directory_warns(tmp_path, caplog):
     with caplog.at_level("WARNING"):
         track = load_track(tmp_path, "vid")

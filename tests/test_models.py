@@ -7,8 +7,8 @@ from gelid.errors import DataError
 from gelid.models import (DEFAULT_HYPER, KIND_FFN, KIND_FOREST, KIND_LOGISTIC,
                           LABEL_ORDER, MODEL_KINDS, IssueLabel, evaluate,
                           ffn_loss_and_grad, ffn_pack, ffn_shapes,
-                          logistic_loss_and_grad, model_from_json,
-                          model_to_json, predict, predict_proba, train)
+                          logistic_loss_and_grad, model_from_dict,
+                          model_to_dict, predict, predict_proba, train)
 from gelid.stats import mann_whitney_u
 
 
@@ -93,7 +93,7 @@ def test_training_is_deterministic_per_seed():
     for kind in MODEL_KINDS:
         m1 = train(kind, x, y, seed=42)
         m2 = train(kind, x, y, seed=42)
-        assert model_to_json(m1) == model_to_json(m2)
+        assert model_to_dict(m1) == model_to_dict(m2)
 
 
 def test_single_class_training_is_error():
@@ -262,7 +262,7 @@ def test_model_json_round_trip_all_kinds():
     for kind in MODEL_KINDS:
         hyper = {"n_trees": 10} if kind == KIND_FOREST else None
         model = train(kind, x, y, hyper=hyper, seed=3)
-        clone = model_from_json(model_to_json(model))
+        clone = model_from_dict(model_to_dict(model))
         assert np.allclose(predict_proba(model, probe),
                            predict_proba(clone, probe))
         assert clone.feature_names == model.feature_names
@@ -271,20 +271,19 @@ def test_model_json_round_trip_all_kinds():
 def test_model_json_version_refusal():
     x, y = _blobs(n_per_class=3)
     model = train(KIND_LOGISTIC, x, y, seed=0)
-    text = model_to_json(model).replace('"schema_version": 1',
-                                        '"schema_version": 99')
+    payload = {**model_to_dict(model), "schema_version": 99}
     with pytest.raises(DataError, match="schema_version"):
-        model_from_json(text)
+        model_from_dict(payload)
 
 
 def _edit_parameters(kind, edit):
-    """A model_to_json text of `kind` after `edit(payload)`."""
+    """A model_to_dict value of `kind` after `edit(payload)`."""
     x, y = _blobs(n_per_class=3)
     hyper = {"n_trees": 2, "max_depth": 2} if kind == KIND_FOREST else None
-    payload = json.loads(model_to_json(train(kind, x, y, hyper=hyper,
-                                             seed=0)))
+    payload = json.loads(json.dumps(model_to_dict(train(
+        kind, x, y, hyper=hyper, seed=0))))
     edit(payload)
-    return json.dumps(payload)
+    return payload
 
 
 def _set_root(tree):
@@ -299,6 +298,7 @@ def _set_root(tree):
     (KIND_LOGISTIC, lambda p: p["standardization"].update(std=[1.0, None])),
     (KIND_LOGISTIC, lambda p: p.update(feature_names="f0")),
     (KIND_LOGISTIC, lambda p: p.update(label_order=["Logic"])),
+    (KIND_LOGISTIC, lambda p: p.update(label_order="Logic")),
     (KIND_LOGISTIC, lambda p: p.update(parameters=[])),
     (KIND_FFN, lambda p: p["parameters"].update(b1=[0.0])),
     (KIND_FFN, lambda p: p["hyper"].update(hidden=3)),
@@ -313,9 +313,9 @@ def _set_root(tree):
     (KIND_FOREST, _set_root({"feature": 0, "threshold": 0.0,
                              "left": {"leaf": [1.0, 0, 0, 0, 0]}})),
 ], ids=["weights_shape", "bias_strings", "std_null", "names_string",
-        "label_order", "parameters_list", "ffn_b1_shape", "ffn_hidden",
+        "label_order", "label_order_string", "parameters_list", "ffn_b1_shape", "ffn_hidden",
         "no_trees", "leaf_strings", "split_feature_out_of_range",
         "threshold_string", "split_without_right"])
 def test_model_of_another_shape_is_a_data_error(kind, edit):
     with pytest.raises(DataError):
-        model_from_json(_edit_parameters(kind, edit))
+        model_from_dict(_edit_parameters(kind, edit))

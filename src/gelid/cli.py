@@ -207,6 +207,10 @@ _EVAL_INPUTS = {"mojofm": ("partition_a", "partition_b"),
                 "cliffs-delta": ("x", "y"), "bh": ("p",), "margin": ("n",)}
 
 
+# these stats read flags only: a DataError from them is a usage error
+_FLAG_STATS = ("margin", "likert-std", "power", "atomicity")
+
+
 def cmd_eval(args) -> int:
     stat = args.stat
     missing = [f"--{name.replace('_', '-')}"
@@ -214,6 +218,22 @@ def cmd_eval(args) -> int:
                if getattr(args, name) is None]
     if missing:
         raise ConfigError(f"--stat {stat} needs {' and '.join(missing)}")
+    try:
+        result = _eval_result(args)
+    except DataError as exc:
+        if stat not in _FLAG_STATS:
+            raise
+        raise ConfigError(str(exc)) from None
+    text = json.dumps(result, sort_keys=True, indent=2) + "\n"
+    if args.out:
+        _write(Path(args.out), text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+def _eval_result(args) -> dict:
+    stat = args.stat
     if stat in ("mojofm", "mno"):
         a = _partition_from_file(args.partition_a)
         b = _partition_from_file(args.partition_b)
@@ -257,12 +277,7 @@ def cmd_eval(args) -> int:
         result = {"stat": stat, "score": stats.atomicity_score(args.extras)}
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown stat {stat!r}")
-    text = json.dumps(result, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        _write(Path(args.out), text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return result
 
 
 def build_parser() -> argparse.ArgumentParser:

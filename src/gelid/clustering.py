@@ -35,6 +35,15 @@ CLUSTERERS = {"dbscan": {"eps": positive, "min_pts": positive_int},
               "mean_shift": {"bandwidth": positive}}
 
 
+def check_params(algorithm: str, params: dict, where: str) -> None:
+    """Hold each parameter of a clusterer to its range, and OPTICS's
+    extraction cut to at most its reachability cap."""
+    check_shape(params, CLUSTERERS[algorithm], where)
+    if algorithm == "optics" and params["eps_cut"] > params["eps_max"]:
+        raise DataError(f"{where}: optics needs eps_cut <= eps_max, got "
+                        f"{params['eps_cut']} > {params['eps_max']}")
+
+
 def blend_weight(value) -> bool:
     """a number in [0, 1]"""
     return non_negative(value) and value <= 1
@@ -242,8 +251,7 @@ def dbscan(matrix: DistanceMatrix, eps: float, min_pts: int
     each other share a cluster; border points attach to the core neighbor
     with the lowest id; the rest is noise.
     """
-    check_shape({"eps": eps, "min_pts": min_pts}, CLUSTERERS["dbscan"],
-                "dbscan")
+    check_params("dbscan", {"eps": eps, "min_pts": min_pts}, "dbscan")
     matrix.validate()
     ids = matrix.ids
     n = len(ids)
@@ -283,10 +291,8 @@ def optics(matrix: DistanceMatrix, min_pts: int, eps_max: float,
            eps_cut: float) -> ClusterAssignment:
     """OPTICS ordering with reachability capped at eps_max, then a flat
     extraction at eps_cut (DBSCAN-equivalent up to border ties)."""
-    check_shape({"min_pts": min_pts, "eps_max": eps_max, "eps_cut": eps_cut},
-                CLUSTERERS["optics"], "optics")
-    if eps_cut > eps_max:
-        raise DataError("optics needs eps_cut <= eps_max")
+    check_params("optics", {"min_pts": min_pts, "eps_max": eps_max,
+                            "eps_cut": eps_cut}, "optics")
     matrix.validate()
     ids = matrix.ids
     n = len(ids)
@@ -355,8 +361,7 @@ def mean_shift(ids, points: np.ndarray, bandwidth: float, tol: float = 1e-4,
     until it moves less than tol; converged modes closer than bandwidth / 2
     merge. No noise: modes always exist.
     """
-    check_shape({"bandwidth": bandwidth}, CLUSTERERS["mean_shift"],
-                "mean_shift")
+    check_params("mean_shift", {"bandwidth": bandwidth}, "mean_shift")
     if tol <= 0 or max_iter < 1:
         raise DataError("tol must be > 0 and max_iter >= 1")
     ids = tuple(ids)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .clustering import CLUSTERERS, blend_weight
+from .clustering import CLUSTERERS, blend_weight, check_params
 from .errors import ConfigError, DataError, check_shape, positive_int
 from .features import FEATURE_GROUPS, NGRAM_MAX
 from .frames import DEFAULT_BINS, histogram_bins
@@ -106,6 +106,9 @@ class RunConfig:
             check_shape(list(self.feature_group_list()),
                         [set(FEATURE_GROUPS)], "features.groups")
             self.segmenter_config().validate()
+            for stage in _STAGES:
+                check_params(getattr(self, f"{stage}_algorithm"),
+                             self.cluster_params(stage), f"clustering.{stage}")
         except DataError as exc:
             raise ConfigError(str(exc)) from None
         if "embedding" in self.feature_group_list() \

@@ -234,14 +234,23 @@ def match_probes(probes: list[dict],
                  segments: list[Segment]) -> dict[str, str]:
     """Map each probe to the segment containing its timestamp.
 
+    The segments of one video do not overlap, as segmentation tiles it.
     Later probes win when two land in the same segment; conflicting labels
     get a warning since they signal a probe/segmentation mismatch.
     """
+    by_video: dict[str, list[Segment]] = {}
+    for seg in sorted(segments, key=lambda s: s.start_ms):
+        by_video.setdefault(seg.video_id, []).append(seg)
+    starts = {video_id: np.array([s.start_ms for s in segs], dtype=np.int64)
+              for video_id, segs in by_video.items()}
     labels: dict[str, str] = {}
     for probe in probes:
-        hit = next((s for s in segments
-                    if s.video_id == probe["video_id"]
-                    and s.start_ms <= probe["at_ms"] < s.end_ms), None)
+        segs = by_video.get(probe["video_id"], [])
+        # the last segment of the video that starts at or before the probe
+        pos = int(np.searchsorted(starts.get(probe["video_id"], []),
+                                  probe["at_ms"], side="right")) - 1
+        hit = (segs[pos] if pos >= 0 and probe["at_ms"] < segs[pos].end_ms
+               else None)
         if hit is None:
             log.warning("probe at %s ms in video %s matches no segment",
                         probe["at_ms"], probe["video_id"])

@@ -223,11 +223,16 @@ def build_segments(track: VideoTrack, cuts: list[CutPoint],
 
     stamps = track.timestamps_ms
     shot_times = sorted({c.source_shot_ms for c in cuts})
+    mids = np.array([(c.start_ms + c.end_ms) // 2 for c in transcript.cues],
+                    dtype=np.int64)
+    by_mid = np.argsort(mids, kind="stable")
+    # the cues of each piece: a run of by_mid, put back in transcript order
+    runs = np.searchsorted(mids[by_mid], np.array(pieces)).tolist()
+    by_mid = by_mid.tolist()
     segments = []
-    for idx, (start, end) in enumerate(pieces):
-        cue_indices = tuple(
-            c.index for c in transcript.cues
-            if start <= (c.start_ms + c.end_ms) // 2 < end)
+    for idx, ((start, end), (lo, hi)) in enumerate(zip(pieces, runs)):
+        cue_indices = tuple(transcript.cues[i].index
+                            for i in sorted(by_mid[lo:hi]))
         keyframes = _keyframes_for(start, end, shot_times, stamps,
                                    cfg.max_keyframes)
         if not keyframes:

@@ -589,6 +589,23 @@ def test_unknown_clustering_algorithm_exits_1_before_ingest(tmp_path, capsys,
     assert f"clustering.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "segment"])
+@pytest.mark.parametrize("stage", ["context", "issue"])
+def test_optics_cut_above_its_cap_exits_1_before_ingest(tmp_path, capsys,
+                                                        command, stage):
+    paths = _world(tmp_path, overrides={
+        f"clustering.{stage}_algorithm": "optics",
+        f"clustering.{stage}_eps_max": 0.5,
+        f"clustering.{stage}_eps_cut": 0.9})
+    out = tmp_path / "out"
+    code = main([command, "--manifest", str(paths["manifest"]),
+                 "--config", str(paths["config"]), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"clustering.{stage}: optics needs eps_cut <= eps_max" in err
+    assert not (out / "segments.jsonl").exists()
+
+
 # rows that are valid alone: the edit of line 2 from lines 1 and 2
 _BAD_SEGMENTS_ROWS = {
     "repeated_segment_id": lambda first, line: first,
@@ -755,6 +772,14 @@ def test_eval_without_an_input_the_stat_needs_exits_1(capsys, argv):
     err = capsys.readouterr().err
     assert "error:" in err and "needs --" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--stat", "margin", "--n", "0"], "sample size must be >= 1"),
+    (["--stat", "power", "--sd", "0", "--sims", "10"], "sd must be > 0")])
+def test_eval_flag_out_of_range_exits_1(capsys, argv, message):
+    assert main(["eval", *argv]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 _JSON_VALUES = st.recursive(

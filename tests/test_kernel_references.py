@@ -1,14 +1,19 @@
 """The vectorized kernels against plain loop references.
 
-Each reference is the straightforward loop over frames, cues or segment
-pairs that the vectorized code replaced. The vectorized versions must
-agree exactly (==, not a tolerance) on random tracks, transcripts and
-keyframe sets, including empty tracks, 0- and 1-frame windows, windows
-that reach past either end of the track, windows longer than the track,
-cues that straddle a segment boundary, identical segments, zero text
+Each reference is the straightforward loop over frames, cues, probes,
+segment pairs or split thresholds that the vectorized code replaced. The
+vectorized versions must agree exactly (==, not a tolerance) on random
+tracks, transcripts and keyframe sets, including empty tracks, 0- and
+1-frame windows, windows that reach past either end of the track, windows
+longer than the track, cues that straddle a segment boundary, cue
+midpoints and probes on a segment boundary, identical segments, zero text
 vectors and distance matrices computed one segment block at a time.
+Forest trees must serialize to the same JSON, on tied, adjacent-float,
+constant, overflowing and single-class columns.
 """
 
+import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -23,9 +28,12 @@ from gelid.errors import DataError
 from gelid.features import (BLANK_LUMINANCE, cue_columns, speech_features,
                             video_features)
 from gelid.frames import VideoTrack, read_descriptor_csv, write_descriptor_csv
-from gelid.pipeline import keyframe_lookup
-from gelid.segmentation import (SegmenterConfig, Segment, ShotTransition,
-                                adaptive_thresholds, detect_shot_transitions)
+from gelid.models import N_LABELS, _gini, _grow_tree, _leaf
+from gelid import pipeline
+from gelid.pipeline import keyframe_lookup, match_probes
+from gelid.segmentation import (CutPoint, SegmenterConfig, Segment,
+                                ShotTransition, SnapRule, adaptive_thresholds,
+                                build_segments, detect_shot_transitions)
 from gelid.subtitles import Cue, Transcript
 
 # --- loop references ---------------------------------------------------------
@@ -106,6 +114,32 @@ def ref_keyframe_lookup(segments, tracks):
     return lookup
 
 
+def ref_segment_cues(segment, transcript):
+    return tuple(c.index for c in transcript.cues
+                 if segment.start_ms <= (c.start_ms + c.end_ms) // 2
+                 < segment.end_ms)
+
+
+def ref_match_probes(probes, segments):
+    """The labels, and the arguments of every warning logged."""
+    labels, warnings = {}, []
+    for probe in probes:
+        hit = next((s for s in segments
+                    if s.video_id == probe["video_id"]
+                    and s.start_ms <= probe["at_ms"] < s.end_ms), None)
+        if hit is None:
+            warnings.append(("probe at %s ms in video %s matches no segment",
+                             probe["at_ms"], probe["video_id"]))
+            continue
+        previous = labels.get(hit.segment_id)
+        if previous is not None and previous != probe["label"]:
+            warnings.append(("segment %s labeled both %s and %s by probes; "
+                             "keeping the later (%s)", hit.segment_id,
+                             previous, probe["label"], probe["label"]))
+        labels[hit.segment_id] = probe["label"]
+    return labels, warnings
+
+
 def ref_context_matrix(ids, keyframes):
     n = len(ids)
     values = np.zeros((n, n))
@@ -125,6 +159,47 @@ def ref_issue_matrix(ids, texts, keyframes, alpha):
                                texts[ids[j]], keyframes[ids[j]], alpha)
             values[i, j] = values[j, i] = d
     return values
+
+
+def ref_grow_tree(x, y_idx, rng, min_leaf, max_depth, depth=0):
+    n, d = x.shape
+    counts = np.bincount(y_idx, minlength=N_LABELS)
+    if (n < min_leaf or np.count_nonzero(counts) <= 1
+            or (max_depth is not None and depth >= max_depth)):
+        return _leaf(y_idx)
+    n_candidates = max(1, math.isqrt(d) + (0 if math.isqrt(d) ** 2 == d else 1))
+    features = rng.choice(d, size=min(n_candidates, d), replace=False)
+    parent_gini = _gini(counts)
+    best = None  # (gain, feature, threshold)
+    for f in sorted(features.tolist()):
+        values = np.unique(x[:, f])
+        if values.size < 2:
+            continue
+        thresholds = (values[:-1] + values[1:]) / 2.0
+        for threshold in thresholds:
+            mask = x[:, f] <= threshold
+            n_left = int(mask.sum())
+            if n_left == 0 or n_left == n:
+                continue
+            left = np.bincount(y_idx[mask], minlength=N_LABELS)
+            right = counts - left
+            weighted = (n_left * _gini(left)
+                        + (n - n_left) * _gini(right)) / n
+            gain = parent_gini - weighted
+            if best is None or gain > best[0] + 1e-15:
+                best = (gain, f, float(threshold))
+    if best is None or best[0] <= 1e-15:
+        return _leaf(y_idx)
+    _, f, threshold = best
+    mask = x[:, f] <= threshold
+    return {
+        "feature": int(f),
+        "threshold": threshold,
+        "left": ref_grow_tree(x[mask], y_idx[mask], rng, min_leaf, max_depth,
+                              depth + 1),
+        "right": ref_grow_tree(x[~mask], y_idx[~mask], rng, min_leaf,
+                               max_depth, depth + 1),
+    }
 
 
 # --- random inputs -----------------------------------------------------------
@@ -267,6 +342,73 @@ def test_descriptor_csv_matches_per_cell_format_and_parse(tmp_path_factory,
     assert again.histograms.shape == (len(rows), track.histograms.shape[1])
 
 
+@given(_tracks, st.integers(0, 2 ** 32 - 1), st.integers(0, 12),
+       st.sampled_from([0, 3000]))
+@settings(max_examples=100, deadline=None)
+def test_segment_cues_match_loop_reference(spec, seed, n_cuts,
+                                           min_segment_ms):
+    track = _random_track(*spec)
+    rng = np.random.default_rng(seed)
+    duration = int(track.duration_ms)
+    cut_ms = sorted({int(c) for c in rng.integers(1, max(duration, 2),
+                                                  size=n_cuts)
+                     if 0 < c < duration})
+    cuts = [CutPoint(c, c, c, SnapRule.SENTENCE_END) for c in cut_ms]
+    edges = [0, duration] + cut_ms
+    cues = []
+    for k in range(int(rng.integers(0, 30))):
+        # midpoints on, just before or just after a boundary, anywhere in
+        # (or past) the video, and cues sharing a midpoint
+        mid = int(rng.choice(edges)) + int(rng.integers(-1, 2))
+        if rng.random() < 0.3:
+            mid = int(rng.integers(0, duration + 2000))
+        if cues and rng.random() < 0.2:
+            prev = cues[int(rng.integers(len(cues)))]
+            mid = (prev.start_ms + prev.end_ms) // 2
+        half = int(rng.integers(0, 3000))
+        cues.append(Cue(k + 1, max(0, mid - half),
+                        mid + half + int(rng.integers(0, 2)), "w"))
+    # transcript order is not time order
+    transcript = Transcript("vid", [cues[i]
+                                    for i in rng.permutation(len(cues))])
+    cfg = SegmenterConfig(min_segment_ms=min_segment_ms)
+    for segment in build_segments(track, cuts, transcript, cfg):
+        assert segment.cue_indices == ref_segment_cues(segment, transcript)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 25))
+@settings(max_examples=150, deadline=None)
+def test_match_probes_match_loop_reference(seed, n_probes):
+    rng = np.random.default_rng(seed)
+    segments = []
+    for v in range(int(rng.integers(0, 4))):
+        lengths = rng.integers(1, 5000, size=int(rng.integers(1, 6)))
+        # some videos have no segment at their start
+        bounds = (int(rng.integers(0, 3)) * 1000
+                  + np.concatenate([[0], np.cumsum(lengths)])).tolist()
+        segments += [Segment(f"v{v}_{k:04d}", f"v{v}", start, end)
+                     for k, (start, end) in enumerate(zip(bounds,
+                                                          bounds[1:]))]
+    segments = [segments[i] for i in rng.permutation(len(segments))]
+    edges = [s.start_ms for s in segments] + [s.end_ms for s in segments]
+    probes = []
+    for _ in range(n_probes):
+        # probes on a segment boundary or 1 ms either side of it, far past
+        # every segment, and in videos with no segments
+        at_ms = max(0, int(rng.choice(edges or [0]))
+                    + int(rng.integers(-1, 2)))
+        if rng.random() < 0.1:
+            at_ms = 10 ** 6
+        probes.append({"video_id": f"v{int(rng.integers(0, 5))}",
+                       "at_ms": at_ms,
+                       "label": str(rng.choice(["Logic", "Balance"]))})
+    with mock.patch.object(pipeline.log, "warning") as warning:
+        got = match_probes(probes, segments)
+    want, warnings = ref_match_probes(probes, segments)
+    assert got == want
+    assert [c.args for c in warning.call_args_list] == warnings
+
+
 def _random_segments(seed, n, bins, max_keyframes, vocab=6):
     """Keyframes and text vectors for n segments. Some segments copy an
     earlier one's keyframes or text, some texts are zero vectors, and
@@ -343,3 +485,47 @@ def test_segment_without_keyframes_raises(alpha):
         build_context_matrix(ids, keyframes)
     with pytest.raises(DataError, match="at least one keyframe"):
         build_issue_matrix(ids, texts, keyframes, alpha)
+
+
+_COLUMN_KINDS = ("ties", "adjacent", "constant", "continuous", "huge")
+
+
+def _random_training_set(seed, n, kinds, n_classes):
+    """Columns of tied small integers, of floats a few ulps apart (their
+    midpoints round onto a neighbour), constant columns, continuous values
+    and values near the float maximum (their midpoints overflow)."""
+    rng = np.random.default_rng(seed)
+    columns = []
+    for kind in kinds:
+        if kind == "ties":
+            col = rng.integers(0, 4, size=n).astype(float)
+        elif kind == "adjacent":
+            base = rng.choice([1.0, -3.0, 0.1, 1e-300, 2.0 ** 40])
+            col = base + rng.integers(0, 5, size=n) * np.spacing(base)
+        elif kind == "constant":
+            col = np.full(n, rng.normal())
+        elif kind == "continuous":
+            col = rng.normal(size=n)
+        else:
+            col = rng.choice([-1.0, 1.0]) * np.finfo(float).max * (
+                1.0 - rng.integers(0, 3, size=n) * 2.0 ** -52)
+        columns.append(col)
+    x = np.stack(columns, axis=1)
+    y_idx = rng.choice(rng.permutation(N_LABELS)[:n_classes], size=n)
+    return x, y_idx
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+       st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=10),
+       st.integers(1, N_LABELS), st.integers(1, 5),
+       st.sampled_from([None, 0, 1, 3]))
+@settings(max_examples=300, deadline=None)
+def test_grow_tree_matches_loop_reference(seed, n, kinds, n_classes,
+                                          min_leaf, max_depth):
+    x, y_idx = _random_training_set(seed, n, kinds, n_classes)
+    rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+    with np.errstate(over="ignore"):  # the "huge" midpoints overflow
+        got = _grow_tree(x, y_idx, rng, min_leaf, max_depth)
+        want = ref_grow_tree(x, y_idx, ref_rng, min_leaf, max_depth)
+    assert json.dumps(got) == json.dumps(want)
+    assert rng.random() == ref_rng.random()  # the same draws were made

@@ -200,28 +200,28 @@ def _partition_from_file(path: str) -> stats.Partition:
     return partition
 
 
-# the input flags each statistic reads
-_EVAL_INPUTS = {"mojofm": ("partition_a", "partition_b"),
-                "mno": ("partition_a", "partition_b"),
-                "kappa": ("x", "y"), "mann-whitney": ("x", "y"),
-                "cliffs-delta": ("x", "y"), "bh": ("p",), "margin": ("n",)}
-
-
-# these stats read flags only: a DataError from them is a usage error
-_FLAG_STATS = ("margin", "likert-std", "power", "atomicity")
+# each statistic: the files it reads, and the flags it cannot run without;
+# a stat that reads no file takes flags only, so its DataError is a usage
+# error
+_EVAL_INPUTS = {"mojofm": (("partition_a", "partition_b"), ()),
+                "mno": (("partition_a", "partition_b"), ()),
+                "kappa": (("x", "y"), ()), "mann-whitney": (("x", "y"), ()),
+                "cliffs-delta": (("x", "y"), ()), "bh": (("p",), ()),
+                "margin": ((), ("n",)), "likert-std": ((), ()),
+                "power": ((), ()), "atomicity": ((), ())}
 
 
 def cmd_eval(args) -> int:
     stat = args.stat
-    missing = [f"--{name.replace('_', '-')}"
-               for name in _EVAL_INPUTS.get(stat, ())
+    files, flags = _EVAL_INPUTS[stat]
+    missing = [f"--{name.replace('_', '-')}" for name in files + flags
                if getattr(args, name) is None]
     if missing:
         raise ConfigError(f"--stat {stat} needs {' and '.join(missing)}")
     try:
         result = _eval_result(args)
     except DataError as exc:
-        if stat not in _FLAG_STATS:
+        if files:
             raise
         raise ConfigError(str(exc)) from None
     text = json.dumps(result, sort_keys=True, indent=2) + "\n"
@@ -350,10 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("eval", help="statistics harness")
-    p.add_argument("--stat", required=True,
-                   choices=("mojofm", "mno", "kappa", "mann-whitney",
-                            "cliffs-delta", "bh", "margin", "likert-std",
-                            "power", "atomicity"))
+    p.add_argument("--stat", required=True, choices=tuple(_EVAL_INPUTS))
     p.add_argument("--partition-a", help="partition JSON (groups or mapping)")
     p.add_argument("--partition-b", help="partition JSON (groups or mapping)")
     p.add_argument("--x", help="JSON array of values")

@@ -2,6 +2,14 @@
 rank tests, effect sizes, multiple-comparison correction, sampling margins,
 and Monte-Carlo power/variability simulations.
 
+From SciPy: midranks (`rankdata`), the MoJoFM tag matching
+(`linear_sum_assignment`), the margin's normal quantile (`ndtri`), and the
+Mann-Whitney p-value above 20 values and both tests of the power
+simulation (`mannwhitneyu`, asymptotic; `ttest_ind`). gelid's own: the
+MoJoFM distance and denominator, kappa, Cliff's delta and
+Benjamini-Hochberg, which SciPy 1.10 lacks, and the exact Mann-Whitney
+p-value, which SciPy's exact method computes as if there were no ties.
+
 Everything here is deterministic given its inputs (and seed, where one
 applies). The enumeration oracles that check the fast paths live in the
 tests.
@@ -15,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.special import erfc as _np_erfc
-from scipy.stats import rankdata
-from scipy.stats import t as student_t
+from scipy.special import ndtri
+from scipy.stats import mannwhitneyu, rankdata, ttest_ind
 
 from .errors import DataError, InternalError
 
@@ -50,9 +57,9 @@ class Partition:
         for gi, members in enumerate(groups):
             if not members:
                 raise DataError("partition groups must be non-empty")
-            for obj in members:
+            for obj in map(str, members):  # the id Partition stores
                 if obj in mapping:
-                    raise DataError(f"object {obj!r} appears in two groups")
+                    raise DataError(f"object {obj!r} appears more than once")
                 mapping[obj] = gi
         return Partition.from_mapping(mapping)
 
@@ -199,18 +206,6 @@ def cohens_kappa(ratings1, ratings2) -> float:
 
 
 @dataclass(frozen=True)
-class RatingSample:
-    """Integer Likert scores in [1, 5]."""
-
-    scores: tuple[int, ...]
-
-    def __post_init__(self):
-        for s in self.scores:
-            if not 1 <= s <= 5:
-                raise DataError(f"Likert score {s} outside [1, 5]")
-
-
-@dataclass(frozen=True)
 class MannWhitneyResult:
     u: float
     p_value: float
@@ -222,7 +217,7 @@ def mann_whitney_u(x, y) -> MannWhitneyResult:
 
     U counts pairs with x > y, ties worth 0.5. The p-value is exact (full
     enumeration of the C(n1+n2, n1) labelings of the pooled data) when
-    n1 + n2 <= 20, and otherwise a normal approximation with tie and
+    n1 + n2 <= 20, and otherwise SciPy's normal approximation with tie and
     continuity corrections.
     """
     x = np.asarray(list(x), dtype=float)
@@ -230,14 +225,13 @@ def mann_whitney_u(x, y) -> MannWhitneyResult:
     if x.size == 0 or y.size == 0:
         raise DataError("both samples must be non-empty")
     n1, n2 = x.size, y.size
-    pooled = np.concatenate([x, y])
-    ranks = rankdata(pooled)  # 1-based midranks
+    ranks = rankdata(np.concatenate([x, y]))  # 1-based midranks
     u = float(ranks[:n1].sum() - n1 * (n1 + 1) / 2)
     if n1 + n2 <= 20:
         p = _exact_u_p_value(ranks, n1, n2, u)
         return MannWhitneyResult(u=u, p_value=p, exact=True)
-    return MannWhitneyResult(u=u, p_value=_approx_u_p_value(pooled, n1, n2, u),
-                             exact=False)
+    p = float(mannwhitneyu(x, y, method="asymptotic").pvalue)
+    return MannWhitneyResult(u=u, p_value=p, exact=False)
 
 
 def _exact_u_p_value(ranks: np.ndarray, n1: int, n2: int, u_obs: float) -> float:
@@ -255,19 +249,6 @@ def _exact_u_p_value(ranks: np.ndarray, n1: int, n2: int, u_obs: float) -> float
     observed_dev = abs(2 * u_obs - center)
     mask = np.abs(possible_2u - center) >= observed_dev - 1e-9
     return float(dist[mask].sum() / dist.sum())
-
-
-def _approx_u_p_value(pooled: np.ndarray, n1: int, n2: int, u: float) -> float:
-    n = n1 + n2
-    mean_u = n1 * n2 / 2
-    _, tie_counts = np.unique(pooled, return_counts=True)
-    tie_term = ((tie_counts ** 3 - tie_counts).sum()) / (n * (n - 1))
-    var_u = n1 * n2 / 12 * ((n + 1) - tie_term)
-    if var_u <= 0:
-        return 1.0
-    correction = 0.5 if u > mean_u else (-0.5 if u < mean_u else 0.0)
-    z = (u - mean_u - correction) / math.sqrt(var_u)
-    return min(1.0, math.erfc(abs(z) / math.sqrt(2)))
 
 
 _CLIFF_BANDS = ((0.147, "negligible"), (0.33, "small"), (0.474, "medium"))
@@ -312,21 +293,7 @@ def benjamini_hochberg(p_values) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Normal quantiles, sampling margins
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF, rational approximation (|err| < 4.5e-4)."""
-    if not 0.0 < p < 1.0:
-        raise DataError(f"quantile probability {p} outside (0, 1)")
-    if p == 0.5:
-        return 0.0
-    lower = p < 0.5
-    q = p if lower else 1.0 - p
-    t = math.sqrt(-2.0 * math.log(q))
-    z = t - ((0.010328 * t + 0.802853) * t + 2.515517) / (
-        ((0.001308 * t + 0.189269) * t + 1.432788) * t + 1.0)
-    return -z if lower else z
+# Sampling margins
 
 
 def margin_of_error(n: int, confidence: float) -> float:
@@ -335,20 +302,11 @@ def margin_of_error(n: int, confidence: float) -> float:
         raise DataError("sample size must be >= 1")
     if not 0.0 < confidence < 1.0:
         raise DataError(f"confidence {confidence} outside (0, 1)")
-    z = normal_quantile(0.5 + confidence / 2.0)
-    return z * math.sqrt(0.25 / n)
+    return float(ndtri(0.5 + confidence / 2.0) * math.sqrt(0.25 / n))
 
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo simulations
-
-
-def sample_std(values) -> float:
-    """Sample standard deviation with the n-1 denominator."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size < 2:
-        raise DataError("sample std needs at least 2 values")
-    return float(arr.std(ddof=1))
 
 
 @dataclass(frozen=True)
@@ -386,11 +344,14 @@ def simulate_power(group_size: int, mean_shift: float, sd: float, alpha: float,
     """Monte-Carlo power of a two-sided two-sample comparison.
 
     Draws two normal groups whose means differ by mean_shift and reports the
-    fraction of simulations rejecting at level alpha, via both a pooled
-    two-sample t-test (primary) and the Mann-Whitney U test.
+    fraction of simulations rejecting at level alpha, via both SciPy's
+    pooled two-sample t-test (primary) and its asymptotic Mann-Whitney U
+    test.
     """
-    if sd <= 0:
-        raise DataError("sd must be > 0")
+    if not (sd > 0 and math.isfinite(sd)):
+        raise DataError("sd must be > 0 and finite")
+    if not math.isfinite(mean_shift):
+        raise DataError("shift must be finite")
     if not 0.0 < alpha < 1.0:
         raise DataError(f"alpha {alpha} outside (0, 1)")
     if group_size < 2 or n_sims < 1:
@@ -398,30 +359,8 @@ def simulate_power(group_size: int, mean_shift: float, sd: float, alpha: float,
     rng = np.random.default_rng(seed)
     a = rng.normal(0.0, sd, size=(n_sims, group_size))
     b = rng.normal(mean_shift, sd, size=(n_sims, group_size))
-
-    # pooled-variance t-test, vectorized across simulations
-    va = a.var(axis=1, ddof=1)
-    vb = b.var(axis=1, ddof=1)
-    pooled = ((group_size - 1) * (va + vb)) / (2 * group_size - 2)
-    denom = np.sqrt(pooled * 2 / group_size)
-    t_stat = np.divide(a.mean(axis=1) - b.mean(axis=1), denom,
-                       out=np.zeros(n_sims), where=denom > 0)
-    p_t = 2 * student_t.sf(np.abs(t_stat), df=2 * group_size - 2)
-    power_t = float((p_t < alpha).mean())
-
-    # Mann-Whitney via midranks of each pooled simulation row
-    pooled_rows = np.concatenate([a, b], axis=1)
-    order = np.argsort(pooled_rows, axis=1, kind="stable")
-    ranks = np.empty_like(pooled_rows)
-    np.put_along_axis(ranks, order,
-                      np.broadcast_to(np.arange(1.0, 2 * group_size + 1),
-                                      pooled_rows.shape).copy(), axis=1)
-    u = ranks[:, :group_size].sum(axis=1) - group_size * (group_size + 1) / 2
-    mean_u = group_size * group_size / 2
-    var_u = group_size * group_size * (2 * group_size + 1) / 12
-    correction = np.where(u > mean_u, 0.5, np.where(u < mean_u, -0.5, 0.0))
-    z = (u - mean_u - correction) / math.sqrt(var_u)
-    p_mw = _np_erfc(np.abs(z) / math.sqrt(2))
+    power_t = float((ttest_ind(a, b, axis=1).pvalue < alpha).mean())
+    p_mw = mannwhitneyu(a, b, axis=1, method="asymptotic").pvalue
     power_mw = float((p_mw < alpha).mean())
     return PowerEstimate(power=power_t, power_mann_whitney=power_mw,
                          n_sims=n_sims)

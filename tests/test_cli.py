@@ -743,7 +743,9 @@ def test_report_on_a_non_hierarchy_exits_2_naming_file(tmp_path, capsys,
                                   '{"groups": [["a"], 5]}',
                                   '{"groups": [["a", ["b"]]]}',
                                   '{"mapping": {"a": [1]}}',
-                                  '{"groups": []}'])
+                                  '{"groups": []}',
+                                  '{"groups": [[1], ["1"]]}',
+                                  '{"groups": [[1], ["1"], ["2"]]}'])
 def test_eval_bad_partition_exits_2_naming_file(tmp_path, capsys, text):
     bad, good = tmp_path / "a.json", tmp_path / "b.json"
     bad.write_text(text)
@@ -776,7 +778,15 @@ def test_eval_without_an_input_the_stat_needs_exits_1(capsys, argv):
 
 @pytest.mark.parametrize("argv,message", [
     (["--stat", "margin", "--n", "0"], "sample size must be >= 1"),
-    (["--stat", "power", "--sd", "0", "--sims", "10"], "sd must be > 0")])
+    (["--stat", "power", "--sd", "0", "--sims", "10"], "sd must be > 0"),
+    (["--stat", "power", "--sd", "nan", "--sims", "20", "--group-size", "10"],
+     "sd must be > 0 and finite"),
+    (["--stat", "power", "--sd", "inf", "--sims", "20", "--group-size", "10"],
+     "sd must be > 0 and finite"),
+    (["--stat", "power", "--shift", "nan", "--sims", "20",
+      "--group-size", "10"], "shift must be finite"),
+    (["--stat", "power", "--shift=-inf", "--sims", "20",
+      "--group-size", "10"], "shift must be finite")])
 def test_eval_flag_out_of_range_exits_1(capsys, argv, message):
     assert main(["eval", *argv]) == 1
     assert f"error: {message}" in capsys.readouterr().err

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gelid.errors import DataError
-from gelid.stats import (Partition, RatingSample, atomicity_score,
-                         benjamini_hochberg, cliffs_delta, cohens_kappa,
-                         mann_whitney_u, margin_of_error, max_mno, mno,
-                         mojo_fm, normal_quantile, sample_std,
+from gelid.stats import (Partition, atomicity_score, benjamini_hochberg,
+                         cliffs_delta, cohens_kappa, mann_whitney_u,
+                         margin_of_error, max_mno, mno, mojo_fm,
                          simulate_likert_std, simulate_power)
 from gelid.stats import _max_mno_closed_form
 from mno_oracles import (integer_partitions, max_mno_enumerated,
@@ -161,6 +160,14 @@ def test_mojofm_single_object_is_error():
         mojo_fm(a, a)
 
 
+@pytest.mark.parametrize("groups", [[[1], ["1"], ["2"]], [["a", "a"]],
+                                    [[1.5], ["1.5"]]])
+def test_partition_rejects_an_id_stored_twice(groups):
+    # ids are stored as strings, so 1 and "1" name the same object
+    with pytest.raises(DataError, match="more than once"):
+        Partition.from_groups(groups)
+
+
 def test_max_mno_closed_form_matches_enumeration_all_n_to_6():
     for n in range(2, 7):
         parts = _all_partitions(n)
@@ -282,12 +289,6 @@ def test_kappa_degenerate_marginals(caplog):
         assert cohens_kappa(["a", "a"], ["a", "a"]) == 1.0
 
 
-def test_rating_sample_bounds():
-    RatingSample(scores=(1, 5, 3))
-    with pytest.raises(DataError):
-        RatingSample(scores=(0, 2))
-
-
 # --- Mann-Whitney -----------------------------------------------------------
 
 def test_mann_whitney_exact_small_example():
@@ -336,10 +337,32 @@ def test_mann_whitney_exact_vs_normal_approximation():
     y = rng.normal(0.8, 1, size=10)
     exact = mann_whitney_u(x, y)
     assert exact.exact
-    # force the approximation path on the same data by duplicating scale
-    from gelid.stats import _approx_u_p_value
-    approx_p = _approx_u_p_value(np.concatenate([x, y]), 10, 10, exact.u)
+    # the approximation mann_whitney_u uses above 20 values, on the same data
+    from scipy.stats import mannwhitneyu
+    approx_p = mannwhitneyu(x, y, method="asymptotic").pvalue
     assert abs(exact.p_value - approx_p) < 0.02
+
+
+# approximate-path p-values of tied samples, as the hand-written normal
+# approximation (tie and continuity corrections) computed them
+_TIED_MW_P_VALUES = [
+    ([1, 2, 2, 3, 3, 3, 4, 5, 5, 1, 2], [2, 3, 3, 4, 4, 5, 5, 5, 6, 6, 2],
+     32.0, 0.06094853458044174),
+    ([0] * 12 + [1] * 3, [0] * 5 + [1] * 9, 58.5, 0.018671471498104667),
+    ([1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 5, 5], [1, 2, 3, 4, 5] * 2 + [3] * 3,
+     89.0, 0.5586170069702399),
+    ([3.5] * 10 + [1], [3.5] * 12, 60.0, 0.3383517215622194),
+    ([1] * 11, [1] * 12, 66.0, 1.0),
+    (list(range(15)), [7] * 8, 60.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("x,y,u,p", _TIED_MW_P_VALUES)
+def test_mann_whitney_approximation_keeps_its_p_values(x, y, u, p):
+    r = mann_whitney_u(x, y)
+    assert not r.exact
+    assert r.u == u
+    assert abs(r.p_value - p) <= 1e-12
 
 
 def test_mann_whitney_matches_scipy_on_random_data():
@@ -425,10 +448,14 @@ def test_bh_properties(p):
 # --- margins and quantiles ---------------------------------------------------
 
 def test_normal_quantile_accuracy():
-    known = {0.975: 1.959964, 0.95: 1.644854, 0.995: 2.575829, 0.5: 0.0,
-             0.025: -1.959964}
-    for p, z in known.items():
-        assert abs(normal_quantile(p) - z) < 4.5e-4
+    # the margin's z is the normal quantile of (1 + confidence) / 2
+    known = {0.95: 1.959963984540054, 0.90: 1.6448536269514722,
+             0.99: 2.5758293035489004, 0.5: 0.6744897501960817}
+    for confidence, z in known.items():
+        assert margin_of_error(1, confidence) / 0.5 == pytest.approx(
+            z, rel=1e-14)
+    from scipy.special import ndtri
+    assert margin_of_error(1000, 0.95) == ndtri(0.975) * math.sqrt(0.25 / 1000)
 
 
 def test_margin_of_error_at_1000_is_3_1_percent():
@@ -463,14 +490,26 @@ def test_likert_std_constant_generator_gives_zero():
 
 
 def test_bimodal_worst_case_sample_std_near_2():
-    scores = [1] * 100 + [5] * 100
-    assert sample_std(scores) == pytest.approx(2.005, abs=0.01)
+    class Bimodal:
+        def integers(self, lo, hi, size):
+            return np.tile([1] * 100 + [5] * 100, (size[0], 1))
+
+    out = simulate_likert_std(3, 200, rng=Bimodal())
+    assert out.mean == pytest.approx(2.005, abs=0.01)
 
 
 def test_simulate_power_null_is_alpha():
     out = simulate_power(100, 0.0, 1.0, 0.05, n_sims=4000, seed=3)
     assert abs(out.power - 0.05) < 0.02
     assert abs(out.power_mann_whitney - 0.05) < 0.02
+
+
+@pytest.mark.parametrize("sd,power,power_mann_whitney", [
+    (1.54, 0.8936, 0.8805), (1.28, 0.9711, 0.9635), (2.0, 0.6914, 0.6742)])
+def test_simulate_power_keeps_its_estimates(sd, power, power_mann_whitney):
+    # the estimates of the hand-written t-test and rank-sum approximation
+    out = simulate_power(200, 0.5, sd, 0.05, n_sims=10000, seed=0)
+    assert (out.power, out.power_mann_whitney) == (power, power_mann_whitney)
 
 
 def test_simulate_power_reproducible():

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import features, pipeline, stats
 from .config import load_config
-from .errors import ConfigError, DataError, GelidError
+from .errors import ConfigError, DataError, GelidError, fits
 from .frames import write_descriptor_csv
 from .segmentation import write_segments_jsonl
 from .subtitles import write_srt
@@ -181,7 +181,15 @@ def cmd_report(args) -> int:
 _LABEL = (str, float)
 # a sample file: a JSON array of numbers, or of labels for kappa's ratings
 _SAMPLE, _RATINGS = [float], [_LABEL]
-_PARTITION = {"groups?": [[_LABEL]], "mapping?": {str: _LABEL}}
+
+
+def _label_mapping(value) -> bool:
+    """an object from ids to group labels, all strings or all numbers"""
+    # were they mixed, 1 and "1" would name two groups
+    return fits(value, {str: str}) or fits(value, {str: float})
+
+
+_PARTITION = {"groups?": [[_LABEL]], "mapping?": _label_mapping}
 
 
 def _partition_from_file(path: str) -> stats.Partition:

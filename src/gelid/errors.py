@@ -70,12 +70,17 @@ def positive_int(value) -> bool:
 
 def positive(value) -> bool:
     """a finite number > 0"""
-    return _fault(value, float, "") is None and value > 0
+    return fits(value, float) and value > 0
 
 
 def non_negative(value) -> bool:
     """a finite number >= 0"""
-    return _fault(value, float, "") is None and value >= 0
+    return fits(value, float) and value >= 0
+
+
+def fits(value, shape) -> bool:
+    """Whether `value` has `shape` (see `check_shape`)."""
+    return _fault(value, shape, "") is None
 
 
 def check_shape(value, shape, where: str) -> None:

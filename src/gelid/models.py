@@ -3,8 +3,10 @@ hidden-layer feed-forward network over the five segment labels.
 
 All three are trained from scratch on dense feature matrices, seeded and
 deterministic. Losses and gradients for the differentiable models live in
-standalone functions so finite-difference checks can exercise exactly the
-code the optimizer runs.
+standalone functions so finite-difference checks can exercise them. The
+feed-forward net's optimizer calls its function; the logistic one inlines
+the gradient in preallocated buffers, and the tests hold it to the same
+bits as a step on `logistic_loss_and_grad`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import (DataError, check_shape, count, non_negative, positive,
                      positive_int)
@@ -87,9 +88,22 @@ def _standardize_fit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax of an (n, K) float array, written over z and returned.
+
+    The row max and sum are folded over the label columns in order, so a
+    row sums as ((e0 + e1) + e2) + ..., the order of ``e.sum(axis=1)`` on
+    rows this short; NumPy's own axis-1 reductions take a slow path here."""
+    cols = z.T  # cols[k]: label k's column, a view
+    top = cols[0].copy()
+    for col in cols[1:]:
+        np.maximum(top, col, out=top)
+    z -= top[:, None]
+    np.exp(z, out=z)
+    total = cols[0].copy()
+    for col in cols[1:]:
+        total += col
+    z /= total[:, None]
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +130,30 @@ def logistic_loss_and_grad(wb: np.ndarray, x: np.ndarray, y_idx: np.ndarray,
 
 def _train_logistic(x: np.ndarray, y_idx: np.ndarray, hyper: dict,
                     seed: int) -> dict:
-    d = x.shape[1]
-    wb = np.zeros((d + 1, N_LABELS))
-    lr = hyper["learning_rate"]
+    """Gradient descent on `logistic_loss_and_grad`'s objective, each step
+    the same floating-point operations in the same order, in buffers
+    allocated once and without the loss."""
+    n, d = x.shape
+    lr, decay = hyper["learning_rate"], 2 * hyper["l2"]
+    w, b = np.zeros((d, N_LABELS)), np.zeros(N_LABELS)
+    onehot = np.zeros((n, N_LABELS))
+    onehot[np.arange(n), y_idx] = 1.0
+    x_t = x.T  # a view, as logistic_loss_and_grad hands it to BLAS
+    delta = np.empty((n, N_LABELS))
+    grad, shrink = np.empty((d, N_LABELS)), np.empty((d, N_LABELS))
     for _ in range(hyper["iterations"]):
-        _, grad = logistic_loss_and_grad(wb, x, y_idx, hyper["l2"])
-        wb -= lr * grad
-    return {"weights": wb[:-1], "bias": wb[-1]}
+        np.matmul(x, w, out=delta)
+        delta += b
+        _softmax(delta)
+        delta -= onehot
+        delta /= n
+        np.matmul(x_t, delta, out=grad)
+        np.multiply(decay, w, out=shrink)
+        grad += shrink
+        grad *= lr
+        w -= grad
+        b -= lr * delta.sum(axis=0)
+    return {"weights": w, "bias": b}
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +423,7 @@ def _rank_auc(scores: np.ndarray, positives: np.ndarray) -> float | None:
     n_neg = positives.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
+    from scipy.stats import rankdata  # here, so importing gelid loads no SciPy
     u = rankdata(scores)[positives].sum() - n_pos * (n_pos + 1) / 2
     return float(u / (n_pos * n_neg))
 

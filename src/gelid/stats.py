@@ -9,6 +9,8 @@ simulation (`mannwhitneyu`, asymptotic; `ttest_ind`). gelid's own: the
 MoJoFM distance and denominator, kappa, Cliff's delta and
 Benjamini-Hochberg, which SciPy 1.10 lacks, and the exact Mann-Whitney
 p-value, which SciPy's exact method computes as if there were no ties.
+SciPy is imported inside the functions that call it, so importing gelid
+loads none of it and ``gelid run`` never pays for it.
 
 Everything here is deterministic given its inputs (and seed, where one
 applies). The enumeration oracles that check the fast paths live in the
@@ -22,9 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.special import ndtri
-from scipy.stats import mannwhitneyu, rankdata, ttest_ind
 
 from .errors import DataError, InternalError
 
@@ -110,6 +109,7 @@ def _mno_from_overlaps(table: np.ndarray, n: int) -> int:
     weights = np.full((ga, gb + ga), _NEG, dtype=np.int64)
     weights[:, :gb] = table + 1
     weights[np.arange(ga), gb + np.arange(ga)] = best
+    from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(weights, maximize=True)
     return n + ga - int(weights[rows, cols].sum())
 
@@ -225,6 +225,7 @@ def mann_whitney_u(x, y) -> MannWhitneyResult:
     if x.size == 0 or y.size == 0:
         raise DataError("both samples must be non-empty")
     n1, n2 = x.size, y.size
+    from scipy.stats import mannwhitneyu, rankdata
     ranks = rankdata(np.concatenate([x, y]))  # 1-based midranks
     u = float(ranks[:n1].sum() - n1 * (n1 + 1) / 2)
     if n1 + n2 <= 20:
@@ -302,6 +303,7 @@ def margin_of_error(n: int, confidence: float) -> float:
         raise DataError("sample size must be >= 1")
     if not 0.0 < confidence < 1.0:
         raise DataError(f"confidence {confidence} outside (0, 1)")
+    from scipy.special import ndtri
     return float(ndtri(0.5 + confidence / 2.0) * math.sqrt(0.25 / n))
 
 
@@ -356,6 +358,7 @@ def simulate_power(group_size: int, mean_shift: float, sd: float, alpha: float,
         raise DataError(f"alpha {alpha} outside (0, 1)")
     if group_size < 2 or n_sims < 1:
         raise DataError("group_size must be >= 2 and n_sims >= 1")
+    from scipy.stats import mannwhitneyu, ttest_ind
     rng = np.random.default_rng(seed)
     a = rng.normal(0.0, sd, size=(n_sims, group_size))
     b = rng.normal(mean_shift, sd, size=(n_sims, group_size))

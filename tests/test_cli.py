@@ -1,14 +1,18 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import THREE_VIDEO_WORLD, write_world
+import gelid
 from gelid import features, pipeline
 from gelid.cli import main
 from gelid.subtitles import parse_srt
@@ -156,6 +160,29 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
         assert (out / name).exists(), name
     hierarchy = json.loads((out / "hierarchy.json").read_text())
     assert hierarchy["counts"]["n_segments"] == 9
+
+
+def test_run_imports_no_scipy(tmp_path):
+    """Only `gelid eval` and `models.evaluate` need SciPy; a `gelid run`
+    process never loads it. In a subprocess, as pytest has loaded SciPy."""
+    paths = _world(tmp_path)
+    child = ("import json, sys\n"
+             "from gelid.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print(json.dumps([code, sorted(m for m in sys.modules\n"
+             "                               if m.split('.')[0] == 'scipy')]))\n")
+    src = str(Path(gelid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", child, "run", "--manifest",
+         str(paths["manifest"]), "--config", str(paths["config"]),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0, done.stderr
+    assert scipy_modules == []
 
 
 def test_run_twice_same_seed_byte_identical_hierarchy(tmp_path):
@@ -752,6 +779,25 @@ def test_eval_bad_partition_exits_2_naming_file(tmp_path, capsys, text):
     good.write_text(json.dumps({"groups": [["a", "b"], ["c"]]}))
     _fails_naming(capsys, ["eval", "--stat", "mojofm", "--partition-a",
                            str(bad), "--partition-b", str(good)], str(bad))
+
+
+@pytest.mark.parametrize("labels, mno", [
+    ({"a": 1, "b": "1", "c": 2}, None),   # 1 and "1": strings and numbers
+    ({"a": "x", "b": "x", "c": 2}, None),
+    ({"a": 1, "b": 1.0, "c": 2}, 0),      # 1 and 1.0: one group
+    ({"a": "1", "b": "1", "c": "2"}, 0)])
+def test_eval_partition_labels_are_all_strings_or_all_numbers(
+        tmp_path, capsys, labels, mno):
+    mapping, groups = tmp_path / "a.json", tmp_path / "b.json"
+    mapping.write_text(json.dumps({"mapping": labels}))
+    groups.write_text(json.dumps({"groups": [["a", "b"], ["c"]]}))
+    argv = ["eval", "--stat", "mno", "--partition-a", str(mapping),
+            "--partition-b", str(groups)]
+    if mno is None:
+        _fails_naming(capsys, argv, str(mapping), "all strings or all numbers")
+    else:
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["mno"] == mno
 
 
 @pytest.mark.parametrize("stat", ["mann-whitney", "cliffs-delta", "kappa"])

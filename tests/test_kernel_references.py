@@ -9,7 +9,10 @@ longer than the track, cues that straddle a segment boundary, cue
 midpoints and probes on a segment boundary, identical segments, zero text
 vectors and distance matrices computed one segment block at a time.
 Forest trees must serialize to the same JSON, on tied, adjacent-float,
-constant, overflowing and single-class columns.
+constant, overflowing and single-class columns. The softmax and the
+logistic and feed-forward training loops must give the same bits, on one
+row, all-equal logits, logits far enough apart that exp underflows to 0,
+absent classes, zero or one step and no L2 penalty.
 """
 
 import json
@@ -18,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gelid import clustering
@@ -28,7 +31,10 @@ from gelid.errors import DataError
 from gelid.features import (BLANK_LUMINANCE, cue_columns, speech_features,
                             video_features)
 from gelid.frames import VideoTrack, read_descriptor_csv, write_descriptor_csv
-from gelid.models import N_LABELS, _gini, _grow_tree, _leaf
+from gelid import models
+from gelid.models import (KIND_FFN, KIND_LOGISTIC, LABEL_ORDER, N_LABELS,
+                          _gini, _grow_tree, _leaf, _softmax, _train_logistic,
+                          logistic_loss_and_grad)
 from gelid import pipeline
 from gelid.pipeline import keyframe_lookup, match_probes
 from gelid.segmentation import (CutPoint, SegmenterConfig, Segment,
@@ -200,6 +206,24 @@ def ref_grow_tree(x, y_idx, rng, min_leaf, max_depth, depth=0):
         "right": ref_grow_tree(x[~mask], y_idx[~mask], rng, min_leaf,
                                max_depth, depth + 1),
     }
+
+
+def ref_softmax(z):
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def ref_train_logistic(x, y_idx, hyper, seed):
+    """One step on `logistic_loss_and_grad` at a time, with `ref_softmax`."""
+    d = x.shape[1]
+    wb = np.zeros((d + 1, N_LABELS))
+    lr = hyper["learning_rate"]
+    with mock.patch.object(models, "_softmax", ref_softmax):
+        for _ in range(hyper["iterations"]):
+            _, grad = logistic_loss_and_grad(wb, x, y_idx, hyper["l2"])
+            wb -= lr * grad
+    return {"weights": wb[:-1], "bias": wb[-1]}
 
 
 # --- random inputs -----------------------------------------------------------
@@ -529,3 +553,84 @@ def test_grow_tree_matches_loop_reference(seed, n, kinds, n_classes,
         want = ref_grow_tree(x, y_idx, ref_rng, min_leaf, max_depth)
     assert json.dumps(got) == json.dumps(want)
     assert rng.random() == ref_rng.random()  # the same draws were made
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+_LOGIT_KINDS = ("normal", "equal", "underflow", "ties")
+
+
+def _random_logits(seed, n, kind):
+    """Logits of every scale, rows of one value, rows whose entries lie
+    more than 1,500 apart (exp underflows to 0) and small-integer ties."""
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.normal(size=(n, N_LABELS)) * 10.0 ** rng.uniform(-3, 3)
+    if kind == "equal":
+        return np.repeat(rng.normal(size=(n, 1)) * 100.0, N_LABELS, axis=1)
+    if kind == "underflow":
+        offsets = rng.integers(0, 3, size=(n, N_LABELS)) * 1600.0
+        offsets[:, :2] = [0.0, 1600.0]  # every row spans more than 1,500
+        return (rng.normal(size=(n, N_LABELS))
+                + rng.permuted(offsets, axis=1))
+    return rng.integers(-2, 3, size=(n, N_LABELS)).astype(float)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+       st.sampled_from(_LOGIT_KINDS))
+@settings(max_examples=200, deadline=None)
+def test_softmax_matches_reference(seed, n, kind):
+    z = _random_logits(seed, n, kind)
+    want = ref_softmax(z)
+    got = _softmax(z.copy())
+    assert _same_bits(got, want)
+    assert kind != "underflow" or (want == 0).any(axis=1).all()
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(0, 6),
+       st.integers(1, N_LABELS), st.sampled_from([0, 1, 2, 7, 25]),
+       st.sampled_from([0.0, 1e-4, 0.1]), st.sampled_from([0.1, 1.0, 3.0]),
+       st.sampled_from([1e-3, 1.0, 1e3]))
+@example(seed=0, n=1, d=3, n_classes=1, iterations=7, l2=0.0,
+         learning_rate=0.1, scale=1.0)
+@example(seed=1, n=12, d=4, n_classes=2, iterations=0, l2=1e-4,
+         learning_rate=0.1, scale=1.0)
+@example(seed=2, n=12, d=4, n_classes=3, iterations=1, l2=1e-4,
+         learning_rate=0.1, scale=1.0)
+@example(seed=3, n=20, d=5, n_classes=2, iterations=25, l2=0.0,
+         learning_rate=3.0, scale=1e3)
+@settings(max_examples=200, deadline=None)
+def test_train_logistic_matches_reference(seed, n, d, n_classes, iterations,
+                                          l2, learning_rate, scale):
+    """Absent classes (n_classes < 5), zero or one step, no L2 penalty, and
+    inputs of 1e3 whose logits soon lie far enough apart to underflow."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d)) * scale
+    y_idx = rng.choice(rng.permutation(N_LABELS)[:n_classes], size=n)
+    hyper = {"l2": l2, "iterations": iterations,
+             "learning_rate": learning_rate}
+    got = _train_logistic(x, y_idx, hyper, seed=0)
+    want = ref_train_logistic(x, y_idx, hyper, seed=0)
+    assert _same_bits(got["weights"], want["weights"])
+    assert _same_bits(got["bias"], want["bias"])
+
+
+def test_ffn_and_predictions_match_ref_softmax():
+    """The feed-forward net trains, and both softmax branches of
+    `predict_proba` predict, to the same bits with `ref_softmax` in."""
+    x, y_idx = _random_training_set(5, 60, ["continuous"] * 6, N_LABELS)
+    labels = [LABEL_ORDER[i] for i in y_idx]
+    ffn_hyper = {"hidden": 8, "epochs": 4, "batch_size": 7}
+    ffn = models.train(KIND_FFN, x, labels, seed=3, hyper=ffn_hyper)
+    logistic = models.train(KIND_LOGISTIC, x, labels, seed=3)
+    got = [models.predict_proba(model, x) for model in (ffn, logistic)]
+    with mock.patch.object(models, "_softmax", ref_softmax):
+        ref_ffn = models.train(KIND_FFN, x, labels, seed=3, hyper=ffn_hyper)
+        want = [models.predict_proba(model, x) for model in (ffn, logistic)]
+    for key, value in ffn.parameters.items():
+        assert _same_bits(value, ref_ffn.parameters[key]), key
+    for probs, ref_probs in zip(got, want):
+        assert _same_bits(probs, ref_probs)

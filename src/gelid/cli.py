@@ -44,7 +44,8 @@ def cmd_ingest(args) -> int:
     out = Path(args.out)
     for video_id, track in tracks.items():
         _write(out / f"{video_id}.srt", write_srt(transcripts[video_id]))
-        write_descriptor_csv(track, out / f"{video_id}.descriptors.csv")
+        _write(out / f"{video_id}.descriptors.csv",
+               write_descriptor_csv(track))
     print(f"ingested {len(tracks)} video(s) into {out}")
     return 0
 
@@ -177,16 +178,22 @@ def cmd_report(args) -> int:
     return 0
 
 
-# an id, a group or a rating: a string or a number
+# an id or a group: a string or a number
 _LABEL = (str, float)
-# a sample file: a JSON array of numbers, or of labels for kappa's ratings
-_SAMPLE, _RATINGS = [float], [_LABEL]
+# a sample file: a JSON array of numbers
+_SAMPLE = [float]
 
 
 def _label_mapping(value) -> bool:
     """an object from ids to group labels, all strings or all numbers"""
     # were they mixed, 1 and "1" would name two groups
     return fits(value, {str: str}) or fits(value, {str: float})
+
+
+def _ratings(value) -> bool:
+    """a list of ratings, all strings or all numbers"""
+    # were they mixed, 1 and "1" would be two categories
+    return fits(value, [str]) or fits(value, [float])
 
 
 _PARTITION = {"groups?": [[_LABEL]], "mapping?": _label_mapping}
@@ -250,9 +257,12 @@ def _eval_result(args) -> dict:
             result.update(max_mno=stats.max_mno(b),
                           mojofm=stats.mojo_fm(a, b))
     elif stat == "kappa":
-        result = {"stat": stat, "kappa": stats.cohens_kappa(
-            pipeline.read_json(args.x, _RATINGS),
-            pipeline.read_json(args.y, _RATINGS))}
+        x = pipeline.read_json(args.x, _ratings)
+        y = pipeline.read_json(args.y, _ratings)
+        if x and y and isinstance(x[0], str) != isinstance(y[0], str):
+            raise DataError(f"{args.y}: ratings must be all strings or all "
+                            f"numbers, as in {args.x}")
+        result = {"stat": stat, "kappa": stats.cohens_kappa(x, y)}
     elif stat == "mann-whitney":
         r = stats.mann_whitney_u(pipeline.read_json(args.x, _SAMPLE),
                                  pipeline.read_json(args.y, _SAMPLE))

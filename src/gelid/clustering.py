@@ -27,6 +27,9 @@ log = logging.getLogger(__name__)
 
 NOISE = -1
 _CHANNELS = 3
+# mean shift's convergence step and iteration cap, recorded in its params
+_MEAN_SHIFT_TOL = 1e-4
+_MEAN_SHIFT_MAX_ITER = 300
 
 # each clusterer and the range of each parameter a caller gives it
 CLUSTERERS = {"dbscan": {"eps": positive, "min_pts": positive_int},
@@ -102,23 +105,6 @@ class ClusterAssignment:
         }
 
 
-def histogram_intersection(a: np.ndarray, b: np.ndarray) -> float:
-    """Similarity of two 3-block normalized histograms, in [0, 1]."""
-    return float(np.minimum(a, b).sum() / _CHANNELS)
-
-
-def context_distance(keyframes_a: np.ndarray,
-                     keyframes_b: np.ndarray) -> float:
-    """1 minus the mean pairwise keyframe similarity between two segments."""
-    a = np.atleast_2d(keyframes_a)
-    b = np.atleast_2d(keyframes_b)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise DataError("context distance needs at least one keyframe per "
-                        "segment")
-    sims = np.minimum(a[:, None, :], b[None, :, :]).sum(axis=2) / _CHANNELS
-    return float(np.clip(1.0 - sims.mean(), 0.0, 1.0))
-
-
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     """1 - cosine similarity; a zero vector is maximally distant (1.0)."""
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
@@ -127,17 +113,6 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     if np.array_equal(a, b):
         return 0.0
     return float(np.clip(1.0 - (a @ b) / (na * nb), 0.0, 1.0))
-
-
-def issue_distance(text_a: np.ndarray, keyframes_a: np.ndarray,
-                   text_b: np.ndarray, keyframes_b: np.ndarray,
-                   alpha: float) -> float:
-    """alpha * cosine text distance + (1 - alpha) * context distance."""
-    check_shape(alpha, blend_weight, "alpha")
-    text_term = cosine_distance(text_a, text_b) if alpha > 0 else 0.0
-    visual_term = (context_distance(keyframes_a, keyframes_b)
-                   if alpha < 1 else 0.0)
-    return alpha * text_term + (1.0 - alpha) * visual_term
 
 
 # Keyframe-pair similarities are computed one tile of segment blocks at a
@@ -160,9 +135,11 @@ def _segment_blocks(counts: np.ndarray, max_rows: int) -> list[range]:
 
 def _context_values(ids: tuple[str, ...],
                     keyframes: dict[str, np.ndarray]) -> np.ndarray:
-    """Context distances of every segment pair, each equal bit for bit to
-    `context_distance`: the same minimum-sum over D per keyframe pair,
-    then one mean per segment pair over its contiguous ka * kb block."""
+    """Context distance of every segment pair: 1 minus the mean, over
+    every pair of their keyframes, of the histogram intersection (the sum
+    of bin minima / 3), clipped to [0, 1]. Each keyframe pair's minimum-sum
+    runs over the bins, then one mean per segment pair over its contiguous
+    ka * kb block."""
     n = len(ids)
     values = np.zeros((n, n))
     if n < 2:
@@ -212,8 +189,8 @@ def build_context_matrix(ids, keyframes: dict[str, np.ndarray]
 def build_issue_matrix(ids, texts: dict[str, np.ndarray],
                        keyframes: dict[str, np.ndarray],
                        alpha: float) -> DistanceMatrix:
-    """Pairwise `issue_distance`: alpha 1 needs no keyframes, alpha 0 no
-    texts."""
+    """Pairwise alpha * cosine text distance + (1 - alpha) * context
+    distance: alpha 1 needs no keyframes, alpha 0 no texts."""
     check_shape(alpha, blend_weight, "alpha")
     ids = tuple(ids)
     n = len(ids)
@@ -353,17 +330,16 @@ def optics(matrix: DistanceMatrix, min_pts: int, eps_max: float,
         params={"min_pts": min_pts, "eps_max": eps_max, "eps_cut": eps_cut})
 
 
-def mean_shift(ids, points: np.ndarray, bandwidth: float, tol: float = 1e-4,
-               max_iter: int = 300) -> ClusterAssignment:
+def mean_shift(ids, points: np.ndarray, bandwidth: float
+               ) -> ClusterAssignment:
     """Flat-kernel mean shift on dense vectors; every point gets a cluster.
 
     Each point iterates to the mean of the original points within bandwidth
-    until it moves less than tol; converged modes closer than bandwidth / 2
+    until it moves less than _MEAN_SHIFT_TOL, for at most
+    _MEAN_SHIFT_MAX_ITER steps; converged modes closer than bandwidth / 2
     merge. No noise: modes always exist.
     """
     check_params("mean_shift", {"bandwidth": bandwidth}, "mean_shift")
-    if tol <= 0 or max_iter < 1:
-        raise DataError("tol must be > 0 and max_iter >= 1")
     ids = tuple(ids)
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] != len(ids):
@@ -372,12 +348,12 @@ def mean_shift(ids, points: np.ndarray, bandwidth: float, tol: float = 1e-4,
     modes = np.empty_like(points)
     for i in range(n):
         x = points[i].copy()
-        for _ in range(max_iter):
+        for _ in range(_MEAN_SHIFT_MAX_ITER):
             mask = np.linalg.norm(points - x, axis=1) <= bandwidth
             new = points[mask].mean(axis=0)
             shift = float(np.linalg.norm(new - x))
             x = new
-            if shift < tol:
+            if shift < _MEAN_SHIFT_TOL:
                 break
         modes[i] = x
     raw: dict[str, int] = {}
@@ -392,7 +368,8 @@ def mean_shift(ids, points: np.ndarray, bandwidth: float, tol: float = 1e-4,
             centers.append(modes[i])
     return ClusterAssignment(
         ids=ids, labels=_renumber(ids, raw), algorithm="mean_shift",
-        params={"bandwidth": bandwidth, "tol": tol, "max_iter": max_iter})
+        params={"bandwidth": bandwidth, "tol": _MEAN_SHIFT_TOL,
+                "max_iter": _MEAN_SHIFT_MAX_ITER})
 
 
 def segment_embedding(keyframes: np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ as CSV.
 
 from __future__ import annotations
 
-import io
 import logging
 import re
 import warnings
@@ -58,20 +57,6 @@ class VideoTrack:
     histograms: np.ndarray     # (F, 3 * bins) float64
     luminance: np.ndarray      # (F,) float64 in [0, 1]
     duration_ms: int = 0
-
-    @classmethod
-    def from_frames(cls, video_id: str, frames,
-                    duration_ms: int = 0) -> "VideoTrack":
-        frames = list(frames)
-        width = (frames[0].histogram.size if frames
-                 else _CHANNELS * DEFAULT_BINS)
-        return cls(video_id,
-                   np.array([f.timestamp_ms for f in frames], dtype=np.int64),
-                   np.array([f.histogram for f in frames],
-                            dtype=np.float64).reshape(len(frames), width),
-                   np.array([f.luminance_mean for f in frames],
-                            dtype=np.float64),
-                   duration_ms)
 
     @property
     def frames(self) -> "FrameRows":
@@ -256,20 +241,15 @@ def descriptor_csv_header(bins_per_channel: int = DEFAULT_BINS) -> list[str]:
             + ["luminance"])
 
 
-def write_descriptor_csv(track: VideoTrack,
-                         path: str | Path | io.TextIOBase) -> None:
-    """Write `timestamp_ms,h0..h47,luminance` rows, 9 decimal digits."""
+def write_descriptor_csv(track: VideoTrack) -> str:
+    """`timestamp_ms,h0..h47,luminance` rows, 9 decimal digits."""
     width = track.histograms.shape[1]
     row_format = ",".join(["%d"] + ["%.9f"] * (width + 1))
     rows = [row_format % (ts, *hist, lum) for ts, hist, lum in zip(
         track.timestamps_ms.tolist(), track.histograms.tolist(),
         track.luminance.tolist())]
     header = ",".join(descriptor_csv_header(width // _CHANNELS))
-    text = "\n".join([header] + rows) + "\n"
-    if isinstance(path, io.TextIOBase):
-        path.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+    return "\n".join([header] + rows) + "\n"
 
 
 def read_descriptor_csv(path: str | Path, video_id: str = "",

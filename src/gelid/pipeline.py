@@ -40,9 +40,18 @@ INFORMATIVE_LABELS = tuple(
     name for name in models.LABEL_ORDER
     if name != models.IssueLabel.NON_INFORMATIVE.value)
 
+
+def _file_name(value) -> bool:
+    """a file name: not empty, no '/', '\\' or NUL, and not '.' or '..'"""
+    # ingest writes <video_id>.srt and <video_id>.descriptors.csv, which
+    # must stay inside its output directory
+    return (isinstance(value, str) and value not in ("", ".", "..")
+            and not any(c in value for c in "/\\\0"))
+
+
 # the JSON inputs read here; the others' shapes live with their data
 _MANIFEST_SHAPE = {"schema_version": {MANIFEST_SCHEMA_VERSION},
-                  "videos": [{"video_id": str, "subtitles": str,
+                  "videos": [{"video_id": _file_name, "subtitles": str,
                               "frames": str, "duration_ms?": (int, {None})}]}
 _BUNDLE_SHAPE = {"schema_version": {BUNDLE_SCHEMA_VERSION}, "model": dict,
                  "vocabulary": dict,

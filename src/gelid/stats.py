@@ -70,10 +70,6 @@ class Partition:
     def n_objects(self) -> int:
         return len(self.assignment)
 
-    @property
-    def n_groups(self) -> int:
-        return len({g for _, g in self.assignment})
-
     def labels(self) -> np.ndarray:
         return np.array([g for _, g in self.assignment], dtype=np.int64)
 

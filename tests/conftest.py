@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gelid.frames import FrameDescriptor, VideoTrack, write_descriptor_csv
+from gelid.frames import VideoTrack, write_descriptor_csv
 from gelid.subtitles import format_srt_timestamp
 
 FRAME_STEP_MS = 500
@@ -43,7 +43,7 @@ def write_video(root: Path, video_id: str, scenes: list[dict]) -> dict:
     before the scene does, so cuts land exactly on scene boundaries.
     """
     rng = np.random.default_rng(zlib.crc32(video_id.encode()))
-    frames = []
+    stamps, hists, lums = [], [], []
     cue_lines = []
     cue_index = 1
     at = 0
@@ -51,7 +51,9 @@ def write_video(root: Path, video_id: str, scenes: list[dict]) -> dict:
         duration = scene["duration_ms"]
         hist = scene_histogram(scene["base_bin"], rng)
         for t in range(at, at + duration, FRAME_STEP_MS):
-            frames.append(FrameDescriptor(t, hist, scene["base_bin"] / 15.0))
+            stamps.append(t)
+            hists.append(hist)
+            lums.append(scene["base_bin"] / 15.0)
         phrase = LABEL_PHRASES[scene["label"]]
         words = phrase.split()
         half = len(words) // 2
@@ -63,8 +65,10 @@ def write_video(root: Path, video_id: str, scenes: list[dict]) -> dict:
                              f"{format_srt_timestamp(end)}\n{text}\n")
             cue_index += 1
         at += duration
-    track = VideoTrack.from_frames(video_id, frames, at)
-    write_descriptor_csv(track, root / f"{video_id}.descriptors.csv")
+    track = VideoTrack(video_id, np.array(stamps), np.array(hists),
+                       np.array(lums), at)
+    (root / f"{video_id}.descriptors.csv").write_text(
+        write_descriptor_csv(track), encoding="utf-8", newline="\n")
     (root / f"{video_id}.srt").write_text("\n".join(cue_lines),
                                           encoding="utf-8", newline="\n")
     return {"video_id": video_id,

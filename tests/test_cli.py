@@ -502,6 +502,25 @@ def staged(tmp_path_factory):
     _stage_chain(paths, root / "stage")
     return paths, root / "stage"
 
+def test_group_with_mean_shift_records_its_constants(staged, tmp_path):
+    paths, stage = staged
+    config = tmp_path / "mean_shift.conf"
+    config.write_text(paths["config"].read_text()
+                      + "clustering.context_algorithm = mean_shift\n")
+    assert main(["group", "--manifest", str(paths["manifest"]),
+                 "--config", str(config),
+                 "--segments", str(stage / "segments.jsonl"),
+                 "--labels", str(stage / "labels.jsonl"),
+                 "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "contexts.json").read_text()
+    assert '''  "params": {
+    "bandwidth": 0.25,
+    "max_iter": 300,
+    "tol": 0.0001
+  },
+''' in text
+    assert json.loads(text)["algorithm"] == "mean_shift"
+
 
 def _rewrite_line(src, dst, index, edit):
     lines = src.read_text().splitlines()
@@ -692,6 +711,22 @@ def test_manifest_that_is_a_list_exits_2(tmp_path, capsys):
                   str(paths["manifest"]))
 
 
+@pytest.mark.parametrize("video_id", ["../escaped", "a/b", "a\\b", "a\0b",
+                                      ".", "..", ""])
+def test_manifest_video_id_that_is_not_a_file_name_exits_2(tmp_path, capsys,
+                                                          video_id):
+    paths = _world(tmp_path)
+    manifest = json.loads(paths["manifest"].read_text())
+    manifest["videos"][0]["video_id"] = video_id
+    paths["manifest"].write_text(json.dumps(manifest))
+    out = tmp_path / "work" / "ingest"
+    _fails_naming(capsys, ["ingest", "--manifest", str(paths["manifest"]),
+                           "--config", str(paths["config"]),
+                           "--out", str(out)],
+                  str(paths["manifest"]), "$.videos[0].video_id")
+    assert not (tmp_path / "work").exists()
+
+
 @pytest.mark.parametrize("text", [
     "[]", "5", '{"schema_version": 1, "model": 5}',
     "embedding_is_a_list"])
@@ -798,6 +833,21 @@ def test_eval_partition_labels_are_all_strings_or_all_numbers(
     else:
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["mno"] == mno
+
+
+@pytest.mark.parametrize("x_text, y_text, bad", [
+    ("[1, 2, 1, 2]", '[1, 2, "1", 2]', "y"),
+    ('["1", 2]', '["1", "2"]', "x"),
+    ("[1, 2, 1, 2]", '["1", "2", "1", "2"]', "y"),
+    ('["1", "2", "1", "2"]', "[1, 2, 1, 2]", "y")])
+def test_eval_kappa_ratings_are_all_strings_or_all_numbers(
+        tmp_path, capsys, x_text, y_text, bad):
+    x, y = tmp_path / "x.json", tmp_path / "y.json"
+    x.write_text(x_text)
+    y.write_text(y_text)
+    _fails_naming(capsys, ["eval", "--stat", "kappa", "--x", str(x),
+                           "--y", str(y)],
+                  str({"x": x, "y": y}[bad]), "all strings or all numbers")
 
 
 @pytest.mark.parametrize("stat", ["mann-whitney", "cliffs-delta", "kappa"])

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gelid import clustering
 from gelid.clustering import (NOISE, DistanceMatrix, build_context_matrix,
-                              cluster_issues, context_distance,
+                              build_issue_matrix, cluster_issues,
                               cosine_distance, dbscan, group_by_context,
-                              histogram_intersection, issue_distance,
                               mean_shift, optics, segment_embedding)
 from gelid.config import RunConfig
 from gelid.errors import DataError
@@ -26,6 +26,19 @@ WHITE = _hist(15)
 
 # --- distances ---------------------------------------------------------------
 
+def context_distance(keyframes_a, keyframes_b):
+    """The context distance of two segments, from the matrix kernel."""
+    return build_context_matrix(["a", "b"], {"a": keyframes_a,
+                                             "b": keyframes_b}).values[0, 1]
+
+
+def issue_distance(text_a, keyframes_a, text_b, keyframes_b, alpha):
+    """The issue distance of two segments, from the matrix kernel."""
+    return build_issue_matrix(["a", "b"], {"a": text_a, "b": text_b},
+                              {"a": keyframes_a, "b": keyframes_b},
+                              alpha).values[0, 1]
+
+
 def test_identical_keyframes_distance_zero():
     assert context_distance(np.array([BLACK]), np.array([BLACK])) == 0.0
 
@@ -42,8 +55,9 @@ def test_mixed_keyframes_average_pairwise():
 
 
 def test_histogram_intersection_bounds():
-    assert histogram_intersection(BLACK, BLACK) == 1.0
-    assert histogram_intersection(BLACK, WHITE) == 0.0
+    # one keyframe each: the distance is 1 minus their intersection
+    assert 1.0 - context_distance(BLACK, BLACK) == 1.0
+    assert 1.0 - context_distance(BLACK, WHITE) == 0.0
 
 
 def test_context_distance_requires_keyframes():
@@ -278,8 +292,8 @@ def test_mean_shift_modes_are_fixed_points():
     pts = np.vstack([rng.normal(0, 0.05, size=(6, 2)),
                      rng.normal(3, 0.05, size=(6, 2))])
     ids = [f"s{i}" for i in range(12)]
-    bandwidth, tol = 0.5, 1e-6
-    out = mean_shift(ids, pts, bandwidth=bandwidth, tol=tol, max_iter=500)
+    bandwidth, tol = 0.5, clustering._MEAN_SHIFT_TOL
+    out = mean_shift(ids, pts, bandwidth=bandwidth)
     # recompute each cluster's mode by one more flat-kernel step
     for cid, members in out.clusters().items():
         rows = [ids.index(m) for m in members]

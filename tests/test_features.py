@@ -13,7 +13,7 @@ from gelid.features import (FEATURE_GROUPS, SPEECH_NAMES, VIDEO_NAMES,
                             load_embedding_table, read_feature_csv,
                             smote_oversample, speech_features, text_features,
                             tokenize, video_features, write_feature_csv)
-from gelid.frames import FrameDescriptor, VideoTrack
+from gelid.frames import VideoTrack, compute_histogram
 from gelid.segmentation import Segment
 from gelid.subtitles import Cue, Transcript
 
@@ -171,6 +171,13 @@ def _hist(dominant):
     return h
 
 
+def _track(stamps, hists, luminance, duration_ms):
+    """A track from its columns."""
+    return VideoTrack("vid", np.array(stamps, dtype=np.int64),
+                      np.array(hists).reshape(len(stamps), 48),
+                      np.array(luminance, dtype=np.float64), duration_ms)
+
+
 def _seg(start, end, cue_indices=(), video_id="vid", keyframes=()):
     return Segment(segment_id=f"{video_id}_{start}", video_id=video_id,
                    start_ms=start, end_ms=end, cue_indices=cue_indices,
@@ -178,8 +185,7 @@ def _seg(start, end, cue_indices=(), video_id="vid", keyframes=()):
 
 
 def test_video_features_black_segment():
-    frames = [FrameDescriptor(t, _hist(0), 0.0) for t in (0, 500, 1000)]
-    track = VideoTrack.from_frames("vid", frames, 2000)
+    track = _track([0, 500, 1000], [_hist(0)] * 3, [0.0] * 3, 2000)
     by = dict(zip(VIDEO_NAMES, video_features(_seg(0, 2000), track)))
     assert by["video:luminance_mean"] == 0.0
     assert by["video:blank_fraction"] == 1.0
@@ -187,8 +193,7 @@ def test_video_features_black_segment():
 
 
 def test_video_features_constant_frames_zero_motion():
-    frames = [FrameDescriptor(t, _hist(3), 0.4) for t in (0, 500, 1000)]
-    track = VideoTrack.from_frames("vid", frames, 2000)
+    track = _track([0, 500, 1000], [_hist(3)] * 3, [0.4] * 3, 2000)
     by = dict(zip(VIDEO_NAMES, video_features(_seg(0, 2000), track)))
     assert by["video:motion_mean"] == 0.0
     assert by["video:motion_std"] == 0.0
@@ -196,8 +201,7 @@ def test_video_features_constant_frames_zero_motion():
 
 def test_video_features_alternating_frames_motion_from_oracle():
     hists = [_hist(0), _hist(15), _hist(0), _hist(15)]
-    frames = [FrameDescriptor(i * 500, h, 0.0) for i, h in enumerate(hists)]
-    track = VideoTrack.from_frames("vid", frames, 2000)
+    track = _track([0, 500, 1000, 1500], hists, [0.0] * 4, 2000)
     by = dict(zip(VIDEO_NAMES, video_features(_seg(0, 2000), track)))
     # independent brute-force L1 oracle
     expected = []
@@ -209,8 +213,7 @@ def test_video_features_alternating_frames_motion_from_oracle():
 
 
 def test_video_features_single_frame_flags_no_video():
-    track = VideoTrack.from_frames(
-        "vid", [FrameDescriptor(100, _hist(0), 0.5)], 2000)
+    track = _track([100], [_hist(0)], [0.5], 2000)
     by = dict(zip(VIDEO_NAMES, video_features(_seg(0, 2000), track)))
     assert by["video:had_video"] == 0.0
     assert by["video:motion_mean"] == 0.0
@@ -247,8 +250,7 @@ def test_speech_features_words_per_second():
 # --- assembly ---------------------------------------------------------------
 
 def _mini_world():
-    frames = [FrameDescriptor(t, _hist(0), 0.0) for t in (0, 1000, 2000)]
-    track = VideoTrack.from_frames("vid", frames, 4000)
+    track = _track([0, 1000, 2000], [_hist(0)] * 3, [0.0] * 3, 4000)
     transcript = _transcript([(0, 2000, "the game crashed hard.")])
     seg = _seg(0, 4000, cue_indices=(1,))
     vocab = _fit(["game crashed", "lag spike"])
@@ -312,14 +314,13 @@ def test_matrix_rejects_shape_mismatch():
 def test_features_always_finite(text, seed):
     rng = np.random.default_rng(seed)
     n_frames = int(rng.integers(0, 4))
-    frames = []
-    for i in range(n_frames):
+    hists, lums = [], []
+    for _ in range(n_frames):
         raw = rng.random((4, 4, 3))
-        img = (raw * 255).astype(np.uint8)
-        from gelid.frames import compute_histogram
-        hist, lum = compute_histogram(img)
-        frames.append(FrameDescriptor(i * 500, hist, lum))
-    track = VideoTrack.from_frames("vid", frames, 5000)
+        hist, lum = compute_histogram((raw * 255).astype(np.uint8))
+        hists.append(hist)
+        lums.append(lum)
+    track = _track([i * 500 for i in range(n_frames)], hists, lums, 5000)
     transcript = _transcript([(0, 2500, text.replace("\n", " ") or "x")]) \
         if text.strip() else Transcript(video_id="vid")
     seg = _seg(0, 5000, cue_indices=(1,) if transcript.cues else ())

@@ -1,4 +1,3 @@
-import io
 import warnings
 
 import numpy as np
@@ -7,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gelid.errors import DataError, ParseError
-from gelid.frames import (FrameDescriptor, VideoTrack, compute_histogram,
-                          load_track, parse_ppm_frame, read_descriptor_csv,
+from gelid.frames import (VideoTrack, compute_histogram, load_track,
+                          parse_ppm_frame, read_descriptor_csv,
                           write_descriptor_csv)
 
 
@@ -168,25 +167,30 @@ def test_load_track_empty_directory_warns(tmp_path, caplog):
     assert any("empty" in rec.message for rec in caplog.records)
 
 
+def _track(stamps, hists, luminance, duration_ms):
+    """A track from its columns."""
+    return VideoTrack("vid", np.array(stamps, dtype=np.int64),
+                      np.array(hists), np.array(luminance), duration_ms)
+
+
+def _black(n):
+    """n all-black histograms."""
+    hists = np.zeros((n, 48))
+    hists[:, [0, 16, 32]] = 1.0
+    return hists
+
+
 def test_descriptor_csv_row_parses(tmp_path):
-    hist = np.zeros(48)
-    hist[[0, 16, 32]] = 1.0
-    track = VideoTrack.from_frames("vid", [FrameDescriptor(1000, hist, 0.5)],
-                                   1000)
+    track = _track([1000], _black(1), [0.5], 1000)
     path = tmp_path / "d.csv"
-    write_descriptor_csv(track, path)
+    path.write_text(write_descriptor_csv(track))
     again = read_descriptor_csv(path, "vid")
     assert again.frames[0].timestamp_ms == 1000
     assert again.frames[0].luminance_mean == 0.5
 
 
 def test_descriptor_csv_non_monotone_is_error(tmp_path):
-    hist = np.zeros(48)
-    hist[[0, 16, 32]] = 1.0
-    track = VideoTrack.from_frames("vid", [FrameDescriptor(0, hist, 0.0),
-                                           FrameDescriptor(10, hist, 0.0)], 10)
-    path = tmp_path / "d.csv"
-    write_descriptor_csv(track, path)
+    path = _two_row_csv(tmp_path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join([lines[0], lines[2], lines[1]]) + "\n")
     with pytest.raises(ParseError):
@@ -195,49 +199,40 @@ def test_descriptor_csv_non_monotone_is_error(tmp_path):
 
 def test_descriptor_csv_round_trip_is_exact_to_9_digits(tmp_path):
     rng = np.random.default_rng(11)
-    frames = []
-    for i in range(4):
+    hists, lums = [], []
+    for _ in range(4):
         raw = rng.random(48).reshape(3, 16)
-        hist = (raw / raw.sum(axis=1, keepdims=True)).ravel()
-        frames.append(FrameDescriptor(i * 100, hist, float(rng.random())))
-    track = VideoTrack.from_frames("vid", frames, 300)
+        hists.append((raw / raw.sum(axis=1, keepdims=True)).ravel())
+        lums.append(float(rng.random()))
+    track = _track([0, 100, 200, 300], hists, lums, 300)
     p1 = tmp_path / "a.csv"
-    write_descriptor_csv(track, p1)
+    p1.write_text(write_descriptor_csv(track))
     again = read_descriptor_csv(p1, "vid")
     for f0, f1 in zip(track.frames, again.frames):
         assert np.allclose(f0.histogram, f1.histogram, atol=5e-10, rtol=0)
         assert abs(f0.luminance_mean - f1.luminance_mean) <= 5e-10
     # second write is byte-identical (the format is a fixpoint)
     p2 = tmp_path / "b.csv"
-    write_descriptor_csv(again, p2)
+    p2.write_text(write_descriptor_csv(again))
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_descriptor_csv_via_stringio():
-    hist = np.zeros(48)
-    hist[[0, 16, 32]] = 1.0
-    track = VideoTrack.from_frames("vid", [FrameDescriptor(0, hist, 0.0)], 0)
-    buf = io.StringIO()
-    write_descriptor_csv(track, buf)
-    assert buf.getvalue().startswith("timestamp_ms,h0,")
+def test_descriptor_csv_is_text_with_header():
+    text = write_descriptor_csv(_track([0], _black(1), [0.0], 0))
+    assert text.startswith("timestamp_ms,h0,")
+    assert text.endswith("\n")
 
 
 def test_track_validation_rejects_late_frames():
-    hist = np.zeros(48)
-    hist[[0, 16, 32]] = 1.0
-    track = VideoTrack.from_frames("vid", [FrameDescriptor(2000, hist, 0.0)],
-                                   1000)
+    track = _track([2000], _black(1), [0.0], 1000)
     with pytest.raises(DataError):
         track.validate()
 
 
 def _two_row_csv(tmp_path):
-    hist = np.zeros(48)
-    hist[[0, 16, 32]] = 1.0
-    track = VideoTrack.from_frames("vid", [FrameDescriptor(0, hist, 0.0),
-                                           FrameDescriptor(10, hist, 0.0)], 10)
     path = tmp_path / "d.csv"
-    write_descriptor_csv(track, path)
+    path.write_text(write_descriptor_csv(_track([0, 10], _black(2),
+                                                [0.0, 0.0], 10)))
     return path
 
 

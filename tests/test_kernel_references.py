@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from gelid import clustering
 from gelid.clustering import (build_context_matrix, build_issue_matrix,
-                              context_distance, issue_distance)
+                              cosine_distance)
 from gelid.errors import DataError
 from gelid.features import (BLANK_LUMINANCE, cue_columns, speech_features,
                             video_features)
@@ -147,23 +147,34 @@ def ref_match_probes(probes, segments):
 
 
 def ref_context_matrix(ids, keyframes):
+    """Per segment pair: 1 minus the mean histogram intersection (the sum
+    of bin minima / 3) over every pair of their keyframes, clipped to
+    [0, 1]."""
     n = len(ids)
     values = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            d = context_distance(keyframes[ids[i]], keyframes[ids[j]])
-            values[i, j] = values[j, i] = d
+            a = np.atleast_2d(keyframes[ids[i]])
+            b = np.atleast_2d(keyframes[ids[j]])
+            sims = np.minimum(a[:, None, :], b[None, :, :]).sum(axis=2) / 3
+            values[i, j] = values[j, i] = np.clip(1.0 - sims.mean(), 0.0, 1.0)
     return values
 
 
 def ref_issue_matrix(ids, texts, keyframes, alpha):
+    """Per segment pair: alpha * the cosine distance of their texts
+    + (1 - alpha) * their context distance, each term computed only when
+    its weight is not 0."""
     n = len(ids)
+    visual = (ref_context_matrix(ids, keyframes) if alpha < 1
+              else np.zeros((n, n)))
     values = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            d = issue_distance(texts[ids[i]], keyframes[ids[i]],
-                               texts[ids[j]], keyframes[ids[j]], alpha)
-            values[i, j] = values[j, i] = d
+            text = (cosine_distance(texts[ids[i]], texts[ids[j]])
+                    if alpha > 0 else 0.0)
+            values[i, j] = values[j, i] = (alpha * text
+                                           + (1.0 - alpha) * visual[i, j])
     return values
 
 
@@ -351,7 +362,7 @@ def test_descriptor_csv_matches_per_cell_format_and_parse(tmp_path_factory,
                                                           spec):
     track = _random_track(*spec)
     path = tmp_path_factory.mktemp("csv") / "d.csv"
-    write_descriptor_csv(track, path)
+    path.write_text(write_descriptor_csv(track))
     assert path.read_text().splitlines()[1:] == [
         ",".join([str(f.timestamp_ms)] + [f"{v:.9f}" for v in f.histogram]
                  + [f"{f.luminance_mean:.9f}"])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gelid.errors import DataError
-from gelid.frames import FrameDescriptor, VideoTrack
+from gelid.frames import VideoTrack
 from gelid.pipeline import load_segments
 from gelid.segmentation import (CutPoint, SegmenterConfig, ShotTransition,
                                 SnapRule, build_segments, derive_cut_points,
@@ -21,10 +21,12 @@ def _hist(dominant_bin):
 
 
 def _track(stamps_and_bins, duration=None, video_id="vid"):
-    frames = [FrameDescriptor(ts, _hist(b), 1.0 if b == 15 else 0.0)
-              for ts, b in stamps_and_bins]
-    return VideoTrack.from_frames(
-        video_id, frames, duration or max(ts for ts, _ in stamps_and_bins))
+    stamps = [ts for ts, _ in stamps_and_bins]
+    bins = [b for _, b in stamps_and_bins]
+    return VideoTrack(video_id, np.array(stamps),
+                      np.array([_hist(b) for b in bins]),
+                      np.array([1.0 if b == 15 else 0.0 for b in bins]),
+                      duration or max(stamps))
 
 
 def _constant_track(n=20, step=1000):

@@ -113,7 +113,7 @@ def test_mno_matching_equals_enumeration_exhaustive_n5():
         for b in parts:
             expected = mno_enumerated(a, b)
             assert mno(a, b) == expected
-            if a.n_groups <= 5 and b.n_groups <= 5:
+            if len(a.groups()) <= 5 and len(b.groups()) <= 5:
                 assert mno_enumerated_product(a, b) == expected
 
 

@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import features, pipeline, stats
@@ -215,87 +216,76 @@ def _partition_from_file(path: str) -> stats.Partition:
     return partition
 
 
-# each statistic: the files it reads, and the flags it cannot run without;
-# a stat that reads no file takes flags only, so its DataError is a usage
-# error
-_EVAL_INPUTS = {"mojofm": (("partition_a", "partition_b"), ()),
-                "mno": (("partition_a", "partition_b"), ()),
-                "kappa": (("x", "y"), ()), "mann-whitney": (("x", "y"), ()),
-                "cliffs-delta": (("x", "y"), ()), "bh": (("p",), ()),
-                "margin": ((), ("n",)), "likert-std": ((), ()),
-                "power": ((), ()), "atomicity": ((), ())}
+def _partitions(args) -> tuple[stats.Partition, stats.Partition]:
+    return (_partition_from_file(args.partition_a),
+            _partition_from_file(args.partition_b))
+
+
+def _samples(args) -> tuple[list, list]:
+    return (pipeline.read_json(args.x, _SAMPLE),
+            pipeline.read_json(args.y, _SAMPLE))
+
+
+def _mojofm(args) -> dict:
+    a, b = _partitions(args)
+    return {"mno": stats.mno(a, b), "max_mno": stats.max_mno(b),
+            "mojofm": stats.mojo_fm(a, b)}
+
+
+def _kappa(args) -> dict:
+    x = pipeline.read_json(args.x, _ratings)
+    y = pipeline.read_json(args.y, _ratings)
+    if x and y and isinstance(x[0], str) != isinstance(y[0], str):
+        raise DataError(f"{args.y}: ratings must be all strings or all "
+                        f"numbers, as in {args.x}")
+    return {"kappa": stats.cohens_kappa(x, y)}
+
+
+# each statistic: the files it reads, the flags it cannot run without, and
+# its result's fields; a stat that reads no file takes flags only, so its
+# DataError is a usage error
+_EVAL_STATS = {
+    "mojofm": (("partition_a", "partition_b"), (), _mojofm),
+    "mno": (("partition_a", "partition_b"), (),
+            lambda args: {"mno": stats.mno(*_partitions(args))}),
+    "kappa": (("x", "y"), (), _kappa),
+    "mann-whitney": (("x", "y"), (), lambda args: asdict(
+        stats.mann_whitney_u(*_samples(args)))),
+    "cliffs-delta": (("x", "y"), (), lambda args: asdict(
+        stats.cliffs_delta(*_samples(args)))),
+    "bh": (("p",), (), lambda args: {"adjusted": stats.benjamini_hochberg(
+        pipeline.read_json(args.p, _SAMPLE))}),
+    "margin": ((), ("n",), lambda args: {
+        "margin_of_error": stats.margin_of_error(args.n, args.confidence)}),
+    "likert-std": ((), (), lambda args: asdict(stats.simulate_likert_std(
+        args.sims, args.group_size, seed=args.sim_seed))),
+    "power": ((), (), lambda args: asdict(stats.simulate_power(
+        args.group_size, args.shift, args.sd, args.alpha, n_sims=args.sims,
+        seed=args.sim_seed))),
+    "atomicity": ((), (), lambda args: {
+        "score": stats.atomicity_score(args.extras)}),
+}
 
 
 def cmd_eval(args) -> int:
     stat = args.stat
-    files, flags = _EVAL_INPUTS[stat]
+    files, flags, evaluate = _EVAL_STATS[stat]
     missing = [f"--{name.replace('_', '-')}" for name in files + flags
                if getattr(args, name) is None]
     if missing:
         raise ConfigError(f"--stat {stat} needs {' and '.join(missing)}")
     try:
-        result = _eval_result(args)
+        fields = {"stat": stat, **evaluate(args)}
     except DataError as exc:
         if files:
             raise
         raise ConfigError(str(exc)) from None
-    text = json.dumps(result, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(fields, sort_keys=True, indent=2) + "\n"
     if args.out:
         _write(Path(args.out), text)
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _eval_result(args) -> dict:
-    stat = args.stat
-    if stat in ("mojofm", "mno"):
-        a = _partition_from_file(args.partition_a)
-        b = _partition_from_file(args.partition_b)
-        result = {"stat": stat, "mno": stats.mno(a, b)}
-        if stat == "mojofm":
-            result.update(max_mno=stats.max_mno(b),
-                          mojofm=stats.mojo_fm(a, b))
-    elif stat == "kappa":
-        x = pipeline.read_json(args.x, _ratings)
-        y = pipeline.read_json(args.y, _ratings)
-        if x and y and isinstance(x[0], str) != isinstance(y[0], str):
-            raise DataError(f"{args.y}: ratings must be all strings or all "
-                            f"numbers, as in {args.x}")
-        result = {"stat": stat, "kappa": stats.cohens_kappa(x, y)}
-    elif stat == "mann-whitney":
-        r = stats.mann_whitney_u(pipeline.read_json(args.x, _SAMPLE),
-                                 pipeline.read_json(args.y, _SAMPLE))
-        result = {"stat": stat, "u": r.u, "p_value": r.p_value,
-                  "exact": r.exact}
-    elif stat == "cliffs-delta":
-        r = stats.cliffs_delta(pipeline.read_json(args.x, _SAMPLE),
-                               pipeline.read_json(args.y, _SAMPLE))
-        result = {"stat": stat, "delta": r.delta, "magnitude": r.magnitude}
-    elif stat == "bh":
-        result = {"stat": stat,
-                  "adjusted": stats.benjamini_hochberg(
-                      pipeline.read_json(args.p, _SAMPLE))}
-    elif stat == "margin":
-        result = {"stat": stat,
-                  "margin_of_error": stats.margin_of_error(args.n,
-                                                           args.confidence)}
-    elif stat == "likert-std":
-        r = stats.simulate_likert_std(args.sims, args.group_size,
-                                      seed=args.sim_seed)
-        result = {"stat": stat, "min": r.min, "max": r.max, "mean": r.mean}
-    elif stat == "power":
-        r = stats.simulate_power(args.group_size, args.shift, args.sd,
-                                 args.alpha, n_sims=args.sims,
-                                 seed=args.sim_seed)
-        result = {"stat": stat, "power": r.power,
-                  "power_mann_whitney": r.power_mann_whitney,
-                  "n_sims": r.n_sims}
-    elif stat == "atomicity":
-        result = {"stat": stat, "score": stats.atomicity_score(args.extras)}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown stat {stat!r}")
-    return result
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("eval", help="statistics harness")
-    p.add_argument("--stat", required=True, choices=tuple(_EVAL_INPUTS))
+    p.add_argument("--stat", required=True, choices=tuple(_EVAL_STATS))
     p.add_argument("--partition-a", help="partition JSON (groups or mapping)")
     p.add_argument("--partition-b", help="partition JSON (groups or mapping)")
     p.add_argument("--x", help="JSON array of values")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import ParseError
@@ -69,21 +70,28 @@ def _decode(data: bytes | str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _parse_srt_timestamp(token: str, line_no: int) -> int:
-    m = _SRT_TIME_RE.match(token.strip())
+def _timestamp(token: str, pattern: re.Pattern, fmt: str,
+               line_no: int) -> int:
+    """Milliseconds of a `fmt` timestamp, which `pattern` splits into
+    hours (0 when it has none), minutes, seconds and milliseconds."""
+    m = pattern.match(token.strip())
     if not m:
-        raise ParseError(f"malformed SRT timestamp {token.strip()!r}", line_no)
-    h, mi, s, ms = (int(x) for x in m.groups())
+        raise ParseError(f"malformed {fmt} timestamp {token.strip()!r}",
+                         line_no)
+    h, mi, s, ms = (int(x) for x in m.groups(0))
     return ((h * 60 + mi) * 60 + s) * 1000 + ms
 
 
-def _parse_vtt_timestamp(token: str, line_no: int) -> int:
-    m = _VTT_TIME_RE.match(token.strip())
-    if not m:
-        raise ParseError(f"malformed WebVTT timestamp {token.strip()!r}", line_no)
-    h = int(m.group(1)) if m.group(1) is not None else 0
-    mi, s, ms = int(m.group(2)), int(m.group(3)), int(m.group(4))
-    return ((h * 60 + mi) * 60 + s) * 1000 + ms
+def _blocks(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Each run of non-blank lines, with the number of its first line."""
+    block: list[str] = []
+    # the blank line past the end closes the last run
+    for line_no, line in enumerate(text.split("\n") + [""], 1):
+        if line.strip():
+            block.append(line)
+        elif block:
+            yield line_no - len(block), block
+            block = []
 
 
 def _finalize(raw_cues: list[tuple[int, int, int, str]],
@@ -109,73 +117,42 @@ def _finalize(raw_cues: list[tuple[int, int, int, str]],
 
 def parse_srt(data: bytes | str, video_id: str = "") -> Transcript:
     """Parse SubRip subtitles. An empty file yields an empty transcript."""
-    text = _decode(data)
     raw_cues: list[tuple[int, int, int, str]] = []
-    lines = text.split("\n")
-    i = 0
-    n = len(lines)
-    while i < n:
-        if not lines[i].strip():
-            i += 1
-            continue
-        block_start = i
+    for line_no, lines in _blocks(_decode(data)):
         # optional numeric index line
-        if lines[i].strip().isdigit() and i + 1 < n and "-->" in lines[i + 1]:
-            i += 1
-        if i >= n or "-->" not in lines[i]:
-            raise ParseError("expected timestamp line with '-->'", block_start + 1)
-        timing_line_no = i + 1
-        left, _, right = lines[i].partition("-->")
-        start_ms = _parse_srt_timestamp(left, timing_line_no)
-        end_ms = _parse_srt_timestamp(right, timing_line_no)
-        i += 1
-        body = []
-        while i < n and lines[i].strip():
-            body.append(lines[i])
-            i += 1
-        raw_cues.append((start_ms, end_ms, timing_line_no,
-                         _clean_text(" ".join(body))))
+        if lines[0].strip().isdigit() and len(lines) > 1 and "-->" in lines[1]:
+            line_no, lines = line_no + 1, lines[1:]
+        if "-->" not in lines[0]:
+            raise ParseError("expected timestamp line with '-->'", line_no)
+        left, _, right = lines[0].partition("-->")
+        raw_cues.append((_timestamp(left, _SRT_TIME_RE, "SRT", line_no),
+                         _timestamp(right, _SRT_TIME_RE, "SRT", line_no),
+                         line_no, _clean_text(" ".join(lines[1:]))))
     return _finalize(raw_cues, video_id)
 
 
 def parse_vtt(data: bytes | str, video_id: str = "") -> Transcript:
     """Parse WebVTT subtitles. NOTE/STYLE/REGION blocks are skipped."""
     text = _decode(data)
-    lines = text.split("\n")
-    if not lines or not lines[0].startswith("WEBVTT"):
+    if not text.startswith("WEBVTT"):
         raise ParseError("missing WEBVTT header", 1)
     raw_cues: list[tuple[int, int, int, str]] = []
-    i = 1
-    n = len(lines)
-    # skip the rest of the header block
-    while i < n and lines[i].strip():
-        i += 1
-    while i < n:
-        if not lines[i].strip():
-            i += 1
+    blocks = _blocks(text)
+    next(blocks)  # the header block
+    for line_no, lines in blocks:
+        if lines[0].strip().startswith(("NOTE", "STYLE", "REGION")):
             continue
-        first = lines[i].strip()
-        if first.startswith(("NOTE", "STYLE", "REGION")):
-            while i < n and lines[i].strip():
-                i += 1
-            continue
-        if "-->" not in lines[i]:
-            i += 1  # cue identifier line
-            if i >= n or "-->" not in lines[i]:
-                raise ParseError("expected cue timing line with '-->'", i)
-        timing_line_no = i + 1
-        left, _, right = lines[i].partition("-->")
+        if "-->" not in lines[0]:  # a cue identifier line
+            if len(lines) < 2 or "-->" not in lines[1]:
+                raise ParseError("expected cue timing line with '-->'",
+                                 line_no)
+            line_no, lines = line_no + 1, lines[1:]
+        left, _, right = lines[0].partition("-->")
         # cue settings (e.g. "align:start") follow the end timestamp
-        right = right.strip().split(" ", 1)[0] if right.strip() else right
-        start_ms = _parse_vtt_timestamp(left, timing_line_no)
-        end_ms = _parse_vtt_timestamp(right, timing_line_no)
-        i += 1
-        body = []
-        while i < n and lines[i].strip():
-            body.append(lines[i])
-            i += 1
-        raw_cues.append((start_ms, end_ms, timing_line_no,
-                         _clean_text(" ".join(body))))
+        right = right.strip().split(" ", 1)[0]
+        raw_cues.append((_timestamp(left, _VTT_TIME_RE, "WebVTT", line_no),
+                         _timestamp(right, _VTT_TIME_RE, "WebVTT", line_no),
+                         line_no, _clean_text(" ".join(lines[1:]))))
     return _finalize(raw_cues, video_id)
 
 

@@ -465,6 +465,80 @@ def test_eval_kappa_and_simulations(tmp_path, capsys):
     assert 0.0 <= power["power_mann_whitney"] <= 1.0
 
 
+_EVAL_FILES = {"a.json": {"groups": [["a", "b"], ["c", "d"], ["e"]]},
+               "b.json": {"mapping": {"a": 1, "b": 2, "c": 2, "d": 2,
+                                      "e": 1}},
+               "r.json": ["yes", "no", "yes", "yes", "no"],
+               "s.json": ["yes", "no", "no", "yes", "no"],
+               "x.json": [1.5, 2, 3.25, 4], "y.json": [2, 5, 6.5],
+               "p.json": [0.01, 0.04, 0.03, 0.2]}
+
+# every stat's whole output, and the exit code and message of each kind of
+# error, byte for byte
+_EVAL_OUTPUTS = [
+    ("--stat mojofm --partition-a a.json --partition-b b.json", 0,
+     '{\n  "max_mno": 3,\n  "mno": 2,\n  "mojofm": 33.33333333333334,\n'
+     '  "stat": "mojofm"\n}\n'),
+    ("--stat mno --partition-a a.json --partition-b b.json", 0,
+     '{\n  "mno": 2,\n  "stat": "mno"\n}\n'),
+    ("--stat kappa --x r.json --y s.json", 0,
+     '{\n  "kappa": 0.6153846153846155,\n  "stat": "kappa"\n}\n'),
+    ("--stat mann-whitney --x x.json --y y.json", 0,
+     '{\n  "exact": true,\n  "p_value": 0.2857142857142857,\n'
+     '  "stat": "mann-whitney",\n  "u": 2.5\n}\n'),
+    ("--stat cliffs-delta --x x.json --y y.json", 0,
+     '{\n  "delta": -0.5833333333333334,\n  "magnitude": "large",\n'
+     '  "stat": "cliffs-delta"\n}\n'),
+    ("--stat bh --p p.json", 0,
+     '{\n  "adjusted": [\n    0.04,\n    0.05333333333333334,\n'
+     '    0.05333333333333334,\n    0.2\n  ],\n  "stat": "bh"\n}\n'),
+    ("--stat margin --n 400 --confidence 0.9", 0,
+     '{\n  "margin_of_error": 0.04112134067378681,\n  "stat": "margin"\n}\n'),
+    ("--stat likert-std --sims 50 --group-size 10 --sim-seed 2", 0,
+     '{\n  "max": 1.8257418583505538,\n  "mean": 1.39951801366534,\n'
+     '  "min": 0.7888106377466155,\n  "stat": "likert-std"\n}\n'),
+    ("--stat power --group-size 20 --shift 0.8 --sd 1.0 --sims 60 "
+     "--sim-seed 4", 0,
+     '{\n  "n_sims": 60,\n  "power": 0.75,\n  "power_mann_whitney": 0.7,\n'
+     '  "stat": "power"\n}\n'),
+    ("--stat atomicity --extras 7", 0,
+     '{\n  "score": 1,\n  "stat": "atomicity"\n}\n'),
+    ("--stat mno --partition-a a.json", 1,
+     "error: --stat mno needs --partition-b\n"),
+    ("--stat margin", 1, "error: --stat margin needs --n\n"),
+    ("--stat margin --n 0", 1, "error: sample size must be >= 1\n"),
+    ("--stat likert-std --group-size 1", 1,
+     "error: group_size must be >= 2\n"),
+    ("--stat mann-whitney --x x.json --y r.json", 2,
+     'error: r.json: $[0]: expected a finite number, got "yes"\n'),
+    ("--stat kappa --x r.json --y x.json", 2,
+     "error: x.json: ratings must be all strings or all numbers, as in "
+     "r.json\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, output", _EVAL_OUTPUTS)
+def test_eval_output_is_pinned(tmp_path, monkeypatch, capsys, argv, code,
+                               output):
+    for name, value in _EVAL_FILES.items():
+        (tmp_path / name).write_text(json.dumps(value))
+    monkeypatch.chdir(tmp_path)
+    assert main(["eval", *argv.split()]) == code
+    captured = capsys.readouterr()
+    assert (captured.out if code == 0 else captured.err) == output
+    assert (captured.err if code == 0 else captured.out) == ""
+
+
+def test_eval_offers_every_stat(capsys):
+    assert main(["eval", "--stat", "none"]) == 1
+    err = capsys.readouterr().err
+    listed = err[err.index("choose from"):]
+    positions = [listed.index(stat) for stat in (
+        "mojofm", "mno", "kappa", "mann-whitney", "cliffs-delta", "bh",
+        "margin", "likert-std", "power", "atomicity")]
+    assert positions == sorted(positions)
+
+
 def test_segment_without_keyframes_is_its_own_context(tmp_path, monkeypatch):
     # vid_c_0001 (Presentation) loses its keyframes; its features, which
     # read every frame of its window, and so its label are unchanged
@@ -724,6 +798,21 @@ def test_manifest_video_id_that_is_not_a_file_name_exits_2(tmp_path, capsys,
                            "--config", str(paths["config"]),
                            "--out", str(out)],
                   str(paths["manifest"]), "$.videos[0].video_id")
+    assert not (tmp_path / "work").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "ingest"])
+@pytest.mark.parametrize("key", ["subtitles", "frames"])
+def test_manifest_path_with_a_nul_exits_2(tmp_path, capsys, command, key):
+    paths = _world(tmp_path)
+    manifest = json.loads(paths["manifest"].read_text())
+    manifest["videos"][0][key] = "x\0y.srt"
+    paths["manifest"].write_text(json.dumps(manifest))
+    out = tmp_path / "work" / command
+    _fails_naming(capsys, [command, "--manifest", str(paths["manifest"]),
+                           "--config", str(paths["config"]),
+                           "--out", str(out)],
+                  str(paths["manifest"]), f"$.videos[0].{key}", "no NUL")
     assert not (tmp_path / "work").exists()
 
 

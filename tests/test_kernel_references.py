@@ -12,11 +12,14 @@ Forest trees must serialize to the same JSON, on tied, adjacent-float,
 constant, overflowing and single-class columns. The softmax and the
 logistic and feed-forward training loops must give the same bits, on one
 row, all-equal logits, logits far enough apart that exp underflows to 0,
-absent classes, zero or one step and no L2 penalty.
+absent classes, zero or one step and no L2 penalty. The SRT and WebVTT
+parsers must return the transcript their index-loop references return, or
+raise the same ParseError message and line, on random documents.
 """
 
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -27,7 +30,7 @@ from hypothesis import strategies as st
 from gelid import clustering
 from gelid.clustering import (build_context_matrix, build_issue_matrix,
                               cosine_distance)
-from gelid.errors import DataError
+from gelid.errors import DataError, ParseError
 from gelid.features import (BLANK_LUMINANCE, cue_columns, speech_features,
                             video_features)
 from gelid.frames import VideoTrack, read_descriptor_csv, write_descriptor_csv
@@ -40,7 +43,8 @@ from gelid.pipeline import keyframe_lookup, match_probes
 from gelid.segmentation import (CutPoint, SegmenterConfig, Segment,
                                 ShotTransition, SnapRule, adaptive_thresholds,
                                 build_segments, detect_shot_transitions)
-from gelid.subtitles import Cue, Transcript
+from gelid import subtitles
+from gelid.subtitles import Cue, Transcript, parse_srt, parse_vtt
 
 # --- loop references ---------------------------------------------------------
 
@@ -235,6 +239,102 @@ def ref_train_logistic(x, y_idx, hyper, seed):
             _, grad = logistic_loss_and_grad(wb, x, y_idx, hyper["l2"])
             wb -= lr * grad
     return {"weights": wb[:-1], "bias": wb[-1]}
+
+
+# the SRT and WebVTT parsers as index loops, each with its own timestamp rule
+
+_REF_SRT_TIME_RE = re.compile(r"^(\d{1,2}):(\d{1,2}):(\d{1,2})[,.](\d{1,3})$")
+_REF_VTT_TIME_RE = re.compile(
+    r"^(?:(\d{1,4}):)?(\d{1,2}):(\d{1,2})\.(\d{3})$")
+
+
+def _ref_srt_timestamp(token, line_no):
+    m = _REF_SRT_TIME_RE.match(token.strip())
+    if not m:
+        raise ParseError(f"malformed SRT timestamp {token.strip()!r}", line_no)
+    h, mi, s, ms = (int(x) for x in m.groups())
+    return ((h * 60 + mi) * 60 + s) * 1000 + ms
+
+
+def _ref_vtt_timestamp(token, line_no):
+    m = _REF_VTT_TIME_RE.match(token.strip())
+    if not m:
+        raise ParseError(f"malformed WebVTT timestamp {token.strip()!r}",
+                         line_no)
+    h = int(m.group(1)) if m.group(1) is not None else 0
+    mi, s, ms = int(m.group(2)), int(m.group(3)), int(m.group(4))
+    return ((h * 60 + mi) * 60 + s) * 1000 + ms
+
+
+def ref_parse_srt(data, video_id=""):
+    text = subtitles._decode(data)
+    raw_cues = []
+    lines = text.split("\n")
+    i = 0
+    n = len(lines)
+    while i < n:
+        if not lines[i].strip():
+            i += 1
+            continue
+        block_start = i
+        # optional numeric index line
+        if lines[i].strip().isdigit() and i + 1 < n and "-->" in lines[i + 1]:
+            i += 1
+        if i >= n or "-->" not in lines[i]:
+            raise ParseError("expected timestamp line with '-->'",
+                             block_start + 1)
+        timing_line_no = i + 1
+        left, _, right = lines[i].partition("-->")
+        start_ms = _ref_srt_timestamp(left, timing_line_no)
+        end_ms = _ref_srt_timestamp(right, timing_line_no)
+        i += 1
+        body = []
+        while i < n and lines[i].strip():
+            body.append(lines[i])
+            i += 1
+        raw_cues.append((start_ms, end_ms, timing_line_no,
+                         subtitles._clean_text(" ".join(body))))
+    return subtitles._finalize(raw_cues, video_id)
+
+
+def ref_parse_vtt(data, video_id=""):
+    text = subtitles._decode(data)
+    lines = text.split("\n")
+    if not lines or not lines[0].startswith("WEBVTT"):
+        raise ParseError("missing WEBVTT header", 1)
+    raw_cues = []
+    i = 1
+    n = len(lines)
+    # skip the rest of the header block
+    while i < n and lines[i].strip():
+        i += 1
+    while i < n:
+        if not lines[i].strip():
+            i += 1
+            continue
+        first = lines[i].strip()
+        if first.startswith(("NOTE", "STYLE", "REGION")):
+            while i < n and lines[i].strip():
+                i += 1
+            continue
+        if "-->" not in lines[i]:
+            i += 1  # cue identifier line
+            if i >= n or "-->" not in lines[i]:
+                raise ParseError("expected cue timing line with '-->'", i)
+        timing_line_no = i + 1
+        left, _, right = lines[i].partition("-->")
+        # cue settings (e.g. "align:start") follow the end timestamp
+        right = right.strip().split(" ", 1)[0] if right.strip() else right
+        start_ms = _ref_vtt_timestamp(left, timing_line_no)
+        end_ms = _ref_vtt_timestamp(right, timing_line_no)
+        i += 1
+        body = []
+        while i < n and lines[i].strip():
+            body.append(lines[i])
+            i += 1
+        raw_cues.append((start_ms, end_ms, timing_line_no,
+                         subtitles._clean_text(" ".join(body))))
+    return subtitles._finalize(raw_cues, video_id)
 
 
 # --- random inputs -----------------------------------------------------------
@@ -490,9 +590,12 @@ def test_context_matrix_matches_loop_reference(spec, one_row_blocks):
     assert np.array_equal(got.values, ref_context_matrix(ids, keyframes))
 
 
-@given(_segment_sets, st.sampled_from([0.0, 0.5, 1.0]), st.booleans())
+@given(_segment_sets, st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1),
+       st.booleans())
 @settings(max_examples=120, deadline=None)
 def test_issue_matrix_matches_loop_reference(spec, alpha, one_row_blocks):
+    """Any alpha in [0, 1]: away from 0, 0.5 and 1 the blend rounds, so
+    only the reference's order of operations gives the same bits."""
     ids, keyframes, texts = _random_segments(*spec)
     with _one_segment_blocks(one_row_blocks):
         got = build_issue_matrix(ids, texts, keyframes, alpha)
@@ -645,3 +748,111 @@ def test_ffn_and_predictions_match_ref_softmax():
         assert _same_bits(value, ref_ffn.parameters[key]), key
     for probs, ref_probs in zip(got, want):
         assert _same_bits(probs, ref_probs)
+
+
+
+
+def _stamp(ms, sep, hours):
+    """`ms` as hh:mm:ss<sep>fff, as h:mm:ss<sep>fff when `hours` is
+    "short", or as mm:ss<sep>fff when it is "none"."""
+    h, rem = divmod(ms, 3_600_000)
+    mi, rem = divmod(rem, 60_000)
+    s, frac = divmod(rem, 1000)
+    lead = {"none": "", "short": f"{h}:", "padded": f"{h:02d}:"}[hours]
+    return f"{lead}{mi:02d}:{s:02d}{sep}{frac:03d}"
+
+
+def _pick(rng, weighted):
+    """One of the keys of `weighted`, with the odds its values give."""
+    keys = list(weighted)
+    return keys[rng.choice(len(keys), p=np.array(list(weighted.values()))
+                           / sum(weighted.values()))]
+
+
+_BAD_TIMINGS = [
+    "-->", "00:00:01,000 -->", "--> 00:00:02,000", "1 --> 2",
+    "00:00:01,000 -> 00:00:02,000", "00:00:01:000 --> 00:00:02:000",
+    "00:00:01,0000 --> 00:00:02,000", "00:01.000 --> 00:02.000x",
+    "000:00:01,000 --> 00:00:02,000", "00:01.00 --> 00:02.000"]
+_TEXT_LINES = ["hello there", "<b>the boss</b> clips through", "Wait!",
+               "  so ", "<i></i>", "1", "NOTE inside a cue", "a --> b",
+               "WEBVTT"]
+_SKIPPED_BLOCKS = [["NOTE a comment"], ["NOTE", "spans two lines"],
+                   ["STYLE", "::cue { color: red }"],
+                   ["REGION", "id:fred width:40%"], ["  NOTE indented"]]
+# per format: the odds of each separator, hours form, cue settings and
+# lead lines before a timing line
+_FORMATS = {
+    "srt": ({",": 18, ".": 2}, {"padded": 90, "short": 7, "none": 3},
+            {"": 95, " x:1": 5},
+            {(): 50, ("1",): 35, ("12",): 5, (" 7 ",): 6, ("intro",): 2,
+             ("1", "2"): 2}),
+    "vtt": ({".": 97, ",": 3}, {"none": 30, "short": 20, "padded": 50},
+            {"": 50, " align:start": 30, " line:0 position:20%": 15,
+             "\tsize:50%": 3, "  ": 2},
+            {(): 50, ("intro",): 25, ("3",): 15, ("cue-2",): 8,
+             ("a", "b"): 2})}
+
+
+def _random_document(seed, fmt):
+    """Cue blocks (lead lines, a timing line, text lines), now and then a
+    block of such lines in any order or, in WebVTT, a block the parser
+    skips, separated by runs of blank lines. Most timing lines are well
+    formed, with an end no earlier than the start; WebVTT documents mostly
+    start with a header and its metadata lines."""
+    rng = np.random.default_rng(seed)
+    seps, hours, settings, leads = _FORMATS[fmt]
+
+    def timing():
+        if rng.random() < 0.04:
+            return str(rng.choice(_BAD_TIMINGS))
+        start = int(rng.integers(0, 10 ** 7))
+        end = max(0, start + int(rng.choice([0, -500, 1, 2000, 4999],
+                                            p=[.03, .03, .04, .5, .4])))
+        form, sep = _pick(rng, hours), _pick(rng, seps)
+        arrow = _pick(rng, {" --> ": 8, "-->": 1, " -->\t": 1})
+        return (_stamp(start, sep, form) + arrow + _stamp(end, sep, form)
+                + _pick(rng, settings))
+
+    def text():
+        return [str(rng.choice(_TEXT_LINES))
+                for _ in range(int(rng.integers(0, 4)))]
+
+    if fmt == "srt":
+        lines = [""] * int(rng.choice([0, 0, 0, 1, 2]))
+    else:
+        lines = [_pick(rng, {"WEBVTT": 90, "WEBVTT - a title": 3,
+                              "WEBVTTX": 2, "webvtt": 2, " WEBVTT": 2,
+                              "": 1})]
+        lines += list(rng.choice(["Kind: captions", "Language: en"],
+                                 size=int(rng.integers(0, 3))))
+    for _ in range(int(rng.integers(0, 9))):
+        lines += [str(rng.choice(["", "", "", " ", "\t"]))
+                  for _ in range(int(rng.integers(1, 3)))]
+        kind = _pick(rng, {"cue": 90, "jumble": 4, "skipped": 6})
+        if kind == "cue":
+            lines += [*_pick(rng, leads), timing(), *text()]
+        elif kind == "jumble":
+            lines += list(rng.permutation(
+                [*_pick(rng, leads), timing(), *text()]))
+        elif fmt == "vtt":
+            lines += _SKIPPED_BLOCKS[int(rng.integers(len(_SKIPPED_BLOCKS)))]
+    return _pick(rng, {"\n": 4, "\r\n": 1}).join(lines)
+
+
+@pytest.mark.parametrize("fmt, parse, reference", [
+    ("srt", parse_srt, ref_parse_srt), ("vtt", parse_vtt, ref_parse_vtt)])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=400, deadline=None)
+def test_parsers_match_loop_reference(fmt, parse, reference, seed):
+    """An equal transcript, or a ParseError with the same message and
+    line."""
+    text = _random_document(seed, fmt)
+    try:
+        want = reference(text, "v")
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse(text, "v")
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+    else:
+        assert parse(text, "v") == want

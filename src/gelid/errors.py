@@ -120,8 +120,13 @@ def _fault(value, shape, path: str) -> str | None:
         ok = type(value) is int if shape is int else isinstance(value, shape)
     else:  # a predicate, or a list or object shape the value does not match
         ok = not isinstance(shape, (list, dict)) and bool(shape(value))
-    return None if ok else (f"{path}: expected {_describe(shape)}, got "
-                            f"{json.dumps(value, default=repr)[:80]}")
+    if ok:
+        return None
+    try:
+        shown = json.dumps(value, default=repr)[:80]
+    except RecursionError:
+        shown = "a value nested too deeply to show"
+    return f"{path}: expected {_describe(shape)}, got {shown}"
 
 
 def _describe(shape) -> str:

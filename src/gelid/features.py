@@ -381,8 +381,9 @@ def write_feature_csv(matrix: FeatureMatrix) -> str:
 def read_feature_csv(text: str, path: str = "features.csv") -> FeatureMatrix:
     """The matrix of a `write_feature_csv` file; `path` names it in errors,
     with the line of a bad row."""
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
-             if ln.strip()]
+    # rows end at LF only: a segment id may hold other line breaks
+    lines = [(no, ln.rstrip("\r")) for no, ln in
+             enumerate(text.split("\n"), start=1) if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty feature CSV")
     header = lines[0][1].split(",")

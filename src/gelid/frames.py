@@ -13,6 +13,7 @@ import re
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -170,42 +171,22 @@ def compute_histogram(image: np.ndarray,
 
 
 _WS_SPLIT = re.compile(rb"\s+")
-
-
-def _ppm_tokens(data: bytes, limit: int):
-    """Yield whitespace-separated header/ASCII tokens, skipping # comments."""
-    pos = 0
-    count = 0
-    while pos < len(data) and count < limit:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            eol = data.find(b"\n", pos)
-            pos = len(data) if eol < 0 else eol + 1
-            continue
-        if pos >= len(data):
-            break
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        count += 1
-        yield data[start:pos], pos
+# a header token, or a comment: '#' where a token would start, to the LF
+_PPM_TOKEN = re.compile(rb"#[^\n]*|\S+")
 
 
 def parse_ppm_frame(data: bytes) -> np.ndarray:
     """Decode a P6 (binary) or P3 (ASCII) PPM with maxval 255."""
-    header = []
-    body_at = 0
-    for token, pos in _ppm_tokens(data, 4):
-        header.append(token)
-        body_at = pos
+    # the scan stops at the fourth token, short of a P6 payload
+    header = list(islice((m for m in _PPM_TOKEN.finditer(data)
+                          if not m[0].startswith(b"#")), 4))
     if len(header) < 4:
         raise ParseError("truncated PPM header")
-    magic = header[0]
+    magic, body_at = header[0][0], header[3].end()
     if magic not in (b"P6", b"P3"):
         raise ParseError(f"not a PPM image (magic {magic!r})")
     try:
-        width, height, maxval = (int(t) for t in header[1:4])
+        width, height, maxval = (int(m[0]) for m in header[1:])
     except ValueError:
         raise ParseError("non-numeric PPM header field") from None
     if width < 1 or height < 1:
@@ -261,9 +242,16 @@ def read_descriptor_csv(path: str | Path, video_id: str = "",
     """
     try:
         timestamps, histograms, luminance = _parse_descriptor_csv(path)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
-                         f"{exc.start})") from None
+    except UnicodeDecodeError:
+        # its offset counts within the decoder's chunk, so decode the
+        # whole file again to find the line
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})",
+                             data.count(b"\n", 0, exc.start) + 1) from None
+        raise
     if duration_ms is None:
         duration_ms = int(timestamps[-1]) if timestamps.size else 0
     track = VideoTrack(video_id, timestamps, histograms, luminance,

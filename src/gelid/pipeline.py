@@ -42,11 +42,12 @@ INFORMATIVE_LABELS = tuple(
 
 
 def _file_name(value) -> bool:
-    """a file name: not empty, no '/', '\\' or NUL, and not '.' or '..'"""
+    """a printable file name: no '/', '\\' or ',', not '', '.' or '..'"""
     # ingest writes <video_id>.srt and <video_id>.descriptors.csv, which
-    # must stay inside its output directory
+    # must stay inside its output directory, and features.csv rows start
+    # with the video's segment ids
     return (isinstance(value, str) and value not in ("", ".", "..")
-            and not any(c in value for c in "/\\\0"))
+            and value.isprintable() and not any(c in value for c in "/\\,"))
 
 
 def _path(value) -> bool:
@@ -57,7 +58,8 @@ def _path(value) -> bool:
 # the JSON inputs read here; the others' shapes live with their data
 _MANIFEST_SHAPE = {"schema_version": {MANIFEST_SCHEMA_VERSION},
                   "videos": [{"video_id": _file_name, "subtitles": _path,
-                              "frames": _path, "duration_ms?": (int, {None})}]}
+                              "frames": _path,
+                              "duration_ms?": (count, {None})}]}
 _BUNDLE_SHAPE = {"schema_version": {BUNDLE_SCHEMA_VERSION}, "model": dict,
                  "vocabulary": dict,
                  "feature_groups": [set(features.FEATURE_GROUPS)],
@@ -109,7 +111,7 @@ def read_json(path: str | Path, shape):
     value of another shape, is a DataError naming the file."""
     try:
         value = json.loads(read_text(path))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: too deep
         raise DataError(f"{path} is not valid JSON: {exc}") from None
     check_shape(value, shape, f"{path}: $")
     return value
@@ -169,17 +171,14 @@ class ClassifierBundle:
         }
         return json.dumps(payload, sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "ClassifierBundle":
-        """A `to_json` bundle; any other shape is a DataError."""
-        obj = json.loads(text)
-        check_shape(obj, _BUNDLE_SHAPE, "$")
-        table = None
-        if obj["embedding"]:
-            vectors = {tok: np.array(vec, dtype=float)
-                       for tok, vec in obj["embedding"].items()}
-            dim = next(iter(vectors.values())).size
-            table = features.EmbeddingTable(vectors=vectors, dim=dim)
+
+def load_bundle(path: str | Path) -> ClassifierBundle:
+    """A `ClassifierBundle.to_json` file; any other is a DataError naming
+    the file."""
+    obj = read_json(path, _BUNDLE_SHAPE)
+    vectors = {tok: np.array(vec, dtype=float)
+               for tok, vec in (obj["embedding"] or {}).items()}
+    try:
         return ClassifierBundle(
             model=models.model_from_dict(obj["model"], "$.model"),
             vocabulary=features.Vocabulary.from_dict(obj["vocabulary"],
@@ -187,15 +186,10 @@ class ClassifierBundle:
             feature_groups=tuple(obj["feature_groups"]),
             ngram_max=obj["ngram_max"],
             stopwords=frozenset(obj["stopwords"]),
-            embedding=table,
-        )
-
-
-def load_bundle(path: str | Path) -> ClassifierBundle:
-    try:
-        return ClassifierBundle.from_json(
-            Path(path).read_text(encoding="utf-8"))
-    except (ValueError, DataError) as exc:  # JSON syntax is a ValueError
+            embedding=features.EmbeddingTable(
+                vectors, next(iter(vectors.values())).size)
+            if vectors else None)
+    except (ValueError, DataError) as exc:  # a ragged array: a ValueError
         raise DataError(f"{path}: {exc}") from None
 
 
@@ -203,12 +197,13 @@ def _read_rows(path: str | Path, shape) -> list[tuple[int, dict]]:
     """JSONL rows of `shape` with their line numbers; any other row is a
     DataError naming the file and line."""
     rows = []
-    for line_no, line in enumerate(read_text(path).splitlines(), start=1):
+    # rows end at LF only: a JSON string may hold U+2028 and other breaks
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
         try:
             row = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DataError(f"{path}:{line_no}: bad JSON: {exc}") from None
         check_shape(row, shape, f"{path}:{line_no}: $")
         rows.append((line_no, row))

@@ -22,8 +22,9 @@ DEFAULT_GAP_MS = 1500
 
 _TAG_RE = re.compile(r"<[^>]*>")
 _WS_RE = re.compile(r"\s+")
-_SRT_TIME_RE = re.compile(r"^(\d{1,2}):(\d{1,2}):(\d{1,2})[,.](\d{1,3})$")
-_VTT_TIME_RE = re.compile(r"^(?:(\d{1,4}):)?(\d{1,2}):(\d{1,2})\.(\d{3})$")
+# minutes and seconds run to 59, and milliseconds take three digits
+_SRT_TIME_RE = re.compile(r"^(\d{1,2}):([0-5]?\d):([0-5]?\d)[,.](\d{3})$")
+_VTT_TIME_RE = re.compile(r"^(?:(\d{1,4}):)?([0-5]?\d):([0-5]?\d)\.(\d{3})$")
 
 
 @dataclass(frozen=True)

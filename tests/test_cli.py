@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import THREE_VIDEO_WORLD, write_world
@@ -786,7 +786,8 @@ def test_manifest_that_is_a_list_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("video_id", ["../escaped", "a/b", "a\\b", "a\0b",
-                                      ".", "..", ""])
+                                      ".", "..", "", "vid,a", "vid\u2028a",
+                                      "vid\na", "vid\ta"])
 def test_manifest_video_id_that_is_not_a_file_name_exits_2(tmp_path, capsys,
                                                           video_id):
     paths = _world(tmp_path)
@@ -798,6 +799,22 @@ def test_manifest_video_id_that_is_not_a_file_name_exits_2(tmp_path, capsys,
                            "--config", str(paths["config"]),
                            "--out", str(out)],
                   str(paths["manifest"]), "$.videos[0].video_id")
+    assert not (tmp_path / "work").exists()
+
+
+@pytest.mark.parametrize("duration_ms", [2 ** 64, -5])
+def test_manifest_duration_that_is_not_a_count_exits_2(tmp_path, capsys,
+                                                       duration_ms):
+    paths = _world(tmp_path)
+    manifest = json.loads(paths["manifest"].read_text())
+    manifest["videos"][1]["duration_ms"] = duration_ms
+    paths["manifest"].write_text(json.dumps(manifest))
+    out = tmp_path / "work" / "run"
+    _fails_naming(capsys, ["run", "--manifest", str(paths["manifest"]),
+                           "--config", str(paths["config"]),
+                           "--out", str(out)],
+                  str(paths["manifest"]), "$.videos[1].duration_ms",
+                  "expected an integer in [0, 2**63)")
     assert not (tmp_path / "work").exists()
 
 
@@ -831,6 +848,47 @@ def test_malformed_model_exits_2_naming_file(staged, tmp_path, capsys, text):
         "--config", str(paths["config"]),
         "--segments", str(stage / "segments.jsonl"), "--model", str(bad),
         "--out", str(tmp_path / "out")], str(bad))
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read"), (b"{\xff}", "is not UTF-8 text"),
+    (b"{", "is not valid JSON"),
+    (b'{"model": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+     "is not valid JSON: maximum recursion depth exceeded")])
+def test_unreadable_model_exits_2_naming_file(staged, tmp_path, capsys,
+                                              content, message):
+    paths, stage = staged
+    bad = tmp_path / "model.json"
+    if content is not None:
+        bad.write_bytes(content)
+    _fails_naming(capsys, [
+        "classify", "--manifest", str(paths["manifest"]),
+        "--config", str(paths["config"]),
+        "--segments", str(stage / "segments.jsonl"), "--model", str(bad),
+        "--out", str(tmp_path / "out")], str(bad), message)
+
+
+def test_json_nested_around_the_depth_limit_exits_2(tmp_path, capsys):
+    """Near the decoder's depth limit a value fails to decode, or decodes
+    and then fails its shape; either way the message names the file, and
+    the line of a JSONL row."""
+    hierarchy, probes = tmp_path / "hierarchy.json", tmp_path / "probes.jsonl"
+    config = tmp_path / "run.conf"
+    config.write_text(f"seed = 1\ntrain.labels_path = {probes}\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"schema_version": 1, "videos": []}')
+    for depth in range(900, 1001):
+        deep = "[" * depth + "]" * depth
+        hierarchy.write_text(deep)
+        probes.write_text('{"video_id": "v", "at_ms": 0, "label": "Logic"}\n'
+                          f'{{"video_id": {deep}}}\n')
+        _fails_naming(capsys, ["report", "--hierarchy", str(hierarchy),
+                               "--out", str(tmp_path / "report.html")],
+                      str(hierarchy))
+        _fails_naming(capsys, ["run", "--manifest", str(manifest),
+                               "--config", str(config),
+                               "--out", str(tmp_path / "out")],
+                      f"{probes}:2:")
 
 
 def test_bundle_missing_key_exits_2_naming_file(staged, tmp_path, capsys):
@@ -991,7 +1049,7 @@ def _is_numeric_sample(payload: bytes) -> bool:
     """A non-empty JSON array of finite numbers: a valid sample."""
     try:
         obj = json.loads(payload)
-    except ValueError:
+    except (ValueError, RecursionError):
         return False
     return isinstance(obj, list) and bool(obj) and all(
         type(v) in (int, float) and abs(v) <= sys.float_info.max
@@ -1002,6 +1060,11 @@ def _is_numeric_sample(payload: bytes) -> bool:
                                     "sample", "segments", "manifest",
                                     "probes", "model", "labels"])
 @given(payload=_PAYLOADS)
+@example(payload=b"[" * 989 + b"]" * 989)
+@example(payload=b"[" * 5000 + b"]" * 5000)
+@example(payload=b'{"video_id": "vid_a", "at_ms": 0, "label": "Logic"}\n'
+         b'{"video_id": "vid_a", "at_ms": 0, "label": '
+         + b"[" * 5000 + b"]" * 5000 + b"}\n")
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much])
 def test_malformed_artifact_exits_1_or_2(staged, tmp_path_factory, target,

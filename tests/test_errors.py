@@ -68,3 +68,13 @@ def test_range_predicates(predicate, good, bad):
         with pytest.raises(DataError, match=re.escape(
                 f"setting: expected {predicate.__doc__}, got ")):
             check_shape(value, predicate, "setting")
+
+
+def test_a_value_too_deep_to_show_is_a_mismatch_all_the_same():
+    deep = []
+    for _ in range(5000):
+        deep = [deep]
+    with pytest.raises(DataError) as err:
+        check_shape({"id": deep}, _ROW, "rows.jsonl:1: $")
+    assert str(err.value) == ("rows.jsonl:1: $.id: expected a string, got "
+                              "a value nested too deeply to show")

@@ -366,6 +366,18 @@ def test_feature_csv_round_trip_is_exact():
     assert again.values[0].tobytes() == values.tobytes()
 
 
+def test_feature_csv_rows_end_at_lf_only():
+    matrix = FeatureMatrix(segment_ids=("s\u2028a", "s\x85b"),
+                           names=("a", "b"),
+                           values=np.array([[1.5, -2.0], [0.0, 3.25]]))
+    text = write_feature_csv(matrix)
+    for again in (read_feature_csv(text),
+                  read_feature_csv(text.replace("\n", "\r\n"))):
+        assert (again.segment_ids, again.names) == (matrix.segment_ids,
+                                                    matrix.names)
+        assert again.values.tobytes() == matrix.values.tobytes()
+
+
 # --- SMOTE ------------------------------------------------------------------------
 
 def test_smote_balanced_input_unchanged():

@@ -281,3 +281,18 @@ def test_descriptor_csv_not_utf8_is_parse_error(tmp_path):
                                                b",\xff0.0\n", 1))
     with pytest.raises(ParseError, match="not UTF-8"):
         read_descriptor_csv(path)
+
+
+def test_descriptor_csv_not_utf8_names_the_line_past_the_first_chunk(
+        tmp_path):
+    n = 200  # about 100 kB, many times the text decoder's chunk
+    path = tmp_path / "d.csv"
+    path.write_text(write_descriptor_csv(_track(
+        range(0, 10 * n, 10), _black(n), [0.0] * n, 10 * n)))
+    lines = path.read_bytes().split(b"\n")
+    lines[150] = lines[150].replace(b",0.000000000", b",\xff0.0", 1)
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ParseError) as err:
+        read_descriptor_csv(path)
+    assert str(err.value) == (f"line 151: {path}: not UTF-8 text "
+                              f"(invalid start byte)")

@@ -14,7 +14,9 @@ logistic and feed-forward training loops must give the same bits, on one
 row, all-equal logits, logits far enough apart that exp underflows to 0,
 absent classes, zero or one step and no L2 penalty. The SRT and WebVTT
 parsers must return the transcript their index-loop references return, or
-raise the same ParseError message and line, on random documents.
+raise the same ParseError message and line, on random documents, and the
+PPM parser the image its byte-at-a-time reference returns, or the same
+ParseError message.
 """
 
 import json
@@ -33,7 +35,8 @@ from gelid.clustering import (build_context_matrix, build_issue_matrix,
 from gelid.errors import DataError, ParseError
 from gelid.features import (BLANK_LUMINANCE, cue_columns, speech_features,
                             video_features)
-from gelid.frames import VideoTrack, read_descriptor_csv, write_descriptor_csv
+from gelid.frames import (VideoTrack, parse_ppm_frame, read_descriptor_csv,
+                          write_descriptor_csv)
 from gelid import models
 from gelid.models import (KIND_FFN, KIND_LOGISTIC, LABEL_ORDER, N_LABELS,
                           _gini, _grow_tree, _leaf, _softmax, _train_logistic,
@@ -243,9 +246,10 @@ def ref_train_logistic(x, y_idx, hyper, seed):
 
 # the SRT and WebVTT parsers as index loops, each with its own timestamp rule
 
-_REF_SRT_TIME_RE = re.compile(r"^(\d{1,2}):(\d{1,2}):(\d{1,2})[,.](\d{1,3})$")
+_REF_SRT_TIME_RE = re.compile(
+    r"^(\d{1,2}):([0-5]?\d):([0-5]?\d)[,.](\d{3})$")
 _REF_VTT_TIME_RE = re.compile(
-    r"^(?:(\d{1,4}):)?(\d{1,2}):(\d{1,2})\.(\d{3})$")
+    r"^(?:(\d{1,4}):)?([0-5]?\d):([0-5]?\d)\.(\d{3})$")
 
 
 def _ref_srt_timestamp(token, line_no):
@@ -335,6 +339,73 @@ def ref_parse_vtt(data, video_id=""):
         raw_cues.append((start_ms, end_ms, timing_line_no,
                          subtitles._clean_text(" ".join(body))))
     return subtitles._finalize(raw_cues, video_id)
+
+
+# the PPM parser with its byte-at-a-time header tokenizer
+
+_REF_WS_SPLIT = re.compile(rb"\s+")
+
+
+def _ref_ppm_tokens(data, limit):
+    """Yield whitespace-separated header/ASCII tokens, skipping # comments."""
+    pos = 0
+    count = 0
+    while pos < len(data) and count < limit:
+        while pos < len(data) and data[pos:pos + 1].isspace():
+            pos += 1
+        if pos < len(data) and data[pos:pos + 1] == b"#":
+            eol = data.find(b"\n", pos)
+            pos = len(data) if eol < 0 else eol + 1
+            continue
+        if pos >= len(data):
+            break
+        start = pos
+        while pos < len(data) and not data[pos:pos + 1].isspace():
+            pos += 1
+        count += 1
+        yield data[start:pos], pos
+
+
+def ref_parse_ppm_frame(data):
+    header = []
+    body_at = 0
+    for token, pos in _ref_ppm_tokens(data, 4):
+        header.append(token)
+        body_at = pos
+    if len(header) < 4:
+        raise ParseError("truncated PPM header")
+    magic = header[0]
+    if magic not in (b"P6", b"P3"):
+        raise ParseError(f"not a PPM image (magic {magic!r})")
+    try:
+        width, height, maxval = (int(t) for t in header[1:4])
+    except ValueError:
+        raise ParseError("non-numeric PPM header field") from None
+    if width < 1 or height < 1:
+        raise ParseError(f"bad PPM dimensions {width}x{height}")
+    if maxval != 255:
+        raise ParseError(f"unsupported PPM maxval {maxval} (must be 255)")
+    expected = width * height * 3
+    if magic == b"P6":
+        payload = data[body_at + 1:body_at + 1 + expected]
+        if len(payload) < expected:
+            raise ParseError(f"truncated P6 payload: expected {expected} "
+                             f"bytes, found {len(payload)}")
+        flat = np.frombuffer(payload, dtype=np.uint8)
+    else:
+        values = [v for v in _REF_WS_SPLIT.split(data[body_at:]) if v and
+                  not v.startswith(b"#")]
+        if len(values) < expected:
+            raise ParseError(f"truncated P3 payload: expected {expected} "
+                             f"values, found {len(values)}")
+        try:
+            flat = np.array([int(v) for v in values[:expected]], dtype=np.int64)
+        except ValueError:
+            raise ParseError("non-numeric P3 sample") from None
+        if flat.min() < 0 or flat.max() > 255:
+            raise ParseError("P3 sample outside [0, 255]")
+        flat = flat.astype(np.uint8)
+    return flat.reshape(height, width, 3)
 
 
 # --- random inputs -----------------------------------------------------------
@@ -773,7 +844,9 @@ _BAD_TIMINGS = [
     "-->", "00:00:01,000 -->", "--> 00:00:02,000", "1 --> 2",
     "00:00:01,000 -> 00:00:02,000", "00:00:01:000 --> 00:00:02:000",
     "00:00:01,0000 --> 00:00:02,000", "00:01.000 --> 00:02.000x",
-    "000:00:01,000 --> 00:00:02,000", "00:01.00 --> 00:02.000"]
+    "000:00:01,000 --> 00:00:02,000", "00:01.00 --> 00:02.000",
+    "00:00:75,000 --> 00:01:99,5", "00:75.000 --> 00:76.000",
+    "00:60:01,000 --> 00:60:02,000", "00:00:01,5 --> 00:00:02,000"]
 _TEXT_LINES = ["hello there", "<b>the boss</b> clips through", "Wait!",
                "  so ", "<i></i>", "1", "NOTE inside a cue", "a --> b",
                "WEBVTT"]
@@ -856,3 +929,80 @@ def test_parsers_match_loop_reference(fmt, parse, reference, seed):
         assert (str(got.value), got.value.line) == (str(exc), exc.line)
     else:
         assert parse(text, "v") == want
+
+
+_PPM_WHITESPACE = b" \t\n\r\x0b\x0c"
+_PPM_COMMENTS = [b"", b" camera dump", b"#", b" a # b", b"\tx\r", b" 255 3",
+                 b"P6 1 1 255", b" \x0b\x0c "]
+_PPM_FIELDS = {"size": {b"1": 30, b"2": 30, b"3": 15, b"0": 3, b"-1": 2,
+                        b"+2": 3, b"1_0": 1, b"02": 3, b"x": 2, b"2#c": 2,
+                        b"\xff": 1},
+               "maxval": {b"255": 85, b"+255": 3, b"0255": 3, b"256": 2,
+                          b"65535": 2, b"25_5": 2, b"2.5e2": 1, b"x": 1,
+                          b"255#c": 1}}
+
+
+def _random_ppm(seed):
+    """A header of up to four tokens between runs of the six whitespace
+    bytes and '#' comments, then a P6 payload of random bytes, many of them
+    '#' and whitespace, or P3 samples between such runs, a few samples
+    short or past the end. Most headers are well formed."""
+    rng = np.random.default_rng(seed)
+
+    def whitespace():
+        return bytes(rng.choice(list(_PPM_WHITESPACE),
+                                size=int(rng.integers(1, 4))).astype(np.uint8))
+
+    def gap():
+        """Whitespace, or now and then a comment, which may abut the token
+        before it or miss its LF and run on."""
+        parts = [whitespace() if rng.random() < 0.95 else b""]
+        while rng.random() < 0.3:
+            parts += [b"#", _pick(rng, dict.fromkeys(_PPM_COMMENTS, 1)),
+                      _pick(rng, {b"\n": 30, b"": 1, b"\r\n": 3}),
+                      whitespace() if rng.random() < 0.5 else b""]
+        return b"".join(parts)
+
+    magic = _pick(rng, {b"P6": 45, b"P3": 45, b"P5": 3, b"p6": 1, b"P3#x": 2,
+                        b"P": 1, b"#P3": 1})
+    fields = [magic, _pick(rng, _PPM_FIELDS["size"]),
+              _pick(rng, _PPM_FIELDS["size"]), _pick(rng, _PPM_FIELDS["maxval"])]
+    fields = fields[:_pick(rng, {4: 92, 3: 3, 2: 2, 1: 2, 0: 1})]
+    data = _pick(rng, {b"": 4, b"\n": 1, b"# lead\n": 1})
+    data += b"".join(f + gap() for f in fields[:-1]) + b"".join(fields[-1:])
+    try:
+        expected = int(fields[1]) * int(fields[2]) * 3
+    except (IndexError, ValueError):
+        expected = 3
+    count = max(0, expected + _pick(rng, {0: 80, -1: 8, 2: 8, -expected: 4}))
+    if magic == b"P6" or rng.random() < 0.1:
+        data += _pick(rng, {b"\n": 80, b" ": 5, b"\r\n": 5, b"": 5,
+                            b" # c\n": 5})
+        noisy = rng.random(count) < 0.5
+        body = np.where(noisy, rng.choice(list(b"#" + _PPM_WHITESPACE),
+                                          size=count),
+                        rng.integers(0, 256, size=count))
+        return data + bytes(body.astype(np.uint8))
+    samples = {str(v).encode(): 20 for v in rng.integers(0, 256, size=8)}
+    samples.update({b"256": 1, b"-1": 1, b"+7": 1, b"x": 1, b"1_0": 1})
+    return data + b"".join(gap() + _pick(rng, samples) for _ in range(count))
+
+
+@pytest.mark.parametrize("block", range(5))
+def test_ppm_parser_matches_loop_reference(block):
+    """An equal array, or a ParseError with the same message, on 500 random
+    documents per block, among them well-formed P3 and P6 images."""
+    decoded = set()
+    for seed in range(500 * block, 500 * block + 500):
+        data = _random_ppm(seed)
+        try:
+            want = ref_parse_ppm_frame(data)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_ppm_frame(data)
+            assert str(got.value) == str(exc), data
+        else:
+            got = parse_ppm_frame(data)
+            assert got.dtype == want.dtype and np.array_equal(got, want), data
+            decoded.add(next(_ref_ppm_tokens(data, 1))[0])
+    assert decoded == {b"P3", b"P6"}

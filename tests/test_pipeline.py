@@ -5,9 +5,9 @@ import pytest
 from conftest import THREE_VIDEO_WORLD, write_world
 from gelid.config import load_config
 from gelid.errors import ConfigError, DataError, StageError
-from gelid.pipeline import (ClassifierBundle, Manifest, VideoEntry,
-                            export_report, hierarchy_to_html,
-                            hierarchy_to_json, load_manifest, run_pipeline)
+from gelid.pipeline import (Manifest, VideoEntry, export_report,
+                            hierarchy_to_html, hierarchy_to_json, load_bundle,
+                            load_manifest, run_pipeline)
 
 
 def _run_world(tmp_path, videos, overrides=None, seed=1234):
@@ -241,6 +241,17 @@ def test_run_pipeline_alternate_model_kinds(tmp_path, kind, extra):
     assert result.predictions == expected
 
 
+def test_jsonl_rows_end_at_lf_only(tmp_path):
+    from gelid.pipeline import load_label_probes
+    rows = [{"video_id": "v\u2028w", "at_ms": 0, "label": "Logic"},
+            {"video_id": "v\x85w", "at_ms": 5, "label": "Balance"}]
+    lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+    text = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows)
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    assert load_label_probes(lf) == load_label_probes(crlf) == rows
+
+
 def test_match_probes_warns_on_conflicting_labels(caplog):
     from gelid.pipeline import match_probes
     from gelid.segmentation import Segment
@@ -256,7 +267,9 @@ def test_match_probes_warns_on_conflicting_labels(caplog):
 
 def test_bundle_round_trip_preserves_predictions(tmp_path):
     result, paths = _run_world(tmp_path, THREE_VIDEO_WORLD)
-    clone = ClassifierBundle.from_json(result.bundle.to_json())
+    model_path = tmp_path / "model.json"
+    model_path.write_text(result.bundle.to_json(), encoding="utf-8")
+    clone = load_bundle(model_path)
     config = load_config(str(paths["config"]))
     manifest = load_manifest(paths["manifest"])
     result2 = run_pipeline(manifest, config, bundle=clone)

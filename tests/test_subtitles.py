@@ -53,6 +53,31 @@ def test_parse_srt_malformed_timestamp_carries_line_number():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("timing", [
+    "00:00:75,000 --> 00:01:99,5", "00:00:01,000 --> 00:60:00,000",
+    "00:00:01,5 --> 00:00:02,000", "00:00:01,50 --> 00:00:02,000"])
+def test_parse_srt_field_out_of_range_or_short_fraction_is_error(timing):
+    with pytest.raises(ParseError, match="malformed SRT timestamp") as err:
+        parse_srt(f"1\n{timing}\nhi\n")
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("timing", [
+    "00:75.000 --> 00:76.000", "00:00:01.000 --> 00:00:60.000",
+    "01:60:00.000 --> 01:61:00.000"])
+def test_parse_vtt_field_out_of_range_is_error(timing):
+    with pytest.raises(ParseError, match="malformed WebVTT timestamp") as err:
+        parse_vtt(f"WEBVTT\n\n{timing}\nhi\n")
+    assert err.value.line == 3
+
+
+def test_minutes_and_seconds_run_to_59():
+    assert parse_srt("1\n00:59:59,999 --> 01:00:00,000\nhi\n").cues[0] == \
+        Cue(index=1, start_ms=3_599_999, end_ms=3_600_000, text="hi")
+    assert parse_vtt("WEBVTT\n\n59:59.000 --> 1:00:00.000\nhi\n").cues[0] \
+        == Cue(index=1, start_ms=3_599_000, end_ms=3_600_000, text="hi")
+
+
 def test_parse_srt_bom_and_crlf():
     data = b"\xef\xbb\xbf1\r\n00:00:01,000 --> 00:00:02,000\r\nhi\r\n"
     t = parse_srt(data)

@@ -2,7 +2,9 @@
 
 Subcommands: ingest, segment, features, train, classify, group, cluster,
 run, eval, report. Exit codes: 0 success, 1 usage/config error, 2
-data/format error, 3 internal invariant violation.
+data/format error, 3 internal invariant violation. The stage subcommands
+run their step in a `pipeline.StageClock`, as `run` runs each stage, so a
+step's failure names its stage and exits as `run`'s would.
 """
 
 from __future__ import annotations
@@ -65,8 +67,9 @@ def cmd_features(args) -> int:
     transcripts, tracks = _ingest(args, config)
     segments = pipeline.load_segments(args.segments, tracks)
     table = pipeline.embedding_table(config)
-    vocab, matrix = pipeline.extract_features(segments, transcripts, tracks,
-                                              config, table)
+    vocab, matrix = pipeline.StageClock()(
+        "features", lambda: pipeline.extract_features(
+            segments, transcripts, tracks, config, table))
     out = Path(args.out)
     _write(out / "features.csv", features.write_feature_csv(matrix))
     _write(out / "vocabulary.json",
@@ -84,9 +87,10 @@ def cmd_train(args) -> int:
         vocab = features.Vocabulary.from_dict(vocab_obj)
     except DataError as exc:
         raise DataError(f"{args.vocabulary}: {exc}") from None
-    bundle = pipeline.train_bundle(
-        matrix, pipeline.load_segment_labels(args.labels), vocab, config,
-        pipeline.embedding_table(config))
+    labels = pipeline.load_segment_labels(args.labels)
+    table = pipeline.embedding_table(config)
+    bundle = pipeline.StageClock()("train", lambda: pipeline.train_bundle(
+        matrix, labels, vocab, config, table))
     _write(Path(args.out), bundle.to_json() + "\n")
     print(f"trained {config.model_kind}; model at {args.out}")
     return 0
@@ -104,8 +108,9 @@ def cmd_classify(args) -> int:
     transcripts, tracks = _ingest(args, config)
     segments = pipeline.load_segments(args.segments, tracks)
     bundle = pipeline.load_bundle(args.model)
-    predictions = pipeline.classify_segments(segments, transcripts, tracks,
-                                             bundle)
+    predictions = pipeline.StageClock()(
+        "classify", lambda: pipeline.classify_segments(
+            segments, transcripts, tracks, bundle))
     _write_labels(Path(args.out), predictions)
     print(f"classified {len(predictions)} segment(s)")
     return 0
@@ -125,8 +130,10 @@ def cmd_group(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     _, tracks = _ingest(args, config)
     segments = pipeline.load_segments(args.segments, tracks)
-    assignment, _ = pipeline.group_contexts(
-        segments, _read_labels_of(args.labels, segments), tracks, config)
+    labels = _read_labels_of(args.labels, segments)
+    assignment, _ = pipeline.StageClock()(
+        "group", lambda: pipeline.group_contexts(segments, labels, tracks,
+                                                 config))
     out = Path(args.out)
     _write(out / "contexts.json",
            json.dumps(assignment.to_dict(), sort_keys=True, indent=2) + "\n")
@@ -142,8 +149,9 @@ def cmd_cluster(args) -> int:
     segments = pipeline.load_segments(args.segments, tracks)
     labels = _read_labels_of(args.labels, segments)
     bundle = pipeline.load_bundle(args.model)
-    hierarchy = pipeline.build_hierarchy(segments, labels, transcripts,
-                                         tracks, config, bundle)
+    hierarchy = pipeline.StageClock()(
+        "cluster", lambda: pipeline.build_hierarchy(
+            segments, labels, transcripts, tracks, config, bundle))
     out = Path(args.out)
     _write(out / "hierarchy.json", pipeline.hierarchy_to_json(hierarchy))
     print(f"wrote hierarchy with {hierarchy['counts']['n_contexts']} "

@@ -63,6 +63,15 @@ def count(value) -> bool:
     return type(value) is int and 0 <= value < 2 ** 63
 
 
+def file_name(value) -> bool:
+    """a printable file name: no '/', '\\' or ',', not '', '.' or '..'"""
+    # ingest writes <video_id>.srt and <video_id>.descriptors.csv, which
+    # must stay inside its output directory, and a features.csv row starts
+    # with its segment's id, unquoted
+    return (isinstance(value, str) and value not in ("", ".", "..")
+            and value.isprintable() and not any(c in value for c in "/\\,"))
+
+
 def positive_int(value) -> bool:
     """an integer >= 1"""
     return type(value) is int and value >= 1

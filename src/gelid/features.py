@@ -206,74 +206,63 @@ VIDEO_NAMES = ("video:duration_s", "video:n_frames", "video:motion_mean",
                "video:blank_fraction", "video:had_video")
 
 
-def video_features(segment: Segment, track: VideoTrack) -> np.ndarray:
-    """Six motion/luminance statistics plus a had_video flag.
+def video_features(segments: list[Segment],
+                   tracks: dict[str, VideoTrack]) -> np.ndarray:
+    """(n, 7): per segment, six motion/luminance statistics of the frames
+    in its window plus a had_video flag, in `VIDEO_NAMES` order.
 
     Segments with fewer than 2 frames get zero motion and had_video=0;
     empty video is itself a signal (likely non-informative).
     """
-    rows = track.window(segment.start_ms, segment.end_ms)
-    luminance = track.luminance[rows]
-    duration_s = segment.duration_ms / 1000.0
-    n = luminance.size
-    if n >= 2:
-        motion = np.abs(np.diff(track.histograms[rows], axis=0)).sum(axis=1)
-        motion_mean, motion_std = float(motion.mean()), float(motion.std())
-        had_video = 1.0
-    else:
-        motion_mean = motion_std = 0.0
-        had_video = 0.0
-    return np.array([
-        duration_s,
-        float(n),
-        motion_mean,
-        motion_std,
-        float(luminance.mean()) if n else 0.0,
-        float((luminance < BLANK_LUMINANCE).mean()) if n else 0.0,
-        had_video,
-    ])
+    out = np.zeros((len(segments), len(VIDEO_NAMES)))
+    for row, segment in zip(out, segments):
+        track = tracks[segment.video_id]
+        rows = track.window(segment.start_ms, segment.end_ms)
+        luminance = track.luminance[rows]
+        row[:2] = segment.duration_ms / 1000.0, luminance.size
+        if luminance.size >= 2:
+            hists = track.histograms[rows]
+            motion = np.abs(np.diff(hists, axis=0)).sum(axis=1)
+            row[2:4] = motion.mean(), motion.std()
+            row[6] = 1.0
+        if luminance.size:
+            row[4:6] = luminance.mean(), (luminance < BLANK_LUMINANCE).mean()
+    return out
 
 
 SPEECH_NAMES = ("speech:density", "speech:words_per_second", "speech:n_cues")
 
 
-@dataclass(frozen=True)
-class CueColumns:
-    """A transcript's cue timings and word counts as columns, by start."""
-
-    starts_ms: np.ndarray  # (C,) int64, non-decreasing
-    ends_ms: np.ndarray    # (C,) int64
-    words: np.ndarray      # (C,) int64
-    reach_ms: np.ndarray   # (C,) latest end among cues[:i+1]
-
-
-def cue_columns(transcript: Transcript) -> CueColumns:
-    """Build once per transcript; speech_features reads it per segment."""
-    cues = sorted(transcript.cues, key=lambda c: c.start_ms)
-    ends = np.array([c.end_ms for c in cues], dtype=np.int64)
-    return CueColumns(
-        starts_ms=np.array([c.start_ms for c in cues], dtype=np.int64),
-        ends_ms=ends,
-        words=np.array([len(c.text.split()) for c in cues], dtype=np.int64),
-        reach_ms=np.maximum.accumulate(ends) if ends.size else ends)
-
-
-def speech_features(segment: Segment, cues: CueColumns) -> np.ndarray:
-    """Speech-timing statistics over cues overlapping the segment window."""
-    duration_ms = segment.duration_ms
-    # cues past `hi` start at or after the end; cues before `lo` (and all
-    # earlier ones) end at or before the start
-    lo = int(np.searchsorted(cues.reach_ms, segment.start_ms, side="right"))
-    hi = int(np.searchsorted(cues.starts_ms, segment.end_ms, side="left"))
-    overlap = (np.minimum(cues.ends_ms[lo:hi], segment.end_ms)
-               - np.maximum(cues.starts_ms[lo:hi], segment.start_ms))
-    hit = overlap > 0
-    n_cues = int(hit.sum())
-    overlap_ms = int(overlap[hit].sum())
-    words = int(cues.words[lo:hi][hit].sum())
-    density = overlap_ms / duration_ms if duration_ms else 0.0
-    wps = words / (duration_ms / 1000.0) if duration_ms else 0.0
-    return np.array([density, wps, float(n_cues)])
+def speech_features(segments: list[Segment],
+                    transcripts: dict[str, Transcript]) -> np.ndarray:
+    """(n, 3): per segment, speech-timing statistics over the cues that
+    overlap its window, in `SPEECH_NAMES` order."""
+    out = np.zeros((len(segments), len(SPEECH_NAMES)))
+    columns = {}  # per video: cue starts, ends, word counts and reach
+    for row, segment in zip(out, segments):
+        if segment.video_id not in columns:
+            cues = sorted(transcripts[segment.video_id].cues,
+                          key=lambda c: c.start_ms)
+            ends = np.array([c.end_ms for c in cues], dtype=np.int64)
+            columns[segment.video_id] = (
+                np.array([c.start_ms for c in cues], dtype=np.int64), ends,
+                np.array([len(c.text.split()) for c in cues], dtype=np.int64),
+                np.maximum.accumulate(ends))
+        starts, ends, words, reach = columns[segment.video_id]
+        start, end = segment.start_ms, segment.end_ms
+        # cues past `hi` start at or after the end; cues before `lo` (and
+        # all earlier ones) end at or before the start
+        lo = int(np.searchsorted(reach, start, side="right"))
+        hi = int(np.searchsorted(starts, end, side="left"))
+        overlap = (np.minimum(ends[lo:hi], end)
+                   - np.maximum(starts[lo:hi], start))
+        hit = overlap > 0
+        row[2] = hit.sum()
+        if segment.duration_ms:
+            row[:2] = (int(overlap[hit].sum()) / segment.duration_ms,
+                       int(words[lo:hi][hit].sum())
+                       / (segment.duration_ms / 1000.0))
+    return out
 
 
 def assemble_features(segments: list[Segment],
@@ -302,16 +291,10 @@ def assemble_features(segments: list[Segment],
             blocks.append(embedding_features(texts, table))
             names += [f"embedding:{i}" for i in range(table.dim)]
         elif group == "video":
-            blocks.append(np.reshape([
-                video_features(s, tracks[s.video_id]) for s in segments],
-                (len(segments), len(VIDEO_NAMES))))
+            blocks.append(video_features(segments, tracks))
             names += VIDEO_NAMES
         elif group == "speech":
-            cues = {vid: cue_columns(transcripts[vid])
-                    for vid in {s.video_id for s in segments}}
-            blocks.append(np.reshape([
-                speech_features(s, cues[s.video_id]) for s in segments],
-                (len(segments), len(SPEECH_NAMES))))
+            blocks.append(speech_features(segments, transcripts))
             names += SPEECH_NAMES
     values = np.hstack(blocks) if blocks else np.zeros((len(segments), 0))
     return FeatureMatrix(segment_ids=tuple(s.segment_id for s in segments),

@@ -381,5 +381,11 @@ def load_track(path: str | Path, video_id: str = "",
         track.validate()
         return track
     if path.is_file():
-        return read_descriptor_csv(path, video_id, duration_ms)
+        track = read_descriptor_csv(path, video_id, duration_ms)
+        width = track.histograms.shape[1]
+        if width != _CHANNELS * bins_per_channel:
+            raise ParseError(f"{path}: {width} histogram columns, expected "
+                             f"{_CHANNELS * bins_per_channel} (3 channels x "
+                             f"{bins_per_channel} bins)", 1)
+        return track
     raise DataError(f"track source {path} does not exist")

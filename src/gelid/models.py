@@ -80,9 +80,17 @@ def _label_indices(y) -> np.ndarray:
                         f"{LABEL_ORDER}") from None
 
 
-def _standardize_fit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
+def _standardize_fit(x: np.ndarray, names: tuple[str, ...]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and stds (1 for a constant column); a DataError names
+    the first column too large for them to be finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        std = x.std(axis=0)
+    finite = np.isfinite(mean) & np.isfinite(std)
+    if not finite.all():
+        raise DataError(f"feature {names[int(np.argmin(finite))]!r} is too "
+                        f"large to standardize: its mean or std is not finite")
     std[std == 0] = 1.0
     return mean, std
 
@@ -359,7 +367,11 @@ def train(kind: str, x: np.ndarray, y, *, seed: int,
                         f"{sorted(unknown)}")
     merged.update(hyper or {})
     check_shape(merged, HYPER_SHAPES[kind], f"{kind} hyper-parameters: $")
-    mean, std = _standardize_fit(x)
+    names = (tuple(feature_names) if feature_names is not None
+             else tuple(f"f{i}" for i in range(x.shape[1])))
+    if len(names) != x.shape[1]:
+        raise DataError(f"{len(names)} feature names for {x.shape[1]} columns")
+    mean, std = _standardize_fit(x, names)
     xs = (x - mean) / std
     if kind == KIND_LOGISTIC:
         parameters = _train_logistic(xs, y_idx, merged, seed)
@@ -367,10 +379,6 @@ def train(kind: str, x: np.ndarray, y, *, seed: int,
         parameters = _train_ffn(xs, y_idx, merged, seed)
     else:
         parameters = _train_forest(xs, y_idx, merged, seed)
-    names = (tuple(feature_names) if feature_names is not None
-             else tuple(f"f{i}" for i in range(x.shape[1])))
-    if len(names) != x.shape[1]:
-        raise DataError(f"{len(names)} feature names for {x.shape[1]} columns")
     return TrainedModel(kind=kind, feature_names=names,
                         label_order=LABEL_ORDER, mean=mean, std=std,
                         hyper=merged, parameters=parameters)

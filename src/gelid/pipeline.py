@@ -24,7 +24,7 @@ import numpy as np
 from . import clustering, features, models
 from .config import RunConfig
 from .errors import (ConfigError, DataError, ParseError, StageError,
-                     check_shape, count)
+                     check_shape, count, file_name)
 from .frames import VideoTrack, load_track
 from .segmentation import (SEGMENT_SHAPE, Segment, segment_from_dict,
                            segment_video)
@@ -41,15 +41,6 @@ INFORMATIVE_LABELS = tuple(
     if name != models.IssueLabel.NON_INFORMATIVE.value)
 
 
-def _file_name(value) -> bool:
-    """a printable file name: no '/', '\\' or ',', not '', '.' or '..'"""
-    # ingest writes <video_id>.srt and <video_id>.descriptors.csv, which
-    # must stay inside its output directory, and features.csv rows start
-    # with the video's segment ids
-    return (isinstance(value, str) and value not in ("", ".", "..")
-            and value.isprintable() and not any(c in value for c in "/\\,"))
-
-
 def _path(value) -> bool:
     """a string with no NUL"""
     return isinstance(value, str) and "\0" not in value
@@ -57,7 +48,7 @@ def _path(value) -> bool:
 
 # the JSON inputs read here; the others' shapes live with their data
 _MANIFEST_SHAPE = {"schema_version": {MANIFEST_SCHEMA_VERSION},
-                  "videos": [{"video_id": _file_name, "subtitles": _path,
+                  "videos": [{"video_id": file_name, "subtitles": _path,
                               "frames": _path,
                               "duration_ms?": (count, {None})}]}
 _BUNDLE_SHAPE = {"schema_version": {BUNDLE_SCHEMA_VERSION}, "model": dict,

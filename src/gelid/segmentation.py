@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, check_shape, count, positive, positive_int
+from .errors import (DataError, check_shape, count, file_name, positive,
+                     positive_int)
 from .frames import VideoTrack
-from .subtitles import DEFAULT_GAP_MS, SentenceSpan, Transcript, sentence_spans
+from .subtitles import DEFAULT_GAP_MS, Transcript, sentence_spans
 
 log = logging.getLogger(__name__)
 
@@ -62,8 +63,8 @@ class Segment:
 
 
 # a segments.jsonl row, as write_segments_jsonl writes it
-SEGMENT_SHAPE = {"segment_id": str, "video_id": str, "start_ms": count,
-                 "end_ms": count, "cue_indices": [count],
+SEGMENT_SHAPE = {"segment_id": file_name, "video_id": str,
+                 "start_ms": count, "end_ms": count, "cue_indices": [count],
                  "keyframe_timestamps": [count]}
 
 
@@ -134,62 +135,41 @@ def detect_shot_transitions(track: VideoTrack,
     return transitions
 
 
-def _span_for_shifted(spans: list[SentenceSpan], shifted_ms: int,
-                      silence_ms: int) -> SentenceSpan | None:
-    for span in spans:
-        if span.start_ms <= shifted_ms < span.end_ms:
-            return span
-        if shifted_ms < span.start_ms <= shifted_ms + silence_ms:
-            return span
-        if span.start_ms > shifted_ms + silence_ms:
-            break
-    return None
-
-
 def derive_cut_points(shots: list[ShotTransition], transcript: Transcript,
                       cfg: SegmenterConfig) -> list[CutPoint]:
     """Shift each shot by k seconds and snap to the active sentence's end.
 
     If no sentence is active at the shifted time and none starts within
     silence_ms after it, nobody is speaking: cut exactly at the shifted time.
+    The cues must be in start order, as `parse_srt` and `parse_vtt` return
+    them, so that sentence starts never decrease.
     """
     cfg.validate()
     spans = sentence_spans(transcript, cfg.gap_ms)
+    shifted = (np.array([s.timestamp_ms for s in shots], dtype=np.int64)
+               + cfg.k_seconds * 1000)
+    # the running maximum of ends first passes t at the first span that
+    # ends after t; with starts in order, that span starts at or before t,
+    # and so is active, just when it comes before the first span starting
+    # after t
+    reach = np.maximum.accumulate(
+        np.array([s.end_ms for s in spans], dtype=np.int64))
+    starts = np.array([s.start_ms for s in spans], dtype=np.int64)
+    active = np.searchsorted(reach, shifted, side="right").tolist()
+    later = np.searchsorted(starts, shifted, side="right").tolist()
     cuts: dict[int, CutPoint] = {}
-    for shot in shots:
-        shifted = shot.timestamp_ms + cfg.k_seconds * 1000
-        span = _span_for_shifted(spans, shifted, cfg.silence_ms)
-        if span is not None:
-            cut = CutPoint(cut_ms=span.end_ms, source_shot_ms=shot.timestamp_ms,
-                           shifted_ms=shifted, snap_rule=SnapRule.SENTENCE_END)
+    for shot, at, i, j in zip(shots, shifted.tolist(), active, later):
+        if i < j or (j < len(spans)
+                     and spans[j].start_ms <= at + cfg.silence_ms):
+            cut = CutPoint(cut_ms=spans[min(i, j)].end_ms,
+                           source_shot_ms=shot.timestamp_ms, shifted_ms=at,
+                           snap_rule=SnapRule.SENTENCE_END)
         else:
-            cut = CutPoint(cut_ms=shifted, source_shot_ms=shot.timestamp_ms,
-                           shifted_ms=shifted,
+            cut = CutPoint(cut_ms=at, source_shot_ms=shot.timestamp_ms,
+                           shifted_ms=at,
                            snap_rule=SnapRule.SILENCE_PASSTHROUGH)
         cuts.setdefault(cut.cut_ms, cut)  # collapse duplicate cut times
     return [cuts[ms] for ms in sorted(cuts)]
-
-
-def _keyframes_for(start_ms: int, end_ms: int, shot_times: list[int],
-                   stamps: np.ndarray, k_max: int) -> tuple[int, ...]:
-    """First frame at/after each shot inside the segment; middle fallback."""
-    chosen: list[int] = []
-    for shot_ms in shot_times:
-        if not start_ms <= shot_ms < end_ms:
-            continue
-        pos = int(np.searchsorted(stamps, shot_ms, side="left"))
-        if pos < len(stamps) and stamps[pos] < end_ms:
-            ts = int(stamps[pos])
-            if ts not in chosen:
-                chosen.append(ts)
-    if not chosen:
-        inside = stamps[np.searchsorted(stamps, start_ms):
-                        np.searchsorted(stamps, end_ms)]
-        if inside.size:
-            mid = (start_ms + end_ms) // 2
-            ts = int(inside[np.argmin(np.abs(inside - mid))])
-            chosen.append(ts)
-    return tuple(sorted(chosen)[:k_max])
 
 
 def build_segments(track: VideoTrack, cuts: list[CutPoint],
@@ -197,8 +177,10 @@ def build_segments(track: VideoTrack, cuts: list[CutPoint],
     """Tile [0, duration) between cuts; merge sub-minimum segments.
 
     Each segment carries the cues whose midpoint falls inside it and up to
-    max_keyframes keyframes. A segment shorter than min_segment_ms merges
-    into its predecessor (into its successor when it is the first).
+    max_keyframes keyframes: the first frame at or after each shot inside
+    it, else the frame nearest its middle. A segment shorter than
+    min_segment_ms merges into its predecessor (into its successor when it
+    is the first).
     """
     cfg.validate()
     duration = track.duration_ms
@@ -208,42 +190,52 @@ def build_segments(track: VideoTrack, cuts: list[CutPoint],
         if not 0 < cut.cut_ms < duration:
             raise DataError(f"cut at {cut.cut_ms} ms outside (0, {duration})")
     bounds = [0] + sorted({c.cut_ms for c in cuts}) + [duration]
-    pieces = [[bounds[i], bounds[i + 1]] for i in range(len(bounds) - 1)]
-    # leftmost-first merge until every piece is long enough
-    while len(pieces) > 1:
-        short = next((i for i, (s, e) in enumerate(pieces)
-                      if e - s < cfg.min_segment_ms), None)
-        if short is None:
-            break
-        if short == 0:
-            pieces[1][0] = pieces[0][0]
+    # a piece joins its predecessor when either is short, so only the
+    # first piece can stay short, and only when it is the only one
+    pieces = [[0, bounds[1]]]
+    for start, end in zip(bounds[1:], bounds[2:]):
+        last = pieces[-1]
+        if min(last[1] - last[0], end - start) < cfg.min_segment_ms:
+            last[1] = end
         else:
-            pieces[short - 1][1] = pieces[short][1]
-        del pieces[short]
+            pieces.append([start, end])
 
     stamps = track.timestamps_ms
-    shot_times = sorted({c.source_shot_ms for c in cuts})
+    shots = np.unique(np.array([c.source_shot_ms for c in cuts],
+                               dtype=np.int64))
+    # a shot's keyframe is the first frame at or after it, when that frame
+    # lies in the shot's piece. Of the shots that find one frame, only the
+    # last can lie in the frame's piece, so the others drop out, and so do
+    # the shots past the last frame, which find none
+    frame_rows = np.searchsorted(stamps, shots)
+    kept = np.diff(frame_rows, append=stamps.size) != 0
+    shots, shot_frames = shots[kept], stamps[frame_rows[kept]].tolist()
+    shot_runs = np.searchsorted(shots, np.array(pieces)).tolist()
     mids = np.array([(c.start_ms + c.end_ms) // 2 for c in transcript.cues],
                     dtype=np.int64)
     by_mid = np.argsort(mids, kind="stable")
     # the cues of each piece: a run of by_mid, put back in transcript order
-    runs = np.searchsorted(mids[by_mid], np.array(pieces)).tolist()
+    cue_runs = np.searchsorted(mids[by_mid], np.array(pieces)).tolist()
     by_mid = by_mid.tolist()
     segments = []
-    for idx, ((start, end), (lo, hi)) in enumerate(zip(pieces, runs)):
-        cue_indices = tuple(transcript.cues[i].index
-                            for i in sorted(by_mid[lo:hi]))
-        keyframes = _keyframes_for(start, end, shot_times, stamps,
-                                   cfg.max_keyframes)
-        if not keyframes:
-            log.warning("segment %s_%04d [%d, %d) contains no frames",
-                        track.video_id, idx, start, end)
+    for idx, ((start, end), (lo, hi), (first, stop)) in enumerate(
+            zip(pieces, cue_runs, shot_runs)):
+        keyframes = [ts for ts in shot_frames[first:stop] if ts < end]
+        if not keyframes:  # the frame nearest the middle, if any
+            inside = stamps[track.window(start, end)]
+            if inside.size:
+                keyframes = [int(inside[np.argmin(
+                    np.abs(inside - (start + end) // 2))])]
+            else:
+                log.warning("segment %s_%04d [%d, %d) contains no frames",
+                            track.video_id, idx, start, end)
         segments.append(Segment(
             segment_id=f"{track.video_id}_{idx:04d}",
             video_id=track.video_id,
             start_ms=start, end_ms=end,
-            cue_indices=cue_indices,
-            keyframe_timestamps=keyframes,
+            cue_indices=tuple(transcript.cues[i].index
+                              for i in sorted(by_mid[lo:hi])),
+            keyframe_timestamps=tuple(keyframes[:cfg.max_keyframes]),
         ))
     return segments
 

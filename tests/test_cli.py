@@ -15,6 +15,8 @@ from conftest import THREE_VIDEO_WORLD, write_world
 import gelid
 from gelid import features, pipeline
 from gelid.cli import main
+from gelid.errors import DataError
+from gelid.frames import read_descriptor_csv, write_descriptor_csv
 from gelid.subtitles import parse_srt
 
 
@@ -1118,3 +1120,95 @@ def test_malformed_artifact_exits_1_or_2(staged, tmp_path_factory, target,
         code = main(argv)
     assert code in (1, 2), err.getvalue()
     assert "error:" in err.getvalue()
+
+
+def _stage_argv(paths, stage, command, out):
+    """`command` over the staged artifacts, writing to `out`."""
+    world = ["--manifest", str(paths["manifest"]),
+             "--config", str(paths["config"])]
+    seg = ["--segments", str(stage / "segments.jsonl")]
+    labels = ["--labels", str(stage / "labels.jsonl")]
+    model = ["--model", str(stage / "model.json")]
+    return [command, *{
+        "run": world,
+        "features": [*world, *seg],
+        "train": ["--config", str(paths["config"]),
+                  "--features", str(stage / "features.csv"),
+                  "--vocabulary", str(stage / "vocabulary.json"),
+                  "--labels", str(stage / "seg_labels.jsonl")],
+        "classify": [*world, *seg, *model],
+        "group": [*world, *seg, *labels],
+        "cluster": [*world, *seg, *labels, *model],
+    }[command], "--out", str(out)]
+
+
+# each stage subcommand's step, as cli calls it on `pipeline`
+_STEPS = {"features": "extract_features", "train": "train_bundle",
+          "classify": "classify_segments", "group": "group_contexts",
+          "cluster": "build_hierarchy"}
+
+
+@pytest.mark.parametrize("error, code", [(ValueError("boom"), 3),
+                                         (DataError("boom"), 2)],
+                         ids=["ValueError", "DataError"])
+@pytest.mark.parametrize("command", sorted(_STEPS))
+def test_stage_subcommand_failure_names_its_stage(staged, tmp_path, capsys,
+                                                  monkeypatch, command, error,
+                                                  code):
+    def fail(*args, **kwargs):
+        raise error
+
+    paths, stage = staged
+    monkeypatch.setattr(pipeline, _STEPS[command], fail)
+    capsys.readouterr()
+    assert main(_stage_argv(paths, stage, command, tmp_path / "out")) == code
+    assert capsys.readouterr().err == f"error: stage '{command}': boom\n"
+
+
+@pytest.mark.parametrize("command", ["run", "group"])
+def test_descriptor_csv_of_another_bin_count_exits_2_at_ingest(
+        staged, tmp_path, capsys, command):
+    _, stage = staged
+    paths = _world(tmp_path)
+    csv_path = paths["root"] / "vid_b.descriptors.csv"
+    track = read_descriptor_csv(csv_path, "vid_b")
+    n = len(track.timestamps_ms)  # fold 16 bins a channel into 8
+    csv_path.write_text(write_descriptor_csv(dataclasses.replace(
+        track, histograms=track.histograms.reshape(n, 3, 8, 2).sum(axis=3)
+        .reshape(n, 24))))
+    _fails_naming(capsys, _stage_argv(paths, stage, command, tmp_path / "out"), "stage 'ingest', video 'vid_b'",
+                  f"line 1: {csv_path}: 24 histogram columns, expected 48")
+
+
+@pytest.mark.parametrize("segment_id", ["vid_a_0000,x",
+                                        "vid_a\u20280000"])
+@pytest.mark.parametrize("command", sorted(_SEGMENT_STAGES))
+def test_segment_id_that_is_not_a_file_name_exits_2(staged, tmp_path, capsys,
+                                                    command, segment_id):
+    paths, stage = staged
+    bad = tmp_path / "segments.jsonl"
+    _rewrite_line(stage / "segments.jsonl", bad, 0, lambda line: json.dumps(
+        {**json.loads(line), "segment_id": segment_id}))
+    extra = [arg for flag in _SEGMENT_STAGES[command]
+             for arg in (flag, str(tmp_path / "unused"))]
+    _fails_naming(capsys, [
+        command, "--manifest", str(paths["manifest"]),
+        "--config", str(paths["config"]), "--segments", str(bad), *extra,
+        "--out", str(tmp_path / "out")],
+        f"{bad}:1: $.segment_id: expected a printable file name")
+
+
+def test_feature_too_large_to_standardize_exits_2(staged, tmp_path, capsys):
+    paths, stage = staged
+    rows = [line.split(",")
+            for line in (stage / "features.csv").read_text().splitlines()]
+    column = rows[0].index("video:duration_s")
+    for row in rows[1:]:
+        row[column] = "1e+308"
+    bad = tmp_path / "features.csv"
+    bad.write_text("\n".join(map(",".join, rows)) + "\n")
+    argv = _stage_argv(paths, stage, "train", tmp_path / "model.json")
+    argv[argv.index("--features") + 1] = str(bad)
+    _fails_naming(capsys, argv, "stage 'train': feature 'video:duration_s' "
+                  "is too large to standardize")
+    assert not (tmp_path / "model.json").exists()

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from gelid.errors import DataError, ParseError
 from gelid.features import (FEATURE_GROUPS, SPEECH_NAMES, VIDEO_NAMES,
                             EmbeddingTable, FeatureMatrix, Vocabulary,
-                            assemble_features,
-                            cue_columns, embedding_features, fit_vocabulary,
+                            assemble_features, embedding_features,
+                            fit_vocabulary,
                             load_embedding_table, read_feature_csv,
                             smote_oversample, speech_features, text_features,
                             tokenize, video_features, write_feature_csv)
@@ -184,9 +184,15 @@ def _seg(start, end, cue_indices=(), video_id="vid", keyframes=()):
                    keyframe_timestamps=keyframes)
 
 
+def _video_by_name(track):
+    """The video features of [0, 2000) by name."""
+    return dict(zip(VIDEO_NAMES,
+                    video_features([_seg(0, 2000)], {"vid": track})[0]))
+
+
 def test_video_features_black_segment():
     track = _track([0, 500, 1000], [_hist(0)] * 3, [0.0] * 3, 2000)
-    by = dict(zip(VIDEO_NAMES, video_features(_seg(0, 2000), track)))
+    by = _video_by_name(track)
     assert by["video:luminance_mean"] == 0.0
     assert by["video:blank_fraction"] == 1.0
     assert by["video:had_video"] == 1.0
@@ -194,7 +200,7 @@ def test_video_features_black_segment():
 
 def test_video_features_constant_frames_zero_motion():
     track = _track([0, 500, 1000], [_hist(3)] * 3, [0.4] * 3, 2000)
-    by = dict(zip(VIDEO_NAMES, video_features(_seg(0, 2000), track)))
+    by = _video_by_name(track)
     assert by["video:motion_mean"] == 0.0
     assert by["video:motion_std"] == 0.0
 
@@ -202,7 +208,7 @@ def test_video_features_constant_frames_zero_motion():
 def test_video_features_alternating_frames_motion_from_oracle():
     hists = [_hist(0), _hist(15), _hist(0), _hist(15)]
     track = _track([0, 500, 1000, 1500], hists, [0.0] * 4, 2000)
-    by = dict(zip(VIDEO_NAMES, video_features(_seg(0, 2000), track)))
+    by = _video_by_name(track)
     # independent brute-force L1 oracle
     expected = []
     for a, b in zip(hists, hists[1:]):
@@ -214,7 +220,7 @@ def test_video_features_alternating_frames_motion_from_oracle():
 
 def test_video_features_single_frame_flags_no_video():
     track = _track([100], [_hist(0)], [0.5], 2000)
-    by = dict(zip(VIDEO_NAMES, video_features(_seg(0, 2000), track)))
+    by = _video_by_name(track)
     assert by["video:had_video"] == 0.0
     assert by["video:motion_mean"] == 0.0
 
@@ -226,15 +232,15 @@ def _transcript(cue_specs):
 
 
 def test_speech_features_no_cues_all_zero():
-    values = speech_features(_seg(0, 5000),
-                             cue_columns(Transcript(video_id="vid")))
+    values = speech_features([_seg(0, 5000)],
+                             {"vid": Transcript(video_id="vid")})
     assert not values.any()
 
 
 def test_speech_features_full_span_cue_density_one():
     t = _transcript([(0, 5000, "talking the whole time")])
     by = dict(zip(SPEECH_NAMES,
-                  speech_features(_seg(0, 5000), cue_columns(t))))
+                  speech_features([_seg(0, 5000)], {"vid": t})[0]))
     assert by["speech:density"] == 1.0
     assert by["speech:n_cues"] == 1.0
 
@@ -243,7 +249,7 @@ def test_speech_features_words_per_second():
     t = _transcript([(0, 5000, "one two three four five six seven eight "
                                "nine ten")])
     by = dict(zip(SPEECH_NAMES,
-                  speech_features(_seg(0, 5000), cue_columns(t))))
+                  speech_features([_seg(0, 5000)], {"vid": t})[0]))
     assert by["speech:words_per_second"] == 2.0
 
 

@@ -189,6 +189,20 @@ def test_descriptor_csv_row_parses(tmp_path):
     assert again.frames[0].luminance_mean == 0.5
 
 
+@pytest.mark.parametrize("bins", [8, 16])
+def test_load_track_rejects_a_csv_of_another_bin_count(tmp_path, bins):
+    hists = np.zeros((1, 3 * bins))
+    hists[:, [0, bins, 2 * bins]] = 1.0
+    path = tmp_path / "d.csv"
+    path.write_text(write_descriptor_csv(_track([0], hists, [0.5], 1000)))
+    assert load_track(path, "vid", bins_per_channel=bins).histograms.shape \
+        == (1, 3 * bins)
+    other = 24 // bins
+    with pytest.raises(ParseError, match=f"^line 1: {path}: {3 * bins} "
+                       f"histogram columns, expected {3 * other} "):
+        load_track(path, "vid", bins_per_channel=other)
+
+
 def test_descriptor_csv_non_monotone_is_error(tmp_path):
     path = _two_row_csv(tmp_path)
     lines = path.read_text().splitlines()

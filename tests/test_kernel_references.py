@@ -16,9 +16,13 @@ absent classes, zero or one step and no L2 penalty. The SRT and WebVTT
 parsers must return the transcript their index-loop references return, or
 raise the same ParseError message and line, on random documents, and the
 PPM parser the image its byte-at-a-time reference returns, or the same
-ParseError message.
+ParseError message. Cut points must equal those of a scan over the
+sentences for each shot, and segments those of a merge that rescans its
+pieces and a keyframe search over every shot for each piece, on seeded
+random tracks, shots, cuts and transcripts.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -33,21 +37,22 @@ from gelid import clustering
 from gelid.clustering import (build_context_matrix, build_issue_matrix,
                               cosine_distance)
 from gelid.errors import DataError, ParseError
-from gelid.features import (BLANK_LUMINANCE, cue_columns, speech_features,
-                            video_features)
+from gelid.features import BLANK_LUMINANCE, speech_features, video_features
 from gelid.frames import (VideoTrack, parse_ppm_frame, read_descriptor_csv,
                           write_descriptor_csv)
 from gelid import models
 from gelid.models import (KIND_FFN, KIND_LOGISTIC, LABEL_ORDER, N_LABELS,
                           _gini, _grow_tree, _leaf, _softmax, _train_logistic,
                           logistic_loss_and_grad)
-from gelid import pipeline
+from gelid import pipeline, segmentation
 from gelid.pipeline import keyframe_lookup, match_probes
 from gelid.segmentation import (CutPoint, SegmenterConfig, Segment,
                                 ShotTransition, SnapRule, adaptive_thresholds,
-                                build_segments, detect_shot_transitions)
+                                build_segments, derive_cut_points,
+                                detect_shot_transitions)
 from gelid import subtitles
-from gelid.subtitles import Cue, Transcript, parse_srt, parse_vtt
+from gelid.subtitles import (Cue, Transcript, parse_srt, parse_vtt,
+                             sentence_spans, write_srt)
 
 # --- loop references ---------------------------------------------------------
 
@@ -131,6 +136,86 @@ def ref_segment_cues(segment, transcript):
     return tuple(c.index for c in transcript.cues
                  if segment.start_ms <= (c.start_ms + c.end_ms) // 2
                  < segment.end_ms)
+
+
+def _ref_span_for_shifted(spans, shifted_ms, silence_ms):
+    for span in spans:
+        if span.start_ms <= shifted_ms < span.end_ms:
+            return span
+        if shifted_ms < span.start_ms <= shifted_ms + silence_ms:
+            return span
+        if span.start_ms > shifted_ms + silence_ms:
+            break
+    return None
+
+
+def ref_derive_cut_points(shots, transcript, cfg):
+    spans = sentence_spans(transcript, cfg.gap_ms)
+    cuts = {}
+    for shot in shots:
+        shifted = shot.timestamp_ms + cfg.k_seconds * 1000
+        span = _ref_span_for_shifted(spans, shifted, cfg.silence_ms)
+        if span is not None:
+            cut = CutPoint(cut_ms=span.end_ms, source_shot_ms=shot.timestamp_ms,
+                           shifted_ms=shifted, snap_rule=SnapRule.SENTENCE_END)
+        else:
+            cut = CutPoint(cut_ms=shifted, source_shot_ms=shot.timestamp_ms,
+                           shifted_ms=shifted,
+                           snap_rule=SnapRule.SILENCE_PASSTHROUGH)
+        cuts.setdefault(cut.cut_ms, cut)
+    return [cuts[ms] for ms in sorted(cuts)]
+
+
+def _ref_keyframes_for(start_ms, end_ms, shot_times, stamps, k_max):
+    chosen = []
+    for shot_ms in shot_times:
+        if not start_ms <= shot_ms < end_ms:
+            continue
+        pos = int(np.searchsorted(stamps, shot_ms, side="left"))
+        if pos < len(stamps) and stamps[pos] < end_ms:
+            ts = int(stamps[pos])
+            if ts not in chosen:
+                chosen.append(ts)
+    if not chosen:
+        inside = stamps[np.searchsorted(stamps, start_ms):
+                        np.searchsorted(stamps, end_ms)]
+        if inside.size:
+            mid = (start_ms + end_ms) // 2
+            ts = int(inside[np.argmin(np.abs(inside - mid))])
+            chosen.append(ts)
+    return tuple(sorted(chosen)[:k_max])
+
+
+def ref_build_segments(track, cuts, transcript, cfg):
+    """The segments, and the arguments of every warning logged; each
+    segment's cues come from `ref_segment_cues`."""
+    duration = track.duration_ms
+    bounds = [0] + sorted({c.cut_ms for c in cuts}) + [duration]
+    pieces = [[bounds[i], bounds[i + 1]] for i in range(len(bounds) - 1)]
+    # leftmost-first merge until every piece is long enough
+    while len(pieces) > 1:
+        short = next((i for i, (s, e) in enumerate(pieces)
+                      if e - s < cfg.min_segment_ms), None)
+        if short is None:
+            break
+        if short == 0:
+            pieces[1][0] = pieces[0][0]
+        else:
+            pieces[short - 1][1] = pieces[short][1]
+        del pieces[short]
+    shot_times = sorted({c.source_shot_ms for c in cuts})
+    segments, warnings = [], []
+    for idx, (start, end) in enumerate(pieces):
+        keyframes = _ref_keyframes_for(start, end, shot_times,
+                                       track.timestamps_ms, cfg.max_keyframes)
+        if not keyframes:
+            warnings.append(("segment %s_%04d [%d, %d) contains no frames",
+                             track.video_id, idx, start, end))
+        segment = Segment(f"{track.video_id}_{idx:04d}", track.video_id,
+                          start, end, keyframe_timestamps=keyframes)
+        segments.append(dataclasses.replace(
+            segment, cue_indices=ref_segment_cues(segment, transcript)))
+    return segments, warnings
 
 
 def ref_match_probes(probes, segments):
@@ -453,9 +538,11 @@ def test_video_features_match_loop_reference(spec):
     seed, n_frames, repeat = spec
     track = _random_track(seed, n_frames, repeat)
     rng = np.random.default_rng(seed + 1)
-    for segment in _windows(rng, track, 12):
-        values = video_features(segment, track)
-        assert values.tobytes() == ref_video_values(segment, track).tobytes()
+    segments = _windows(rng, track, 12)
+    values = video_features(segments, {"vid": track})
+    assert values.shape == (12, 7)
+    for row, segment in zip(values, segments):
+        assert row.tobytes() == ref_video_values(segment, track).tobytes()
 
 
 @given(st.lists(st.floats(0, 10, allow_nan=False), max_size=200)
@@ -488,7 +575,6 @@ def test_speech_features_match_loop_reference(specs, seed):
     cues = [Cue(i + 1, start, start + length, " ".join(["w"] * words))
             for i, (start, length, words) in enumerate(specs)]
     transcript = Transcript("vid", cues)
-    columns = cue_columns(transcript)
     rng = np.random.default_rng(seed)
     edges = [c.start_ms for c in cues] + [c.end_ms for c in cues] + [0]
     segments = []
@@ -498,9 +584,10 @@ def test_speech_features_match_loop_reference(specs, seed):
         start = int(rng.choice(edges)) + int(rng.integers(-1, 2))
         end = start + int(rng.integers(0, 8000))
         segments.append(Segment(f"vid_{k:04d}", "vid", start, end))
-    for segment in segments:
-        values = speech_features(segment, columns)
-        assert values.tobytes() == \
+    values = speech_features(segments, {"vid": transcript})
+    assert values.shape == (10, 3)
+    for row, segment in zip(values, segments):
+        assert row.tobytes() == \
             ref_speech_values(segment, transcript).tobytes()
 
 
@@ -580,6 +667,108 @@ def test_segment_cues_match_loop_reference(spec, seed, n_cuts,
     cfg = SegmenterConfig(min_segment_ms=min_segment_ms)
     for segment in build_segments(track, cuts, transcript, cfg):
         assert segment.cue_indices == ref_segment_cues(segment, transcript)
+
+
+def _tiling_case(rng):
+    """A track, cuts, cues and settings for build_segments: tracks with no
+    frames, one frame or frames from well past 0; shots before the first
+    frame, past the last, between frames (so that several find one frame)
+    and on their cut; cuts on a frame and repeated cuts; minimum lengths
+    that equal a piece's length, so that every piece is short or the
+    first one alone is."""
+    n_frames = int(rng.choice([0, 1, 2, int(rng.integers(3, 40))]))
+    stamps = (int(rng.integers(0, 3000))
+              + np.cumsum(rng.integers(1, 600, size=n_frames)))
+    duration = (int(stamps[-1]) if n_frames else 0) + int(rng.integers(2, 3000))
+    track = VideoTrack("vid", stamps.astype(np.int64),
+                       np.ones((n_frames, 3)), np.zeros(n_frames), duration)
+    frames = stamps.tolist() or [int(rng.integers(1, duration))]
+    cut_ms = [int(rng.choice(frames)) if rng.random() < 0.3 else int(cut)
+              for cut in rng.integers(1, duration,
+                                      size=int(rng.integers(0, 12)))]
+    shots = []
+    for cut in cut_ms:
+        shots.append(int(rng.choice([
+            cut, int(rng.choice(frames)) + int(rng.integers(-2, 3)),
+            int(rng.integers(0, frames[0] + 1)),
+            frames[-1] + int(rng.integers(1, 2000)),
+            int(rng.integers(0, duration + 1)),
+            shots[-1] if shots else cut])))
+    if cut_ms and rng.random() < 0.3:
+        cut_ms[-1] = cut_ms[0]
+    cuts = [CutPoint(c, shot, c, SnapRule.SENTENCE_END)
+            for c, shot in zip(cut_ms, shots)]
+    pieces = np.diff([0] + sorted(set(cut_ms)) + [duration]).tolist()
+    cfg = SegmenterConfig(
+        min_segment_ms=int(rng.choice([0, 1, int(rng.choice(pieces)),
+                                       int(rng.choice(pieces)) + 1,
+                                       int(rng.integers(0, duration + 2)),
+                                       duration, duration + 1])),
+        max_keyframes=int(rng.choice([1, 2, 3, 10])))
+    cues = []
+    for k in range(int(rng.integers(0, 8))):
+        start = int(rng.integers(0, duration + 1000))
+        cues.append(Cue(k + 1, start, start + int(rng.integers(1, 4000)),
+                        "w"))
+    return track, cuts, Transcript("vid", cues), cfg
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_build_segments_matches_loop_reference(block):
+    """500 cases a block; see `_tiling_case`."""
+    rng = np.random.default_rng(block)
+    for _ in range(500):
+        track, cuts, transcript, cfg = _tiling_case(rng)
+        with mock.patch.object(segmentation.log, "warning") as warning:
+            got = build_segments(track, cuts, transcript, cfg)
+        want, warnings = ref_build_segments(track, cuts, transcript, cfg)
+        assert got == want
+        assert [c.args for c in warning.call_args_list] == warnings
+        for segment in got:
+            assert all(type(v) is int for v in (
+                segment.start_ms, segment.end_ms, *segment.cue_indices,
+                *segment.keyframe_timestamps))
+
+
+def _snapping_case(rng):
+    """Shots, a transcript and settings for derive_cut_points: cues that
+    overlap or nest, with and without terminal punctuation, and gaps of
+    gap_ms and one either side of it; shifted times on, one before and
+    one past every sentence's start, end and silence window."""
+    gap_ms = int(rng.choice([0, 400, 1500]))
+    cues, at = [], int(rng.integers(0, 3000))
+    for k in range(int(rng.integers(0, 12))):
+        length = int(rng.integers(1, 3000))
+        cues.append(Cue(k + 1, at, at + length, "w" + str(rng.choice(
+            ["", "", ".", "!", "?", "\u2026"]))))
+        at += int(rng.choice([int(rng.integers(0, length)),
+                              length + gap_ms + int(rng.integers(-1, 2)),
+                              length + int(rng.integers(0, 6000))]))
+    transcript = parse_srt(write_srt(Transcript("vid", cues)), "vid")
+    cfg = SegmenterConfig(k_seconds=int(rng.choice([0, 1, 5])),
+                          silence_ms=int(rng.choice([0, 1, 300, 3000])),
+                          gap_ms=gap_ms)
+    edges = [int(rng.integers(0, 20000))]
+    for span in sentence_spans(transcript, gap_ms):
+        edges += [span.start_ms, span.end_ms,
+                  span.start_ms - cfg.silence_ms]
+    shifted = {int(rng.choice(edges)) + int(rng.integers(-1, 2))
+               for _ in range(int(rng.integers(0, 10)))}
+    shots = [ShotTransition(t - cfg.k_seconds * 1000, 1.0)
+             for t in sorted(shifted) if t >= cfg.k_seconds * 1000]
+    return shots, transcript, cfg
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_derive_cut_points_matches_loop_reference(block):
+    """500 cases a block; see `_snapping_case`."""
+    rng = np.random.default_rng(block)
+    for _ in range(500):
+        shots, transcript, cfg = _snapping_case(rng)
+        got = derive_cut_points(shots, transcript, cfg)
+        assert got == ref_derive_cut_points(shots, transcript, cfg)
+        assert all(type(v) is int for cut in got
+                   for v in (cut.cut_ms, cut.source_shot_ms, cut.shifted_ms))
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 25))

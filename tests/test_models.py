@@ -1,4 +1,6 @@
 import json
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -108,6 +110,26 @@ def test_nan_feature_is_error():
     y = np.array(["Logic", "Balance"])
     with pytest.raises(DataError):
         train(KIND_LOGISTIC, x, y, seed=0)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("column", [[1e308] * 4, [1e308, -1e308] * 2],
+                         ids=["mean_overflows", "std_overflows"])
+def test_feature_too_large_to_standardize_is_error(kind, column):
+    x = np.column_stack([np.arange(4.0), column])
+    y = np.array(["Logic", "Balance"] * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="^feature 'big' is too large"):
+            train(kind, x, y, seed=0, feature_names=("small", "big"))
+
+
+def test_feature_name_count_is_checked_before_training():
+    x, y = _blobs()
+    with mock.patch("gelid.models._train_logistic") as fit:
+        with pytest.raises(DataError, match="3 feature names for 4 columns"):
+            train(KIND_LOGISTIC, x, y, seed=0, feature_names=("a", "b", "c"))
+    fit.assert_not_called()
 
 
 def test_unknown_label_is_error():

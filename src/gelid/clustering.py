@@ -7,6 +7,13 @@ self-similarity can fall below 1) so d(X, X) is pinned to 0 and the density
 methods consume it as a plain dissimilarity. The issue measure blends
 cosine distance on tf-idf text with the context measure.
 
+Both matrices are built as block operations and equal, bit for bit, a loop
+over segment pairs in `ids` order. The context kernel visits segments in
+order of keyframe count, but averages each pair's keyframe similarities in
+the order of the segment that comes first in `ids`, its keyframes the
+major axis (the orientation rule). The text term keeps one BLAS dot per
+pair, because a matrix product rounds differently.
+
 Determinism: every tie (border points, mode merge order, cluster numbering)
 breaks on item id, so results are independent of input order.
 """
@@ -14,6 +21,7 @@ breaks on item id, so results are independent of input order.
 from __future__ import annotations
 
 import heapq
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -59,16 +67,18 @@ class DistanceMatrix:
 
     def validate(self) -> None:
         n = len(self.ids)
-        if self.values.shape != (n, n):
-            raise DataError(f"distance matrix shape {self.values.shape} does "
-                            f"not match {n} ids")
-        if not np.all(np.isfinite(self.values)):
+        v = self.values
+        if v.shape != (n, n):
+            raise DataError(f"distance matrix shape {v.shape} does not "
+                            f"match {n} ids")
+        if not np.isfinite(v).all():
             raise DataError("distance matrix has non-finite entries")
-        if np.any(self.values < -1e-12) or np.any(self.values > 1 + 1e-12):
+        if (v < -1e-12).any() or (v > 1 + 1e-12).any():
             raise DataError("distances must lie in [0, 1]")
-        if not np.allclose(self.values, self.values.T, atol=1e-12, rtol=0):
+        # finite entries, so this is allclose(v, v.T, atol=1e-12, rtol=0)
+        if not (np.abs(v - v.T) <= 1e-12).all():
             raise DataError("distance matrix must be symmetric")
-        if np.any(np.abs(np.diag(self.values)) > 1e-12):
+        if (np.abs(v.diagonal()) > 1e-12).any():
             raise DataError("distance matrix diagonal must be 0")
 
 
@@ -105,14 +115,28 @@ class ClusterAssignment:
         }
 
 
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - cosine similarity; a zero vector is maximally distant (1.0)."""
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        return 1.0
-    if np.array_equal(a, b):
-        return 0.0
-    return float(np.clip(1.0 - (a @ b) / (na * nb), 0.0, 1.0))
+def _cosine_values(vectors) -> np.ndarray:
+    """Cosine distance of every vector pair, 1 - a.b / (|a| |b|) clipped to
+    [0, 1]: a zero vector is maximally distant (1.0) and equal vectors are
+    at 0.0. Each pair's dot product is its own BLAS dot, as for one pair:
+    one matrix product would round differently."""
+    n = len(vectors)
+    norms = np.array([np.linalg.norm(v) for v in vectors])
+    dots = np.array([[vectors[i] @ vectors[j] if i < j else 0.0
+                      for j in range(n)] for i in range(n)]).reshape(n, n)
+    dots += dots.T
+    zero = (norms == 0)[:, None] | (norms == 0)
+    values = np.clip(1.0 - dots / np.where(zero, 1.0, norms[:, None] * norms),
+                     0.0, 1.0)
+    values[zero] = 1.0
+    # equal vectors have equal norms, so only those pairs are compared
+    rows, cols = np.nonzero(~zero & (norms[:, None] == norms))
+    upper = rows < cols
+    for i, j in zip(rows[upper].tolist(), cols[upper].tolist()):
+        if np.array_equal(vectors[i], vectors[j]):
+            values[i, j] = values[j, i] = 0.0
+    np.fill_diagonal(values, 0.0)
+    return values
 
 
 # Keyframe-pair similarities are computed one tile of segment blocks at a
@@ -120,61 +144,94 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
 _BLOCK_BYTES = 4 << 20
 
 
-def _segment_blocks(counts: np.ndarray, max_rows: int) -> list[range]:
+def _segment_blocks(counts: list[int], max_rows: int) -> list[list[range]]:
     """Consecutive segments holding at most max_rows keyframes together,
-    except that every block holds at least one segment."""
-    blocks, start, rows = [], 0, 0
-    for k, count in enumerate(counts.tolist()):
-        if k > start and rows + count > max_rows:
-            blocks.append(range(start, k))
-            start, rows = k, 0
+    except that every block holds at least one segment. Each block is
+    given as its runs of equal keyframe count."""
+    blocks, cuts, rows = [], [0], 0  # cuts: where the block's runs start
+    for k, count in enumerate(counts):
+        if k > cuts[0] and rows + count > max_rows:
+            blocks.append(cuts + [k])
+            cuts, rows = [k], 0
+        elif k > cuts[0] and count != counts[k - 1]:
+            cuts.append(k)
         rows += count
-    blocks.append(range(start, len(counts)))
-    return blocks
+    blocks.append(cuts + [len(counts)])
+    return [[range(a, b) for a, b in zip(block[:-1], block[1:])]
+            for block in blocks]
+
+
+def _block_means(four: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """The (na, nb) means of a (na, ka, nb, kb) sub-tile of keyframe
+    similarities: each pair's ka * kb block is summed as one contiguous
+    row, in the order `axes` gives its last two axes."""
+    na, ka, nb, kb = four.shape
+    rows = np.ascontiguousarray(four.transpose(axes)).reshape(-1, ka * kb)
+    return (rows.sum(axis=1) / (ka * kb)).reshape(na, nb)
 
 
 def _context_values(ids: tuple[str, ...],
                     keyframes: dict[str, np.ndarray]) -> np.ndarray:
     """Context distance of every segment pair: 1 minus the mean, over
     every pair of their keyframes, of the histogram intersection (the sum
-    of bin minima / 3), clipped to [0, 1]. Each keyframe pair's minimum-sum
-    runs over the bins, then one mean per segment pair over its contiguous
-    ka * kb block."""
+    of bin minima / 3), clipped to [0, 1].
+
+    Segments are taken in order of keyframe count (a stable sort), so the
+    pairs of a run of ka-keyframe segments and a run of kb-keyframe
+    segments form one contiguous sub-tile of keyframe similarities, and
+    one reshape gives all their means. Orientation rule: a pair's ka * kb
+    block is averaged in the order of the segment that comes first in
+    `ids`, its keyframes the major axis, as a loop over pairs in `ids`
+    order would. The two orders round differently only when both counts
+    exceed 1."""
     n = len(ids)
-    values = np.zeros((n, n))
     if n < 2:
-        return values
+        return np.zeros((n, n))
     stacks = [np.atleast_2d(keyframes[i]) for i in ids]
     counts = np.array([k.shape[0] for k in stacks])
     if not counts.all():
         raise DataError("context distance needs at least one keyframe per "
                         "segment")
-    stacked = np.concatenate(stacks)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
+    order = np.argsort(counts, kind="stable")
+    counts = counts[order].tolist()
+    stacked = np.concatenate([stacks[k] for k in order.tolist()])
+    offsets = np.concatenate([[0], np.cumsum(counts)]).tolist()
     # a tile is at most max_rows x max_rows keyframes unless one segment
     # alone has more
     max_rows = math.isqrt(_BLOCK_BYTES // (stacked.itemsize
                                             * stacked.shape[1]))
     blocks = _segment_blocks(counts, max_rows)
+    values = np.zeros((n, n))  # in count order until the last line
     for bi, rows in enumerate(blocks):
+        r0, r1 = offsets[rows[0].start], offsets[rows[-1].stop]
         for cols in blocks[bi:]:
-            sims = np.minimum(
-                stacked[offsets[rows.start]:offsets[rows.stop], None, :],
-                stacked[None, offsets[cols.start]:offsets[cols.stop], :]
-            ).sum(axis=2) / _CHANNELS
-            i, j = np.meshgrid(rows, cols, indexing="ij")
-            i, j = i[i < j], j[i < j]
-            for ka, kb in set(zip(counts[i].tolist(), counts[j].tolist())):
-                pick = (counts[i] == ka) & (counts[j] == kb)
-                pi, pj = i[pick], j[pick]
-                r = (offsets[pi] - offsets[rows.start])[:, None, None] \
-                    + np.arange(ka)[:, None]
-                c = (offsets[pj] - offsets[cols.start])[:, None, None] \
-                    + np.arange(kb)
-                means = sims[r, c].reshape(pi.size, ka * kb).mean(axis=1)
-                values[pi, pj] = values[pj, pi] = np.clip(1.0 - means,
-                                                          0.0, 1.0)
-    return values
+            c0, c1 = offsets[cols[0].start], offsets[cols[-1].stop]
+            sims = np.minimum(stacked[r0:r1, None, :],
+                              stacked[None, c0:c1, :]).sum(axis=2) / _CHANNELS
+            for a in rows:
+                for b in cols:
+                    if b.stop <= a.start:
+                        continue  # below the diagonal
+                    ka, kb = counts[a.start], counts[b.start]
+                    four = sims[offsets[a.start] - r0:offsets[a.stop] - r0,
+                                offsets[b.start] - c0:offsets[b.stop] - c0
+                                ].reshape(len(a), ka, len(b), kb)
+                    means = _block_means(four, (0, 2, 1, 3))
+                    if 1 < ka < kb:
+                        # pairs whose column segment comes first in ids;
+                        # the stable sort keeps equal counts in ids order
+                        flip = order[a][:, None] > order[b][None, :]
+                        if flip.any():
+                            means = np.where(
+                                flip, _block_means(four, (0, 2, 3, 1)),
+                                means)
+                    values[a.start:a.stop, b.start:b.stop] = np.clip(
+                        1.0 - means, 0.0, 1.0)
+    values = np.triu(values, 1)
+    values += values.T
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    return values[np.ix_(rank, rank)]
 
 
 def build_context_matrix(ids, keyframes: dict[str, np.ndarray]
@@ -194,12 +251,8 @@ def build_issue_matrix(ids, texts: dict[str, np.ndarray],
     check_shape(alpha, blend_weight, "alpha")
     ids = tuple(ids)
     n = len(ids)
-    text_term = np.zeros((n, n))
-    if alpha > 0:
-        for i in range(n):
-            for j in range(i + 1, n):
-                text_term[i, j] = text_term[j, i] = cosine_distance(
-                    texts[ids[i]], texts[ids[j]])
+    text_term = (_cosine_values([texts[i] for i in ids]) if alpha > 0
+                 else np.zeros((n, n)))
     visual_term = (_context_values(ids, keyframes) if alpha < 1
                    else np.zeros((n, n)))
     matrix = DistanceMatrix(
@@ -252,13 +305,13 @@ def dbscan(matrix: DistanceMatrix, eps: float, min_pts: int
                 seen[j] = True
                 stack.append(int(j))
         component += 1
-    for i in range(n):
-        if core[i]:
-            continue
-        core_neighbors = [j for j in np.flatnonzero(within[i]) if core[j]]
-        if core_neighbors:
-            anchor = min(core_neighbors, key=lambda j: ids[j])
-            raw[ids[i]] = raw[ids[anchor]]
+    # each border point joins its core neighbour of lowest id rank
+    rank = np.empty(n, dtype=np.intp)
+    rank[id_order] = np.arange(n)
+    core_near = within & core
+    anchors = np.where(core_near, rank, n).argmin(axis=1)
+    for i in np.flatnonzero(~core & core_near.any(axis=1)).tolist():
+        raw[ids[i]] = raw[ids[anchors[i]]]
     return ClusterAssignment(ids=ids, labels=_renumber(ids, raw),
                              algorithm="dbscan",
                              params={"eps": eps, "min_pts": min_pts})
@@ -275,10 +328,10 @@ def optics(matrix: DistanceMatrix, min_pts: int, eps_max: float,
     n = len(ids)
     d = matrix.values
     core_dist = np.full(n, np.inf)
-    for i in range(n):
-        row = np.sort(d[i])  # includes self at distance 0
-        if row.size >= min_pts and row[min_pts - 1] <= eps_max:
-            core_dist[i] = row[min_pts - 1]
+    if n >= min_pts:
+        # each row includes self at distance 0
+        kth = np.partition(d, min_pts - 1, axis=1)[:, min_pts - 1]
+        core_dist = np.where(kth <= eps_max, kth, np.inf)
 
     processed = np.zeros(n, dtype=bool)
     reach = np.full(n, np.inf)
@@ -286,15 +339,16 @@ def optics(matrix: DistanceMatrix, min_pts: int, eps_max: float,
     id_rank = sorted(range(n), key=lambda i: ids[i])
 
     def update_seeds(center: int, heap: list):
+        """Lower the reachability of every unprocessed point within eps_max
+        of a core point, and push the improved ones in index order."""
         if not np.isfinite(core_dist[center]):
             return
-        for j in range(n):
-            if processed[j] or d[center, j] > eps_max:
-                continue
-            new_reach = max(core_dist[center], d[center, j])
-            if new_reach < reach[j]:
-                reach[j] = new_reach
-                heapq.heappush(heap, (new_reach, ids[j], j))
+        new_reach = np.maximum(core_dist[center], d[center])
+        better = np.flatnonzero(~processed & (d[center] <= eps_max)
+                                & (new_reach < reach))
+        reach[better] = new_reach[better]
+        for j, r in zip(better.tolist(), new_reach[better].tolist()):
+            heapq.heappush(heap, (r, ids[j], j))
 
     for start in id_rank:
         if processed[start]:

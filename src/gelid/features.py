@@ -307,12 +307,14 @@ def segment_text(segment: Segment, transcript: Transcript) -> str:
 
 
 def smote_oversample(x: np.ndarray, y: np.ndarray, k_neighbors: int,
-                     seed: int) -> tuple[np.ndarray, np.ndarray]:
+                     seed: int, names=None) -> tuple[np.ndarray, np.ndarray]:
     """Grow every minority class to the majority count with SMOTE.
 
     Synthetic points are x + u * (nn - x) with u ~ Uniform(0, 1) and nn one
     of the k nearest same-class neighbors by Euclidean distance. Originals
-    are preserved and come first in the output.
+    are preserved and come first in the output. A DataError names the
+    column (from `names`, else f0, f1, ...) with the largest gap when a
+    class's distances overflow.
     """
     check_shape(k_neighbors, positive_int, "k_neighbors")
     x = np.asarray(x, dtype=float)
@@ -334,8 +336,15 @@ def smote_oversample(x: np.ndarray, y: np.ndarray, k_neighbors: int,
         members = x[y == cls]
         k = min(k_neighbors, count - 1)
         # pairwise distances within the class; self excluded via inf
-        diffs = members[:, None, :] - members[None, :, :]
-        dists = np.sqrt((diffs ** 2).sum(axis=2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            diffs = members[:, None, :] - members[None, :, :]
+            dists = np.sqrt((diffs ** 2).sum(axis=2))
+        if not np.isfinite(dists).all():
+            gaps = np.abs(diffs).max(axis=(0, 1))
+            j = int(np.argmax(gaps))
+            name = names[j] if names is not None else f"f{j}"
+            raise DataError(f"feature {name!r} is too large for SMOTE: the "
+                            f"distances between class {cls!r} rows overflow")
         np.fill_diagonal(dists, np.inf)
         neighbor_ids = np.argsort(dists, axis=1, kind="stable")[:, :k]
         for _ in range(majority - count):

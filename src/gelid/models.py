@@ -80,8 +80,8 @@ def _label_indices(y) -> np.ndarray:
                         f"{LABEL_ORDER}") from None
 
 
-def _standardize_fit(x: np.ndarray, names: tuple[str, ...]
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def standardize_fit(x: np.ndarray, names: tuple[str, ...]
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Column means and stds (1 for a constant column); a DataError names
     the first column too large for them to be finite."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -371,7 +371,7 @@ def train(kind: str, x: np.ndarray, y, *, seed: int,
              else tuple(f"f{i}" for i in range(x.shape[1])))
     if len(names) != x.shape[1]:
         raise DataError(f"{len(names)} feature names for {x.shape[1]} columns")
-    mean, std = _standardize_fit(x, names)
+    mean, std = standardize_fit(x, names)
     xs = (x - mean) / std
     if kind == KIND_LOGISTIC:
         parameters = _train_logistic(xs, y_idx, merged, seed)

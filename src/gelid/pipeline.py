@@ -353,8 +353,8 @@ def extract_features(segments: list[Segment],
     return vocab, matrix
 
 
-def _maybe_smote(matrix: np.ndarray, y: np.ndarray,
-                 config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+def _maybe_smote(matrix: np.ndarray, y: np.ndarray, config: RunConfig,
+                 names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Oversample an unbalanced training set when SMOTE's precondition holds.
 
     SMOTE needs >= 2 members per minority class; with a singleton class the
@@ -368,7 +368,7 @@ def _maybe_smote(matrix: np.ndarray, y: np.ndarray,
                     sorted(str(c) for c in classes[counts < 2]))
         return matrix, y
     return features.smote_oversample(matrix, y, k_neighbors=config.smote_k,
-                                     seed=config.seed)
+                                     seed=config.seed, names=names)
 
 
 def train_bundle(matrix: features.FeatureMatrix,
@@ -382,7 +382,11 @@ def train_bundle(matrix: features.FeatureMatrix,
     if not rows:
         raise DataError("no segment has a training label")
     y = np.array([labels_by_segment_id[matrix.segment_ids[i]] for i in rows])
-    x, y = _maybe_smote(matrix.values[rows], y, config)
+    x = matrix.values[rows]
+    # a column too large to standardize is named before SMOTE's distances
+    # overflow on it
+    models.standardize_fit(x, matrix.names)
+    x, y = _maybe_smote(x, y, config, matrix.names)
     model = models.train(config.model_kind, x, y,
                          hyper=config.model_hyper(), seed=config.seed,
                          feature_names=matrix.names)

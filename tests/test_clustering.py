@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,9 @@ from hypothesis import strategies as st
 
 from gelid import clustering
 from gelid.clustering import (NOISE, DistanceMatrix, build_context_matrix,
-                              build_issue_matrix, cluster_issues,
-                              cosine_distance, dbscan, group_by_context,
-                              mean_shift, optics, segment_embedding)
+                              build_issue_matrix, cluster_issues, dbscan,
+                              group_by_context, mean_shift, optics,
+                              segment_embedding)
 from gelid.config import RunConfig
 from gelid.errors import DataError
 from gelid.stats import Partition, mojo_fm
@@ -67,10 +69,9 @@ def test_context_distance_requires_keyframes():
 
 def test_issue_distance_alpha_one_is_cosine():
     ta, tb = np.array([1.0, 0.0]), np.array([1.0, 1.0])
-    expected = cosine_distance(ta, tb)
     got = issue_distance(ta, np.array([BLACK]), tb, np.array([WHITE]),
                          alpha=1.0)
-    assert got == expected
+    assert got == 1.0 - 1.0 / math.sqrt(2.0)
 
 
 def test_issue_distance_blend_arithmetic():
@@ -79,7 +80,7 @@ def test_issue_distance_blend_arithmetic():
     tb = np.array([0.6, 0.8])  # cosine similarity 0.6 -> text distance 0.4
     a_kf = np.array([0.6 * _hist(0) + 0.4 * _hist(1)])  # intersection 0.4
     b_kf = np.array([_hist(1)])
-    assert cosine_distance(ta, tb) == pytest.approx(0.4)
+    assert issue_distance(ta, a_kf, tb, b_kf, alpha=1.0) == pytest.approx(0.4)
     assert context_distance(a_kf, b_kf) == pytest.approx(0.6)
     got = issue_distance(ta, a_kf, tb, b_kf, alpha=0.5)
     assert got == pytest.approx(0.5)
@@ -166,6 +167,18 @@ def test_dbscan_border_point_attaches_to_lowest_id_core():
         [0.9, 0.9, 0.9, 0.05, 0.0]])
     out = dbscan(m, eps=0.21, min_pts=3)
     assert out.labels["x"] == out.labels["b"]  # "b" < "d"
+
+
+def test_dbscan_border_anchor_is_lowest_id_not_first_row():
+    # cores "d" (row 0) and "b" (row 4) both reach border point "x"
+    ids = ["d", "c", "f", "x", "b", "e", "g"]
+    table = np.full((7, 7), 0.9)
+    for group in ([0, 1, 2], [4, 5, 6]):
+        table[np.ix_(group, group)] = 0.05
+    table[3, [0, 4]] = table[[0, 4], 3] = 0.2
+    np.fill_diagonal(table, 0.0)
+    out = dbscan(_matrix(ids, table), eps=0.21, min_pts=4)
+    assert out.labels["x"] == out.labels["b"] != out.labels["d"]
 
 
 def test_dbscan_permutation_invariance():

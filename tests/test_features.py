@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -426,6 +427,18 @@ def test_smote_singleton_class_is_error():
     y = np.array(["a", "a", "b"])
     with pytest.raises(DataError, match="single member"):
         smote_oversample(x, y, k_neighbors=5, seed=0)
+
+
+@pytest.mark.parametrize("names, named", [(None, "f0"), (("big",), "big")],
+                         ids=["default_name", "given_name"])
+def test_smote_overflowing_column_is_named(names, named):
+    x = np.array([[1e308], [-1e308], [0.0], [1.0], [2.0]])
+    y = np.array(["a", "a", "b", "b", "b"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=f"^feature '{named}' is too "
+                           "large for SMOTE"):
+            smote_oversample(x, y, k_neighbors=2, seed=0, names=names)
 
 
 def test_smote_synthetics_lie_between_same_class_originals():

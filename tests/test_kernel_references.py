@@ -7,7 +7,12 @@ tracks, transcripts and keyframe sets, including empty tracks, 0- and
 1-frame windows, windows that reach past either end of the track, windows
 longer than the track, cues that straddle a segment boundary, cue
 midpoints and probes on a segment boundary, identical segments, zero text
-vectors and distance matrices computed one segment block at a time.
+vectors, texts that permute another (equal norm, not equal), -0.0 entries,
+sets of up to 40 segments whose keyframe counts run in an order unlike the
+ids', and distance matrices computed one segment block at a time; the
+`cosine_distance` oracle is the scalar text distance the issue matrix
+replaced. OPTICS must give the labels of its per-point seed-update loop on
+matrices full of tied distances.
 Forest trees must serialize to the same JSON, on tied, adjacent-float,
 constant, overflowing and single-class columns. The softmax and the
 logistic and feed-forward training loops must give the same bits, on one
@@ -23,6 +28,7 @@ random tracks, shots, cuts and transcripts.
 """
 
 import dataclasses
+import heapq
 import json
 import math
 import re
@@ -34,8 +40,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gelid import clustering
-from gelid.clustering import (build_context_matrix, build_issue_matrix,
-                              cosine_distance)
+from gelid.clustering import (NOISE, DistanceMatrix, build_context_matrix,
+                              build_issue_matrix, optics)
 from gelid.errors import DataError, ParseError
 from gelid.features import BLANK_LUMINANCE, speech_features, video_features
 from gelid.frames import (VideoTrack, parse_ppm_frame, read_descriptor_csv,
@@ -238,6 +244,16 @@ def ref_match_probes(probes, segments):
     return labels, warnings
 
 
+def cosine_distance(a, b):
+    """1 - cosine similarity; a zero vector is maximally distant (1.0)."""
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0 or nb == 0:
+        return 1.0
+    if np.array_equal(a, b):
+        return 0.0
+    return float(np.clip(1.0 - (a @ b) / (na * nb), 0.0, 1.0))
+
+
 def ref_context_matrix(ids, keyframes):
     """Per segment pair: 1 minus the mean histogram intersection (the sum
     of bin minima / 3) over every pair of their keyframes, clipped to
@@ -268,6 +284,68 @@ def ref_issue_matrix(ids, texts, keyframes, alpha):
             values[i, j] = values[j, i] = (alpha * text
                                            + (1.0 - alpha) * visual[i, j])
     return values
+
+
+def ref_optics(matrix, min_pts, eps_max, eps_cut):
+    """OPTICS with a per-point seed update: each unprocessed point within
+    eps_max of a core point gets reachability max(core distance,
+    distance) when that is lower, and enters the heap as (reach, id,
+    index); then a flat extraction at eps_cut."""
+    ids = matrix.ids
+    n = len(ids)
+    d = matrix.values
+    core_dist = np.full(n, np.inf)
+    for i in range(n):
+        row = np.sort(d[i])  # includes self at distance 0
+        if row.size >= min_pts and row[min_pts - 1] <= eps_max:
+            core_dist[i] = row[min_pts - 1]
+
+    processed = np.zeros(n, dtype=bool)
+    reach = np.full(n, np.inf)
+    order = []
+    id_rank = sorted(range(n), key=lambda i: ids[i])
+
+    def update_seeds(center, heap):
+        if not np.isfinite(core_dist[center]):
+            return
+        for j in range(n):
+            if processed[j] or d[center, j] > eps_max:
+                continue
+            new_reach = max(core_dist[center], d[center, j])
+            if new_reach < reach[j]:
+                reach[j] = new_reach
+                heapq.heappush(heap, (new_reach, ids[j], j))
+
+    for start in id_rank:
+        if processed[start]:
+            continue
+        processed[start] = True
+        order.append(start)
+        heap = []
+        update_seeds(start, heap)
+        while heap:
+            _, _, j = heapq.heappop(heap)
+            if processed[j]:
+                continue
+            processed[j] = True
+            order.append(j)
+            update_seeds(j, heap)
+
+    raw = {}
+    current = None
+    next_label = 0
+    for i in order:
+        if reach[i] > eps_cut:
+            if core_dist[i] <= eps_cut:
+                current = next_label
+                next_label += 1
+                raw[ids[i]] = current
+            else:
+                raw[ids[i]] = NOISE
+                current = None
+        else:
+            raw[ids[i]] = current if current is not None else NOISE
+    return clustering._renumber(ids, raw)
 
 
 def ref_grow_tree(x, y_idx, rng, min_leaf, max_depth, depth=0):
@@ -806,8 +884,10 @@ def test_match_probes_match_loop_reference(seed, n_probes):
 
 def _random_segments(seed, n, bins, max_keyframes, vocab=6):
     """Keyframes and text vectors for n segments. Some segments copy an
-    earlier one's keyframes or text, some texts are zero vectors, and
-    keyframe counts mix within one set."""
+    earlier one's keyframes or text, some texts are zero vectors or
+    permute an earlier text (an equal norm, but not equal), some entries
+    are -0.0, and keyframe counts mix within one set in an order unlike
+    the ids'."""
     rng = np.random.default_rng(seed)
     ids = [f"seg_{k:03d}" for k in rng.permutation(n)]
     keyframes, texts = {}, {}
@@ -820,13 +900,22 @@ def _random_segments(seed, n, bins, max_keyframes, vocab=6):
             raw += rng.integers(0, 2, size=(count, 3, bins)) + 1e-3
             keyframes[sid] = (raw / raw.sum(axis=2, keepdims=True)).reshape(
                 count, 3 * bins)
+            if rng.random() < 0.2:
+                keyframes[sid][rng.random((count, 3 * bins)) < 0.2] = -0.0
         draw = rng.random()
         if draw < 0.2:
             texts[sid] = np.zeros(vocab)
         elif k and draw < 0.4:
             texts[sid] = texts[ids[int(rng.integers(k))]].copy()
+        elif k and draw < 0.5:
+            texts[sid] = rng.permutation(texts[ids[int(rng.integers(k))]])
+        elif draw < 0.7:
+            # small whole numbers: a permuted copy has exactly equal norm
+            texts[sid] = rng.integers(0, 3, size=vocab).astype(float)
         else:
             texts[sid] = rng.random(vocab) * rng.integers(0, 2, size=vocab)
+        # -0.0 in place of some zeros, equal to 0.0 but of another sign
+        texts[sid][(texts[sid] == 0) & (rng.random(vocab) < 0.5)] = -0.0
     return ids, keyframes, texts
 
 
@@ -836,7 +925,7 @@ def _one_segment_blocks(enabled):
     return mock.patch.object(clustering, "_BLOCK_BYTES", budget)
 
 
-_segment_sets = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 9),
+_segment_sets = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 40),
                           st.sampled_from([2, 16]), st.integers(1, 12))
 
 
@@ -864,6 +953,34 @@ def test_issue_matrix_matches_loop_reference(spec, alpha, one_row_blocks):
                           ref_issue_matrix(ids, texts, keyframes, alpha))
 
 
+def _deep_segments(seed):
+    """100-150 segments of 1-10 keyframes with 48 bins: at the default
+    block budget several blocks, each holding several runs of equal
+    keyframe count."""
+    n = int(np.random.default_rng(seed).integers(100, 151))
+    return _random_segments(seed, n, 16, 10)
+
+
+@pytest.mark.exhaustive
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+def test_deep_context_matrix_matches_loop_reference(seed, one_row_blocks):
+    ids, keyframes, _ = _deep_segments(seed)
+    with _one_segment_blocks(one_row_blocks):
+        got = build_context_matrix(ids, keyframes)
+    assert np.array_equal(got.values, ref_context_matrix(ids, keyframes))
+
+
+@pytest.mark.exhaustive
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("alpha", [0.5, 1 / 3])
+def test_deep_issue_matrix_matches_loop_reference(seed, alpha):
+    ids, keyframes, texts = _deep_segments(seed)
+    assert np.array_equal(build_issue_matrix(ids, texts, keyframes,
+                                             alpha).values,
+                          ref_issue_matrix(ids, texts, keyframes, alpha))
+
+
 @pytest.mark.parametrize("n", [0, 1, 2])
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 def test_small_matrices_match_loop_reference(n, alpha):
@@ -883,6 +1000,26 @@ def test_segment_without_keyframes_raises(alpha):
         build_context_matrix(ids, keyframes)
     with pytest.raises(DataError, match="at least one keyframe"):
         build_issue_matrix(ids, texts, keyframes, alpha)
+
+
+def _tied_matrix(seed, n, levels):
+    """A random dissimilarity matrix whose entries take only `levels`
+    values in (0, 1], so reachabilities and core distances tie often."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.integers(1, levels + 1, size=(n, n)) / levels, 1)
+    ids = tuple(f"p{k:02d}" for k in rng.permutation(n))
+    return DistanceMatrix(ids=ids, values=upper + upper.T)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(1, 5),
+       st.integers(1, 6), st.sampled_from([0.5, 1.0]), st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_optics_matches_loop_reference(seed, n, levels, min_pts, eps_max,
+                                       cut):
+    matrix = _tied_matrix(seed, n, levels)
+    eps_cut = eps_max * cut / 4 or 1e-6
+    got = optics(matrix, min_pts=min_pts, eps_max=eps_max, eps_cut=eps_cut)
+    assert got.labels == ref_optics(matrix, min_pts, eps_max, eps_cut)
 
 
 _COLUMN_KINDS = ("ties", "adjacent", "constant", "continuous", "huge")

@@ -1,13 +1,16 @@
 import json
+import warnings
 
+import numpy as np
 import pytest
 
 from conftest import THREE_VIDEO_WORLD, write_world
-from gelid.config import load_config
+from gelid.config import RunConfig, load_config
 from gelid.errors import ConfigError, DataError, StageError
+from gelid.features import FeatureMatrix
 from gelid.pipeline import (Manifest, VideoEntry, export_report,
                             hierarchy_to_html, hierarchy_to_json, load_bundle,
-                            load_manifest, run_pipeline)
+                            load_manifest, run_pipeline, train_bundle)
 
 
 def _run_world(tmp_path, videos, overrides=None, seed=1234):
@@ -274,3 +277,19 @@ def test_bundle_round_trip_preserves_predictions(tmp_path):
     manifest = load_manifest(paths["manifest"])
     result2 = run_pipeline(manifest, config, bundle=clone)
     assert result2.predictions == result.predictions
+
+
+# --- train -------------------------------------------------------------------
+
+def test_train_names_a_column_too_large_before_smote():
+    """SMOTE's distances would overflow on this column: the standardizing
+    check runs first and names it."""
+    values = np.column_stack([np.arange(5.0), [1e308, -1e308, 0, 1, 2]])
+    matrix = FeatureMatrix(segment_ids=tuple("abcde"),
+                           names=("small", "big"), values=values)
+    labels = dict(zip("abcde", ["Logic"] * 2 + ["Balance"] * 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="^feature 'big' is too large "
+                           "to standardize"):
+            train_bundle(matrix, labels, None, RunConfig(smote=True), None)

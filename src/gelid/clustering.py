@@ -21,7 +21,6 @@ breaks on item id, so results are independent of input order.
 from __future__ import annotations
 
 import heapq
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -60,10 +59,15 @@ def blend_weight(value) -> bool:
     return non_negative(value) and value <= 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistanceMatrix:
+    """Checked once, when made: a malformed matrix is a DataError."""
+
     ids: tuple[str, ...]
     values: np.ndarray  # (n, n) symmetric, zero diagonal, entries in [0, 1]
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         n = len(self.ids)
@@ -129,12 +133,12 @@ def _cosine_values(vectors) -> np.ndarray:
     values = np.clip(1.0 - dots / np.where(zero, 1.0, norms[:, None] * norms),
                      0.0, 1.0)
     values[zero] = 1.0
-    # equal vectors have equal norms, so only those pairs are compared
-    rows, cols = np.nonzero(~zero & (norms[:, None] == norms))
-    upper = rows < cols
-    for i, j in zip(rows[upper].tolist(), cols[upper].tolist()):
-        if np.array_equal(vectors[i], vectors[j]):
-            values[i, j] = values[j, i] = 0.0
+    # equal nonzero vectors share their bytes once + 0.0 turns -0.0 into 0.0
+    equal: dict[bytes, list[int]] = {}
+    for i in np.flatnonzero(norms != 0).tolist():
+        equal.setdefault((vectors[i] + 0.0).tobytes(), []).append(i)
+    for members in equal.values():
+        values[np.ix_(members, members)] = 0.0
     np.fill_diagonal(values, 0.0)
     return values
 
@@ -238,9 +242,7 @@ def build_context_matrix(ids, keyframes: dict[str, np.ndarray]
                          ) -> DistanceMatrix:
     """Pairwise context distances; d(X, X) = 0 by convention."""
     ids = tuple(ids)
-    matrix = DistanceMatrix(ids=ids, values=_context_values(ids, keyframes))
-    matrix.validate()
-    return matrix
+    return DistanceMatrix(ids=ids, values=_context_values(ids, keyframes))
 
 
 def build_issue_matrix(ids, texts: dict[str, np.ndarray],
@@ -255,10 +257,8 @@ def build_issue_matrix(ids, texts: dict[str, np.ndarray],
                  else np.zeros((n, n)))
     visual_term = (_context_values(ids, keyframes) if alpha < 1
                    else np.zeros((n, n)))
-    matrix = DistanceMatrix(
+    return DistanceMatrix(
         ids=ids, values=alpha * text_term + (1.0 - alpha) * visual_term)
-    matrix.validate()
-    return matrix
 
 
 def _renumber(ids, raw_labels: dict[str, int]) -> dict[str, int]:
@@ -282,7 +282,6 @@ def dbscan(matrix: DistanceMatrix, eps: float, min_pts: int
     with the lowest id; the rest is noise.
     """
     check_params("dbscan", {"eps": eps, "min_pts": min_pts}, "dbscan")
-    matrix.validate()
     ids = matrix.ids
     n = len(ids)
     d = matrix.values
@@ -323,7 +322,6 @@ def optics(matrix: DistanceMatrix, min_pts: int, eps_max: float,
     extraction at eps_cut (DBSCAN-equivalent up to border ties)."""
     check_params("optics", {"min_pts": min_pts, "eps_max": eps_max,
                             "eps_cut": eps_cut}, "optics")
-    matrix.validate()
     ids = matrix.ids
     n = len(ids)
     d = matrix.values

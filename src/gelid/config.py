@@ -189,19 +189,6 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse(serialize(cfg)) == cfg."""
-    lines = []
-    for key, f in _FIELDS.items():
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        if isinstance(value, bool):  # a float's str is its repr
-            value = "true" if value else "false"
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
-
-
 def load_config(path: str | None,
                 seed_override: int | None = None) -> RunConfig:
     """The config file (defaults without one), then the CLI seed override,

@@ -7,11 +7,20 @@ standalone functions so finite-difference checks can exercise them. The
 feed-forward net's optimizer calls its function; the logistic one inlines
 the gradient in preallocated buffers, and the tests hold it to the same
 bits as a step on `logistic_loss_and_grad`.
+
+A random forest is one set of node arrays over all its trees, each tree's
+nodes depth first, left first: `feature` (int64, -1 at a leaf),
+`threshold` (float64), `left` and `right` (int64 node indices, -1 at a
+leaf), `leaf` (float64, one class distribution per node, 0 at a split)
+and `roots` (int64, one per tree). Trees grow off an explicit stack,
+prediction moves every (tree, row) pair down one level per step, and
+model.json keeps its nested trees, rebuilt from the arrays byte for byte.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -243,44 +252,54 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - (p ** 2).sum())
 
 
-def _leaf(y_idx: np.ndarray) -> dict:
-    dist = np.bincount(y_idx, minlength=N_LABELS).astype(float)
-    return {"leaf": (dist / dist.sum()).tolist()}
+def _best_split(values: np.ndarray, y_idx: np.ndarray, counts: np.ndarray
+                ) -> tuple[float, int, float] | None:
+    """The (gain, candidate, threshold) of the best Gini split of a node.
 
-
-def _best_split(x: np.ndarray, y_idx: np.ndarray, features: np.ndarray,
-                counts: np.ndarray) -> tuple[float, int, float] | None:
-    """The (gain, feature, threshold) of the best Gini split of a node.
-
-    Thresholds are the midpoints between neighbouring distinct values of
-    each feature, visited in ascending feature, then threshold, order; one
-    replaces the best so far only if its gain is more than 1e-15 higher.
-    All are scored at once, from one sort per column and cumulative class
-    counts, with the arithmetic of ``_gini`` row by row."""
-    n = x.shape[0]
-    features = np.sort(features)
-    cols = x[:, features]
-    order = np.argsort(cols, axis=0, kind="stable")
-    ordered = np.take_along_axis(cols, order, axis=0)
-    left_counts = np.cumsum(y_idx[order][..., None] == np.arange(N_LABELS),
-                            axis=0)
-    # (column, row) of every run boundary, in the order thresholds are visited
-    col, row = np.nonzero((ordered[1:] != ordered[:-1]).T)
-    thresholds = (ordered[row, col] + ordered[row + 1, col]) / 2.0
-    # a midpoint can round onto either neighbour (or overflow), so count the
-    # values at or below it rather than trusting the run boundary
-    n_left = np.empty_like(row)
-    start = 0
-    for j, stop in enumerate(col.searchsorted(
-            np.arange(1, features.size + 1)).tolist()):
-        n_left[start:stop] = ordered[:, j].searchsorted(thresholds[start:stop],
-                                                        side="right")
-        start = stop
+    `values` holds one row per candidate feature, in ascending feature
+    order, of the node's values. Thresholds are the midpoints between
+    neighbouring distinct values of each candidate, visited in candidate,
+    then threshold, order; one replaces the best so far only if its gain
+    is more than 1e-15 higher. All are scored at once, from one sort per
+    candidate and the class counts of each run of equal values, with the
+    arithmetic of ``_gini`` row by row."""
+    n = values.shape[1]
+    ordered = np.sort(values, axis=1)
+    starts = np.empty(values.shape, dtype=bool)  # where a run begins
+    starts[:, 0] = True
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=starts[:, 1:])
+    # (candidate, row) of every run boundary, in the order thresholds are
+    # visited
+    col, row = np.nonzero(starts[:, 1:])
+    if not col.size:
+        return None
+    # the runs of all candidates numbered from 1 in that order too, and the
+    # class counts through each (run 0: none); a candidate's own counts
+    # start after the run before its first
+    run = np.cumsum(starts.ravel())
+    labels = y_idx[np.argsort(values, axis=1)].ravel()
+    through = np.cumsum(np.bincount(run * N_LABELS + labels,
+                                    minlength=(run[-1] + 1) * N_LABELS
+                                    ).reshape(-1, N_LABELS), axis=0)
+    upper = ordered[col, row + 1]
+    thresholds = (ordered[col, row] + upper) / 2.0
+    # the finite midpoint of a < b lies in [a, b]: below b it keeps a's run
+    # on the left, on b it keeps b's run (the next) too; one that overflows
+    # keeps all of the candidate's runs or none
+    first = col * n
+    before = run[first] - 1  # the run before the candidate's first
+    left_run = run[first + row] + (thresholds >= upper)
+    over = np.isinf(thresholds)
+    if over.any():
+        left_run[over] = np.where(thresholds[over] > 0,
+                                  run[first + n - 1][over], before[over])
+    left = through[left_run] - through[before]
+    n_left = left.sum(axis=1)
     keep = (n_left > 0) & (n_left < n)
     if not keep.any():
         return None
-    col, thresholds, n_left = col[keep], thresholds[keep], n_left[keep]
-    left = left_counts[n_left - 1, col]
+    col, thresholds, n_left, left = (col[keep], thresholds[keep],
+                                     n_left[keep], left[keep])
     p_left = left / n_left[:, None]
     p_right = (counts - left) / (n - n_left)[:, None]
     gini_left = 1.0 - (p_left ** 2).sum(axis=1)
@@ -295,51 +314,98 @@ def _best_split(x: np.ndarray, y_idx: np.ndarray, features: np.ndarray,
     for j in (records + 1).tolist():
         if gains[j] > gains[best] + 1e-15:
             best = j
-    return (float(gains[best]), int(features[col[best]]),
-            float(thresholds[best]))
+    return float(gains[best]), int(col[best]), float(thresholds[best])
+
+
+def _new_nodes() -> dict:
+    """Per-node lists of a forest being built: `feature` and `right` have
+    an entry per node, `threshold` one per split, `leaf` one per leaf, and
+    `roots` one per tree."""
+    return {key: [] for key in ("feature", "right", "threshold", "leaf",
+                                "roots")}
 
 
 def _grow_tree(x: np.ndarray, y_idx: np.ndarray, rng: np.random.Generator,
-               min_leaf: int, max_depth: int | None, depth: int = 0) -> dict:
+               min_leaf: int, max_depth: int | None, nodes: dict) -> None:
+    """Grow one tree on (x, y_idx) and append it to `nodes` (`_new_nodes`).
+
+    Nodes come off an explicit stack depth first, left first: the nodes,
+    and the rng.choice draws, of a recursion that finishes the left subtree
+    before it starts the right one. A split's left child is the next node;
+    its right child's index is filled in when that child is reached."""
     n, d = x.shape
-    counts = np.bincount(y_idx, minlength=N_LABELS)
-    if (n < min_leaf or np.count_nonzero(counts) <= 1
-            or (max_depth is not None and depth >= max_depth)):
-        return _leaf(y_idx)
-    n_candidates = max(1, math.isqrt(d) + (0 if math.isqrt(d) ** 2 == d else 1))
-    features = rng.choice(d, size=min(n_candidates, d), replace=False)
-    best = _best_split(x, y_idx, features, counts)
-    if best is None or best[0] <= 1e-15:
-        return _leaf(y_idx)
-    _, f, threshold = best
-    mask = x[:, f] <= threshold
-    return {
-        "feature": int(f),
-        "threshold": threshold,
-        "left": _grow_tree(x[mask], y_idx[mask], rng, min_leaf, max_depth,
-                           depth + 1),
-        "right": _grow_tree(x[~mask], y_idx[~mask], rng, min_leaf, max_depth,
-                            depth + 1),
-    }
+    by_feature = np.ascontiguousarray(x.T)
+    root = math.isqrt(d)
+    n_candidates = min(max(1, root + (root * root != d)), d)
+    feature, right = nodes["feature"], nodes["right"]
+    nodes["roots"].append(len(feature))
+    stack = [(np.arange(n), 0, -1)]  # rows, depth, parent if a right child
+    while stack:
+        rows, depth, parent = stack.pop()
+        if parent >= 0:
+            right[parent] = len(feature)
+        y = y_idx[rows]
+        counts = np.bincount(y, minlength=N_LABELS)
+        best = None
+        if not (rows.size < min_leaf or np.count_nonzero(counts) <= 1
+                or (max_depth is not None and depth >= max_depth)):
+            features = np.sort(rng.choice(d, size=n_candidates,
+                                          replace=False))
+            values = by_feature[features[:, None], rows]
+            best = _best_split(values, y, counts)
+        if best is None or best[0] <= 1e-15:
+            feature.append(-1)
+            right.append(-1)
+            nodes["leaf"].append(counts / counts.sum())
+            continue
+        _, j, threshold = best
+        mask = values[j] <= threshold
+        stack.append((rows[~mask], depth + 1, len(feature)))
+        stack.append((rows[mask], depth + 1, -1))
+        feature.append(int(features[j]))
+        right.append(-1)  # filled in when the right child comes off
+        nodes["threshold"].append(threshold)
+
+
+def _node_arrays(nodes: dict) -> dict:
+    """The forest arrays of `_new_nodes` lists, a split's leaf row 0 and a
+    leaf's threshold 0."""
+    feature = np.array(nodes["feature"], dtype=np.int64)
+    split = feature >= 0
+    threshold = np.zeros(feature.size)
+    threshold[split] = nodes["threshold"]
+    leaf = np.zeros((feature.size, N_LABELS))
+    leaf[~split] = nodes["leaf"]
+    return {"feature": feature, "threshold": threshold,
+            "left": np.where(split, np.arange(1, feature.size + 1), -1),
+            "right": np.array(nodes["right"], dtype=np.int64),
+            "leaf": leaf, "roots": np.array(nodes["roots"], dtype=np.int64)}
+
+
+def _nest_trees(forest: dict) -> list[dict]:
+    """The forest arrays as model.json's nested trees: a leaf is
+    {"leaf": [...]}, a split {"feature", "threshold", "left", "right"}."""
+    nodes = [{"leaf": leaf} if f < 0 else {"feature": f, "threshold": t}
+             for f, t, leaf in zip(forest["feature"].tolist(),
+                                   forest["threshold"].tolist(),
+                                   forest["leaf"].tolist())]
+    for node, left, right in zip(nodes, forest["left"].tolist(),
+                                 forest["right"].tolist()):
+        if left >= 0:
+            node["left"], node["right"] = nodes[left], nodes[right]
+    return [nodes[root] for root in forest["roots"].tolist()]
 
 
 def _train_forest(x: np.ndarray, y_idx: np.ndarray, hyper: dict,
                   seed: int) -> dict:
     n = x.shape[0]
-    trees = []
+    nodes = _new_nodes()
     for child in np.random.SeedSequence(seed).spawn(hyper["n_trees"]):
         rng = np.random.default_rng(child)
         rows = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(x[rows], y_idx[rows], rng,
-                                hyper["min_leaf"], hyper["max_depth"]))
-    return {"trees": trees}
-
-
-def _tree_predict(node: dict, row: np.ndarray) -> np.ndarray:
-    while "leaf" not in node:
-        node = (node["left"] if row[node["feature"]] <= node["threshold"]
-                else node["right"])
-    return np.asarray(node["leaf"])
+        _grow_tree(x[rows], y_idx[rows], rng, hyper["min_leaf"],
+                   hyper["max_depth"], nodes)
+    return _node_arrays(nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +467,24 @@ def predict_proba(model: TrainedModel, x: np.ndarray,
         p = model.parameters
         hidden = np.maximum(xs @ p["w1"] + p["b1"], 0.0)
         return _softmax(hidden @ p["w2"] + p["b2"])
-    votes = np.zeros((xs.shape[0], N_LABELS))
-    for tree in model.parameters["trees"]:
-        for i, row in enumerate(xs):
-            votes[i] += _tree_predict(tree, row)
-    return votes / len(model.parameters["trees"])
+    forest = model.parameters
+    feature, threshold = forest["feature"], forest["threshold"]
+    n, trees = xs.shape[0], forest["roots"].size
+    # every (tree, row) pair moves down one level per step, tree-major
+    node = np.repeat(forest["roots"], n)
+    row = np.tile(np.arange(n), trees)
+    active = np.flatnonzero(feature[node] >= 0)
+    while active.size:
+        at = node[active]
+        go_left = xs[row[active], feature[at]] <= threshold[at]
+        node[active] = np.where(go_left, forest["left"][at],
+                                forest["right"][at])
+        active = active[feature[node[active]] >= 0]
+    # the leaf rows added tree by tree, in the order a walk per row adds them
+    votes = np.zeros((n, N_LABELS))
+    for leaves in node.reshape(trees, n):
+        votes += forest["leaf"][leaves]
+    return votes / trees
 
 
 def predict(model: TrainedModel, x: np.ndarray,
@@ -474,10 +553,10 @@ def model_to_dict(model: TrainedModel) -> dict:
         "standardization": {"mean": model.mean.tolist(),
                             "std": model.std.tolist()},
         "hyper": model.hyper,
-        "parameters": {
-            k: (v.tolist() if isinstance(v, np.ndarray) else v)
-            for k, v in model.parameters.items()
-        },
+        "parameters": (
+            {"trees": _nest_trees(model.parameters)}
+            if model.kind == KIND_FOREST else
+            {k: v.tolist() for k, v in model.parameters.items()}),
     }
 
 
@@ -490,6 +569,53 @@ def float_array(value, shape: tuple, what: str) -> np.ndarray:
             and np.all(np.isfinite(array))):
         raise DataError(f"{what}: expected finite numbers of shape {shape}")
     return array.astype(float)
+
+
+def _float_block(values: list, shape: tuple, what: str) -> np.ndarray:
+    """JSON values of one `shape` each, as one float array checked at once;
+    a bad value, a bool among them too, is the DataError float_array
+    raises for one."""
+    scalars = itertools.chain.from_iterable(values) if shape else values
+    try:
+        if set(map(type, scalars)) <= {int, float}:
+            return float_array(values, (len(values), *shape), what)
+    except (TypeError, ValueError, DataError):  # ragged: a ValueError
+        pass
+    raise DataError(f"{what}: expected finite numbers of shape {shape}")
+
+
+def _forest_from_trees(trees, d: int, where: str) -> dict:
+    """model.json's nested trees as the forest arrays, flattened in one
+    walk, depth first and left first, as `_grow_tree` appends them."""
+    if not (isinstance(trees, list) and trees):
+        raise DataError(f"{where}: model trees must be a non-empty list")
+    nodes = _new_nodes()
+    feature, right = nodes["feature"], nodes["right"]
+    for tree in trees:
+        nodes["roots"].append(len(feature))
+        stack = [(tree, -1)]  # node, parent if a right child
+        while stack:
+            node, parent = stack.pop()
+            if parent >= 0:
+                right[parent] = len(feature)
+            if isinstance(node, dict) and "leaf" in node:
+                feature.append(-1)
+                nodes["leaf"].append(node["leaf"])
+            elif (isinstance(node, dict) and type(node.get("feature")) is int
+                  and 0 <= node["feature"] < d):
+                stack += [(node.get("right"), len(feature)),
+                          (node.get("left"), -1)]
+                feature.append(node["feature"])
+                nodes["threshold"].append(node.get("threshold"))
+            else:
+                raise DataError(f"{where}: tree node {str(node)[:80]} is not "
+                                f"a leaf or a split on one of {d} features")
+            right.append(-1)
+    nodes["leaf"] = _float_block(nodes["leaf"], (N_LABELS,),
+                                 f"{where}: a leaf")
+    nodes["threshold"] = _float_block(nodes["threshold"], (),
+                                      f"{where}: a threshold")
+    return _node_arrays(nodes)
 
 
 def _is_label_order(value) -> bool:
@@ -512,22 +638,7 @@ def model_from_dict(obj, where: str = "$") -> TrainedModel:
     kind, names, params = obj["kind"], obj["feature_names"], obj["parameters"]
     d = len(names)
     if kind == KIND_FOREST:
-        trees = params.get("trees")
-        if not (isinstance(trees, list) and trees):
-            raise DataError(f"{where}: model trees must be a non-empty list")
-        nodes = list(trees)  # every node: a leaf or a split on a feature
-        while nodes:
-            node = nodes.pop()
-            if isinstance(node, dict) and "leaf" in node:
-                float_array(node["leaf"], (N_LABELS,), f"{where}: a leaf")
-            elif (isinstance(node, dict) and type(node.get("feature")) is int
-                  and 0 <= node["feature"] < d):
-                float_array(node.get("threshold"), (), f"{where}: a threshold")
-                nodes += [node.get("left"), node.get("right")]
-            else:
-                raise DataError(f"{where}: tree node {str(node)[:80]} is not "
-                                f"a leaf or a split on one of {d} features")
-        parameters = {"trees": trees}
+        parameters = _forest_from_trees(params.get("trees"), d, where)
     else:
         # a hidden size of -1, unlike None, matches no array
         shapes = ({"weights": (d, N_LABELS), "bias": (N_LABELS,)}

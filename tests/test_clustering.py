@@ -127,6 +127,18 @@ def test_random_context_matrices_always_valid(n_segments, seed):
     matrix.validate()  # symmetry, zero diagonal, [0, 1], finite
 
 
+@pytest.mark.parametrize("values,message", [
+    (np.zeros((2, 3)), "does not match 2 ids"),
+    ([[0.0, np.nan], [np.nan, 0.0]], "non-finite"),
+    ([[0.0, 1.5], [1.5, 0.0]], r"must lie in \[0, 1\]"),
+    ([[0.0, 0.2], [0.3, 0.0]], "symmetric"),
+    ([[0.1, 0.2], [0.2, 0.0]], "diagonal"),
+], ids=["shape", "nan", "above_one", "asymmetric", "diagonal"])
+def test_malformed_distance_matrix_is_refused_when_made(values, message):
+    with pytest.raises(DataError, match=message):
+        DistanceMatrix(ids=("a", "b"), values=np.array(values, dtype=float))
+
+
 # --- dbscan -----------------------------------------------------------------------
 
 def _matrix(ids, table):

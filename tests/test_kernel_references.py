@@ -14,7 +14,9 @@ ids', and distance matrices computed one segment block at a time; the
 replaced. OPTICS must give the labels of its per-point seed-update loop on
 matrices full of tied distances.
 Forest trees must serialize to the same JSON, on tied, adjacent-float,
-constant, overflowing and single-class columns. The softmax and the
+constant, overflowing and single-class columns, and forest probabilities
+must be the bits of a walk per row and tree, on rows that sit exactly on
+a split's threshold too. The softmax and the
 logistic and feed-forward training loops must give the same bits, on one
 row, all-equal logits, logits far enough apart that exp underflows to 0,
 absent classes, zero or one step and no L2 penalty. The SRT and WebVTT
@@ -47,9 +49,12 @@ from gelid.features import BLANK_LUMINANCE, speech_features, video_features
 from gelid.frames import (VideoTrack, parse_ppm_frame, read_descriptor_csv,
                           write_descriptor_csv)
 from gelid import models
-from gelid.models import (KIND_FFN, KIND_LOGISTIC, LABEL_ORDER, N_LABELS,
-                          _gini, _grow_tree, _leaf, _softmax, _train_logistic,
-                          logistic_loss_and_grad)
+from gelid.models import (DEFAULT_HYPER, KIND_FFN, KIND_FOREST, KIND_LOGISTIC,
+                          LABEL_ORDER, N_LABELS, TrainedModel, _gini,
+                          _grow_tree, _nest_trees, _new_nodes, _node_arrays,
+                          _softmax, _train_forest, _train_logistic,
+                          logistic_loss_and_grad, model_to_dict,
+                          predict_proba)
 from gelid import pipeline, segmentation
 from gelid.pipeline import keyframe_lookup, match_probes
 from gelid.segmentation import (CutPoint, SegmenterConfig, Segment,
@@ -348,12 +353,17 @@ def ref_optics(matrix, min_pts, eps_max, eps_cut):
     return clustering._renumber(ids, raw)
 
 
+def ref_leaf(y_idx):
+    dist = np.bincount(y_idx, minlength=N_LABELS).astype(float)
+    return {"leaf": (dist / dist.sum()).tolist()}
+
+
 def ref_grow_tree(x, y_idx, rng, min_leaf, max_depth, depth=0):
     n, d = x.shape
     counts = np.bincount(y_idx, minlength=N_LABELS)
     if (n < min_leaf or np.count_nonzero(counts) <= 1
             or (max_depth is not None and depth >= max_depth)):
-        return _leaf(y_idx)
+        return ref_leaf(y_idx)
     n_candidates = max(1, math.isqrt(d) + (0 if math.isqrt(d) ** 2 == d else 1))
     features = rng.choice(d, size=min(n_candidates, d), replace=False)
     parent_gini = _gini(counts)
@@ -376,7 +386,7 @@ def ref_grow_tree(x, y_idx, rng, min_leaf, max_depth, depth=0):
             if best is None or gain > best[0] + 1e-15:
                 best = (gain, f, float(threshold))
     if best is None or best[0] <= 1e-15:
-        return _leaf(y_idx)
+        return ref_leaf(y_idx)
     _, f, threshold = best
     mask = x[:, f] <= threshold
     return {
@@ -387,6 +397,34 @@ def ref_grow_tree(x, y_idx, rng, min_leaf, max_depth, depth=0):
         "right": ref_grow_tree(x[~mask], y_idx[~mask], rng, min_leaf,
                                max_depth, depth + 1),
     }
+
+
+def ref_tree_predict(node, row):
+    while "leaf" not in node:
+        node = (node["left"] if row[node["feature"]] <= node["threshold"]
+                else node["right"])
+    return np.asarray(node["leaf"])
+
+
+def ref_train_forest(x, y_idx, hyper, seed):
+    """The nested trees of one `ref_grow_tree` per bootstrap sample."""
+    n = x.shape[0]
+    trees = []
+    for child in np.random.SeedSequence(seed).spawn(hyper["n_trees"]):
+        rng = np.random.default_rng(child)
+        rows = rng.integers(0, n, size=n)
+        trees.append(ref_grow_tree(x[rows], y_idx[rows], rng,
+                                   hyper["min_leaf"], hyper["max_depth"]))
+    return trees
+
+
+def ref_forest_proba(trees, x):
+    """Each tree's leaf added row by row, tree by tree."""
+    votes = np.zeros((x.shape[0], N_LABELS))
+    for tree in trees:
+        for i, row in enumerate(x):
+            votes[i] += ref_tree_predict(tree, row)
+    return votes / len(trees)
 
 
 def ref_softmax(z):
@@ -1060,10 +1098,72 @@ def test_grow_tree_matches_loop_reference(seed, n, kinds, n_classes,
     x, y_idx = _random_training_set(seed, n, kinds, n_classes)
     rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
     with np.errstate(over="ignore"):  # the "huge" midpoints overflow
-        got = _grow_tree(x, y_idx, rng, min_leaf, max_depth)
+        got = _grow_one_tree(x, y_idx, rng, min_leaf, max_depth)
         want = ref_grow_tree(x, y_idx, ref_rng, min_leaf, max_depth)
     assert json.dumps(got) == json.dumps(want)
     assert rng.random() == ref_rng.random()  # the same draws were made
+
+
+def _grow_one_tree(x, y_idx, rng, min_leaf, max_depth):
+    """`_grow_tree`'s tree, nested as model.json holds it."""
+    nodes = _new_nodes()
+    _grow_tree(x, y_idx, rng, min_leaf, max_depth, nodes)
+    return _nest_trees(_node_arrays(nodes))[0]
+
+
+def _thresholds(trees):
+    """(feature, threshold) of every split of nested trees."""
+    nodes, splits = list(trees), []
+    while nodes:
+        node = nodes.pop()
+        if "leaf" not in node:
+            splits.append((node["feature"], node["threshold"]))
+            nodes += [node["left"], node["right"]]
+    return splits
+
+
+def _check_forest(x, y_idx, hyper, seed):
+    """The flat forest against its loop references: the same model.json
+    trees, and the same probability bits on the training rows and on rows
+    moved onto each split's threshold."""
+    with np.errstate(over="ignore"):  # the "huge" midpoints overflow
+        forest = _train_forest(x, y_idx, hyper, seed)
+        want = ref_train_forest(x, y_idx, hyper, seed)
+    d = x.shape[1]
+    model = TrainedModel(kind=KIND_FOREST,
+                         feature_names=tuple(f"f{i}" for i in range(d)),
+                         label_order=LABEL_ORDER, mean=np.zeros(d),
+                         std=np.ones(d), hyper=hyper, parameters=forest)
+    assert (json.dumps(model_to_dict(model)["parameters"]["trees"])
+            == json.dumps(want))
+    splits = _thresholds(want)
+    on_threshold = x[np.arange(len(splits)) % x.shape[0]]  # a copy
+    for row, (f, threshold) in zip(on_threshold, splits):
+        row[f] = threshold
+    probe = np.vstack([x, on_threshold])
+    assert _same_bits(predict_proba(model, probe),
+                      ref_forest_proba(want, probe))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+       st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=10),
+       st.integers(1, N_LABELS), st.integers(1, 5),
+       st.sampled_from([None, 0, 1, 3]), st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_forest_matches_loop_reference(seed, n, kinds, n_classes, min_leaf,
+                                       max_depth, n_trees):
+    x, y_idx = _random_training_set(seed, n, kinds, n_classes)
+    _check_forest(x, y_idx, {"n_trees": n_trees, "min_leaf": min_leaf,
+                             "max_depth": max_depth}, seed)
+
+
+@pytest.mark.exhaustive
+@pytest.mark.parametrize("seed", range(4))
+def test_deep_forest_matches_loop_reference(seed):
+    kinds = [_COLUMN_KINDS[i % len(_COLUMN_KINDS)] for i in range(60)]
+    x, y_idx = _random_training_set(seed, 300, kinds, N_LABELS)
+    _check_forest(x, y_idx, dict(DEFAULT_HYPER[KIND_FOREST], n_trees=20),
+                  seed)
 
 
 def _same_bits(a, b):

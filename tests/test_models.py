@@ -164,13 +164,13 @@ def test_probabilities_sum_to_one():
 
 
 def test_unanimous_forest_gives_probability_one():
-    from gelid.models import TrainedModel
     leaf = {"leaf": [0.0, 1.0, 0.0, 0.0, 0.0]}
-    model = TrainedModel(kind=KIND_FOREST, feature_names=("f0", "f1"),
-                         label_order=LABEL_ORDER,
-                         mean=np.zeros(2), std=np.ones(2),
-                         hyper=dict(DEFAULT_HYPER[KIND_FOREST]),
-                         parameters={"trees": [leaf, leaf, leaf]})
+    model = model_from_dict({
+        "schema_version": 1, "kind": KIND_FOREST,
+        "feature_names": ["f0", "f1"], "label_order": list(LABEL_ORDER),
+        "standardization": {"mean": [0.0, 0.0], "std": [1.0, 1.0]},
+        "hyper": dict(DEFAULT_HYPER[KIND_FOREST]),
+        "parameters": {"trees": [leaf, leaf, leaf]}})
     probs = predict_proba(model, np.array([[0.3, -0.7]]))
     assert probs[0, 1] == 1.0
     assert predict(model, np.array([[0.3, -0.7]])) == ["Logic"]
@@ -314,6 +314,17 @@ def _set_root(tree):
     return edit
 
 
+def _set_deepest_leaf(leaf):
+    """Replace the last tree's leaf reached by always going right."""
+    def edit(payload):
+        node = payload["parameters"]["trees"][-1]
+        assert "leaf" not in node  # the edit lands below a split
+        while "leaf" not in node["right"]:
+            node = node["right"]
+        node["right"] = {"leaf": leaf}
+    return edit
+
+
 @pytest.mark.parametrize("kind,edit", [
     (KIND_LOGISTIC, lambda p: p["parameters"].update(weights=[[1.0]])),
     (KIND_LOGISTIC, lambda p: p["parameters"].update(bias=["a"] * 5)),
@@ -334,10 +345,41 @@ def _set_root(tree):
                              "right": {"leaf": [1.0, 0, 0, 0, 0]}})),
     (KIND_FOREST, _set_root({"feature": 0, "threshold": 0.0,
                              "left": {"leaf": [1.0, 0, 0, 0, 0]}})),
+    (KIND_FOREST, _set_deepest_leaf([0.2, 0.2, 0.2, 0.2, float("nan")])),
+    (KIND_FOREST, _set_root({"feature": 0, "threshold": True,
+                             "left": {"leaf": [1.0, 0, 0, 0, 0]},
+                             "right": {"leaf": [1.0, 0, 0, 0, 0]}})),
+    (KIND_FOREST, _set_root({"feature": 0, "threshold": 0.0,
+                             "right": {"leaf": [1.0, 0, 0, 0, 0]}})),
 ], ids=["weights_shape", "bias_strings", "std_null", "names_string",
         "label_order", "label_order_string", "parameters_list", "ffn_b1_shape", "ffn_hidden",
         "no_trees", "leaf_strings", "split_feature_out_of_range",
-        "threshold_string", "split_without_right"])
+        "threshold_string", "split_without_right", "deep_leaf_nan",
+        "threshold_bool", "split_without_left"])
 def test_model_of_another_shape_is_a_data_error(kind, edit):
     with pytest.raises(DataError):
         model_from_dict(_edit_parameters(kind, edit))
+
+
+_SPLIT_LEAF = {"leaf": [1.0, 0, 0, 0, 0]}
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_set_root({"leaf": ["0.2"] * 5}), "a leaf: expected finite numbers"),
+    (_set_deepest_leaf([0.5, 0.5]),
+     r"a leaf: expected finite numbers of shape \(5,\)"),
+    (_set_deepest_leaf([0.2, 0.2, 0.2, 0.2, float("inf")]),
+     r"a leaf: expected finite numbers of shape \(5,\)"),
+    (_set_root({"feature": 0, "threshold": True, "left": _SPLIT_LEAF,
+                "right": _SPLIT_LEAF}),
+     r"a threshold: expected finite numbers of shape \(\)"),
+    (_set_root({"feature": 0, "threshold": float("nan"), "left": _SPLIT_LEAF,
+                "right": _SPLIT_LEAF}),
+     r"a threshold: expected finite numbers of shape \(\)"),
+    (_set_root({"feature": 0, "threshold": 0.0, "right": _SPLIT_LEAF}),
+     "tree node None is not a leaf or a split on one of 4 features"),
+], ids=["leaf_strings", "deep_leaf_short", "deep_leaf_inf", "threshold_bool",
+        "threshold_nan", "split_without_left"])
+def test_bad_forest_node_error_names_the_node_kind(edit, message):
+    with pytest.raises(DataError, match=message):
+        model_from_dict(_edit_parameters(KIND_FOREST, edit))

@@ -111,6 +111,8 @@ class RunConfig:
                              self.cluster_params(stage), f"clustering.{stage}")
         except DataError as exc:
             raise ConfigError(str(exc)) from None
+        if not self.feature_group_list():
+            raise ConfigError("features.groups names no feature group")
         if "embedding" in self.feature_group_list() \
                 and not self.embedding_path:
             raise ConfigError("features.groups names embedding but "

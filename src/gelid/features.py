@@ -265,45 +265,56 @@ def speech_features(segments: list[Segment],
     return out
 
 
-def assemble_features(segments: list[Segment],
-                      transcripts: dict[str, Transcript],
-                      tracks: dict[str, VideoTrack],
-                      vocab: Vocabulary | None,
-                      table: EmbeddingTable | None,
-                      ngram_max: int, stopwords, groups) -> FeatureMatrix:
-    """The segments' feature matrix: one block per requested group, in
+def feature_names(groups, vocab: Vocabulary | None,
+                  table: EmbeddingTable | None) -> tuple[str, ...]:
+    """The columns of a matrix of `groups`: one block per group, in
     `FEATURE_GROUPS` order. The text group needs `vocab`, the embedding
     group `table`."""
-    texts = [segment_text(s, transcripts[s.video_id]) for s in segments]
-    blocks, names = [], []
+    names: list[str] = []
     for group in FEATURE_GROUPS:
         if group not in groups:
             continue
         if group == "text":
             if vocab is None:
                 raise DataError("text features requested without a vocabulary")
-            blocks.append(text_features(texts, vocab, ngram_max, stopwords))
             names += [f"text:{t}" for t in vocab.terms]
         elif group == "embedding":
             if table is None:
                 raise DataError("embedding features requested without a "
                                 "table")
-            blocks.append(embedding_features(texts, table))
             names += [f"embedding:{i}" for i in range(table.dim)]
-        elif group == "video":
-            blocks.append(video_features(segments, tracks))
-            names += VIDEO_NAMES
-        elif group == "speech":
-            blocks.append(speech_features(segments, transcripts))
-            names += SPEECH_NAMES
+        else:
+            names += VIDEO_NAMES if group == "video" else SPEECH_NAMES
+    return tuple(names)
+
+
+def assemble_features(segments: list[Segment], texts: list[str],
+                      transcripts: dict[str, Transcript],
+                      tracks: dict[str, VideoTrack],
+                      vocab: Vocabulary | None,
+                      table: EmbeddingTable | None,
+                      ngram_max: int, stopwords, groups) -> FeatureMatrix:
+    """The segments' feature matrix, with the columns `feature_names`
+    gives; `texts` holds each segment's `segment_text`."""
+    names = feature_names(groups, vocab, table)
+    build = {"text": lambda: text_features(texts, vocab, ngram_max,
+                                           stopwords),
+             "embedding": lambda: embedding_features(texts, table),
+             "video": lambda: video_features(segments, tracks),
+             "speech": lambda: speech_features(segments, transcripts)}
+    blocks = [build[group]() for group in FEATURE_GROUPS if group in groups]
     values = np.hstack(blocks) if blocks else np.zeros((len(segments), 0))
     return FeatureMatrix(segment_ids=tuple(s.segment_id for s in segments),
-                         names=tuple(names), values=values)
+                         names=names, values=values)
 
 
 def segment_text(segment: Segment, transcript: Transcript) -> str:
-    wanted = set(segment.cue_indices)
-    return " ".join(c.text for c in transcript.cues if c.index in wanted)
+    """The text of the segment's cues in transcript order, each once; an
+    index that names no cue is ignored. Cue `i` must be the transcript's
+    `i`-th cue, as `subtitles` numbers every transcript it parses."""
+    cues = transcript.cues
+    return " ".join(cues[i - 1].text for i in sorted(set(segment.cue_indices))
+                    if 0 < i <= len(cues))
 
 
 def smote_oversample(x: np.ndarray, y: np.ndarray, k_neighbors: int,
@@ -371,8 +382,8 @@ def write_feature_csv(matrix: FeatureMatrix) -> str:
 
 
 def read_feature_csv(text: str, path: str = "features.csv") -> FeatureMatrix:
-    """The matrix of a `write_feature_csv` file; `path` names it in errors,
-    with the line of a bad row."""
+    """The matrix of a `write_feature_csv` file, one row per segment_id;
+    `path` names it in errors, with the line of a bad row."""
     # rows end at LF only: a segment id may hold other line breaks
     lines = [(no, ln.rstrip("\r")) for no, ln in
              enumerate(text.split("\n"), start=1) if ln.strip()]
@@ -382,16 +393,19 @@ def read_feature_csv(text: str, path: str = "features.csv") -> FeatureMatrix:
     if header[0] != "segment_id":
         raise DataError(f"{path}: the first column must be segment_id")
     names = tuple(header[1:])
-    ids, rows = [], []
+    rows: dict[str, list[float]] = {}
     for line_no, ln in lines[1:]:
         cells = ln.split(",")
         try:
+            if cells[0] in rows:
+                raise ValueError(f"segment_id {cells[0]!r} repeats an "
+                                 f"earlier row")
             row = [float(v) for v in cells[1:]]
             if len(row) != len(names) or not all(map(math.isfinite, row)):
                 raise ValueError(f"expected {len(names)} finite values")
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}", line_no) from None
-        ids.append(cells[0])
-        rows.append(row)
-    return FeatureMatrix(segment_ids=tuple(ids), names=names,
-                         values=np.reshape(rows, (len(rows), len(names))))
+        rows[cells[0]] = row
+    return FeatureMatrix(segment_ids=tuple(rows), names=names,
+                         values=np.reshape(list(rows.values()),
+                                           (len(rows), len(names))))

@@ -561,27 +561,25 @@ def model_to_dict(model: TrainedModel) -> dict:
 
 
 def float_array(value, shape: tuple, what: str) -> np.ndarray:
-    """A JSON value as a float array of `shape` (None: any length); another
-    value is a DataError naming `what` (ragged nesting: a ValueError)."""
-    array = np.asarray(value)
-    if not (array.dtype.kind in "iuf" and array.ndim == len(shape)
-            and all(n in (size, None) for size, n in zip(array.shape, shape))
-            and np.all(np.isfinite(array))):
-        raise DataError(f"{what}: expected finite numbers of shape {shape}")
-    return array.astype(float)
-
-
-def _float_block(values: list, shape: tuple, what: str) -> np.ndarray:
-    """JSON values of one `shape` each, as one float array checked at once;
-    a bad value, a bool among them too, is the DataError float_array
-    raises for one."""
-    scalars = itertools.chain.from_iterable(values) if shape else values
-    try:
-        if set(map(type, scalars)) <= {int, float}:
-            return float_array(values, (len(values), *shape), what)
-    except (TypeError, ValueError, DataError):  # ragged: a ValueError
+    """A JSON value as a float array of `shape`; a leading None takes a
+    list of any length of values of the rest of it. Any other value, a
+    bool among the numbers or ragged nesting too, is a DataError naming
+    `what` and the shape of one value."""
+    try:  # ragged nesting: a ValueError
+        array = np.asarray(value)
+        scalars = [value]
+        for _ in shape:  # nested lists, as the array's shape checks them
+            scalars = itertools.chain.from_iterable(scalars)
+        if (array.dtype.kind in "iuf" and array.ndim == len(shape)
+                and all(n in (size, None)
+                        for size, n in zip(array.shape, shape))
+                and set(map(type, scalars)) <= {int, float}
+                and np.all(np.isfinite(array))):
+            return array.astype(float)
+    except (TypeError, ValueError, OverflowError):
         pass
-    raise DataError(f"{what}: expected finite numbers of shape {shape}")
+    one = shape[1:] if shape[:1] == (None,) else shape
+    raise DataError(f"{what}: expected finite numbers of shape {one}")
 
 
 def _forest_from_trees(trees, d: int, where: str) -> dict:
@@ -611,10 +609,10 @@ def _forest_from_trees(trees, d: int, where: str) -> dict:
                 raise DataError(f"{where}: tree node {str(node)[:80]} is not "
                                 f"a leaf or a split on one of {d} features")
             right.append(-1)
-    nodes["leaf"] = _float_block(nodes["leaf"], (N_LABELS,),
-                                 f"{where}: a leaf")
-    nodes["threshold"] = _float_block(nodes["threshold"], (),
-                                      f"{where}: a threshold")
+    nodes["leaf"] = float_array(nodes["leaf"], (None, N_LABELS),
+                                f"{where}: a leaf")
+    nodes["threshold"] = float_array(nodes["threshold"], (None,),
+                                     f"{where}: a threshold")
     return _node_arrays(nodes)
 
 

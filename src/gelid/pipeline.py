@@ -164,13 +164,14 @@ class ClassifierBundle:
 
 
 def load_bundle(path: str | Path) -> ClassifierBundle:
-    """A `ClassifierBundle.to_json` file; any other is a DataError naming
-    the file."""
+    """A `ClassifierBundle.to_json` file whose model takes the columns
+    `features.feature_names` gives; any other is a DataError naming the
+    file."""
     obj = read_json(path, _BUNDLE_SHAPE)
     vectors = {tok: np.array(vec, dtype=float)
                for tok, vec in (obj["embedding"] or {}).items()}
     try:
-        return ClassifierBundle(
+        bundle = ClassifierBundle(
             model=models.model_from_dict(obj["model"], "$.model"),
             vocabulary=features.Vocabulary.from_dict(obj["vocabulary"],
                                                      "$.vocabulary"),
@@ -180,8 +181,13 @@ def load_bundle(path: str | Path) -> ClassifierBundle:
             embedding=features.EmbeddingTable(
                 vectors, next(iter(vectors.values())).size)
             if vectors else None)
-    except (ValueError, DataError) as exc:  # a ragged array: a ValueError
+        if bundle.model.feature_names != features.feature_names(
+                bundle.feature_groups, bundle.vocabulary, bundle.embedding):
+            raise DataError("the model's feature names are not those of its "
+                            "feature_groups, vocabulary and embedding")
+    except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+    return bundle
 
 
 def _read_rows(path: str | Path, shape) -> list[tuple[int, dict]]:
@@ -343,11 +349,13 @@ def extract_features(segments: list[Segment],
     """Features stage: fit the vocabulary on every segment given, labelled
     or not, then assemble their feature matrix."""
     stopwords = config.stopword_set()
+    texts = [features.segment_text(s, transcripts[s.video_id])
+             for s in segments]
     vocab = features.fit_vocabulary(
-        [features.segment_text(s, transcripts[s.video_id]) for s in segments],
-        ngram_max=config.ngram_max, stopwords=stopwords, min_df=config.min_df)
+        texts, ngram_max=config.ngram_max, stopwords=stopwords,
+        min_df=config.min_df)
     matrix = features.assemble_features(
-        segments, transcripts, tracks, vocab=vocab,
+        segments, texts, transcripts, tracks, vocab=vocab,
         table=table, ngram_max=config.ngram_max,
         stopwords=stopwords, groups=config.feature_group_list())
     return vocab, matrix
@@ -376,7 +384,8 @@ def train_bundle(matrix: features.FeatureMatrix,
                  vocabulary: features.Vocabulary, config: RunConfig,
                  table: features.EmbeddingTable | None) -> ClassifierBundle:
     """Train stage: fit `config.model_kind` on the rows of `matrix` whose
-    segment has a label; the bundle carries `table` for classification."""
+    segment has a label; the bundle carries `table` for classification.
+    The matrix must have the columns of `config`'s feature groups."""
     rows = [i for i, sid in enumerate(matrix.segment_ids)
             if sid in labels_by_segment_id]
     if not rows:
@@ -386,12 +395,17 @@ def train_bundle(matrix: features.FeatureMatrix,
     # a column too large to standardize is named before SMOTE's distances
     # overflow on it
     models.standardize_fit(x, matrix.names)
+    groups = config.feature_group_list()
+    if matrix.names != features.feature_names(groups, vocabulary, table):
+        raise DataError(f"the feature columns are not those of "
+                        f"features.groups {','.join(groups)} with this "
+                        f"vocabulary")
     x, y = _maybe_smote(x, y, config, matrix.names)
     model = models.train(config.model_kind, x, y,
                          hyper=config.model_hyper(), seed=config.seed,
                          feature_names=matrix.names)
     return ClassifierBundle(model=model, vocabulary=vocabulary,
-                            feature_groups=config.feature_group_list(),
+                            feature_groups=groups,
                             ngram_max=config.ngram_max,
                             stopwords=config.stopword_set(),
                             embedding=table)
@@ -409,8 +423,10 @@ def classify_segments(segments: list[Segment],
                       tracks: dict[str, VideoTrack],
                       bundle: ClassifierBundle) -> dict[str, str]:
     """Classify with a trained bundle, assembling features its way."""
+    texts = [features.segment_text(s, transcripts[s.video_id])
+             for s in segments]
     return classify(bundle, features.assemble_features(
-        segments, transcripts, tracks, vocab=bundle.vocabulary,
+        segments, texts, transcripts, tracks, vocab=bundle.vocabulary,
         table=bundle.embedding, ngram_max=bundle.ngram_max,
         stopwords=bundle.stopwords, groups=bundle.feature_groups))
 

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -689,6 +690,18 @@ def test_setting_out_of_range_exits_1_before_ingest(tmp_path, capsys, key,
     assert f"error: {key}: expected" in err
 
 
+def test_feature_groups_naming_no_group_exits_1_before_ingest(tmp_path,
+                                                              capsys):
+    paths = _world(tmp_path, overrides={"features.groups": ""})
+    (paths["root"] / "vid_a.srt").unlink()  # ingest would exit 2
+    code = main(["run", "--manifest", str(paths["manifest"]),
+                 "--config", str(paths["config"]),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "features.groups names no feature group" in \
+        capsys.readouterr().err
+
+
 def test_run_without_labels_or_model_exits_1_before_ingest(tmp_path, capsys):
     paths = _world(tmp_path, overrides={"train.labels_path": ""})
     (paths["root"] / "vid_b.srt").unlink()  # ingest would exit 2
@@ -891,6 +904,67 @@ def test_json_nested_around_the_depth_limit_exits_2(tmp_path, capsys):
                                "--config", str(config),
                                "--out", str(tmp_path / "out")],
                       f"{probes}:2:")
+
+
+def test_features_of_other_groups_exit_2_at_train(staged, tmp_path, capsys):
+    """A features.csv of text, video and speech columns, trained under
+    features.groups = video."""
+    paths, stage = staged
+    config = tmp_path / "video.conf"
+    config.write_text(paths["config"].read_text()
+                      + "features.groups = video\n")
+    argv = _stage_argv(paths, stage, "train", tmp_path / "model.json")
+    argv[argv.index("--config") + 1] = str(config)
+    _fails_naming(capsys, argv, "stage 'train': the feature columns are not "
+                  "those of features.groups video")
+    assert not (tmp_path / "model.json").exists()
+
+
+def _embedding_without_a_table(bundle):
+    bundle["feature_groups"].insert(1, "embedding")
+
+
+def _rename_a_term(bundle):
+    bundle["vocabulary"]["terms"][0] = "zzz"  # no other term
+
+
+@pytest.mark.parametrize("command", ["classify", "run"])
+@pytest.mark.parametrize("edit, message", [
+    (_embedding_without_a_table,
+     "embedding features requested without a table"),
+    (_rename_a_term, "the model's feature names are not those of its "
+     "feature_groups, vocabulary and embedding")],
+    ids=["embedding_without_a_table", "renamed_term"])
+def test_model_of_other_feature_names_exits_2_naming_file(
+        staged, tmp_path, capsys, command, edit, message):
+    paths, stage = staged
+    bundle = json.loads((stage / "model.json").read_text())
+    edit(bundle)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(bundle))
+    argv = [command, "--manifest", str(paths["manifest"]),
+            "--config", str(paths["config"]), "--model", str(bad),
+            "--out", str(tmp_path / "out")]
+    if command == "classify":
+        argv += ["--segments", str(stage / "segments.jsonl")]
+    else:  # run reads the model first, before ingest would exit 2
+        world = tmp_path / "world"
+        shutil.copytree(paths["root"], world)
+        (world / "vid_a.srt").unlink()
+        argv[2] = str(world / paths["manifest"].name)
+    _fails_naming(capsys, argv, f"error: {bad}: {message}")
+
+
+def test_repeated_feature_row_exits_2_naming_file_and_line(staged, tmp_path,
+                                                           capsys):
+    paths, stage = staged
+    lines = (stage / "features.csv").read_text().splitlines()
+    bad = tmp_path / "features.csv"
+    bad.write_text("\n".join(lines + lines[1:2]) + "\n")
+    argv = _stage_argv(paths, stage, "train", tmp_path / "model.json")
+    argv[argv.index("--features") + 1] = str(bad)
+    _fails_naming(capsys, argv, f"line {len(lines) + 1}: {bad}: segment_id "
+                  f"{lines[1].split(',')[0]!r} repeats an earlier row")
 
 
 def test_bundle_missing_key_exits_2_naming_file(staged, tmp_path, capsys):

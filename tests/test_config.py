@@ -82,6 +82,14 @@ def test_bad_feature_group_rejected():
         cfg.validate()
 
 
+@pytest.mark.parametrize("groups", ["", " , ,"])
+def test_feature_groups_naming_no_group_rejected(groups):
+    cfg = parse_config(f"seed = 1\nfeatures.groups = {groups}\n")
+    with pytest.raises(ConfigError, match="features.groups names no feature "
+                       "group"):
+        cfg.validate()
+
+
 def test_model_hyper_by_kind():
     cfg = parse_config("seed = 1\nmodel.kind = random_forest\n"
                        "model.n_trees = 25\nmodel.max_depth = 4\n")

@@ -11,9 +11,10 @@ from gelid.features import (FEATURE_GROUPS, SPEECH_NAMES, VIDEO_NAMES,
                             EmbeddingTable, FeatureMatrix, Vocabulary,
                             assemble_features, embedding_features,
                             fit_vocabulary,
-                            load_embedding_table, read_feature_csv,
-                            smote_oversample, speech_features, text_features,
-                            tokenize, video_features, write_feature_csv)
+                            feature_names, load_embedding_table,
+                            read_feature_csv, segment_text, smote_oversample,
+                            speech_features, text_features, tokenize,
+                            video_features, write_feature_csv)
 from gelid.frames import VideoTrack, compute_histogram
 from gelid.segmentation import Segment
 from gelid.subtitles import Cue, Transcript
@@ -158,9 +159,8 @@ def test_load_embedding_table_bad_line_names_file_and_line(tmp_path, line):
 def test_assemble_embedding_without_a_table_is_an_error():
     seg, transcript, track, vocab = _mini_world()
     with pytest.raises(DataError, match="without a table"):
-        assemble_features([seg], {"vid": transcript}, {"vid": track},
-                          vocab=vocab, table=None, **TEXT,
-                          groups=FEATURE_GROUPS)
+        _assemble([seg], transcript, track, vocab=vocab, table=None, **TEXT,
+                  groups=FEATURE_GROUPS)
 
 
 # --- video / speech features ---------------------------------------------------
@@ -264,11 +264,17 @@ def _mini_world():
     return seg, transcript, track, vocab
 
 
+def _assemble(segments, transcript, track, **kwargs):
+    """`assemble_features` on one video, with the segments' own texts."""
+    return assemble_features(
+        segments, [segment_text(s, transcript) for s in segments],
+        {"vid": transcript}, {"vid": track}, **kwargs)
+
+
 def test_assemble_concatenates_groups_in_order():
     seg, transcript, track, vocab = _mini_world()
-    matrix = assemble_features([seg], {"vid": transcript}, {"vid": track},
-                               vocab=vocab, table=_table(), **TEXT,
-                               groups=FEATURE_GROUPS)
+    matrix = _assemble([seg], transcript, track, vocab=vocab, table=_table(),
+                       **TEXT, groups=FEATURE_GROUPS)
     groups = [n.split(":", 1)[0] for n in matrix.names]
     assert groups == sorted(groups, key=["text", "embedding", "video",
                                          "speech"].index)
@@ -283,23 +289,30 @@ def test_assemble_rows_equal_one_segment_at_a_time():
                               (2500, 3900, "lag spike, lag")])
     segments = [_seg(0, 2000, (1,)), _seg(2000, 4000, (2,)), _seg(0, 4000),
                 _seg(1000, 4000, (1, 2))]
-    world = ({"vid": transcript}, {"vid": track})
-    matrix = assemble_features(segments, *world, vocab=vocab,
-                               table=_table(), **TEXT, groups=FEATURE_GROUPS)
+    matrix = _assemble(segments, transcript, track, vocab=vocab,
+                       table=_table(), **TEXT, groups=FEATURE_GROUPS)
     assert matrix.segment_ids == tuple(s.segment_id for s in segments)
     for k, segment in enumerate(segments):
-        alone = assemble_features([segment], *world, vocab=vocab,
-                                  table=_table(), **TEXT,
-                                  groups=FEATURE_GROUPS)
+        alone = _assemble([segment], transcript, track, vocab=vocab,
+                          table=_table(), **TEXT, groups=FEATURE_GROUPS)
         assert alone.names == matrix.names
         assert alone.values[0].tobytes() == matrix.values[k].tobytes()
 
 
+@pytest.mark.parametrize("groups", [FEATURE_GROUPS, ("speech", "text"),
+                                    ("video",), ("embedding",)])
+def test_assembled_columns_are_the_feature_names(groups):
+    seg, transcript, track, vocab = _mini_world()
+    matrix = _assemble([seg], transcript, track, vocab=vocab, table=_table(),
+                       **TEXT, groups=groups)
+    assert matrix.names == feature_names(groups, vocab, _table())
+    assert matrix.values.shape == (1, len(matrix.names))
+
+
 def test_assemble_without_segments_is_an_empty_matrix():
     _, transcript, track, vocab = _mini_world()
-    matrix = assemble_features([], {"vid": transcript}, {"vid": track},
-                               vocab=vocab, table=_table(), **TEXT,
-                               groups=FEATURE_GROUPS)
+    matrix = _assemble([], transcript, track, vocab=vocab, table=_table(),
+                       **TEXT, groups=FEATURE_GROUPS)
     assert matrix.values.shape == (0, len(vocab.terms) + 2 + 7 + 3)
 
 
@@ -332,9 +345,8 @@ def test_features_always_finite(text, seed):
         if text.strip() else Transcript(video_id="vid")
     seg = _seg(0, 5000, cue_indices=(1,) if transcript.cues else ())
     vocab = _fit(["fallback token"])
-    matrix = assemble_features([seg], {"vid": transcript}, {"vid": track},
-                               vocab=vocab, table=_table(), **TEXT,
-                               groups=FEATURE_GROUPS)
+    matrix = _assemble([seg], transcript, track, vocab=vocab, table=_table(),
+                       **TEXT, groups=FEATURE_GROUPS)
     assert np.all(np.isfinite(matrix.values))
 
 
@@ -383,6 +395,13 @@ def test_feature_csv_rows_end_at_lf_only():
         assert (again.segment_ids, again.names) == (matrix.segment_ids,
                                                     matrix.names)
         assert again.values.tobytes() == matrix.values.tobytes()
+
+
+def test_feature_csv_repeating_a_segment_id_names_file_and_line():
+    text = "segment_id,a\ns1,1.0\ns2,2.0\ns1,3.0\n"
+    with pytest.raises(ParseError, match="^line 4: f.csv: segment_id 's1' "
+                       "repeats an earlier row$"):
+        read_feature_csv(text, "f.csv")
 
 
 # --- SMOTE ------------------------------------------------------------------------

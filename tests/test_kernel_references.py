@@ -26,7 +26,10 @@ PPM parser the image its byte-at-a-time reference returns, or the same
 ParseError message. Cut points must equal those of a scan over the
 sentences for each shot, and segments those of a merge that rescans its
 pieces and a keyframe search over every shot for each piece, on seeded
-random tracks, shots, cuts and transcripts.
+random tracks, shots, cuts and transcripts. A segment's text, read by
+cue position, must equal the scan over every cue of a parsed transcript,
+for cue indices that repeat, run out of order, are 0 or lie past the last
+cue.
 """
 
 import dataclasses
@@ -45,7 +48,8 @@ from gelid import clustering
 from gelid.clustering import (NOISE, DistanceMatrix, build_context_matrix,
                               build_issue_matrix, optics)
 from gelid.errors import DataError, ParseError
-from gelid.features import BLANK_LUMINANCE, speech_features, video_features
+from gelid.features import (BLANK_LUMINANCE, segment_text, speech_features,
+                            video_features)
 from gelid.frames import (VideoTrack, parse_ppm_frame, read_descriptor_csv,
                           write_descriptor_csv)
 from gelid import models
@@ -147,6 +151,11 @@ def ref_segment_cues(segment, transcript):
     return tuple(c.index for c in transcript.cues
                  if segment.start_ms <= (c.start_ms + c.end_ms) // 2
                  < segment.end_ms)
+
+
+def ref_segment_text(segment: Segment, transcript: Transcript) -> str:
+    wanted = set(segment.cue_indices)
+    return " ".join(c.text for c in transcript.cues if c.index in wanted)
 
 
 def _ref_span_for_shifted(spans, shifted_ms, silence_ms):
@@ -918,6 +927,36 @@ def test_match_probes_match_loop_reference(seed, n_probes):
     want, warnings = ref_match_probes(probes, segments)
     assert got == want
     assert [c.args for c in warning.call_args_list] == warnings
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 40))
+@settings(max_examples=150, deadline=None)
+def test_segment_text_matches_loop_reference(seed, n_cues):
+    rng = np.random.default_rng(seed)
+    starts = rng.integers(0, 60000, size=n_cues)
+    cues = [Cue(k + 1, int(start), int(start) + int(rng.integers(1, 4000)),
+                " ".join([f"c{k}"] + [str(w) for w in rng.choice(
+                    ["lag", "bug", "boss", "fps"],
+                    size=int(rng.integers(0, 4)))]))
+            for k, start in enumerate(starts)]
+    # parsing sorts the cues by start and numbers them 1..n in that order
+    transcript = parse_srt(write_srt(Transcript("vid", cues)), "vid")
+    assert len(transcript.cues) == n_cues
+    past = [n_cues + 1, n_cues + 2, 10 ** 6]
+    picks = [(), (0,), tuple(past), (1, 1, 1)]
+    for _ in range(12):
+        # any mix of known indices, repeats, 0 and indices past the last
+        # cue, in any order
+        known = rng.integers(1, n_cues + 1, size=int(rng.integers(0, 8))) \
+            if n_cues else []
+        extra = rng.choice([0] + past, size=int(rng.integers(0, 3)))
+        indices = [int(i) for i in np.concatenate([known, extra])]
+        picks.append(tuple(indices[i] for i in rng.permutation(len(indices))))
+    for k, cue_indices in enumerate(picks):
+        segment = Segment(f"vid_{k:04d}", "vid", 0, 1,
+                          cue_indices=cue_indices)
+        assert segment_text(segment, transcript) == \
+            ref_segment_text(segment, transcript)
 
 
 def _random_segments(seed, n, bins, max_keyframes, vocab=6):

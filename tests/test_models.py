@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from unittest import mock
 
@@ -383,3 +384,38 @@ _SPLIT_LEAF = {"leaf": [1.0, 0, 0, 0, 0]}
 def test_bad_forest_node_error_names_the_node_kind(edit, message):
     with pytest.raises(DataError, match=message):
         model_from_dict(_edit_parameters(KIND_FOREST, edit))
+
+
+def _first_number_true(*path):
+    """Set the first number of the list at `path` in the payload to true."""
+    def edit(payload):
+        for key in path:
+            payload = payload[key]
+        while isinstance(payload[0], list):
+            payload = payload[0]
+        payload[0] = True
+    return edit
+
+
+@pytest.mark.parametrize("kind, edit, where", [
+    (KIND_LOGISTIC, _first_number_true("parameters", "weights"),
+     "$.parameters.weights"),
+    (KIND_LOGISTIC, _first_number_true("parameters", "bias"),
+     "$.parameters.bias"),
+    (KIND_LOGISTIC, _first_number_true("standardization", "mean"),
+     "$.standardization.mean"),
+    (KIND_LOGISTIC, _first_number_true("standardization", "std"),
+     "$.standardization.std"),
+    *[(KIND_FFN, _first_number_true("parameters", key), f"$.parameters.{key}")
+      for key in ("w1", "b1", "w2", "b2")],
+    (KIND_FOREST, _set_root({"leaf": [True, 0, 0, 0, 0]}), "$: a leaf"),
+    (KIND_FOREST, _set_root({"feature": 0, "threshold": True,
+                             "left": _SPLIT_LEAF, "right": _SPLIT_LEAF}),
+     "$: a threshold"),
+], ids=["weights", "bias", "mean", "std", "w1", "b1", "w2", "b2", "leaf",
+        "threshold"])
+def test_bool_among_model_numbers_is_a_data_error(kind, edit, where):
+    """JSON true is not the number 1, wherever a model holds numbers."""
+    with pytest.raises(DataError,
+                       match=re.escape(f"{where}: expected finite numbers")):
+        model_from_dict(_edit_parameters(kind, edit))

@@ -66,14 +66,13 @@ def cmd_features(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     transcripts, tracks = _ingest(args, config)
     segments = pipeline.load_segments(args.segments, tracks)
-    table = pipeline.embedding_table(config)
-    vocab, matrix = pipeline.StageClock()(
+    space, matrix = pipeline.StageClock()(
         "features", lambda: pipeline.extract_features(
-            segments, transcripts, tracks, config, table))
+            segments, transcripts, tracks, config))
     out = Path(args.out)
     _write(out / "features.csv", features.write_feature_csv(matrix))
     _write(out / "vocabulary.json",
-           json.dumps(vocab.to_dict(), sort_keys=True, indent=2) + "\n")
+           json.dumps(space.to_dict(), sort_keys=True, indent=2) + "\n")
     print(f"wrote features for {len(matrix.segment_ids)} segment(s) to {out}")
     return 0
 
@@ -82,15 +81,15 @@ def cmd_train(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     matrix = features.read_feature_csv(pipeline.read_text(args.features),
                                        args.features)
-    vocab_obj = pipeline.read_json(args.vocabulary, dict)
+    # the space `gelid features` fixed; the config's features.* go unread
+    space_obj = pipeline.read_json(args.vocabulary, features.SPACE_SHAPE)
     try:
-        vocab = features.Vocabulary.from_dict(vocab_obj)
+        space = features.FeatureSpace.from_dict(space_obj)
     except DataError as exc:
         raise DataError(f"{args.vocabulary}: {exc}") from None
     labels = pipeline.load_segment_labels(args.labels)
-    table = pipeline.embedding_table(config)
     bundle = pipeline.StageClock()("train", lambda: pipeline.train_bundle(
-        matrix, labels, vocab, config, table))
+        matrix, labels, space, config))
     _write(Path(args.out), bundle.to_json() + "\n")
     print(f"trained {config.model_kind}; model at {args.out}")
     return 0
@@ -105,9 +104,9 @@ def _write_labels(out: Path, predictions: dict[str, str]) -> None:
 
 def cmd_classify(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
+    bundle = pipeline.load_bundle(args.model)
     transcripts, tracks = _ingest(args, config)
     segments = pipeline.load_segments(args.segments, tracks)
-    bundle = pipeline.load_bundle(args.model)
     predictions = pipeline.StageClock()(
         "classify", lambda: pipeline.classify_segments(
             segments, transcripts, tracks, bundle))
@@ -145,10 +144,10 @@ def cmd_group(args) -> int:
 
 def cmd_cluster(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
+    bundle = pipeline.load_bundle(args.model)
     transcripts, tracks = _ingest(args, config)
     segments = pipeline.load_segments(args.segments, tracks)
     labels = _read_labels_of(args.labels, segments)
-    bundle = pipeline.load_bundle(args.model)
     hierarchy = pipeline.StageClock()(
         "cluster", lambda: pipeline.build_hierarchy(
             segments, labels, transcripts, tracks, config, bundle))
@@ -328,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--features", required=True, help="features.csv")
-    p.add_argument("--vocabulary", required=True, help="vocabulary.json")
+    p.add_argument("--vocabulary", required=True,
+                   help="vocabulary.json: the feature space")
     p.add_argument("--labels", required=True,
                    help="JSONL of {segment_id, label}")
     p.add_argument("--out", required=True, help="model JSON path")

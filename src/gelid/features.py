@@ -2,9 +2,9 @@
 
 A stage's features are one `FeatureMatrix`: a row per segment and a named
 column per feature, laid out as one block per selected group in
-`FEATURE_GROUPS` order. Names carry a `group:` prefix. Raw audio is out of
-scope, so speech-timing statistics derived from subtitle cues stand in for
-vocal activity.
+`FEATURE_GROUPS` order, as its `FeatureSpace` names them. Names carry a
+`group:` prefix. Raw audio is out of scope, so speech-timing statistics
+derived from subtitle cues stand in for vocal activity.
 """
 
 from __future__ import annotations
@@ -265,47 +265,80 @@ def speech_features(segments: list[Segment],
     return out
 
 
-def feature_names(groups, vocab: Vocabulary | None,
-                  table: EmbeddingTable | None) -> tuple[str, ...]:
-    """The columns of a matrix of `groups`: one block per group, in
-    `FEATURE_GROUPS` order. The text group needs `vocab`, the embedding
-    group `table`."""
-    names: list[str] = []
-    for group in FEATURE_GROUPS:
-        if group not in groups:
-            continue
-        if group == "text":
-            if vocab is None:
-                raise DataError("text features requested without a vocabulary")
-            names += [f"text:{t}" for t in vocab.terms]
-        elif group == "embedding":
-            if table is None:
-                raise DataError("embedding features requested without a "
-                                "table")
-            names += [f"embedding:{i}" for i in range(table.dim)]
-        else:
-            names += VIDEO_NAMES if group == "video" else SPEECH_NAMES
-    return tuple(names)
+@dataclass(frozen=True)
+class FeatureSpace:
+    """What each feature column means: the selected groups, the fitted
+    vocabulary, the tokenizer settings and the embedding table. Each field
+    is its key in `to_dict`; a classifier bundle is a model and its space.
+    """
+
+    feature_groups: tuple[str, ...]
+    vocabulary: Vocabulary
+    ngram_max: int
+    stopwords: frozenset[str]
+    embedding: EmbeddingTable | None = None
+
+    def __post_init__(self):
+        if "embedding" in self.feature_groups and self.embedding is None:
+            raise DataError("embedding features requested without a table")
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """The columns: one block per selected group, in `FEATURE_GROUPS`
+        order."""
+        blocks = {"text": [f"text:{t}" for t in self.vocabulary.terms],
+                  "video": VIDEO_NAMES, "speech": SPEECH_NAMES}
+        if self.embedding is not None:
+            blocks["embedding"] = [f"embedding:{i}"
+                                   for i in range(self.embedding.dim)]
+        return tuple(name for group in FEATURE_GROUPS
+                     if group in self.feature_groups for name in blocks[group])
+
+    def to_dict(self) -> dict:
+        return {"feature_groups": list(self.feature_groups),
+                "vocabulary": self.vocabulary.to_dict(),
+                "ngram_max": self.ngram_max,
+                "stopwords": sorted(self.stopwords),
+                "embedding": None if self.embedding is None else {
+                    tok: vec.tolist()
+                    for tok, vec in sorted(self.embedding.vectors.items())}}
+
+    @staticmethod
+    def from_dict(obj, where: str = "$") -> "FeatureSpace":
+        """A `to_dict` value, which may hold other keys; any other shape is
+        a DataError naming `where`, the JSON path of `obj`."""
+        check_shape(obj, SPACE_SHAPE, where)
+        vectors = {tok: np.array(vec, dtype=float)
+                   for tok, vec in (obj["embedding"] or {}).items()}
+        return FeatureSpace(
+            tuple(obj["feature_groups"]),
+            Vocabulary.from_dict(obj["vocabulary"], f"{where}.vocabulary"),
+            obj["ngram_max"], frozenset(obj["stopwords"]),
+            EmbeddingTable(vectors, next(iter(vectors.values())).size)
+            if vectors else None)
+
+
+SPACE_SHAPE = {"feature_groups": [set(FEATURE_GROUPS)], "vocabulary": dict,
+               "ngram_max": NGRAM_MAX, "stopwords": [str],
+               "embedding": ({str: [float]}, {None})}
 
 
 def assemble_features(segments: list[Segment], texts: list[str],
                       transcripts: dict[str, Transcript],
                       tracks: dict[str, VideoTrack],
-                      vocab: Vocabulary | None,
-                      table: EmbeddingTable | None,
-                      ngram_max: int, stopwords, groups) -> FeatureMatrix:
-    """The segments' feature matrix, with the columns `feature_names`
-    gives; `texts` holds each segment's `segment_text`."""
-    names = feature_names(groups, vocab, table)
-    build = {"text": lambda: text_features(texts, vocab, ngram_max,
-                                           stopwords),
-             "embedding": lambda: embedding_features(texts, table),
+                      space: FeatureSpace) -> FeatureMatrix:
+    """The segments' feature matrix, with the columns `space.names` gives;
+    `texts` holds each segment's `segment_text`."""
+    build = {"text": lambda: text_features(texts, space.vocabulary,
+                                           space.ngram_max, space.stopwords),
+             "embedding": lambda: embedding_features(texts, space.embedding),
              "video": lambda: video_features(segments, tracks),
              "speech": lambda: speech_features(segments, transcripts)}
-    blocks = [build[group]() for group in FEATURE_GROUPS if group in groups]
+    blocks = [build[group]() for group in FEATURE_GROUPS
+              if group in space.feature_groups]
     values = np.hstack(blocks) if blocks else np.zeros((len(segments), 0))
     return FeatureMatrix(segment_ids=tuple(s.segment_id for s in segments),
-                         names=names, values=values)
+                         names=space.names, values=values)
 
 
 def segment_text(segment: Segment, transcript: Transcript) -> str:

@@ -52,10 +52,7 @@ _MANIFEST_SHAPE = {"schema_version": {MANIFEST_SCHEMA_VERSION},
                               "frames": _path,
                               "duration_ms?": (count, {None})}]}
 _BUNDLE_SHAPE = {"schema_version": {BUNDLE_SCHEMA_VERSION}, "model": dict,
-                 "vocabulary": dict,
-                 "feature_groups": [set(features.FEATURE_GROUPS)],
-                 "ngram_max": features.NGRAM_MAX, "stopwords": [str],
-                 "embedding": ({str: [float]}, {None})}
+                 **features.SPACE_SHAPE}
 _LABEL = set(models.LABEL_ORDER)
 _SEGMENT_LABEL_SHAPE = {"segment_id": str, "label": _LABEL}
 _PROBE_SHAPE = {"video_id": str, "at_ms": count, "label": _LABEL}
@@ -133,7 +130,7 @@ def parse_subtitle_file(path: Path, video_id: str) -> Transcript:
 
 
 # ---------------------------------------------------------------------------
-# Classifier bundle: model + vocabulary + feature configuration
+# Classifier bundle: a model and the feature space of its columns
 
 
 @dataclass
@@ -141,48 +138,23 @@ class ClassifierBundle:
     """Everything classification needs to reproduce features at predict time."""
 
     model: models.TrainedModel
-    vocabulary: features.Vocabulary
-    feature_groups: tuple[str, ...]
-    ngram_max: int
-    stopwords: frozenset[str]
-    embedding: features.EmbeddingTable | None = None
+    space: features.FeatureSpace
 
     def to_json(self) -> str:
-        payload = {
-            "schema_version": BUNDLE_SCHEMA_VERSION,
-            "model": models.model_to_dict(self.model),
-            "vocabulary": self.vocabulary.to_dict(),
-            "feature_groups": list(self.feature_groups),
-            "ngram_max": self.ngram_max,
-            "stopwords": sorted(self.stopwords),
-            "embedding": (
-                {tok: vec.tolist()
-                 for tok, vec in sorted(self.embedding.vectors.items())}
-                if self.embedding is not None else None),
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps({"schema_version": BUNDLE_SCHEMA_VERSION,
+                           "model": models.model_to_dict(self.model),
+                           **self.space.to_dict()}, sort_keys=True)
 
 
 def load_bundle(path: str | Path) -> ClassifierBundle:
-    """A `ClassifierBundle.to_json` file whose model takes the columns
-    `features.feature_names` gives; any other is a DataError naming the
-    file."""
+    """A `ClassifierBundle.to_json` file whose model takes the columns of
+    its feature space; any other is a DataError naming the file."""
     obj = read_json(path, _BUNDLE_SHAPE)
-    vectors = {tok: np.array(vec, dtype=float)
-               for tok, vec in (obj["embedding"] or {}).items()}
     try:
         bundle = ClassifierBundle(
-            model=models.model_from_dict(obj["model"], "$.model"),
-            vocabulary=features.Vocabulary.from_dict(obj["vocabulary"],
-                                                     "$.vocabulary"),
-            feature_groups=tuple(obj["feature_groups"]),
-            ngram_max=obj["ngram_max"],
-            stopwords=frozenset(obj["stopwords"]),
-            embedding=features.EmbeddingTable(
-                vectors, next(iter(vectors.values())).size)
-            if vectors else None)
-        if bundle.model.feature_names != features.feature_names(
-                bundle.feature_groups, bundle.vocabulary, bundle.embedding):
+            models.model_from_dict(obj["model"], "$.model"),
+            features.FeatureSpace.from_dict(obj))
+        if bundle.model.feature_names != bundle.space.names:
             raise DataError("the model's feature names are not those of its "
                             "feature_groups, vocabulary and embedding")
     except DataError as exc:
@@ -335,30 +307,27 @@ def segment(transcripts: dict[str, Transcript],
     return segments
 
 
-def embedding_table(config: RunConfig) -> features.EmbeddingTable | None:
-    """The table at features.embedding_path, if one is set."""
-    return (features.load_embedding_table(config.embedding_path)
-            if config.embedding_path else None)
-
-
 def extract_features(segments: list[Segment],
                      transcripts: dict[str, Transcript],
-                     tracks: dict[str, VideoTrack], config: RunConfig,
-                     table: features.EmbeddingTable | None
-                     ) -> tuple[features.Vocabulary, features.FeatureMatrix]:
-    """Features stage: fit the vocabulary on every segment given, labelled
-    or not, then assemble their feature matrix."""
+                     tracks: dict[str, VideoTrack], config: RunConfig
+                     ) -> tuple[features.FeatureSpace, features.FeatureMatrix]:
+    """Features stage: fix the feature space of `config`'s features.*
+    settings, with the vocabulary fitted on every segment given, labelled
+    or not, then assemble the segments' feature matrix in it. Later stages
+    take the space from here, never from their own config."""
     stopwords = config.stopword_set()
     texts = [features.segment_text(s, transcripts[s.video_id])
              for s in segments]
-    vocab = features.fit_vocabulary(
-        texts, ngram_max=config.ngram_max, stopwords=stopwords,
-        min_df=config.min_df)
-    matrix = features.assemble_features(
-        segments, texts, transcripts, tracks, vocab=vocab,
-        table=table, ngram_max=config.ngram_max,
-        stopwords=stopwords, groups=config.feature_group_list())
-    return vocab, matrix
+    space = features.FeatureSpace(
+        feature_groups=config.feature_group_list(),
+        vocabulary=features.fit_vocabulary(
+            texts, ngram_max=config.ngram_max, stopwords=stopwords,
+            min_df=config.min_df),
+        ngram_max=config.ngram_max, stopwords=stopwords,
+        embedding=features.load_embedding_table(config.embedding_path)
+        if config.embedding_path else None)
+    return space, features.assemble_features(segments, texts, transcripts,
+                                             tracks, space)
 
 
 def _maybe_smote(matrix: np.ndarray, y: np.ndarray, config: RunConfig,
@@ -381,11 +350,11 @@ def _maybe_smote(matrix: np.ndarray, y: np.ndarray, config: RunConfig,
 
 def train_bundle(matrix: features.FeatureMatrix,
                  labels_by_segment_id: dict[str, str],
-                 vocabulary: features.Vocabulary, config: RunConfig,
-                 table: features.EmbeddingTable | None) -> ClassifierBundle:
+                 space: features.FeatureSpace,
+                 config: RunConfig) -> ClassifierBundle:
     """Train stage: fit `config.model_kind` on the rows of `matrix` whose
-    segment has a label; the bundle carries `table` for classification.
-    The matrix must have the columns of `config`'s feature groups."""
+    segment has a label. The matrix must have the columns of `space`,
+    which the bundle carries for classification."""
     rows = [i for i, sid in enumerate(matrix.segment_ids)
             if sid in labels_by_segment_id]
     if not rows:
@@ -395,20 +364,15 @@ def train_bundle(matrix: features.FeatureMatrix,
     # a column too large to standardize is named before SMOTE's distances
     # overflow on it
     models.standardize_fit(x, matrix.names)
-    groups = config.feature_group_list()
-    if matrix.names != features.feature_names(groups, vocabulary, table):
+    if matrix.names != space.names:
         raise DataError(f"the feature columns are not those of "
-                        f"features.groups {','.join(groups)} with this "
-                        f"vocabulary")
+                        f"feature_groups {','.join(space.feature_groups)} "
+                        f"with this vocabulary")
     x, y = _maybe_smote(x, y, config, matrix.names)
     model = models.train(config.model_kind, x, y,
                          hyper=config.model_hyper(), seed=config.seed,
                          feature_names=matrix.names)
-    return ClassifierBundle(model=model, vocabulary=vocabulary,
-                            feature_groups=groups,
-                            ngram_max=config.ngram_max,
-                            stopwords=config.stopword_set(),
-                            embedding=table)
+    return ClassifierBundle(model=model, space=space)
 
 
 def classify(bundle: ClassifierBundle,
@@ -426,9 +390,7 @@ def classify_segments(segments: list[Segment],
     texts = [features.segment_text(s, transcripts[s.video_id])
              for s in segments]
     return classify(bundle, features.assemble_features(
-        segments, texts, transcripts, tracks, vocab=bundle.vocabulary,
-        table=bundle.embedding, ngram_max=bundle.ngram_max,
-        stopwords=bundle.stopwords, groups=bundle.feature_groups))
+        segments, texts, transcripts, tracks, bundle.space))
 
 
 def keyframe_lookup(segments: list[Segment],
@@ -486,10 +448,11 @@ def build_hierarchy(segments: list[Segment],
 
     # issue clustering reuses the classifier's vocabulary and tokenizer
     # settings so its tf-idf space matches the one the labels came from
+    space = bundle.space
     text_vectors = dict(zip(assignment.ids, features.text_features(
         [features.segment_text(s, transcripts[s.video_id])
          for s in informative],
-        bundle.vocabulary, bundle.ngram_max, bundle.stopwords)))
+        space.vocabulary, space.ngram_max, space.stopwords)))
 
     contexts = []
     for ci, members in enumerate(context_groups):
@@ -502,18 +465,20 @@ def build_hierarchy(segments: list[Segment],
                                  if predictions[m] == label)
             if not in_category:
                 continue
-            with_kf = [sid for sid in in_category if sid in keyframes]
-            cluster_groups = [([sid], sid) for sid in in_category
-                              if sid not in keyframes]
-            if with_kf:
+            if len(in_category) == 1:
+                cluster_groups = [(in_category, in_category[0])]
+            else:
+                # a context of two or more holds only segments with
+                # keyframes: a bare one is noise, its own context
                 issue = clustering.cluster_issues(
-                    with_kf, text_vectors, keyframes, alpha=config.issue_alpha,
+                    in_category, text_vectors, keyframes,
+                    alpha=config.issue_alpha,
                     algorithm=config.issue_algorithm,
                     params=config.cluster_params("issue"))
-                cluster_groups += [(group, issue.medoids.get(cid, min(group)))
-                                   for cid, group in issue.clusters().items()]
+                cluster_groups = [(group, issue.medoids[cid])
+                                  for cid, group in issue.clusters().items()]
                 cluster_groups += [([sid], sid) for sid in issue.noise()]
-            cluster_groups.sort(key=lambda g: min(g[0]))
+                cluster_groups.sort(key=lambda g: min(g[0]))
             categories.append({
                 "label": label,
                 "clusters": [
@@ -565,11 +530,10 @@ def run_pipeline(manifest: Manifest, config: RunConfig,
     else:
         probes = load_label_probes(config.labels_path)
         training_labels = match_probes(probes, segments)
-        table = embedding_table(config)
-        vocab, matrix = timed("features", lambda: extract_features(
-            segments, transcripts, tracks, config, table))
+        space, matrix = timed("features", lambda: extract_features(
+            segments, transcripts, tracks, config))
         bundle = timed("train", lambda: train_bundle(
-            matrix, training_labels, vocab, config, table))
+            matrix, training_labels, space, config))
         predictions = timed("classify", lambda: classify(bundle, matrix))
 
     hierarchy = timed("group+cluster", lambda: build_hierarchy(

@@ -119,8 +119,18 @@ _SEGMENT_STAGES = {
 }
 
 
+def _segment_stage_extra(command, stage, tmp_path):
+    """The flags of `command` past --segments: the staged model.json, which
+    is read before the segments, and a labels file that does not exist,
+    as the segments' check comes before it would be read."""
+    return [arg for flag in _SEGMENT_STAGES[command]
+            for arg in (flag, str(stage / "model.json") if flag == "--model"
+                        else str(tmp_path / "unused"))]
+
+
 @pytest.mark.parametrize("command", sorted(_SEGMENT_STAGES))
-def test_segments_naming_unknown_video_exit_2(tmp_path, capsys, command):
+def test_segments_naming_unknown_video_exit_2(staged, tmp_path, capsys,
+                                              command):
     paths = _world(tmp_path)
     m, c = str(paths["manifest"]), str(paths["config"])
     stage = tmp_path / "stage"
@@ -132,9 +142,7 @@ def test_segments_naming_unknown_video_exit_2(tmp_path, capsys, command):
     rows[0]["video_id"] = "zz"
     segments_path.write_text(
         "\n".join(json.dumps(row) for row in rows) + "\n")
-    # the check comes before these files would be read
-    extra = [arg for flag in _SEGMENT_STAGES[command]
-             for arg in (flag, str(tmp_path / "unused"))]
+    extra = _segment_stage_extra(command, staged[1], tmp_path)
     capsys.readouterr()
     code = main([command, "--manifest", m, "--config", c,
                  "--segments", str(segments_path), *extra,
@@ -199,9 +207,10 @@ def test_run_twice_same_seed_byte_identical_hierarchy(tmp_path):
         (out2 / "hierarchy.json").read_bytes()
 
 
-def _stage_chain(paths, stage):
-    """Every stage subcommand in order, writing into `stage`; the
-    segment labels for `train` come from the world's probe file."""
+def _stage_chain(paths, stage, train_config=None):
+    """Every stage subcommand in order, writing into `stage`, each under the
+    world's config but `train`, which runs under `train_config` if given;
+    the segment labels for `train` come from the world's probe file."""
     m, c = str(paths["manifest"]), str(paths["config"])
     segments_path = str(stage / "segments.jsonl")
     world = ["--manifest", m, "--config", c]
@@ -219,7 +228,7 @@ def _stage_chain(paths, stage):
         json.dumps({"segment_id": k, "label": v})
         for k, v in sorted(seg_labels.items())) + "\n")
 
-    assert main(["train", "--config", c,
+    assert main(["train", "--config", str(train_config or c),
                  "--features", str(stage / "features.csv"),
                  "--vocabulary", str(stage / "vocabulary.json"),
                  "--labels", str(labels_path),
@@ -273,10 +282,38 @@ def test_stagewise_chain_matches_run_with_partial_labels(tmp_path):
     assert main(["run", "--manifest", str(paths["manifest"]),
                  "--config", str(paths["config"]), "--out", str(full)]) == 0
 
-    vocabulary = json.loads((stage / "vocabulary.json").read_text())
-    assert vocabulary["n_documents"] == 9
-    assert vocabulary == json.loads((full / "model.json").read_text())[
-        "vocabulary"]
+    space = json.loads((stage / "vocabulary.json").read_text())
+    assert space["vocabulary"]["n_documents"] == 9
+    # vocabulary.json holds the bundle's feature space: all but its model
+    bundle = json.loads((full / "model.json").read_text())
+    del bundle["model"], bundle["schema_version"]
+    assert space == bundle
+    for name in ("model.json", "labels.jsonl", "hierarchy.json"):
+        assert (stage / name).read_bytes() == (full / name).read_bytes(), name
+
+
+def test_train_takes_the_feature_space_of_gelid_features(tmp_path):
+    """`gelid features` under bigrams and stopwords, then `gelid train`
+    under a config of unigrams and no stopwords: the model is the one the
+    features config trains, and the chain labels and clusters as `run`
+    does under the features config."""
+    paths = _world(tmp_path, overrides={"features.ngram_max": 2,
+                                        "features.stopwords": "the,a"})
+    unigrams = tmp_path / "unigrams.conf"
+    unigrams.write_text(paths["config"].read_text()
+                        + "features.ngram_max = 1\nfeatures.stopwords =\n")
+    stage, full = tmp_path / "stage", tmp_path / "full"
+    _stage_chain(paths, stage, train_config=unigrams)
+    space = json.loads((stage / "vocabulary.json").read_text())
+    assert (space["ngram_max"], space["stopwords"]) == (2, ["a", "the"])
+    assert any(" " in term for term in space["vocabulary"]["terms"])
+
+    assert main(_stage_argv(paths, stage, "train",
+                            tmp_path / "model.json")) == 0
+    assert (stage / "model.json").read_bytes() == \
+        (tmp_path / "model.json").read_bytes()
+    assert main(["run", "--manifest", str(paths["manifest"]),
+                 "--config", str(paths["config"]), "--out", str(full)]) == 0
     for name in ("model.json", "labels.jsonl", "hierarchy.json"):
         assert (stage / name).read_bytes() == (full / name).read_bytes(), name
 
@@ -356,6 +393,19 @@ def test_run_with_an_embedding_table_reads_it_once(tmp_path, monkeypatch):
     bundle = json.loads((first / "model.json").read_text())
     assert sorted(bundle["embedding"]) == ["boss", "game", "lag"]
     assert "embedding:1" in bundle["model"]["feature_names"]
+
+
+def test_train_reads_no_embedding_file(tmp_path):
+    """The table travels in vocabulary.json: with the file gone, `gelid
+    train` trains the model it trained before."""
+    paths, table_path = _embedding_world(
+        tmp_path, b"game 1.0 0.0\nlag 0.0 1.0\nboss 0.5 0.5\n")
+    stage = tmp_path / "stage"
+    _stage_chain(paths, stage)
+    table_path.unlink()
+    again = tmp_path / "model.json"
+    assert main(_stage_argv(paths, stage, "train", again)) == 0
+    assert again.read_bytes() == (stage / "model.json").read_bytes()
 
 
 @pytest.mark.parametrize("line", [b"lag 0.0 x", b"lag 0.0 nan",
@@ -907,17 +957,33 @@ def test_json_nested_around_the_depth_limit_exits_2(tmp_path, capsys):
 
 
 def test_features_of_other_groups_exit_2_at_train(staged, tmp_path, capsys):
-    """A features.csv of text, video and speech columns, trained under
-    features.groups = video."""
+    """A features.csv of text, video and speech columns, trained with a
+    vocabulary.json whose feature_groups name video only."""
     paths, stage = staged
-    config = tmp_path / "video.conf"
-    config.write_text(paths["config"].read_text()
-                      + "features.groups = video\n")
+    space = json.loads((stage / "vocabulary.json").read_text())
+    space["feature_groups"] = ["video"]
+    vocabulary = tmp_path / "vocabulary.json"
+    vocabulary.write_text(json.dumps(space))
     argv = _stage_argv(paths, stage, "train", tmp_path / "model.json")
-    argv[argv.index("--config") + 1] = str(config)
+    argv[argv.index("--vocabulary") + 1] = str(vocabulary)
     _fails_naming(capsys, argv, "stage 'train': the feature columns are not "
-                  "those of features.groups video")
+                  "those of feature_groups video")
     assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "cluster"])
+def test_bad_model_exits_2_naming_it_before_ingest(staged, tmp_path, capsys,
+                                                   command):
+    paths, stage = staged
+    world = tmp_path / "world"
+    shutil.copytree(paths["root"], world)
+    (world / "vid_a.srt").unlink()  # ingest would exit 2 naming it
+    bad = tmp_path / "model.json"
+    bad.write_text('{"schema_version": 1}')
+    argv = _stage_argv(paths, stage, command, tmp_path / "out")
+    argv[argv.index("--manifest") + 1] = str(world / paths["manifest"].name)
+    argv[argv.index("--model") + 1] = str(bad)
+    _fails_naming(capsys, argv, f"error: {bad}: $.model: expected an object")
 
 
 def _embedding_without_a_table(bundle):
@@ -992,13 +1058,29 @@ def test_missing_subtitle_file_exits_2(tmp_path, capsys, command):
 def test_vocabulary_missing_key_exits_2_naming_file(staged, tmp_path,
                                                      capsys):
     paths, stage = staged
+    space = json.loads((stage / "vocabulary.json").read_text())
+    del space["vocabulary"]["terms"]
     bad = tmp_path / "vocabulary.json"
-    bad.write_text('{"schema_version": 1}')
+    bad.write_text(json.dumps(space))
     _fails_naming(capsys, [
         "train", "--config", str(paths["config"]),
         "--features", str(stage / "features.csv"), "--vocabulary", str(bad),
         "--labels", str(stage / "seg_labels.jsonl"),
-        "--out", str(tmp_path / "model.json")], str(bad), "terms")
+        "--out", str(tmp_path / "model.json")], str(bad), "$.vocabulary.terms")
+
+
+def test_vocabulary_json_of_a_vocabulary_alone_exits_2_naming_file(
+        staged, tmp_path, capsys):
+    """A vocabulary.json that holds the vocabulary's dict but not the rest
+    of the feature space."""
+    paths, stage = staged
+    bad = tmp_path / "vocabulary.json"
+    bad.write_text(json.dumps(json.loads(
+        (stage / "vocabulary.json").read_text())["vocabulary"]))
+    argv = _stage_argv(paths, stage, "train", tmp_path / "model.json")
+    argv[argv.index("--vocabulary") + 1] = str(bad)
+    _fails_naming(capsys, argv, f"error: {bad}: $.feature_groups: expected "
+                  f"a list, got nothing")
 
 
 @pytest.mark.parametrize("text", [
@@ -1263,8 +1345,7 @@ def test_segment_id_that_is_not_a_file_name_exits_2(staged, tmp_path, capsys,
     bad = tmp_path / "segments.jsonl"
     _rewrite_line(stage / "segments.jsonl", bad, 0, lambda line: json.dumps(
         {**json.loads(line), "segment_id": segment_id}))
-    extra = [arg for flag in _SEGMENT_STAGES[command]
-             for arg in (flag, str(tmp_path / "unused"))]
+    extra = _segment_stage_extra(command, stage, tmp_path)
     _fails_naming(capsys, [
         command, "--manifest", str(paths["manifest"]),
         "--config", str(paths["config"]), "--segments", str(bad), *extra,

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gelid.errors import DataError, ParseError
-from gelid.features import (FEATURE_GROUPS, SPEECH_NAMES, VIDEO_NAMES,
-                            EmbeddingTable, FeatureMatrix, Vocabulary,
-                            assemble_features, embedding_features,
-                            fit_vocabulary,
-                            feature_names, load_embedding_table,
+from gelid.features import (FEATURE_GROUPS, SPACE_SHAPE, SPEECH_NAMES,
+                            VIDEO_NAMES, EmbeddingTable, FeatureMatrix,
+                            FeatureSpace, Vocabulary, assemble_features,
+                            embedding_features, fit_vocabulary,
+                            load_embedding_table,
                             read_feature_csv, segment_text, smote_oversample,
                             speech_features, text_features, tokenize,
                             video_features, write_feature_csv)
@@ -159,8 +161,7 @@ def test_load_embedding_table_bad_line_names_file_and_line(tmp_path, line):
 def test_assemble_embedding_without_a_table_is_an_error():
     seg, transcript, track, vocab = _mini_world()
     with pytest.raises(DataError, match="without a table"):
-        _assemble([seg], transcript, track, vocab=vocab, table=None, **TEXT,
-                  groups=FEATURE_GROUPS)
+        _assemble([seg], transcript, track, _space(vocab, table=None))
 
 
 # --- video / speech features ---------------------------------------------------
@@ -264,17 +265,22 @@ def _mini_world():
     return seg, transcript, track, vocab
 
 
-def _assemble(segments, transcript, track, **kwargs):
+def _space(vocab, groups=FEATURE_GROUPS, table=_table()):
+    """The space of `groups` over `vocab` and `table`, with the default
+    tokenizer settings."""
+    return FeatureSpace(groups, vocab, **TEXT, embedding=table)
+
+
+def _assemble(segments, transcript, track, space):
     """`assemble_features` on one video, with the segments' own texts."""
     return assemble_features(
         segments, [segment_text(s, transcript) for s in segments],
-        {"vid": transcript}, {"vid": track}, **kwargs)
+        {"vid": transcript}, {"vid": track}, space)
 
 
 def test_assemble_concatenates_groups_in_order():
     seg, transcript, track, vocab = _mini_world()
-    matrix = _assemble([seg], transcript, track, vocab=vocab, table=_table(),
-                       **TEXT, groups=FEATURE_GROUPS)
+    matrix = _assemble([seg], transcript, track, _space(vocab))
     groups = [n.split(":", 1)[0] for n in matrix.names]
     assert groups == sorted(groups, key=["text", "embedding", "video",
                                          "speech"].index)
@@ -289,12 +295,10 @@ def test_assemble_rows_equal_one_segment_at_a_time():
                               (2500, 3900, "lag spike, lag")])
     segments = [_seg(0, 2000, (1,)), _seg(2000, 4000, (2,)), _seg(0, 4000),
                 _seg(1000, 4000, (1, 2))]
-    matrix = _assemble(segments, transcript, track, vocab=vocab,
-                       table=_table(), **TEXT, groups=FEATURE_GROUPS)
+    matrix = _assemble(segments, transcript, track, _space(vocab))
     assert matrix.segment_ids == tuple(s.segment_id for s in segments)
     for k, segment in enumerate(segments):
-        alone = _assemble([segment], transcript, track, vocab=vocab,
-                          table=_table(), **TEXT, groups=FEATURE_GROUPS)
+        alone = _assemble([segment], transcript, track, _space(vocab))
         assert alone.names == matrix.names
         assert alone.values[0].tobytes() == matrix.values[k].tobytes()
 
@@ -303,16 +307,15 @@ def test_assemble_rows_equal_one_segment_at_a_time():
                                     ("video",), ("embedding",)])
 def test_assembled_columns_are_the_feature_names(groups):
     seg, transcript, track, vocab = _mini_world()
-    matrix = _assemble([seg], transcript, track, vocab=vocab, table=_table(),
-                       **TEXT, groups=groups)
-    assert matrix.names == feature_names(groups, vocab, _table())
+    space = _space(vocab, groups)
+    matrix = _assemble([seg], transcript, track, space)
+    assert matrix.names == space.names
     assert matrix.values.shape == (1, len(matrix.names))
 
 
 def test_assemble_without_segments_is_an_empty_matrix():
     _, transcript, track, vocab = _mini_world()
-    matrix = _assemble([], transcript, track, vocab=vocab, table=_table(),
-                       **TEXT, groups=FEATURE_GROUPS)
+    matrix = _assemble([], transcript, track, _space(vocab))
     assert matrix.values.shape == (0, len(vocab.terms) + 2 + 7 + 3)
 
 
@@ -345,8 +348,7 @@ def test_features_always_finite(text, seed):
         if text.strip() else Transcript(video_id="vid")
     seg = _seg(0, 5000, cue_indices=(1,) if transcript.cues else ())
     vocab = _fit(["fallback token"])
-    matrix = _assemble([seg], transcript, track, vocab=vocab, table=_table(),
-                       **TEXT, groups=FEATURE_GROUPS)
+    matrix = _assemble([seg], transcript, track, _space(vocab))
     assert np.all(np.isfinite(matrix.values))
 
 
@@ -367,6 +369,37 @@ def test_features_always_finite(text, seed):
 def test_vocabulary_from_bad_dict_is_data_error(obj):
     with pytest.raises(DataError):
         Vocabulary.from_dict(obj)
+
+
+@pytest.mark.parametrize("groups, table", [
+    (FEATURE_GROUPS, _table()), (("speech", "text"), None),
+    (("video",), _table())])
+def test_feature_space_round_trips_through_its_dict(groups, table):
+    space = FeatureSpace(groups, _fit(["the bug lag", "bug bug"], 2, {"the"}),
+                         2, frozenset({"the", "a"}), table)
+    obj = json.loads(json.dumps(space.to_dict()))
+    assert sorted(obj) == sorted(SPACE_SHAPE)
+    again = FeatureSpace.from_dict(obj)
+    assert again.to_dict() == space.to_dict()
+    assert again.names == space.names
+    assert (again.feature_groups, again.stopwords) == (groups, space.stopwords)
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda obj: obj.pop("ngram_max"), "$.ngram_max"),
+    (lambda obj: obj.update(ngram_max=3), "$.ngram_max"),
+    (lambda obj: obj.update(feature_groups=["audio"]), "$.feature_groups[0]"),
+    (lambda obj: obj["vocabulary"].pop("terms"), "$.vocabulary.terms"),
+    (lambda obj: obj.update(embedding={"bug": [1.0, "x"]}), "$.embedding:"),
+    (lambda obj: obj.update(embedding={"bug": [1.0], "lag": [1.0, 2.0]}),
+     "embedding for 'lag' has dimension (2,), expected (1,)"),
+    (lambda obj: obj.update(embedding=None), "without a table"),
+])
+def test_feature_space_from_bad_dict_names_the_fault(edit, where):
+    obj = _space(_fit(["bug lag"])).to_dict()
+    edit(obj)
+    with pytest.raises(DataError, match=re.escape(where)):
+        FeatureSpace.from_dict(obj)
 
 
 def test_feature_csv_round_trip():

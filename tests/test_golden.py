@@ -118,11 +118,11 @@ def informative_inputs(tmp_path_factory):
     informative = [s for s in result.segments
                    if result.predictions[s.segment_id]
                    != IssueLabel.NON_INFORMATIVE.value]
-    bundle = result.bundle
+    space = result.bundle.space
     ids = [s.segment_id for s in informative]
     texts = dict(zip(ids, text_features(
         [segment_text(s, transcripts[s.video_id]) for s in informative],
-        bundle.vocabulary, bundle.ngram_max, bundle.stopwords)))
+        space.vocabulary, space.ngram_max, space.stopwords)))
     keyframes = keyframe_lookup(informative, tracks)
     return ids, texts, keyframes
 

@@ -292,4 +292,4 @@ def test_train_names_a_column_too_large_before_smote():
         warnings.simplefilter("error")
         with pytest.raises(DataError, match="^feature 'big' is too large "
                            "to standardize"):
-            train_bundle(matrix, labels, None, RunConfig(smote=True), None)
+            train_bundle(matrix, labels, None, RunConfig(smote=True))

@@ -8,6 +8,7 @@ as CSV.
 
 from __future__ import annotations
 
+import io
 import logging
 import re
 import warnings
@@ -235,23 +236,18 @@ def write_descriptor_csv(track: VideoTrack) -> str:
 
 def read_descriptor_csv(path: str | Path, video_id: str = "",
                         duration_ms: int | None = None) -> VideoTrack:
-    """Parse and validate a descriptor CSV in one vectorized pass.
+    """Parse and validate a descriptor CSV read as one block of bytes.
 
-    Rows are strict: a bad row raises a ParseError naming the file and
+    Rows that share the first row's fixed-point layout are decoded as
+    byte blocks (`_decode_fixed_rows`); any other file goes to np.loadtxt.
+    Both give the same values, bit for bit. Rows are strict: a bad row,
+    or a byte that is not UTF-8, raises a ParseError naming the file and
     its line; nothing is clamped or skipped except blank lines.
     """
-    try:
-        timestamps, histograms, luminance = _parse_descriptor_csv(path)
-    except UnicodeDecodeError:
-        # its offset counts within the decoder's chunk, so decode the
-        # whole file again to find the line
-        data = Path(path).read_bytes()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})",
-                             data.count(b"\n", 0, exc.start) + 1) from None
-        raise
+    data = Path(path).read_bytes()
+    if not data.isascii():
+        _text(path, data)  # a byte that is not UTF-8 is the first fault
+    timestamps, histograms, luminance = _parse_descriptor_csv(path, data)
     if duration_ms is None:
         duration_ms = int(timestamps[-1]) if timestamps.size else 0
     track = VideoTrack(video_id, timestamps, histograms, luminance,
@@ -259,30 +255,142 @@ def read_descriptor_csv(path: str | Path, video_id: str = "",
     fault = track._first_fault()
     if fault is not None:
         row, message = fault
-        raise ParseError(f"{path}: {message}", _line_of_row(path, row))
+        raise ParseError(f"{path}: {message}",
+                         _line_of_row(path, _text(path, data), row))
     return track
 
 
-def _parse_descriptor_csv(path: str | Path):
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
-        if header == [""]:
-            raise ParseError(f"{path}: empty descriptor CSV", 1)
-        width = len(header) - 2
-        if (header[0] != "timestamp_ms" or header[-1] != "luminance"
-                or width < _CHANNELS or width % _CHANNELS):
-            raise ParseError(f"{path}: bad descriptor CSV header", 1)
-        row_dtype = np.dtype([("ts", np.int64), ("hist", np.float64, (width,)),
-                              ("lum", np.float64)])
-        try:
-            table = _load_rows(fh, row_dtype)
-        except (ValueError, DeprecationWarning):
-            table = None
-    if table is None:
-        raise _unparsable_row(path, row_dtype)
+def _text(path: str | Path, data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})",
+                         data.count(b"\n", 0, exc.start) + 1) from None
+
+
+def _parse_descriptor_csv(path: str | Path, data: bytes):
+    # a lone CR ends a line too, as in a file opened in text mode
+    header = _text(path, _LINE.match(data)[0]).split(",")
+    if header == [""]:
+        raise ParseError(f"{path}: empty descriptor CSV", 1)
+    width = len(header) - 2
+    if (header[0] != "timestamp_ms" or header[-1] != "luminance"
+            or width < _CHANNELS or width % _CHANNELS):
+        raise ParseError(f"{path}: bad descriptor CSV header", 1)
+    columns = _decode_fixed_rows(data, width)
+    if columns is not None:
+        return columns
+    row_dtype = np.dtype([("ts", np.int64), ("hist", np.float64, (width,)),
+                          ("lum", np.float64)])
+    text = _text(path, data)
+    lines = io.StringIO(text, newline=None)
+    lines.readline()
+    try:
+        table = _load_rows(lines, row_dtype)
+    except (ValueError, DeprecationWarning):
+        raise _unparsable_row(path, text, row_dtype) from None
     return (table["ts"].copy(),
             np.ascontiguousarray(table["hist"]).reshape(len(table), width),
             table["lum"].copy())
+
+
+# a value's digits are one integer below 10**15 < 2**53, a timestamp's
+# below 10**18 < 2**63
+_VALUE_DIGITS = 15
+_STAMP_DIGITS = 18
+_STAMP_POWERS = 10 ** np.arange(_STAMP_DIGITS - 1, -1, -1, dtype=np.int64)
+_VALUE_FIELD = re.compile(rb",0*\.?0*")  # a value, its digits as '0'
+_ROW_BLOCK_BYTES = 1 << 16
+_LINE = re.compile(rb"[^\r\n]*")
+
+
+def _value_layout(tail: bytes, n_values: int):
+    """How to decode the bytes of a row after its timestamp, given the
+    first row's `tail`, from the comma that ends its timestamp on.
+
+    Returns (base, limit, powers, scale), or None unless `tail` is
+    n_values values written alike: a comma and 1-15 digits, with at most
+    one point among them, at the same offsets in every value. A row fits
+    the layout when each byte of its tail minus `base` (uint8) is below
+    `limit`: a digit where `tail` has one, the same byte elsewhere. Those
+    differences are the digits and 0 elsewhere, so a value's differences
+    times `powers` sum to its digits as an integer, and that integer over
+    `scale`, 10 to the number of decimals, is the value.
+    """
+    layout = np.frombuffer(tail, dtype=np.uint8)
+    is_digit = (layout >= ord("0")) & (layout <= ord("9"))
+    base = np.where(is_digit, ord("0"), layout).astype(np.uint8)
+    pattern = base.tobytes()
+    field = pattern[:len(pattern) // n_values]
+    places = is_digit[:len(field)]
+    digits = int(places.sum())
+    if (pattern != field * n_values or not _VALUE_FIELD.fullmatch(field)
+            or not 0 < digits <= _VALUE_DIGITS):
+        return None
+    powers = np.zeros(len(field))
+    powers[places] = 10.0 ** np.arange(digits - 1, -1, -1)
+    point = field.find(b".")
+    scale = 10.0 ** (len(field) - 1 - point if point >= 0 else 0)
+    return base, np.where(is_digit, 10, 1).astype(np.uint8), powers, scale
+
+
+def _decode_fixed_rows(data: bytes, width: int):
+    """The (timestamps, histograms, luminance) columns of a descriptor
+    CSV's rows decoded as byte blocks, or None when some row does not
+    have the first row's fixed-point layout (see `_value_layout`) after
+    a timestamp of 1-18 digits, or a line does not end in LF alone.
+
+    Exact: a value is its digits as one integer m below 2**53 over 10**d
+    for its d decimals. Both are exact doubles, so the division rounds
+    once, to the double nearest the decimal, the one strtod returns
+    (Clinger 1990). Rows of one line length are one zero-copy reshape;
+    increasing timestamps never shrink in width, so there are few such
+    runs. Each block of at most _ROW_BLOCK_BYTES is decoded into the
+    preallocated columns.
+    """
+    start = data.find(b"\n") + 1
+    if not 0 < start < len(data) or b"\r" in data or data[-1:] != b"\n":
+        return None
+    _, comma, rest = data[start:data.find(b"\n", start)].partition(b",")
+    layout = _value_layout(comma + rest, width + 1)
+    if layout is None:
+        return None
+    base, limit, powers, scale = layout
+    buf = np.frombuffer(data, dtype=np.uint8)
+    runs, at = [], start  # (offset, line length with its LF, row count)
+    while at < buf.size:
+        line = data.find(b"\n", at) + 1 - at
+        if not 0 < line - 1 - base.size <= _STAMP_DIGITS:
+            return None
+        # the run goes on while an LF ends each next `line` bytes; a row
+        # that holds two lines fails the layout check below
+        lfs = buf[at + line - 1::line] == ord("\n")
+        count = lfs.size if lfs.all() else int(np.argmin(lfs))
+        runs.append((at, line, count))
+        at += line * count
+    n = sum(count for _, _, count in runs)
+    timestamps = np.empty(n, dtype=np.int64)
+    histograms = np.empty((n, width))
+    luminance = np.empty(n)
+    row = 0
+    for at, line, count in runs:
+        stamp_width = line - 1 - base.size
+        run = buf[at:at + line * count].reshape(count, line)
+        step = max(1, _ROW_BLOCK_BYTES // line)
+        for a in range(0, count, step):
+            rows = run[a:a + step]
+            stamp = rows[:, :stamp_width] - np.uint8(ord("0"))
+            tail = rows[:, stamp_width:-1] - base
+            if (stamp >= 10).any() or (tail >= limit).any():
+                return None
+            block = slice(row, row + rows.shape[0])
+            timestamps[block] = stamp @ _STAMP_POWERS[-stamp_width:]
+            values = tail.reshape(rows.shape[0], width + 1, -1) @ powers
+            values /= scale
+            histograms[block] = values[:, :width]
+            luminance[block] = values[:, width]
+            row = block.stop
+    return timestamps, histograms, luminance
 
 
 def _load_rows(lines, row_dtype: np.dtype) -> np.ndarray:
@@ -298,25 +406,26 @@ def _load_rows(lines, row_dtype: np.dtype) -> np.ndarray:
                           comments=None, ndmin=1)
 
 
-def _data_lines(path: str | Path):
+def _data_lines(text: str):
     """(line number, text) of every non-blank line after the header."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line_no > 1 and line.strip("\r\n"):
-                yield line_no, line
+    lines = io.StringIO(text, newline=None)
+    for line_no, line in enumerate(lines, start=1):
+        if line_no > 1 and line.strip("\r\n"):
+            yield line_no, line
 
 
-def _line_of_row(path: str | Path, row: int) -> int:
-    for index, (line_no, _) in enumerate(_data_lines(path)):
+def _line_of_row(path: str | Path, text: str, row: int) -> int:
+    for index, (line_no, _) in enumerate(_data_lines(text)):
         if index == row:
             return line_no
     raise InternalError(f"{path}: no data row {row}")
 
 
-def _unparsable_row(path: str | Path, row_dtype: np.dtype) -> ParseError:
+def _unparsable_row(path: str | Path, text: str,
+                    row_dtype: np.dtype) -> ParseError:
     """Locate the first row the vectorized parse rejected and say why."""
     n_fields = row_dtype["hist"].shape[0] + 2
-    for line_no, line in _data_lines(path):
+    for line_no, line in _data_lines(text):
         try:
             _load_rows([line], row_dtype)
         except (ValueError, DeprecationWarning) as exc:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gelid.errors import DataError, ParseError
+from gelid import frames
 from gelid.frames import (VideoTrack, compute_histogram, load_track,
                           parse_ppm_frame, read_descriptor_csv,
                           write_descriptor_csv)
@@ -202,6 +203,24 @@ def test_load_track_rejects_a_csv_of_another_bin_count(tmp_path, bins):
                        f"histogram columns, expected {3 * other} "):
         load_track(path, "vid", bins_per_channel=other)
 
+
+def test_written_descriptor_csv_takes_the_block_decoder(tmp_path):
+    """Rows from `write_descriptor_csv` whose timestamps run from 1 to 4
+    digits are decoded as byte blocks, not by the np.loadtxt fallback."""
+    rng = np.random.default_rng(5)
+    raw = rng.random((6, 3, 16))
+    track = _track([0, 5, 40, 700, 1500, 9999],
+                   (raw / raw.sum(axis=2, keepdims=True)).reshape(6, 48),
+                   rng.random(6), 9999)
+    path = tmp_path / "d.csv"
+    path.write_text(write_descriptor_csv(track))
+    columns = frames._decode_fixed_rows(path.read_bytes(), 48)
+    assert columns is not None
+    again = read_descriptor_csv(path, "vid")
+    for got, want in zip(columns, (again.timestamps_ms, again.histograms,
+                                   again.luminance)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert again.timestamps_ms.tolist() == [0, 5, 40, 700, 1500, 9999]
 
 def test_descriptor_csv_non_monotone_is_error(tmp_path):
     path = _two_row_csv(tmp_path)

@@ -29,7 +29,9 @@ pieces and a keyframe search over every shot for each piece, on seeded
 random tracks, shots, cuts and transcripts. A segment's text, read by
 cue position, must equal the scan over every cue of a parsed transcript,
 for cue indices that repeat, run out of order, are 0 or lie past the last
-cue.
+cue. A descriptor CSV must give the column bytes of one np.loadtxt in
+text mode, or the same ParseError message and line, on random files of
+every layout the block decoder takes or leaves to np.loadtxt.
 """
 
 import dataclasses
@@ -37,6 +39,7 @@ import heapq
 import json
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -44,7 +47,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gelid import clustering
+from gelid import clustering, frames
 from gelid.clustering import (NOISE, DistanceMatrix, build_context_matrix,
                               build_issue_matrix, optics)
 from gelid.errors import DataError, ParseError
@@ -616,6 +619,95 @@ def ref_parse_ppm_frame(data):
             raise ParseError("P3 sample outside [0, 255]")
         flat = flat.astype(np.uint8)
     return flat.reshape(height, width, 3)
+
+
+def _ref_load_rows(lines, row_dtype):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # header-only file
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(lines, dtype=row_dtype, delimiter=",",
+                          comments=None, ndmin=1)
+
+
+def _ref_data_lines(path):
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line_no > 1 and line.strip("\r\n"):
+                yield line_no, line
+
+
+def _ref_parses(kind, text):
+    try:
+        kind(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _ref_unparsable_row(path, row_dtype):
+    n_fields = row_dtype["hist"].shape[0] + 2
+    for line_no, line in _ref_data_lines(path):
+        try:
+            _ref_load_rows([line], row_dtype)
+        except (ValueError, DeprecationWarning) as exc:
+            cells = line.rstrip("\r\n").split(",")
+            if len(cells) != n_fields:
+                reason = f"row has {len(cells)} fields, expected {n_fields}"
+            elif not _ref_parses(int, cells[0]):
+                reason = f"timestamp {cells[0]!r} is not an integer"
+            else:
+                reason = next((f"non-numeric value {c!r}" for c in cells[1:]
+                               if not _ref_parses(float, c)), str(exc))
+            return ParseError(f"{path}: {reason}", line_no)
+    raise AssertionError(f"{path}: parse failed but every row parses")
+
+
+def ref_parse_descriptor_csv(path):
+    """The columns of a descriptor CSV read in text mode by one np.loadtxt
+    over a structured row dtype."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        if header == [""]:
+            raise ParseError(f"{path}: empty descriptor CSV", 1)
+        width = len(header) - 2
+        if (header[0] != "timestamp_ms" or header[-1] != "luminance"
+                or width < 3 or width % 3):
+            raise ParseError(f"{path}: bad descriptor CSV header", 1)
+        row_dtype = np.dtype([("ts", np.int64), ("hist", np.float64, (width,)),
+                              ("lum", np.float64)])
+        try:
+            table = _ref_load_rows(fh, row_dtype)
+        except (ValueError, DeprecationWarning):
+            table = None
+    if table is None:
+        raise _ref_unparsable_row(path, row_dtype)
+    return (table["ts"].copy(),
+            np.ascontiguousarray(table["hist"]).reshape(len(table), width),
+            table["lum"].copy())
+
+
+def ref_read_descriptor_csv(path):
+    """`ref_parse_descriptor_csv`, a not-UTF-8 byte named by its line and
+    the track invariants checked, as `read_descriptor_csv` does."""
+    try:
+        timestamps, histograms, luminance = ref_parse_descriptor_csv(path)
+    except UnicodeDecodeError:
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})",
+                             data.count(b"\n", 0, exc.start) + 1) from None
+        raise
+    track = VideoTrack("vid", timestamps, histograms, luminance,
+                       int(timestamps[-1]) if timestamps.size else 0)
+    fault = track._first_fault()
+    if fault is not None:
+        row, message = fault
+        line_no = next(line_no for index, (line_no, _) in enumerate(
+            _ref_data_lines(path)) if index == row)
+        raise ParseError(f"{path}: {message}", line_no)
+    return timestamps, histograms, luminance
 
 
 # --- random inputs -----------------------------------------------------------
@@ -1471,3 +1563,185 @@ def test_ppm_parser_matches_loop_reference(block):
             assert got.dtype == want.dtype and np.array_equal(got, want), data
             decoded.add(next(_ref_ppm_tokens(data, 1))[0])
     assert decoded == {b"P3", b"P6"}
+
+
+_CSV_FORMATS = {"%.9f": 40, "%.6f": 8, "%.14f": 6, "%.15f": 6, "%.3f": 4,
+                "%.1f": 3, "%g": 3, "per column": 10}
+_CSV_FAULTS = {
+    None: 40, "crlf": 3, "lone cr": 3, "blank line": 3, "no final lf": 3,
+    "exponent": 2, "plus": 2, "minus": 2, "space": 2, "16 digits": 2,
+    "15 digits": 2, "short for long": 3, "last row": 4, "not utf-8": 2,
+    "not ascii": 2, "fraction stamp": 2, "wide stamp": 3, "empty field": 2,
+    "extra field": 2, "missing field": 2, "swapped rows": 2, "nul": 1,
+    "lone cr in header": 1, "bad header": 1, "luminance": 2}
+
+
+def _random_descriptor_csv(seed):
+    """A descriptor CSV of 0-11 rows and (bins, fault) as drawn. Histogram
+    blocks are normalized floats, dyadic fractions that every format
+    writes exactly, or unnormalized digits. Timestamps cross digit widths
+    (9 to 10, 999 to 1000, 18 to 19 digits), some with leading zeros, and
+    values are written with one format, or one per column. About half the
+    files then get one fault: another line ending, a blank line, a sign,
+    an exponent or a space, a field of 15 or 16 digits, `0.5` for
+    `0.500`, a last row of another layout, a byte that is not UTF-8 or not
+    ASCII, a cell too many or too few, and more."""
+    rng = np.random.default_rng(seed)
+    bins = _pick(rng, {1: 4, 2: 4, 16: 1})
+    n = int(rng.integers(0, 12))
+    kind = _pick(rng, {"normalized": 5, "dyadic": 3, "digits": 2})
+    values = rng.random((n, 3, bins))
+    if kind == "dyadic":
+        values = rng.integers(0, 65, size=(n, 3, bins)) / 64.0
+    if kind != "digits":
+        values[:, :, -1] = 0.0
+        values[:, :, -1] = 1.0 - values.sum(axis=2)
+        if kind == "normalized":
+            values /= values.sum(axis=2, keepdims=True)
+    values = np.column_stack([values.reshape(n, 3 * bins),
+                              rng.choice([0.0, 1.0, 0.25, 0.123456789],
+                                         size=n)])
+    fmt = _pick(rng, _CSV_FORMATS)
+    formats = ([_pick(rng, {"%.9f": 3, "%.6f": 1, "%.1f": 1, "%.3f": 1})
+                for _ in range(values.shape[1])] if fmt == "per column"
+               else [fmt] * values.shape[1])
+    first = _pick(rng, {0: 3, 7: 3, 95: 3, 996: 3, 99_996: 2, 10 ** 17 - 3: 1,
+                        10 ** 18 - 3: 1})
+    stamps = [first + step for step in
+              np.cumsum(rng.integers(1, 4, size=n)).tolist()]
+    pad = _pick(rng, {0: 8, 4: 2, 20: 1})
+    rows = [[f"{stamp:0{pad}d}"] + [f % v for f, v in zip(formats, row)]
+            for stamp, row in zip(stamps, values.tolist())]
+    header = ["timestamp_ms"] + [f"h{i}" for i in range(3 * bins)] + [
+        "luminance"]
+    fault = _pick(rng, _CSV_FAULTS)
+    r = int(rng.integers(0, n)) if n else 0
+    c = int(rng.integers(1, 3 * bins + 2))
+    if n and fault in ("exponent", "plus", "minus", "space", "16 digits",
+                       "15 digits", "short for long", "not ascii",
+                       "empty field", "nul"):
+        cell, value = rows[r][c], values[r, c - 1]
+        rows[r][c] = {"exponent": f"{value:.2e}", "plus": "+" + cell,
+                      "minus": "-" + cell, "space": _pick(rng, {
+                          " " + cell: 1, cell + " ": 1}),
+                      "16 digits": f"{value:.15f}",
+                      "15 digits": f"{value:.14f}",
+                      "short for long": cell.rstrip("0"),
+                      "not ascii": cell.replace("0", "٣", 1) + "é",
+                      "empty field": "", "nul": cell + "\x00"}[fault]
+    elif n and fault == "last row":
+        rows[-1][1:] = [f"{v:.8f}" for v in values[-1]]
+    elif n and fault == "fraction stamp":
+        rows[r][0] += ".5"
+    elif n and fault == "wide stamp":
+        rows[r][0] = rows[r][0].zfill(len(rows[r][0]) + 2)
+    elif n and fault == "extra field":
+        rows[r].append("0.5")
+    elif n and fault == "missing field":
+        rows[r].pop()
+    elif n > 1 and fault == "swapped rows":
+        rows[r], rows[r - 1] = rows[r - 1], rows[r]
+    elif n and fault == "luminance":
+        rows[r][-1] = "1.500000000"
+    elif fault == "bad header":
+        header.pop(1)
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    if fault == "blank line":
+        lines.insert(int(rng.integers(1, len(lines) + 1)), "")
+    ends = ["\n"] * len(lines)
+    if fault == "crlf":
+        ends = ["\r\n"] * len(lines)
+    elif fault == "lone cr":
+        ends[int(rng.integers(0, len(lines)))] = "\r"
+    elif fault == "lone cr in header":
+        lines[0] = lines[0].replace(",", ",\r", 1)
+    elif fault == "no final lf":
+        ends[-1] = ""
+    data = "".join(line + end for line, end in zip(lines, ends)).encode()
+    if fault == "not utf-8":
+        at = int(rng.integers(0, len(data) + 1))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, bins, fault
+
+
+def _csv_outcome(parse, path):
+    """The bytes of each column `parse` returns, or its ParseError."""
+    try:
+        columns = parse(path)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return [(c.dtype.str, c.shape, c.tobytes()) for c in columns]
+
+
+def _read_columns(path):
+    track = read_descriptor_csv(path)
+    return track.timestamps_ms, track.histograms, track.luminance
+
+
+def _parse_columns(path):
+    data = path.read_bytes()
+    return frames._parse_descriptor_csv(path, data)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       block_bytes=st.sampled_from([1 << 18, 700, 1]))
+@settings(max_examples=400, deadline=None)
+def test_descriptor_csv_matches_loadtxt_reference(tmp_path_factory, seed,
+                                                  block_bytes):
+    """The column bytes of one np.loadtxt in text mode, or the same
+    ParseError message and line, with row blocks of every size; the
+    columns before the track checks too, whenever the file is UTF-8."""
+    data, _, _ = _random_descriptor_csv(seed)
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_bytes(data)
+    with mock.patch.object(frames, "_ROW_BLOCK_BYTES", block_bytes):
+        assert (_csv_outcome(_read_columns, path)
+                == _csv_outcome(ref_read_descriptor_csv, path)), data
+        if b"\xff" not in data:
+            assert (_csv_outcome(_parse_columns, path)
+                    == _csv_outcome(ref_parse_descriptor_csv, path)), data
+
+
+def test_random_descriptor_csvs_reach_both_readers():
+    """The oracle's files take the block decoder and np.loadtxt, and both
+    end in columns and in errors."""
+    seen = set()
+    for seed in range(400):
+        data, bins, fault = _random_descriptor_csv(seed)
+        decoded = frames._decode_fixed_rows(data, 3 * bins) is not None
+        seen.add((decoded, fault is None))
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
+
+
+def _long_track(seconds, fps, seed):
+    """A track of random normalized 48-bin histograms, one frame every
+    1000 / fps ms for `seconds`."""
+    rng = np.random.default_rng(seed)
+    n = seconds * fps
+    raw = rng.random((n, 3, 16))
+    return VideoTrack("vid", np.arange(n, dtype=np.int64) * (1000 // fps),
+                      (raw / raw.sum(axis=2, keepdims=True)).reshape(n, 48),
+                      rng.random(n), seconds * 1000)
+
+
+@pytest.mark.exhaustive
+@pytest.mark.parametrize("seconds, fps", [(8 * 3600, 1), (1800, 5)])
+@pytest.mark.parametrize("fault", [None, "luminance", "last row"])
+def test_long_descriptor_csv_matches_loadtxt_reference(tmp_path, seconds,
+                                                       fps, fault):
+    """An 8-hour 1 fps track (28,800 rows) and a 30-minute 5 fps track,
+    many row blocks over timestamps of 1 to 8 digits: the same column
+    bytes as np.loadtxt, or the same error, late in the file."""
+    track = _long_track(seconds, fps, seed=seconds + fps)
+    lines = write_descriptor_csv(track).split("\n")
+    if fault == "luminance":
+        lines[-100] = lines[-100].rsplit(",", 1)[0] + ",1.500000000"
+    elif fault == "last row":
+        lines[-2] = lines[-2].replace(",", ", ", 1)
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(lines))
+    assert (frames._decode_fixed_rows(path.read_bytes(), 48) is None) == (
+        fault == "last row")
+    assert (_csv_outcome(_read_columns, path)
+            == _csv_outcome(ref_read_descriptor_csv, path))

@@ -42,7 +42,7 @@ def _ingest(args, config):
 
 
 def cmd_ingest(args) -> int:
-    config = load_config(args.config, seed_override=args.seed)
+    config = load_config(args.config, args.seed, stage=args.command)
     transcripts, tracks = _ingest(args, config)
     out = Path(args.out)
     for video_id, track in tracks.items():
@@ -54,7 +54,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    config = load_config(args.config, seed_override=args.seed)
+    config = load_config(args.config, args.seed, stage=args.command)
     segments = pipeline.segment(*_ingest(args, config), config)
     out = Path(args.out)
     _write(out / "segments.jsonl", write_segments_jsonl(segments))
@@ -63,7 +63,7 @@ def cmd_segment(args) -> int:
 
 
 def cmd_features(args) -> int:
-    config = load_config(args.config, seed_override=args.seed)
+    config = load_config(args.config, args.seed, stage=args.command)
     transcripts, tracks = _ingest(args, config)
     segments = pipeline.load_segments(args.segments, tracks)
     space, matrix = pipeline.StageClock()(
@@ -78,7 +78,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = load_config(args.config, seed_override=args.seed)
+    config = load_config(args.config, args.seed, stage=args.command)
     matrix = features.read_feature_csv(pipeline.read_text(args.features),
                                        args.features)
     # the space `gelid features` fixed; the config's features.* go unread
@@ -103,7 +103,7 @@ def _write_labels(out: Path, predictions: dict[str, str]) -> None:
 
 
 def cmd_classify(args) -> int:
-    config = load_config(args.config, seed_override=args.seed)
+    config = load_config(args.config, args.seed, stage=args.command)
     bundle = pipeline.load_bundle(args.model)
     transcripts, tracks = _ingest(args, config)
     segments = pipeline.load_segments(args.segments, tracks)
@@ -126,7 +126,7 @@ def _read_labels_of(path: str, segments) -> dict[str, str]:
 
 
 def cmd_group(args) -> int:
-    config = load_config(args.config, seed_override=args.seed)
+    config = load_config(args.config, args.seed, stage=args.command)
     _, tracks = _ingest(args, config)
     segments = pipeline.load_segments(args.segments, tracks)
     labels = _read_labels_of(args.labels, segments)
@@ -143,7 +143,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    config = load_config(args.config, seed_override=args.seed)
+    config = load_config(args.config, args.seed, stage=args.command)
     bundle = pipeline.load_bundle(args.model)
     transcripts, tracks = _ingest(args, config)
     segments = pipeline.load_segments(args.segments, tracks)
@@ -159,7 +159,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = load_config(args.config, seed_override=args.seed)
+    config = load_config(args.config, args.seed, stage=args.command)
     manifest = pipeline.load_manifest(args.manifest)
     bundle = pipeline.load_bundle(args.model) if args.model else None
     result = pipeline.run_pipeline(manifest, config, bundle=bundle)

@@ -1,13 +1,16 @@
 """Flat `section.key = value` run configuration.
 
-The format is deliberately language-neutral: one key per line, `#` comments,
-no nesting. Unknown keys are hard errors so typos cannot silently fall back
-to defaults. The config file is the only way to set a key; the CLI's
-`--seed` alone overrides one.
+The format is deliberately language-neutral: one key per line, no nesting.
+A `#` that starts a line or follows whitespace starts a comment; one inside
+a value (`runs/#3/x`) stays in it. Unknown keys are hard errors so typos
+cannot silently fall back to defaults. The config file is the only way to
+set a key; the CLI's `--seed` alone overrides one. A stage subcommand
+checks only the sections it reads (`STAGE_SECTIONS`), `run` all of them.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -17,7 +20,7 @@ from .features import FEATURE_GROUPS, NGRAM_MAX
 from .frames import DEFAULT_BINS, histogram_bins
 from .models import (DEFAULT_HYPER, HYPER_SHAPES, KIND_FFN, KIND_FOREST,
                      KIND_LOGISTIC, MODEL_KINDS)
-from .segmentation import SegmenterConfig
+from .segmentation import SEGMENTER_SHAPE, SegmenterConfig
 
 
 def _parse_bool(raw: str) -> bool:
@@ -94,27 +97,33 @@ class RunConfig:
     issue_bandwidth: float = _setting("clustering.issue_bandwidth", 0.25)
     issue_alpha: float = _setting("clustering.alpha", 0.5)
 
-    def validate(self) -> None:
+    def validate(self, stage: str | None = None) -> None:
+        """The seed, then the ranges and cross-checks of the sections
+        `stage` reads (`STAGE_SECTIONS`), or of all of them."""
         if self.seed is None:
             raise ConfigError("seed is mandatory (set `seed = <u64>` in the "
                               "config, or pass --seed)")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
+        sections = STAGE_SECTIONS.get(stage, _SECTIONS)
         try:  # each module that takes a setting holds its range
             for key, shape in _SHAPES.items():
-                check_shape(getattr(self, _FIELDS[key].name), shape, key)
-            check_shape(list(self.feature_group_list()),
-                        [set(FEATURE_GROUPS)], "features.groups")
-            self.segmenter_config().validate()
-            for stage in _STAGES:
-                check_params(getattr(self, f"{stage}_algorithm"),
-                             self.cluster_params(stage), f"clustering.{stage}")
+                if key.partition(".")[0] in sections:
+                    check_shape(getattr(self, _FIELDS[key].name), shape, key)
+            if "features" in sections:
+                self._check_feature_groups()
+            for which in _STAGES if "clustering" in sections else ():
+                check_params(getattr(self, f"{which}_algorithm"),
+                             self.cluster_params(which), f"clustering.{which}")
         except DataError as exc:
             raise ConfigError(str(exc)) from None
-        if not self.feature_group_list():
+
+    def _check_feature_groups(self) -> None:
+        groups = self.feature_group_list()
+        check_shape(list(groups), [set(FEATURE_GROUPS)], "features.groups")
+        if not groups:
             raise ConfigError("features.groups names no feature group")
-        if "embedding" in self.feature_group_list() \
-                and not self.embedding_path:
+        if "embedding" in groups and not self.embedding_path:
             raise ConfigError("features.groups names embedding but "
                               "features.embedding_path is not set")
 
@@ -149,10 +158,18 @@ class RunConfig:
 
 
 _FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
+_SECTIONS = {key.partition(".")[0] for key in _FIELDS}
+# the sections (a key's part before its dot) each stage subcommand reads
+STAGE_SECTIONS = {
+    "ingest": {"frames"}, "segment": {"frames", "segmenter"},
+    "features": {"frames", "features"}, "train": {"model", "train"},
+    "classify": {"frames"}, "group": {"frames", "clustering"},
+    "cluster": {"frames", "clustering"}}
 _STAGES = ("context", "issue")
 # the range of each setting that has one, as a shape (see `check_shape`);
-# SegmenterConfig holds the segmenter's. model.learning_rate is logistic's.
+# model.learning_rate is logistic's
 _SHAPES = {
+    **{f"segmenter.{name}": shape for name, shape in SEGMENTER_SHAPE.items()},
     "model.kind": set(MODEL_KINDS),
     **{f"model.{name}": shape for kind in reversed(MODEL_KINDS)
        for name, shape in HYPER_SHAPES[kind].items()},
@@ -165,14 +182,15 @@ _SHAPES = {
     "clustering.alpha": blend_weight}
 # a field's annotation -> its parser; a bool reads true/false and friends
 _PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse the flat format; unknown keys are hard errors."""
     cfg = RunConfig()
     for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = _COMMENT.sub("", line).strip()
+        if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"config line {line_no}: expected "
@@ -191,16 +209,17 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def load_config(path: str | None,
-                seed_override: int | None = None) -> RunConfig:
-    """The config file (defaults without one), then the CLI seed override,
-    then validation."""
+def load_config(path: str | None, seed_override: int | None = None,
+                stage: str | None = None) -> RunConfig:
+    """The config file (defaults without one; a byte-order mark is
+    skipped), then the CLI seed override, then validation for `stage`."""
     try:  # UnicodeDecodeError is a ValueError
-        text = "" if path is None else Path(path).read_text(encoding="utf-8")
+        text = ("" if path is None
+                else Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     cfg = parse_config(text)
     if seed_override is not None:
         cfg.seed = seed_override
-    cfg.validate()
+    cfg.validate(stage)
     return cfg

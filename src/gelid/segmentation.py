@@ -80,13 +80,14 @@ class SegmenterConfig:
     max_keyframes: int = 10
 
     def validate(self) -> None:
-        check_shape(vars(self), _SEGMENTER_SHAPE, "segmenter")
+        check_shape(vars(self), SEGMENTER_SHAPE, "segmenter")
 
 
-_SEGMENTER_SHAPE = {"k_seconds": count, "alpha": positive,
-                    "window": positive_int, "min_shot_ms": count,
-                    "min_segment_ms": count, "silence_ms": count,
-                    "gap_ms": count, "max_keyframes": positive_int}
+# the range of each SegmenterConfig field (see check_shape)
+SEGMENTER_SHAPE = {"k_seconds": count, "alpha": positive,
+                   "window": positive_int, "min_shot_ms": count,
+                   "min_segment_ms": count, "silence_ms": count,
+                   "gap_ms": count, "max_keyframes": positive_int}
 
 
 def adaptive_thresholds(dists: np.ndarray, window: int,

@@ -16,6 +16,7 @@ from conftest import THREE_VIDEO_WORLD, write_world
 import gelid
 from gelid import features, pipeline
 from gelid.cli import main
+from gelid.config import STAGE_SECTIONS
 from gelid.errors import DataError
 from gelid.frames import read_descriptor_csv, write_descriptor_csv
 from gelid.subtitles import parse_srt
@@ -774,7 +775,13 @@ def test_unknown_clustering_algorithm_exits_1_before_ingest(tmp_path, capsys,
     assert f"clustering.{key}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["run", "segment"])
+# the input flags of a clustering command past the world's; the config is
+# checked first, so the files they name are never read
+_CLUSTERING_INPUTS = {"run": [], "group": ["--segments", "--labels"],
+                      "cluster": ["--segments", "--labels", "--model"]}
+
+
+@pytest.mark.parametrize("command", sorted(_CLUSTERING_INPUTS))
 @pytest.mark.parametrize("stage", ["context", "issue"])
 def test_optics_cut_above_its_cap_exits_1_before_ingest(tmp_path, capsys,
                                                         command, stage):
@@ -782,13 +789,90 @@ def test_optics_cut_above_its_cap_exits_1_before_ingest(tmp_path, capsys,
         f"clustering.{stage}_algorithm": "optics",
         f"clustering.{stage}_eps_max": 0.5,
         f"clustering.{stage}_eps_cut": 0.9})
+    inputs = [arg for flag in _CLUSTERING_INPUTS[command]
+              for arg in (flag, str(tmp_path / "unread"))]
     out = tmp_path / "out"
     code = main([command, "--manifest", str(paths["manifest"]),
-                 "--config", str(paths["config"]), "--out", str(out)])
+                 "--config", str(paths["config"]), *inputs,
+                 "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1, err
     assert f"clustering.{stage}: optics needs eps_cut <= eps_max" in err
-    assert not (out / "segments.jsonl").exists()
+    assert not out.exists()
+
+
+def test_stages_past_features_ignore_an_unread_features_setting(staged,
+                                                                 tmp_path):
+    """`features.ngram_max = 3` is out of range, and `gelid features`
+    exits 1 under it; train, classify, group and cluster read no
+    `features.*` key, so each writes what the chain wrote."""
+    paths, stage = staged
+    config = tmp_path / "run.conf"
+    config.write_text(paths["config"].read_text()
+                      + "features.ngram_max = 3\n")
+    paths = {**paths, "config": config}
+    assert main(_stage_argv(paths, stage, "features", tmp_path / "f")) == 1
+    for command, name in (("train", "model.json"),
+                          ("classify", "labels.jsonl"),
+                          ("group", "contexts.json"),
+                          ("cluster", "hierarchy.json")):
+        out = tmp_path / command
+        assert main(_stage_argv(paths, stage, command, out / name
+                                if command == "train" else out)) == 0
+        assert (out / name).read_bytes() == (stage / name).read_bytes(), name
+
+
+# per section, settings in range that differ from the test world's and
+# change what a stage reading them writes; none of train.* does, as the
+# world's singleton class turns SMOTE off
+_OTHER_SETTINGS = {
+    "frames": "frames.bins_per_channel = 8",
+    "segmenter": "segmenter.k_seconds = 10\nsegmenter.alpha = 1.0",
+    "features": "features.ngram_max = 2\nfeatures.stopwords = the,a",
+    "model": "model.kind = random_forest\nmodel.n_trees = 3",
+    "clustering": "clustering.context_eps = 0.01\nclustering.issue_eps = 0.01",
+}
+
+
+@pytest.mark.parametrize("command", sorted(STAGE_SECTIONS))
+def test_a_stage_subcommand_reads_no_section_it_does_not_list(
+        staged, tmp_path, command):
+    """Other settings in every section that STAGE_SECTIONS does not list
+    for `command` leave what it writes as the chain wrote it."""
+    paths, stage = staged
+    config = tmp_path / "run.conf"
+    config.write_text(paths["config"].read_text() + "".join(
+        f"{lines}\n" for section, lines in _OTHER_SETTINGS.items()
+        if section not in STAGE_SECTIONS[command]))
+    out = tmp_path / "out"
+    assert main(_stage_argv({**paths, "config": config}, stage, command,
+                            out / "model.json" if command == "train"
+                            else out)) == 0
+    chain = stage / "ingest" if command == "ingest" else stage
+    for path in out.iterdir():
+        assert path.read_bytes() == (chain / path.name).read_bytes(), path
+
+
+@pytest.mark.parametrize("command", ["group", "cluster"])
+def test_labels_missing_a_segment_exit_2_naming_file(staged, tmp_path, capsys,
+                                                     command):
+    paths, stage = staged
+    short = tmp_path / "labels.jsonl"
+    short.write_text("".join(
+        (stage / "labels.jsonl").read_text().splitlines(keepends=True)[1:]))
+    argv = _stage_argv(paths, stage, command, tmp_path / "out")
+    argv[argv.index("--labels") + 1] = str(short)
+    _fails_naming(capsys, argv, str(short),
+                  "labels file is missing segment(s)")
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_exits_1(tmp_path, capsys):
+    paths = _world(tmp_path)
+    code = main(["segment", "--manifest", str(paths["manifest"]),
+                 "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
 # rows that are valid alone: the edit of line 2 from lines 1 and 2
@@ -839,6 +923,18 @@ def test_probe_with_a_non_integer_time_exits_2_naming_file_and_line(
                            "--config", str(paths["config"]),
                            "--out", str(tmp_path / "out")],
                   f"{paths['labels']}:3", "at_ms")
+
+
+def test_manifest_that_repeats_a_video_id_exits_2(tmp_path, capsys):
+    paths = _world(tmp_path)
+    manifest = json.loads(paths["manifest"].read_text())
+    manifest["videos"].append(manifest["videos"][0])
+    paths["manifest"].write_text(json.dumps(manifest))
+    _fails_naming(capsys, ["ingest", "--manifest", str(paths["manifest"]),
+                           "--config", str(paths["config"]),
+                           "--out", str(tmp_path / "out")],
+                  f"{paths['manifest']}: duplicate video_id(s) in manifest: "
+                  "['vid_a']")
 
 
 def test_manifest_that_is_a_list_exits_2(tmp_path, capsys):
@@ -1053,6 +1149,18 @@ def test_missing_subtitle_file_exits_2(tmp_path, capsys, command):
     _fails_naming(capsys, [command, "--manifest", str(paths["manifest"]),
                            "--config", str(paths["config"]),
                            "--out", str(tmp_path / "out")], "vid_b.srt")
+
+
+def test_missing_descriptor_csv_exits_2_naming_stage_and_video(tmp_path,
+                                                              capsys):
+    paths = _world(tmp_path)
+    csv_path = paths["root"] / "vid_b.descriptors.csv"
+    csv_path.unlink()
+    _fails_naming(capsys, ["ingest", "--manifest", str(paths["manifest"]),
+                           "--config", str(paths["config"]),
+                           "--out", str(tmp_path / "out")],
+                  f"stage 'ingest', video 'vid_b': track source {csv_path} "
+                  "does not exist")
 
 
 def test_vocabulary_missing_key_exits_2_naming_file(staged, tmp_path,
@@ -1286,7 +1394,7 @@ def _stage_argv(paths, stage, command, out):
     labels = ["--labels", str(stage / "labels.jsonl")]
     model = ["--model", str(stage / "model.json")]
     return [command, *{
-        "run": world,
+        "run": world, "ingest": world, "segment": world,
         "features": [*world, *seg],
         "train": ["--config", str(paths["config"]),
                   "--features", str(stage / "features.csv"),

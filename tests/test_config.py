@@ -1,6 +1,11 @@
+import re
+from pathlib import Path
+
 import pytest
 
-from gelid.config import _FIELDS, RunConfig, load_config, parse_config
+from gelid.cli import build_parser
+from gelid.config import (_FIELDS, STAGE_SECTIONS, RunConfig, load_config,
+                          parse_config)
 from gelid.errors import ConfigError
 
 
@@ -36,6 +41,32 @@ def test_bad_value_reports_key_and_type():
 def test_comments_and_blank_lines_skipped():
     cfg = parse_config("# run settings\n\nseed = 3\n")
     assert cfg.seed == 3
+
+
+def test_a_hash_after_whitespace_starts_a_comment():
+    cfg = parse_config("seed = 3 # the seed\n  # indented\n"
+                       "features.stopwords = a,b\t# c\n"
+                       "train.labels_path = runs/#3/labels.jsonl\n")
+    assert cfg.seed == 3
+    assert cfg.stopword_set() == {"a", "b"}
+    assert cfg.labels_path == "runs/#3/labels.jsonl"
+
+
+def test_readme_config_example_parses():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```ini\n(.*?)```", readme.read_text(), re.S)[1]
+    cfg = parse_config(block)
+    cfg.validate()
+    assert (cfg.seed, cfg.k_seconds, cfg.model_kind, cfg.issue_alpha,
+            cfg.labels_path) == (7, 5, "logistic_regression", 0.5,
+                                 "labels.jsonl")
+
+
+def test_config_with_a_byte_order_mark_loads(tmp_path):
+    path = tmp_path / "c.conf"
+    path.write_bytes(b"\xef\xbb\xbfseed = 7\nsegmenter.k_seconds = 10\n")
+    cfg = load_config(str(path))
+    assert (cfg.seed, cfg.k_seconds) == (7, 10)
 
 
 def test_missing_equals_is_error():
@@ -162,3 +193,48 @@ def test_boolean_parsing():
     assert parse_config("train.smote = TRUE\n").smote is True
     with pytest.raises(ConfigError):
         parse_config("train.smote = maybe\n")
+
+
+# per section, a setting out of its range (or a failed cross-check) and the
+# message it gives; the message names its key
+_BAD_SECTIONS = {
+    "frames": ("frames.bins_per_channel = 100", "frames.bins_per_channel"),
+    "segmenter": ("segmenter.window = 0", "segmenter.window"),
+    "features": ("features.ngram_max = 3", "features.ngram_max"),
+    "model": ("model.n_trees = 0", "model.n_trees"),
+    "train": ("train.smote_k = 0", "train.smote_k"),
+    "clustering": ("clustering.issue_eps = 0", "clustering.issue_eps"),
+    "features-groups": ("features.groups =",
+                        "features.groups names no feature group"),
+    "clustering-optics": ("clustering.context_algorithm = optics\n"
+                          "clustering.context_eps_cut = 1.5",
+                          "clustering.context: optics needs eps_cut"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SECTIONS))
+@pytest.mark.parametrize("stage", [*sorted(STAGE_SECTIONS), "run", None])
+def test_a_stage_checks_only_the_sections_it_reads(tmp_path, stage, case):
+    line, message = _BAD_SECTIONS[case]
+    path = tmp_path / "c.conf"
+    path.write_text(f"seed = 1\n{line}\n")
+    if stage in STAGE_SECTIONS and \
+            case.partition("-")[0] not in STAGE_SECTIONS[stage]:
+        assert load_config(str(path), stage=stage).seed == 1
+    else:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(str(path), stage=stage)
+    path.write_text(f"{line}\n")
+    with pytest.raises(ConfigError, match="seed is mandatory"):
+        load_config(str(path), stage=stage)
+
+
+def test_every_stage_subcommand_names_the_sections_it_reads():
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    taking_config = {name for name, sub in subcommands.items()
+                     if any("--config" in action.option_strings
+                            for action in sub._actions)}
+    assert set(STAGE_SECTIONS) == taking_config - {"run"}
+    sections = {key.partition(".")[0] for key in _FIELDS}
+    for stage, read in STAGE_SECTIONS.items():
+        assert read <= sections, stage

@@ -269,6 +269,14 @@ def _two_row_csv(tmp_path):
     return path
 
 
+def test_empty_descriptor_csv_is_parse_error_on_line_1(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"")
+    with pytest.raises(ParseError) as err:
+        read_descriptor_csv(path)
+    assert str(err.value) == f"line 1: {path}: empty descriptor CSV"
+
+
 def test_descriptor_csv_error_line_counts_blank_lines(tmp_path):
     path = _two_row_csv(tmp_path)
     header, first, second = path.read_text().splitlines()

@@ -38,6 +38,16 @@ class ParseError(DataError):
         super().__init__(message)
 
 
+def utf8_text(data: bytes, where: str = "") -> str:
+    """`data` decoded as UTF-8; a byte that is not UTF-8 is a ParseError
+    on its line, its message led by `where` (`<file>: `)."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{where}not UTF-8 text ({exc.reason})",
+                         data.count(b"\n", 0, exc.start) + 1) from None
+
+
 class InternalError(GelidError):
     """A gelid invariant was violated; indicates a bug, not bad input."""
 

@@ -9,7 +9,6 @@ derived from subtitle cues stand in for vocal activity.
 
 from __future__ import annotations
 
-import logging
 import math
 import re
 from dataclasses import dataclass
@@ -21,8 +20,6 @@ from .errors import DataError, ParseError, check_shape, positive_int
 from .frames import VideoTrack
 from .segmentation import Segment
 from .subtitles import Transcript
-
-log = logging.getLogger(__name__)
 
 FEATURE_GROUPS = ("text", "embedding", "video", "speech")
 NGRAM_MAX = {1, 2}  # the n-gram orders a vocabulary can hold

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, InternalError, ParseError, check_shape
+from .errors import (DataError, InternalError, ParseError, check_shape,
+                     utf8_text)
 
 log = logging.getLogger(__name__)
 
@@ -80,12 +81,6 @@ class VideoTrack:
         wanted = np.asarray(timestamps_ms, dtype=np.int64)
         rows = np.minimum(np.searchsorted(stamps, wanted), stamps.size - 1)
         return self.histograms[rows[stamps[rows] == wanted]]
-
-    def validate(self) -> None:
-        fault = self._first_fault()
-        if fault is not None:
-            row, message = fault
-            raise DataError(f"frame {row}: {message}")
 
     def _first_fault(self) -> tuple[int, str] | None:
         """Row and reason of the first frame that breaks a track invariant.
@@ -246,7 +241,7 @@ def read_descriptor_csv(path: str | Path, video_id: str = "",
     """
     data = Path(path).read_bytes()
     if not data.isascii():
-        _text(path, data)  # a byte that is not UTF-8 is the first fault
+        utf8_text(data, f"{path}: ")  # a byte that is not UTF-8 comes first
     timestamps, histograms, luminance = _parse_descriptor_csv(path, data)
     if duration_ms is None:
         duration_ms = int(timestamps[-1]) if timestamps.size else 0
@@ -255,22 +250,14 @@ def read_descriptor_csv(path: str | Path, video_id: str = "",
     fault = track._first_fault()
     if fault is not None:
         row, message = fault
-        raise ParseError(f"{path}: {message}",
-                         _line_of_row(path, _text(path, data), row))
+        raise ParseError(f"{path}: {message}", _line_of_row(
+            path, utf8_text(data, f"{path}: "), row))
     return track
-
-
-def _text(path: str | Path, data: bytes) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})",
-                         data.count(b"\n", 0, exc.start) + 1) from None
 
 
 def _parse_descriptor_csv(path: str | Path, data: bytes):
     # a lone CR ends a line too, as in a file opened in text mode
-    header = _text(path, _LINE.match(data)[0]).split(",")
+    header = utf8_text(_LINE.match(data)[0], f"{path}: ").split(",")
     if header == [""]:
         raise ParseError(f"{path}: empty descriptor CSV", 1)
     width = len(header) - 2
@@ -282,7 +269,7 @@ def _parse_descriptor_csv(path: str | Path, data: bytes):
         return columns
     row_dtype = np.dtype([("ts", np.int64), ("hist", np.float64, (width,)),
                           ("lum", np.float64)])
-    text = _text(path, data)
+    text = utf8_text(data, f"{path}: ")
     lines = io.StringIO(text, newline=None)
     lines.readline()
     try:
@@ -487,7 +474,11 @@ def load_track(path: str | Path, video_id: str = "",
         track = VideoTrack(video_id, timestamps[order], hists[order],
                            np.array(lums, dtype=np.float64)[order],
                            duration_ms)
-        track.validate()
+        fault = track._first_fault()
+        if fault is not None:
+            row, message = fault
+            raise DataError(f"{by_stamp[int(track.timestamps_ms[row])]}: "
+                            f"{message}")
         return track
     if path.is_file():
         track = read_descriptor_csv(path, video_id, duration_ms)

@@ -2,11 +2,10 @@
 hidden-layer feed-forward network over the five segment labels.
 
 All three are trained from scratch on dense feature matrices, seeded and
-deterministic. Losses and gradients for the differentiable models live in
-standalone functions so finite-difference checks can exercise them. The
-feed-forward net's optimizer calls its function; the logistic one inlines
-the gradient in preallocated buffers, and the tests hold it to the same
-bits as a step on `logistic_loss_and_grad`.
+deterministic. The feed-forward net's optimizer calls its loss-and-gradient
+function, which finite-difference checks exercise. Logistic regression
+inlines its gradient in preallocated buffers; the tests hold each step to
+the bits of a step on the objective's reference loss and gradient.
 
 A random forest is one set of node arrays over all its trees, each tree's
 nodes depth first, left first: `feature` (int64, -1 at a leaf),
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -29,8 +27,6 @@ import numpy as np
 
 from .errors import (DataError, check_shape, count, non_negative, positive,
                      positive_int)
-
-log = logging.getLogger(__name__)
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -72,7 +68,6 @@ HYPER_SHAPES = {
 class TrainedModel:
     kind: str
     feature_names: tuple[str, ...]
-    label_order: tuple[str, ...]
     mean: np.ndarray          # standardization, from training data
     std: np.ndarray
     hyper: dict
@@ -82,8 +77,7 @@ class TrainedModel:
 def _label_indices(y) -> np.ndarray:
     index = {name: i for i, name in enumerate(LABEL_ORDER)}
     try:
-        return np.array([index[v.value if isinstance(v, IssueLabel) else v]
-                         for v in y], dtype=np.int64)
+        return np.array([index[v] for v in y], dtype=np.int64)
     except KeyError as exc:
         raise DataError(f"unknown label {exc.args[0]!r}; expected one of "
                         f"{LABEL_ORDER}") from None
@@ -127,35 +121,16 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 # Logistic regression (multinomial softmax, L2, full-batch gradient descent)
 
 
-def logistic_loss_and_grad(wb: np.ndarray, x: np.ndarray, y_idx: np.ndarray,
-                           l2: float) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy + l2*||W||^2 (bias unpenalized) and its gradient.
-
-    wb is (d+1, K): weight rows then a final bias row; x is unaugmented.
-    """
-    n = x.shape[0]
-    w, b = wb[:-1], wb[-1]
-    probs = _softmax(x @ w + b)
-    ll = -np.log(probs[np.arange(n), y_idx] + 1e-300).mean()
-    loss = ll + l2 * float((w ** 2).sum())
-    delta = probs.copy()
-    delta[np.arange(n), y_idx] -= 1.0
-    delta /= n
-    grad = np.vstack([x.T @ delta + 2 * l2 * w, delta.sum(axis=0)])
-    return float(loss), grad
-
-
 def _train_logistic(x: np.ndarray, y_idx: np.ndarray, hyper: dict,
                     seed: int) -> dict:
-    """Gradient descent on `logistic_loss_and_grad`'s objective, each step
-    the same floating-point operations in the same order, in buffers
-    allocated once and without the loss."""
+    """Gradient descent on the mean cross-entropy plus l2*||W||^2 (bias
+    unpenalized), in buffers allocated once and without the loss."""
     n, d = x.shape
     lr, decay = hyper["learning_rate"], 2 * hyper["l2"]
     w, b = np.zeros((d, N_LABELS)), np.zeros(N_LABELS)
     onehot = np.zeros((n, N_LABELS))
     onehot[np.arange(n), y_idx] = 1.0
-    x_t = x.T  # a view, as logistic_loss_and_grad hands it to BLAS
+    x_t = x.T  # a view, as in x.T @ delta, so BLAS sums in that order
     delta = np.empty((n, N_LABELS))
     grad, shrink = np.empty((d, N_LABELS)), np.empty((d, N_LABELS))
     for _ in range(hyper["iterations"]):
@@ -445,8 +420,7 @@ def train(kind: str, x: np.ndarray, y, *, seed: int,
         parameters = _train_ffn(xs, y_idx, merged, seed)
     else:
         parameters = _train_forest(xs, y_idx, merged, seed)
-    return TrainedModel(kind=kind, feature_names=names,
-                        label_order=LABEL_ORDER, mean=mean, std=std,
+    return TrainedModel(kind=kind, feature_names=names, mean=mean, std=std,
                         hyper=merged, parameters=parameters)
 
 
@@ -489,55 +463,9 @@ def predict_proba(model: TrainedModel, x: np.ndarray,
 
 def predict(model: TrainedModel, x: np.ndarray,
             feature_names=None) -> list[str]:
-    """Argmax labels; ties resolve to the earliest label in label_order."""
+    """Argmax labels; ties resolve to the earliest label in LABEL_ORDER."""
     probs = predict_proba(model, x, feature_names)
-    return [model.label_order[i] for i in probs.argmax(axis=1)]
-
-
-@dataclass
-class EvaluationReport:
-    accuracy: float
-    precision: dict[str, float]
-    recall: dict[str, float]
-    auc: dict[str, float | None]
-    zero_denominator: dict[str, bool]
-    confusion: np.ndarray  # counts[true][predicted]
-
-
-def _rank_auc(scores: np.ndarray, positives: np.ndarray) -> float | None:
-    """One-vs-rest AUC as a rank statistic, ties by midranks."""
-    n_pos = int(positives.sum())
-    n_neg = positives.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return None
-    from scipy.stats import rankdata  # here, so importing gelid loads no SciPy
-    u = rankdata(scores)[positives].sum() - n_pos * (n_pos + 1) / 2
-    return float(u / (n_pos * n_neg))
-
-
-def evaluate(model: TrainedModel, x: np.ndarray, y) -> EvaluationReport:
-    """Accuracy, per-class precision/recall and one-vs-rest AUC."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[0] == 0:
-        raise DataError("evaluation set is empty")
-    y_idx = _label_indices(y)
-    probs = predict_proba(model, x)
-    predicted = probs.argmax(axis=1)
-    confusion = np.zeros((N_LABELS, N_LABELS), dtype=np.int64)
-    np.add.at(confusion, (y_idx, predicted), 1)
-    accuracy = float((predicted == y_idx).mean())
-    precision, recall, auc, flags = {}, {}, {}, {}
-    for c, name in enumerate(LABEL_ORDER):
-        tp = int(confusion[c, c])
-        fp = int(confusion[:, c].sum()) - tp
-        fn = int(confusion[c, :].sum()) - tp
-        flags[name] = (tp + fp) == 0
-        precision[name] = tp / (tp + fp) if tp + fp else 0.0
-        recall[name] = tp / (tp + fn) if tp + fn else 0.0
-        auc[name] = _rank_auc(probs[:, c], y_idx == c)
-    return EvaluationReport(accuracy=accuracy, precision=precision,
-                            recall=recall, auc=auc, zero_denominator=flags,
-                            confusion=confusion)
+    return [LABEL_ORDER[i] for i in probs.argmax(axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +477,7 @@ def model_to_dict(model: TrainedModel) -> dict:
         "schema_version": MODEL_SCHEMA_VERSION,
         "kind": model.kind,
         "feature_names": list(model.feature_names),
-        "label_order": list(model.label_order),
+        "label_order": list(LABEL_ORDER),
         "standardization": {"mean": model.mean.tolist(),
                             "std": model.std.tolist()},
         "hyper": model.hyper,
@@ -648,7 +576,7 @@ def model_from_dict(obj, where: str = "$") -> TrainedModel:
                       for key, shape in shapes.items()}
     scale = obj["standardization"]
     return TrainedModel(
-        kind=kind, feature_names=tuple(names), label_order=LABEL_ORDER,
+        kind=kind, feature_names=tuple(names),
         mean=float_array(scale["mean"], (d,), f"{where}.standardization.mean"),
         std=float_array(scale["std"], (d,), f"{where}.standardization.std"),
         hyper=obj["hyper"], parameters=parameters)

@@ -24,7 +24,7 @@ import numpy as np
 from . import clustering, features, models
 from .config import RunConfig
 from .errors import (ConfigError, DataError, ParseError, StageError,
-                     check_shape, count, file_name)
+                     check_shape, count, file_name, utf8_text)
 from .frames import VideoTrack, load_track
 from .segmentation import (SEGMENT_SHAPE, Segment, segment_from_dict,
                            segment_video)
@@ -85,13 +85,14 @@ class Manifest:
 
 
 def read_text(path: str | Path) -> str:
-    """A UTF-8 file's text; an unreadable file is a DataError."""
+    """A UTF-8 file's text, CR and CRLF read as LF; an unreadable file is
+    a DataError, and a byte that is not UTF-8 names the file and line."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
+    text = utf8_text(data, f"{path}: ")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def read_json(path: str | Path, shape):

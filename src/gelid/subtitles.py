@@ -8,12 +8,13 @@ punctuation or a silence gap, and are the snap targets for cut points.
 
 from __future__ import annotations
 
+import codecs
 import logging
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .errors import ParseError
+from .errors import ParseError, utf8_text
 
 log = logging.getLogger(__name__)
 
@@ -22,8 +23,9 @@ DEFAULT_GAP_MS = 1500
 
 _TAG_RE = re.compile(r"<[^>]*>")
 _WS_RE = re.compile(r"\s+")
-# minutes and seconds run to 59, and milliseconds take three digits
-_SRT_TIME_RE = re.compile(r"^(\d{1,2}):([0-5]?\d):([0-5]?\d)[,.](\d{3})$")
+# hours take 1-4 digits in both formats, minutes and seconds run to 59, and
+# milliseconds take three digits
+_SRT_TIME_RE = re.compile(r"^(\d{1,4}):([0-5]?\d):([0-5]?\d)[,.](\d{3})$")
 _VTT_TIME_RE = re.compile(r"^(?:(\d{1,4}):)?([0-5]?\d):([0-5]?\d)\.(\d{3})$")
 
 
@@ -58,16 +60,8 @@ def _clean_text(raw: str) -> str:
 
 
 def _decode(data: bytes | str) -> str:
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            # exc.object is the input past any byte-order mark
-            raise ParseError(f"not UTF-8 text ({exc.reason})",
-                             exc.object.count(b"\n", 0, exc.start) + 1
-                             ) from None
-    else:
-        text = data.lstrip("﻿")
+    text = (utf8_text(data.removeprefix(codecs.BOM_UTF8))
+            if isinstance(data, bytes) else data.lstrip("﻿"))
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 

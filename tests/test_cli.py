@@ -175,8 +175,8 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
 
 
 def test_run_imports_no_scipy(tmp_path):
-    """Only `gelid eval` and `models.evaluate` need SciPy; a `gelid run`
-    process never loads it. In a subprocess, as pytest has loaded SciPy."""
+    """Only `gelid eval` needs SciPy; a `gelid run` process never loads
+    it. In a subprocess, as pytest has loaded SciPy."""
     paths = _world(tmp_path)
     child = ("import json, sys\n"
              "from gelid.cli import main\n"
@@ -713,6 +713,20 @@ def test_bad_segment_label_row_exits_2_naming_file_and_line(
     _fails_naming(capsys, argv + ["--labels", str(bad)], f"{bad}:2")
 
 
+def test_labels_not_utf8_exits_2_naming_file_and_line(staged, tmp_path,
+                                                     capsys):
+    paths, stage = staged
+    lines = (stage / "labels.jsonl").read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b"vid_", b"vid\xff", 1)
+    bad = tmp_path / "labels.jsonl"
+    bad.write_bytes(b"\n".join(lines))
+    _fails_naming(capsys, [
+        "group", "--manifest", str(paths["manifest"]),
+        "--config", str(paths["config"]),
+        "--segments", str(stage / "segments.jsonl"), "--labels", str(bad),
+        "--out", str(tmp_path / "out")], f"line 3: {bad}: not UTF-8 text")
+
+
 def test_alpha_outside_unit_interval_exits_1_before_ingest(tmp_path, capsys):
     paths = _world(tmp_path, overrides={"clustering.alpha": 1.5})
     (paths["root"] / "vid_a.srt").unlink()  # ingest would exit 2
@@ -1012,7 +1026,7 @@ def test_malformed_model_exits_2_naming_file(staged, tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("content, message", [
-    (None, "cannot read"), (b"{\xff}", "is not UTF-8 text"),
+    (None, "cannot read"), (b"{\xff}", "not UTF-8 text"),
     (b"{", "is not valid JSON"),
     (b'{"model": ' + b"[" * 5000 + b"]" * 5000 + b"}",
      "is not valid JSON: maximum recursion depth exceeded")])
@@ -1442,6 +1456,25 @@ def test_descriptor_csv_of_another_bin_count_exits_2_at_ingest(
         .reshape(n, 24))))
     _fails_naming(capsys, _stage_argv(paths, stage, command, tmp_path / "out"), "stage 'ingest', video 'vid_b'",
                   f"line 1: {csv_path}: 24 histogram columns, expected 48")
+
+
+def test_ppm_frame_past_the_duration_exits_2_at_ingest_naming_its_file(
+        tmp_path, capsys):
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    for stamp in (0, 1000):
+        (frames_dir / f"{stamp}.ppm").write_bytes(b"P6 1 1 255\n\0\0\0")
+    (tmp_path / "v.srt").write_text("1\n00:00:00,000 --> 00:00:00,500\nhi\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"schema_version": 1, "videos": [
+        {"video_id": "v", "subtitles": "v.srt", "frames": "frames",
+         "duration_ms": 800}]}))
+    config = tmp_path / "run.conf"
+    config.write_text("seed = 1\n")
+    _fails_naming(capsys, [
+        "ingest", "--manifest", str(manifest), "--config", str(config),
+        "--out", str(tmp_path / "out")], "stage 'ingest', video 'v'",
+        f"{frames_dir / '1000.ppm'}: frame at 1000 ms exceeds duration 800 ms")
 
 
 @pytest.mark.parametrize("segment_id", ["vid_a_0000,x",

@@ -258,8 +258,8 @@ def test_descriptor_csv_is_text_with_header():
 
 def test_track_validation_rejects_late_frames():
     track = _track([2000], _black(1), [0.0], 1000)
-    with pytest.raises(DataError):
-        track.validate()
+    assert track._first_fault() == (
+        0, "frame at 2000 ms exceeds duration 1000 ms")
 
 
 def _two_row_csv(tmp_path):

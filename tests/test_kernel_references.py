@@ -60,8 +60,7 @@ from gelid.models import (DEFAULT_HYPER, KIND_FFN, KIND_FOREST, KIND_LOGISTIC,
                           LABEL_ORDER, N_LABELS, TrainedModel, _gini,
                           _grow_tree, _nest_trees, _new_nodes, _node_arrays,
                           _softmax, _train_forest, _train_logistic,
-                          logistic_loss_and_grad, model_to_dict,
-                          predict_proba)
+                          model_to_dict, predict_proba)
 from gelid import pipeline, segmentation
 from gelid.pipeline import keyframe_lookup, match_probes
 from gelid.segmentation import (CutPoint, SegmenterConfig, Segment,
@@ -445,6 +444,24 @@ def ref_softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def logistic_loss_and_grad(wb, x, y_idx, l2):
+    """Mean cross-entropy + l2*||W||^2 (bias unpenalized) and its gradient:
+    the objective `_train_logistic` descends, through `models._softmax`.
+
+    wb is (d+1, K): weight rows then a final bias row; x is unaugmented.
+    """
+    n = x.shape[0]
+    w, b = wb[:-1], wb[-1]
+    probs = models._softmax(x @ w + b)
+    ll = -np.log(probs[np.arange(n), y_idx] + 1e-300).mean()
+    loss = ll + l2 * float((w ** 2).sum())
+    delta = probs.copy()
+    delta[np.arange(n), y_idx] -= 1.0
+    delta /= n
+    grad = np.vstack([x.T @ delta + 2 * l2 * w, delta.sum(axis=0)])
+    return float(loss), grad
+
+
 def ref_train_logistic(x, y_idx, hyper, seed):
     """One step on `logistic_loss_and_grad` at a time, with `ref_softmax`."""
     d = x.shape[1]
@@ -460,7 +477,7 @@ def ref_train_logistic(x, y_idx, hyper, seed):
 # the SRT and WebVTT parsers as index loops, each with its own timestamp rule
 
 _REF_SRT_TIME_RE = re.compile(
-    r"^(\d{1,2}):([0-5]?\d):([0-5]?\d)[,.](\d{3})$")
+    r"^(\d{1,4}):([0-5]?\d):([0-5]?\d)[,.](\d{3})$")
 _REF_VTT_TIME_RE = re.compile(
     r"^(?:(\d{1,4}):)?([0-5]?\d):([0-5]?\d)\.(\d{3})$")
 
@@ -1263,8 +1280,8 @@ def _check_forest(x, y_idx, hyper, seed):
     d = x.shape[1]
     model = TrainedModel(kind=KIND_FOREST,
                          feature_names=tuple(f"f{i}" for i in range(d)),
-                         label_order=LABEL_ORDER, mean=np.zeros(d),
-                         std=np.ones(d), hyper=hyper, parameters=forest)
+                         mean=np.zeros(d), std=np.ones(d), hyper=hyper,
+                         parameters=forest)
     assert (json.dumps(model_to_dict(model)["parameters"]["trees"])
             == json.dumps(want))
     splits = _thresholds(want)

@@ -1,0 +1,82 @@
+"""`src/gelid` holds only what a `gelid` command runs.
+
+Starting from every definition in `gelid.cli`, the walk follows the names
+each reached definition loads, and `module.name` attributes on the gelid
+modules it imports, to the top-level functions, classes and constants
+they name. A class is reached with all of its methods. Whatever the walk
+does not reach is run by tests alone and belongs with them; names that
+`gelid/__init__.py` exports are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import gelid
+
+PACKAGE = Path(gelid.__file__).resolve().parent
+
+
+def _defined(node) -> list[str]:
+    """The names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [
+            node.target]
+        return [n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name)]
+    return []
+
+
+def _modules() -> dict[str, dict]:
+    """Per module: its top-level definitions, the names it imports from
+    gelid modules, and the gelid modules it imports by name."""
+    modules = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs, names, aliases = {}, {}, {}
+        for node in tree.body:
+            for name in _defined(node):
+                defs[name] = node
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:  # from . import mod
+                        aliases[alias.asname or alias.name] = alias.name
+                    else:
+                        names[alias.asname or alias.name] = (node.module,
+                                                             alias.name)
+        modules[path.stem] = {"defs": defs, "names": names,
+                              "aliases": aliases}
+    return modules
+
+
+def unreached() -> list[str]:
+    """`module.name` of each top-level definition no command reaches."""
+    modules = _modules()
+    todo = [("cli", name) for name in modules["cli"]["defs"]]
+    reached = set(todo)
+    while todo:
+        module, name = todo.pop()
+        info = modules[module]
+        for node in ast.walk(info["defs"][name]):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                target = ((module, node.id) if node.id in info["defs"]
+                          else info["names"].get(node.id))
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in info["aliases"]):
+                target = (info["aliases"][node.value.id], node.attr)
+            else:
+                continue
+            if (target is not None and target not in reached
+                    and target[1] in modules[target[0]]["defs"]):
+                reached.add(target)
+                todo.append(target)
+    return sorted(f"{module}.{name}" for module, info in modules.items()
+                  if module != "__init__" for name in info["defs"]
+                  if (module, name) not in reached)
+
+
+def test_every_src_definition_is_reached_from_the_cli():
+    missing = unreached()
+    assert not missing, f"no gelid command reaches {', '.join(missing)}"

@@ -8,11 +8,12 @@ import pytest
 
 from gelid.errors import DataError
 from gelid.models import (DEFAULT_HYPER, KIND_FFN, KIND_FOREST, KIND_LOGISTIC,
-                          LABEL_ORDER, MODEL_KINDS, IssueLabel, evaluate,
+                          LABEL_ORDER, MODEL_KINDS, IssueLabel,
                           ffn_loss_and_grad, ffn_pack, ffn_shapes,
-                          logistic_loss_and_grad, model_from_dict,
-                          model_to_dict, predict, predict_proba, train)
+                          model_from_dict, model_to_dict, predict,
+                          predict_proba, train)
 from gelid.stats import mann_whitney_u
+from test_kernel_references import logistic_loss_and_grad
 
 
 def _blobs(n_per_class=8, spread=0.15, seed=0, d=4):
@@ -215,66 +216,48 @@ def test_standardization_absorbs_affine_feature_rescaling():
                        predict_proba(m2, probe_rescaled), atol=1e-6)
 
 
-# --- evaluation --------------------------------------------------------------------
+# --- AUC as U / (n+ * n-) ------------------------------------------------------
+# A class's one-vs-rest AUC is the share of (positive, negative) pairs the
+# positive's score wins, a tie worth half: U / (n+ * n-).
 
-def test_evaluate_perfect_predictions():
-    x, y = _blobs(n_per_class=5, seed=21)
-    model = train(KIND_LOGISTIC, x, y, seed=0)
-    report = evaluate(model, x, y)
-    assert report.accuracy == 1.0
-    for name in LABEL_ORDER:
-        assert report.precision[name] == 1.0
-        assert report.recall[name] == 1.0
-        assert report.auc[name] == 1.0
-    assert report.confusion.sum() == len(y)
+
+def _pair_auc(pos, neg):
+    """Wins plus half of ties over every (positive, negative) pair."""
+    pairs = [(p > n) + 0.5 * (p == n) for p in pos for n in neg]
+    return sum(pairs) / len(pairs)
+
+
+def _u_auc(pos, neg):
+    return mann_whitney_u(pos, neg).u / (len(pos) * len(neg))
 
 
 def test_auc_perfect_ranking():
-    from gelid.models import _rank_auc
-    scores = np.array([0.9, 0.8, 0.1, 0.2])
-    positives = np.array([True, True, False, False])
-    assert _rank_auc(scores, positives) == 1.0
+    pos, neg = [0.9, 0.8], [0.1, 0.2]
+    assert _u_auc(pos, neg) == _pair_auc(pos, neg) == 1.0
 
 
 def test_auc_hand_enumerated_half():
-    from gelid.models import _rank_auc
-    scores = np.array([0.8, 0.2, 0.6, 0.4])
-    positives = np.array([True, True, False, False])
     # pairs: (.8>.6), (.8>.4) wins; (.2<.6), (.2<.4) losses -> 2/4
-    assert _rank_auc(scores, positives) == 0.5
+    pos, neg = [0.8, 0.2], [0.6, 0.4]
+    assert _u_auc(pos, neg) == _pair_auc(pos, neg) == 0.5
 
 
 def test_auc_equals_mann_whitney_u_identity():
-    from gelid.models import _rank_auc
     rng = np.random.default_rng(55)
     for _ in range(50):
         n_pos = int(rng.integers(1, 12))
         n_neg = int(rng.integers(1, 12))
         scores = np.round(rng.random(n_pos + n_neg), 2)  # force ties
-        positives = np.zeros(n_pos + n_neg, dtype=bool)
-        positives[:n_pos] = True
-        auc = _rank_auc(scores, positives)
-        u = mann_whitney_u(scores[positives], scores[~positives]).u
-        assert auc == u / (n_pos * n_neg)  # exact, both sums of halves
+        pos, neg = scores[:n_pos], scores[n_pos:]
+        # exact: both count halves
+        assert _u_auc(pos, neg) == _pair_auc(pos.tolist(), neg.tolist())
 
 
 def test_auc_none_when_class_absent():
-    x, y = _blobs(n_per_class=4, seed=1)
-    model = train(KIND_LOGISTIC, x, y, seed=0)
-    mask = y != "Balance"
-    report = evaluate(model, x[mask], y[mask])
-    assert report.auc["Balance"] is None
-    assert report.zero_denominator["Balance"] in (True, False)
-
-
-def test_evaluate_zero_denominator_precision_flagged():
-    x, y = _blobs(n_per_class=4, seed=4)
-    model = train(KIND_LOGISTIC, x, y, seed=0)
-    mask = y != "Performance"
-    report = evaluate(model, x[mask], y[mask])
-    # the model never predicts Performance on these rows
-    assert report.precision["Performance"] == 0.0
-    assert report.zero_denominator["Performance"]
+    """With no positives or no negatives there are no pairs to count."""
+    for pos, neg in (([], [0.5, 0.1]), ([0.5], [])):
+        with pytest.raises(DataError, match="non-empty"):
+            mann_whitney_u(pos, neg)
 
 
 # --- serialization -------------------------------------------------------------------

@@ -123,6 +123,17 @@ def test_parse_vtt_hours_timestamp():
     assert t.cues[0].start_ms == 3723004
 
 
+def test_vtt_cue_at_100_hours_survives_srt_round_trip():
+    """`write_srt` writes hours past 99 as they come, and `parse_srt` reads
+    back the 1-4 hour digits WebVTT takes."""
+    t = parse_vtt("WEBVTT\n\n100:00:00.000 --> 100:00:01.500\nlate\n")
+    assert t.cues == [Cue(index=1, start_ms=360_000_000, end_ms=360_001_500,
+                          text="late")]
+    srt = write_srt(t)
+    assert srt.startswith("1\n100:00:00,000 --> 100:00:01,500\n")
+    assert parse_srt(srt).cues == t.cues
+
+
 def test_sentence_spans_punctuation_rule():
     t = parse_srt("1\n00:00:01,000 --> 00:00:02,000\nI see.\n\n"
                   "2\n00:00:02,100 --> 00:00:03,000\na bug!\n")

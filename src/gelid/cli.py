@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import features, pipeline, stats
 from .config import load_config
-from .errors import ConfigError, DataError, GelidError, fits
+from .errors import ConfigError, DataError, GelidError, fits, read_text
 from .frames import write_descriptor_csv
 from .segmentation import write_segments_jsonl
 from .subtitles import write_srt
@@ -79,7 +79,7 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config, args.seed, stage=args.command)
-    matrix = features.read_feature_csv(pipeline.read_text(args.features),
+    matrix = features.read_feature_csv(read_text(args.features),
                                        args.features)
     # the space `gelid features` fixed; the config's features.* go unread
     space_obj = pipeline.read_json(args.vocabulary, features.SPACE_SHAPE)
@@ -397,7 +397,7 @@ def main(argv=None) -> int:
     except GelidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:  # e.g. a simulation too large
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 from .clustering import CLUSTERERS, blend_weight, check_params
-from .errors import ConfigError, DataError, check_shape, positive_int
+from .errors import (ConfigError, DataError, check_shape, positive_int,
+                     read_text)
 from .features import FEATURE_GROUPS, NGRAM_MAX
 from .frames import DEFAULT_BINS, histogram_bins
 from .models import (DEFAULT_HYPER, HYPER_SHAPES, KIND_FFN, KIND_FOREST,
@@ -188,7 +188,8 @@ _COMMENT = re.compile(r"(?:^|\s)#.*")
 def parse_config(text: str) -> RunConfig:
     """Parse the flat format; unknown keys are hard errors."""
     cfg = RunConfig()
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # split at LF only: a value may hold U+2028 and other breaks
+    for line_no, line in enumerate(text.split("\n"), start=1):
         stripped = _COMMENT.sub("", line).strip()
         if not stripped:
             continue
@@ -211,13 +212,13 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path: str | None, seed_override: int | None = None,
                 stage: str | None = None) -> RunConfig:
-    """The config file (defaults without one; a byte-order mark is
-    skipped), then the CLI seed override, then validation for `stage`."""
-    try:  # UnicodeDecodeError is a ValueError
-        text = ("" if path is None
-                else Path(path).read_text(encoding="utf-8-sig"))
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    """The config file (defaults without one), then the CLI seed override,
+    then validation for `stage`."""
+    try:
+        text = "" if path is None else read_text(path)
+    except DataError as exc:  # its OSError, or the line of a bad byte
+        raise ConfigError(f"cannot read config {path}: "
+                          f"{exc.__cause__ or exc}") from None
     cfg = parse_config(text)
     if seed_override is not None:
         cfg.seed = seed_override

@@ -1,12 +1,15 @@
-"""Exception hierarchy shared by all gelid modules, and `check_shape`, which
-holds an input or a setting to its declared shape.
+"""Exception hierarchy shared by all gelid modules; `read_text`, the one
+reader of a text file's lines; and `check_shape`, which holds an input or
+a setting to its declared shape.
 
 Exit-code mapping used by the CLI: ConfigError -> 1, DataError -> 2,
 InternalError -> 3.
 """
 
+import codecs
 import json
 import sys
+from pathlib import Path
 
 
 class GelidError(Exception):
@@ -39,13 +42,27 @@ class ParseError(DataError):
 
 
 def utf8_text(data: bytes, where: str = "") -> str:
-    """`data` decoded as UTF-8; a byte that is not UTF-8 is a ParseError
-    on its line, its message led by `where` (`<file>: `)."""
+    """`data` decoded as UTF-8 after one leading byte-order mark, with its
+    CRLF and lone CR read as LF; a byte that is not UTF-8 is a ParseError
+    on its line, counted by those line ends, led by `where` (`<file>: `)."""
+    # no UTF-8 sequence holds a CR or LF byte, so bytes map as text would
+    data = data.removeprefix(codecs.BOM_UTF8).replace(b"\r\n", b"\n")
+    data = data.replace(b"\r", b"\n")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{where}not UTF-8 text ({exc.reason})",
                          data.count(b"\n", 0, exc.start) + 1) from None
+
+
+def read_text(path: str | Path) -> str:
+    """A file's `utf8_text`; an unreadable file is a DataError caused by
+    its OSError."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    return utf8_text(data, f"{path}: ")
 
 
 class InternalError(GelidError):

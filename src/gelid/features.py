@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ParseError, check_shape, positive_int
+from .errors import (DataError, ParseError, check_shape, positive_int,
+                     read_text)
 from .frames import VideoTrack
 from .segmentation import Segment
 from .subtitles import Transcript
@@ -159,13 +160,12 @@ class EmbeddingTable:
 
 def load_embedding_table(path: str | Path) -> EmbeddingTable:
     """Read `token v1 ... vd` lines (pretrained; never trained here); a
-    line that is not UTF-8 or holds a non-finite value is a ParseError."""
+    line that holds a non-finite value is a ParseError."""
     vectors: dict[str, np.ndarray] = {}
     dim = None
-    for line_no, line in enumerate(Path(path).read_bytes().splitlines(),
-                                   start=1):
-        try:  # UnicodeDecodeError is a ValueError
-            parts = line.decode("utf-8").split()
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        try:
+            parts = line.split()
             vec = np.array([float(v) for v in parts[1:]])
             if not np.all(np.isfinite(vec)):
                 raise ValueError("embedding values must be finite")
@@ -412,11 +412,12 @@ def write_feature_csv(matrix: FeatureMatrix) -> str:
 
 
 def read_feature_csv(text: str, path: str = "features.csv") -> FeatureMatrix:
-    """The matrix of a `write_feature_csv` file, one row per segment_id;
-    `path` names it in errors, with the line of a bad row."""
-    # rows end at LF only: a segment id may hold other line breaks
-    lines = [(no, ln.rstrip("\r")) for no, ln in
-             enumerate(text.split("\n"), start=1) if ln.strip()]
+    """The matrix of a `write_feature_csv` file's text, as `read_text`
+    gives it, one row per segment_id; `path` names it in errors, with the
+    line of a bad row."""
+    # split at LF only: a segment id may hold other line breaks
+    lines = [(no, ln) for no, ln in enumerate(text.split("\n"), start=1)
+             if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty feature CSV")
     header = lines[0][1].split(",")

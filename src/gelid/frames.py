@@ -8,7 +8,6 @@ as CSV.
 
 from __future__ import annotations
 
-import io
 import logging
 import re
 import warnings
@@ -233,47 +232,51 @@ def read_descriptor_csv(path: str | Path, video_id: str = "",
                         duration_ms: int | None = None) -> VideoTrack:
     """Parse and validate a descriptor CSV read as one block of bytes.
 
-    Rows that share the first row's fixed-point layout are decoded as
-    byte blocks (`_decode_fixed_rows`); any other file goes to np.loadtxt.
-    Both give the same values, bit for bit. Rows are strict: a bad row,
-    or a byte that is not UTF-8, raises a ParseError naming the file and
-    its line; nothing is clamped or skipped except blank lines.
+    An ASCII file with LF line ends is left undecoded, and rows that
+    share the first row's fixed-point layout are decoded as byte blocks
+    (`_decode_fixed_rows`); any other file is decoded once by
+    `utf8_text` and goes to np.loadtxt. Both give the same values, bit
+    for bit. Rows are strict: a bad row, or a byte that is not UTF-8,
+    raises a ParseError naming the file and its line; nothing is clamped
+    or skipped except blank lines.
     """
     data = Path(path).read_bytes()
-    if not data.isascii():
-        utf8_text(data, f"{path}: ")  # a byte that is not UTF-8 comes first
-    timestamps, histograms, luminance = _parse_descriptor_csv(path, data)
+    text = (None if data.isascii() and b"\r" not in data
+            else utf8_text(data, f"{path}: "))
+    timestamps, histograms, luminance = _parse_descriptor_csv(path, data, text)
     if duration_ms is None:
         duration_ms = int(timestamps[-1]) if timestamps.size else 0
     track = VideoTrack(video_id, timestamps, histograms, luminance,
                        duration_ms)
     fault = track._first_fault()
     if fault is not None:
-        row, message = fault
-        raise ParseError(f"{path}: {message}", _line_of_row(
-            path, utf8_text(data, f"{path}: "), row))
+        row, message = fault  # the track's rows are the data lines
+        lines = _data_lines(utf8_text(data) if text is None else text)
+        raise ParseError(f"{path}: {message}", list(lines)[row][0])
     return track
 
 
-def _parse_descriptor_csv(path: str | Path, data: bytes):
-    # a lone CR ends a line too, as in a file opened in text mode
-    header = utf8_text(_LINE.match(data)[0], f"{path}: ").split(",")
+def _parse_descriptor_csv(path: str | Path, data: bytes, text: str | None):
+    """The columns of a descriptor CSV's `data`, decoded as `text`; for an
+    ASCII file with LF line ends `text` is None and only its header is."""
+    header = (text if text is not None else utf8_text(
+        data[:data.find(b"\n") + 1 or None])).split("\n", 1)[0].split(",")
     if header == [""]:
         raise ParseError(f"{path}: empty descriptor CSV", 1)
     width = len(header) - 2
     if (header[0] != "timestamp_ms" or header[-1] != "luminance"
             or width < _CHANNELS or width % _CHANNELS):
         raise ParseError(f"{path}: bad descriptor CSV header", 1)
-    columns = _decode_fixed_rows(data, width)
-    if columns is not None:
-        return columns
+    if text is None:
+        columns = _decode_fixed_rows(data, width)
+        if columns is not None:
+            return columns
+        text = utf8_text(data)
     row_dtype = np.dtype([("ts", np.int64), ("hist", np.float64, (width,)),
                           ("lum", np.float64)])
-    text = utf8_text(data, f"{path}: ")
-    lines = io.StringIO(text, newline=None)
-    lines.readline()
     try:
-        table = _load_rows(lines, row_dtype)
+        table = _load_rows([line for _, line in _data_lines(text)],
+                           row_dtype)
     except (ValueError, DeprecationWarning):
         raise _unparsable_row(path, text, row_dtype) from None
     return (table["ts"].copy(),
@@ -288,7 +291,6 @@ _STAMP_DIGITS = 18
 _STAMP_POWERS = 10 ** np.arange(_STAMP_DIGITS - 1, -1, -1, dtype=np.int64)
 _VALUE_FIELD = re.compile(rb",0*\.?0*")  # a value, its digits as '0'
 _ROW_BLOCK_BYTES = 1 << 16
-_LINE = re.compile(rb"[^\r\n]*")
 
 
 def _value_layout(tail: bytes, n_values: int):
@@ -394,18 +396,10 @@ def _load_rows(lines, row_dtype: np.dtype) -> np.ndarray:
 
 
 def _data_lines(text: str):
-    """(line number, text) of every non-blank line after the header."""
-    lines = io.StringIO(text, newline=None)
-    for line_no, line in enumerate(lines, start=1):
-        if line_no > 1 and line.strip("\r\n"):
+    """(line number, text) of every non-empty line after the header."""
+    for line_no, line in enumerate(text.split("\n")[1:], start=2):
+        if line:
             yield line_no, line
-
-
-def _line_of_row(path: str | Path, text: str, row: int) -> int:
-    for index, (line_no, _) in enumerate(_data_lines(text)):
-        if index == row:
-            return line_no
-    raise InternalError(f"{path}: no data row {row}")
 
 
 def _unparsable_row(path: str | Path, text: str,
@@ -416,7 +410,7 @@ def _unparsable_row(path: str | Path, text: str,
         try:
             _load_rows([line], row_dtype)
         except (ValueError, DeprecationWarning) as exc:
-            cells = line.rstrip("\r\n").split(",")
+            cells = line.split(",")
             if len(cells) != n_fields:
                 reason = f"row has {len(cells)} fields, expected {n_fields}"
             elif not _parses(int, cells[0]):

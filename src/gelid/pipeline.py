@@ -24,7 +24,7 @@ import numpy as np
 from . import clustering, features, models
 from .config import RunConfig
 from .errors import (ConfigError, DataError, ParseError, StageError,
-                     check_shape, count, file_name, utf8_text)
+                     check_shape, count, file_name, read_text)
 from .frames import VideoTrack, load_track
 from .segmentation import (SEGMENT_SHAPE, Segment, segment_from_dict,
                            segment_video)
@@ -84,17 +84,6 @@ class Manifest:
             raise DataError(f"duplicate video_id(s) in manifest: {dupes}")
 
 
-def read_text(path: str | Path) -> str:
-    """A UTF-8 file's text, CR and CRLF read as LF; an unreadable file is
-    a DataError, and a byte that is not UTF-8 names the file and line."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    text = utf8_text(data, f"{path}: ")
-    return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
 def read_json(path: str | Path, shape):
     """A JSON file's value, of `shape`; an unreadable or invalid file, or a
     value of another shape, is a DataError naming the file."""
@@ -122,10 +111,10 @@ def load_manifest(path: str | Path) -> Manifest:
 
 
 def parse_subtitle_file(path: Path, video_id: str) -> Transcript:
-    data = path.read_bytes()
+    text = read_text(path)
     parse = parse_vtt if path.suffix.lower() == ".vtt" else parse_srt
     try:
-        return parse(data, video_id=video_id)
+        return parse(text, video_id=video_id)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc.detail}", exc.line) from None
 
@@ -167,7 +156,7 @@ def _read_rows(path: str | Path, shape) -> list[tuple[int, dict]]:
     """JSONL rows of `shape` with their line numbers; any other row is a
     DataError naming the file and line."""
     rows = []
-    # rows end at LF only: a JSON string may hold U+2028 and other breaks
+    # split at LF only: a JSON string may hold U+2028 and other breaks
     for line_no, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
@@ -614,14 +603,17 @@ def hierarchy_to_html(hierarchy: dict) -> str:
 
 
 def export_report(hierarchy: dict, fmt: str, path: str | Path) -> None:
-    """Write the hierarchy as canonical JSON or a static HTML page."""
+    """Write the hierarchy as canonical JSON or a static HTML page, making
+    its directory as every `--out` does."""
     if fmt == "json":
         text = hierarchy_to_json(hierarchy)
     elif fmt == "html":
         text = hierarchy_to_html(hierarchy)
     else:
         raise ConfigError(f"unknown report format {fmt!r}")
+    path = Path(path)
     try:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise DataError(f"cannot write report {path}: {exc}") from None

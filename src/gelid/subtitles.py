@@ -1,6 +1,7 @@
 """SRT / WebVTT parsing into a normalized transcript, plus sentence spans.
 
-Both parsers share one normalization contract: HTML-like tags stripped,
+Both parsers take text as `errors.utf8_text` gives it, with LF line ends,
+and share one normalization contract: HTML-like tags stripped,
 whitespace collapsed, empty cues dropped, cues sorted by start time and
 renumbered 1..n. Sentence spans group consecutive cues until terminal
 punctuation or a silence gap, and are the snap targets for cut points.
@@ -8,13 +9,12 @@ punctuation or a silence gap, and are the snap targets for cut points.
 
 from __future__ import annotations
 
-import codecs
 import logging
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .errors import ParseError, utf8_text
+from .errors import ParseError
 
 log = logging.getLogger(__name__)
 
@@ -57,12 +57,6 @@ class SentenceSpan:
 
 def _clean_text(raw: str) -> str:
     return _WS_RE.sub(" ", _TAG_RE.sub("", raw)).strip()
-
-
-def _decode(data: bytes | str) -> str:
-    text = (utf8_text(data.removeprefix(codecs.BOM_UTF8))
-            if isinstance(data, bytes) else data.lstrip("﻿"))
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _timestamp(token: str, pattern: re.Pattern, fmt: str,
@@ -110,10 +104,10 @@ def _finalize(raw_cues: list[tuple[int, int, int, str]],
     return Transcript(video_id=video_id, cues=cues)
 
 
-def parse_srt(data: bytes | str, video_id: str = "") -> Transcript:
+def parse_srt(text: str, video_id: str = "") -> Transcript:
     """Parse SubRip subtitles. An empty file yields an empty transcript."""
     raw_cues: list[tuple[int, int, int, str]] = []
-    for line_no, lines in _blocks(_decode(data)):
+    for line_no, lines in _blocks(text):
         # optional numeric index line
         if lines[0].strip().isdigit() and len(lines) > 1 and "-->" in lines[1]:
             line_no, lines = line_no + 1, lines[1:]
@@ -126,9 +120,8 @@ def parse_srt(data: bytes | str, video_id: str = "") -> Transcript:
     return _finalize(raw_cues, video_id)
 
 
-def parse_vtt(data: bytes | str, video_id: str = "") -> Transcript:
+def parse_vtt(text: str, video_id: str = "") -> Transcript:
     """Parse WebVTT subtitles. NOTE/STYLE/REGION blocks are skipped."""
-    text = _decode(data)
     if not text.startswith("WEBVTT"):
         raise ParseError("missing WEBVTT header", 1)
     raw_cues: list[tuple[int, int, int, str]] = []

@@ -1,7 +1,10 @@
+import codecs
 import dataclasses
 import io
 import json
 import os
+import pickle
+import re
 import shutil
 import subprocess
 import sys
@@ -14,10 +17,10 @@ from hypothesis import strategies as st
 
 from conftest import THREE_VIDEO_WORLD, write_world
 import gelid
-from gelid import features, pipeline
+from gelid import cli, features, pipeline
 from gelid.cli import main
-from gelid.config import STAGE_SECTIONS
-from gelid.errors import DataError
+from gelid.config import STAGE_SECTIONS, load_config
+from gelid.errors import DataError, GelidError, read_text
 from gelid.frames import read_descriptor_csv, write_descriptor_csv
 from gelid.subtitles import parse_srt
 
@@ -245,9 +248,9 @@ def test_stagewise_chain_matches_run(tmp_path):
     paths = _world(tmp_path)
     stage = tmp_path / "stage"
     _stage_chain(paths, stage)
-    normalized = (stage / "ingest" / "vid_a.srt").read_bytes()
+    normalized = read_text(stage / "ingest" / "vid_a.srt")
     assert parse_srt(normalized, "vid_a") == parse_srt(
-        (paths["root"] / "vid_a.srt").read_bytes(), "vid_a")
+        read_text(paths["root"] / "vid_a.srt"), "vid_a")
     assert (stage / "ingest" / "vid_a.descriptors.csv").exists()
     assert (stage / "features.csv").read_text().startswith("segment_id,")
     predicted = [json.loads(line) for line in
@@ -1508,3 +1511,96 @@ def test_feature_too_large_to_standardize_exits_2(staged, tmp_path, capsys):
     _fails_naming(capsys, argv, "stage 'train': feature 'video:duration_s' "
                   "is too large to standardize")
     assert not (tmp_path / "model.json").exists()
+
+
+def _indented(path):
+    return json.dumps(json.loads(path.read_text()), indent=2) + "\n"
+
+
+# each text input: its file name, its text from the world or the staged
+# chain, and its reader
+_READERS = {
+    "manifest": ("manifest.json", lambda paths, stage: _indented(
+        paths["manifest"]), pipeline.load_manifest),
+    "labels": ("labels.jsonl", lambda paths, stage: (
+        stage / "labels.jsonl").read_text(), pipeline.load_segment_labels),
+    "probes": ("probes.jsonl", lambda paths, stage: paths[
+        "labels"].read_text(), pipeline.load_label_probes),
+    "srt": ("v.srt", lambda paths, stage: (
+        stage / "ingest" / "vid_a.srt").read_text(),
+        lambda path: pipeline.parse_subtitle_file(path, "v")),
+    "vtt": ("v.vtt", lambda paths, stage: "WEBVTT\n\n00:00.000 --> "
+            "00:01.000\nhi there\n\n00:01.000 --> 00:02.500\nbye\n",
+            lambda path: pipeline.parse_subtitle_file(path, "v")),
+    "descriptors": ("v.csv", lambda paths, stage: (
+        stage / "ingest" / "vid_a.descriptors.csv").read_text(),
+        lambda path: pipeline.load_track(path, "v")),
+    "features": ("features.csv", lambda paths, stage: (
+        stage / "features.csv").read_text(),
+        lambda path: features.read_feature_csv(read_text(path), str(path))),
+    "vocabulary": ("vocabulary.json", lambda paths, stage: (
+        stage / "vocabulary.json").read_text(),
+        lambda path: features.FeatureSpace.from_dict(
+            pipeline.read_json(path, features.SPACE_SHAPE))),
+    "model": ("model.json", lambda paths, stage: _indented(
+        stage / "model.json"), pipeline.load_bundle),
+    "partition": ("a.json", lambda paths, stage: json.dumps(
+        {"groups": [["a", "b"], ["c"]]}, indent=2),
+        lambda path: cli._partition_from_file(str(path))),
+    "embedding": ("emb.txt", lambda paths, stage: "game 1.0 0.0\n"
+                  "lag 0.0 2.0\nbug 0.5 0.5\n", features.load_embedding_table),
+    "config": ("run.conf", lambda paths, stage: paths["config"].read_text(),
+               lambda path: load_config(str(path))),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_every_reader_skips_a_bom_and_names_a_bad_byte_by_its_line(
+        staged, tmp_path, reader):
+    """One rule for every text input: a leading byte-order mark changes
+    nothing, and a byte that is not UTF-8 on line 3 of a file with lone CR
+    line ends is named by line 3, as a bad row would be."""
+    name, source, read = _READERS[reader]
+    data = source(*staged).encode()
+    path = tmp_path / name
+    path.write_bytes(data)
+    plain = pickle.dumps(read(path))
+    path.write_bytes(codecs.BOM_UTF8 + data)
+    assert pickle.dumps(read(path)) == plain
+    lines = data.split(b"\n")
+    lines[2] = b"\xff" + lines[2]
+    path.write_bytes(b"\r".join(lines))
+    with pytest.raises(GelidError, match=re.escape(
+            f"line 3: {path}: not UTF-8 text")):
+        read(path)
+
+
+def test_a_config_value_keeps_a_unicode_line_break(tmp_path):
+    path = tmp_path / "run.conf"
+    path.write_text("seed = 1\nfeatures.stopwords = a\u2028b\n",
+                    encoding="utf-8")
+    assert load_config(str(path)).stopwords == "a\u2028b"
+
+
+def test_an_embedding_table_with_a_bom_keys_its_first_token_without_it(
+        tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_bytes(codecs.BOM_UTF8 + b"the 1.0 0.0\nlag 0.0 2.0\n")
+    assert sorted(features.load_embedding_table(path).vectors) == [
+        "lag", "the"]
+
+
+def test_report_makes_the_directory_of_its_out_file(staged, tmp_path):
+    _, stage = staged
+    out = tmp_path / "new" / "sub" / "r.html"
+    assert main(["report", "--hierarchy", str(stage / "hierarchy.json"),
+                 "--out", str(out)]) == 0
+    assert "<section class=\"context\"" in out.read_text()
+
+
+def test_a_simulation_too_large_to_allocate_exits_2(capsys):
+    # NumPy refuses the request for 7.11 PiB before it touches any memory
+    assert main(["eval", "--stat", "likert-std", "--sims", "1000000000000",
+                 "--group-size", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

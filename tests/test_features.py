@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gelid.errors import DataError, ParseError
+from gelid.errors import DataError, ParseError, utf8_text
 from gelid.features import (FEATURE_GROUPS, SPACE_SHAPE, SPEECH_NAMES,
                             VIDEO_NAMES, EmbeddingTable, FeatureMatrix,
                             FeatureSpace, Vocabulary, assemble_features,
@@ -423,8 +423,8 @@ def test_feature_csv_rows_end_at_lf_only():
                            names=("a", "b"),
                            values=np.array([[1.5, -2.0], [0.0, 3.25]]))
     text = write_feature_csv(matrix)
-    for again in (read_feature_csv(text),
-                  read_feature_csv(text.replace("\n", "\r\n"))):
+    for again in (read_feature_csv(text), read_feature_csv(
+            utf8_text(text.replace("\n", "\r\n").encode()))):
         assert (again.segment_ids, again.names) == (matrix.segment_ids,
                                                     matrix.names)
         assert again.values.tobytes() == matrix.values.tobytes()

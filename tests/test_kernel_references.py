@@ -50,7 +50,7 @@ from hypothesis import strategies as st
 from gelid import clustering, frames
 from gelid.clustering import (NOISE, DistanceMatrix, build_context_matrix,
                               build_issue_matrix, optics)
-from gelid.errors import DataError, ParseError
+from gelid.errors import DataError, ParseError, utf8_text
 from gelid.features import (BLANK_LUMINANCE, segment_text, speech_features,
                             video_features)
 from gelid.frames import (VideoTrack, parse_ppm_frame, read_descriptor_csv,
@@ -501,7 +501,7 @@ def _ref_vtt_timestamp(token, line_no):
 
 
 def ref_parse_srt(data, video_id=""):
-    text = subtitles._decode(data)
+    text = data.replace("\r\n", "\n")
     raw_cues = []
     lines = text.split("\n")
     i = 0
@@ -532,7 +532,7 @@ def ref_parse_srt(data, video_id=""):
 
 
 def ref_parse_vtt(data, video_id=""):
-    text = subtitles._decode(data)
+    text = data.replace("\r\n", "\n")
     lines = text.split("\n")
     if not lines or not lines[0].startswith("WEBVTT"):
         raise ParseError("missing WEBVTT header", 1)
@@ -1495,14 +1495,15 @@ def test_parsers_match_loop_reference(fmt, parse, reference, seed):
     """An equal transcript, or a ParseError with the same message and
     line."""
     text = _random_document(seed, fmt)
+    normalized = utf8_text(text.encode())
     try:
         want = reference(text, "v")
     except ParseError as exc:
         with pytest.raises(ParseError) as got:
-            parse(text, "v")
+            parse(normalized, "v")
         assert (str(got.value), got.value.line) == (str(exc), exc.line)
     else:
-        assert parse(text, "v") == want
+        assert parse(normalized, "v") == want
 
 
 _PPM_WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -1696,8 +1697,10 @@ def _read_columns(path):
 
 
 def _parse_columns(path):
+    """The columns as `read_descriptor_csv` parses them, bytes or text."""
     data = path.read_bytes()
-    return frames._parse_descriptor_csv(path, data)
+    text = None if data.isascii() and b"\r" not in data else utf8_text(data)
+    return frames._parse_descriptor_csv(path, data, text)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1),

@@ -1,11 +1,17 @@
-"""`src/gelid` holds only what a `gelid` command runs.
+"""Two rules on how `src/gelid` is laid out.
 
-Starting from every definition in `gelid.cli`, the walk follows the names
-each reached definition loads, and `module.name` attributes on the gelid
-modules it imports, to the top-level functions, classes and constants
-they name. A class is reached with all of its methods. Whatever the walk
-does not reach is run by tests alone and belongs with them; names that
+`src/gelid` holds only what a `gelid` command runs. Starting from every
+definition in `gelid.cli`, the walk follows the names each reached
+definition loads, and `module.name` attributes on the gelid modules it
+imports, to the top-level functions, classes and constants they name. A
+class is reached with all of its methods. Whatever the walk does not
+reach is run by tests alone and belongs with them; names that
 `gelid/__init__.py` exports are exempt.
+
+Only `errors.py` turns bytes into text lines: every other module reads a
+text file through `errors.read_text` or decodes through `errors.utf8_text`,
+so one rule decides the encoding, the byte-order mark, the line ends and
+the line numbers of every input.
 """
 
 import ast
@@ -80,3 +86,32 @@ def unreached() -> list[str]:
 def test_every_src_definition_is_reached_from_the_cli():
     missing = unreached()
     assert not missing, f"no gelid command reaches {', '.join(missing)}"
+
+
+# methods that decode bytes, or split or read lines, by a rule of their
+# own (`errors.read_text` aside), and the names that open a file as text
+_METHODS = {"decode", "splitlines", "read_text", "StringIO", "open"}
+_NAMES = {"open", "StringIO"}
+
+
+def decoding_calls() -> list[str]:
+    """`module:line: name(` of each such call outside `errors.py`."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "errors":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            if (isinstance(func, ast.Attribute) and func.attr in _METHODS
+                    and getattr(func.value, "id", None) != "errors"):
+                found.append((path.stem, node.lineno, func.attr))
+            elif isinstance(func, ast.Name) and func.id in _NAMES:
+                found.append((path.stem, node.lineno, func.id))
+    return [f"{module}:{line}: {name}(" for module, line, name in
+            sorted(found)]
+
+
+def test_only_errors_decodes_bytes_or_splits_lines():
+    calls = decoding_calls()
+    assert not calls, ("read text through errors.read_text or "
+                       f"errors.utf8_text, not {', '.join(calls)}")

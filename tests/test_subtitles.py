@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gelid.errors import ParseError
+from gelid.errors import ParseError, utf8_text
 from gelid.subtitles import (Cue, Transcript, parse_srt, parse_vtt,
                              sentence_spans, write_srt)
 
@@ -43,7 +43,7 @@ def test_parse_srt_strips_tags_and_collapses_whitespace():
 
 def test_parse_srt_empty_file_gives_empty_transcript():
     assert parse_srt("") == Transcript(video_id="")
-    assert parse_srt(b"\n\n").cues == []
+    assert parse_srt("\n\n").cues == []
 
 
 def test_parse_srt_malformed_timestamp_carries_line_number():
@@ -80,14 +80,14 @@ def test_minutes_and_seconds_run_to_59():
 
 def test_parse_srt_bom_and_crlf():
     data = b"\xef\xbb\xbf1\r\n00:00:01,000 --> 00:00:02,000\r\nhi\r\n"
-    t = parse_srt(data)
+    t = parse_srt(utf8_text(data))
     assert t.cues[0].text == "hi"
 
 
 def test_parse_srt_line_ending_independence():
     lf = "1\n00:00:01,000 --> 00:00:02,000\nline one\nline two\n"
-    crlf = lf.replace("\n", "\r\n")
-    assert parse_srt(lf) == parse_srt(crlf)
+    crlf = lf.replace("\n", "\r\n").encode()
+    assert parse_srt(lf) == parse_srt(utf8_text(crlf))
 
 
 def test_parse_vtt_minimal_cue():

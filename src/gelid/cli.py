@@ -32,9 +32,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
+def _write(path: Path, data: str | bytes) -> None:
+    """Write `data`, text as UTF-8 with LF line ends, making the directory;
+    a failed write is a DataError that names the path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
 
 
 def _ingest(args, config):
@@ -295,102 +300,93 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **options) -> tuple:
+    """One argument: its flags and its add_argument keywords."""
+    return flags, options
+
+
+# the arguments of every command that reads a manifest
+_MANIFEST_STAGE = (
+    _arg("--manifest", required=True, help="dataset manifest JSON"),
+    _arg("--config", default=None, help="flat key=value run config"),
+    _arg("--seed", type=int, default=None,
+         help="seed override (mandatory somewhere)"),
+    _arg("--out", required=True, help="output directory"),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the arguments of `command`
+    only, or of every subcommand when it is None. A call runs one command,
+    and the others' arguments would cost about as much again to add."""
     parser = _Parser(prog="gelid",
                      description="Mine gameplay-video derivatives for "
                                  "issue reports.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--manifest", required=True,
-                       help="dataset manifest JSON")
-        p.add_argument("--config", default=None,
-                       help="flat key=value run config")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed override (mandatory somewhere)")
-        p.add_argument("--out", required=True, help="output directory")
+    def add(name, func, help, *arguments):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if command in (None, name):
+            for flags, options in arguments:
+                p.add_argument(*flags, **options)
 
-    p = sub.add_parser("ingest", help="normalize subtitles and descriptors")
-    common(p)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("segment", help="detect cut points and segments")
-    common(p)
-    p.set_defaults(func=cmd_segment)
-
-    p = sub.add_parser("features", help="fit vocabulary and emit features")
-    common(p)
-    p.add_argument("--segments", required=True, help="segments.jsonl")
-    p.set_defaults(func=cmd_features)
-
-    p = sub.add_parser("train", help="train a classifier bundle")
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--features", required=True, help="features.csv")
-    p.add_argument("--vocabulary", required=True,
-                   help="vocabulary.json: the feature space")
-    p.add_argument("--labels", required=True,
-                   help="JSONL of {segment_id, label}")
-    p.add_argument("--out", required=True, help="model JSON path")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("classify", help="label segments with a trained model")
-    common(p)
-    p.add_argument("--segments", required=True)
-    p.add_argument("--model", required=True)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("group", help="cluster informative segments by context")
-    common(p)
-    p.add_argument("--segments", required=True)
-    p.add_argument("--labels", required=True)
-    p.set_defaults(func=cmd_group)
-
-    p = sub.add_parser("cluster", help="full hierarchy: contexts, categories, "
-                                       "issue clusters")
-    common(p)
-    p.add_argument("--segments", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--model", required=True)
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("run", help="all stages end to end")
-    common(p)
-    p.add_argument("--model", default=None, help="pretrained bundle JSON")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("report", help="render a hierarchy JSON")
-    p.add_argument("--hierarchy", required=True)
-    p.add_argument("--format", choices=("json", "html"), default="html")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("eval", help="statistics harness")
-    p.add_argument("--stat", required=True, choices=tuple(_EVAL_STATS))
-    p.add_argument("--partition-a", help="partition JSON (groups or mapping)")
-    p.add_argument("--partition-b", help="partition JSON (groups or mapping)")
-    p.add_argument("--x", help="JSON array of values")
-    p.add_argument("--y", help="JSON array of values")
-    p.add_argument("--p", help="JSON array of p-values")
-    p.add_argument("--n", type=int, help="sample size (margin)")
-    p.add_argument("--confidence", type=float, default=0.95)
-    p.add_argument("--group-size", type=int, default=200)
-    p.add_argument("--shift", type=float, default=0.5)
-    p.add_argument("--sd", type=float, default=1.41)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--sims", type=int, default=1000)
-    p.add_argument("--sim-seed", type=int, default=0)
-    p.add_argument("--extras", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_eval)
-
+    add("ingest", cmd_ingest, "normalize subtitles and descriptors",
+        *_MANIFEST_STAGE)
+    add("segment", cmd_segment, "detect cut points and segments",
+        *_MANIFEST_STAGE)
+    add("features", cmd_features, "fit vocabulary and emit features",
+        *_MANIFEST_STAGE,
+        _arg("--segments", required=True, help="segments.jsonl"))
+    add("train", cmd_train, "train a classifier bundle",
+        _arg("--config", default=None),
+        _arg("--seed", type=int, default=None),
+        _arg("--features", required=True, help="features.csv"),
+        _arg("--vocabulary", required=True,
+             help="vocabulary.json: the feature space"),
+        _arg("--labels", required=True, help="JSONL of {segment_id, label}"),
+        _arg("--out", required=True, help="model JSON path"))
+    add("classify", cmd_classify, "label segments with a trained model",
+        *_MANIFEST_STAGE, _arg("--segments", required=True),
+        _arg("--model", required=True))
+    add("group", cmd_group, "cluster informative segments by context",
+        *_MANIFEST_STAGE, _arg("--segments", required=True),
+        _arg("--labels", required=True))
+    add("cluster", cmd_cluster, "full hierarchy: contexts, categories, "
+                                "issue clusters",
+        *_MANIFEST_STAGE, _arg("--segments", required=True),
+        _arg("--labels", required=True), _arg("--model", required=True))
+    add("run", cmd_run, "all stages end to end", *_MANIFEST_STAGE,
+        _arg("--model", default=None, help="pretrained bundle JSON"))
+    add("report", cmd_report, "render a hierarchy JSON",
+        _arg("--hierarchy", required=True),
+        _arg("--format", choices=("json", "html"), default="html"),
+        _arg("--out", required=True))
+    add("eval", cmd_eval, "statistics harness",
+        _arg("--stat", required=True, choices=tuple(_EVAL_STATS)),
+        _arg("--partition-a", help="partition JSON (groups or mapping)"),
+        _arg("--partition-b", help="partition JSON (groups or mapping)"),
+        _arg("--x", help="JSON array of values"),
+        _arg("--y", help="JSON array of values"),
+        _arg("--p", help="JSON array of p-values"),
+        _arg("--n", type=int, help="sample size (margin)"),
+        _arg("--confidence", type=float, default=0.95),
+        _arg("--group-size", type=int, default=200),
+        _arg("--shift", type=float, default=0.5),
+        _arg("--sd", type=float, default=1.41),
+        _arg("--alpha", type=float, default=0.05),
+        _arg("--sims", type=int, default=1000),
+        _arg("--sim-seed", type=int, default=0),
+        _arg("--extras", type=int, default=0),
+        _arg("--out", default=None))
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 from .clustering import CLUSTERERS, blend_weight, check_params
-from .errors import (ConfigError, DataError, check_shape, positive_int,
-                     read_text)
+from .errors import (ConfigError, DataError, ParseError, check_shape,
+                     positive_int, utf8_text)
 from .features import FEATURE_GROUPS, NGRAM_MAX
 from .frames import DEFAULT_BINS, histogram_bins
 from .models import (DEFAULT_HYPER, HYPER_SHAPES, KIND_FFN, KIND_FOREST,
@@ -215,10 +216,9 @@ def load_config(path: str | None, seed_override: int | None = None,
     """The config file (defaults without one), then the CLI seed override,
     then validation for `stage`."""
     try:
-        text = "" if path is None else read_text(path)
-    except DataError as exc:  # its OSError, or the line of a bad byte
-        raise ConfigError(f"cannot read config {path}: "
-                          f"{exc.__cause__ or exc}") from None
+        text = "" if path is None else utf8_text(Path(path).read_bytes())
+    except (OSError, ParseError) as exc:  # a ParseError names the line
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     cfg = parse_config(text)
     if seed_override is not None:
         cfg.seed = seed_override

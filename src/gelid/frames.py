@@ -8,6 +8,7 @@ as CSV.
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 import warnings
@@ -217,15 +218,84 @@ def descriptor_csv_header(bins_per_channel: int = DEFAULT_BINS) -> list[str]:
             + ["luminance"])
 
 
-def write_descriptor_csv(track: VideoTrack) -> str:
-    """`timestamp_ms,h0..h47,luminance` rows, 9 decimal digits."""
+def write_descriptor_csv(track: VideoTrack) -> bytes:
+    """`timestamp_ms,h0..h47,luminance` rows, 9 decimal digits: the ASCII
+    bytes `%d` and `%.9f` write, the inverse of `_decode_fixed_rows`.
+
+    A track whose timestamps are >= 0 and whose values lie in [+0, 1], as
+    every valid track's do, is written as byte blocks (`_fixed_rows`); any
+    other is formatted row by row.
+    """
     width = track.histograms.shape[1]
-    row_format = ",".join(["%d"] + ["%.9f"] * (width + 1))
-    rows = [row_format % (ts, *hist, lum) for ts, hist, lum in zip(
-        track.timestamps_ms.tolist(), track.histograms.tolist(),
-        track.luminance.tolist())]
-    header = ",".join(descriptor_csv_header(width // _CHANNELS))
-    return "\n".join([header] + rows) + "\n"
+    header = ",".join(descriptor_csv_header(width // _CHANNELS)) + "\n"
+    stamps = track.timestamps_ms
+    values = np.column_stack([track.histograms, track.luminance]).astype(
+        np.float64, copy=False)
+    # '%.9f' writes -0.0 as '-0.000000000', a sign the blocks have no room for
+    if (stamps < 0).any() or np.signbit(values).any() or not (
+            values <= 1).all():
+        row_format = ",".join(["%d"] + ["%.9f"] * (width + 1)) + "\n"
+        return (header + "".join(row_format % (ts, *row) for ts, row in zip(
+            stamps.tolist(), values.tolist()))).encode()
+    return b"".join([header.encode(), *_fixed_rows(stamps, values)])
+
+
+def _fixed_rows(stamps: np.ndarray, values: np.ndarray) -> list[bytes]:
+    """The rows `%d` and `%.9f` write for timestamps >= 0 and values in
+    [0, 1], as uint8 blocks, one per run of timestamps of one width.
+
+    A value's 12 bytes `,d.ddddddddd` are three 4-byte ASCII words looked
+    up by its units of 1e-9, np.rint(v * 1e9): `,d.d` by the units over
+    10**8, then two words of four decimals. v * 1e9 < 2**30 rounds within
+    2**-24 of the exact product, so np.rint gives the correctly rounded
+    digits of `%.9f` unless the product lies within 1e-6 of a half; those
+    few values, exact dyadic ties such as 1/1024 among them, are formatted
+    with `%` instead.
+    """
+    scaled = values * 1e9
+    nearest = np.rint(scaled)
+    units = nearest.astype(np.uint32)
+    scaled -= nearest
+    near = np.abs(scaled, out=scaled) > 0.5 - 1e-6
+    for at in zip(*np.nonzero(near)):
+        units[at] = int(("%.9f" % values[at]).replace(".", ""))
+    heads, quads = _ascii_words()
+    n, fields = values.shape
+    words = np.empty((n, fields, 3), dtype=np.uint32)
+    high = units // 10000
+    top = high // 10000
+    words[..., 0] = heads[top]
+    words[..., 1] = quads[high - top * 10000]
+    words[..., 2] = quads[units - high * 10000]
+    cells = words.view(np.uint8).reshape(n, fields * 12)
+    # a timestamp's width in digits: how many powers of ten it reaches
+    widths = np.maximum(np.searchsorted(_STAMP_POWERS[::-1], stamps,
+                                        side="right"), 1)
+    starts = np.flatnonzero(np.diff(widths, prepend=0)).tolist()
+    blocks = []
+    for start, stop in zip(starts, starts[1:] + [n]):
+        width = int(widths[start])
+        block = np.empty((stop - start, width + cells.shape[1] + 1),
+                         dtype=np.uint8)
+        block[:, :width] = (stamps[start:stop, None]
+                            // _STAMP_POWERS[-width:] % 10 + ord("0"))
+        block[:, width:-1] = cells[start:stop]
+        block[:, -1] = ord("\n")
+        blocks.append(block.tobytes())
+    return blocks
+
+
+@functools.cache
+def _ascii_words() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only uint32 tables of ASCII words: `,d.d` for the tenths 0-10
+    (0.0-1.0), and the four digits of 0-9999; built on first use, not at
+    import."""
+    heads = np.frombuffer("".join(f",{k // 10}.{k % 10}"
+                                  for k in range(11)).encode(), np.uint32)
+    digits = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10
+    quads = (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    quads.flags.writeable = False
+    return heads, quads
 
 
 def read_descriptor_csv(path: str | Path, video_id: str = "",
@@ -285,10 +355,10 @@ def _parse_descriptor_csv(path: str | Path, data: bytes, text: str | None):
 
 
 # a value's digits are one integer below 10**15 < 2**53, a timestamp's
-# below 10**18 < 2**63
+# below 10**18 < 2**63; int64 holds every power of ten up to 10**18
 _VALUE_DIGITS = 15
 _STAMP_DIGITS = 18
-_STAMP_POWERS = 10 ** np.arange(_STAMP_DIGITS - 1, -1, -1, dtype=np.int64)
+_STAMP_POWERS = 10 ** np.arange(_STAMP_DIGITS, -1, -1, dtype=np.int64)
 _VALUE_FIELD = re.compile(rb",0*\.?0*")  # a value, its digits as '0'
 _ROW_BLOCK_BYTES = 1 << 16
 

@@ -67,8 +67,8 @@ def write_video(root: Path, video_id: str, scenes: list[dict]) -> dict:
         at += duration
     track = VideoTrack(video_id, np.array(stamps), np.array(hists),
                        np.array(lums), at)
-    (root / f"{video_id}.descriptors.csv").write_text(
-        write_descriptor_csv(track), encoding="utf-8", newline="\n")
+    (root / f"{video_id}.descriptors.csv").write_bytes(
+        write_descriptor_csv(track))
     (root / f"{video_id}.srt").write_text("\n".join(cue_lines),
                                           encoding="utf-8", newline="\n")
     return {"video_id": video_id,

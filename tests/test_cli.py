@@ -35,6 +35,61 @@ def test_usage_error_exits_1(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _subcommands(parser):
+    return parser._subparsers._group_actions[0].choices
+
+
+def test_each_command_parses_with_its_own_arguments_only():
+    """`build_parser(command)` adds the arguments of `command` alone, and
+    its help and the top level's are those of the parser of every
+    command."""
+    every = cli.build_parser()
+    for command, full in _subcommands(every).items():
+        parser = cli.build_parser(command)
+        assert parser.format_help() == every.format_help()
+        subcommands = _subcommands(parser)
+        assert subcommands[command].format_help() == full.format_help()
+        assert [name for name, sub in subcommands.items()
+                if len(sub._actions) > 1] == [command]  # -h aside
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["eval"], "the following arguments are required: --stat"),
+    (["-h"], None),
+    (["eval", "-h"], None),
+])
+def test_usage_and_help_match_the_parser_of_every_command(
+        monkeypatch, capsys, argv, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = []
+
+    def run(build):
+        monkeypatch.setattr(cli, "build_parser", build)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # -h
+            code = exc.code
+        calls.append((code, capsys.readouterr()))
+
+    run(cli.build_parser)
+    run(lambda command=None, build=cli.build_parser: build())
+    assert calls[0] == calls[1]
+    code, output = calls[0]
+    assert code == (0 if message is None else 1)
+    assert message is None or f"error: {message}" in output.err
+
+
+def test_an_out_path_that_cannot_be_written_is_named(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "e.json"
+    assert main(["eval", "--stat", "margin", "--n", "10",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write {out}: ")
+
+
 def test_unknown_config_key_exits_1(tmp_path, capsys):
     paths = _world(tmp_path)
     (tmp_path / "bad.conf").write_text("seed = 1\nno.such.key = 2\n")
@@ -1454,7 +1509,7 @@ def test_descriptor_csv_of_another_bin_count_exits_2_at_ingest(
     csv_path = paths["root"] / "vid_b.descriptors.csv"
     track = read_descriptor_csv(csv_path, "vid_b")
     n = len(track.timestamps_ms)  # fold 16 bins a channel into 8
-    csv_path.write_text(write_descriptor_csv(dataclasses.replace(
+    csv_path.write_bytes(write_descriptor_csv(dataclasses.replace(
         track, histograms=track.histograms.reshape(n, 3, 8, 2).sum(axis=3)
         .reshape(n, 24))))
     _fails_naming(capsys, _stage_argv(paths, stage, command, tmp_path / "out"), "stage 'ingest', video 'vid_b'",
@@ -1570,8 +1625,11 @@ def test_every_reader_skips_a_bom_and_names_a_bad_byte_by_its_line(
     lines = data.split(b"\n")
     lines[2] = b"\xff" + lines[2]
     path.write_bytes(b"\r".join(lines))
+    # the config's message leads with its path, which it names once
+    where = (f"cannot read config {path}: line 3: " if reader == "config"
+             else f"line 3: {path}: ")
     with pytest.raises(GelidError, match=re.escape(
-            f"line 3: {path}: not UTF-8 text")):
+            where + "not UTF-8 text")):
         read(path)
 
 

@@ -188,6 +188,15 @@ def test_unreadable_config_is_a_config_error(tmp_path):
         load_config(str(path))
 
 
+def test_a_config_byte_that_is_not_utf8_names_the_path_once(tmp_path):
+    path = tmp_path / "c.conf"
+    path.write_bytes(b"seed = 1\n# one\n# \xff\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert str(err.value) == (f"cannot read config {path}: line 3: not "
+                              f"UTF-8 text (invalid start byte)")
+
+
 def test_boolean_parsing():
     assert parse_config("train.smote = false\n").smote is False
     assert parse_config("train.smote = TRUE\n").smote is True

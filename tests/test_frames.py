@@ -184,7 +184,7 @@ def _black(n):
 def test_descriptor_csv_row_parses(tmp_path):
     track = _track([1000], _black(1), [0.5], 1000)
     path = tmp_path / "d.csv"
-    path.write_text(write_descriptor_csv(track))
+    path.write_bytes(write_descriptor_csv(track))
     again = read_descriptor_csv(path, "vid")
     assert again.frames[0].timestamp_ms == 1000
     assert again.frames[0].luminance_mean == 0.5
@@ -195,7 +195,7 @@ def test_load_track_rejects_a_csv_of_another_bin_count(tmp_path, bins):
     hists = np.zeros((1, 3 * bins))
     hists[:, [0, bins, 2 * bins]] = 1.0
     path = tmp_path / "d.csv"
-    path.write_text(write_descriptor_csv(_track([0], hists, [0.5], 1000)))
+    path.write_bytes(write_descriptor_csv(_track([0], hists, [0.5], 1000)))
     assert load_track(path, "vid", bins_per_channel=bins).histograms.shape \
         == (1, 3 * bins)
     other = 24 // bins
@@ -213,7 +213,7 @@ def test_written_descriptor_csv_takes_the_block_decoder(tmp_path):
                    (raw / raw.sum(axis=2, keepdims=True)).reshape(6, 48),
                    rng.random(6), 9999)
     path = tmp_path / "d.csv"
-    path.write_text(write_descriptor_csv(track))
+    path.write_bytes(write_descriptor_csv(track))
     columns = frames._decode_fixed_rows(path.read_bytes(), 48)
     assert columns is not None
     again = read_descriptor_csv(path, "vid")
@@ -239,21 +239,21 @@ def test_descriptor_csv_round_trip_is_exact_to_9_digits(tmp_path):
         lums.append(float(rng.random()))
     track = _track([0, 100, 200, 300], hists, lums, 300)
     p1 = tmp_path / "a.csv"
-    p1.write_text(write_descriptor_csv(track))
+    p1.write_bytes(write_descriptor_csv(track))
     again = read_descriptor_csv(p1, "vid")
     for f0, f1 in zip(track.frames, again.frames):
         assert np.allclose(f0.histogram, f1.histogram, atol=5e-10, rtol=0)
         assert abs(f0.luminance_mean - f1.luminance_mean) <= 5e-10
     # second write is byte-identical (the format is a fixpoint)
     p2 = tmp_path / "b.csv"
-    p2.write_text(write_descriptor_csv(again))
+    p2.write_bytes(write_descriptor_csv(again))
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_descriptor_csv_is_text_with_header():
-    text = write_descriptor_csv(_track([0], _black(1), [0.0], 0))
-    assert text.startswith("timestamp_ms,h0,")
-    assert text.endswith("\n")
+    data = write_descriptor_csv(_track([0], _black(1), [0.0], 0))
+    assert data.startswith(b"timestamp_ms,h0,")
+    assert data.endswith(b"\n")
 
 
 def test_track_validation_rejects_late_frames():
@@ -264,7 +264,7 @@ def test_track_validation_rejects_late_frames():
 
 def _two_row_csv(tmp_path):
     path = tmp_path / "d.csv"
-    path.write_text(write_descriptor_csv(_track([0, 10], _black(2),
+    path.write_bytes(write_descriptor_csv(_track([0, 10], _black(2),
                                                 [0.0, 0.0], 10)))
     return path
 
@@ -328,7 +328,7 @@ def test_descriptor_csv_not_utf8_names_the_line_past_the_first_chunk(
         tmp_path):
     n = 200  # about 100 kB, many times the text decoder's chunk
     path = tmp_path / "d.csv"
-    path.write_text(write_descriptor_csv(_track(
+    path.write_bytes(write_descriptor_csv(_track(
         range(0, 10 * n, 10), _black(n), [0.0] * n, 10 * n)))
     lines = path.read_bytes().split(b"\n")
     lines[150] = lines[150].replace(b",0.000000000", b",\xff0.0", 1)

@@ -31,7 +31,8 @@ cue position, must equal the scan over every cue of a parsed transcript,
 for cue indices that repeat, run out of order, are 0 or lie past the last
 cue. A descriptor CSV must give the column bytes of one np.loadtxt in
 text mode, or the same ParseError message and line, on random files of
-every layout the block decoder takes or leaves to np.loadtxt.
+every layout the block decoder takes or leaves to np.loadtxt, and the
+descriptor CSV writer the bytes of `%d` and `%.9f` row by row.
 """
 
 import dataclasses
@@ -53,8 +54,8 @@ from gelid.clustering import (NOISE, DistanceMatrix, build_context_matrix,
 from gelid.errors import DataError, ParseError, utf8_text
 from gelid.features import (BLANK_LUMINANCE, segment_text, speech_features,
                             video_features)
-from gelid.frames import (VideoTrack, parse_ppm_frame, read_descriptor_csv,
-                          write_descriptor_csv)
+from gelid.frames import (VideoTrack, descriptor_csv_header, parse_ppm_frame,
+                          read_descriptor_csv, write_descriptor_csv)
 from gelid import models
 from gelid.models import (DEFAULT_HYPER, KIND_FFN, KIND_FOREST, KIND_LOGISTIC,
                           LABEL_ORDER, N_LABELS, TrainedModel, _gini,
@@ -727,6 +728,17 @@ def ref_read_descriptor_csv(path):
     return timestamps, histograms, luminance
 
 
+def ref_write_descriptor_csv(track):
+    """The descriptor CSV text, every row formatted with `%`."""
+    width = track.histograms.shape[1]
+    row_format = ",".join(["%d"] + ["%.9f"] * (width + 1))
+    rows = [row_format % (ts, *hist, lum) for ts, hist, lum in zip(
+        track.timestamps_ms.tolist(), track.histograms.tolist(),
+        track.luminance.tolist())]
+    header = ",".join(descriptor_csv_header(width // 3))
+    return "\n".join([header] + rows) + "\n"
+
+
 # --- random inputs -----------------------------------------------------------
 
 
@@ -854,7 +866,7 @@ def test_descriptor_csv_matches_per_cell_format_and_parse(tmp_path_factory,
                                                           spec):
     track = _random_track(*spec)
     path = tmp_path_factory.mktemp("csv") / "d.csv"
-    path.write_text(write_descriptor_csv(track))
+    path.write_bytes(write_descriptor_csv(track))
     assert path.read_text().splitlines()[1:] == [
         ",".join([str(f.timestamp_ms)] + [f"{v:.9f}" for v in f.histogram]
                  + [f"{f.luminance_mean:.9f}"])
@@ -1754,14 +1766,94 @@ def test_long_descriptor_csv_matches_loadtxt_reference(tmp_path, seconds,
     many row blocks over timestamps of 1 to 8 digits: the same column
     bytes as np.loadtxt, or the same error, late in the file."""
     track = _long_track(seconds, fps, seed=seconds + fps)
-    lines = write_descriptor_csv(track).split("\n")
+    lines = write_descriptor_csv(track).split(b"\n")
     if fault == "luminance":
-        lines[-100] = lines[-100].rsplit(",", 1)[0] + ",1.500000000"
+        lines[-100] = lines[-100].rsplit(b",", 1)[0] + b",1.500000000"
     elif fault == "last row":
-        lines[-2] = lines[-2].replace(",", ", ", 1)
+        lines[-2] = lines[-2].replace(b",", b", ", 1)
     path = tmp_path / "d.csv"
-    path.write_text("\n".join(lines))
+    path.write_bytes(b"\n".join(lines))
     assert (frames._decode_fixed_rows(path.read_bytes(), 48) is None) == (
         fault == "last row")
     assert (_csv_outcome(_read_columns, path)
             == _csv_outcome(ref_read_descriptor_csv, path))
+
+
+def _written_values(rng, shape, kinds):
+    """Values in [0, 1] of the kinds named, each cell of a kind drawn
+    alike: uniform floats; exact ties k/2**m with m >= 10, whose 1e9
+    multiple can end in exactly .5; 9-decimal strings as parsed; 10-decimal
+    strings ending in 5, within an ulp of a tie once scaled; and the edges
+    0, 1, 0.9999999995, 5e-10 and 1/1024."""
+    m = rng.integers(10, 41, size=shape)
+    nine = rng.integers(0, 10 ** 9 + 1, size=shape)
+    drawn = {
+        "uniform": rng.random(shape),
+        "dyadic": rng.integers(0, 2 ** m + 1) / 2.0 ** m,
+        "nine decimals": nine / 1e9,  # the double strtod gives the string
+        "near ties": (10 * np.minimum(nine, 10 ** 9 - 1) + 5) / 1e10,
+        "edges": rng.choice([0.0, 1.0, 0.9999999995, 5e-10, 1 / 1024],
+                            size=shape),
+    }
+    pick = rng.choice(kinds, size=shape)
+    return np.choose(np.searchsorted(sorted(drawn), pick),
+                     [drawn[kind] for kind in sorted(drawn)])
+
+
+# a value or a timestamp that sends the whole track to `%`
+_WRITER_FAULTS = (None, "-0.0", "negative", "nan", "inf", "-inf", "above 1",
+                  "negative stamp")
+
+
+@given(bins=st.integers(2, 64),
+       stamps=st.lists(st.one_of(
+           st.integers(0, 2 ** 63 - 1), st.integers(0, 10 ** 6),
+           st.sampled_from([0, 9, 10, 999, 1000, 10 ** 18 - 1, 10 ** 18,
+                            2 ** 63 - 1])), max_size=12),
+       ordered=st.booleans(),
+       kinds=st.lists(st.sampled_from(["uniform", "dyadic", "nine decimals",
+                                       "near ties", "edges"]),
+                      min_size=1, max_size=5, unique=True),
+       fault=st.sampled_from(_WRITER_FAULTS),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+@example(bins=16, stamps=[0, 5, 40, 700, 1500, 9999], ordered=True,
+         kinds=["dyadic", "near ties", "edges"], fault=None, seed=1)
+def test_descriptor_csv_writes_the_bytes_of_per_row_format(
+        bins, stamps, ordered, kinds, fault, seed):
+    """The bytes of `%d` and `%.9f` row by row: timestamps of 1-19 digits
+    in runs of one width, or in any order; values of every kind, exact
+    and near ties among them; and one value or timestamp, perhaps, that
+    only `%` writes."""
+    rng = np.random.default_rng(seed)
+    n = len(stamps)
+    values = _written_values(rng, (n, 3 * bins + 1), kinds)
+    stamps = np.array(sorted(stamps) if ordered else stamps, dtype=np.int64)
+    if n and fault == "negative stamp":
+        stamps[rng.integers(n)] = -int(rng.integers(1, 10 ** 6))
+    elif n and fault is not None:
+        values[rng.integers(n), rng.integers(3 * bins + 1)] = {
+            "-0.0": -0.0, "negative": -rng.random(), "nan": np.nan,
+            "inf": np.inf, "-inf": -np.inf,
+            "above 1": 1 + rng.random() * 10.0 ** rng.integers(-12, 7),
+        }[fault]
+    track = VideoTrack("vid", stamps, values[:, :-1].copy(),
+                       values[:, -1].copy())
+    assert (write_descriptor_csv(track)
+            == ref_write_descriptor_csv(track).encode())
+
+
+@pytest.mark.exhaustive
+@pytest.mark.parametrize("seconds, fps", [(8 * 3600, 1), (1800, 5)])
+@pytest.mark.parametrize("dyadic", [False, True])
+def test_long_descriptor_csv_writes_the_bytes_of_per_row_format(
+        seconds, fps, dyadic):
+    """An 8-hour 1 fps track (28,800 rows) and a 30-minute 5 fps track of
+    real-valued bins, whose few near-ties are formatted apart, or of bins
+    in 1/1024 steps, as from a 32 x 32 frame, among them many exact ties:
+    the bytes of `%`, row by row."""
+    track = _long_track(seconds, fps, seed=seconds + fps)
+    if dyadic:
+        track.histograms = np.floor(track.histograms * 1024) / 1024
+    assert (write_descriptor_csv(track)
+            == ref_write_descriptor_csv(track).encode())

@@ -1,7 +1,8 @@
 """gelid command line: stage-by-stage artifacts or the whole pipeline.
 
 Subcommands: ingest, segment, features, train, classify, group, cluster,
-run, eval, report. Exit codes: 0 success, 1 usage/config error, 2
+run, eval, report, each stated once in `_commands`; a call builds its
+own command's parser only. Exit codes: 0 success, 1 usage/config error, 2
 data/format error, 3 internal invariant violation. The stage subcommands
 run their step in a `pipeline.StageClock`, as `run` runs each stage, so a
 step's failure names its stage and exits as `run`'s would.
@@ -17,8 +18,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import features, pipeline, stats
-from .config import load_config
-from .errors import ConfigError, DataError, GelidError, fits, read_text
+from .config import SECTIONS, load_config
+from .errors import (ConfigError, DataError, GelidError, fits, read_text,
+                     write_file)
 from .frames import write_descriptor_csv
 from .segmentation import write_segments_jsonl
 from .subtitles import write_srt
@@ -32,58 +34,44 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _write(path: Path, data: str | bytes) -> None:
-    """Write `data`, text as UTF-8 with LF line ends, making the directory;
-    a failed write is a DataError that names the path."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data if isinstance(data, bytes) else data.encode())
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from None
-
-
 def _ingest(args, config):
     return pipeline.ingest(pipeline.load_manifest(args.manifest), config)
 
 
-def cmd_ingest(args) -> int:
-    config = load_config(args.config, args.seed, stage=args.command)
+def cmd_ingest(args, config) -> int:
     transcripts, tracks = _ingest(args, config)
     out = Path(args.out)
     for video_id, track in tracks.items():
-        _write(out / f"{video_id}.srt", write_srt(transcripts[video_id]))
-        _write(out / f"{video_id}.descriptors.csv",
-               write_descriptor_csv(track))
+        write_file(out / f"{video_id}.srt", write_srt(transcripts[video_id]))
+        write_file(out / f"{video_id}.descriptors.csv",
+                   write_descriptor_csv(track))
     print(f"ingested {len(tracks)} video(s) into {out}")
     return 0
 
 
-def cmd_segment(args) -> int:
-    config = load_config(args.config, args.seed, stage=args.command)
+def cmd_segment(args, config) -> int:
     segments = pipeline.segment(*_ingest(args, config), config)
     out = Path(args.out)
-    _write(out / "segments.jsonl", write_segments_jsonl(segments))
+    write_file(out / "segments.jsonl", write_segments_jsonl(segments))
     print(f"wrote {len(segments)} segment(s) to {out / 'segments.jsonl'}")
     return 0
 
 
-def cmd_features(args) -> int:
-    config = load_config(args.config, args.seed, stage=args.command)
+def cmd_features(args, config) -> int:
     transcripts, tracks = _ingest(args, config)
     segments = pipeline.load_segments(args.segments, tracks)
     space, matrix = pipeline.StageClock()(
         "features", lambda: pipeline.extract_features(
             segments, transcripts, tracks, config))
     out = Path(args.out)
-    _write(out / "features.csv", features.write_feature_csv(matrix))
-    _write(out / "vocabulary.json",
-           json.dumps(space.to_dict(), sort_keys=True, indent=2) + "\n")
+    write_file(out / "features.csv", features.write_feature_csv(matrix))
+    write_file(out / "vocabulary.json",
+               json.dumps(space.to_dict(), sort_keys=True, indent=2) + "\n")
     print(f"wrote features for {len(matrix.segment_ids)} segment(s) to {out}")
     return 0
 
 
-def cmd_train(args) -> int:
-    config = load_config(args.config, args.seed, stage=args.command)
+def cmd_train(args, config) -> int:
     matrix = features.read_feature_csv(read_text(args.features),
                                        args.features)
     # the space `gelid features` fixed; the config's features.* go unread
@@ -95,20 +83,19 @@ def cmd_train(args) -> int:
     labels = pipeline.load_segment_labels(args.labels)
     bundle = pipeline.StageClock()("train", lambda: pipeline.train_bundle(
         matrix, labels, space, config))
-    _write(Path(args.out), bundle.to_json() + "\n")
+    write_file(args.out, bundle.to_json() + "\n")
     print(f"trained {config.model_kind}; model at {args.out}")
     return 0
 
 
 def _write_labels(out: Path, predictions: dict[str, str]) -> None:
-    _write(out / "labels.jsonl", "".join(
+    write_file(out / "labels.jsonl", "".join(
         json.dumps({"segment_id": sid, "label": predictions[sid]},
                    sort_keys=True) + "\n"
         for sid in sorted(predictions)))
 
 
-def cmd_classify(args) -> int:
-    config = load_config(args.config, args.seed, stage=args.command)
+def cmd_classify(args, config) -> int:
     bundle = pipeline.load_bundle(args.model)
     transcripts, tracks = _ingest(args, config)
     segments = pipeline.load_segments(args.segments, tracks)
@@ -130,8 +117,7 @@ def _read_labels_of(path: str, segments) -> dict[str, str]:
     return labels
 
 
-def cmd_group(args) -> int:
-    config = load_config(args.config, args.seed, stage=args.command)
+def cmd_group(args, config) -> int:
     _, tracks = _ingest(args, config)
     segments = pipeline.load_segments(args.segments, tracks)
     labels = _read_labels_of(args.labels, segments)
@@ -139,16 +125,15 @@ def cmd_group(args) -> int:
         "group", lambda: pipeline.group_contexts(segments, labels, tracks,
                                                  config))
     out = Path(args.out)
-    _write(out / "contexts.json",
-           json.dumps(assignment.to_dict(), sort_keys=True, indent=2) + "\n")
+    write_file(out / "contexts.json", json.dumps(
+        assignment.to_dict(), sort_keys=True, indent=2) + "\n")
     print(f"grouped {len(assignment.ids)} segment(s) into "
           f"{len(assignment.clusters())} context(s) "
           f"+ {len(assignment.noise())} noise")
     return 0
 
 
-def cmd_cluster(args) -> int:
-    config = load_config(args.config, args.seed, stage=args.command)
+def cmd_cluster(args, config) -> int:
     bundle = pipeline.load_bundle(args.model)
     transcripts, tracks = _ingest(args, config)
     segments = pipeline.load_segments(args.segments, tracks)
@@ -157,25 +142,24 @@ def cmd_cluster(args) -> int:
         "cluster", lambda: pipeline.build_hierarchy(
             segments, labels, transcripts, tracks, config, bundle))
     out = Path(args.out)
-    _write(out / "hierarchy.json", pipeline.hierarchy_to_json(hierarchy))
+    write_file(out / "hierarchy.json", pipeline.hierarchy_to_json(hierarchy))
     print(f"wrote hierarchy with {hierarchy['counts']['n_contexts']} "
           f"context(s) to {out / 'hierarchy.json'}")
     return 0
 
 
-def cmd_run(args) -> int:
-    config = load_config(args.config, args.seed, stage=args.command)
+def cmd_run(args, config) -> int:
     manifest = pipeline.load_manifest(args.manifest)
     bundle = pipeline.load_bundle(args.model) if args.model else None
     result = pipeline.run_pipeline(manifest, config, bundle=bundle)
     out = Path(args.out)
-    _write(out / "segments.jsonl", write_segments_jsonl(result.segments))
+    write_file(out / "segments.jsonl", write_segments_jsonl(result.segments))
     _write_labels(out, result.predictions)
-    _write(out / "hierarchy.json",
-           pipeline.hierarchy_to_json(result.hierarchy))
-    _write(out / "model.json", result.bundle.to_json() + "\n")
-    _write(out / "run_report.json",
-           json.dumps(result.run_report, sort_keys=True, indent=2) + "\n")
+    write_file(out / "hierarchy.json",
+               pipeline.hierarchy_to_json(result.hierarchy))
+    write_file(out / "model.json", result.bundle.to_json() + "\n")
+    write_file(out / "run_report.json",
+               json.dumps(result.run_report, sort_keys=True, indent=2) + "\n")
     pipeline.export_report(result.hierarchy, "html", out / "report.html")
     counts = result.hierarchy["counts"]
     print(f"run complete: {counts['n_segments']} segments, "
@@ -294,7 +278,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(str(exc)) from None
     text = json.dumps(fields, sort_keys=True, indent=2) + "\n"
     if args.out:
-        _write(Path(args.out), text)
+        write_file(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -315,81 +299,94 @@ _MANIFEST_STAGE = (
 )
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, with the arguments of `command`
-    only, or of every subcommand when it is None. A call runs one command,
-    and the others' arguments would cost about as much again to add."""
-    parser = _Parser(prog="gelid",
-                     description="Mine gameplay-video derivatives for "
-                                 "issue reports.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help, *arguments):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
-        if command in (None, name):
-            for flags, options in arguments:
-                p.add_argument(*flags, **options)
-
-    add("ingest", cmd_ingest, "normalize subtitles and descriptors",
-        *_MANIFEST_STAGE)
-    add("segment", cmd_segment, "detect cut points and segments",
-        *_MANIFEST_STAGE)
-    add("features", cmd_features, "fit vocabulary and emit features",
-        *_MANIFEST_STAGE,
-        _arg("--segments", required=True, help="segments.jsonl"))
-    add("train", cmd_train, "train a classifier bundle",
-        _arg("--config", default=None),
-        _arg("--seed", type=int, default=None),
-        _arg("--features", required=True, help="features.csv"),
-        _arg("--vocabulary", required=True,
-             help="vocabulary.json: the feature space"),
-        _arg("--labels", required=True, help="JSONL of {segment_id, label}"),
-        _arg("--out", required=True, help="model JSON path"))
-    add("classify", cmd_classify, "label segments with a trained model",
-        *_MANIFEST_STAGE, _arg("--segments", required=True),
-        _arg("--model", required=True))
-    add("group", cmd_group, "cluster informative segments by context",
-        *_MANIFEST_STAGE, _arg("--segments", required=True),
-        _arg("--labels", required=True))
-    add("cluster", cmd_cluster, "full hierarchy: contexts, categories, "
-                                "issue clusters",
-        *_MANIFEST_STAGE, _arg("--segments", required=True),
-        _arg("--labels", required=True), _arg("--model", required=True))
-    add("run", cmd_run, "all stages end to end", *_MANIFEST_STAGE,
-        _arg("--model", default=None, help="pretrained bundle JSON"))
-    add("report", cmd_report, "render a hierarchy JSON",
-        _arg("--hierarchy", required=True),
-        _arg("--format", choices=("json", "html"), default="html"),
-        _arg("--out", required=True))
-    add("eval", cmd_eval, "statistics harness",
-        _arg("--stat", required=True, choices=tuple(_EVAL_STATS)),
-        _arg("--partition-a", help="partition JSON (groups or mapping)"),
-        _arg("--partition-b", help="partition JSON (groups or mapping)"),
-        _arg("--x", help="JSON array of values"),
-        _arg("--y", help="JSON array of values"),
-        _arg("--p", help="JSON array of p-values"),
-        _arg("--n", type=int, help="sample size (margin)"),
-        _arg("--confidence", type=float, default=0.95),
-        _arg("--group-size", type=int, default=200),
-        _arg("--shift", type=float, default=0.5),
-        _arg("--sd", type=float, default=1.41),
-        _arg("--alpha", type=float, default=0.05),
-        _arg("--sims", type=int, default=1000),
-        _arg("--sim-seed", type=int, default=0),
-        _arg("--extras", type=int, default=0),
-        _arg("--out", default=None))
-    return parser
+def _commands() -> dict[str, tuple]:
+    """Each command: its function, help line, the config sections it
+    checks (none: it reads no config) and its arguments. Built per call,
+    so that a `cmd_*` replaced on this module is the one a call runs."""
+    return {
+        "ingest": (cmd_ingest, "normalize subtitles and descriptors",
+                   {"frames"}, *_MANIFEST_STAGE),
+        "segment": (cmd_segment, "detect cut points and segments",
+                    {"frames", "segmenter"}, *_MANIFEST_STAGE),
+        "features": (cmd_features, "fit vocabulary and emit features",
+                     {"frames", "features"}, *_MANIFEST_STAGE,
+                     _arg("--segments", required=True,
+                          help="segments.jsonl")),
+        "train": (cmd_train, "train a classifier bundle", {"model", "train"},
+                  _arg("--config", default=None),
+                  _arg("--seed", type=int, default=None),
+                  _arg("--features", required=True, help="features.csv"),
+                  _arg("--vocabulary", required=True,
+                       help="vocabulary.json: the feature space"),
+                  _arg("--labels", required=True,
+                       help="JSONL of {segment_id, label}"),
+                  _arg("--out", required=True, help="model JSON path")),
+        "classify": (cmd_classify, "label segments with a trained model",
+                     {"frames"}, *_MANIFEST_STAGE,
+                     _arg("--segments", required=True),
+                     _arg("--model", required=True)),
+        "group": (cmd_group, "cluster informative segments by context",
+                  {"frames", "clustering"}, *_MANIFEST_STAGE,
+                  _arg("--segments", required=True),
+                  _arg("--labels", required=True)),
+        "cluster": (cmd_cluster, "full hierarchy: contexts, categories, "
+                                 "issue clusters",
+                    {"frames", "clustering"}, *_MANIFEST_STAGE,
+                    _arg("--segments", required=True),
+                    _arg("--labels", required=True),
+                    _arg("--model", required=True)),
+        "run": (cmd_run, "all stages end to end", SECTIONS, *_MANIFEST_STAGE,
+                _arg("--model", default=None, help="pretrained bundle JSON")),
+        "report": (cmd_report, "render a hierarchy JSON", set(),
+                   _arg("--hierarchy", required=True),
+                   _arg("--format", choices=("json", "html"), default="html"),
+                   _arg("--out", required=True)),
+        "eval": (cmd_eval, "statistics harness", set(),
+                 _arg("--stat", required=True, choices=tuple(_EVAL_STATS)),
+                 _arg("--partition-a",
+                      help="partition JSON (groups or mapping)"),
+                 _arg("--partition-b",
+                      help="partition JSON (groups or mapping)"),
+                 _arg("--x", help="JSON array of values"),
+                 _arg("--y", help="JSON array of values"),
+                 _arg("--p", help="JSON array of p-values"),
+                 _arg("--n", type=int, help="sample size (margin)"),
+                 _arg("--confidence", type=float, default=0.95),
+                 _arg("--group-size", type=int, default=200),
+                 _arg("--shift", type=float, default=0.5),
+                 _arg("--sd", type=float, default=1.41),
+                 _arg("--alpha", type=float, default=0.05),
+                 _arg("--sims", type=int, default=1000),
+                 _arg("--sim-seed", type=int, default=0),
+                 _arg("--extras", type=int, default=0),
+                 _arg("--out", default=None)),
+    }
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)
+    commands = _commands()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        if argv and argv[0] in commands:
+            func, _, sections, *arguments = commands[argv[0]]
+            parser = _Parser(prog=f"gelid {argv[0]}")
+            for flags, options in arguments:
+                parser.add_argument(*flags, **options)
+            args, unknown = parser.parse_known_args(argv[1:])
+            if not unknown:
+                return (func(args, load_config(args.config, args.seed,
+                                               sections))
+                        if sections else func(args))
+            argv = argv[:1] + unknown  # the top level reports them
+        # help or a usage error, by the top level: names and help lines
+        parser = _Parser(prog="gelid", description="Mine gameplay-video "
+                         "derivatives for issue reports.")
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, (_, help, *_) in commands.items():
+            sub.add_parser(name, help=help)
+        parser.parse_args(argv)  # exits, or raises the usage error
     except GelidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -4,8 +4,9 @@ The format is deliberately language-neutral: one key per line, no nesting.
 A `#` that starts a line or follows whitespace starts a comment; one inside
 a value (`runs/#3/x`) stays in it. Unknown keys are hard errors so typos
 cannot silently fall back to defaults. The config file is the only way to
-set a key; the CLI's `--seed` alone overrides one. A stage subcommand
-checks only the sections it reads (`STAGE_SECTIONS`), `run` all of them.
+set a key; the CLI's `--seed` alone overrides one. Validation checks the
+seed and the settings of the sections it is given (a section is a key's
+part before its dot), or of all of them (`SECTIONS`).
 """
 
 from __future__ import annotations
@@ -98,15 +99,15 @@ class RunConfig:
     issue_bandwidth: float = _setting("clustering.issue_bandwidth", 0.25)
     issue_alpha: float = _setting("clustering.alpha", 0.5)
 
-    def validate(self, stage: str | None = None) -> None:
-        """The seed, then the ranges and cross-checks of the sections
-        `stage` reads (`STAGE_SECTIONS`), or of all of them."""
+    def validate(self, sections: set[str] | None = None) -> None:
+        """The seed, then the ranges and cross-checks of `sections`, or of
+        all of them."""
         if self.seed is None:
             raise ConfigError("seed is mandatory (set `seed = <u64>` in the "
                               "config, or pass --seed)")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
-        sections = STAGE_SECTIONS.get(stage, _SECTIONS)
+        sections = SECTIONS if sections is None else sections
         try:  # each module that takes a setting holds its range
             for key, shape in _SHAPES.items():
                 if key.partition(".")[0] in sections:
@@ -159,13 +160,7 @@ class RunConfig:
 
 
 _FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
-_SECTIONS = {key.partition(".")[0] for key in _FIELDS}
-# the sections (a key's part before its dot) each stage subcommand reads
-STAGE_SECTIONS = {
-    "ingest": {"frames"}, "segment": {"frames", "segmenter"},
-    "features": {"frames", "features"}, "train": {"model", "train"},
-    "classify": {"frames"}, "group": {"frames", "clustering"},
-    "cluster": {"frames", "clustering"}}
+SECTIONS = {key.partition(".")[0] for key in _FIELDS}
 _STAGES = ("context", "issue")
 # the range of each setting that has one, as a shape (see `check_shape`);
 # model.learning_rate is logistic's
@@ -212,9 +207,9 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path: str | None, seed_override: int | None = None,
-                stage: str | None = None) -> RunConfig:
+                sections: set[str] | None = None) -> RunConfig:
     """The config file (defaults without one), then the CLI seed override,
-    then validation for `stage`."""
+    then validation of `sections`, or of all of them."""
     try:
         text = "" if path is None else utf8_text(Path(path).read_bytes())
     except (OSError, ParseError) as exc:  # a ParseError names the line
@@ -222,5 +217,5 @@ def load_config(path: str | None, seed_override: int | None = None,
     cfg = parse_config(text)
     if seed_override is not None:
         cfg.seed = seed_override
-    cfg.validate(stage)
+    cfg.validate(sections)
     return cfg

@@ -1,6 +1,6 @@
 """Exception hierarchy shared by all gelid modules; `read_text`, the one
-reader of a text file's lines; and `check_shape`, which holds an input or
-a setting to its declared shape.
+reader of a text file's lines, and `write_file`, of every output; and
+`check_shape`, which holds an input or a setting to its declared shape.
 
 Exit-code mapping used by the CLI: ConfigError -> 1, DataError -> 2,
 InternalError -> 3.
@@ -63,6 +63,17 @@ def read_text(path: str | Path) -> str:
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return utf8_text(data, f"{path}: ")
+
+
+def write_file(path: str | Path, data: str | bytes) -> None:
+    """Write `data`, text as UTF-8, making the directory; a failed write is
+    a DataError that names the path."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
 
 
 class InternalError(GelidError):

@@ -85,7 +85,7 @@ class VideoTrack:
     def _first_fault(self) -> tuple[int, str] | None:
         """Row and reason of the first frame that breaks a track invariant.
 
-        Timestamps strictly increase and stay within the duration, bins
+        Timestamps strictly increase and lie in [0, duration], bins
         are non-negative, every channel block sums to 1 and luminance lies
         in [0, 1]. The block-sum tolerance allows for the 9-decimal
         rounding of the descriptor CSV, which can drift a block sum by
@@ -107,6 +107,8 @@ class VideoTrack:
         checks = [
             (steps, lambda i: f"non-monotone timestamp {stamps[i]} after "
                               f"{stamps[i - 1]}"),
+            (stamps < 0,
+             lambda i: f"frame at {stamps[i]} ms before the video start"),
             (stamps > self.duration_ms,
              lambda i: f"frame at {stamps[i]} ms exceeds duration "
                        f"{self.duration_ms} ms"),
@@ -222,9 +224,10 @@ def write_descriptor_csv(track: VideoTrack) -> bytes:
     """`timestamp_ms,h0..h47,luminance` rows, 9 decimal digits: the ASCII
     bytes `%d` and `%.9f` write, the inverse of `_decode_fixed_rows`.
 
-    A track whose timestamps are >= 0 and whose values lie in [+0, 1], as
-    every valid track's do, is written as byte blocks (`_fixed_rows`); any
-    other is formatted row by row.
+    A track whose timestamps are >= 0 and whose values lie in [+0, 1] is
+    written as byte blocks (`_fixed_rows`); any other is formatted row by
+    row, which a valid track needs only for a -0.0 or a bin up to
+    bins * 1e-9 above 1.
     """
     width = track.histograms.shape[1]
     header = ",".join(descriptor_csv_header(width // _CHANNELS)) + "\n"

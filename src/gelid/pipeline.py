@@ -24,7 +24,7 @@ import numpy as np
 from . import clustering, features, models
 from .config import RunConfig
 from .errors import (ConfigError, DataError, ParseError, StageError,
-                     check_shape, count, file_name, read_text)
+                     check_shape, count, file_name, read_text, write_file)
 from .frames import VideoTrack, load_track
 from .segmentation import (SEGMENT_SHAPE, Segment, segment_from_dict,
                            segment_video)
@@ -603,17 +603,9 @@ def hierarchy_to_html(hierarchy: dict) -> str:
 
 
 def export_report(hierarchy: dict, fmt: str, path: str | Path) -> None:
-    """Write the hierarchy as canonical JSON or a static HTML page, making
-    its directory as every `--out` does."""
-    if fmt == "json":
-        text = hierarchy_to_json(hierarchy)
-    elif fmt == "html":
-        text = hierarchy_to_html(hierarchy)
-    else:
+    """Write the hierarchy as canonical JSON or a static HTML page, as
+    every output is written (`write_file`)."""
+    render = {"json": hierarchy_to_json, "html": hierarchy_to_html}
+    if fmt not in render:
         raise ConfigError(f"unknown report format {fmt!r}")
-    path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise DataError(f"cannot write report {path}: {exc}") from None
+    write_file(path, render[fmt](hierarchy))

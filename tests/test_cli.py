@@ -15,11 +15,12 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from cli_reference import reference_commands, reference_parse
 from conftest import THREE_VIDEO_WORLD, write_world
 import gelid
 from gelid import cli, features, pipeline
 from gelid.cli import main
-from gelid.config import STAGE_SECTIONS, load_config
+from gelid.config import SECTIONS, load_config
 from gelid.errors import DataError, GelidError, read_text
 from gelid.frames import read_descriptor_csv, write_descriptor_csv
 from gelid.subtitles import parse_srt
@@ -35,22 +36,34 @@ def test_usage_error_exits_1(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def _subcommands(parser):
-    return parser._subparsers._group_actions[0].choices
+_COMMANDS = sorted(reference_commands())
 
 
-def test_each_command_parses_with_its_own_arguments_only():
-    """`build_parser(command)` adds the arguments of `command` alone, and
-    its help and the top level's are those of the parser of every
-    command."""
-    every = cli.build_parser()
-    for command, full in _subcommands(every).items():
-        parser = cli.build_parser(command)
-        assert parser.format_help() == every.format_help()
-        subcommands = _subcommands(parser)
-        assert subcommands[command].format_help() == full.format_help()
-        assert [name for name, sub in subcommands.items()
-                if len(sub._actions) > 1] == [command]  # -h aside
+def test_each_command_parses_with_its_own_arguments_only(monkeypatch):
+    """A call adds its own command's arguments and no other's: the
+    arguments the reference parser gives that command, in its order."""
+    added = []
+
+    def add_argument(parser, *flags, **options):
+        added.append(flags)
+        return original(parser, *flags, **options)
+
+    original = cli._Parser.add_argument
+    monkeypatch.setattr(cli._Parser, "add_argument", add_argument)
+    monkeypatch.setattr(cli, "load_config", lambda *args: None)
+    for name, sub in reference_commands().items():
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda *args: 0)
+        added.clear()
+        assert main([name, *_required_argv(sub)]) == 0
+        assert added == [tuple(action.option_strings)
+                         for action in sub._actions], name
+
+
+def _required_argv(parser) -> list[str]:
+    """The required flags of `parser`, each with a value it accepts."""
+    return [arg for action in parser._actions if action.required
+            for arg in (action.option_strings[0],
+                        action.choices[0] if action.choices else "x")]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -59,32 +72,72 @@ def test_each_command_parses_with_its_own_arguments_only():
     (["eval"], "the following arguments are required: --stat"),
     (["-h"], None),
     (["eval", "-h"], None),
+    (["--help"], None),
+    (["-h", "eval"], None),
+    (["--seed", "3"], "argument command: invalid choice: '3'"),
+    *[([name, "-h"], None) for name in _COMMANDS],
+    *[([name], "the following arguments are required: ")
+      for name in _COMMANDS],
+    (["eval", "--stat", "margin", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["segment", "--bogus"], "the following arguments are required: "),
+    (["report", "--format", "pdf"], "argument --format: invalid choice"),
+    (["eval", "--stat", "nope"], "argument --stat: invalid choice"),
 ])
 def test_usage_and_help_match_the_parser_of_every_command(
         monkeypatch, capsys, argv, message):
+    """`main` prints the help and usage errors of the one parser that holds
+    every command's arguments, byte for byte, and exits as it did."""
     monkeypatch.setenv("COLUMNS", "80")
-    calls = []
-
-    def run(build):
-        monkeypatch.setattr(cli, "build_parser", build)
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # -h
-            code = exc.code
-        calls.append((code, capsys.readouterr()))
-
-    run(cli.build_parser)
-    run(lambda command=None, build=cli.build_parser: build())
-    assert calls[0] == calls[1]
-    code, output = calls[0]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # -h
+        code = exc.code
+    output = capsys.readouterr()
+    assert (code, output) == (reference_parse(argv), capsys.readouterr())
     assert code == (0 if message is None else 1)
     assert message is None or f"error: {message}" in output.err
+
+
+def test_main_calls_the_command_function_on_the_module(monkeypatch):
+    """A `cmd_*` replaced on the module, as a tracer wraps it, is the one a
+    call runs."""
+    calls = []
+    monkeypatch.setattr(cli, "cmd_eval",
+                        lambda args: calls.append(args) or 0)
+    assert main(["eval", "--stat", "margin", "--n", "10"]) == 0
+    assert [(args.stat, args.n) for args in calls] == [("margin", 10)]
+
+
+def test_load_config_runs_once_for_each_command_that_reads_one(monkeypatch):
+    """Each command that reads a config loads it once, checking the sections
+    its table row lists; report and eval load none."""
+    loaded, commands = [], cli._commands()
+    monkeypatch.setattr(cli, "load_config", lambda path, seed, sections:
+                        loaded.append(sections))
+    for name, sub in reference_commands().items():
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda *args: 0)
+        loaded.clear()
+        assert main([name, *_required_argv(sub)]) == 0
+        assert loaded == ([commands[name][2]]
+                          if name not in ("report", "eval") else []), name
 
 
 def test_an_out_path_that_cannot_be_written_is_named(tmp_path, capsys):
     (tmp_path / "afile").write_text("")
     out = tmp_path / "afile" / "e.json"
     assert main(["eval", "--stat", "margin", "--n", "10",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write {out}: ")
+
+
+def test_a_report_that_cannot_be_written_is_named(staged, tmp_path,
+                                                  capsys):
+    _, stage = staged
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "r.html"
+    assert main(["report", "--hierarchy", str(stage / "hierarchy.json"),
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(
         f"error: cannot write {out}: ")
@@ -906,16 +959,21 @@ _OTHER_SETTINGS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(STAGE_SECTIONS))
+# the sections each stage subcommand checks, as the command table lists them
+_STAGE_SECTIONS = {name: row[2] for name, row in cli._commands().items()
+                   if row[2] and row[2] != SECTIONS}
+
+
+@pytest.mark.parametrize("command", sorted(_STAGE_SECTIONS))
 def test_a_stage_subcommand_reads_no_section_it_does_not_list(
         staged, tmp_path, command):
-    """Other settings in every section that STAGE_SECTIONS does not list
+    """Other settings in every section that the command table does not list
     for `command` leave what it writes as the chain wrote it."""
     paths, stage = staged
     config = tmp_path / "run.conf"
     config.write_text(paths["config"].read_text() + "".join(
         f"{lines}\n" for section, lines in _OTHER_SETTINGS.items()
-        if section not in STAGE_SECTIONS[command]))
+        if section not in _STAGE_SECTIONS[command]))
     out = tmp_path / "out"
     assert main(_stage_argv({**paths, "config": config}, stage, command,
                             out / "model.json" if command == "train"
@@ -1533,6 +1591,40 @@ def test_ppm_frame_past_the_duration_exits_2_at_ingest_naming_its_file(
         "ingest", "--manifest", str(manifest), "--config", str(config),
         "--out", str(tmp_path / "out")], "stage 'ingest', video 'v'",
         f"{frames_dir / '1000.ppm'}: frame at 1000 ms exceeds duration 800 ms")
+
+
+def test_ppm_frame_before_the_video_start_exits_2_at_ingest_naming_its_file(
+        tmp_path, capsys):
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    for stamp in (-40, 0, 500):
+        (frames_dir / f"{stamp}.ppm").write_bytes(b"P6 1 1 255\n\0\0\0")
+    (tmp_path / "v.srt").write_text("1\n00:00:00,000 --> 00:00:00,500\nhi\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"schema_version": 1, "videos": [
+        {"video_id": "v", "subtitles": "v.srt", "frames": "frames",
+         "duration_ms": 800}]}))
+    config = tmp_path / "run.conf"
+    config.write_text("seed = 1\n")
+    _fails_naming(capsys, [
+        "ingest", "--manifest", str(manifest), "--config", str(config),
+        "--out", str(tmp_path / "out")], "stage 'ingest', video 'v'",
+        f"{frames_dir / '-40.ppm'}: frame at -40 ms before the video start")
+
+
+def test_descriptor_row_before_the_video_start_exits_2_at_ingest(
+        staged, tmp_path, capsys):
+    _, stage = staged
+    paths = _world(tmp_path)
+    csv_path = paths["root"] / "vid_a.descriptors.csv"
+    lines = csv_path.read_text().splitlines()
+    lines[1] = ",".join(["-40", *lines[1].split(",")[1:]])
+    csv_path.write_text("\n".join(lines) + "\n")
+    _fails_naming(capsys, _stage_argv(paths, stage, "ingest",
+                                      tmp_path / "out"),
+                  "stage 'ingest', video 'vid_a'",
+                  f"line 2: {csv_path}: frame at -40 ms before the video "
+                  "start")
 
 
 @pytest.mark.parametrize("segment_id", ["vid_a_0000,x",

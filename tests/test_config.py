@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from gelid.cli import build_parser
-from gelid.config import (_FIELDS, STAGE_SECTIONS, RunConfig, load_config,
+from cli_reference import reference_commands
+from gelid.cli import _commands
+from gelid.config import (_FIELDS, SECTIONS, RunConfig, load_config,
                           parse_config)
 from gelid.errors import ConfigError
 
@@ -221,29 +222,48 @@ _BAD_SECTIONS = {
 }
 
 
+# the sections each command that reads a config checks, by its table row
+_CHECKED = {name: row[2] for name, row in _commands().items() if row[2]}
+
+
 @pytest.mark.parametrize("case", sorted(_BAD_SECTIONS))
-@pytest.mark.parametrize("stage", [*sorted(STAGE_SECTIONS), "run", None])
+@pytest.mark.parametrize("stage", [*sorted(_CHECKED), None])
 def test_a_stage_checks_only_the_sections_it_reads(tmp_path, stage, case):
     line, message = _BAD_SECTIONS[case]
     path = tmp_path / "c.conf"
     path.write_text(f"seed = 1\n{line}\n")
-    if stage in STAGE_SECTIONS and \
-            case.partition("-")[0] not in STAGE_SECTIONS[stage]:
-        assert load_config(str(path), stage=stage).seed == 1
+    sections = _CHECKED.get(stage)
+    if sections is not None and case.partition("-")[0] not in sections:
+        assert load_config(str(path), sections=sections).seed == 1
     else:
         with pytest.raises(ConfigError, match=re.escape(message)):
-            load_config(str(path), stage=stage)
+            load_config(str(path), sections=sections)
     path.write_text(f"{line}\n")
     with pytest.raises(ConfigError, match="seed is mandatory"):
-        load_config(str(path), stage=stage)
+        load_config(str(path), sections=sections)
 
 
 def test_every_stage_subcommand_names_the_sections_it_reads():
-    subcommands = build_parser()._subparsers._group_actions[0].choices
-    taking_config = {name for name, sub in subcommands.items()
-                     if any("--config" in action.option_strings
-                            for action in sub._actions)}
-    assert set(STAGE_SECTIONS) == taking_config - {"run"}
-    sections = {key.partition(".")[0] for key in _FIELDS}
-    for stage, read in STAGE_SECTIONS.items():
-        assert read <= sections, stage
+    """A command takes --config exactly when its table row lists sections,
+    each of them a config section; `run` lists every one."""
+    every = {key.partition(".")[0] for key in _FIELDS}
+    assert SECTIONS == every
+    for name, sub in reference_commands().items():
+        assert ("--config" in sub._option_string_actions) == (
+            name in _CHECKED), name
+    for name, sections in _CHECKED.items():
+        assert sections <= every, name
+    assert _CHECKED["run"] == every
+
+
+def test_readme_section_table_matches_the_command_table():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.search(r"\| Command \| Sections checked \|\n\|---\|---\|\n"
+                     r"((?:\|.*\n)+)", readme.read_text())[1]
+    listed = {}
+    for row in rows.splitlines():
+        commands, sections = row.strip("|").split("|")
+        for name in re.findall(r"`(\w+)`", commands):
+            listed[name] = (SECTIONS if "all of them" in sections
+                            else set(re.findall(r"`(\w+)`", sections)))
+    assert listed == _CHECKED

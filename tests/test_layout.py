@@ -1,4 +1,4 @@
-"""Two rules on how `src/gelid` is laid out.
+"""Three rules on how `src/gelid` is laid out.
 
 `src/gelid` holds only what a `gelid` command runs. Starting from every
 definition in `gelid.cli`, the walk follows the names each reached
@@ -11,7 +11,9 @@ reach is run by tests alone and belongs with them; names that
 Only `errors.py` turns bytes into text lines: every other module reads a
 text file through `errors.read_text` or decodes through `errors.utf8_text`,
 so one rule decides the encoding, the byte-order mark, the line ends and
-the line numbers of every input.
+the line numbers of every input. Only `errors.py` writes a file or makes a
+directory: every other module writes through `errors.write_file`, so every
+output is made, and fails, alike.
 """
 
 import ast
@@ -92,26 +94,35 @@ def test_every_src_definition_is_reached_from_the_cli():
 # own (`errors.read_text` aside), and the names that open a file as text
 _METHODS = {"decode", "splitlines", "read_text", "StringIO", "open"}
 _NAMES = {"open", "StringIO"}
+# methods that write a file or make a directory (`errors.write_file` aside)
+_WRITERS = {"write_text", "write_bytes", "mkdir"}
 
 
-def decoding_calls() -> list[str]:
-    """`module:line: name(` of each such call outside `errors.py`."""
+def calls_outside_errors(methods, names=frozenset()) -> list[str]:
+    """`module:line: name(` of each call of one of these methods, not on
+    `errors`, or of one of these names, outside `errors.py`."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "errors":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             func = getattr(node, "func", None)
-            if (isinstance(func, ast.Attribute) and func.attr in _METHODS
+            if (isinstance(func, ast.Attribute) and func.attr in methods
                     and getattr(func.value, "id", None) != "errors"):
                 found.append((path.stem, node.lineno, func.attr))
-            elif isinstance(func, ast.Name) and func.id in _NAMES:
+            elif isinstance(func, ast.Name) and func.id in names:
                 found.append((path.stem, node.lineno, func.id))
     return [f"{module}:{line}: {name}(" for module, line, name in
             sorted(found)]
 
 
 def test_only_errors_decodes_bytes_or_splits_lines():
-    calls = decoding_calls()
+    calls = calls_outside_errors(_METHODS, _NAMES)
     assert not calls, ("read text through errors.read_text or "
                        f"errors.utf8_text, not {', '.join(calls)}")
+
+
+def test_only_errors_writes_files():
+    calls = calls_outside_errors(_WRITERS)
+    assert not calls, ("write through errors.write_file, not "
+                       f"{', '.join(calls)}")

@@ -146,10 +146,6 @@ def _cosine_values(vectors) -> np.ndarray:
 # Keyframe-pair similarities are computed one tile of segment blocks at a
 # time; a tile's (rows, cols, D) intermediate stays near this many bytes.
 _BLOCK_BYTES = 4 << 20
-# A diagonal tile (a block against itself) is computed in row pieces of at
-# most 1/8 of a block's keyframes, each from its own first segment on, so
-# only the pieces' own lower triangles lie below the diagonal.
-_DIAGONAL_PIECES = 8
 
 
 def _segment_blocks(counts: list[int], max_rows: int) -> list[list[range]]:
@@ -167,15 +163,6 @@ def _segment_blocks(counts: list[int], max_rows: int) -> list[list[range]]:
     blocks.append(cuts + [len(counts)])
     return [[range(a, b) for a, b in zip(block[:-1], block[1:])]
             for block in blocks]
-
-
-def _row_pieces(runs: list[range], counts: list[int], max_rows: int):
-    """The runs cut into pieces of consecutive segments holding at most
-    max_rows keyframes, except that a piece holds at least one segment."""
-    for run in runs:
-        step = max(1, max_rows // counts[run.start])
-        for start in range(run.start, run.stop, step):
-            yield range(start, min(start + step, run.stop))
 
 
 def _block_means(four: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -218,14 +205,11 @@ def _context_values(ids: tuple[str, ...],
     max_rows = math.isqrt(_BLOCK_BYTES // (stacked.itemsize
                                             * stacked.shape[1]))
     blocks = _segment_blocks(counts, max_rows)
-    piece_rows = max(1, max_rows // _DIAGONAL_PIECES)
     values = np.zeros((n, n))  # in count order until the last line
     for bi, rows in enumerate(blocks):
         for cols in blocks[bi:]:
             c1 = offsets[cols[-1].stop]
-            pieces = _row_pieces(rows, counts, piece_rows) if cols is rows \
-                else rows
-            for a in pieces:  # left of a.start is below the diagonal
+            for a in rows:  # left of a.start is below the diagonal
                 r0, r1 = offsets[a.start], offsets[a.stop]
                 c0 = offsets[max(a.start, cols[0].start)]
                 sims = np.minimum(stacked[r0:r1, None, :],

@@ -181,26 +181,28 @@ _PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
 _COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse the flat format; unknown keys are hard errors."""
+def parse_config(text: str, path: str = "config") -> RunConfig:
+    """Parse the flat format of the file `path`; unknown keys are hard
+    errors. An error is led by `<path>:<line>: `."""
     cfg = RunConfig()
     # split at LF only: a value may hold U+2028 and other breaks
     for line_no, line in enumerate(text.split("\n"), start=1):
         stripped = _COMMENT.sub("", line).strip()
         if not stripped:
             continue
+        where = f"{path}:{line_no}: "
         if "=" not in stripped:
-            raise ConfigError(f"config line {line_no}: expected "
-                              f"'key = value', got {stripped!r}")
+            raise ConfigError(f"{where}expected 'key = value', got "
+                              f"{stripped!r}")
         key, _, raw = stripped.partition("=")
-        key = key.strip()
+        key, raw = key.strip(), raw.strip()
         if key not in _FIELDS:
-            raise ConfigError(f"config line {line_no}: unknown key {key!r}")
+            raise ConfigError(f"{where}unknown key {key!r}")
         type_name = _FIELDS[key].type.removesuffix(" | None")
         try:
-            value = _PARSERS[type_name](raw.strip())
+            value = _PARSERS[type_name](raw)
         except ValueError:
-            raise ConfigError(f"config key {key}: cannot parse {raw!r} as "
+            raise ConfigError(f"{where}{key}: cannot parse {raw!r} as "
                               f"{type_name}") from None
         setattr(cfg, _FIELDS[key].name, value)
     return cfg
@@ -210,11 +212,14 @@ def load_config(path: str | None, seed_override: int | None = None,
                 sections: set[str] | None = None) -> RunConfig:
     """The config file (defaults without one), then the CLI seed override,
     then validation of `sections`, or of all of them."""
-    try:
-        text = "" if path is None else utf8_text(Path(path).read_bytes())
-    except (OSError, ParseError) as exc:  # a ParseError names the line
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    cfg = parse_config(text)
+    if path is None:
+        cfg = RunConfig()
+    else:
+        try:
+            text = utf8_text(Path(path).read_bytes())
+        except (OSError, ParseError) as exc:  # a ParseError names the line
+            raise ConfigError(f"cannot read config {path}: {exc}") from None
+        cfg = parse_config(text, path)
     if seed_override is not None:
         cfg.seed = seed_override
     cfg.validate(sections)

@@ -238,8 +238,7 @@ def speech_features(segments: list[Segment],
     columns = {}  # per video: cue starts, ends, word counts and reach
     for row, segment in zip(out, segments):
         if segment.video_id not in columns:
-            cues = sorted(transcripts[segment.video_id].cues,
-                          key=lambda c: c.start_ms)
+            cues = transcripts[segment.video_id].cues
             ends = np.array([c.end_ms for c in cues], dtype=np.int64)
             columns[segment.video_id] = (
                 np.array([c.start_ms for c in cues], dtype=np.int64), ends,

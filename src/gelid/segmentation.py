@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (DataError, check_shape, count, file_name, positive,
                      positive_int)
 from .frames import VideoTrack
-from .subtitles import DEFAULT_GAP_MS, Transcript, sentence_spans
+from .subtitles import DEFAULT_GAP_MS, Transcript, sentence_bounds
 
 log = logging.getLogger(__name__)
 
@@ -32,12 +32,6 @@ log = logging.getLogger(__name__)
 class SnapRule(enum.Enum):
     SENTENCE_END = "sentence_end"
     SILENCE_PASSTHROUGH = "silence_passthrough"
-
-
-@dataclass(frozen=True)
-class ShotTransition:
-    timestamp_ms: int
-    score: float
 
 
 @dataclass(frozen=True)
@@ -110,8 +104,9 @@ def adaptive_thresholds(dists: np.ndarray, window: int,
 
 
 def detect_shot_transitions(track: VideoTrack,
-                            cfg: SegmenterConfig) -> list[ShotTransition]:
-    """Adaptive-threshold histogram-difference shot detection.
+                            cfg: SegmenterConfig) -> list[int]:
+    """Adaptive-threshold histogram-difference shot detection: the
+    timestamps of the accepted transitions.
 
     Frame i is a transition when d(h_i, h_{i-1}) > mu_w + alpha * sigma_w
     over the previous `window` distances (at least one required) and the
@@ -125,49 +120,41 @@ def detect_shot_transitions(track: VideoTrack,
         return []
     dists = np.abs(np.diff(track.histograms, axis=0)).sum(axis=1)
     thresholds = adaptive_thresholds(dists, cfg.window, cfg.alpha)
-    transitions: list[ShotTransition] = []
-    prev_ms: int | None = None
-    for i in np.flatnonzero(dists > thresholds):
-        ts = int(stamps[i + 1])
-        if prev_ms is not None and ts - prev_ms < cfg.min_shot_ms:
-            continue
-        transitions.append(ShotTransition(timestamp_ms=ts, score=float(dists[i])))
-        prev_ms = ts
-    return transitions
+    shots: list[int] = []
+    for ts in stamps[np.flatnonzero(dists > thresholds) + 1].tolist():
+        if not shots or ts - shots[-1] >= cfg.min_shot_ms:
+            shots.append(ts)
+    return shots
 
 
-def derive_cut_points(shots: list[ShotTransition], transcript: Transcript,
+def derive_cut_points(shots: list[int], transcript: Transcript,
                       cfg: SegmenterConfig) -> list[CutPoint]:
-    """Shift each shot by k seconds and snap to the active sentence's end.
+    """Shift each shot time by k seconds and snap to the active sentence's
+    end.
 
     If no sentence is active at the shifted time and none starts within
     silence_ms after it, nobody is speaking: cut exactly at the shifted time.
-    The cues must be in start order, as `parse_srt` and `parse_vtt` return
-    them, so that sentence starts never decrease.
+    The cues must be in start order, as `Transcript` holds them, so that
+    sentence starts never decrease.
     """
     cfg.validate()
-    spans = sentence_spans(transcript, cfg.gap_ms)
-    shifted = (np.array([s.timestamp_ms for s in shots], dtype=np.int64)
-               + cfg.k_seconds * 1000)
-    # the running maximum of ends first passes t at the first span that
-    # ends after t; with starts in order, that span starts at or before t,
-    # and so is active, just when it comes before the first span starting
-    # after t
-    reach = np.maximum.accumulate(
-        np.array([s.end_ms for s in spans], dtype=np.int64))
-    starts = np.array([s.start_ms for s in spans], dtype=np.int64)
-    active = np.searchsorted(reach, shifted, side="right").tolist()
+    starts, ends = sentence_bounds(transcript, cfg.gap_ms)
+    shifted = np.array(shots, dtype=np.int64) + cfg.k_seconds * 1000
+    # the running maximum of ends first passes t at the first sentence
+    # that ends after t; with starts in order, that sentence starts at or
+    # before t, and so is active, just when it comes before the first
+    # sentence starting after t
+    active = np.searchsorted(np.maximum.accumulate(ends), shifted,
+                             side="right").tolist()
     later = np.searchsorted(starts, shifted, side="right").tolist()
+    starts, ends = starts.tolist(), ends.tolist()
     cuts: dict[int, CutPoint] = {}
     for shot, at, i, j in zip(shots, shifted.tolist(), active, later):
-        if i < j or (j < len(spans)
-                     and spans[j].start_ms <= at + cfg.silence_ms):
-            cut = CutPoint(cut_ms=spans[min(i, j)].end_ms,
-                           source_shot_ms=shot.timestamp_ms, shifted_ms=at,
-                           snap_rule=SnapRule.SENTENCE_END)
+        if i < j or (j < len(starts) and starts[j] <= at + cfg.silence_ms):
+            cut = CutPoint(cut_ms=ends[min(i, j)], source_shot_ms=shot,
+                           shifted_ms=at, snap_rule=SnapRule.SENTENCE_END)
         else:
-            cut = CutPoint(cut_ms=at, source_shot_ms=shot.timestamp_ms,
-                           shifted_ms=at,
+            cut = CutPoint(cut_ms=at, source_shot_ms=shot, shifted_ms=at,
                            snap_rule=SnapRule.SILENCE_PASSTHROUGH)
         cuts.setdefault(cut.cut_ms, cut)  # collapse duplicate cut times
     return [cuts[ms] for ms in sorted(cuts)]

@@ -1,10 +1,10 @@
-"""SRT / WebVTT parsing into a normalized transcript, plus sentence spans.
+"""SRT / WebVTT parsing into a normalized transcript, plus sentence bounds.
 
 Both parsers take text as `errors.utf8_text` gives it, with LF line ends,
 and share one normalization contract: HTML-like tags stripped,
 whitespace collapsed, empty cues dropped, cues sorted by start time and
-renumbered 1..n. Sentence spans group consecutive cues until terminal
-punctuation or a silence gap, and are the snap targets for cut points.
+renumbered 1..n. A sentence runs over consecutive cues until terminal
+punctuation or a silence gap; its end is the snap target for cut points.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import logging
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ParseError
 
@@ -41,18 +43,12 @@ class Cue:
 
 @dataclass
 class Transcript:
+    """A video's cues in start order (ties in the order the file declares
+    them), numbered 1..n in that order, as `parse_srt` and `parse_vtt`
+    return them; segmentation and speech features rely on that order."""
+
     video_id: str
     cues: list[Cue] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class SentenceSpan:
-    """A run of cues forming one spoken sentence; ends at its last cue."""
-
-    start_ms: int
-    end_ms: int
-    cue_indices: tuple[int, ...]
-    text: str
 
 
 def _clean_text(raw: str) -> str:
@@ -162,33 +158,22 @@ def write_srt(transcript: Transcript) -> str:
     return "\n".join(blocks)
 
 
-def _ends_sentence(text: str) -> bool:
-    stripped = text.rstrip()
-    return stripped.endswith(TERMINAL_PUNCTUATION)
+def sentence_bounds(transcript: Transcript, gap_ms: int = DEFAULT_GAP_MS
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Each sentence's start and end, as two int64 arrays.
 
-
-def sentence_spans(transcript: Transcript,
-                   gap_ms: int = DEFAULT_GAP_MS) -> list[SentenceSpan]:
-    """Partition the cue list into sentence spans.
-
-    A span closes after cue i when its text ends with terminal punctuation,
-    when the silence before cue i+1 exceeds gap_ms, or at the last cue.
+    A sentence closes after a cue whose text ends with terminal
+    punctuation, before a silence longer than gap_ms, and at the last cue.
+    It starts at its first cue's start and ends at its last cue's end.
     Auto-captions frequently lack punctuation, hence the gap rule.
     """
-    spans: list[SentenceSpan] = []
-    group: list[Cue] = []
     cues = transcript.cues
-    for pos, cue in enumerate(cues):
-        group.append(cue)
-        last = pos == len(cues) - 1
-        gap_after = (cues[pos + 1].start_ms - cue.end_ms) if not last else 0
-        if last or _ends_sentence(cue.text) or gap_after > gap_ms:
-            spans.append(SentenceSpan(
-                start_ms=group[0].start_ms,
-                end_ms=group[-1].end_ms,
-                cue_indices=tuple(c.index for c in group),
-                text=" ".join(c.text for c in group),
-            ))
-            group = []
-    return spans
-
+    starts = np.array([c.start_ms for c in cues], dtype=np.int64)
+    ends = np.array([c.end_ms for c in cues], dtype=np.int64)
+    closes = np.array([c.text.rstrip().endswith(TERMINAL_PUNCTUATION)
+                       for c in cues], dtype=bool)
+    closes[:-1] |= starts[1:] - ends[:-1] > gap_ms
+    closes[-1:] = True
+    # a sentence opens after each close; the last cue closes, so the
+    # first cue opens
+    return starts[np.roll(closes, 1)], ends[closes]

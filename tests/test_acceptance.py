@@ -18,8 +18,7 @@ from gelid.clustering import group_by_context
 from gelid.config import RunConfig
 from gelid.models import (LABEL_ORDER, MODEL_KINDS, ffn_loss_and_grad,
                           ffn_pack, ffn_shapes, predict, train)
-from gelid.segmentation import SegmenterConfig, ShotTransition, SnapRule, \
-    derive_cut_points
+from gelid.segmentation import SegmenterConfig, SnapRule, derive_cut_points
 from gelid.stats import (Partition, cliffs_delta, cohens_kappa,
                          benjamini_hochberg, mann_whitney_u, margin_of_error,
                          mno, mojo_fm, simulate_likert_std, simulate_power)
@@ -57,7 +56,7 @@ def test_criterion_1_reaction_shift_worked_example():
             Cue(4, 851000, 853000, "anyway."),
         ]
         transcript = Transcript(video_id="v", cues=cues)
-        cuts = derive_cut_points([ShotTransition(825000, 1.0)], transcript,
+        cuts = derive_cut_points([825000], transcript,
                                  SegmenterConfig(k_seconds=5))
         assert len(cuts) == 1
         assert cuts[0].cut_ms == 845000

@@ -150,6 +150,8 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
                  "--config", str(tmp_path / "bad.conf"),
                  "--out", str(tmp_path / "out")])
     assert code == 1
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'bad.conf'}:2: "
+                                       f"unknown key 'no.such.key'\n")
 
 
 def test_data_error_exits_2_and_writes_nothing(tmp_path):

@@ -198,6 +198,20 @@ def test_a_config_byte_that_is_not_utf8_names_the_path_once(tmp_path):
                               f"UTF-8 text (invalid start byte)")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("seed = 1\n\nseed 3\n", "3: expected 'key = value', got 'seed 3'"),
+    ("seed = 1\nbogus.key = 2\n", "2: unknown key 'bogus.key'"),
+    ("seed = 1 # c\nsegmenter.k_seconds =  x \n",
+     "2: segmenter.k_seconds: cannot parse 'x' as int"),
+    ("train.smote = maybe\n", "1: train.smote: cannot parse 'maybe' as bool")])
+def test_a_config_error_names_the_file_and_line(tmp_path, text, message):
+    path = tmp_path / "c.conf"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert str(err.value) == f"{path}:{message}"
+
+
 def test_boolean_parsing():
     assert parse_config("train.smote = false\n").smote is False
     assert parse_config("train.smote = TRUE\n").smote is True

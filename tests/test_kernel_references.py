@@ -23,7 +23,8 @@ absent classes, zero or one step and no L2 penalty. The SRT and WebVTT
 parsers must return the transcript their index-loop references return, or
 raise the same ParseError message and line, on random documents, and the
 PPM parser the image its byte-at-a-time reference returns, or the same
-ParseError message. Cut points must equal those of a scan over the
+ParseError message. Sentence bounds must equal those of a loop that
+groups cues one at a time, and cut points those of a scan over the
 sentences for each shot, and segments those of a merge that rescans its
 pieces and a keyframe search over every shot for each piece, on seeded
 random tracks, shots, cuts and transcripts. A segment's text, read by
@@ -65,12 +66,11 @@ from gelid.models import (DEFAULT_HYPER, KIND_FFN, KIND_FOREST, KIND_LOGISTIC,
 from gelid import pipeline, segmentation
 from gelid.pipeline import keyframe_lookup, match_probes
 from gelid.segmentation import (CutPoint, SegmenterConfig, Segment,
-                                ShotTransition, SnapRule, adaptive_thresholds,
-                                build_segments, derive_cut_points,
-                                detect_shot_transitions)
+                                SnapRule, adaptive_thresholds, build_segments,
+                                derive_cut_points, detect_shot_transitions)
 from gelid import subtitles
-from gelid.subtitles import (Cue, Transcript, parse_srt, parse_vtt,
-                             sentence_spans, write_srt)
+from gelid.subtitles import (TERMINAL_PUNCTUATION, Cue, Transcript,
+                             parse_srt, parse_vtt, sentence_bounds, write_srt)
 
 # --- loop references ---------------------------------------------------------
 
@@ -134,7 +134,7 @@ def ref_shot_transitions(track, cfg):
         ts = stamps[i + 1]
         if prev_ms is not None and ts - prev_ms < cfg.min_shot_ms:
             continue
-        transitions.append(ShotTransition(ts, float(dists[i])))
+        transitions.append(ts)
         prev_ms = ts
     return transitions
 
@@ -161,28 +161,45 @@ def ref_segment_text(segment: Segment, transcript: Transcript) -> str:
     return " ".join(c.text for c in transcript.cues if c.index in wanted)
 
 
-def _ref_span_for_shifted(spans, shifted_ms, silence_ms):
-    for span in spans:
-        if span.start_ms <= shifted_ms < span.end_ms:
-            return span
-        if shifted_ms < span.start_ms <= shifted_ms + silence_ms:
-            return span
-        if span.start_ms > shifted_ms + silence_ms:
+def ref_sentence_spans(transcript, gap_ms):
+    """(start_ms, end_ms) of each sentence: a run of cues that closes
+    after cue i when its text ends with terminal punctuation, when the
+    silence before cue i+1 exceeds gap_ms, or at the last cue."""
+    spans, group = [], []
+    cues = transcript.cues
+    for pos, cue in enumerate(cues):
+        group.append(cue)
+        last = pos == len(cues) - 1
+        gap_after = (cues[pos + 1].start_ms - cue.end_ms) if not last else 0
+        if (last or cue.text.rstrip().endswith(TERMINAL_PUNCTUATION)
+                or gap_after > gap_ms):
+            spans.append((group[0].start_ms, group[-1].end_ms))
+            group = []
+    return spans
+
+
+def _ref_sentence_end_for(spans, shifted_ms, silence_ms):
+    for start_ms, end_ms in spans:
+        if start_ms <= shifted_ms < end_ms:
+            return end_ms
+        if shifted_ms < start_ms <= shifted_ms + silence_ms:
+            return end_ms
+        if start_ms > shifted_ms + silence_ms:
             break
     return None
 
 
 def ref_derive_cut_points(shots, transcript, cfg):
-    spans = sentence_spans(transcript, cfg.gap_ms)
+    spans = ref_sentence_spans(transcript, cfg.gap_ms)
     cuts = {}
     for shot in shots:
-        shifted = shot.timestamp_ms + cfg.k_seconds * 1000
-        span = _ref_span_for_shifted(spans, shifted, cfg.silence_ms)
-        if span is not None:
-            cut = CutPoint(cut_ms=span.end_ms, source_shot_ms=shot.timestamp_ms,
+        shifted = shot + cfg.k_seconds * 1000
+        end_ms = _ref_sentence_end_for(spans, shifted, cfg.silence_ms)
+        if end_ms is not None:
+            cut = CutPoint(cut_ms=end_ms, source_shot_ms=shot,
                            shifted_ms=shifted, snap_rule=SnapRule.SENTENCE_END)
         else:
-            cut = CutPoint(cut_ms=shifted, source_shot_ms=shot.timestamp_ms,
+            cut = CutPoint(cut_ms=shifted, source_shot_ms=shot,
                            shifted_ms=shifted,
                            snap_rule=SnapRule.SILENCE_PASSTHROUGH)
         cuts.setdefault(cut.cut_ms, cut)
@@ -806,8 +823,9 @@ def test_shot_transitions_match_loop_reference(spec, window, alpha,
                                                min_shot_ms):
     track = _random_track(*spec)
     cfg = SegmenterConfig(window=window, alpha=alpha, min_shot_ms=min_shot_ms)
-    assert detect_shot_transitions(track, cfg) == \
-        ref_shot_transitions(track, cfg)
+    got = detect_shot_transitions(track, cfg)
+    assert got == ref_shot_transitions(track, cfg)
+    assert all(type(ts) is int for ts in got)
 
 
 _cue_specs = st.lists(
@@ -818,8 +836,9 @@ _cue_specs = st.lists(
 @given(_cue_specs, st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=120, deadline=None)
 def test_speech_features_match_loop_reference(specs, seed):
+    # in start order, as a Transcript holds its cues
     cues = [Cue(i + 1, start, start + length, " ".join(["w"] * words))
-            for i, (start, length, words) in enumerate(specs)]
+            for i, (start, length, words) in enumerate(sorted(specs))]
     transcript = Transcript("vid", cues)
     rng = np.random.default_rng(seed)
     edges = [c.start_ms for c in cues] + [c.end_ms for c in cues] + [0]
@@ -995,14 +1014,51 @@ def _snapping_case(rng):
                           silence_ms=int(rng.choice([0, 1, 300, 3000])),
                           gap_ms=gap_ms)
     edges = [int(rng.integers(0, 20000))]
-    for span in sentence_spans(transcript, gap_ms):
-        edges += [span.start_ms, span.end_ms,
-                  span.start_ms - cfg.silence_ms]
+    for start_ms, end_ms in ref_sentence_spans(transcript, gap_ms):
+        edges += [start_ms, end_ms, start_ms - cfg.silence_ms]
     shifted = {int(rng.choice(edges)) + int(rng.integers(-1, 2))
                for _ in range(int(rng.integers(0, 10)))}
-    shots = [ShotTransition(t - cfg.k_seconds * 1000, 1.0)
+    shots = [t - cfg.k_seconds * 1000
              for t in sorted(shifted) if t >= cfg.k_seconds * 1000]
     return shots, transcript, cfg
+
+
+@st.composite
+def _sentence_cases(draw):
+    """A transcript in start order and a gap_ms: cues that nest, overlap,
+    touch or leave a silence of gap_ms or one either side of it, their
+    texts ending in each terminal mark, in none, or in a mark and then
+    whitespace, which the parsers would have stripped."""
+    gap_ms = draw(st.sampled_from([0, 500, 1500, 3000]))
+    cues, at = [], draw(st.integers(0, 3000))
+    for k in range(draw(st.integers(0, 12))):
+        length = draw(st.integers(1, 3000))
+        mark = draw(st.sampled_from(["", ",", *TERMINAL_PUNCTUATION]))
+        space = draw(st.sampled_from(["", " ", "\t"])) if mark else ""
+        cues.append(Cue(k + 1, at, at + length, "w" + mark + space))
+        at += length + draw(st.one_of(
+            st.integers(-length, 0),
+            st.sampled_from([gap_ms - 1, gap_ms, gap_ms + 1]),
+            st.integers(0, 6000)))
+    return Transcript("vid", cues), gap_ms
+
+
+@given(_sentence_cases())
+@example((Transcript("vid"), 1500))
+@example((Transcript("vid", [Cue(1, 0, 10, "w")]), 0))
+@example((Transcript("vid", [Cue(1, 0, 10, "w"), Cue(2, 1510, 1600, "w")]),
+          1500))
+@example((Transcript("vid", [Cue(1, 0, 10, "w. "), Cue(2, 10, 20, "w")]),
+          1500))
+@example((Transcript("vid", [Cue(1, 0, 10, "w\u2026"),
+                             Cue(2, 10, 20, "w")]), 1500))
+@settings(max_examples=300, deadline=None)
+def test_sentence_bounds_match_loop_reference(case):
+    transcript, gap_ms = case
+    starts, ends = sentence_bounds(transcript, gap_ms)
+    assert starts.dtype == ends.dtype == np.int64
+    assert list(zip(starts.tolist(), ends.tolist())) == \
+        ref_sentence_spans(transcript, gap_ms)
 
 
 @pytest.mark.parametrize("block", range(4))

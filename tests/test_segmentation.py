@@ -1,16 +1,20 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from conftest import THREE_VIDEO_WORLD, write_world
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gelid.errors import DataError
 from gelid.frames import VideoTrack
 from gelid.pipeline import load_segments
-from gelid.segmentation import (CutPoint, SegmenterConfig, ShotTransition,
-                                SnapRule, build_segments, derive_cut_points,
+from gelid.segmentation import (CutPoint, SegmenterConfig, SnapRule,
+                                build_segments, derive_cut_points,
                                 detect_shot_transitions, segment_video,
                                 write_segments_jsonl)
-from gelid.subtitles import Cue, Transcript
+from gelid.subtitles import Cue, Transcript, sentence_bounds
 
 
 def _hist(dominant_bin):
@@ -45,9 +49,10 @@ def test_single_abrupt_change_detected_at_its_frame():
     spec = [(i * 1000, 0) for i in range(5)] + \
            [(i * 1000, 15) for i in range(5, 11)]
     track = _track(spec)
-    shots = detect_shot_transitions(track, SegmenterConfig())
-    assert [s.timestamp_ms for s in shots] == [5000]
-    assert shots[0].score == pytest.approx(6.0)  # L1 of disjoint unit blocks
+    assert detect_shot_transitions(track, SegmenterConfig()) == [5000]
+    # the distance it crossed: the L1 of disjoint unit blocks
+    dists = np.abs(np.diff(track.histograms, axis=0)).sum(axis=1)
+    assert dists[4] == pytest.approx(6.0)
 
 
 def test_min_shot_ms_suppresses_second_nearby_change():
@@ -58,12 +63,12 @@ def test_min_shot_ms_suppresses_second_nearby_change():
     # with no minimum both abrupt changes fire at this alpha ...
     free = detect_shot_transitions(track,
                                    SegmenterConfig(alpha=0.5, min_shot_ms=0))
-    assert [s.timestamp_ms for s in free] == [5000, 5100]
+    assert free == [5000, 5100]
     # ... the min-shot rule keeps only the first
     shots = detect_shot_transitions(track,
                                     SegmenterConfig(alpha=0.5,
                                                     min_shot_ms=2000))
-    assert [s.timestamp_ms for s in shots] == [5000]
+    assert shots == [5000]
 
 
 def test_fewer_than_two_frames_warns_and_returns_empty(caplog):
@@ -88,7 +93,7 @@ def test_cut_snaps_to_sentence_end_worked_example():
         (838000, 845000, "the textures were completely gone."),
         (850000, 853000, "Anyway."),
     ])
-    shots = [ShotTransition(825000, 1.0)]
+    shots = [825000]
     cuts = derive_cut_points(shots, transcript, SegmenterConfig(k_seconds=5))
     assert len(cuts) == 1
     assert cuts[0].cut_ms == 845000
@@ -98,7 +103,7 @@ def test_cut_snaps_to_sentence_end_worked_example():
 
 def test_cut_passes_through_silence():
     transcript = _transcript([(0, 1000, "hello there.")])
-    shots = [ShotTransition(600000, 1.0)]
+    shots = [600000]
     cuts = derive_cut_points(shots, transcript, SegmenterConfig(k_seconds=0))
     assert cuts == [CutPoint(cut_ms=600000, source_shot_ms=600000,
                              shifted_ms=600000,
@@ -107,7 +112,7 @@ def test_cut_passes_through_silence():
 
 def test_cut_snaps_to_sentence_starting_within_silence_window():
     transcript = _transcript([(12000, 15000, "that was weird.")])
-    shots = [ShotTransition(10000, 1.0)]
+    shots = [10000]
     cfg = SegmenterConfig(k_seconds=0, silence_ms=3000)
     cuts = derive_cut_points(shots, transcript, cfg)
     assert cuts[0].cut_ms == 15000
@@ -116,7 +121,7 @@ def test_cut_snaps_to_sentence_starting_within_silence_window():
 
 def test_two_shots_in_same_sentence_collapse_to_one_cut():
     transcript = _transcript([(10000, 30000, "one very long sentence here.")])
-    shots = [ShotTransition(12000, 1.0), ShotTransition(18000, 1.0)]
+    shots = [12000, 18000]
     cuts = derive_cut_points(shots, transcript, SegmenterConfig(k_seconds=0))
     assert len(cuts) == 1
     assert cuts[0].cut_ms == 30000
@@ -239,8 +244,7 @@ def _random_speech(draw):
         at += dur
     shots = sorted(draw(st.sets(st.integers(min_value=0, max_value=at + 5000),
                                 min_size=1, max_size=6)))
-    return Transcript(video_id="v", cues=cues), \
-        [ShotTransition(t, 1.0) for t in shots]
+    return Transcript(video_id="v", cues=cues), shots
 
 
 @given(_random_speech())
@@ -265,15 +269,14 @@ def test_snap_monotone_in_k(data):
 @given(_random_speech())
 @settings(max_examples=80, deadline=None)
 def test_no_sentence_straddles_a_snapped_cut(data):
-    from gelid.subtitles import sentence_spans
     transcript, shots = data
     cfg = SegmenterConfig(k_seconds=5)
     cuts = derive_cut_points(shots, transcript, cfg)
-    spans = sentence_spans(transcript, cfg.gap_ms)
+    spans = list(zip(*sentence_bounds(transcript, cfg.gap_ms)))
     for cut in cuts:
         if cut.snap_rule is SnapRule.SENTENCE_END:
-            for span in spans:
-                assert not (span.start_ms < cut.cut_ms < span.end_ms)
+            for start_ms, end_ms in spans:
+                assert not (start_ms < cut.cut_ms < end_ms)
 
 
 def test_segment_video_drops_cut_snapped_past_video_end():
@@ -296,3 +299,19 @@ def test_determinism_same_input_same_ids():
     first = segment_video(track, transcript, cfg)
     second = segment_video(track, transcript, cfg)
     assert first == second
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```python\n(.*?)```", readme.read_text(), re.S)[1]
+    write_world(tmp_path, {"vid": THREE_VIDEO_WORLD["vid_a"]})
+    monkeypatch.chdir(tmp_path)
+    names = {}
+    exec(block, names)
+    # each scene's second cue ends its sentence, 11 s into the scene
+    assert names["starts"].tolist() == [4000, 24000, 44000]
+    assert names["ends"].tolist() == [11000, 31000, 51000]
+    # without a duration, the video ends at its last frame
+    assert [(s.start_ms, s.end_ms) for s in names["segments"]] == [
+        (0, 31000), (31000, 51000), (51000, 59500)]
+    assert names["score"] == pytest.approx(50.0)

@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gelid.errors import ParseError, utf8_text
 from gelid.subtitles import (Cue, Transcript, parse_srt, parse_vtt,
-                             sentence_spans, write_srt)
+                             sentence_bounds, write_srt)
 
 SIMPLE_SRT = "1\n00:00:01,000 --> 00:00:02,500\nhello\n"
 
@@ -134,30 +135,27 @@ def test_vtt_cue_at_100_hours_survives_srt_round_trip():
     assert parse_srt(srt).cues == t.cues
 
 
+def _bounds(t, gap_ms):
+    return [b.tolist() for b in sentence_bounds(t, gap_ms)]
+
+
 def test_sentence_spans_punctuation_rule():
     t = parse_srt("1\n00:00:01,000 --> 00:00:02,000\nI see.\n\n"
                   "2\n00:00:02,100 --> 00:00:03,000\na bug!\n")
-    spans = sentence_spans(t, gap_ms=1500)
-    assert len(spans) == 2
-    assert spans[0].text == "I see."
+    assert _bounds(t, 1500) == [[1000, 2100], [2000, 3000]]
 
 
 def test_sentence_spans_gap_rule():
     t = parse_srt("1\n00:00:01,000 --> 00:00:02,000\nI was\n\n"
                   "2\n00:00:05,000 --> 00:00:06,000\nwalking\n")
-    spans = sentence_spans(t, gap_ms=1500)
-    assert len(spans) == 2
+    assert _bounds(t, 1500) == [[1000, 5000], [2000, 6000]]
 
 
 def test_sentence_spans_adjacent_unpunctuated_merge():
-    # span ends at the second cue's end time
+    # the sentence ends at the second cue's end time
     t = parse_srt("1\n00:00:01,000 --> 00:00:02,000\nso the\n\n"
                   "2\n00:00:02,200 --> 00:00:03,400\ngame crashed.\n")
-    spans = sentence_spans(t, gap_ms=1500)
-    assert len(spans) == 1
-    assert spans[0].end_ms == 3400
-    assert spans[0].cue_indices == (1, 2)
-    assert spans[0].text == "so the game crashed."
+    assert _bounds(t, 1500) == [[1000], [3400]]
 
 
 def test_write_srt_canonical_form():
@@ -197,9 +195,11 @@ def test_srt_round_trip_identity(t):
 @given(transcripts(), st.integers(min_value=0, max_value=5000))
 @settings(max_examples=60, deadline=None)
 def test_sentence_spans_cover_each_cue_once_in_order(t, gap_ms):
-    spans = sentence_spans(t, gap_ms)
-    flattened = [i for span in spans for i in span.cue_indices]
-    assert flattened == [c.index for c in t.cues]
-    for span in spans:
-        assert span.end_ms == max(
-            c.end_ms for c in t.cues if c.index in span.cue_indices)
+    starts, ends = sentence_bounds(t, gap_ms)
+    assert starts.size == ends.size <= len(t.cues)
+    assert starts.size or not t.cues
+    assert set(starts.tolist()) <= {c.start_ms for c in t.cues}
+    assert set(ends.tolist()) <= {c.end_ms for c in t.cues}
+    if t.cues:  # these cues never overlap, so the sentences do not
+        assert (starts[0], ends[-1]) == (t.cues[0].start_ms, t.cues[-1].end_ms)
+        assert (np.diff(np.column_stack([starts, ends]).ravel()) > 0).all()

@@ -19,8 +19,8 @@ from pathlib import Path
 
 from . import features, pipeline, stats
 from .config import SECTIONS, load_config
-from .errors import (ConfigError, DataError, GelidError, fits, read_text,
-                     write_file)
+from .errors import (ConfigError, DataError, GelidError, fits, naming,
+                     read_text, write_file)
 from .frames import write_descriptor_csv
 from .segmentation import write_segments_jsonl
 from .subtitles import write_srt
@@ -72,14 +72,12 @@ def cmd_features(args, config) -> int:
 
 
 def cmd_train(args, config) -> int:
-    matrix = features.read_feature_csv(read_text(args.features),
-                                       args.features)
+    with naming(args.features):
+        matrix = features.read_feature_csv(read_text(args.features))
     # the space `gelid features` fixed; the config's features.* go unread
-    space_obj = pipeline.read_json(args.vocabulary, features.SPACE_SHAPE)
-    try:
-        space = features.FeatureSpace.from_dict(space_obj)
-    except DataError as exc:
-        raise DataError(f"{args.vocabulary}: {exc}") from None
+    with naming(args.vocabulary):
+        space = features.FeatureSpace.from_dict(pipeline.read_json(
+            args.vocabulary, features.SPACE_SHAPE))
     labels = pipeline.load_segment_labels(args.labels)
     bundle = pipeline.StageClock()("train", lambda: pipeline.train_bundle(
         matrix, labels, space, config))
@@ -112,8 +110,8 @@ def _read_labels_of(path: str, segments) -> dict[str, str]:
     labels = pipeline.load_segment_labels(path)
     missing = [s.segment_id for s in segments if s.segment_id not in labels]
     if missing:
-        raise DataError(f"{path}: labels file is missing segment(s): "
-                        f"{missing[:5]}{'...' if len(missing) > 5 else ''}")
+        raise DataError(f"labels file is missing segment(s): {missing[:5]}"
+                        f"{'...' if len(missing) > 5 else ''}", path=path)
     return labels
 
 
@@ -199,16 +197,14 @@ _PARTITION = {"groups?": [[_LABEL]], "mapping?": _label_mapping}
 def _partition_from_file(path: str) -> stats.Partition:
     """{"groups": [[id, ...], ...]} or {"mapping": {id: group, ...}}; by
     its groups if it has both."""
-    obj = pipeline.read_json(path, _PARTITION)
-    try:
+    with naming(path):
+        obj = pipeline.read_json(path, _PARTITION)
         partition = (stats.Partition.from_groups(obj["groups"])
                      if "groups" in obj
                      else stats.Partition.from_mapping(obj.get("mapping", {})))
         if not partition.n_objects:
             raise DataError("expected 'groups' or 'mapping' with at least "
                             "one object")
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
     return partition
 
 
@@ -232,8 +228,8 @@ def _kappa(args) -> dict:
     x = pipeline.read_json(args.x, _ratings)
     y = pipeline.read_json(args.y, _ratings)
     if x and y and isinstance(x[0], str) != isinstance(y[0], str):
-        raise DataError(f"{args.y}: ratings must be all strings or all "
-                        f"numbers, as in {args.x}")
+        raise DataError(f"ratings must be all strings or all numbers, as "
+                        f"in {args.x}", path=args.y)
     return {"kappa": stats.cohens_kappa(x, y)}
 
 

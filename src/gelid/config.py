@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 from .clustering import CLUSTERERS, blend_weight, check_params
-from .errors import (ConfigError, DataError, ParseError, check_shape,
-                     positive_int, utf8_text)
+from .errors import (ConfigError, DataError, check_shape, naming,
+                     positive_int, read_text)
 from .features import FEATURE_GROUPS, NGRAM_MAX
 from .frames import DEFAULT_BINS, histogram_bins
 from .models import (DEFAULT_HYPER, HYPER_SHAPES, KIND_FFN, KIND_FOREST,
@@ -181,29 +180,28 @@ _PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
 _COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
-def parse_config(text: str, path: str = "config") -> RunConfig:
-    """Parse the flat format of the file `path`; unknown keys are hard
-    errors. An error is led by `<path>:<line>: `."""
+def parse_config(text: str) -> RunConfig:
+    """Parse the flat format; unknown keys are hard errors. An error names
+    its line."""
     cfg = RunConfig()
     # split at LF only: a value may hold U+2028 and other breaks
     for line_no, line in enumerate(text.split("\n"), start=1):
         stripped = _COMMENT.sub("", line).strip()
         if not stripped:
             continue
-        where = f"{path}:{line_no}: "
         if "=" not in stripped:
-            raise ConfigError(f"{where}expected 'key = value', got "
-                              f"{stripped!r}")
+            raise ConfigError(f"expected 'key = value', got {stripped!r}",
+                              line_no)
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
         if key not in _FIELDS:
-            raise ConfigError(f"{where}unknown key {key!r}")
+            raise ConfigError(f"unknown key {key!r}", line_no)
         type_name = _FIELDS[key].type.removesuffix(" | None")
         try:
             value = _PARSERS[type_name](raw)
         except ValueError:
-            raise ConfigError(f"{where}{key}: cannot parse {raw!r} as "
-                              f"{type_name}") from None
+            raise ConfigError(f"{key}: cannot parse {raw!r} as {type_name}",
+                              line_no) from None
         setattr(cfg, _FIELDS[key].name, value)
     return cfg
 
@@ -216,10 +214,10 @@ def load_config(path: str | None, seed_override: int | None = None,
         cfg = RunConfig()
     else:
         try:
-            text = utf8_text(Path(path).read_bytes())
-        except (OSError, ParseError) as exc:  # a ParseError names the line
-            raise ConfigError(f"cannot read config {path}: {exc}") from None
-        cfg = parse_config(text, path)
+            with naming(path):
+                cfg = parse_config(read_text(path))
+        except DataError as exc:  # an unreadable config is a usage error
+            raise ConfigError(str(exc)) from None
     if seed_override is not None:
         cfg.seed = seed_override
     cfg.validate(sections)

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all gelid modules; `read_text`, the one
-reader of a text file's lines, and `write_file`, of every output; and
+"""Exception hierarchy shared by all gelid modules, each naming a fault's
+place as `<path>:<line>: ` (see `naming`); `read_bytes` and `read_text`,
+the readers of every input, and `write_file`, of every output; and
 `check_shape`, which holds an input or a setting to its declared shape.
 
 Exit-code mapping used by the CLI: ConfigError -> 1, DataError -> 2,
@@ -9,13 +10,28 @@ InternalError -> 3.
 import codecs
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 
 class GelidError(Exception):
-    """Base class for all gelid errors."""
+    """Base class for all gelid errors. One in an input may name its file,
+    `path`, and its 1-based `line`; they lead the message as
+    `<path>:<line>: `, or `<path>: ` without a line."""
 
     exit_code = 3
+
+    def __init__(self, message: str, line: int | None = None,
+                 path: str | Path | None = None):
+        super().__init__(message)
+        self.line = line
+        self.path = path
+
+    def __str__(self) -> str:
+        if self.path is None:
+            return super().__str__()
+        line = "" if self.line is None else f"{self.line}:"
+        return f"{self.path}:{line} {super().__str__()}"
 
 
 class ConfigError(GelidError):
@@ -33,36 +49,45 @@ class DataError(GelidError):
 class ParseError(DataError):
     """Format violation in a parsed file, with a 1-based line number."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        self.detail = message
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+
+@contextmanager
+def naming(path: str | Path):
+    """Name `path` in a GelidError raised inside that names no file."""
+    try:
+        yield
+    except GelidError as exc:
+        if exc.path is None:
+            exc.path = path
+        raise
 
 
-def utf8_text(data: bytes, where: str = "") -> str:
+def utf8_text(data: bytes) -> str:
     """`data` decoded as UTF-8 after one leading byte-order mark, with its
     CRLF and lone CR read as LF; a byte that is not UTF-8 is a ParseError
-    on its line, counted by those line ends, led by `where` (`<file>: `)."""
+    on its line, counted by those line ends."""
     # no UTF-8 sequence holds a CR or LF byte, so bytes map as text would
     data = data.removeprefix(codecs.BOM_UTF8).replace(b"\r\n", b"\n")
     data = data.replace(b"\r", b"\n")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{where}not UTF-8 text ({exc.reason})",
+        raise ParseError(f"not UTF-8 text ({exc.reason})",
                          data.count(b"\n", 0, exc.start) + 1) from None
 
 
-def read_text(path: str | Path) -> str:
-    """A file's `utf8_text`; an unreadable file is a DataError caused by
-    its OSError."""
+def read_bytes(path: str | Path) -> bytes:
+    """A file's bytes; an unreadable file is a DataError naming it, caused
+    by its OSError."""
     try:
-        data = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    return utf8_text(data, f"{path}: ")
+        raise DataError(f"cannot read ({exc.strerror})", path=path) from exc
+
+
+def read_text(path: str | Path) -> str:
+    """A file's `utf8_text`; its errors name the file."""
+    with naming(path):
+        return utf8_text(read_bytes(path))
 
 
 def write_file(path: str | Path, data: str | bytes) -> None:
@@ -73,7 +98,7 @@ def write_file(path: str | Path, data: str | bytes) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(data if isinstance(data, bytes) else data.encode())
     except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from None
+        raise DataError(f"cannot write ({exc.strerror})", path=path) from None
 
 
 class InternalError(GelidError):
@@ -130,9 +155,9 @@ def fits(value, shape) -> bool:
     return _fault(value, shape, "") is None
 
 
-def check_shape(value, shape, where: str) -> None:
-    """A DataError `<where><path>: expected ..., got ...` unless `value`,
-    named by `where` (`<file>[:<line>]: $` for JSON), has `shape`: a type
+def check_shape(value, shape, where: str, line: int | None = None) -> None:
+    """A DataError `<where><path>: expected ..., got ...`, on `line`, unless
+    `value`, named by `where` (`$` for JSON), has `shape`: a type
     (`float` is a finite number; `int` and `float` take no bool); `[shape]`,
     a list of it; `{key: shape, "optional key?": shape}`, an object with
     those keys and maybe others, or `{str: shape}` for any keys; a tuple,
@@ -140,7 +165,7 @@ def check_shape(value, shape, where: str) -> None:
     docstring describes. `path` leads to the first bad part."""
     fault = _fault(value, shape, "")
     if fault is not None:
-        raise DataError(where + fault)
+        raise DataError(where + fault, line)
 
 
 def _fault(value, shape, path: str) -> str | None:

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (DataError, ParseError, check_shape, positive_int,
-                     read_text)
+from .errors import (DataError, ParseError, check_shape, naming,
+                     positive_int, read_text)
 from .frames import VideoTrack
 from .segmentation import Segment
 from .subtitles import Transcript
@@ -163,24 +163,25 @@ def load_embedding_table(path: str | Path) -> EmbeddingTable:
     line that holds a non-finite value is a ParseError."""
     vectors: dict[str, np.ndarray] = {}
     dim = None
-    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
-        try:
-            parts = line.split()
-            vec = np.array([float(v) for v in parts[1:]])
-            if not np.all(np.isfinite(vec)):
-                raise ValueError("embedding values must be finite")
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}", line_no) from None
-        if not parts:
-            continue
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise DataError(f"{path}:{line_no}: embedding dimension "
-                            f"{vec.size} != {dim}")
-        vectors[parts[0]] = vec
-    if not vectors:
-        raise DataError(f"{path}: empty embedding table")
+    with naming(path):
+        for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+            try:
+                parts = line.split()
+                vec = np.array([float(v) for v in parts[1:]])
+                if not np.all(np.isfinite(vec)):
+                    raise ValueError("embedding values must be finite")
+            except ValueError as exc:
+                raise ParseError(str(exc), line_no) from None
+            if not parts:
+                continue
+            if dim is None:
+                dim = vec.size
+            elif vec.size != dim:
+                raise DataError(f"embedding dimension {vec.size} != {dim}",
+                                line_no)
+            vectors[parts[0]] = vec
+        if not vectors:
+            raise DataError("empty embedding table")
     return EmbeddingTable(vectors=vectors, dim=dim)
 
 
@@ -410,18 +411,17 @@ def write_feature_csv(matrix: FeatureMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_feature_csv(text: str, path: str = "features.csv") -> FeatureMatrix:
+def read_feature_csv(text: str) -> FeatureMatrix:
     """The matrix of a `write_feature_csv` file's text, as `read_text`
-    gives it, one row per segment_id; `path` names it in errors, with the
-    line of a bad row."""
+    gives it, one row per segment_id; a bad row's error names its line."""
     # split at LF only: a segment id may hold other line breaks
     lines = [(no, ln) for no, ln in enumerate(text.split("\n"), start=1)
              if ln.strip()]
     if not lines:
-        raise DataError(f"{path}: empty feature CSV")
+        raise DataError("empty feature CSV")
     header = lines[0][1].split(",")
     if header[0] != "segment_id":
-        raise DataError(f"{path}: the first column must be segment_id")
+        raise DataError("the first column must be segment_id")
     names = tuple(header[1:])
     rows: dict[str, list[float]] = {}
     for line_no, ln in lines[1:]:
@@ -434,7 +434,7 @@ def read_feature_csv(text: str, path: str = "features.csv") -> FeatureMatrix:
             if len(row) != len(names) or not all(map(math.isfinite, row)):
                 raise ValueError(f"expected {len(names)} finite values")
         except ValueError as exc:
-            raise ParseError(f"{path}: {exc}", line_no) from None
+            raise ParseError(str(exc), line_no) from None
         rows[cells[0]] = row
     return FeatureMatrix(segment_ids=tuple(rows), names=names,
                          values=np.reshape(list(rows.values()),

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (DataError, InternalError, ParseError, check_shape,
-                     utf8_text)
+                     naming, read_bytes, utf8_text)
 
 log = logging.getLogger(__name__)
 
@@ -313,33 +313,34 @@ def read_descriptor_csv(path: str | Path, video_id: str = "",
     raises a ParseError naming the file and its line; nothing is clamped
     or skipped except blank lines.
     """
-    data = Path(path).read_bytes()
-    text = (None if data.isascii() and b"\r" not in data
-            else utf8_text(data, f"{path}: "))
-    timestamps, histograms, luminance = _parse_descriptor_csv(path, data, text)
-    if duration_ms is None:
-        duration_ms = int(timestamps[-1]) if timestamps.size else 0
-    track = VideoTrack(video_id, timestamps, histograms, luminance,
-                       duration_ms)
-    fault = track._first_fault()
-    if fault is not None:
-        row, message = fault  # the track's rows are the data lines
-        lines = _data_lines(utf8_text(data) if text is None else text)
-        raise ParseError(f"{path}: {message}", list(lines)[row][0])
+    with naming(path):
+        data = read_bytes(path)
+        text = (None if data.isascii() and b"\r" not in data
+                else utf8_text(data))
+        timestamps, histograms, luminance = _parse_descriptor_csv(data, text)
+        if duration_ms is None:
+            duration_ms = int(timestamps[-1]) if timestamps.size else 0
+        track = VideoTrack(video_id, timestamps, histograms, luminance,
+                           duration_ms)
+        fault = track._first_fault()
+        if fault is not None:
+            row, message = fault  # the track's rows are the data lines
+            lines = _data_lines(utf8_text(data) if text is None else text)
+            raise ParseError(message, list(lines)[row][0])
     return track
 
 
-def _parse_descriptor_csv(path: str | Path, data: bytes, text: str | None):
+def _parse_descriptor_csv(data: bytes, text: str | None):
     """The columns of a descriptor CSV's `data`, decoded as `text`; for an
     ASCII file with LF line ends `text` is None and only its header is."""
     header = (text if text is not None else utf8_text(
         data[:data.find(b"\n") + 1 or None])).split("\n", 1)[0].split(",")
     if header == [""]:
-        raise ParseError(f"{path}: empty descriptor CSV", 1)
+        raise ParseError("empty descriptor CSV", 1)
     width = len(header) - 2
     if (header[0] != "timestamp_ms" or header[-1] != "luminance"
             or width < _CHANNELS or width % _CHANNELS):
-        raise ParseError(f"{path}: bad descriptor CSV header", 1)
+        raise ParseError("bad descriptor CSV header", 1)
     if text is None:
         columns = _decode_fixed_rows(data, width)
         if columns is not None:
@@ -351,7 +352,7 @@ def _parse_descriptor_csv(path: str | Path, data: bytes, text: str | None):
         table = _load_rows([line for _, line in _data_lines(text)],
                            row_dtype)
     except (ValueError, DeprecationWarning):
-        raise _unparsable_row(path, text, row_dtype) from None
+        raise _unparsable_row(text, row_dtype) from None
     return (table["ts"].copy(),
             np.ascontiguousarray(table["hist"]).reshape(len(table), width),
             table["lum"].copy())
@@ -475,8 +476,7 @@ def _data_lines(text: str):
             yield line_no, line
 
 
-def _unparsable_row(path: str | Path, text: str,
-                    row_dtype: np.dtype) -> ParseError:
+def _unparsable_row(text: str, row_dtype: np.dtype) -> ParseError:
     """Locate the first row the vectorized parse rejected and say why."""
     n_fields = row_dtype["hist"].shape[0] + 2
     for line_no, line in _data_lines(text):
@@ -491,8 +491,8 @@ def _unparsable_row(path: str | Path, text: str,
             else:
                 reason = next((f"non-numeric value {c!r}" for c in cells[1:]
                                if not _parses(float, c)), str(exc))
-            return ParseError(f"{path}: {reason}", line_no)
-    raise InternalError(f"{path}: parse failed but every row parses")
+            return ParseError(reason, line_no)
+    raise InternalError("parse failed but every row parses")
 
 
 def _parses(kind, text: str) -> bool:
@@ -514,20 +514,18 @@ def load_track(path: str | Path, video_id: str = "",
         for entry in sorted(path.iterdir()):
             if entry.suffix.lower() != ".ppm":
                 continue
-            try:
-                ts = int(entry.stem)
-            except ValueError:
-                raise DataError(f"{entry.name}: frame file name is not a "
-                                f"millisecond timestamp") from None
-            if ts in by_stamp:
-                raise DataError(f"duplicate frame timestamp {ts} ms from "
-                                f"{by_stamp[ts].name} and {entry.name}")
-            by_stamp[ts] = entry
-            try:
-                hist, luminance = compute_histogram(
-                    parse_ppm_frame(entry.read_bytes()), bins_per_channel)
-            except ParseError as exc:
-                raise ParseError(f"{entry}: {exc.detail}", exc.line) from None
+            with naming(entry):
+                try:
+                    ts = int(entry.stem)
+                except ValueError:
+                    raise DataError("frame file name is not a millisecond "
+                                    "timestamp") from None
+                if ts in by_stamp:
+                    raise DataError(f"duplicate frame timestamp {ts} ms, as "
+                                    f"in {by_stamp[ts].name}")
+                by_stamp[ts] = entry
+                frame = parse_ppm_frame(read_bytes(entry))
+            hist, luminance = compute_histogram(frame, bins_per_channel)
             hists.append(hist)
             lums.append(luminance)
         if not by_stamp:
@@ -544,15 +542,13 @@ def load_track(path: str | Path, video_id: str = "",
         fault = track._first_fault()
         if fault is not None:
             row, message = fault
-            raise DataError(f"{by_stamp[int(track.timestamps_ms[row])]}: "
-                            f"{message}")
+            raise DataError(message,
+                            path=by_stamp[int(track.timestamps_ms[row])])
         return track
-    if path.is_file():
-        track = read_descriptor_csv(path, video_id, duration_ms)
-        width = track.histograms.shape[1]
-        if width != _CHANNELS * bins_per_channel:
-            raise ParseError(f"{path}: {width} histogram columns, expected "
-                             f"{_CHANNELS * bins_per_channel} (3 channels x "
-                             f"{bins_per_channel} bins)", 1)
-        return track
-    raise DataError(f"track source {path} does not exist")
+    track = read_descriptor_csv(path, video_id, duration_ms)
+    width = track.histograms.shape[1]
+    if width != _CHANNELS * bins_per_channel:
+        raise ParseError(f"{width} histogram columns, expected "
+                         f"{_CHANNELS * bins_per_channel} (3 channels x "
+                         f"{bins_per_channel} bins)", 1, path=path)
+    return track

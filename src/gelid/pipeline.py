@@ -23,8 +23,8 @@ import numpy as np
 
 from . import clustering, features, models
 from .config import RunConfig
-from .errors import (ConfigError, DataError, ParseError, StageError,
-                     check_shape, count, file_name, read_text, write_file)
+from .errors import (ConfigError, DataError, StageError, check_shape, count,
+                     file_name, naming, read_text, write_file)
 from .frames import VideoTrack, load_track
 from .segmentation import (SEGMENT_SHAPE, Segment, segment_from_dict,
                            segment_video)
@@ -87,12 +87,22 @@ class Manifest:
 def read_json(path: str | Path, shape):
     """A JSON file's value, of `shape`; an unreadable or invalid file, or a
     value of another shape, is a DataError naming the file."""
-    try:
-        value = json.loads(read_text(path))
-    except (ValueError, RecursionError) as exc:  # RecursionError: too deep
-        raise DataError(f"{path} is not valid JSON: {exc}") from None
-    check_shape(value, shape, f"{path}: $")
+    with naming(path):
+        value = _decoded(read_text(path))
+        check_shape(value, shape, "$")
     return value
+
+
+def _decoded(text: str, line: int | None = None):
+    """`text` decoded as JSON; a fault is a DataError on `line`, a JSONL
+    row's, or on the line of the text where the decoder found it."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:  # lines as read_text ends them
+        raise DataError(f"not valid JSON: {exc.msg} (column {exc.colno})",
+                        line or exc.lineno) from None
+    except (ValueError, RecursionError) as exc:  # e.g. nested too deep
+        raise DataError(f"not valid JSON: {exc}", line) from None
 
 
 def load_manifest(path: str | Path) -> Manifest:
@@ -103,20 +113,15 @@ def load_manifest(path: str | Path) -> Manifest:
                    frames=path.parent / entry["frames"],
                    duration_ms=entry.get("duration_ms"))
         for entry in read_json(path, _MANIFEST_SHAPE)["videos"]])
-    try:
+    with naming(path):
         manifest.validate()
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
     return manifest
 
 
 def parse_subtitle_file(path: Path, video_id: str) -> Transcript:
-    text = read_text(path)
     parse = parse_vtt if path.suffix.lower() == ".vtt" else parse_srt
-    try:
-        return parse(text, video_id=video_id)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc.detail}", exc.line) from None
+    with naming(path):
+        return parse(read_text(path), video_id=video_id)
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +144,14 @@ class ClassifierBundle:
 def load_bundle(path: str | Path) -> ClassifierBundle:
     """A `ClassifierBundle.to_json` file whose model takes the columns of
     its feature space; any other is a DataError naming the file."""
-    obj = read_json(path, _BUNDLE_SHAPE)
-    try:
+    with naming(path):
+        obj = read_json(path, _BUNDLE_SHAPE)
         bundle = ClassifierBundle(
             models.model_from_dict(obj["model"], "$.model"),
             features.FeatureSpace.from_dict(obj))
         if bundle.model.feature_names != bundle.space.names:
             raise DataError("the model's feature names are not those of its "
                             "feature_groups, vocabulary and embedding")
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
     return bundle
 
 
@@ -156,16 +159,14 @@ def _read_rows(path: str | Path, shape) -> list[tuple[int, dict]]:
     """JSONL rows of `shape` with their line numbers; any other row is a
     DataError naming the file and line."""
     rows = []
-    # split at LF only: a JSON string may hold U+2028 and other breaks
-    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise DataError(f"{path}:{line_no}: bad JSON: {exc}") from None
-        check_shape(row, shape, f"{path}:{line_no}: $")
-        rows.append((line_no, row))
+    with naming(path):
+        # split at LF only: a JSON string may hold U+2028 and other breaks
+        for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+            if not line.strip():
+                continue
+            row = _decoded(line, line_no)
+            check_shape(row, shape, "$", line_no)
+            rows.append((line_no, row))
     return rows
 
 
@@ -173,17 +174,18 @@ def load_segments(path: str | Path, videos) -> list[Segment]:
     """Segments of a segments.jsonl, each with a segment_id of its own, an
     end_ms after its start_ms and one of `videos`."""
     segments: dict[str, Segment] = {}
-    for line_no, row in _read_rows(path, SEGMENT_SHAPE):
-        if row["segment_id"] in segments:
-            raise DataError(f"{path}:{line_no}: segment_id "
-                            f"{row['segment_id']!r} repeats an earlier row")
-        if row["end_ms"] <= row["start_ms"]:
-            raise DataError(f"{path}:{line_no}: end_ms {row['end_ms']} is "
-                            f"not after start_ms {row['start_ms']}")
-        if row["video_id"] not in videos:
-            raise DataError(f"{path}:{line_no}: video {row['video_id']!r} "
-                            f"is not in the manifest")
-        segments[row["segment_id"]] = segment_from_dict(row)
+    with naming(path):
+        for line_no, row in _read_rows(path, SEGMENT_SHAPE):
+            if row["segment_id"] in segments:
+                raise DataError(f"segment_id {row['segment_id']!r} repeats "
+                                f"an earlier row", line_no)
+            if row["end_ms"] <= row["start_ms"]:
+                raise DataError(f"end_ms {row['end_ms']} is not after "
+                                f"start_ms {row['start_ms']}", line_no)
+            if row["video_id"] not in videos:
+                raise DataError(f"video {row['video_id']!r} is not in the "
+                                f"manifest", line_no)
+            segments[row["segment_id"]] = segment_from_dict(row)
     return list(segments.values())
 
 

@@ -129,7 +129,7 @@ def test_an_out_path_that_cannot_be_written_is_named(tmp_path, capsys):
     assert main(["eval", "--stat", "margin", "--n", "10",
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(
-        f"error: cannot write {out}: ")
+        f"error: {out}: cannot write (")
 
 
 def test_a_report_that_cannot_be_written_is_named(staged, tmp_path,
@@ -140,7 +140,7 @@ def test_a_report_that_cannot_be_written_is_named(staged, tmp_path,
     assert main(["report", "--hierarchy", str(stage / "hierarchy.json"),
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(
-        f"error: cannot write {out}: ")
+        f"error: {out}: cannot write (")
 
 
 def test_unknown_config_key_exits_1(tmp_path, capsys):
@@ -202,8 +202,7 @@ def test_bad_descriptor_row_exits_2_naming_file_and_line(tmp_path, capsys,
                  "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2, err
-    assert str(csv_path) in err
-    assert "line 5" in err
+    assert f"{csv_path}:5: " in err
     assert "Traceback" not in err
 
 
@@ -220,8 +219,7 @@ def test_undecodable_subtitles_exit_2_naming_file(tmp_path, capsys, command):
                  "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2, err
-    assert str(srt_path) in err
-    assert "line 3" in err and "not UTF-8" in err
+    assert f"{srt_path}:3: not UTF-8" in err
     assert "Traceback" not in err
 
 
@@ -538,7 +536,7 @@ def test_bad_embedding_line_exits_2_naming_file_and_line(tmp_path, capsys,
     _fails_naming(capsys, [command, "--manifest", str(paths["manifest"]),
                            "--config", str(paths["config"]), *segments,
                            "--out", str(tmp_path / "out")],
-                  str(table_path), "line 2")
+                  f"{table_path}:2: ")
 
 
 def test_embedding_group_without_a_table_exits_1_before_ingest(tmp_path,
@@ -797,7 +795,7 @@ def test_bad_feature_row_exits_2_naming_file_and_line(staged, tmp_path,
         "train", "--config", str(paths["config"]), "--features", str(bad),
         "--vocabulary", str(stage / "vocabulary.json"),
         "--labels", str(stage / "seg_labels.jsonl"),
-        "--out", str(tmp_path / "model.json")], str(bad), "line 3")
+        "--out", str(tmp_path / "model.json")], f"{bad}:3: ")
 
 
 @pytest.mark.parametrize("row", ["not json",
@@ -837,7 +835,7 @@ def test_labels_not_utf8_exits_2_naming_file_and_line(staged, tmp_path,
         "group", "--manifest", str(paths["manifest"]),
         "--config", str(paths["config"]),
         "--segments", str(stage / "segments.jsonl"), "--labels", str(bad),
-        "--out", str(tmp_path / "out")], f"line 3: {bad}: not UTF-8 text")
+        "--out", str(tmp_path / "out")], f"{bad}:3: not UTF-8 text")
 
 
 def test_alpha_outside_unit_interval_exits_1_before_ingest(tmp_path, capsys):
@@ -1145,9 +1143,10 @@ def test_malformed_model_exits_2_naming_file(staged, tmp_path, capsys, text):
 
 @pytest.mark.parametrize("content, message", [
     (None, "cannot read"), (b"{\xff}", "not UTF-8 text"),
-    (b"{", "is not valid JSON"),
+    (b"{", "not valid JSON: Expecting property name enclosed in double "
+           "quotes (column 2)"),
     (b'{"model": ' + b"[" * 5000 + b"]" * 5000 + b"}",
-     "is not valid JSON: maximum recursion depth exceeded")])
+     "not valid JSON: maximum recursion depth exceeded")])
 def test_unreadable_model_exits_2_naming_file(staged, tmp_path, capsys,
                                               content, message):
     paths, stage = staged
@@ -1257,7 +1256,7 @@ def test_repeated_feature_row_exits_2_naming_file_and_line(staged, tmp_path,
     bad.write_text("\n".join(lines + lines[1:2]) + "\n")
     argv = _stage_argv(paths, stage, "train", tmp_path / "model.json")
     argv[argv.index("--features") + 1] = str(bad)
-    _fails_naming(capsys, argv, f"line {len(lines) + 1}: {bad}: segment_id "
+    _fails_naming(capsys, argv, f"{bad}:{len(lines) + 1}: segment_id "
                   f"{lines[1].split(',')[0]!r} repeats an earlier row")
 
 
@@ -1291,8 +1290,8 @@ def test_missing_descriptor_csv_exits_2_naming_stage_and_video(tmp_path,
     _fails_naming(capsys, ["ingest", "--manifest", str(paths["manifest"]),
                            "--config", str(paths["config"]),
                            "--out", str(tmp_path / "out")],
-                  f"stage 'ingest', video 'vid_b': track source {csv_path} "
-                  "does not exist")
+                  f"stage 'ingest', video 'vid_b': {csv_path}: cannot read "
+                  "(No such file or directory)")
 
 
 def test_vocabulary_missing_key_exits_2_naming_file(staged, tmp_path,
@@ -1573,7 +1572,7 @@ def test_descriptor_csv_of_another_bin_count_exits_2_at_ingest(
         track, histograms=track.histograms.reshape(n, 3, 8, 2).sum(axis=3)
         .reshape(n, 24))))
     _fails_naming(capsys, _stage_argv(paths, stage, command, tmp_path / "out"), "stage 'ingest', video 'vid_b'",
-                  f"line 1: {csv_path}: 24 histogram columns, expected 48")
+                  f"{csv_path}:1: 24 histogram columns, expected 48")
 
 
 def test_ppm_frame_past_the_duration_exits_2_at_ingest_naming_its_file(
@@ -1625,8 +1624,7 @@ def test_descriptor_row_before_the_video_start_exits_2_at_ingest(
     _fails_naming(capsys, _stage_argv(paths, stage, "ingest",
                                       tmp_path / "out"),
                   "stage 'ingest', video 'vid_a'",
-                  f"line 2: {csv_path}: frame at -40 ms before the video "
-                  "start")
+                  f"{csv_path}:2: frame at -40 ms before the video start")
 
 
 @pytest.mark.parametrize("segment_id", ["vid_a_0000,x",
@@ -1686,7 +1684,7 @@ _READERS = {
         lambda path: pipeline.load_track(path, "v")),
     "features": ("features.csv", lambda paths, stage: (
         stage / "features.csv").read_text(),
-        lambda path: features.read_feature_csv(read_text(path), str(path))),
+        lambda path: features.read_feature_csv(read_text(path))),
     "vocabulary": ("vocabulary.json", lambda paths, stage: (
         stage / "vocabulary.json").read_text(),
         lambda path: features.FeatureSpace.from_dict(
@@ -1719,12 +1717,112 @@ def test_every_reader_skips_a_bom_and_names_a_bad_byte_by_its_line(
     lines = data.split(b"\n")
     lines[2] = b"\xff" + lines[2]
     path.write_bytes(b"\r".join(lines))
-    # the config's message leads with its path, which it names once
-    where = (f"cannot read config {path}: line 3: " if reader == "config"
-             else f"line 3: {path}: ")
     with pytest.raises(GelidError, match=re.escape(
-            where + "not UTF-8 text")):
+            f"{path}:3: not UTF-8 text")):
         read(path)
+
+
+def _line_3(edit):
+    """A text with its line 3 replaced by `edit` of it."""
+    def broken(text):
+        lines = text.split("\n")
+        lines[2] = edit(lines[2])
+        return "\n".join(lines)
+    return broken
+
+
+# each reader's text, from its good text, with a format fault on line 3
+_LINE_3_FAULTS = {
+    **dict.fromkeys(["manifest", "vocabulary", "model", "partition"],
+                    _line_3(lambda line: "x" + line)),
+    **dict.fromkeys(["labels", "probes"], _line_3(lambda line: "not json")),
+    "srt": lambda text: "\n\n00:00:02,000 --> 00:00:01,000\nbye\n",
+    "vtt": lambda text: "WEBVTT\n\n00:02.000 --> 00:01.000\nbye\n",
+    "descriptors": _line_3(lambda line: "x" + line),
+    "features": _line_3(lambda line: line + ",1.0"),
+    "embedding": _line_3(lambda line: line + " nan"),
+    "config": _line_3(lambda line: "bogus.key = 1"),
+}
+
+
+def _reading(command, flag):
+    """The staged `command`, reading its `flag` input from a path."""
+    def argv(path, paths, stage, tmp_path):
+        argv = _stage_argv(paths, stage, command, tmp_path / "out")
+        argv[argv.index(flag) + 1] = str(path)
+        return argv
+    return argv
+
+
+def _ingesting(key):
+    """`ingest` of one video, 'v', the staged vid_a but its `key` input,
+    read from a path."""
+    def argv(path, paths, stage, tmp_path):
+        video = {"video_id": "v",
+                 "subtitles": str(stage / "ingest" / "vid_a.srt"),
+                 "frames": str(stage / "ingest" / "vid_a.descriptors.csv"),
+                 key: str(path)}
+        manifest = tmp_path / "one.json"
+        manifest.write_text(json.dumps({"schema_version": 1,
+                                        "videos": [video]}))
+        return _reading("ingest", "--manifest")(manifest, paths, stage,
+                                                tmp_path)
+    return argv
+
+
+def _configured(command, settings):
+    """The staged `command` under the world's config and `settings`, which
+    name a path as `{}`."""
+    def argv(path, paths, stage, tmp_path):
+        config = tmp_path / "more.conf"
+        config.write_text(paths["config"].read_text()
+                          + settings.format(path) + "\n")
+        return _reading(command, "--config")(config, paths, stage, tmp_path)
+    return argv
+
+
+# each reader: a gelid command that reads its input from a path, and the
+# stage and video that lead an error in it
+_READ_BY = {
+    "manifest": (_reading("ingest", "--manifest"), ""),
+    "labels": (_reading("group", "--labels"), ""),
+    "probes": (_configured("run", "train.labels_path = {}"), ""),
+    "srt": (_ingesting("subtitles"), "stage 'ingest', video 'v': "),
+    "vtt": (_ingesting("subtitles"), "stage 'ingest', video 'v': "),
+    "descriptors": (_ingesting("frames"), "stage 'ingest', video 'v': "),
+    "features": (_reading("train", "--features"), ""),
+    "vocabulary": (_reading("train", "--vocabulary"), ""),
+    "model": (_reading("classify", "--model"), ""),
+    "partition": (lambda path, *_: [
+        "eval", "--stat", "mojofm", "--partition-a", str(path),
+        "--partition-b", str(path)], ""),
+    "embedding": (_configured("features", "features.groups = text,embedding"
+                              "\nfeatures.embedding_path = {}"),
+                  "stage 'features': "),
+    "config": (_reading("ingest", "--config"), ""),
+}
+
+
+@pytest.mark.parametrize("fault", ["line 3", "missing"])
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_every_reader_names_a_fault_by_its_file_and_line(
+        staged, tmp_path, capsys, reader, fault):
+    """One rule for every input a command reads: its one error line names
+    a fault on line 3 as `<path>:3: `, and a missing file as `<path>:
+    cannot read (...)`, led by the stage and video that read it."""
+    name, source, _ = _READERS[reader]
+    path = tmp_path / name
+    if fault == "line 3":
+        path.write_text(_LINE_3_FAULTS[reader](source(*staged)))
+    argv, lead = _READ_BY[reader]
+    capsys.readouterr()
+    code = main(argv(path, *staged, tmp_path))
+    err = capsys.readouterr().err
+    assert code == (1 if reader == "config" else 2), err
+    where = (":3: " if fault == "line 3"
+             else ": cannot read (No such file or directory)\n")
+    assert err.startswith(f"error: {lead}{path}{where}"), err
+    assert err.count("\n") == 1, err
 
 
 def test_a_config_value_keeps_a_unicode_line_break(tmp_path):

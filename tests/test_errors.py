@@ -2,8 +2,8 @@ import re
 
 import pytest
 
-from gelid.errors import (DataError, check_shape, count, positive,
-                          positive_int)
+from gelid.errors import (DataError, ParseError, check_shape, count, naming,
+                          positive, positive_int)
 
 _ROW = {"id": str, "at_ms": count, "tags?": [str], "label": {"a", "b"}}
 
@@ -78,3 +78,16 @@ def test_a_value_too_deep_to_show_is_a_mismatch_all_the_same():
         check_shape({"id": deep}, _ROW, "rows.jsonl:1: $")
     assert str(err.value) == ("rows.jsonl:1: $.id: expected a string, got "
                               "a value nested too deeply to show")
+
+
+def test_an_error_names_its_place_once():
+    """`naming` leads an error with its file, and its line when it has one;
+    an error that names a file keeps it."""
+    assert str(ParseError("bad row", 3)) == "bad row"
+    with pytest.raises(ParseError) as err, naming("outer.txt"):
+        with naming("inner.txt"):
+            raise ParseError("bad row", 3)
+    assert (str(err.value), err.value.line) == ("inner.txt:3: bad row", 3)
+    with pytest.raises(DataError) as err, naming("f.json"):
+        raise DataError("no line here")
+    assert str(err.value) == "f.json: no line here"

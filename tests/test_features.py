@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gelid.errors import DataError, ParseError, utf8_text
+from gelid.errors import DataError, ParseError, naming, utf8_text
 from gelid.features import (FEATURE_GROUPS, SPACE_SHAPE, SPEECH_NAMES,
                             VIDEO_NAMES, EmbeddingTable, FeatureMatrix,
                             FeatureSpace, Vocabulary, assemble_features,
@@ -432,9 +432,9 @@ def test_feature_csv_rows_end_at_lf_only():
 
 def test_feature_csv_repeating_a_segment_id_names_file_and_line():
     text = "segment_id,a\ns1,1.0\ns2,2.0\ns1,3.0\n"
-    with pytest.raises(ParseError, match="^line 4: f.csv: segment_id 's1' "
-                       "repeats an earlier row$"):
-        read_feature_csv(text, "f.csv")
+    with pytest.raises(ParseError, match="^f.csv:4: segment_id 's1' "
+                       "repeats an earlier row$"), naming("f.csv"):
+        read_feature_csv(text)
 
 
 # --- SMOTE ------------------------------------------------------------------------

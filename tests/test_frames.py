@@ -150,7 +150,16 @@ def test_load_track_duplicate_timestamps_names_both_sources(tmp_path):
     (tmp_path / "05.ppm").write_bytes(_ppm_bytes(1))
     with pytest.raises(DataError) as err:
         load_track(tmp_path, "vid")
-    assert "5.ppm" in str(err.value) and "05.ppm" in str(err.value)
+    assert str(err.value) == (f"{tmp_path / '5.ppm'}: duplicate frame "
+                              f"timestamp 5 ms, as in 05.ppm")
+
+
+def test_load_track_frame_name_not_a_timestamp_names_its_path(tmp_path):
+    (tmp_path / "x.ppm").write_bytes(_ppm_bytes(0))
+    with pytest.raises(DataError) as err:
+        load_track(tmp_path, "vid")
+    assert str(err.value) == (f"{tmp_path / 'x.ppm'}: frame file name is not "
+                              f"a millisecond timestamp")
 
 
 def test_load_track_bad_frame_names_its_file(tmp_path):
@@ -199,7 +208,7 @@ def test_load_track_rejects_a_csv_of_another_bin_count(tmp_path, bins):
     assert load_track(path, "vid", bins_per_channel=bins).histograms.shape \
         == (1, 3 * bins)
     other = 24 // bins
-    with pytest.raises(ParseError, match=f"^line 1: {path}: {3 * bins} "
+    with pytest.raises(ParseError, match=f"^{path}:1: {3 * bins} "
                        f"histogram columns, expected {3 * other} "):
         load_track(path, "vid", bins_per_channel=other)
 
@@ -274,7 +283,7 @@ def test_empty_descriptor_csv_is_parse_error_on_line_1(tmp_path):
     path.write_bytes(b"")
     with pytest.raises(ParseError) as err:
         read_descriptor_csv(path)
-    assert str(err.value) == f"line 1: {path}: empty descriptor CSV"
+    assert str(err.value) == f"{path}:1: empty descriptor CSV"
 
 
 def test_descriptor_csv_error_line_counts_blank_lines(tmp_path):
@@ -335,5 +344,4 @@ def test_descriptor_csv_not_utf8_names_the_line_past_the_first_chunk(
     path.write_bytes(b"\n".join(lines))
     with pytest.raises(ParseError) as err:
         read_descriptor_csv(path)
-    assert str(err.value) == (f"line 151: {path}: not UTF-8 text "
-                              f"(invalid start byte)")
+    assert str(err.value) == f"{path}:151: not UTF-8 text (invalid start byte)"

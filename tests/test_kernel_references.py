@@ -52,7 +52,7 @@ from hypothesis import strategies as st
 from gelid import clustering, frames
 from gelid.clustering import (NOISE, DistanceMatrix, build_context_matrix,
                               build_issue_matrix, optics)
-from gelid.errors import DataError, ParseError, utf8_text
+from gelid.errors import DataError, ParseError, naming, utf8_text
 from gelid.features import (BLANK_LUMINANCE, segment_text, speech_features,
                             video_features)
 from gelid.frames import (VideoTrack, descriptor_csv_header, parse_ppm_frame,
@@ -693,7 +693,7 @@ def _ref_unparsable_row(path, row_dtype):
             else:
                 reason = next((f"non-numeric value {c!r}" for c in cells[1:]
                                if not _ref_parses(float, c)), str(exc))
-            return ParseError(f"{path}: {reason}", line_no)
+            return ParseError(reason, line_no, path)
     raise AssertionError(f"{path}: parse failed but every row parses")
 
 
@@ -703,11 +703,11 @@ def ref_parse_descriptor_csv(path):
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         if header == [""]:
-            raise ParseError(f"{path}: empty descriptor CSV", 1)
+            raise ParseError("empty descriptor CSV", 1, path)
         width = len(header) - 2
         if (header[0] != "timestamp_ms" or header[-1] != "luminance"
                 or width < 3 or width % 3):
-            raise ParseError(f"{path}: bad descriptor CSV header", 1)
+            raise ParseError("bad descriptor CSV header", 1, path)
         row_dtype = np.dtype([("ts", np.int64), ("hist", np.float64, (width,)),
                               ("lum", np.float64)])
         try:
@@ -731,8 +731,9 @@ def ref_read_descriptor_csv(path):
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})",
-                             data.count(b"\n", 0, exc.start) + 1) from None
+            raise ParseError(f"not UTF-8 text ({exc.reason})",
+                             data.count(b"\n", 0, exc.start) + 1,
+                             path) from None
         raise
     track = VideoTrack("vid", timestamps, histograms, luminance,
                        int(timestamps[-1]) if timestamps.size else 0)
@@ -741,7 +742,7 @@ def ref_read_descriptor_csv(path):
         row, message = fault
         line_no = next(line_no for index, (line_no, _) in enumerate(
             _ref_data_lines(path)) if index == row)
-        raise ParseError(f"{path}: {message}", line_no)
+        raise ParseError(message, line_no, path)
     return timestamps, histograms, luminance
 
 
@@ -1768,7 +1769,8 @@ def _parse_columns(path):
     """The columns as `read_descriptor_csv` parses them, bytes or text."""
     data = path.read_bytes()
     text = None if data.isascii() and b"\r" not in data else utf8_text(data)
-    return frames._parse_descriptor_csv(path, data, text)
+    with naming(path):
+        return frames._parse_descriptor_csv(data, text)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1),

@@ -1,4 +1,4 @@
-"""Three rules on how `src/gelid` is laid out.
+"""Four rules on how `src/gelid` is laid out.
 
 `src/gelid` holds only what a `gelid` command runs. Starting from every
 definition in `gelid.cli`, the walk follows the names each reached
@@ -14,6 +14,12 @@ so one rule decides the encoding, the byte-order mark, the line ends and
 the line numbers of every input. Only `errors.py` writes a file or makes a
 directory: every other module writes through `errors.write_file`, so every
 output is made, and fails, alike.
+
+Only `errors.py` names where an input is wrong: every other module reads
+bytes through `errors.read_bytes` and raises with a line at most, and the
+code that reads a file names it with `errors.naming`, so no handler that
+catches a DataError or ParseError raises a new one to spell
+`<path>:<line>: ` its own way.
 """
 
 import ast
@@ -98,20 +104,25 @@ _NAMES = {"open", "StringIO"}
 _WRITERS = {"write_text", "write_bytes", "mkdir"}
 
 
+def _nodes_outside_errors():
+    """(module, node) of every AST node outside `errors.py`."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "errors":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            yield from ((path.stem, node) for node in ast.walk(tree))
+
+
 def calls_outside_errors(methods, names=frozenset()) -> list[str]:
     """`module:line: name(` of each call of one of these methods, not on
     `errors`, or of one of these names, outside `errors.py`."""
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.stem == "errors":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            func = getattr(node, "func", None)
-            if (isinstance(func, ast.Attribute) and func.attr in methods
-                    and getattr(func.value, "id", None) != "errors"):
-                found.append((path.stem, node.lineno, func.attr))
-            elif isinstance(func, ast.Name) and func.id in names:
-                found.append((path.stem, node.lineno, func.id))
+    for module, node in _nodes_outside_errors():
+        func = getattr(node, "func", None)
+        if (isinstance(func, ast.Attribute) and func.attr in methods
+                and getattr(func.value, "id", None) != "errors"):
+            found.append((module, node.lineno, func.attr))
+        elif isinstance(func, ast.Name) and func.id in names:
+            found.append((module, node.lineno, func.id))
     return [f"{module}:{line}: {name}(" for module, line, name in
             sorted(found)]
 
@@ -126,3 +137,32 @@ def test_only_errors_writes_files():
     calls = calls_outside_errors(_WRITERS)
     assert not calls, ("write through errors.write_file, not "
                        f"{', '.join(calls)}")
+
+
+# the errors of an input, which `errors.naming` names
+_INPUT_ERRORS = {"DataError", "ParseError"}
+
+
+def _names(node) -> set[str]:
+    """The names and attribute names within `node`."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None)
+            for n in ast.walk(node)} - {None}
+
+
+def reraises_outside_errors() -> list[str]:
+    """`module:line: except` of each handler outside `errors.py` that
+    catches a DataError or ParseError and raises a new one."""
+    return [f"{module}:{node.lineno}: except"
+            for module, node in _nodes_outside_errors()
+            if isinstance(node, ast.ExceptHandler) and node.type
+            and _names(node.type) & _INPUT_ERRORS
+            and any(isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+                    and _names(n.exc.func) & _INPUT_ERRORS
+                    for n in ast.walk(node))]
+
+
+def test_only_errors_reads_bytes_or_names_where_an_input_is_wrong():
+    found = reraises_outside_errors() + calls_outside_errors({"read_bytes"})
+    assert not found, ("read through errors.read_bytes and name the file "
+                       "with errors.naming, not "
+                       f"{', '.join(found)}")

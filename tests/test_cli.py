@@ -1143,8 +1143,8 @@ def test_malformed_model_exits_2_naming_file(staged, tmp_path, capsys, text):
 
 @pytest.mark.parametrize("content, message", [
     (None, "cannot read"), (b"{\xff}", "not UTF-8 text"),
-    (b"{", "not valid JSON: Expecting property name enclosed in double "
-           "quotes (column 2)"),
+    pytest.param(b"{", "not valid JSON: Expecting property name enclosed "
+                       "in double quotes (column 2)", id="{-is not valid JSON"),
     (b'{"model": ' + b"[" * 5000 + b"]" * 5000 + b"}",
      "not valid JSON: maximum recursion depth exceeded")])
 def test_unreadable_model_exits_2_naming_file(staged, tmp_path, capsys,

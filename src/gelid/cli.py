@@ -132,13 +132,14 @@ def cmd_group(args, config) -> int:
 
 
 def cmd_cluster(args, config) -> int:
-    bundle = pipeline.load_bundle(args.model)
+    # the whole bundle is read and checked before any source is parsed
+    space = pipeline.load_bundle(args.model).space
     transcripts, tracks = _ingest(args, config)
     segments = pipeline.load_segments(args.segments, tracks)
     labels = _read_labels_of(args.labels, segments)
     hierarchy = pipeline.StageClock()(
         "cluster", lambda: pipeline.build_hierarchy(
-            segments, labels, transcripts, tracks, config, bundle))
+            segments, labels, transcripts, tracks, config, space))
     out = Path(args.out)
     write_file(out / "hierarchy.json", pipeline.hierarchy_to_json(hierarchy))
     print(f"wrote hierarchy with {hierarchy['counts']['n_contexts']} "

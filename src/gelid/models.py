@@ -2,10 +2,11 @@
 hidden-layer feed-forward network over the five segment labels.
 
 All three are trained from scratch on dense feature matrices, seeded and
-deterministic. The feed-forward net's optimizer calls its loss-and-gradient
-function, which finite-difference checks exercise. Logistic regression
-inlines its gradient in preallocated buffers; the tests hold each step to
-the bits of a step on the objective's reference loss and gradient.
+deterministic. The two gradient-trained models, logistic regression and
+the feed-forward net, inline their gradients and step in place on their
+own arrays, computing no loss; the tests hold each trainer to the bits of
+a loop of plain steps on its objective's reference loss and gradient,
+which finite-difference checks exercise.
 
 A random forest is one set of node arrays over all its trees, each tree's
 nodes depth first, left first: `feature` (int64, -1 at a leaf),
@@ -18,7 +19,6 @@ model.json keeps its nested trees, rebuilt from the arrays byte for byte.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -31,15 +31,9 @@ from .errors import (DataError, check_shape, count, non_negative, positive,
 MODEL_SCHEMA_VERSION = 1
 
 
-class IssueLabel(enum.Enum):
-    NON_INFORMATIVE = "NonInformative"
-    LOGIC = "Logic"
-    PRESENTATION = "Presentation"
-    BALANCE = "Balance"
-    PERFORMANCE = "Performance"
-
-
-LABEL_ORDER = tuple(label.value for label in IssueLabel)
+NON_INFORMATIVE = "NonInformative"
+LABEL_ORDER = (NON_INFORMATIVE, "Logic", "Presentation", "Balance",
+               "Performance")
 N_LABELS = len(LABEL_ORDER)
 
 KIND_LOGISTIC = "logistic_regression"
@@ -156,52 +150,16 @@ def ffn_shapes(d: int, hidden: int) -> list[tuple[int, ...]]:
     return [(d, hidden), (hidden,), (hidden, N_LABELS), (N_LABELS,)]
 
 
-def ffn_pack(params: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([p.ravel() for p in params])
-
-
-def ffn_unpack(flat: np.ndarray, shapes: list[tuple[int, ...]]
-               ) -> list[np.ndarray]:
-    out = []
-    pos = 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        out.append(flat[pos:pos + size].reshape(shape))
-        pos += size
-    return out
-
-
-def ffn_loss_and_grad(flat: np.ndarray, shapes: list[tuple[int, ...]],
-                      x: np.ndarray, y_idx: np.ndarray
-                      ) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of the one-hidden-layer ReLU net and its gradient."""
-    w1, b1, w2, b2 = ffn_unpack(flat, shapes)
-    n = x.shape[0]
-    pre = x @ w1 + b1
-    hidden = np.maximum(pre, 0.0)
-    probs = _softmax(hidden @ w2 + b2)
-    loss = -np.log(probs[np.arange(n), y_idx] + 1e-300).mean()
-    delta = probs.copy()
-    delta[np.arange(n), y_idx] -= 1.0
-    delta /= n
-    g_w2 = hidden.T @ delta
-    g_b2 = delta.sum(axis=0)
-    back = (delta @ w2.T) * (pre > 0)
-    g_w1 = x.T @ back
-    g_b1 = back.sum(axis=0)
-    return float(loss), ffn_pack([g_w1, g_b1, g_w2, g_b2])
-
-
 def _train_ffn(x: np.ndarray, y_idx: np.ndarray, hyper: dict,
                seed: int) -> dict:
+    """Mini-batch gradient descent on the mean cross-entropy, each step
+    taken in place on the four arrays and without the loss."""
     rng = np.random.default_rng(seed)
     d, h = x.shape[1], hyper["hidden"]
-    shapes = ffn_shapes(d, h)
-    params = [rng.normal(0.0, math.sqrt(2.0 / d), size=(d, h)),
-              np.zeros(h),
-              rng.normal(0.0, math.sqrt(2.0 / h), size=(h, N_LABELS)),
-              np.zeros(N_LABELS)]
-    flat = ffn_pack(params)
+    w1 = rng.normal(0.0, math.sqrt(2.0 / d), size=(d, h))
+    b1 = np.zeros(h)
+    w2 = rng.normal(0.0, math.sqrt(2.0 / h), size=(h, N_LABELS))
+    b2 = np.zeros(N_LABELS)
     n = x.shape[0]
     batch = min(hyper["batch_size"], n)
     lr = hyper["learning_rate"]
@@ -209,9 +167,17 @@ def _train_ffn(x: np.ndarray, y_idx: np.ndarray, hyper: dict,
         order = rng.permutation(n)
         for start in range(0, n, batch):
             rows = order[start:start + batch]
-            _, grad = ffn_loss_and_grad(flat, shapes, x[rows], y_idx[rows])
-            flat -= lr * grad
-    w1, b1, w2, b2 = ffn_unpack(flat, shapes)
+            xb = x[rows]
+            pre = xb @ w1 + b1
+            hidden = np.maximum(pre, 0.0)
+            delta = _softmax(hidden @ w2 + b2)
+            delta[np.arange(rows.size), y_idx[rows]] -= 1.0
+            delta /= rows.size
+            back = (delta @ w2.T) * (pre > 0)
+            w2 -= lr * (hidden.T @ delta)
+            b2 -= lr * delta.sum(axis=0)
+            w1 -= lr * (xb.T @ back)
+            b1 -= lr * back.sum(axis=0)
     return {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
 
 

@@ -36,9 +36,8 @@ HIERARCHY_SCHEMA_VERSION = 1
 MANIFEST_SCHEMA_VERSION = 1
 BUNDLE_SCHEMA_VERSION = 1
 
-INFORMATIVE_LABELS = tuple(
-    name for name in models.LABEL_ORDER
-    if name != models.IssueLabel.NON_INFORMATIVE.value)
+INFORMATIVE_LABELS = tuple(name for name in models.LABEL_ORDER
+                           if name != models.NON_INFORMATIVE)
 
 
 def _path(value) -> bool:
@@ -406,8 +405,8 @@ def group_contexts(segments: list[Segment], labels: dict[str, str],
     Returns the assignment and the keyframes of the segments that have
     them.
     """
-    segments = [s for s in segments if labels[s.segment_id]
-                != models.IssueLabel.NON_INFORMATIVE.value]
+    segments = [s for s in segments
+                if labels[s.segment_id] != models.NON_INFORMATIVE]
     keyframes = keyframe_lookup(segments, tracks)
     bare = [s.segment_id for s in segments if s.segment_id not in keyframes]
     for sid in bare:
@@ -428,8 +427,9 @@ def build_hierarchy(segments: list[Segment],
                     transcripts: dict[str, Transcript],
                     tracks: dict[str, VideoTrack],
                     config: RunConfig,
-                    bundle: ClassifierBundle) -> dict:
-    """Contexts > categories > issue clusters of the informative segments."""
+                    space: features.FeatureSpace) -> dict:
+    """Contexts > categories > issue clusters of the informative segments;
+    issue texts take the classifier's feature `space`."""
     by_id = {s.segment_id: s for s in segments}
     assignment, keyframes = group_contexts(segments, predictions, tracks,
                                            config)
@@ -440,7 +440,6 @@ def build_hierarchy(segments: list[Segment],
 
     # issue clustering reuses the classifier's vocabulary and tokenizer
     # settings so its tf-idf space matches the one the labels came from
-    space = bundle.space
     text_vectors = dict(zip(assignment.ids, features.text_features(
         [features.segment_text(s, transcripts[s.video_id])
          for s in informative],
@@ -529,7 +528,7 @@ def run_pipeline(manifest: Manifest, config: RunConfig,
         predictions = timed("classify", lambda: classify(bundle, matrix))
 
     hierarchy = timed("group+cluster", lambda: build_hierarchy(
-        segments, predictions, transcripts, tracks, config, bundle))
+        segments, predictions, transcripts, tracks, config, bundle.space))
 
     counts = hierarchy["counts"]
     run_report = {
@@ -571,30 +570,30 @@ def hierarchy_to_html(hierarchy: dict) -> str:
         "</head><body>",
         "<h1>Issue report hierarchy</h1>",
     ]
-    counts = hierarchy.get("counts", {})
+    counts = hierarchy["counts"]
     parts.append(
         f"<p>{_esc(counts.get('n_informative', 0))} informative / "
         f"{_esc(counts.get('n_segments', 0))} segments in "
         f"{_esc(counts.get('n_contexts', 0))} contexts.</p>")
-    for context in hierarchy.get("contexts", []):
-        summary = context.get("summary", {})
+    for context in hierarchy["contexts"]:
+        summary = context["summary"]
         parts.append(f"<section class=\"context\" "
                      f"id=\"{_esc(context['context_id'])}\">")
         parts.append(f"<h2>Context {_esc(context['context_id'])}</h2>")
         dist = ", ".join(f"{_esc(k)}: {_esc(v)}" for k, v in
-                         summary.get("label_distribution", {}).items())
+                         summary["label_distribution"].items())
         parts.append(
-            f"<p>{_esc(summary.get('n_segments', 0))} segments, "
-            f"{_esc(summary.get('total_duration_ms', 0))} ms total"
+            f"<p>{_esc(summary['n_segments'])} segments, "
+            f"{_esc(summary['total_duration_ms'])} ms total"
             + (f" ({dist})" if dist else "") + "</p>")
-        for category in context.get("categories", []):
+        for category in context["categories"]:
             parts.append(f"<h3>{_esc(category['label'])}</h3>")
-            for cluster in category.get("clusters", []):
+            for cluster in category["clusters"]:
                 parts.append(f"<h4>Cluster {_esc(cluster['cluster_id'])}"
                              f"</h4><ul>")
-                medoid = cluster.get("medoid")
-                ordered = ([medoid] if medoid else []) + [
-                    m for m in cluster.get("members", []) if m != medoid]
+                medoid = cluster["medoid"]
+                ordered = [medoid] + [m for m in cluster["members"]
+                                      if m != medoid]
                 for member in ordered:
                     cls = " class=\"medoid\"" if member == medoid else ""
                     parts.append(f"<li{cls}>{_esc(member)}</li>")

@@ -16,15 +16,15 @@ from conftest import THREE_VIDEO_WORLD, write_world
 from mno_oracles import mno_enumerated
 from gelid.clustering import group_by_context
 from gelid.config import RunConfig
-from gelid.models import (LABEL_ORDER, MODEL_KINDS, ffn_loss_and_grad,
-                          ffn_pack, ffn_shapes, predict, train)
+from gelid.models import LABEL_ORDER, MODEL_KINDS, ffn_shapes, predict, train
 from gelid.segmentation import SegmenterConfig, SnapRule, derive_cut_points
 from gelid.stats import (Partition, cliffs_delta, cohens_kappa,
                          benjamini_hochberg, mann_whitney_u, margin_of_error,
                          mno, mojo_fm, simulate_likert_std, simulate_power)
 from gelid.subtitles import Cue, Transcript
 from gelid.features import smote_oversample
-from test_kernel_references import logistic_loss_and_grad
+from test_kernel_references import (ffn_loss_and_grad, ffn_pack,
+                                    logistic_loss_and_grad)
 
 
 class _Budget:

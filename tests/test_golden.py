@@ -16,7 +16,7 @@ from gelid.clustering import build_context_matrix, build_issue_matrix
 from gelid.config import load_config
 from gelid.features import segment_text, text_features
 from gelid.frames import load_track
-from gelid.models import IssueLabel
+from gelid.models import NON_INFORMATIVE
 from gelid.pipeline import (keyframe_lookup, load_manifest,
                             parse_subtitle_file, run_pipeline)
 
@@ -116,8 +116,7 @@ def informative_inputs(tmp_path_factory):
                                      config.bins_per_channel)
               for e in manifest.videos}
     informative = [s for s in result.segments
-                   if result.predictions[s.segment_id]
-                   != IssueLabel.NON_INFORMATIVE.value]
+                   if result.predictions[s.segment_id] != NON_INFORMATIVE]
     space = result.bundle.space
     ids = [s.segment_id for s in informative]
     texts = dict(zip(ids, text_features(

@@ -16,10 +16,11 @@ matrices full of tied distances.
 Forest trees must serialize to the same JSON, on tied, adjacent-float,
 constant, overflowing and single-class columns, and forest probabilities
 must be the bits of a walk per row and tree, on rows that sit exactly on
-a split's threshold too. The softmax and the
-logistic and feed-forward training loops must give the same bits, on one
-row, all-equal logits, logits far enough apart that exp underflows to 0,
-absent classes, zero or one step and no L2 penalty. The SRT and WebVTT
+a split's threshold too. The softmax must give
+its reference's bits, and the logistic and feed-forward trainers the bits
+of plain steps on their reference objectives, on one row, all-equal
+logits, logits far enough apart that exp underflows to 0, absent classes,
+zero or one step, one-row batches and no L2 penalty. The SRT and WebVTT
 parsers must return the transcript their index-loop references return, or
 raise the same ParseError message and line, on random documents, and the
 PPM parser the image its byte-at-a-time reference returns, or the same
@@ -61,8 +62,9 @@ from gelid import models
 from gelid.models import (DEFAULT_HYPER, KIND_FFN, KIND_FOREST, KIND_LOGISTIC,
                           LABEL_ORDER, N_LABELS, TrainedModel, _gini,
                           _grow_tree, _nest_trees, _new_nodes, _node_arrays,
-                          _softmax, _train_forest, _train_logistic,
-                          model_to_dict, predict_proba)
+                          _softmax, _train_ffn, _train_forest,
+                          _train_logistic, ffn_shapes, model_to_dict,
+                          predict_proba)
 from gelid import pipeline, segmentation
 from gelid.pipeline import keyframe_lookup, match_probes
 from gelid.segmentation import (CutPoint, SegmenterConfig, Segment,
@@ -490,6 +492,68 @@ def ref_train_logistic(x, y_idx, hyper, seed):
             _, grad = logistic_loss_and_grad(wb, x, y_idx, hyper["l2"])
             wb -= lr * grad
     return {"weights": wb[:-1], "bias": wb[-1]}
+
+
+def ffn_pack(params):
+    return np.concatenate([p.ravel() for p in params])
+
+
+def ffn_unpack(flat, shapes):
+    out = []
+    pos = 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        out.append(flat[pos:pos + size].reshape(shape))
+        pos += size
+    return out
+
+
+def ffn_loss_and_grad(flat, shapes, x, y_idx):
+    """Mean cross-entropy of the one-hidden-layer ReLU net and its
+    gradient: the objective `_train_ffn` descends, through
+    `models._softmax`.
+
+    flat is w1, b1, w2 and b2 packed in that order (`ffn_pack`)."""
+    w1, b1, w2, b2 = ffn_unpack(flat, shapes)
+    n = x.shape[0]
+    pre = x @ w1 + b1
+    hidden = np.maximum(pre, 0.0)
+    probs = models._softmax(hidden @ w2 + b2)
+    loss = -np.log(probs[np.arange(n), y_idx] + 1e-300).mean()
+    delta = probs.copy()
+    delta[np.arange(n), y_idx] -= 1.0
+    delta /= n
+    g_w2 = hidden.T @ delta
+    g_b2 = delta.sum(axis=0)
+    back = (delta @ w2.T) * (pre > 0)
+    g_w1 = x.T @ back
+    g_b1 = back.sum(axis=0)
+    return float(loss), ffn_pack([g_w1, g_b1, g_w2, g_b2])
+
+
+def ref_train_ffn(x, y_idx, hyper, seed):
+    """One step on `ffn_loss_and_grad` at a time over one flat parameter
+    vector, with `ref_softmax`: `_train_ffn`'s seeded draws, epoch
+    permutations and batches."""
+    rng = np.random.default_rng(seed)
+    d, h = x.shape[1], hyper["hidden"]
+    shapes = ffn_shapes(d, h)
+    flat = ffn_pack([rng.normal(0.0, math.sqrt(2.0 / d), size=(d, h)),
+                     np.zeros(h),
+                     rng.normal(0.0, math.sqrt(2.0 / h), size=(h, N_LABELS)),
+                     np.zeros(N_LABELS)])
+    n = x.shape[0]
+    batch = min(hyper["batch_size"], n)
+    lr = hyper["learning_rate"]
+    with mock.patch.object(models, "_softmax", ref_softmax):
+        for _ in range(hyper["epochs"]):
+            order = rng.permutation(n)
+            for start in range(0, n, batch):
+                rows = order[start:start + batch]
+                _, grad = ffn_loss_and_grad(flat, shapes, x[rows],
+                                            y_idx[rows])
+                flat -= lr * grad
+    return dict(zip(("w1", "b1", "w2", "b2"), ffn_unpack(flat, shapes)))
 
 
 # the SRT and WebVTT parsers as index loops, each with its own timestamp rule
@@ -1444,6 +1508,34 @@ def test_train_logistic_matches_reference(seed, n, d, n_classes, iterations,
     want = ref_train_logistic(x, y_idx, hyper, seed=0)
     assert _same_bits(got["weights"], want["weights"])
     assert _same_bits(got["bias"], want["bias"])
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 90), st.integers(1, 30),
+       st.integers(1, N_LABELS), st.integers(1, 20), st.integers(0, 5),
+       st.integers(1, 40), st.sampled_from([1e-3, 0.01, 1.0]),
+       st.sampled_from([0.1, 1.0, 3.0]))
+@example(seed=0, n=1, d=1, n_classes=1, hidden=1, epochs=3, batch_size=1,
+         learning_rate=0.01, scale=1.0)
+@example(seed=1, n=33, d=5, n_classes=5, hidden=7, epochs=2, batch_size=32,
+         learning_rate=0.01, scale=1.0)
+@example(seed=7, n=90, d=30, n_classes=5, hidden=20, epochs=5,
+         batch_size=1, learning_rate=1.0, scale=3.0)  # ends in NaN
+@settings(max_examples=100, deadline=None)
+def test_train_ffn_matches_reference(seed, n, d, n_classes, hidden, epochs,
+                                     batch_size, learning_rate, scale):
+    """Absent classes, batches of one row, of the whole set and a short
+    last batch, zero epochs, and a learning rate of 1 whose steps diverge,
+    so that weights overflow to inf and NaN, which must match too."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d)) * scale
+    y_idx = rng.choice(rng.permutation(N_LABELS)[:n_classes], size=n)
+    hyper = {"hidden": hidden, "epochs": epochs, "batch_size": batch_size,
+             "learning_rate": learning_rate}
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _train_ffn(x, y_idx, hyper, seed=seed)
+        want = ref_train_ffn(x, y_idx, hyper, seed=seed)
+    for key in ("w1", "b1", "w2", "b2"):
+        assert _same_bits(got[key], want[key]), key
 
 
 def test_ffn_and_predictions_match_ref_softmax():

@@ -8,12 +8,12 @@ import pytest
 
 from gelid.errors import DataError
 from gelid.models import (DEFAULT_HYPER, KIND_FFN, KIND_FOREST, KIND_LOGISTIC,
-                          LABEL_ORDER, MODEL_KINDS, IssueLabel,
-                          ffn_loss_and_grad, ffn_pack, ffn_shapes,
-                          model_from_dict, model_to_dict, predict,
-                          predict_proba, train)
+                          LABEL_ORDER, MODEL_KINDS, NON_INFORMATIVE,
+                          ffn_shapes, model_from_dict, model_to_dict,
+                          predict, predict_proba, train)
 from gelid.stats import mann_whitney_u
-from test_kernel_references import logistic_loss_and_grad
+from test_kernel_references import (ffn_loss_and_grad, ffn_pack,
+                                    logistic_loss_and_grad)
 
 
 def _blobs(n_per_class=8, spread=0.15, seed=0, d=4):
@@ -30,7 +30,7 @@ def _blobs(n_per_class=8, spread=0.15, seed=0, d=4):
 def test_label_order_fixed_and_five():
     assert LABEL_ORDER == ("NonInformative", "Logic", "Presentation",
                            "Balance", "Performance")
-    assert len(IssueLabel) == 5
+    assert NON_INFORMATIVE == LABEL_ORDER[0]
 
 
 # --- gradient checks ---------------------------------------------------------

@@ -91,6 +91,24 @@ def test_export_html_has_one_section_per_context():
     assert html.count("<section class=\"context\"") == 2
 
 
+def test_export_html_reads_absent_counts_as_zero():
+    """`counts` may hold any keys; the page reads a missing one as 0, and
+    lists a cluster's medoid first."""
+    cluster = {"cluster_id": "c0", "medoid": "v_2", "members": ["v_1", "v_2"]}
+    hierarchy = {
+        "schema_version": 1,
+        "contexts": [{"context_id": "ctx_0000",
+                      "summary": {"n_segments": 2, "total_duration_ms": 9,
+                                  "label_distribution": {"Logic": 2}},
+                      "categories": [{"label": "Logic",
+                                      "clusters": [cluster]}]}],
+        "counts": {}}
+    html = hierarchy_to_html(hierarchy)
+    assert "<p>0 informative / 0 segments in 0 contexts.</p>" in html
+    assert "<p>2 segments, 9 ms total (Logic: 2)</p>" in html
+    assert ("<li class=\"medoid\">v_2</li>\n<li>v_1</li>") in html
+
+
 def test_export_unknown_format_rejected(tmp_path):
     with pytest.raises(ConfigError):
         export_report({}, "pdf", tmp_path / "x")

@@ -123,12 +123,16 @@ def _cosine_values(vectors) -> np.ndarray:
     """Cosine distance of every vector pair, 1 - a.b / (|a| |b|) clipped to
     [0, 1]: a zero vector is maximally distant (1.0) and equal vectors are
     at 0.0. Each pair's dot product is its own BLAS dot, as for one pair:
-    one matrix product would round differently."""
-    n = len(vectors)
-    norms = np.array([np.linalg.norm(v) for v in vectors])
-    dots = np.array([[vectors[i] @ vectors[j] if i < j else 0.0
-                      for j in range(n)] for i in range(n)]).reshape(n, n)
-    dots += dots.T
+    one stacked matmul of (1, d) rows by (d, 1) columns makes that call per
+    pair, where one matrix product would round differently. A norm is the
+    square root of the vector's dot with itself, as `np.linalg.norm`'s."""
+    if not len(vectors):
+        return np.zeros((0, 0))
+    stacked = np.array(vectors, dtype=float)
+    n = len(stacked)
+    dots = np.matmul(stacked[:, None, None, :],
+                     stacked[None, :, :, None]).reshape(n, n)
+    norms = np.sqrt(dots.diagonal())
     zero = (norms == 0)[:, None] | (norms == 0)
     values = np.clip(1.0 - dots / np.where(zero, 1.0, norms[:, None] * norms),
                      0.0, 1.0)
@@ -136,7 +140,7 @@ def _cosine_values(vectors) -> np.ndarray:
     # equal nonzero vectors share their bytes once + 0.0 turns -0.0 into 0.0
     equal: dict[bytes, list[int]] = {}
     for i in np.flatnonzero(norms != 0).tolist():
-        equal.setdefault((vectors[i] + 0.0).tobytes(), []).append(i)
+        equal.setdefault((stacked[i] + 0.0).tobytes(), []).append(i)
     for members in equal.values():
         values[np.ix_(members, members)] = 0.0
     np.fill_diagonal(values, 0.0)

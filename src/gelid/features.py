@@ -128,21 +128,26 @@ def text_features(texts: list[str], vocab: Vocabulary, ngram_max: int,
 
     tf is the raw in-segment count; idf = ln((1+N)/(1+df)) + 1. Tokens
     outside the vocabulary are ignored; empty text gives the zero vector.
+    A row's norm is the square root of its own BLAS dot with itself, the
+    one `np.linalg.norm` takes.
     """
     stopwords = frozenset(stopwords)
     index = {t: i for i, t in enumerate(vocab.terms)}
     idf = np.log((1 + vocab.n_documents)
                  / (1 + np.asarray(vocab.document_frequencies))) + 1.0
     out = np.zeros((len(texts), len(vocab.terms)))
-    for row, text in zip(out, texts):
-        for term in _document_terms(text, ngram_max, stopwords):
-            i = index.get(term)
-            if i is not None:
-                row[i] += 1.0
-        row *= idf
-        norm = np.linalg.norm(row)
-        if norm > 0:
-            row /= norm
+    # each occurrence adds 1.0 to its (row, term) cell: exact counts,
+    # written straight into the float block; a generator, so that no list
+    # holds every cell's int at once
+    cells = np.fromiter((row * out.shape[1] + i
+                         for row, text in enumerate(texts)
+                         for i in map(index.get, _document_terms(
+                             text, ngram_max, stopwords)) if i is not None),
+                        dtype=np.intp)
+    np.add.at(out.reshape(-1), cells, 1.0)
+    out *= idf
+    norms = np.sqrt(np.matmul(out[:, None, :], out[:, :, None]))
+    out /= np.where(norms > 0, norms, 1.0).reshape(-1, 1)  # zero rows stay
     return out
 
 
@@ -204,6 +209,44 @@ VIDEO_NAMES = ("video:duration_s", "video:n_frames", "video:motion_mean",
                "video:blank_fraction", "video:had_video")
 
 
+def _windows_by_video(segments: list[Segment]
+                      ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per video: the positions of its segments in `segments`, and their
+    (start, end) times as a (2, k) int64 array."""
+    positions: dict[str, list[int]] = {}
+    for i, segment in enumerate(segments):
+        positions.setdefault(segment.video_id, []).append(i)
+    bounds = np.array([(s.start_ms, s.end_ms) for s in segments],
+                      dtype=np.int64).reshape(-1, 2)
+    return {video_id: (np.array(at), bounds[at].T)
+            for video_id, at in positions.items()}
+
+
+def _slice_sums(column: np.ndarray, lo: np.ndarray, hi: np.ndarray
+                ) -> np.ndarray:
+    """np.add.reduce of column[lo:hi] for each window: the sum np.mean
+    and np.std take of that slice, rounded as they round it."""
+    return np.array([np.add.reduce(column[a:b])
+                     for a, b in zip(lo.tolist(), hi.tolist())], dtype=float)
+
+
+def _mean_std(column: np.ndarray, lo: np.ndarray, hi: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The bits of column[lo:hi].mean() and .std() for each non-empty
+    window: np.std subtracts the slice's mean, squares in place and sums
+    the squares over the slice."""
+    sizes = hi - lo
+    means = _slice_sums(column, lo, hi) / sizes
+    ends = np.cumsum(sizes)
+    # the windows' rows one after another, each less its window's mean
+    deviations = column[np.arange(sizes.sum())
+                        + np.repeat(lo - ends + sizes, sizes)]
+    deviations -= np.repeat(means, sizes)
+    deviations *= deviations
+    return means, np.sqrt(_slice_sums(deviations, ends - sizes, ends)
+                          / sizes)
+
+
 def video_features(segments: list[Segment],
                    tracks: dict[str, VideoTrack]) -> np.ndarray:
     """(n, 7): per segment, six motion/luminance statistics of the frames
@@ -213,18 +256,26 @@ def video_features(segments: list[Segment],
     empty video is itself a signal (likely non-informative).
     """
     out = np.zeros((len(segments), len(VIDEO_NAMES)))
-    for row, segment in zip(out, segments):
-        track = tracks[segment.video_id]
-        rows = track.window(segment.start_ms, segment.end_ms)
-        luminance = track.luminance[rows]
-        row[:2] = segment.duration_ms / 1000.0, luminance.size
-        if luminance.size >= 2:
-            hists = track.histograms[rows]
-            motion = np.abs(np.diff(hists, axis=0)).sum(axis=1)
-            row[2:4] = motion.mean(), motion.std()
-            row[6] = 1.0
-        if luminance.size:
-            row[4:6] = luminance.mean(), (luminance < BLANK_LUMINANCE).mean()
+    for video_id, (at, bounds) in _windows_by_video(segments).items():
+        track = tracks[video_id]
+        lo, hi = np.searchsorted(track.timestamps_ms, bounds)
+        sizes = hi - lo
+        out[at, 0] = (bounds[1] - bounds[0]) / 1000.0
+        out[at, 1] = sizes
+        # a frame's motion: the L1 distance from its histogram to the next
+        motion = np.diff(track.histograms, axis=0)
+        motion = np.abs(motion, out=motion).sum(axis=1)
+        moving = sizes >= 2
+        out[at[moving], 2:4] = np.column_stack(
+            _mean_std(motion, lo[moving], hi[moving] - 1))
+        out[at[moving], 6] = 1.0
+        seen = sizes > 0
+        lo, hi = lo[seen], hi[seen]
+        out[at[seen], 4] = (_slice_sums(track.luminance, lo, hi)
+                            / sizes[seen])
+        blank = np.concatenate(
+            ([0], np.cumsum(track.luminance < BLANK_LUMINANCE)))
+        out[at[seen], 5] = (blank[hi] - blank[lo]) / sizes[seen]
     return out
 
 
@@ -236,29 +287,34 @@ def speech_features(segments: list[Segment],
     """(n, 3): per segment, speech-timing statistics over the cues that
     overlap its window, in `SPEECH_NAMES` order."""
     out = np.zeros((len(segments), len(SPEECH_NAMES)))
-    columns = {}  # per video: cue starts, ends, word counts and reach
-    for row, segment in zip(out, segments):
-        if segment.video_id not in columns:
-            cues = transcripts[segment.video_id].cues
-            ends = np.array([c.end_ms for c in cues], dtype=np.int64)
-            columns[segment.video_id] = (
-                np.array([c.start_ms for c in cues], dtype=np.int64), ends,
-                np.array([len(c.text.split()) for c in cues], dtype=np.int64),
-                np.maximum.accumulate(ends))
-        starts, ends, words, reach = columns[segment.video_id]
-        start, end = segment.start_ms, segment.end_ms
-        # cues past `hi` start at or after the end; cues before `lo` (and
-        # all earlier ones) end at or before the start
-        lo = int(np.searchsorted(reach, start, side="right"))
-        hi = int(np.searchsorted(starts, end, side="left"))
-        overlap = (np.minimum(ends[lo:hi], end)
-                   - np.maximum(starts[lo:hi], start))
+    for video_id, (at, (start, end)) in _windows_by_video(segments).items():
+        cues = transcripts[video_id].cues
+        starts = np.array([c.start_ms for c in cues], dtype=np.int64)
+        ends = np.array([c.end_ms for c in cues], dtype=np.int64)
+        words = np.array([len(c.text.split()) for c in cues], dtype=np.int64)
+        # cues from `hi` on start at or after the end; cues before `lo`
+        # (and all earlier ones) end at or before the start
+        lo = np.searchsorted(np.maximum.accumulate(ends), start, side="right")
+        hi = np.searchsorted(starts, end, side="left")
+        # one (segment, cue) pair per cue in lo:hi
+        counts = np.maximum(hi - lo, 0)
+        pair_seg = np.repeat(np.arange(at.size), counts)
+        pair_cue = (np.arange(pair_seg.size)
+                    + np.repeat(lo - np.cumsum(counts) + counts, counts))
+        overlap = (np.minimum(ends[pair_cue], end[pair_seg])
+                   - np.maximum(starts[pair_cue], start[pair_seg]))
         hit = overlap > 0
-        row[2] = hit.sum()
-        if segment.duration_ms:
-            row[:2] = (int(overlap[hit].sum()) / segment.duration_ms,
-                       int(words[lo:hi][hit].sum())
-                       / (segment.duration_ms / 1000.0))
+        pair_seg, pair_cue = pair_seg[hit], pair_cue[hit]
+        # int64 sums, then the divisions one segment's scalars would make
+        overlap_ms = np.zeros(at.size, dtype=np.int64)
+        np.add.at(overlap_ms, pair_seg, overlap[hit])
+        n_words = np.zeros(at.size, dtype=np.int64)
+        np.add.at(n_words, pair_seg, words[pair_cue])
+        out[at, 2] = np.bincount(pair_seg, minlength=at.size)
+        duration = end - start
+        timed = duration != 0
+        out[at[timed], 0] = overlap_ms[timed] / duration[timed]
+        out[at[timed], 1] = n_words[timed] / (duration[timed] / 1000.0)
     return out
 
 

@@ -245,7 +245,34 @@ def write_descriptor_csv(track: VideoTrack) -> bytes:
 
 def _fixed_rows(stamps: np.ndarray, values: np.ndarray) -> list[bytes]:
     """The rows `%d` and `%.9f` write for timestamps >= 0 and values in
-    [0, 1], as uint8 blocks, one per run of timestamps of one width.
+    [0, 1], as uint8 blocks, one per run of timestamps of one width. Each
+    run is written _ROW_BLOCK_BYTES at a time, as `_decode_fixed_rows`
+    reads it, so the temporaries stay in cache on long tracks.
+    """
+    n, fields = values.shape
+    # a timestamp's width in digits: how many powers of ten it reaches
+    widths = np.maximum(np.searchsorted(_STAMP_POWERS[::-1], stamps,
+                                        side="right"), 1)
+    starts = np.flatnonzero(np.diff(widths, prepend=0)).tolist()
+    blocks = []
+    for start, stop in zip(starts, starts[1:] + [n]):
+        width = int(widths[start])
+        run = np.empty((stop - start, width + 12 * fields + 1),
+                       dtype=np.uint8)
+        step = max(1, _ROW_BLOCK_BYTES // run.shape[1])
+        for at in range(start, stop, step):
+            rows = run[at - start:at - start + step]
+            block = slice(at, at + rows.shape[0])
+            rows[:, :width] = (stamps[block, None]
+                               // _STAMP_POWERS[-width:] % 10 + ord("0"))
+            rows[:, width:-1] = _value_cells(values[block])
+        run[:, -1] = ord("\n")
+        blocks.append(run.tobytes())
+    return blocks
+
+
+def _value_cells(values: np.ndarray) -> np.ndarray:
+    """The (rows, 12 * fields) bytes `,%.9f` writes for values in [0, 1].
 
     A value's 12 bytes `,d.ddddddddd` are three 4-byte ASCII words looked
     up by its units of 1e-9, np.rint(v * 1e9): `,d.d` by the units over
@@ -263,29 +290,13 @@ def _fixed_rows(stamps: np.ndarray, values: np.ndarray) -> list[bytes]:
     for at in zip(*np.nonzero(near)):
         units[at] = int(("%.9f" % values[at]).replace(".", ""))
     heads, quads = _ascii_words()
-    n, fields = values.shape
-    words = np.empty((n, fields, 3), dtype=np.uint32)
+    words = np.empty(values.shape + (3,), dtype=np.uint32)
     high = units // 10000
     top = high // 10000
     words[..., 0] = heads[top]
     words[..., 1] = quads[high - top * 10000]
     words[..., 2] = quads[units - high * 10000]
-    cells = words.view(np.uint8).reshape(n, fields * 12)
-    # a timestamp's width in digits: how many powers of ten it reaches
-    widths = np.maximum(np.searchsorted(_STAMP_POWERS[::-1], stamps,
-                                        side="right"), 1)
-    starts = np.flatnonzero(np.diff(widths, prepend=0)).tolist()
-    blocks = []
-    for start, stop in zip(starts, starts[1:] + [n]):
-        width = int(widths[start])
-        block = np.empty((stop - start, width + cells.shape[1] + 1),
-                         dtype=np.uint8)
-        block[:, :width] = (stamps[start:stop, None]
-                            // _STAMP_POWERS[-width:] % 10 + ord("0"))
-        block[:, width:-1] = cells[start:stop]
-        block[:, -1] = ord("\n")
-        blocks.append(block.tobytes())
-    return blocks
+    return words.view(np.uint8).reshape(values.shape[0], -1)
 
 
 @functools.cache

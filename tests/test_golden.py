@@ -52,6 +52,11 @@ GOLDEN_MODEL_SHA256 = {
 GOLDEN_SEGMENTS_SHA256 = (
     "7bca75617473fb0c9b077ac2a084a6dc9b5fe9cc5aa1aba0d327fc4c78cfab8c")
 
+# `gelid features` on the segments `gelid segment` writes: every feature
+# value of every group, as repr writes it
+GOLDEN_FEATURES_CSV_SHA256 = (
+    "d0386a3bc89c134c6dc78498989515ed21e082cbb8da28caf644076ddc13ecba")
+
 GOLDEN_INGEST_DESCRIPTORS_SHA256 = (
     "f033b59691153a65dd8464ad1443586b1a43b1ae4dce4a9321ddc03cb205d6b0")
 GOLDEN_INGEST_DESCRIPTORS_BYTES = 71461
@@ -74,6 +79,18 @@ def test_golden_hierarchy(tmp_path, clusterer, model):
     # the trained weights depend on every feature value bit for bit
     assert _sha256(out / "model.json") == GOLDEN_MODEL_SHA256[model]
     assert _sha256(out / "segments.jsonl") == GOLDEN_SEGMENTS_SHA256
+
+
+def test_golden_features_csv(tmp_path):
+    paths = write_world(tmp_path / "world", THREE_VIDEO_WORLD)
+    world = ["--manifest", str(paths["manifest"]),
+             "--config", str(paths["config"])]
+    assert main(["segment", *world, "--out", str(tmp_path / "seg")]) == 0
+    assert main(["features", *world,
+                 "--segments", str(tmp_path / "seg" / "segments.jsonl"),
+                 "--out", str(tmp_path / "feat")]) == 0
+    written = tmp_path / "feat" / "features.csv"
+    assert _sha256(written) == GOLDEN_FEATURES_CSV_SHA256
 
 
 def test_golden_ingest_descriptor_csv(tmp_path):

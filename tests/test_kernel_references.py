@@ -34,7 +34,10 @@ for cue indices that repeat, run out of order, are 0 or lie past the last
 cue. A descriptor CSV must give the column bytes of one np.loadtxt in
 text mode, or the same ParseError message and line, on random files of
 every layout the block decoder takes or leaves to np.loadtxt, and the
-descriptor CSV writer the bytes of `%d` and `%.9f` row by row.
+descriptor CSV writer the bytes of `%d` and `%.9f` row by row. The
+video, speech and text feature blocks must give each segment's row of a
+per-segment loop, for segments of several videos in any order, empty
+texts, out-of-vocabulary words, stopwords, repeated terms and bigrams.
 """
 
 import dataclasses
@@ -43,6 +46,7 @@ import json
 import math
 import re
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -54,8 +58,9 @@ from gelid import clustering, frames
 from gelid.clustering import (NOISE, DistanceMatrix, build_context_matrix,
                               build_issue_matrix, optics)
 from gelid.errors import DataError, ParseError, naming, utf8_text
-from gelid.features import (BLANK_LUMINANCE, segment_text, speech_features,
-                            video_features)
+from gelid.features import (BLANK_LUMINANCE, Vocabulary, _document_terms,
+                            fit_vocabulary, segment_text, speech_features,
+                            text_features, video_features)
 from gelid.frames import (VideoTrack, descriptor_csv_header, parse_ppm_frame,
                           read_descriptor_csv, write_descriptor_csv)
 from gelid import models
@@ -111,6 +116,24 @@ def ref_speech_values(segment, transcript):
     density = overlap_ms / duration_ms if duration_ms else 0.0
     wps = words / (duration_ms / 1000.0) if duration_ms else 0.0
     return np.array([density, wps, float(n_cues)])
+
+
+def ref_text_values(text, vocab, ngram_max, stopwords):
+    """One text's tf-idf row: a count per occurrence of a vocabulary
+    term, times idf, over the row's np.linalg.norm unless that is 0."""
+    index = {t: i for i, t in enumerate(vocab.terms)}
+    idf = np.log((1 + vocab.n_documents)
+                 / (1 + np.asarray(vocab.document_frequencies))) + 1.0
+    row = np.zeros(len(vocab.terms))
+    for term in _document_terms(text, ngram_max, frozenset(stopwords)):
+        i = index.get(term)
+        if i is not None:
+            row[i] += 1.0
+    row *= idf
+    norm = np.linalg.norm(row)
+    if norm > 0:
+        row /= norm
+    return row
 
 
 def ref_thresholds(dists, window, alpha):
@@ -824,7 +847,7 @@ def ref_write_descriptor_csv(track):
 # --- random inputs -----------------------------------------------------------
 
 
-def _random_track(seed, n_frames, repeat=0.5, bins=4):
+def _random_track(seed, n_frames, repeat=0.5, bins=4, video_id="vid"):
     """Frames 1..400 ms apart; scenes repeat a histogram, so many distance
     windows are all-zero or tie their threshold."""
     rng = np.random.default_rng(seed)
@@ -838,7 +861,7 @@ def _random_track(seed, n_frames, repeat=0.5, bins=4):
             hists[i] = (raw / raw.sum(axis=1, keepdims=True)).ravel()
     luminance = rng.choice([0.0, 0.01, 0.04, 0.05, 0.5, 1.0], size=n_frames)
     duration = int(stamps[-1]) + 1 if n_frames else 1000
-    return VideoTrack("vid", stamps.astype(np.int64), hists, luminance,
+    return VideoTrack(video_id, stamps.astype(np.int64), hists, luminance,
                       duration)
 
 
@@ -852,7 +875,8 @@ def _windows(rng, track, count):
         if track.timestamps_ms.size and k % 4 == 0:
             at = int(rng.choice(track.timestamps_ms))
             start, end = at, at + 1  # exactly one frame
-        out.append(Segment(f"vid_{k:04d}", "vid", start, end))
+        out.append(Segment(f"{track.video_id}_{k:04d}", track.video_id,
+                           start, end))
     return out
 
 
@@ -893,32 +917,121 @@ def test_shot_transitions_match_loop_reference(spec, window, alpha,
     assert all(type(ts) is int for ts in got)
 
 
+@given(_tracks, _tracks, st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_video_features_of_two_videos_match_loop_reference(spec_a, spec_b,
+                                                           seed):
+    """Segments of two videos in a random order: each row is its own
+    segment's, in input order."""
+    tracks = {video_id: _random_track(*spec, video_id=video_id)
+              for video_id, spec in (("a", spec_a), ("b", spec_b))}
+    rng = np.random.default_rng(seed)
+    segments = [s for track in tracks.values() for s in _windows(rng, track, 8)]
+    segments = [segments[i] for i in rng.permutation(len(segments))]
+    values = video_features(segments, tracks)
+    assert values.shape == (16, 7)
+    for row, segment in zip(values, segments):
+        assert row.tobytes() == ref_video_values(
+            segment, tracks[segment.video_id]).tobytes()
+
+
 _cue_specs = st.lists(
     st.tuples(st.integers(0, 20000), st.integers(0, 6000),
               st.integers(0, 6)), max_size=25)
 
 
+def _transcript(video_id, specs):
+    """Cues of (start, length, words) specs, in start order, as a
+    Transcript holds its cues."""
+    return Transcript(video_id, [
+        Cue(i + 1, start, start + length, " ".join(["w"] * words))
+        for i, (start, length, words) in enumerate(sorted(specs))])
+
+
+def _speech_windows(rng, transcript, count):
+    """Segments whose edges lie on, just inside or just past cue edges, so
+    some cues straddle a segment boundary."""
+    cues = transcript.cues
+    edges = [c.start_ms for c in cues] + [c.end_ms for c in cues] + [0]
+    segments = []
+    for k in range(count):
+        start = int(rng.choice(edges)) + int(rng.integers(-1, 2))
+        end = start + int(rng.integers(0, 8000))
+        segments.append(Segment(f"{transcript.video_id}_{k:04d}",
+                                transcript.video_id, start, end))
+    return segments
+
+
 @given(_cue_specs, st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=120, deadline=None)
 def test_speech_features_match_loop_reference(specs, seed):
-    # in start order, as a Transcript holds its cues
-    cues = [Cue(i + 1, start, start + length, " ".join(["w"] * words))
-            for i, (start, length, words) in enumerate(sorted(specs))]
-    transcript = Transcript("vid", cues)
-    rng = np.random.default_rng(seed)
-    edges = [c.start_ms for c in cues] + [c.end_ms for c in cues] + [0]
-    segments = []
-    for k in range(10):
-        # segment edges on, just inside or just past cue edges, so some
-        # cues straddle a segment boundary
-        start = int(rng.choice(edges)) + int(rng.integers(-1, 2))
-        end = start + int(rng.integers(0, 8000))
-        segments.append(Segment(f"vid_{k:04d}", "vid", start, end))
+    transcript = _transcript("vid", specs)
+    segments = _speech_windows(np.random.default_rng(seed), transcript, 10)
     values = speech_features(segments, {"vid": transcript})
     assert values.shape == (10, 3)
     for row, segment in zip(values, segments):
         assert row.tobytes() == \
             ref_speech_values(segment, transcript).tobytes()
+
+
+@given(_cue_specs, _cue_specs, st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_speech_features_of_two_videos_match_loop_reference(specs_a, specs_b,
+                                                            seed):
+    """Segments of two videos in a random order: each row is its own
+    segment's, in input order."""
+    transcripts = {video_id: _transcript(video_id, specs)
+                   for video_id, specs in (("a", specs_a), ("b", specs_b))}
+    rng = np.random.default_rng(seed)
+    segments = [s for transcript in transcripts.values()
+                for s in _speech_windows(rng, transcript, 6)]
+    segments = [segments[i] for i in rng.permutation(len(segments))]
+    values = speech_features(segments, transcripts)
+    assert values.shape == (12, 3)
+    for row, segment in zip(values, segments):
+        assert row.tobytes() == ref_speech_values(
+            segment, transcripts[segment.video_id]).tobytes()
+
+
+# words in and out of any vocabulary, stopwords, and a case and
+# punctuation the tokenizer drops
+_TEXT_WORDS = ("lag", "spike", "boss", "crash", "hud", "the", "a", "Lag,",
+               "SPIKE!", "zzz", "qux")
+_phrases = st.lists(st.sampled_from(_TEXT_WORDS), max_size=14).map(" ".join)
+
+
+@st.composite
+def _vocabularies(draw):
+    """Any terms of _TEXT_WORDS, or bigrams of them, in any order, each
+    with any document frequency."""
+    words = sorted({w.strip(",!").lower() for w in _TEXT_WORDS})
+    candidates = words + [f"{a} {b}" for a in words for b in words]
+    terms = draw(st.lists(st.sampled_from(candidates), unique=True,
+                          max_size=30))
+    n_documents = draw(st.integers(1, 60))
+    return Vocabulary(tuple(terms), tuple(
+        draw(st.integers(1, n_documents)) for _ in terms), n_documents)
+
+
+@given(st.lists(_phrases, max_size=12), _vocabularies(),
+       st.sampled_from([1, 2]), st.sets(st.sampled_from(["the", "a", "boss"])))
+@settings(max_examples=200, deadline=None)
+@example(texts=["", "zzz qux", "lag lag lag spike", "the a the",
+                "Lag, spike lag SPIKE!", "boss"],
+         vocab=fit_vocabulary(["lag spike the lag", "boss crash"], 2,
+                              {"the", "a"}, 1),
+         ngram_max=2, stopwords={"the", "a"})
+@example(texts=["lag", ""], vocab=Vocabulary((), (), 1), ngram_max=1,
+         stopwords=set())
+def test_text_features_match_loop_reference(texts, vocab, ngram_max,
+                                            stopwords):
+    """Empty text, text of out-of-vocabulary words or stopwords only,
+    repeated terms and bigrams: each row the bits of its own loop."""
+    values = text_features(texts, vocab, ngram_max, stopwords)
+    assert values.shape == (len(texts), len(vocab.terms))
+    for row, text in zip(values, texts):
+        assert row.tobytes() == \
+            ref_text_values(text, vocab, ngram_max, stopwords).tobytes()
 
 
 @given(_tracks, st.integers(0, 2 ** 32 - 1))
@@ -2007,3 +2120,45 @@ def test_long_descriptor_csv_writes_the_bytes_of_per_row_format(
         track.histograms = np.floor(track.histograms * 1024) / 1024
     assert (write_descriptor_csv(track)
             == ref_write_descriptor_csv(track).encode())
+
+
+@pytest.mark.exhaustive
+def test_long_features_match_loop_references():
+    """Three 30-minute 5 fps videos (9,000 frames each) with dense, partly
+    overlapping cues, cut into about 1,000 segments whose rows come in a
+    random order: the video, speech and text rows of the loop references,
+    bit for bit."""
+    rng = np.random.default_rng(29)
+    tracks, transcripts, segments = {}, {}, []
+    for v in range(3):
+        video_id = f"vid_{v}"
+        tracks[video_id] = dataclasses.replace(
+            _long_track(1800, 5, seed=v), video_id=video_id)
+        starts = np.cumsum(rng.integers(500, 4000, size=700))
+        starts = starts[starts < 1_800_000]
+        transcripts[video_id] = _transcript(video_id, zip(
+            starts.tolist(), rng.integers(0, 5000, size=starts.size).tolist(),
+            rng.integers(0, 12, size=starts.size).tolist()))
+        # cuts that tile the video, a few of them equal: empty segments
+        cuts = np.sort(rng.integers(0, 1_800_000, size=332)).tolist()
+        for k, (start, end) in enumerate(zip([0] + cuts, cuts + [1_800_000])):
+            segments.append(Segment(f"{video_id}_{k:04d}", video_id, start,
+                                    end))
+    segments = [segments[i] for i in rng.permutation(len(segments))]
+    texts = [" ".join(rng.choice(_TEXT_WORDS, size=rng.integers(0, 30)))
+             for _ in segments]
+    vocab = fit_vocabulary(texts, 2, {"the", "a"}, 2)
+    assert len(segments) == 999 and len(vocab.terms) > 50
+    video = video_features(segments, tracks)
+    speech = speech_features(segments, transcripts)
+    text = text_features(texts, vocab, 2, {"the", "a"})
+    # each track's row views, made once for the reference to scan
+    frames_of = {video_id: SimpleNamespace(frames=list(track.frames))
+                 for video_id, track in tracks.items()}
+    for k, segment in enumerate(segments):
+        assert video[k].tobytes() == ref_video_values(
+            segment, frames_of[segment.video_id]).tobytes()
+        assert speech[k].tobytes() == ref_speech_values(
+            segment, transcripts[segment.video_id]).tobytes()
+        assert text[k].tobytes() == ref_text_values(
+            texts[k], vocab, 2, {"the", "a"}).tobytes()

@@ -157,6 +157,8 @@ class EmbeddingTable:
     dim: int
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise DataError(f"embedding dimension {self.dim}, expected >= 1")
         for token, vec in self.vectors.items():
             if vec.shape != (self.dim,):
                 raise DataError(f"embedding for {token!r} has dimension "
@@ -165,13 +167,15 @@ class EmbeddingTable:
 
 def load_embedding_table(path: str | Path) -> EmbeddingTable:
     """Read `token v1 ... vd` lines (pretrained; never trained here); a
-    line that holds a non-finite value is a ParseError."""
+    line that holds a token alone or a non-finite value is a ParseError."""
     vectors: dict[str, np.ndarray] = {}
     dim = None
     with naming(path):
         for line_no, line in enumerate(read_text(path).split("\n"), start=1):
             try:
                 parts = line.split()
+                if len(parts) == 1:
+                    raise ValueError(f"token {parts[0]!r} has no values")
                 vec = np.array([float(v) for v in parts[1:]])
                 if not np.all(np.isfinite(vec)):
                     raise ValueError("embedding values must be finite")
@@ -396,8 +400,7 @@ def assemble_features(segments: list[Segment], texts: list[str],
 
 def segment_text(segment: Segment, transcript: Transcript) -> str:
     """The text of the segment's cues in transcript order, each once; an
-    index that names no cue is ignored. Cue `i` must be the transcript's
-    `i`-th cue, as `subtitles` numbers every transcript it parses."""
+    index that names no cue is ignored."""
     cues = transcript.cues
     return " ".join(cues[i - 1].text for i in sorted(set(segment.cue_indices))
                     if 0 < i <= len(cues))

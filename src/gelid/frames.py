@@ -52,7 +52,7 @@ class VideoTrack:
     """A video's frame descriptors as columns; row i is frame i.
 
     Timestamps strictly increase, so the frames in [start, end) are one
-    contiguous slice (see `window`).
+    contiguous slice, which `np.searchsorted` finds.
     """
 
     video_id: str
@@ -66,11 +66,6 @@ class VideoTrack:
         """Read-only row views, one per frame; the columns are the fast
         path."""
         return FrameRows(self)
-
-    def window(self, start_ms: int, end_ms: int) -> slice:
-        """Rows of the frames with start_ms <= timestamp < end_ms."""
-        lo, hi = np.searchsorted(self.timestamps_ms, (start_ms, end_ms))
-        return slice(int(lo), int(hi))
 
     def histograms_at(self, timestamps_ms) -> np.ndarray:
         """Histogram rows of the frames at these timestamps, in order;
@@ -316,9 +311,8 @@ def read_descriptor_csv(path: str | Path, video_id: str = "",
                         duration_ms: int | None = None) -> VideoTrack:
     """Parse and validate a descriptor CSV read as one block of bytes.
 
-    An ASCII file with LF line ends is left undecoded, and rows that
-    share the first row's fixed-point layout are decoded as byte blocks
-    (`_decode_fixed_rows`); any other file is decoded once by
+    Rows that share the first row's fixed-point layout are decoded as
+    byte blocks (`_decode_fixed_rows`); any other file is decoded once by
     `utf8_text` and goes to np.loadtxt. Both give the same values, bit
     for bit. Rows are strict: a bad row, or a byte that is not UTF-8,
     raises a ParseError naming the file and its line; nothing is clamped
@@ -326,9 +320,7 @@ def read_descriptor_csv(path: str | Path, video_id: str = "",
     """
     with naming(path):
         data = read_bytes(path)
-        text = (None if data.isascii() and b"\r" not in data
-                else utf8_text(data))
-        timestamps, histograms, luminance = _parse_descriptor_csv(data, text)
+        timestamps, histograms, luminance = _parse_descriptor_csv(data)
         if duration_ms is None:
             duration_ms = int(timestamps[-1]) if timestamps.size else 0
         track = VideoTrack(video_id, timestamps, histograms, luminance,
@@ -336,27 +328,26 @@ def read_descriptor_csv(path: str | Path, video_id: str = "",
         fault = track._first_fault()
         if fault is not None:
             row, message = fault  # the track's rows are the data lines
-            lines = _data_lines(utf8_text(data) if text is None else text)
+            lines = _data_lines(utf8_text(data))
             raise ParseError(message, list(lines)[row][0])
     return track
 
 
-def _parse_descriptor_csv(data: bytes, text: str | None):
-    """The columns of a descriptor CSV's `data`, decoded as `text`; for an
-    ASCII file with LF line ends `text` is None and only its header is."""
-    header = (text if text is not None else utf8_text(
-        data[:data.find(b"\n") + 1 or None])).split("\n", 1)[0].split(",")
+def _parse_descriptor_csv(data: bytes):
+    """The columns of a descriptor CSV's bytes. Only the header line is
+    decoded before `_decode_fixed_rows` sees the bytes; the whole file is
+    decoded, once, only when it declines them."""
+    header = utf8_text(re.match(rb"[^\r\n]*", data)[0]).split(",")
     if header == [""]:
         raise ParseError("empty descriptor CSV", 1)
     width = len(header) - 2
     if (header[0] != "timestamp_ms" or header[-1] != "luminance"
             or width < _CHANNELS or width % _CHANNELS):
         raise ParseError("bad descriptor CSV header", 1)
-    if text is None:
-        columns = _decode_fixed_rows(data, width)
-        if columns is not None:
-            return columns
-        text = utf8_text(data)
+    columns = _decode_fixed_rows(data, width)
+    if columns is not None:
+        return columns
+    text = utf8_text(data)
     row_dtype = np.dtype([("ts", np.int64), ("hist", np.float64, (width,)),
                           ("lum", np.float64)])
     try:

@@ -528,15 +528,15 @@ def model_from_dict(obj, where: str = "$") -> TrainedModel:
     `where`, the JSON path of `obj`."""
     check_shape(obj, MODEL_SHAPE, where)
     kind, names, params = obj["kind"], obj["feature_names"], obj["parameters"]
+    check_shape(obj["hyper"], HYPER_SHAPES[kind], f"{where}.hyper")
     d = len(names)
     if kind == KIND_FOREST:
         parameters = _forest_from_trees(params.get("trees"), d, where)
     else:
-        # a hidden size of -1, unlike None, matches no array
         shapes = ({"weights": (d, N_LABELS), "bias": (N_LABELS,)}
                   if kind == KIND_LOGISTIC else
                   dict(zip(("w1", "b1", "w2", "b2"),
-                           ffn_shapes(d, obj["hyper"].get("hidden") or -1))))
+                           ffn_shapes(d, obj["hyper"]["hidden"]))))
         parameters = {key: float_array(params.get(key), shape,
                                        f"{where}.parameters.{key}")
                       for key, shape in shapes.items()}

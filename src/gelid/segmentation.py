@@ -198,19 +198,21 @@ def build_segments(track: VideoTrack, cuts: list[CutPoint],
     frame_rows = np.searchsorted(stamps, shots)
     kept = np.diff(frame_rows, append=stamps.size) != 0
     shots, shot_frames = shots[kept], stamps[frame_rows[kept]].tolist()
-    shot_runs = np.searchsorted(shots, np.array(pieces)).tolist()
+    edges = np.array(pieces)
+    shot_runs = np.searchsorted(shots, edges).tolist()
+    frame_runs = [slice(*run) for run in np.searchsorted(stamps, edges)]
     mids = np.array([(c.start_ms + c.end_ms) // 2 for c in transcript.cues],
                     dtype=np.int64)
     by_mid = np.argsort(mids, kind="stable")
     # the cues of each piece: a run of by_mid, put back in transcript order
-    cue_runs = np.searchsorted(mids[by_mid], np.array(pieces)).tolist()
+    cue_runs = np.searchsorted(mids[by_mid], edges).tolist()
     by_mid = by_mid.tolist()
     segments = []
-    for idx, ((start, end), (lo, hi), (first, stop)) in enumerate(
-            zip(pieces, cue_runs, shot_runs)):
+    for idx, ((start, end), (lo, hi), (first, stop), rows) in enumerate(
+            zip(pieces, cue_runs, shot_runs, frame_runs)):
         keyframes = [ts for ts in shot_frames[first:stop] if ts < end]
         if not keyframes:  # the frame nearest the middle, if any
-            inside = stamps[track.window(start, end)]
+            inside = stamps[rows]
             if inside.size:
                 keyframes = [int(inside[np.argmin(
                     np.abs(inside - (start + end) // 2))])]
@@ -221,8 +223,7 @@ def build_segments(track: VideoTrack, cuts: list[CutPoint],
             segment_id=f"{track.video_id}_{idx:04d}",
             video_id=track.video_id,
             start_ms=start, end_ms=end,
-            cue_indices=tuple(transcript.cues[i].index
-                              for i in sorted(by_mid[lo:hi])),
+            cue_indices=tuple(i + 1 for i in sorted(by_mid[lo:hi])),
             keyframe_timestamps=tuple(keyframes[:cfg.max_keyframes]),
         ))
     return segments

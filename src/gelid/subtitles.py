@@ -3,7 +3,7 @@
 Both parsers take text as `errors.utf8_text` gives it, with LF line ends,
 and share one normalization contract: HTML-like tags stripped,
 whitespace collapsed, empty cues dropped, cues sorted by start time and
-renumbered 1..n. A sentence runs over consecutive cues until terminal
+numbered by position. A sentence runs over consecutive cues until terminal
 punctuation or a silence gap; its end is the snap target for cut points.
 """
 
@@ -35,7 +35,6 @@ _VTT_TIME_RE = re.compile(r"^(?:(\d{1,4}):)?([0-5]?\d):([0-5]?\d)\.(\d{3})$")
 class Cue:
     """One timed subtitle line, already tag-stripped and collapsed."""
 
-    index: int
     start_ms: int
     end_ms: int
     text: str
@@ -44,8 +43,8 @@ class Cue:
 @dataclass
 class Transcript:
     """A video's cues in start order (ties in the order the file declares
-    them), numbered 1..n in that order, as `parse_srt` and `parse_vtt`
-    return them; segmentation and speech features rely on that order."""
+    them), as `parse_srt` and `parse_vtt` return them, each numbered by its
+    1-based position; segmentation and speech features rely on that order."""
 
     video_id: str
     cues: list[Cue] = field(default_factory=list)
@@ -81,9 +80,9 @@ def _blocks(text: str) -> Iterator[tuple[int, list[str]]]:
 
 def _finalize(raw_cues: list[tuple[int, int, int, str]],
               video_id: str) -> Transcript:
-    """Sort by (start, declared order), renumber 1..n, drop empties."""
+    """Drop empties and sort by start, stably: ties keep declared order."""
     kept = []
-    for order, (start_ms, end_ms, line_no, text) in enumerate(raw_cues):
+    for start_ms, end_ms, line_no, text in raw_cues:
         if end_ms < start_ms:
             raise ParseError(
                 f"cue ends before it starts ({end_ms} < {start_ms})", line_no)
@@ -93,11 +92,9 @@ def _finalize(raw_cues: list[tuple[int, int, int, str]],
             continue
         if not text:
             continue
-        kept.append((start_ms, order, end_ms, text))
-    kept.sort(key=lambda c: (c[0], c[1]))
-    cues = [Cue(index=i + 1, start_ms=s, end_ms=e, text=t)
-            for i, (s, _, e, t) in enumerate(kept)]
-    return Transcript(video_id=video_id, cues=cues)
+        kept.append(Cue(start_ms, end_ms, text))
+    kept.sort(key=lambda c: c.start_ms)
+    return Transcript(video_id=video_id, cues=kept)
 
 
 def parse_srt(text: str, video_id: str = "") -> Transcript:
@@ -150,8 +147,8 @@ def format_srt_timestamp(ms: int) -> str:
 def write_srt(transcript: Transcript) -> str:
     """Serialize to canonical SRT: LF endings, indices 1..n in cue order."""
     blocks = []
-    for cue in transcript.cues:
-        blocks.append(f"{cue.index}\n"
+    for number, cue in enumerate(transcript.cues, 1):
+        blocks.append(f"{number}\n"
                       f"{format_srt_timestamp(cue.start_ms)} --> "
                       f"{format_srt_timestamp(cue.end_ms)}\n"
                       f"{cue.text}\n")

@@ -50,10 +50,10 @@ def test_criterion_1_reaction_shift_worked_example():
     with _Budget(1.0, "criterion 1: shifted shot snaps to sentence end "
                       "(825000 ms + 5 s -> cut at 845000 ms)"):
         cues = [
-            Cue(1, 826000, 833000, "so I just walked into the cave and"),
-            Cue(2, 833000, 838000, "the whole screen started flickering"),
-            Cue(3, 838000, 845000, "until the textures were gone."),
-            Cue(4, 851000, 853000, "anyway."),
+            Cue(826000, 833000, "so I just walked into the cave and"),
+            Cue(833000, 838000, "the whole screen started flickering"),
+            Cue(838000, 845000, "until the textures were gone."),
+            Cue(851000, 853000, "anyway."),
         ]
         transcript = Transcript(video_id="v", cues=cues)
         cuts = derive_cut_points([825000], transcript,

@@ -1213,6 +1213,24 @@ def test_bad_model_exits_2_naming_it_before_ingest(staged, tmp_path, capsys,
     _fails_naming(capsys, argv, f"error: {bad}: $.model: expected an object")
 
 
+def test_model_hyper_of_another_shape_exits_2_naming_file(staged, tmp_path,
+                                                          capsys):
+    """A NaN hyper-parameter in model.json is refused, not written back into
+    the next run's model.json, which strict JSON parsers would reject."""
+    paths, stage = staged
+    bundle = json.loads((stage / "model.json").read_text())
+    bundle["model"]["hyper"] = {"l2": float("nan"), "junk": [1, 2]}
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(bundle))
+    _fails_naming(capsys, [
+        "run", "--manifest", str(paths["manifest"]),
+        "--config", str(paths["config"]), "--model", str(bad),
+        "--out", str(tmp_path / "out")],
+        f"error: {bad}: $.model.hyper.l2: expected a finite number >= 0, "
+        "got NaN")
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
 def _embedding_without_a_table(bundle):
     bundle["feature_groups"].insert(1, "embedding")
 

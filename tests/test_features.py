@@ -158,6 +158,16 @@ def test_load_embedding_table_bad_line_names_file_and_line(tmp_path, line):
     assert info.value.line == 2
 
 
+def test_load_embedding_table_token_without_values_is_a_parse_error(
+        tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("crash\nlag\n")
+    with pytest.raises(ParseError, match="emb.txt") as info:
+        load_embedding_table(path)
+    assert info.value.line == 1
+    assert "token 'crash' has no values" in str(info.value)
+
+
 def test_assemble_embedding_without_a_table_is_an_error():
     seg, transcript, track, vocab = _mini_world()
     with pytest.raises(DataError, match="without a table"):
@@ -228,8 +238,7 @@ def test_video_features_single_frame_flags_no_video():
 
 
 def _transcript(cue_specs):
-    cues = [Cue(index=i + 1, start_ms=s, end_ms=e, text=t)
-            for i, (s, e, t) in enumerate(cue_specs)]
+    cues = [Cue(start_ms=s, end_ms=e, text=t) for s, e, t in cue_specs]
     return Transcript(video_id="vid", cues=cues)
 
 
@@ -394,6 +403,8 @@ def test_feature_space_round_trips_through_its_dict(groups, table):
     (lambda obj: obj.update(embedding={"bug": [1.0], "lag": [1.0, 2.0]}),
      "embedding for 'lag' has dimension (2,), expected (1,)"),
     (lambda obj: obj.update(embedding=None), "without a table"),
+    (lambda obj: obj.update(embedding={"crash": [], "lag": []}),
+     "embedding dimension 0, expected >= 1"),
 ])
 def test_feature_space_from_bad_dict_names_the_fault(edit, where):
     obj = _space(_fit(["bug lag"])).to_dict()

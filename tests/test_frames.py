@@ -1,3 +1,4 @@
+import codecs
 import warnings
 
 import numpy as np
@@ -230,6 +231,48 @@ def test_written_descriptor_csv_takes_the_block_decoder(tmp_path):
                                    again.luminance)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert again.timestamps_ms.tolist() == [0, 5, 40, 700, 1500, 9999]
+
+def _columns(track):
+    return [(c.dtype.str, c.tobytes())
+            for c in (track.timestamps_ms, track.histograms, track.luminance)]
+
+
+def test_descriptor_csv_with_a_byte_order_mark_takes_the_block_decoder(
+        tmp_path, monkeypatch):
+    """A `%.9f` file that starts with a UTF-8 byte-order mark gives the
+    columns of the same file without it, and never reaches np.loadtxt."""
+    rng = np.random.default_rng(7)
+    raw = rng.random((5, 3, 16))
+    track = _track([0, 40, 700, 1500, 9999],
+                   (raw / raw.sum(axis=2, keepdims=True)).reshape(5, 48),
+                   rng.random(5), 9999)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(write_descriptor_csv(track))
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    want = _columns(read_descriptor_csv(plain))
+
+    def refuse(*args):
+        raise AssertionError("np.loadtxt fallback reached")
+
+    monkeypatch.setattr(frames, "_load_rows", refuse)
+    assert _columns(read_descriptor_csv(marked)) == want
+
+
+def test_descriptor_csv_with_cr_line_ends_is_decoded_once(tmp_path,
+                                                          monkeypatch):
+    """A file with CR-only line ends reaches `utf8_text` as a whole exactly
+    once, and gives the columns of the same file with LF line ends."""
+    path = _two_row_csv(tmp_path)
+    want = _columns(read_descriptor_csv(path))
+    data = path.read_bytes().replace(b"\n", b"\r")
+    path.write_bytes(data)
+    wholes = []
+    decode = frames.utf8_text
+    monkeypatch.setattr(frames, "utf8_text", lambda given: wholes.append(
+        given == data) or decode(given))
+    assert _columns(read_descriptor_csv(path)) == want
+    assert wholes.count(True) == 1
+
 
 def test_descriptor_csv_non_monotone_is_error(tmp_path):
     path = _two_row_csv(tmp_path)

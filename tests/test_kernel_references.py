@@ -176,14 +176,15 @@ def ref_keyframe_lookup(segments, tracks):
 
 
 def ref_segment_cues(segment, transcript):
-    return tuple(c.index for c in transcript.cues
+    return tuple(i for i, c in enumerate(transcript.cues, 1)
                  if segment.start_ms <= (c.start_ms + c.end_ms) // 2
                  < segment.end_ms)
 
 
 def ref_segment_text(segment: Segment, transcript: Transcript) -> str:
     wanted = set(segment.cue_indices)
-    return " ".join(c.text for c in transcript.cues if c.index in wanted)
+    return " ".join(c.text for i, c in enumerate(transcript.cues, 1)
+                    if i in wanted)
 
 
 def ref_sentence_spans(transcript, gap_ms):
@@ -944,8 +945,8 @@ def _transcript(video_id, specs):
     """Cues of (start, length, words) specs, in start order, as a
     Transcript holds its cues."""
     return Transcript(video_id, [
-        Cue(i + 1, start, start + length, " ".join(["w"] * words))
-        for i, (start, length, words) in enumerate(sorted(specs))])
+        Cue(start, start + length, " ".join(["w"] * words))
+        for start, length, words in sorted(specs)])
 
 
 def _speech_windows(rng, transcript, count):
@@ -1092,7 +1093,7 @@ def test_segment_cues_match_loop_reference(spec, seed, n_cuts,
     cuts = [CutPoint(c, c, c, SnapRule.SENTENCE_END) for c in cut_ms]
     edges = [0, duration] + cut_ms
     cues = []
-    for k in range(int(rng.integers(0, 30))):
+    for _ in range(int(rng.integers(0, 30))):
         # midpoints on, just before or just after a boundary, anywhere in
         # (or past) the video, and cues sharing a midpoint
         mid = int(rng.choice(edges)) + int(rng.integers(-1, 2))
@@ -1102,7 +1103,7 @@ def test_segment_cues_match_loop_reference(spec, seed, n_cuts,
             prev = cues[int(rng.integers(len(cues)))]
             mid = (prev.start_ms + prev.end_ms) // 2
         half = int(rng.integers(0, 3000))
-        cues.append(Cue(k + 1, max(0, mid - half),
+        cues.append(Cue(max(0, mid - half),
                         mid + half + int(rng.integers(0, 2)), "w"))
     # transcript order is not time order
     transcript = Transcript("vid", [cues[i]
@@ -1149,9 +1150,9 @@ def _tiling_case(rng):
                                        duration, duration + 1])),
         max_keyframes=int(rng.choice([1, 2, 3, 10])))
     cues = []
-    for k in range(int(rng.integers(0, 8))):
+    for _ in range(int(rng.integers(0, 8))):
         start = int(rng.integers(0, duration + 1000))
-        cues.append(Cue(k + 1, start, start + int(rng.integers(1, 4000)),
+        cues.append(Cue(start, start + int(rng.integers(1, 4000)),
                         "w"))
     return track, cuts, Transcript("vid", cues), cfg
 
@@ -1180,9 +1181,9 @@ def _snapping_case(rng):
     one past every sentence's start, end and silence window."""
     gap_ms = int(rng.choice([0, 400, 1500]))
     cues, at = [], int(rng.integers(0, 3000))
-    for k in range(int(rng.integers(0, 12))):
+    for _ in range(int(rng.integers(0, 12))):
         length = int(rng.integers(1, 3000))
-        cues.append(Cue(k + 1, at, at + length, "w" + str(rng.choice(
+        cues.append(Cue(at, at + length, "w" + str(rng.choice(
             ["", "", ".", "!", "?", "\u2026"]))))
         at += int(rng.choice([int(rng.integers(0, length)),
                               length + gap_ms + int(rng.integers(-1, 2)),
@@ -1209,11 +1210,11 @@ def _sentence_cases(draw):
     whitespace, which the parsers would have stripped."""
     gap_ms = draw(st.sampled_from([0, 500, 1500, 3000]))
     cues, at = [], draw(st.integers(0, 3000))
-    for k in range(draw(st.integers(0, 12))):
+    for _ in range(draw(st.integers(0, 12))):
         length = draw(st.integers(1, 3000))
         mark = draw(st.sampled_from(["", ",", *TERMINAL_PUNCTUATION]))
         space = draw(st.sampled_from(["", " ", "\t"])) if mark else ""
-        cues.append(Cue(k + 1, at, at + length, "w" + mark + space))
+        cues.append(Cue(at, at + length, "w" + mark + space))
         at += length + draw(st.one_of(
             st.integers(-length, 0),
             st.sampled_from([gap_ms - 1, gap_ms, gap_ms + 1]),
@@ -1223,13 +1224,13 @@ def _sentence_cases(draw):
 
 @given(_sentence_cases())
 @example((Transcript("vid"), 1500))
-@example((Transcript("vid", [Cue(1, 0, 10, "w")]), 0))
-@example((Transcript("vid", [Cue(1, 0, 10, "w"), Cue(2, 1510, 1600, "w")]),
+@example((Transcript("vid", [Cue(0, 10, "w")]), 0))
+@example((Transcript("vid", [Cue(0, 10, "w"), Cue(1510, 1600, "w")]),
           1500))
-@example((Transcript("vid", [Cue(1, 0, 10, "w. "), Cue(2, 10, 20, "w")]),
+@example((Transcript("vid", [Cue(0, 10, "w. "), Cue(10, 20, "w")]),
           1500))
-@example((Transcript("vid", [Cue(1, 0, 10, "w\u2026"),
-                             Cue(2, 10, 20, "w")]), 1500))
+@example((Transcript("vid", [Cue(0, 10, "w\u2026"),
+                             Cue(10, 20, "w")]), 1500))
 @settings(max_examples=300, deadline=None)
 def test_sentence_bounds_match_loop_reference(case):
     transcript, gap_ms = case
@@ -1289,12 +1290,12 @@ def test_match_probes_match_loop_reference(seed, n_probes):
 def test_segment_text_matches_loop_reference(seed, n_cues):
     rng = np.random.default_rng(seed)
     starts = rng.integers(0, 60000, size=n_cues)
-    cues = [Cue(k + 1, int(start), int(start) + int(rng.integers(1, 4000)),
+    cues = [Cue(int(start), int(start) + int(rng.integers(1, 4000)),
                 " ".join([f"c{k}"] + [str(w) for w in rng.choice(
                     ["lag", "bug", "boss", "fps"],
                     size=int(rng.integers(0, 4)))]))
             for k, start in enumerate(starts)]
-    # parsing sorts the cues by start and numbers them 1..n in that order
+    # parsing sorts the cues by start
     transcript = parse_srt(write_srt(Transcript("vid", cues)), "vid")
     assert len(transcript.cues) == n_cues
     past = [n_cues + 1, n_cues + 2, 10 ** 6]
@@ -1971,11 +1972,11 @@ def _read_columns(path):
 
 
 def _parse_columns(path):
-    """The columns as `read_descriptor_csv` parses them, bytes or text."""
+    """The columns as `read_descriptor_csv` parses them, before the track
+    checks."""
     data = path.read_bytes()
-    text = None if data.isascii() and b"\r" not in data else utf8_text(data)
     with naming(path):
-        return frames._parse_descriptor_csv(data, text)
+        return frames._parse_descriptor_csv(data)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1),

@@ -79,8 +79,7 @@ def test_fewer_than_two_frames_warns_and_returns_empty(caplog):
 
 
 def _transcript(cue_specs):
-    cues = [Cue(index=i + 1, start_ms=s, end_ms=e, text=t)
-            for i, (s, e, t) in enumerate(cue_specs)]
+    cues = [Cue(start_ms=s, end_ms=e, text=t) for s, e, t in cue_specs]
     return Transcript(video_id="vid", cues=cues)
 
 
@@ -239,7 +238,7 @@ def _random_speech(draw):
         at += draw(st.integers(min_value=200, max_value=8000))
         dur = draw(st.integers(min_value=500, max_value=6000))
         punct = "." if draw(st.booleans()) else ""
-        cues.append(Cue(index=i + 1, start_ms=at, end_ms=at + dur,
+        cues.append(Cue(start_ms=at, end_ms=at + dur,
                         text=f"cue {i}{punct}"))
         at += dur
     shots = sorted(draw(st.sets(st.integers(min_value=0, max_value=at + 5000),

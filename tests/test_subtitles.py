@@ -12,7 +12,7 @@ SIMPLE_SRT = "1\n00:00:01,000 --> 00:00:02,500\nhello\n"
 
 def test_parse_srt_single_block():
     t = parse_srt(SIMPLE_SRT)
-    assert t.cues == [Cue(index=1, start_ms=1000, end_ms=2500, text="hello")]
+    assert t.cues == [Cue(start_ms=1000, end_ms=2500, text="hello")]
 
 
 def test_parse_srt_end_before_start_is_error():
@@ -33,7 +33,8 @@ def test_parse_srt_out_of_order_blocks_resorted():
            "2\n00:00:01,000 --> 00:00:02,000\nfirst\n")
     t = parse_srt(srt)
     assert [c.text for c in t.cues] == ["first", "second"]
-    assert [c.index for c in t.cues] == [1, 2]
+    assert write_srt(t) == ("1\n00:00:01,000 --> 00:00:02,000\nfirst\n\n"
+                            "2\n00:00:05,000 --> 00:00:06,000\nsecond\n")
 
 
 def test_parse_srt_strips_tags_and_collapses_whitespace():
@@ -74,9 +75,9 @@ def test_parse_vtt_field_out_of_range_is_error(timing):
 
 def test_minutes_and_seconds_run_to_59():
     assert parse_srt("1\n00:59:59,999 --> 01:00:00,000\nhi\n").cues[0] == \
-        Cue(index=1, start_ms=3_599_999, end_ms=3_600_000, text="hi")
+        Cue(start_ms=3_599_999, end_ms=3_600_000, text="hi")
     assert parse_vtt("WEBVTT\n\n59:59.000 --> 1:00:00.000\nhi\n").cues[0] \
-        == Cue(index=1, start_ms=3_599_000, end_ms=3_600_000, text="hi")
+        == Cue(start_ms=3_599_000, end_ms=3_600_000, text="hi")
 
 
 def test_parse_srt_bom_and_crlf():
@@ -93,7 +94,7 @@ def test_parse_srt_line_ending_independence():
 
 def test_parse_vtt_minimal_cue():
     t = parse_vtt("WEBVTT\n\n00:00.000 --> 00:01.000\nhi\n")
-    assert t.cues == [Cue(index=1, start_ms=0, end_ms=1000, text="hi")]
+    assert t.cues == [Cue(start_ms=0, end_ms=1000, text="hi")]
 
 
 def test_parse_vtt_header_only_gives_empty_transcript():
@@ -128,7 +129,7 @@ def test_vtt_cue_at_100_hours_survives_srt_round_trip():
     """`write_srt` writes hours past 99 as they come, and `parse_srt` reads
     back the 1-4 hour digits WebVTT takes."""
     t = parse_vtt("WEBVTT\n\n100:00:00.000 --> 100:00:01.500\nlate\n")
-    assert t.cues == [Cue(index=1, start_ms=360_000_000, end_ms=360_001_500,
+    assert t.cues == [Cue(start_ms=360_000_000, end_ms=360_001_500,
                           text="late")]
     srt = write_srt(t)
     assert srt.startswith("1\n100:00:00,000 --> 100:00:01,500\n")
@@ -176,11 +177,11 @@ def transcripts(draw):
     n = draw(st.integers(min_value=0, max_value=12))
     cues = []
     at = 0
-    for i in range(n):
+    for _ in range(n):
         at += draw(st.integers(min_value=1, max_value=4000))
         dur = draw(st.integers(min_value=1, max_value=5000))
         text = " ".join(draw(_texts).split()) or "x"  # canonical whitespace
-        cues.append(Cue(index=i + 1, start_ms=at, end_ms=at + dur, text=text))
+        cues.append(Cue(start_ms=at, end_ms=at + dur, text=text))
         at += dur
     return Transcript(video_id="v", cues=cues)
 

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all gelid modules, each naming a fault's
-place as `<path>:<line>: ` (see `naming`); `read_bytes` and `read_text`,
-the readers of every input, and `write_file`, of every output; and
-`check_shape`, which holds an input or a setting to its declared shape.
+place as `<path>:<line>: ` (see `naming`); `read_bytes`, `read_windows`
+and `read_text`, the readers of every input, and `write_file`, of every
+output; and `check_shape`, which holds an input or a setting to its
+declared shape.
 
 Exit-code mapping used by the CLI: ConfigError -> 1, DataError -> 2,
 InternalError -> 3.
@@ -9,6 +10,7 @@ InternalError -> 3.
 
 import codecs
 import json
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -80,6 +82,53 @@ def read_bytes(path: str | Path) -> bytes:
     by its OSError."""
     try:
         return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read ({exc.strerror})", path=path) from exc
+
+
+# the byte window `read_windows` reads a larger file through
+WINDOW_BYTES = 1 << 20
+
+
+@contextmanager
+def read_windows(path: str | Path):
+    """A file's size and an iterator over its bytes as windows of whole
+    lines, the file open until the block is left, however it is left.
+
+    A file of at most WINDOW_BYTES is one window, read at once as bytes. A
+    larger one is read through one reused bytearray of WINDOW_BYTES, which
+    grows only to hold a longer line: each window is a view of it that ends
+    in an LF, valid until the next is read, and the line its end cut
+    carries over to the next. A last line without an LF is a window of its
+    own. An unreadable file is a DataError naming it, caused by its
+    OSError.
+    """
+    try:
+        file = open(path, "rb", buffering=0)
+    except OSError as exc:
+        raise DataError(f"cannot read ({exc.strerror})", path=path) from exc
+    with file:
+        size = os.fstat(file.fileno()).st_size
+        yield size, _windows(file, size, path)
+
+
+def _windows(file, size: int, path: str | Path):
+    try:
+        if size <= WINDOW_BYTES:
+            yield file.read()
+            return
+        window, end = bytearray(WINDOW_BYTES), 0
+        while got := file.readinto(memoryview(window)[end:]):
+            end += got
+            cut = window.rfind(b"\n", 0, end) + 1
+            if cut:
+                yield memoryview(window)[:cut]
+                window[:end - cut] = window[cut:end]
+                end -= cut
+            elif end == len(window):  # a line longer than the window
+                window = window + bytes(end)
+        if end:
+            yield memoryview(window)[:end]
     except OSError as exc:
         raise DataError(f"cannot read ({exc.strerror})", path=path) from exc
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .clustering import _BLOCK_BYTES
 from .errors import (DataError, ParseError, check_shape, naming,
                      positive_int, read_text)
 from .frames import VideoTrack
@@ -87,27 +88,32 @@ VOCABULARY_SHAPE = {"schema_version": {1}, "terms": [str],
                     "document_frequencies": [int], "n_documents": int}
 
 
-def _document_terms(text: str, ngram_max: int, stopwords: frozenset[str]
-                    ) -> list[str]:
-    tokens = [t for t in tokenize(text) if t not in stopwords]
-    terms = list(tokens)
-    if ngram_max >= 2:
-        terms += [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]
-    return terms
-
-
-def fit_vocabulary(texts, ngram_max: int, stopwords, min_df: int
-                   ) -> Vocabulary:
-    """Fit a bag-of-words vocabulary on training texts only."""
+def document_terms(texts, ngram_max: int, stopwords) -> list[list[str]]:
+    """The terms of each text that `fit_vocabulary` and `text_features`
+    count: its tokens less the stopwords and, when ngram_max is 2, the
+    bigrams of those tokens."""
     check_shape(ngram_max, NGRAM_MAX, "ngram_max")
     stopwords = frozenset(stopwords)
-    texts = list(texts)
-    if not texts:
+    documents, distinct = [], {}
+    for text in texts:
+        terms = [t for t in tokenize(text) if t not in stopwords]
+        if ngram_max >= 2:
+            terms += [f"{a} {b}" for a, b in zip(terms, terms[1:])]
+        # one string per distinct term: a stage holds every document
+        # from the vocabulary fit to the tf-idf block
+        documents.append([distinct.setdefault(t, t) for t in terms])
+    return documents
+
+
+def fit_vocabulary(documents: list[list[str]], min_df: int) -> Vocabulary:
+    """Fit a bag-of-words vocabulary on the `document_terms` of training
+    texts only."""
+    if not documents:
         raise DataError("cannot fit a vocabulary on zero documents")
     df: dict[str, int] = {}
     any_tokens = False
-    for text in texts:
-        terms = set(_document_terms(text, ngram_max, stopwords))
+    for terms in documents:
+        terms = set(terms)
         any_tokens = any_tokens or bool(terms)
         for term in terms:
             df[term] = df.get(term, 0) + 1
@@ -118,31 +124,29 @@ def fit_vocabulary(texts, ngram_max: int, stopwords, min_df: int
         raise DataError(f"no surviving terms with min_df={min_df}")
     return Vocabulary(terms=tuple(kept),
                       document_frequencies=tuple(df[t] for t in kept),
-                      n_documents=len(texts))
+                      n_documents=len(documents))
 
 
-def text_features(texts: list[str], vocab: Vocabulary, ngram_max: int,
-                  stopwords) -> np.ndarray:
+def text_features(documents: list[list[str]], vocab: Vocabulary
+                  ) -> np.ndarray:
     """(n, terms) tf-idf weights over the fitted vocabulary, one
-    L2-normalized row per text.
+    L2-normalized row per text's `document_terms`.
 
-    tf is the raw in-segment count; idf = ln((1+N)/(1+df)) + 1. Tokens
+    tf is the raw in-segment count; idf = ln((1+N)/(1+df)) + 1. Terms
     outside the vocabulary are ignored; empty text gives the zero vector.
     A row's norm is the square root of its own BLAS dot with itself, the
     one `np.linalg.norm` takes.
     """
-    stopwords = frozenset(stopwords)
     index = {t: i for i, t in enumerate(vocab.terms)}
     idf = np.log((1 + vocab.n_documents)
                  / (1 + np.asarray(vocab.document_frequencies))) + 1.0
-    out = np.zeros((len(texts), len(vocab.terms)))
+    out = np.zeros((len(documents), len(vocab.terms)))
     # each occurrence adds 1.0 to its (row, term) cell: exact counts,
     # written straight into the float block; a generator, so that no list
     # holds every cell's int at once
     cells = np.fromiter((row * out.shape[1] + i
-                         for row, text in enumerate(texts)
-                         for i in map(index.get, _document_terms(
-                             text, ngram_max, stopwords)) if i is not None),
+                         for row, terms in enumerate(documents)
+                         for i in map(index.get, terms) if i is not None),
                         dtype=np.intp)
     np.add.at(out.reshape(-1), cells, 1.0)
     out *= idf
@@ -266,12 +270,9 @@ def video_features(segments: list[Segment],
         sizes = hi - lo
         out[at, 0] = (bounds[1] - bounds[0]) / 1000.0
         out[at, 1] = sizes
-        # a frame's motion: the L1 distance from its histogram to the next
-        motion = np.diff(track.histograms, axis=0)
-        motion = np.abs(motion, out=motion).sum(axis=1)
         moving = sizes >= 2
         out[at[moving], 2:4] = np.column_stack(
-            _mean_std(motion, lo[moving], hi[moving] - 1))
+            _mean_std(track.motion, lo[moving], hi[moving] - 1))
         out[at[moving], 6] = 1.0
         seen = sizes > 0
         lo, hi = lo[seen], hi[seen]
@@ -381,13 +382,14 @@ SPACE_SHAPE = {"feature_groups": [set(FEATURE_GROUPS)], "vocabulary": dict,
 
 
 def assemble_features(segments: list[Segment], texts: list[str],
+                      documents: list[list[str]],
                       transcripts: dict[str, Transcript],
                       tracks: dict[str, VideoTrack],
                       space: FeatureSpace) -> FeatureMatrix:
     """The segments' feature matrix, with the columns `space.names` gives;
-    `texts` holds each segment's `segment_text`."""
-    build = {"text": lambda: text_features(texts, space.vocabulary,
-                                           space.ngram_max, space.stopwords),
+    `texts` holds each segment's `segment_text`, and `documents` their
+    `document_terms` under `space.ngram_max` and `space.stopwords`."""
+    build = {"text": lambda: text_features(documents, space.vocabulary),
              "embedding": lambda: embedding_features(texts, space.embedding),
              "video": lambda: video_features(segments, tracks),
              "speech": lambda: speech_features(segments, transcripts)}
@@ -436,15 +438,20 @@ def smote_oversample(x: np.ndarray, y: np.ndarray, k_neighbors: int,
         members = x[y == cls]
         k = min(k_neighbors, count - 1)
         # pairwise distances within the class; self excluded via inf
+        dists = np.empty((count, count))
         with np.errstate(over="ignore", invalid="ignore"):
-            diffs = members[:, None, :] - members[None, :, :]
-            dists = np.sqrt((diffs ** 2).sum(axis=2))
-        if not np.isfinite(dists).all():
-            gaps = np.abs(diffs).max(axis=(0, 1))
-            j = int(np.argmax(gaps))
-            name = names[j] if names is not None else f"f{j}"
-            raise DataError(f"feature {name!r} is too large for SMOTE: the "
-                            f"distances between class {cls!r} rows overflow")
+            for rows, diffs in _pair_differences(members):
+                diffs *= diffs
+                diffs.sum(axis=2, out=dists[rows])
+            np.sqrt(dists, out=dists)
+            if not np.isfinite(dists).all():
+                gaps = np.max([np.abs(diffs).max(axis=(0, 1)) for _, diffs
+                               in _pair_differences(members)], axis=0)
+                j = int(np.argmax(gaps))
+                name = names[j] if names is not None else f"f{j}"
+                raise DataError(f"feature {name!r} is too large for SMOTE: "
+                                f"the distances between class {cls!r} rows "
+                                f"overflow")
         np.fill_diagonal(dists, np.inf)
         neighbor_ids = np.argsort(dists, axis=1, kind="stable")[:, :k]
         for _ in range(majority - count):
@@ -457,6 +464,15 @@ def smote_oversample(x: np.ndarray, y: np.ndarray, k_neighbors: int,
         return x.copy(), y.copy()
     return (np.vstack([x, np.array(synth_x)]),
             np.concatenate([y, np.array(synth_y, dtype=y.dtype)]))
+
+
+def _pair_differences(members: np.ndarray):
+    """(rows, members[rows, None, :] - members[None, :, :]) for blocks of
+    rows, each difference array near _BLOCK_BYTES."""
+    step = max(1, _BLOCK_BYTES // max(members.nbytes, 1))
+    for at in range(0, members.shape[0], step):
+        rows = slice(at, at + step)
+        yield rows, members[rows, None, :] - members[None, :, :]
 
 
 def write_feature_csv(matrix: FeatureMatrix) -> str:

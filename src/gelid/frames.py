@@ -14,19 +14,20 @@ import re
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (DataError, InternalError, ParseError, check_shape,
-                     naming, read_bytes, utf8_text)
+                     naming, read_bytes, read_windows, utf8_text)
 
 log = logging.getLogger(__name__)
 
 DEFAULT_BINS = 16
 _CHANNELS = 3
 _HIST_ATOL = 1e-9
+_MOTION_ROWS = 1024  # the histogram rows `VideoTrack.motion` diffs at once
 
 
 def histogram_bins(value) -> bool:
@@ -77,6 +78,21 @@ class VideoTrack:
         rows = np.minimum(np.searchsorted(stamps, wanted), stamps.size - 1)
         return self.histograms[rows[stamps[rows] == wanted]]
 
+    @functools.cached_property
+    def motion(self) -> np.ndarray:
+        """(F - 1,) float64, computed on first use: the L1 distance from
+        each frame's histogram to the next, _MOTION_ROWS rows at a time.
+        Each row is its own np.add.reduce over its bins, so the bits are
+        those of `np.abs(np.diff(histograms, axis=0)).sum(axis=1)`."""
+        hists = self.histograms
+        motion = np.empty(max(hists.shape[0] - 1, 0))
+        for at in range(0, motion.size, _MOTION_ROWS):
+            rows = slice(at, min(at + _MOTION_ROWS, motion.size))
+            step = hists[rows.start + 1:rows.stop + 1] - hists[rows]
+            np.abs(step, out=step).sum(axis=1, out=motion[rows])
+        motion.flags.writeable = False  # one column, shared by its readers
+        return motion
+
     def _first_fault(self) -> tuple[int, str] | None:
         """Row and reason of the first frame that breaks a track invariant.
 
@@ -95,7 +111,8 @@ class VideoTrack:
                             f"{stamps.shape}, histograms {hists.shape}, "
                             f"luminance {lum.shape}")
         bins = hists.shape[1] // _CHANNELS
-        sums = hists.reshape(n, _CHANNELS, bins).sum(axis=2)
+        gaps = hists.reshape(n, _CHANNELS, bins).sum(axis=2)
+        gaps -= 1.0
         steps = np.zeros(n, dtype=bool)
         steps[1:] = np.diff(stamps) <= 0
         # a row's first failing check names it; NaN fails every comparison
@@ -107,9 +124,10 @@ class VideoTrack:
             (stamps > self.duration_ms,
              lambda i: f"frame at {stamps[i]} ms exceeds duration "
                        f"{self.duration_ms} ms"),
-            ((hists < 0).any(axis=1),
+            # a row's least bin, NaN skipped: no (n, bins) temporary
+            (np.fmin.reduce(hists, axis=1, initial=np.inf) < 0,
              lambda i: "histogram has negative bins"),
-            (~(np.abs(sums - 1.0) <= _HIST_ATOL * bins).all(axis=1),
+            (~(np.abs(gaps, out=gaps) <= _HIST_ATOL * bins).all(axis=1),
              lambda i: "histogram channel blocks must each sum to 1"),
             (~((lum >= 0.0) & (lum <= 1.0)),
              lambda i: f"luminance {lum[i]} outside [0,1]"),
@@ -309,18 +327,14 @@ def _ascii_words() -> tuple[np.ndarray, np.ndarray]:
 
 def read_descriptor_csv(path: str | Path, video_id: str = "",
                         duration_ms: int | None = None) -> VideoTrack:
-    """Parse and validate a descriptor CSV read as one block of bytes.
+    """Parse and validate a descriptor CSV (see `_parse_descriptor_csv`).
 
-    Rows that share the first row's fixed-point layout are decoded as
-    byte blocks (`_decode_fixed_rows`); any other file is decoded once by
-    `utf8_text` and goes to np.loadtxt. Both give the same values, bit
-    for bit. Rows are strict: a bad row, or a byte that is not UTF-8,
-    raises a ParseError naming the file and its line; nothing is clamped
-    or skipped except blank lines.
+    Rows are strict: a bad row, or a byte that is not UTF-8, raises a
+    ParseError naming the file and its line; nothing is clamped or skipped
+    except blank lines.
     """
     with naming(path):
-        data = read_bytes(path)
-        timestamps, histograms, luminance = _parse_descriptor_csv(data)
+        timestamps, histograms, luminance = _parse_descriptor_csv(path)
         if duration_ms is None:
             duration_ms = int(timestamps[-1]) if timestamps.size else 0
         track = VideoTrack(video_id, timestamps, histograms, luminance,
@@ -328,26 +342,32 @@ def read_descriptor_csv(path: str | Path, video_id: str = "",
         fault = track._first_fault()
         if fault is not None:
             row, message = fault  # the track's rows are the data lines
-            lines = _data_lines(utf8_text(data))
+            lines = _data_lines(utf8_text(read_bytes(path)))
             raise ParseError(message, list(lines)[row][0])
     return track
 
 
-def _parse_descriptor_csv(data: bytes):
-    """The columns of a descriptor CSV's bytes. Only the header line is
-    decoded before `_decode_fixed_rows` sees the bytes; the whole file is
-    decoded, once, only when it declines them."""
-    header = utf8_text(re.match(rb"[^\r\n]*", data)[0]).split(",")
-    if header == [""]:
-        raise ParseError("empty descriptor CSV", 1)
-    width = len(header) - 2
-    if (header[0] != "timestamp_ms" or header[-1] != "luminance"
-            or width < _CHANNELS or width % _CHANNELS):
-        raise ParseError("bad descriptor CSV header", 1)
-    columns = _decode_fixed_rows(data, width)
+def _parse_descriptor_csv(path: str | Path):
+    """The columns of a descriptor CSV, read through `read_windows`.
+
+    Only the header line is decoded before `_decode_fixed_rows` decodes
+    the windows as byte blocks. When it declines them, the whole file is
+    read and decoded, once, by `utf8_text`, and goes to np.loadtxt. Both
+    give the same values, bit for bit.
+    """
+    with read_windows(path) as (size, windows):
+        head = next(windows, b"")
+        header = utf8_text(re.match(rb"[^\r\n]*", head)[0]).split(",")
+        if header == [""]:
+            raise ParseError("empty descriptor CSV", 1)
+        width = len(header) - 2
+        if (header[0] != "timestamp_ms" or header[-1] != "luminance"
+                or width < _CHANNELS or width % _CHANNELS):
+            raise ParseError("bad descriptor CSV header", 1)
+        columns = _decode_fixed_rows(chain([head], windows), width, size)
     if columns is not None:
         return columns
-    text = utf8_text(data)
+    text = utf8_text(read_bytes(path))
     row_dtype = np.dtype([("ts", np.int64), ("hist", np.float64, (width,)),
                           ("lum", np.float64)])
     try:
@@ -366,6 +386,8 @@ _VALUE_DIGITS = 15
 _STAMP_DIGITS = 18
 _STAMP_POWERS = 10 ** np.arange(_STAMP_DIGITS, -1, -1, dtype=np.int64)
 _VALUE_FIELD = re.compile(rb",0*\.?0*")  # a value, its digits as '0'
+_HEADER_LINE = re.compile(rb"[^\r\n]*\n")
+_LF = re.compile(rb"\n")
 _ROW_BLOCK_BYTES = 1 << 16
 
 
@@ -399,63 +421,78 @@ def _value_layout(tail: bytes, n_values: int):
     return base, np.where(is_digit, 10, 1).astype(np.uint8), powers, scale
 
 
-def _decode_fixed_rows(data: bytes, width: int):
+def _decode_fixed_rows(windows, width: int, size: int):
     """The (timestamps, histograms, luminance) columns of a descriptor
     CSV's rows decoded as byte blocks, or None when some row does not
     have the first row's fixed-point layout (see `_value_layout`) after
     a timestamp of 1-18 digits, or a line does not end in LF alone.
 
-    Exact: a value is its digits as one integer m below 2**53 over 10**d
-    for its d decimals. Both are exact doubles, so the division rounds
-    once, to the double nearest the decimal, the one strtod returns
-    (Clinger 1990). Rows of one line length are one zero-copy reshape;
-    increasing timestamps never shrink in width, so there are few such
-    runs. Each block of at most _ROW_BLOCK_BYTES is decoded into the
-    preallocated columns.
+    `windows` are the file's `size` bytes as `read_windows` gives them,
+    whole lines from the header line on. Exact: a value is its digits as
+    one integer m below 2**53 over 10**d for its d decimals. Both are
+    exact doubles, so the division rounds once, to the double nearest the
+    decimal, the one strtod returns (Clinger 1990). Rows of one line
+    length are one zero-copy reshape; increasing timestamps never shrink
+    in width, so a window holds few such runs. Each block of at most
+    _ROW_BLOCK_BYTES is decoded into the columns, allocated once for the
+    most rows `size` bytes can hold; the rows found are views of them.
     """
-    start = data.find(b"\n") + 1
-    if not 0 < start < len(data) or b"\r" in data or data[-1:] != b"\n":
-        return None
-    _, comma, rest = data[start:data.find(b"\n", start)].partition(b",")
-    layout = _value_layout(comma + rest, width + 1)
-    if layout is None:
-        return None
-    base, limit, powers, scale = layout
-    buf = np.frombuffer(data, dtype=np.uint8)
-    runs, at = [], start  # (offset, line length with its LF, row count)
-    while at < buf.size:
-        line = data.find(b"\n", at) + 1 - at
-        if not 0 < line - 1 - base.size <= _STAMP_DIGITS:
-            return None
-        # the run goes on while an LF ends each next `line` bytes; a row
-        # that holds two lines fails the layout check below
-        lfs = buf[at + line - 1::line] == ord("\n")
-        count = lfs.size if lfs.all() else int(np.argmin(lfs))
-        runs.append((at, line, count))
-        at += line * count
-    n = sum(count for _, _, count in runs)
-    timestamps = np.empty(n, dtype=np.int64)
-    histograms = np.empty((n, width))
-    luminance = np.empty(n)
-    row = 0
-    for at, line, count in runs:
-        stamp_width = line - 1 - base.size
-        run = buf[at:at + line * count].reshape(count, line)
-        step = max(1, _ROW_BLOCK_BYTES // line)
-        for a in range(0, count, step):
-            rows = run[a:a + step]
-            stamp = rows[:, :stamp_width] - np.uint8(ord("0"))
-            tail = rows[:, stamp_width:-1] - base
-            if (stamp >= 10).any() or (tail >= limit).any():
+    timestamps, row = None, 0
+    for i, window in enumerate(windows):
+        at = 0
+        if not i:  # the header line, with no CR
+            header = _HEADER_LINE.match(window)
+            if header is None:
                 return None
-            block = slice(row, row + rows.shape[0])
-            timestamps[block] = stamp @ _STAMP_POWERS[-stamp_width:]
-            values = tail.reshape(rows.shape[0], width + 1, -1) @ powers
-            values /= scale
-            histograms[block] = values[:, :width]
-            luminance[block] = values[:, width]
-            row = block.stop
-    return timestamps, histograms, luminance
+            at = header.end()
+        buf = np.frombuffer(window, dtype=np.uint8)
+        while at < buf.size:
+            if timestamps is None:  # the first row sets the layout
+                lf = _LF.search(window, at)
+                if lf is None:
+                    return None
+                _, comma, rest = bytes(window[at:lf.start()]).partition(b",")
+                layout = _value_layout(comma + rest, width + 1)
+                if layout is None:
+                    return None
+                base, limit, powers, scale = layout
+                most = (size - at) // (base.size + 2)
+                timestamps = np.empty(most, dtype=np.int64)
+                histograms, luminance = np.empty((most, width)), np.empty(most)
+            lf = _LF.search(window, at, at + base.size + _STAMP_DIGITS + 1)
+            line = lf.end() - at if lf else 0
+            if not 0 < line - 1 - base.size <= _STAMP_DIGITS:
+                return None
+            # the run goes on while an LF ends each next `line` bytes; a row
+            # that holds two lines fails the layout check below
+            lfs = buf[at + line - 1::line] == ord("\n")
+            count = lfs.size if lfs.all() else int(np.argmin(lfs))
+            if row + count > timestamps.size:  # the file grew
+                return None
+            stamp_width = line - 1 - base.size
+            run = buf[at:at + line * count].reshape(count, line)
+            step = max(1, _ROW_BLOCK_BYTES // line)
+            for a in range(0, count, step):
+                rows = run[a:a + step]
+                stamp = rows[:, :stamp_width] - np.uint8(ord("0"))
+                tail = rows[:, stamp_width:-1] - base
+                if (stamp >= 10).any() or (tail >= limit).any():
+                    return None
+                block = slice(row, row + rows.shape[0])
+                timestamps[block] = stamp @ _STAMP_POWERS[-stamp_width:]
+                # one matrix-vector product over every field of the block;
+                # each sum is an integer below 2**53, exact in any order
+                values = (tail.reshape(-1, powers.size) @ powers).reshape(
+                    rows.shape[0], width + 1)
+                values /= scale
+                histograms[block] = values[:, :width]
+                luminance[block] = values[:, width]
+                row = block.stop
+            at += line * count
+        size -= buf.size
+    if timestamps is None:
+        return None
+    return timestamps[:row], histograms[:row], luminance[:row]
 
 
 def _load_rows(lines, row_dtype: np.dtype) -> np.ndarray:

@@ -58,6 +58,13 @@ HYPER_SHAPES = {
 }
 
 
+def _reject_unknown_hyper(kind: str, hyper: dict, where: str = "") -> None:
+    unknown = set(hyper) - set(HYPER_SHAPES[kind])
+    if unknown:
+        raise DataError(f"{where}unknown hyper-parameter(s) for {kind}: "
+                        f"{sorted(unknown)}")
+
+
 @dataclass
 class TrainedModel:
     kind: str
@@ -367,11 +374,8 @@ def train(kind: str, x: np.ndarray, y, *, seed: int,
         raise DataError("one label per training row required")
     if np.unique(y_idx).size < 2:
         raise DataError("training data must contain at least 2 classes")
+    _reject_unknown_hyper(kind, hyper or {})
     merged = dict(DEFAULT_HYPER[kind])
-    unknown = set(hyper or {}) - set(merged)
-    if unknown:
-        raise DataError(f"unknown hyper-parameter(s) for {kind}: "
-                        f"{sorted(unknown)}")
     merged.update(hyper or {})
     check_shape(merged, HYPER_SHAPES[kind], f"{kind} hyper-parameters: $")
     names = (tuple(feature_names) if feature_names is not None
@@ -529,6 +533,7 @@ def model_from_dict(obj, where: str = "$") -> TrainedModel:
     check_shape(obj, MODEL_SHAPE, where)
     kind, names, params = obj["kind"], obj["feature_names"], obj["parameters"]
     check_shape(obj["hyper"], HYPER_SHAPES[kind], f"{where}.hyper")
+    _reject_unknown_hyper(kind, obj["hyper"], f"{where}.hyper: ")
     d = len(names)
     if kind == KIND_FOREST:
         parameters = _forest_from_trees(params.get("trees"), d, where)

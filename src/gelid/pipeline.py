@@ -309,16 +309,15 @@ def extract_features(segments: list[Segment],
     stopwords = config.stopword_set()
     texts = [features.segment_text(s, transcripts[s.video_id])
              for s in segments]
+    documents = features.document_terms(texts, config.ngram_max, stopwords)
     space = features.FeatureSpace(
         feature_groups=config.feature_group_list(),
-        vocabulary=features.fit_vocabulary(
-            texts, ngram_max=config.ngram_max, stopwords=stopwords,
-            min_df=config.min_df),
+        vocabulary=features.fit_vocabulary(documents, min_df=config.min_df),
         ngram_max=config.ngram_max, stopwords=stopwords,
         embedding=features.load_embedding_table(config.embedding_path)
         if config.embedding_path else None)
-    return space, features.assemble_features(segments, texts, transcripts,
-                                             tracks, space)
+    return space, features.assemble_features(
+        segments, texts, documents, transcripts, tracks, space)
 
 
 def _maybe_smote(matrix: np.ndarray, y: np.ndarray, config: RunConfig,
@@ -378,10 +377,13 @@ def classify_segments(segments: list[Segment],
                       tracks: dict[str, VideoTrack],
                       bundle: ClassifierBundle) -> dict[str, str]:
     """Classify with a trained bundle, assembling features its way."""
+    space = bundle.space
     texts = [features.segment_text(s, transcripts[s.video_id])
              for s in segments]
+    documents = features.document_terms(texts, space.ngram_max,
+                                        space.stopwords)
     return classify(bundle, features.assemble_features(
-        segments, texts, transcripts, tracks, bundle.space))
+        segments, texts, documents, transcripts, tracks, space))
 
 
 def keyframe_lookup(segments: list[Segment],
@@ -441,9 +443,10 @@ def build_hierarchy(segments: list[Segment],
     # issue clustering reuses the classifier's vocabulary and tokenizer
     # settings so its tf-idf space matches the one the labels came from
     text_vectors = dict(zip(assignment.ids, features.text_features(
-        [features.segment_text(s, transcripts[s.video_id])
-         for s in informative],
-        space.vocabulary, space.ngram_max, space.stopwords)))
+        features.document_terms(
+            [features.segment_text(s, transcripts[s.video_id])
+             for s in informative], space.ngram_max, space.stopwords),
+        space.vocabulary)))
 
     contexts = []
     for ci, members in enumerate(context_groups):

@@ -84,13 +84,17 @@ SEGMENTER_SHAPE = {"k_seconds": count, "alpha": positive,
                    "gap_ms": count, "max_keyframes": positive_int}
 
 
+_THRESHOLD_ROWS = 2048  # the windows `adaptive_thresholds` reduces at once
+
+
 def adaptive_thresholds(dists: np.ndarray, window: int,
                         alpha: float) -> np.ndarray:
     """mean + alpha * std of the `window` distances before each one.
 
     dists[j] = d(j, j+1). The first window - 1 thresholds see fewer
     distances; thresholds[0] sees none and is NaN. Each value is
-    bit-identical to `w.mean() + alpha * w.std()` over its own window.
+    bit-identical to `w.mean() + alpha * w.std()` over its own window;
+    the full windows are taken _THRESHOLD_ROWS at a time.
     """
     thresholds = np.full(dists.size, np.nan)
     for i in range(1, min(window, dists.size)):
@@ -98,8 +102,10 @@ def adaptive_thresholds(dists: np.ndarray, window: int,
         thresholds[i] = head.mean() + alpha * head.std()
     if dists.size > window:
         windows = sliding_window_view(dists[:-1], window)
-        thresholds[window:] = (windows.mean(axis=1)
-                               + alpha * windows.std(axis=1))
+        for at in range(0, windows.shape[0], _THRESHOLD_ROWS):
+            chunk = windows[at:at + _THRESHOLD_ROWS]
+            thresholds[window + at:window + at + chunk.shape[0]] = (
+                chunk.mean(axis=1) + alpha * chunk.std(axis=1))
     return thresholds
 
 
@@ -118,7 +124,7 @@ def detect_shot_transitions(track: VideoTrack,
         log.warning("track %s has %d frame(s); no transitions detectable",
                     track.video_id, stamps.size)
         return []
-    dists = np.abs(np.diff(track.histograms, axis=0)).sum(axis=1)
+    dists = track.motion
     thresholds = adaptive_thresholds(dists, cfg.window, cfg.alpha)
     shots: list[int] = []
     for ts in stamps[np.flatnonzero(dists > thresholds) + 1].tolist():

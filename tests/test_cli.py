@@ -1231,6 +1231,25 @@ def test_model_hyper_of_another_shape_exits_2_naming_file(staged, tmp_path,
     assert not (tmp_path / "out" / "model.json").exists()
 
 
+def test_model_hyper_with_an_unknown_key_exits_2_naming_file(staged,
+                                                             tmp_path,
+                                                             capsys):
+    """A hyper-parameter the model kind does not take is refused, as
+    training refuses it, not written back into the next model.json."""
+    paths, stage = staged
+    bundle = json.loads((stage / "model.json").read_text())
+    bundle["model"]["hyper"]["junk"] = [1, 2]
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(bundle))
+    _fails_naming(capsys, [
+        "run", "--manifest", str(paths["manifest"]),
+        "--config", str(paths["config"]), "--model", str(bad),
+        "--out", str(tmp_path / "out")],
+        f"error: {bad}: $.model.hyper: unknown hyper-parameter(s) for "
+        f"{bundle['model']['kind']}: ['junk']")
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
 def _embedding_without_a_table(bundle):
     bundle["feature_groups"].insert(1, "embedding")
 

@@ -8,7 +8,8 @@ import pytest
 
 from gelid.clustering import DistanceMatrix
 from gelid.clustering import dbscan as our_dbscan
-from gelid.features import fit_vocabulary, text_features, tokenize
+from gelid.features import (document_terms, fit_vocabulary, text_features,
+                            tokenize)
 from gelid.stats import benjamini_hochberg, cohens_kappa
 
 
@@ -56,10 +57,10 @@ def test_tfidf_matches_sklearn_with_aligned_tokenizer():
     vectorizer = text_mod.TfidfVectorizer(analyzer=tokenize)
     ref = vectorizer.fit_transform(docs).toarray()
     ref_terms = list(vectorizer.get_feature_names_out())
-    vocab = fit_vocabulary(docs, ngram_max=1, stopwords=frozenset(),
-                           min_df=1)
+    documents = document_terms(docs, ngram_max=1, stopwords=frozenset())
+    vocab = fit_vocabulary(documents, min_df=1)
     assert list(vocab.terms) == ref_terms
-    for row, ours in enumerate(text_features(docs, vocab, 1, frozenset())):
+    for row, ours in enumerate(text_features(documents, vocab)):
         assert np.allclose(ours, ref[row], atol=1e-12)
 
 

@@ -1,9 +1,13 @@
+import builtins
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gelid import errors
 from gelid.errors import (DataError, ParseError, check_shape, count, naming,
-                          positive, positive_int)
+                          positive, positive_int, read_windows)
 
 _ROW = {"id": str, "at_ms": count, "tags?": [str], "label": {"a", "b"}}
 
@@ -91,3 +95,66 @@ def test_an_error_names_its_place_once():
     with pytest.raises(DataError) as err, naming("f.json"):
         raise DataError("no line here")
     assert str(err.value) == "f.json: no line here"
+
+
+@given(data=st.lists(st.sampled_from([b"a", b"bc", b"\n", b"\r"]),
+                     max_size=60).map(b"".join),
+       window=st.integers(1, 12))
+@settings(max_examples=200, deadline=None)
+def test_windows_are_whole_lines_of_the_file(tmp_path_factory, data,
+                                            window):
+    """Through a window of 1 to 12 bytes, the windows join to the file's
+    bytes and each ends in an LF, but for a last line without one, which
+    is a window of its own; a file that fits the window is one window."""
+    path = tmp_path_factory.mktemp("win") / "f"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(errors, "WINDOW_BYTES", window)
+        with read_windows(path) as (size, windows):
+            got = [bytes(w) for w in windows]
+    assert size == len(data) and b"".join(got) == data
+    if len(data) <= window:
+        assert got == [data]
+        return
+    *whole, last = got
+    assert all(w.endswith(b"\n") for w in whole)
+    assert last.endswith(b"\n") or b"\n" not in last
+
+
+def _opened(monkeypatch):
+    """The files `errors` opens, as it opens them."""
+    files = []
+
+    def spy(*args, **kwargs):
+        files.append(builtins.open(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(errors, "open", spy, raising=False)
+    return files
+
+
+def test_windows_close_the_file_however_the_block_is_left(tmp_path,
+                                                         monkeypatch):
+    """Left after the first of many windows, or by an error, the block
+    closes the file."""
+    path = tmp_path / "f"
+    path.write_bytes(b"line\n" * 100)
+    monkeypatch.setattr(errors, "WINDOW_BYTES", 16)
+    files = _opened(monkeypatch)
+    with read_windows(path) as (_, windows):
+        next(windows)
+    with pytest.raises(KeyError), read_windows(path) as (_, windows):
+        next(windows)
+        raise KeyError("stop")
+    assert len(files) == 2 and all(file.closed for file in files)
+
+
+@pytest.mark.parametrize("window", [1 << 20, 16])
+def test_an_unreadable_file_is_a_data_error_naming_it(tmp_path, window,
+                                                      monkeypatch):
+    monkeypatch.setattr(errors, "WINDOW_BYTES", window)
+    for path in (tmp_path / "missing", tmp_path):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "
+                           "cannot read "):
+            with read_windows(path) as (_, windows):
+                list(windows)

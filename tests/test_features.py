@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,8 @@ from gelid.errors import DataError, ParseError, naming, utf8_text
 from gelid.features import (FEATURE_GROUPS, SPACE_SHAPE, SPEECH_NAMES,
                             VIDEO_NAMES, EmbeddingTable, FeatureMatrix,
                             FeatureSpace, Vocabulary, assemble_features,
-                            embedding_features, fit_vocabulary,
+                            document_terms, embedding_features,
+                            fit_vocabulary,
                             load_embedding_table,
                             read_feature_csv, segment_text, smote_oversample,
                             speech_features, text_features, tokenize,
@@ -27,8 +29,12 @@ TEXT = {"ngram_max": 1, "stopwords": frozenset()}
 
 
 def _fit(texts, ngram_max=1, stopwords=frozenset(), min_df=1):
-    return fit_vocabulary(texts, ngram_max=ngram_max, stopwords=stopwords,
+    return fit_vocabulary(document_terms(texts, ngram_max, stopwords),
                           min_df=min_df)
+
+
+def _tfidf(texts, vocab):
+    return text_features(document_terms(texts, **TEXT), vocab)
 
 
 # --- vocabulary -------------------------------------------------------------
@@ -75,14 +81,14 @@ def test_tokenize_alphanumeric_runs():
 
 def test_text_features_empty_text_zero_vector():
     vocab = _fit(["bug", "lag"])
-    values = text_features([""], vocab, **TEXT)[0]
+    values = _tfidf([""], vocab)[0]
     assert values.shape == (2,)
     assert not values.any()
 
 
 def test_text_features_single_token_unit_norm():
     vocab = _fit(["bug", "lag"])
-    values = text_features(["bug"], vocab, **TEXT)[0]
+    values = _tfidf(["bug"], vocab)[0]
     assert np.linalg.norm(values) == pytest.approx(1.0)
     assert values[0] > 0 and values[1] == 0
 
@@ -90,7 +96,7 @@ def test_text_features_single_token_unit_norm():
 def test_text_features_tfidf_arithmetic():
     # tf = (2, 1), idf identical for both terms -> direction (2, 1)/sqrt(5)
     vocab = _fit(["bug bug", "lag"])
-    values = text_features(["bug bug lag"], vocab, **TEXT)[0]
+    values = _tfidf(["bug bug lag"], vocab)[0]
     w = math.log(3 / 2) + 1
     raw = np.array([2 * w, 1 * w])
     assert np.allclose(values, raw / np.linalg.norm(raw))
@@ -99,14 +105,14 @@ def test_text_features_tfidf_arithmetic():
 
 def test_text_features_out_of_vocabulary_ignored():
     vocab = _fit(["bug"])
-    values = text_features(["quantum flux bug"], vocab, **TEXT)[0]
+    values = _tfidf(["quantum flux bug"], vocab)[0]
     assert np.linalg.norm(values) == pytest.approx(1.0)
 
 
 def test_transform_does_not_mutate_vocabulary():
     vocab = _fit(["bug bug", "lag"])
     before = (vocab.terms, vocab.document_frequencies, vocab.n_documents)
-    text_features(["totally new words here"], vocab, **TEXT)
+    _tfidf(["totally new words here"], vocab)
     assert (vocab.terms, vocab.document_frequencies, vocab.n_documents) \
         == before
 
@@ -282,8 +288,10 @@ def _space(vocab, groups=FEATURE_GROUPS, table=_table()):
 
 def _assemble(segments, transcript, track, space):
     """`assemble_features` on one video, with the segments' own texts."""
+    texts = [segment_text(s, transcript) for s in segments]
     return assemble_features(
-        segments, [segment_text(s, transcript) for s in segments],
+        segments, texts, document_terms(texts, space.ngram_max,
+                                        space.stopwords),
         {"vid": transcript}, {"vid": track}, space)
 
 
@@ -502,6 +510,23 @@ def test_smote_overflowing_column_is_named(names, named):
         with pytest.raises(DataError, match=f"^feature '{named}' is too "
                            "large for SMOTE"):
             smote_oversample(x, y, k_neighbors=2, seed=0, names=names)
+
+
+def test_smote_neighbour_search_holds_row_blocks_not_the_class():
+    """A 400 x 341 minority class under an 800-row majority: its pairwise
+    differences are taken a few rows at a time, never as a 400 x 400 x
+    341 array (373 MiB)."""
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(1200, 341))
+    y = np.array(["a"] * 800 + ["b"] * 400)
+    tracemalloc.start()
+    try:
+        x2, _ = smote_oversample(x, y, k_neighbors=5, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x2.shape == (1600, 341)
+    assert peak < 64 << 20
 
 
 def test_smote_synthetics_lie_between_same_class_originals():

@@ -1,4 +1,5 @@
 import codecs
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 
 from gelid.errors import DataError, ParseError
 from gelid import frames
+from gelid.features import video_features
 from gelid.frames import (VideoTrack, compute_histogram, load_track,
                           parse_ppm_frame, read_descriptor_csv,
                           write_descriptor_csv)
+from gelid.segmentation import SegmenterConfig, segment_video
+from gelid.subtitles import Transcript
 
 
 def _solid(value, h=2, w=2):
@@ -224,7 +228,8 @@ def test_written_descriptor_csv_takes_the_block_decoder(tmp_path):
                    rng.random(6), 9999)
     path = tmp_path / "d.csv"
     path.write_bytes(write_descriptor_csv(track))
-    columns = frames._decode_fixed_rows(path.read_bytes(), 48)
+    data = path.read_bytes()
+    columns = frames._decode_fixed_rows([data], 48, len(data))
     assert columns is not None
     again = read_descriptor_csv(path, "vid")
     for got, want in zip(columns, (again.timestamps_ms, again.histograms,
@@ -388,3 +393,55 @@ def test_descriptor_csv_not_utf8_names_the_line_past_the_first_chunk(
     with pytest.raises(ParseError) as err:
         read_descriptor_csv(path)
     assert str(err.value) == f"{path}:151: not UTF-8 text (invalid start byte)"
+
+
+def _traced_peak(run):
+    """`run()` and the peak of the memory it allocated, as traced."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def long_csv(tmp_path_factory):
+    """A 40,000-row, 48-bin descriptor CSV of random frames 200 ms apart,
+    about 23 MiB."""
+    n = 40_000
+    rng = np.random.default_rng(4)
+    raw = rng.random((n, 3, 16))
+    path = tmp_path_factory.mktemp("long") / "d.csv"
+    path.write_bytes(write_descriptor_csv(_track(
+        np.arange(n) * 200, (raw / raw.sum(axis=2, keepdims=True)).reshape(
+            n, 48), rng.random(n), n * 200)))
+    return path
+
+
+def test_load_track_holds_a_window_not_the_file(long_csv):
+    """Loading holds the columns, one byte window and a row block's
+    temporaries, not the file's bytes."""
+    track, peak = _traced_peak(lambda: load_track(long_csv, "vid"))
+    columns = (track.timestamps_ms.nbytes + track.histograms.nbytes
+               + track.luminance.nbytes)
+    assert long_csv.stat().st_size > 20 << 20
+    assert peak < columns + (3 << 20)
+
+
+def test_segmentation_and_video_features_hold_a_block_not_the_track(
+        long_csv):
+    """Shot detection and the video features read the track's motion
+    column, taken in row blocks: no copy of the histograms."""
+    def segment_and_features(track):
+        return video_features(segment_video(track, Transcript("vid"),
+                                            SegmenterConfig()),
+                              {"vid": track})
+
+    # a first call loads modules (np.unique imports numpy.ma), untraced
+    segment_and_features(_track(np.arange(50) * 200, _black(50), [0.5] * 50,
+                                10_000))
+    track = load_track(long_csv, "vid")
+    _, peak = _traced_peak(lambda: segment_and_features(track))
+    assert track.histograms.nbytes > 14 << 20
+    assert peak < 2 << 20

@@ -14,7 +14,7 @@ from conftest import THREE_VIDEO_WORLD, write_world
 from gelid.cli import main
 from gelid.clustering import build_context_matrix, build_issue_matrix
 from gelid.config import load_config
-from gelid.features import segment_text, text_features
+from gelid.features import document_terms, segment_text, text_features
 from gelid.frames import load_track
 from gelid.models import NON_INFORMATIVE
 from gelid.pipeline import (keyframe_lookup, load_manifest,
@@ -136,9 +136,9 @@ def informative_inputs(tmp_path_factory):
                    if result.predictions[s.segment_id] != NON_INFORMATIVE]
     space = result.bundle.space
     ids = [s.segment_id for s in informative]
-    texts = dict(zip(ids, text_features(
+    texts = dict(zip(ids, text_features(document_terms(
         [segment_text(s, transcripts[s.video_id]) for s in informative],
-        space.vocabulary, space.ngram_max, space.stopwords)))
+        space.ngram_max, space.stopwords), space.vocabulary)))
     keyframes = keyframe_lookup(informative, tracks)
     return ids, texts, keyframes
 

@@ -33,13 +33,18 @@ cue position, must equal the scan over every cue of a parsed transcript,
 for cue indices that repeat, run out of order, are 0 or lie past the last
 cue. A descriptor CSV must give the column bytes of one np.loadtxt in
 text mode, or the same ParseError message and line, on random files of
-every layout the block decoder takes or leaves to np.loadtxt, and the
-descriptor CSV writer the bytes of `%d` and `%.9f` row by row. The
-video, speech and text feature blocks must give each segment's row of a
-per-segment loop, for segments of several videos in any order, empty
-texts, out-of-vocabulary words, stopwords, repeated terms and bigrams.
+every layout the block decoder takes or leaves to np.loadtxt, read whole
+or through windows of a few rows, and the descriptor CSV writer the
+bytes of `%d` and `%.9f` row by row. A track's motion column, taken in
+row blocks, must give the bits of one difference over the whole track.
+The video, speech and text feature blocks must give each segment's row
+of a per-segment loop, for segments of several videos in any order,
+empty texts, out-of-vocabulary words, stopwords, repeated terms and
+bigrams. SMOTE, its neighbour distances taken in row blocks, must give
+the bytes, or the overflow message, of one whole-class difference array.
 """
 
+import codecs
 import dataclasses
 import heapq
 import json
@@ -54,13 +59,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gelid import clustering, frames
+from gelid import clustering, errors, features, frames
 from gelid.clustering import (NOISE, DistanceMatrix, build_context_matrix,
                               build_issue_matrix, optics)
 from gelid.errors import DataError, ParseError, naming, utf8_text
-from gelid.features import (BLANK_LUMINANCE, Vocabulary, _document_terms,
-                            fit_vocabulary, segment_text, speech_features,
-                            text_features, video_features)
+from gelid.features import (BLANK_LUMINANCE, Vocabulary, document_terms,
+                            fit_vocabulary, segment_text, smote_oversample,
+                            speech_features, text_features, video_features)
 from gelid.frames import (VideoTrack, descriptor_csv_header, parse_ppm_frame,
                           read_descriptor_csv, write_descriptor_csv)
 from gelid import models
@@ -125,7 +130,7 @@ def ref_text_values(text, vocab, ngram_max, stopwords):
     idf = np.log((1 + vocab.n_documents)
                  / (1 + np.asarray(vocab.document_frequencies))) + 1.0
     row = np.zeros(len(vocab.terms))
-    for term in _document_terms(text, ngram_max, frozenset(stopwords)):
+    for term in document_terms([text], ngram_max, stopwords)[0]:
         i = index.get(term)
         if i is not None:
             row[i] += 1.0
@@ -899,11 +904,30 @@ def test_video_features_match_loop_reference(spec):
 
 
 @given(st.lists(st.floats(0, 10, allow_nan=False), max_size=200)
-       .map(np.array), st.integers(1, 150), st.floats(0.01, 10))
+       .map(np.array), st.integers(1, 150), st.floats(0.01, 10),
+       st.sampled_from([1, 7, 2048]))
 @settings(max_examples=150, deadline=None)
-def test_adaptive_thresholds_match_loop_reference(dists, window, alpha):
-    assert adaptive_thresholds(dists, window, alpha).tobytes() == \
-        ref_thresholds(dists, window, alpha).tobytes()
+def test_adaptive_thresholds_match_loop_reference(dists, window, alpha,
+                                                  chunk):
+    """Every threshold, with the full windows taken in chunks of one, of
+    seven or all at once."""
+    with mock.patch.object(segmentation, "_THRESHOLD_ROWS", chunk):
+        assert adaptive_thresholds(dists, window, alpha).tobytes() == \
+            ref_thresholds(dists, window, alpha).tobytes()
+
+
+@given(_tracks, st.sampled_from([1, 5, 1024]))
+@settings(max_examples=80, deadline=None)
+def test_track_motion_matches_whole_track_reference(spec, block):
+    """`VideoTrack.motion`, taken in row blocks of one, of five or all at
+    once: the bits of one np.diff, np.abs and sum over the whole track."""
+    track = _random_track(*spec)
+    with mock.patch.object(frames, "_MOTION_ROWS", block):
+        motion = track.motion
+    hists = track.histograms
+    assert motion.tobytes() == \
+        np.abs(np.diff(hists, axis=0)).sum(axis=1).tobytes()
+    assert motion is track.motion
 
 
 @given(_tracks, st.integers(1, 80), st.sampled_from([0.5, 1.0, 3.0]),
@@ -1019,8 +1043,8 @@ def _vocabularies(draw):
 @settings(max_examples=200, deadline=None)
 @example(texts=["", "zzz qux", "lag lag lag spike", "the a the",
                 "Lag, spike lag SPIKE!", "boss"],
-         vocab=fit_vocabulary(["lag spike the lag", "boss crash"], 2,
-                              {"the", "a"}, 1),
+         vocab=fit_vocabulary(document_terms(
+             ["lag spike the lag", "boss crash"], 2, {"the", "a"}), 1),
          ngram_max=2, stopwords={"the", "a"})
 @example(texts=["lag", ""], vocab=Vocabulary((), (), 1), ngram_max=1,
          stopwords=set())
@@ -1028,7 +1052,8 @@ def test_text_features_match_loop_reference(texts, vocab, ngram_max,
                                             stopwords):
     """Empty text, text of out-of-vocabulary words or stopwords only,
     repeated terms and bigrams: each row the bits of its own loop."""
-    values = text_features(texts, vocab, ngram_max, stopwords)
+    values = text_features(document_terms(texts, ngram_max, stopwords),
+                           vocab)
     assert values.shape == (len(texts), len(vocab.terms))
     for row, text in zip(values, texts):
         assert row.tobytes() == \
@@ -1974,9 +1999,8 @@ def _read_columns(path):
 def _parse_columns(path):
     """The columns as `read_descriptor_csv` parses them, before the track
     checks."""
-    data = path.read_bytes()
     with naming(path):
-        return frames._parse_descriptor_csv(data)
+        return frames._parse_descriptor_csv(path)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -2004,10 +2028,115 @@ def test_random_descriptor_csvs_reach_both_readers():
     seen = set()
     for seed in range(400):
         data, bins, fault = _random_descriptor_csv(seed)
-        decoded = frames._decode_fixed_rows(data, 3 * bins) is not None
+        decoded = frames._decode_fixed_rows([data], 3 * bins,
+                                            len(data)) is not None
         seen.add((decoded, fault is None))
     assert seen == {(True, True), (True, False), (False, True),
                     (False, False)}
+
+
+def _window_of(data, rows, shift):
+    """`rows` times the length of the first data line of `data`, plus
+    `shift` bytes: a window that lines straddle."""
+    lines = data.split(b"\n")
+    line = len(lines[1]) + 1 if len(lines) > 1 else 16
+    return max(1, rows * line + shift)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 3),
+       shift=st.integers(-40, 40))
+@settings(max_examples=300, deadline=None)
+def test_windowed_descriptor_csv_matches_loadtxt_reference(
+        tmp_path_factory, seed, rows, shift):
+    """Read through windows of a few rows, so that lines straddle windows
+    and a run of one timestamp width starts mid-window: the column bytes
+    of one np.loadtxt in text mode, or the same ParseError message and
+    line; the columns before the track checks too."""
+    data, _, _ = _random_descriptor_csv(seed)
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_bytes(data)
+    with mock.patch.object(errors, "WINDOW_BYTES",
+                           _window_of(data, rows, shift)):
+        assert (_csv_outcome(_read_columns, path)
+                == _csv_outcome(ref_read_descriptor_csv, path)), data
+        if b"\xff" not in data:
+            assert (_csv_outcome(_parse_columns, path)
+                    == _csv_outcome(ref_parse_descriptor_csv, path)), data
+
+
+def _written_csv_lines(n=40):
+    """The lines of a `write_descriptor_csv` file of n rows, timestamps of
+    1 to 5 digits, and the bytes of a window of 3.5 rows."""
+    rng = np.random.default_rng(3)
+    raw = rng.random((n, 3, 16))
+    stamps = np.arange(n, dtype=np.int64) ** 2 * 7
+    track = VideoTrack("vid", stamps,
+                       (raw / raw.sum(axis=2, keepdims=True)).reshape(n, 48),
+                       rng.random(n), int(stamps[-1]))
+    lines = write_descriptor_csv(track).split(b"\n")
+    return lines, 7 * len(lines[-2]) // 2
+
+
+def _refuse(*args):
+    raise AssertionError("np.loadtxt fallback reached")
+
+
+def test_windowed_descriptor_csv_takes_the_block_decoder(tmp_path,
+                                                         monkeypatch):
+    """A `write_descriptor_csv` file read 3.5 rows at a time, with and
+    without a byte-order mark, gives the columns of np.loadtxt and never
+    reaches it."""
+    lines, window = _written_csv_lines()
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(b"\n".join(lines))
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    want = _csv_outcome(ref_read_descriptor_csv, plain)
+    monkeypatch.setattr(errors, "WINDOW_BYTES", window)
+    monkeypatch.setattr(frames, "_load_rows", _refuse)
+    for path in (plain, marked):
+        assert _csv_outcome(_read_columns, path) == want
+
+
+@pytest.mark.parametrize("fault, line", [
+    ("crlf", None), ("no final lf", None), ("non-digit", 31),
+    ("not utf-8", 31)])
+def test_windowed_descriptor_csv_declined_in_a_later_window(
+        tmp_path, monkeypatch, fault, line):
+    """A fault the block decoder declines, only in the ninth window: a CR,
+    no final LF, a byte that is not a digit or not UTF-8. The file is read
+    whole for np.loadtxt and gives its columns or its ParseError line."""
+    lines, window = _written_csv_lines()
+    if fault == "crlf":
+        lines[30] += b"\r"
+    elif fault != "no final lf":
+        lines[30] = (lines[30][:-3] + (b"x" if fault == "non-digit"
+                                       else b"\xff") + lines[30][-2:])
+    data = b"\n".join(lines)
+    path = tmp_path / "d.csv"
+    path.write_bytes(data.removesuffix(b"\n") if fault == "no final lf"
+                     else data)
+    assert len(b"\n".join(lines[:30])) > 8 * window
+    monkeypatch.setattr(errors, "WINDOW_BYTES", window)
+    got = _csv_outcome(_read_columns, path)
+    assert got == _csv_outcome(ref_read_descriptor_csv, path)
+    if line is None:
+        path.write_bytes(b"\n".join(_written_csv_lines()[0]))
+        assert got == _csv_outcome(_read_columns, path)
+    else:
+        assert got[1] == line
+
+
+@pytest.mark.parametrize("end", [b"\n", b""])
+def test_header_only_descriptor_csv_through_a_small_window(
+        tmp_path, monkeypatch, end):
+    """A header line longer than the window, with or without its LF: no
+    rows, as np.loadtxt reads them."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(",".join(descriptor_csv_header()).encode() + end)
+    monkeypatch.setattr(errors, "WINDOW_BYTES", 8)
+    got = _csv_outcome(_parse_columns, path)
+    assert got == _csv_outcome(ref_parse_descriptor_csv, path)
+    assert [shape for _, shape, _ in got] == [(0,), (0, 48), (0,)]
 
 
 def _long_track(seconds, fps, seed):
@@ -2037,7 +2166,8 @@ def test_long_descriptor_csv_matches_loadtxt_reference(tmp_path, seconds,
         lines[-2] = lines[-2].replace(b",", b", ", 1)
     path = tmp_path / "d.csv"
     path.write_bytes(b"\n".join(lines))
-    assert (frames._decode_fixed_rows(path.read_bytes(), 48) is None) == (
+    data = path.read_bytes()
+    assert (frames._decode_fixed_rows([data], 48, len(data)) is None) == (
         fault == "last row")
     assert (_csv_outcome(_read_columns, path)
             == _csv_outcome(ref_read_descriptor_csv, path))
@@ -2148,11 +2278,12 @@ def test_long_features_match_loop_references():
     segments = [segments[i] for i in rng.permutation(len(segments))]
     texts = [" ".join(rng.choice(_TEXT_WORDS, size=rng.integers(0, 30)))
              for _ in segments]
-    vocab = fit_vocabulary(texts, 2, {"the", "a"}, 2)
+    documents = document_terms(texts, 2, {"the", "a"})
+    vocab = fit_vocabulary(documents, 2)
     assert len(segments) == 999 and len(vocab.terms) > 50
     video = video_features(segments, tracks)
     speech = speech_features(segments, transcripts)
-    text = text_features(texts, vocab, 2, {"the", "a"})
+    text = text_features(documents, vocab)
     # each track's row views, made once for the reference to scan
     frames_of = {video_id: SimpleNamespace(frames=list(track.frames))
                  for video_id, track in tracks.items()}
@@ -2163,3 +2294,75 @@ def test_long_features_match_loop_references():
             segment, transcripts[segment.video_id]).tobytes()
         assert text[k].tobytes() == ref_text_values(
             texts[k], vocab, 2, {"the", "a"}).tobytes()
+
+
+def ref_smote_oversample(x, y, k_neighbors, seed, names=None):
+    """`smote_oversample` with each class's pairwise differences as one
+    m x m x d array."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y)
+    classes, counts = np.unique(y, return_counts=True)
+    majority = counts.max()
+    rng = np.random.default_rng(seed)
+    synth_x, synth_y = [], []
+    for cls, count in zip(classes, counts):
+        if count == majority:
+            continue
+        members = x[y == cls]
+        k = min(k_neighbors, count - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            diffs = members[:, None, :] - members[None, :, :]
+            dists = np.sqrt((diffs ** 2).sum(axis=2))
+        if not np.isfinite(dists).all():
+            gaps = np.abs(diffs).max(axis=(0, 1))
+            j = int(np.argmax(gaps))
+            name = names[j] if names is not None else f"f{j}"
+            raise DataError(f"feature {name!r} is too large for SMOTE: the "
+                            f"distances between class {cls!r} rows overflow")
+        np.fill_diagonal(dists, np.inf)
+        neighbor_ids = np.argsort(dists, axis=1, kind="stable")[:, :k]
+        for _ in range(majority - count):
+            base = int(rng.integers(count))
+            nn = members[neighbor_ids[base][int(rng.integers(k))]]
+            u = rng.random()
+            synth_x.append(members[base] + u * (nn - members[base]))
+            synth_y.append(cls)
+    if not synth_x:
+        return x.copy(), y.copy()
+    return (np.vstack([x, np.array(synth_x)]),
+            np.concatenate([y, np.array(synth_y, dtype=y.dtype)]))
+
+
+def _smote_outcome(smote, *args):
+    """The bytes of each array `smote` returns, or its DataError."""
+    try:
+        return [a.tobytes() for a in smote(*args)]
+    except DataError as exc:
+        return str(exc)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       block=st.sampled_from([1, 300, 4 << 20]),
+       big=st.sampled_from([0, 1, 2]))
+@settings(max_examples=150, deadline=None)
+def test_smote_matches_whole_class_reference(seed, block, big):
+    """Classes of 2 to 14 rows, with tied rows and zero cells, in blocks
+    of one row, of a few rows or whole: the bytes of the reference. With
+    one or two columns so large that the distances overflow, the same
+    column named."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(2, 15, size=int(rng.integers(2, 4)))
+    y = np.repeat(np.array(["a", "b", "c"])[:counts.size], counts)
+    d = int(rng.integers(1, 6))
+    x = rng.normal(size=(y.size, d)) * rng.choice([1.0, 1e3], size=d)
+    x[rng.random(x.shape) < 0.2] = 0.0
+    x[rng.integers(y.size)] = x[0]
+    for j in rng.choice(d, size=min(big, d), replace=False):
+        x[:, j] *= float(rng.choice([1e160, 1e170]))
+    k = int(rng.integers(1, 6))
+    names = [f"col{j}" for j in range(d)]
+    with mock.patch.object(features, "_BLOCK_BYTES", block):
+        got = _smote_outcome(smote_oversample, x, y, k, seed, names)
+    assert got == _smote_outcome(ref_smote_oversample, x, y, k, seed, names)
+    if not big:
+        assert not isinstance(got, str)

@@ -15,11 +15,13 @@ the line numbers of every input. Only `errors.py` writes a file or makes a
 directory: every other module writes through `errors.write_file`, so every
 output is made, and fails, alike.
 
-Only `errors.py` names where an input is wrong: every other module reads
-bytes through `errors.read_bytes` and raises with a line at most, and the
-code that reads a file names it with `errors.naming`, so no handler that
-catches a DataError or ParseError raises a new one to spell
-`<path>:<line>: ` its own way.
+Only `errors.py` opens or reads a file, and names where an input is
+wrong: every other module reads bytes through `errors.read_bytes`, or a
+window at a time through `errors.read_windows`, which close the file
+however the read ends, and raises with a line at most, and the code that
+reads a file names it with `errors.naming`, so no handler that catches a
+DataError or ParseError raises a new one to spell `<path>:<line>: ` its
+own way.
 """
 
 import ast
@@ -161,8 +163,13 @@ def reraises_outside_errors() -> list[str]:
                     for n in ast.walk(node))]
 
 
+# methods that read a file's bytes (`errors.read_bytes` and
+# `errors.read_windows` aside)
+_READERS = {"read_bytes", "read", "readinto"}
+
+
 def test_only_errors_reads_bytes_or_names_where_an_input_is_wrong():
-    found = reraises_outside_errors() + calls_outside_errors({"read_bytes"})
-    assert not found, ("read through errors.read_bytes and name the file "
-                       "with errors.naming, not "
-                       f"{', '.join(found)}")
+    found = reraises_outside_errors() + calls_outside_errors(_READERS)
+    assert not found, ("read through errors.read_bytes or "
+                       "errors.read_windows and name the file with "
+                       f"errors.naming, not {', '.join(found)}")

@@ -11,6 +11,7 @@ InternalError -> 3.
 import codecs
 import json
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -95,21 +96,26 @@ def read_windows(path: str | Path):
     """A file's size and an iterator over its bytes as windows of whole
     lines, the file open until the block is left, however it is left.
 
-    A file of at most WINDOW_BYTES is one window, read at once as bytes. A
-    larger one is read through one reused bytearray of WINDOW_BYTES, which
-    grows only to hold a longer line: each window is a view of it that ends
-    in an LF, valid until the next is read, and the line its end cut
-    carries over to the next. A last line without an LF is a window of its
-    own. An unreadable file is a DataError naming it, caused by its
-    OSError.
+    A file of at most WINDOW_BYTES is one window, read at once as bytes,
+    and so is one that is not a regular file, such as a pipe, whose size
+    is its length once read. A larger one is read through one reused
+    bytearray of WINDOW_BYTES, which grows only to hold a longer line: each
+    window is a view of it that ends in an LF, valid until the next is
+    read, and the line its end cut carries over to the next. A last line
+    without an LF is a window of its own. An unreadable file is a
+    DataError naming it, caused by its OSError.
     """
     try:
         file = open(path, "rb", buffering=0)
     except OSError as exc:
         raise DataError(f"cannot read ({exc.strerror})", path=path) from exc
     with file:
-        size = os.fstat(file.fileno()).st_size
-        yield size, _windows(file, size, path)
+        info = os.fstat(file.fileno())
+        if stat.S_ISREG(info.st_mode):
+            yield info.st_size, _windows(file, info.st_size, path)
+        else:
+            whole = next(_windows(file, 0, path))
+            yield len(whole), iter([whole])
 
 
 def _windows(file, size: int, path: str | Path):

@@ -12,7 +12,6 @@ import functools
 import logging
 import re
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -39,15 +38,6 @@ def histogram_bins(value) -> bool:
 _LUMA = np.array([0.299, 0.587, 0.114])
 
 
-@dataclass(frozen=True)
-class FrameDescriptor:
-    """One frame of a VideoTrack, as a row view of its columns."""
-
-    timestamp_ms: int
-    histogram: np.ndarray  # (3 * bins,) float64, each channel block sums to 1
-    luminance_mean: float
-
-
 @dataclass
 class VideoTrack:
     """A video's frame descriptors as columns; row i is frame i.
@@ -63,10 +53,9 @@ class VideoTrack:
     duration_ms: int = 0
 
     @property
-    def frames(self) -> "FrameRows":
-        """Read-only row views, one per frame; the columns are the fast
-        path."""
-        return FrameRows(self)
+    def frames(self) -> np.ndarray:
+        """The frame count `benchmarks/tracing.py` takes `len` of."""
+        return self.timestamps_ms
 
     def histograms_at(self, timestamps_ms) -> np.ndarray:
         """Histogram rows of the frames at these timestamps, in order;
@@ -138,25 +127,6 @@ class VideoTrack:
             return None
         row, describe = min(faults, key=lambda fault: fault[0])
         return row, describe(row)
-
-
-class FrameRows(Sequence):
-    """A track's frames as a sequence of FrameDescriptor row views."""
-
-    def __init__(self, track: VideoTrack):
-        self._track = track
-
-    def __len__(self) -> int:
-        return self._track.timestamps_ms.size
-
-    def __getitem__(self, index: int) -> FrameDescriptor:
-        track = self._track
-        return FrameDescriptor(int(track.timestamps_ms[index]),
-                               track.histograms[index],
-                               float(track.luminance[index]))
-
-    def __eq__(self, other) -> bool:
-        return list(self) == list(other)
 
 
 def compute_histogram(image: np.ndarray,
@@ -334,26 +304,27 @@ def read_descriptor_csv(path: str | Path, video_id: str = "",
     except blank lines.
     """
     with naming(path):
-        timestamps, histograms, luminance = _parse_descriptor_csv(path)
+        timestamps, histograms, luminance, lines = _parse_descriptor_csv(path)
         if duration_ms is None:
             duration_ms = int(timestamps[-1]) if timestamps.size else 0
         track = VideoTrack(video_id, timestamps, histograms, luminance,
                            duration_ms)
         fault = track._first_fault()
         if fault is not None:
-            row, message = fault  # the track's rows are the data lines
-            lines = _data_lines(utf8_text(read_bytes(path)))
-            raise ParseError(message, list(lines)[row][0])
+            row, message = fault
+            raise ParseError(message, lines[row])
     return track
 
 
 def _parse_descriptor_csv(path: str | Path):
-    """The columns of a descriptor CSV, read through `read_windows`.
+    """The columns of a descriptor CSV, read through `read_windows`, and
+    each row's line number.
 
     Only the header line is decoded before `_decode_fixed_rows` decodes
     the windows as byte blocks. When it declines them, the whole file is
-    read and decoded, once, by `utf8_text`, and goes to np.loadtxt. Both
-    give the same values, bit for bit.
+    decoded, once, by `utf8_text`, and goes to np.loadtxt: the window
+    read, if it is the whole file, as a pipe's is; else the file, read
+    again. Both give the same values, bit for bit.
     """
     with read_windows(path) as (size, windows):
         head = next(windows, b"")
@@ -366,18 +337,19 @@ def _parse_descriptor_csv(path: str | Path):
             raise ParseError("bad descriptor CSV header", 1)
         columns = _decode_fixed_rows(chain([head], windows), width, size)
     if columns is not None:
-        return columns
-    text = utf8_text(read_bytes(path))
+        # the decoder declines blank lines, so row r is on line r + 2
+        return *columns, range(2, columns[0].size + 2)
+    numbered = list(_data_lines(utf8_text(
+        bytes(head) if len(head) == size else read_bytes(path))))
     row_dtype = np.dtype([("ts", np.int64), ("hist", np.float64, (width,)),
                           ("lum", np.float64)])
     try:
-        table = _load_rows([line for _, line in _data_lines(text)],
-                           row_dtype)
+        table = _load_rows([line for _, line in numbered], row_dtype)
     except (ValueError, DeprecationWarning):
-        raise _unparsable_row(text, row_dtype) from None
+        raise _unparsable_row(numbered, row_dtype) from None
     return (table["ts"].copy(),
             np.ascontiguousarray(table["hist"]).reshape(len(table), width),
-            table["lum"].copy())
+            table["lum"].copy(), [line_no for line_no, _ in numbered])
 
 
 # a value's digits are one integer below 10**15 < 2**53, a timestamp's
@@ -515,10 +487,10 @@ def _data_lines(text: str):
             yield line_no, line
 
 
-def _unparsable_row(text: str, row_dtype: np.dtype) -> ParseError:
-    """Locate the first row the vectorized parse rejected and say why."""
+def _unparsable_row(numbered, row_dtype: np.dtype) -> ParseError:
+    """The first (line number, text) row np.loadtxt rejects, and why."""
     n_fields = row_dtype["hist"].shape[0] + 2
-    for line_no, line in _data_lines(text):
+    for line_no, line in numbered:
         try:
             _load_rows([line], row_dtype)
         except (ValueError, DeprecationWarning) as exc:

@@ -7,6 +7,8 @@ visual clustering recovers scenes as contexts.
 """
 
 import json
+import os
+import threading
 import zlib
 from pathlib import Path
 
@@ -75,6 +77,36 @@ def write_video(root: Path, video_id: str, scenes: list[dict]) -> dict:
             "subtitles": f"{video_id}.srt",
             "frames": f"{video_id}.descriptors.csv",
             "duration_ms": at}
+
+
+def through_fifo(path: Path, data: bytes, read):
+    """What `read()` returns, or the exception it raises, while `path` is
+    a FIFO that one writer fills with `data`. Both run in daemon threads
+    joined with a timeout, so a read that opens the FIFO a second time,
+    which would wait for a writer forever, fails the test instead of
+    hanging it."""
+    os.mkfifo(path)
+    outcome = []
+
+    def write():
+        with open(path, "wb") as fifo:
+            fifo.write(data)
+
+    def run():
+        try:
+            outcome.append(read())
+        except Exception as exc:  # the test inspects it
+            outcome.append(exc)
+
+    threads = [threading.Thread(target=job, daemon=True)
+               for job in (write, run)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=20)
+    assert not any(thread.is_alive() for thread in threads), \
+        f"{path} was opened more than once, or never"
+    return outcome[0]
 
 
 def write_world(root: Path, videos: dict[str, list[dict]],

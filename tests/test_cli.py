@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cli_reference import reference_commands, reference_parse
-from conftest import THREE_VIDEO_WORLD, write_world
+from conftest import THREE_VIDEO_WORLD, through_fifo, write_world
 import gelid
 from gelid import cli, features, pipeline
 from gelid.cli import main
@@ -184,6 +184,23 @@ _BAD_DESCRIPTOR_ROWS = {
         [cells[0], f"{float(cells[1]) + 0.1:.9f}"] + cells[2:],
     "luminance_out_of_range": _set_cell(-1, "1.500000000"),
 }
+
+
+def test_a_descriptor_csv_fifo_gives_the_files_segments(tmp_path):
+    """`gelid segment` reads a descriptor CSV that is a FIFO, whose size
+    the file system does not know, whole and once, and writes the
+    segments of the regular file."""
+    paths = _world(tmp_path)
+    argv = ["segment", "--manifest", str(paths["manifest"]),
+            "--config", str(paths["config"]), "--out"]
+    assert main([*argv, str(tmp_path / "file")]) == 0
+    csv_path = paths["root"] / "vid_a.descriptors.csv"
+    data = csv_path.read_bytes()
+    csv_path.unlink()
+    assert through_fifo(csv_path, data, lambda: main(
+        [*argv, str(tmp_path / "fifo")])) == 0
+    assert (tmp_path / "fifo" / "segments.jsonl").read_bytes() == \
+        (tmp_path / "file" / "segments.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["run", "segment"])

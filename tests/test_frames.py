@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import through_fifo
+from gelid import errors, frames
 from gelid.errors import DataError, ParseError
-from gelid import frames
 from gelid.features import video_features
 from gelid.frames import (VideoTrack, compute_histogram, load_track,
                           parse_ppm_frame, read_descriptor_csv,
@@ -146,7 +147,7 @@ def test_load_track_from_frame_directory(tmp_path):
     (tmp_path / "0.ppm").write_bytes(_ppm_bytes(0))
     (tmp_path / "500.ppm").write_bytes(_ppm_bytes(255))
     track = load_track(tmp_path, "vid")
-    assert [f.timestamp_ms for f in track.frames] == [0, 500]
+    assert track.timestamps_ms.tolist() == [0, 500]
     assert track.duration_ms == 500
 
 
@@ -178,7 +179,7 @@ def test_load_track_bad_frame_names_its_file(tmp_path):
 def test_load_track_empty_directory_warns(tmp_path, caplog):
     with caplog.at_level("WARNING"):
         track = load_track(tmp_path, "vid")
-    assert track.frames == []
+    assert track.timestamps_ms.tolist() == []
     assert any("empty" in rec.message for rec in caplog.records)
 
 
@@ -200,8 +201,8 @@ def test_descriptor_csv_row_parses(tmp_path):
     path = tmp_path / "d.csv"
     path.write_bytes(write_descriptor_csv(track))
     again = read_descriptor_csv(path, "vid")
-    assert again.frames[0].timestamp_ms == 1000
-    assert again.frames[0].luminance_mean == 0.5
+    assert again.timestamps_ms.tolist() == [1000]
+    assert again.luminance.tolist() == [0.5]
 
 
 @pytest.mark.parametrize("bins", [8, 16])
@@ -298,9 +299,10 @@ def test_descriptor_csv_round_trip_is_exact_to_9_digits(tmp_path):
     p1 = tmp_path / "a.csv"
     p1.write_bytes(write_descriptor_csv(track))
     again = read_descriptor_csv(p1, "vid")
-    for f0, f1 in zip(track.frames, again.frames):
-        assert np.allclose(f0.histogram, f1.histogram, atol=5e-10, rtol=0)
-        assert abs(f0.luminance_mean - f1.luminance_mean) <= 5e-10
+    for h0, h1, l0, l1 in zip(track.histograms, again.histograms,
+                              track.luminance, again.luminance):
+        assert np.allclose(h0, h1, atol=5e-10, rtol=0)
+        assert abs(l0 - l1) <= 5e-10
     # second write is byte-identical (the format is a fixpoint)
     p2 = tmp_path / "b.csv"
     p2.write_bytes(write_descriptor_csv(again))
@@ -346,6 +348,68 @@ def test_descriptor_csv_error_line_counts_blank_lines(tmp_path):
     with pytest.raises(ParseError, match="not an integer") as err:
         read_descriptor_csv(path)
     assert err.value.line == 4
+
+
+_LATE_FAULTS = {
+    # the block decoder takes these rows in an LF file
+    "luminance": (lambda row: row.rsplit(b",", 1)[0] + b",1.500000000",
+                  "luminance 1.5 outside [0,1]"),
+    # a sign sends every file to np.loadtxt
+    "negative bin": (lambda row: row.replace(
+        b",1.000000000,0.000000000,", b",1.500000000,-0.500000000,", 1),
+                     "histogram has negative bins"),
+}
+
+
+def _late_fault_csv(path, fault, end):
+    """A three-row descriptor CSV with `end` line ends whose last row, on
+    line 4, has `fault`; the message it is reported with."""
+    edit, message = _LATE_FAULTS[fault]
+    lines = write_descriptor_csv(_track([0, 10, 20], _black(3),
+                                        [0.0, 0.0, 0.0], 20)).splitlines()
+    lines[3] = edit(lines[3])
+    path.write_bytes(b"".join(line + end for line in lines))
+    return message
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("fault", sorted(_LATE_FAULTS))
+def test_a_one_window_descriptor_csv_fault_is_named_from_one_read(
+        tmp_path, monkeypatch, fault, end):
+    """A row that breaks a track invariant is named on its line without
+    reading the file again, whether the block decoder or np.loadtxt took
+    its rows."""
+    path = tmp_path / "d.csv"
+    message = _late_fault_csv(path, fault, end)
+    data = path.read_bytes()
+    assert (frames._decode_fixed_rows([data], 48, len(data)) is not None) \
+        == (fault == "luminance" and end == b"\n")
+
+    def refuse(given):
+        raise AssertionError(f"{given} read again")
+
+    monkeypatch.setattr(frames, "read_bytes", refuse)
+    with pytest.raises(ParseError) as err:
+        read_descriptor_csv(path)
+    assert str(err.value) == f"{path}:4: {message}"
+
+
+@pytest.mark.parametrize("window", [errors.WINDOW_BYTES, 64])
+@pytest.mark.parametrize("end", [b"\n", b"\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("fault", sorted(_LATE_FAULTS))
+def test_a_descriptor_csv_fifo_is_read_once(tmp_path, monkeypatch, fault,
+                                            end, window):
+    """A FIFO, which has no size and cannot be read twice, is one window
+    however long: its faulty row is named on its line, as in the regular
+    file."""
+    data_path = tmp_path / "d.csv"
+    message = _late_fault_csv(data_path, fault, end)
+    monkeypatch.setattr(errors, "WINDOW_BYTES", window)
+    fifo = tmp_path / "fifo.csv"
+    got = through_fifo(fifo, data_path.read_bytes(),
+                       lambda: read_descriptor_csv(fifo))
+    assert isinstance(got, ParseError)
+    assert str(got) == f"{fifo}:4: {message}"
 
 
 def test_descriptor_csv_rejects_fractional_timestamp_on_older_numpy(

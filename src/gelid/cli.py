@@ -116,12 +116,14 @@ def _read_labels_of(path: str, segments) -> dict[str, str]:
 
 
 def cmd_group(args, config) -> int:
-    _, tracks = _ingest(args, config)
+    # contexts come from keyframes alone: no subtitle file is parsed
+    timed = pipeline.StageClock()
+    tracks = {e.video_id: pipeline.ingest_track(e, config, timed)
+              for e in pipeline.load_manifest(args.manifest).videos}
     segments = pipeline.load_segments(args.segments, tracks)
     labels = _read_labels_of(args.labels, segments)
-    assignment, _ = pipeline.StageClock()(
-        "group", lambda: pipeline.group_contexts(segments, labels, tracks,
-                                                 config))
+    assignment, _ = timed("group", lambda: pipeline.group_contexts(
+        segments, labels, tracks, config))
     out = Path(args.out)
     write_file(out / "contexts.json", json.dumps(
         assignment.to_dict(), sort_keys=True, indent=2) + "\n")

@@ -6,7 +6,9 @@ deterministic. The two gradient-trained models, logistic regression and
 the feed-forward net, inline their gradients and step in place on their
 own arrays, computing no loss; the tests hold each trainer to the bits of
 a loop of plain steps on its objective's reference loss and gradient,
-which finite-difference checks exercise.
+which finite-difference checks exercise. Logistic regression holds each
+step's logits label-major, one contiguous row per label, and takes their
+softmax inline; every value keeps the bits of the row-major step.
 
 A random forest is one set of node arrays over all its trees, each tree's
 nodes depth first, left first: `feature` (int64, -1 at a leaf),
@@ -125,21 +127,35 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def _train_logistic(x: np.ndarray, y_idx: np.ndarray, hyper: dict,
                     seed: int) -> dict:
     """Gradient descent on the mean cross-entropy plus l2*||W||^2 (bias
-    unpenalized), in buffers allocated once and without the loss."""
+    unpenalized), in buffers allocated once and without the loss.
+
+    A step holds its logits label-major, one contiguous row of `z` per
+    label, and takes the softmax down the label axis inline. Each value
+    keeps the bits of the row-major step: ``w.T @ x.T`` gives those of
+    ``x @ w``, a max is exact, five terms add as ``((e0 + e1) + e2) + ...``
+    in any reduction, and an elementwise op rounds once in any layout. The
+    scaled residual is written through `delta.T` into the row-major
+    `delta`, since ``x.T @ delta`` must keep its operands: with one
+    column, NumPy's other forms of it round differently."""
     n, d = x.shape
     lr, decay = hyper["learning_rate"], 2 * hyper["l2"]
     w, b = np.zeros((d, N_LABELS)), np.zeros(N_LABELS)
-    onehot = np.zeros((n, N_LABELS))
-    onehot[np.arange(n), y_idx] = 1.0
+    hot = np.zeros((N_LABELS, n))
+    hot[y_idx, np.arange(n)] = 1.0
     x_t = x.T  # a view, as in x.T @ delta, so BLAS sums in that order
-    delta = np.empty((n, N_LABELS))
+    z, delta = np.empty((N_LABELS, n)), np.empty((n, N_LABELS))
+    top, total = np.empty(n), np.empty(n)
     grad, shrink = np.empty((d, N_LABELS)), np.empty((d, N_LABELS))
     for _ in range(hyper["iterations"]):
-        np.matmul(x, w, out=delta)
-        delta += b
-        _softmax(delta)
-        delta -= onehot
-        delta /= n
+        np.matmul(w.T, x_t, out=z)
+        z += b[:, None]
+        np.maximum.reduce(z, axis=0, out=top)
+        z -= top
+        np.exp(z, out=z)
+        np.add.reduce(z, axis=0, out=total)
+        z /= total
+        z -= hot
+        np.divide(z, n, out=delta.T)
         np.matmul(x_t, delta, out=grad)
         np.multiply(decay, w, out=shrink)
         grad += shrink

@@ -276,11 +276,16 @@ def ingest(manifest: Manifest, config: RunConfig,
         transcripts[e.video_id] = timed(
             "ingest", lambda: parse_subtitle_file(e.subtitles, e.video_id),
             e.video_id)
-        tracks[e.video_id] = timed(
-            "ingest", lambda: load_track(e.frames, e.video_id, e.duration_ms,
-                                         config.bins_per_channel),
-            e.video_id)
+        tracks[e.video_id] = ingest_track(e, config, timed)
     return transcripts, tracks
+
+
+def ingest_track(e: VideoEntry, config: RunConfig, timed: StageClock
+                 ) -> VideoTrack:
+    """One video's descriptor track, loaded as an ingest step."""
+    return timed("ingest", lambda: load_track(
+        e.frames, e.video_id, e.duration_ms, config.bins_per_channel),
+        e.video_id)
 
 
 def segment(transcripts: dict[str, Transcript],

@@ -778,6 +778,24 @@ def test_group_with_mean_shift_records_its_constants(staged, tmp_path):
     assert json.loads(text)["algorithm"] == "mean_shift"
 
 
+def test_group_parses_no_subtitle_file(staged, tmp_path, monkeypatch):
+    """Contexts come from the descriptor tracks alone: `group` writes the
+    chain's contexts.json with every subtitle parse failing."""
+    paths, stage = staged
+
+    def no_subtitles(*args):
+        raise AssertionError("group parsed a subtitle file")
+
+    monkeypatch.setattr(pipeline, "parse_subtitle_file", no_subtitles)
+    assert main(["group", "--manifest", str(paths["manifest"]),
+                 "--config", str(paths["config"]),
+                 "--segments", str(stage / "segments.jsonl"),
+                 "--labels", str(stage / "labels.jsonl"),
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "contexts.json").read_bytes() == \
+        (stage / "contexts.json").read_bytes()
+
+
 def _rewrite_line(src, dst, index, edit):
     lines = src.read_text().splitlines()
     lines[index] = edit(lines[index])

@@ -18,7 +18,7 @@ constant, overflowing and single-class columns, and forest probabilities
 must be the bits of a walk per row and tree, on rows that sit exactly on
 a split's threshold too. The softmax must give
 its reference's bits, and the logistic and feed-forward trainers the bits
-of plain steps on their reference objectives, on one row, all-equal
+of plain steps on their reference objectives, on one row or column, all-equal
 logits, logits far enough apart that exp underflows to 0, absent classes,
 zero or one step, one-row batches and no L2 penalty. The SRT and WebVTT
 parsers must return the transcript their index-loop references return, or
@@ -1632,16 +1632,37 @@ def test_softmax_matches_reference(seed, n, kind):
          learning_rate=0.1, scale=1.0)
 @example(seed=3, n=20, d=5, n_classes=2, iterations=25, l2=0.0,
          learning_rate=3.0, scale=1e3)
+@example(seed=0, n=2, d=1, n_classes=1, iterations=1, l2=1e-4,
+         learning_rate=0.1, scale=1e-3)
+@example(seed=4, n=1, d=6, n_classes=1, iterations=7, l2=1e-4,
+         learning_rate=1.0, scale=1.0)
 @settings(max_examples=200, deadline=None)
 def test_train_logistic_matches_reference(seed, n, d, n_classes, iterations,
                                           l2, learning_rate, scale):
     """Absent classes (n_classes < 5), zero or one step, no L2 penalty, and
-    inputs of 1e3 whose logits soon lie far enough apart to underflow."""
+    inputs of 1e3 whose logits soon lie far enough apart to underflow. With
+    one column the gradient's product must keep the reference's operands,
+    as NumPy's other forms of it round differently there; with one row the
+    logits' product is a matrix-vector one."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d)) * scale
     y_idx = rng.choice(rng.permutation(N_LABELS)[:n_classes], size=n)
     hyper = {"l2": l2, "iterations": iterations,
              "learning_rate": learning_rate}
+    got = _train_logistic(x, y_idx, hyper, seed=0)
+    want = ref_train_logistic(x, y_idx, hyper, seed=0)
+    assert _same_bits(got["weights"], want["weights"])
+    assert _same_bits(got["bias"], want["bias"])
+
+
+@pytest.mark.parametrize("n, d", [(250, 341), (510, 106)])
+def test_train_logistic_matches_reference_at_benchmark_shapes(n, d):
+    """The training matrices of the catalog and longplay workloads, whose
+    products BLAS blocks as no small hypothesis case does."""
+    rng = np.random.default_rng(n + d)
+    x = rng.normal(size=(n, d))
+    y_idx = rng.integers(0, N_LABELS, size=n)
+    hyper = dict(DEFAULT_HYPER[KIND_LOGISTIC], iterations=4)
     got = _train_logistic(x, y_idx, hyper, seed=0)
     want = ref_train_logistic(x, y_idx, hyper, seed=0)
     assert _same_bits(got["weights"], want["weights"])

@@ -1,11 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from gelid import models
 from gelid.errors import DataError
 from gelid.models import (DEFAULT_HYPER, KIND_FFN, KIND_FOREST, KIND_LOGISTIC,
                           LABEL_ORDER, MODEL_KINDS, NON_INFORMATIVE,
@@ -98,6 +103,42 @@ def test_training_is_deterministic_per_seed():
         m1 = train(kind, x, y, seed=42)
         m2 = train(kind, x, y, seed=42)
         assert model_to_dict(m1) == model_to_dict(m2)
+
+
+_TRAIN_AT_BENCHMARK_SHAPES = """\
+import hashlib
+import numpy as np
+from gelid.models import (DEFAULT_HYPER, KIND_LOGISTIC, N_LABELS,
+                          _train_logistic)
+for n, d in ((250, 341), (510, 106)):
+    rng = np.random.default_rng(n * d)
+    x = rng.normal(size=(n, d))
+    y_idx = rng.integers(0, N_LABELS, size=n)
+    hyper = dict(DEFAULT_HYPER[KIND_LOGISTIC], iterations=50)
+    fit = _train_logistic(x, y_idx, hyper, seed=0)
+    print(hashlib.sha256(fit["weights"].tobytes()
+                         + fit["bias"].tobytes()).hexdigest())
+"""
+
+
+def test_logistic_weights_do_not_depend_on_blas_threads():
+    """At the catalog and longplay training shapes (250 x 341, 510 x 106)
+    the weights are the same bytes under one BLAS thread and under two;
+    larger matrices are not (ROADMAP item 1). In subprocesses, as a BLAS
+    reads its thread count when it loads."""
+    src = str(Path(models.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", _TRAIN_AT_BENCHMARK_SHAPES],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.split())
+    assert len(digests[0]) == 2
+    assert digests[0] == digests[1]
 
 
 def test_single_class_training_is_error():

@@ -240,7 +240,7 @@ def _fixed_rows(stamps: np.ndarray, values: np.ndarray) -> list[bytes]:
     blocks = []
     for start, stop in zip(starts, starts[1:] + [n]):
         width = int(widths[start])
-        run = np.empty((stop - start, width + 12 * fields + 1),
+        run = np.empty((stop - start, width + _CELL.size * fields + 1),
                        dtype=np.uint8)
         step = max(1, _ROW_BLOCK_BYTES // run.shape[1])
         for at in range(start, stop, step):
@@ -321,8 +321,9 @@ def _parse_descriptor_csv(path: str | Path):
     each row's line number.
 
     Only the header line is decoded before `_decode_fixed_rows` decodes
-    the windows as byte blocks. When it declines them, the whole file is
-    decoded, once, by `utf8_text`, and goes to np.loadtxt: the window
+    the windows as byte blocks, if they are the `%d` and `%.9f` rows
+    `write_descriptor_csv` writes. When it declines them, the whole file
+    is decoded, once, by `utf8_text`, and goes to np.loadtxt: the window
     read, if it is the whole file, as a pipe's is; else the file, read
     again. Both give the same values, bit for bit.
     """
@@ -352,64 +353,42 @@ def _parse_descriptor_csv(path: str | Path):
             table["lum"].copy(), [line_no for line_no, _ in numbered])
 
 
-# a value's digits are one integer below 10**15 < 2**53, a timestamp's
-# below 10**18 < 2**63; int64 holds every power of ten up to 10**18
-_VALUE_DIGITS = 15
+# a timestamp's digits are one integer below 10**18 < 2**63; int64 holds
+# every power of ten up to 10**18
 _STAMP_DIGITS = 18
 _STAMP_POWERS = 10 ** np.arange(_STAMP_DIGITS, -1, -1, dtype=np.int64)
-_VALUE_FIELD = re.compile(rb",0*\.?0*")  # a value, its digits as '0'
+# the 12 bytes `,%.9f` writes for a value in [0, 10), `,d.ddddddddd`. A
+# byte fits the cell when it minus the cell's byte (uint8) is below the
+# limit, 10 at a digit and 1 elsewhere. Those differences are the digits
+# and 0 elsewhere, so a value's differences times the powers sum to its
+# digits as one integer below 10**10 < 2**53: the value times 1e9.
+_CELL = np.frombuffer(b",0.000000000", dtype=np.uint8)
+_CELL_LIMITS = np.where(_CELL == ord("0"), 10, 1).astype(np.uint8)
+_CELL_POWERS = np.array([0, 1e9, 0, 1e8, 1e7, 1e6, 1e5, 1e4, 1e3, 1e2, 1e1,
+                         1e0])
 _HEADER_LINE = re.compile(rb"[^\r\n]*\n")
 _LF = re.compile(rb"\n")
 _ROW_BLOCK_BYTES = 1 << 16
 
 
-def _value_layout(tail: bytes, n_values: int):
-    """How to decode the bytes of a row after its timestamp, given the
-    first row's `tail`, from the comma that ends its timestamp on.
-
-    Returns (base, limit, powers, scale), or None unless `tail` is
-    n_values values written alike: a comma and 1-15 digits, with at most
-    one point among them, at the same offsets in every value. A row fits
-    the layout when each byte of its tail minus `base` (uint8) is below
-    `limit`: a digit where `tail` has one, the same byte elsewhere. Those
-    differences are the digits and 0 elsewhere, so a value's differences
-    times `powers` sum to its digits as an integer, and that integer over
-    `scale`, 10 to the number of decimals, is the value.
-    """
-    layout = np.frombuffer(tail, dtype=np.uint8)
-    is_digit = (layout >= ord("0")) & (layout <= ord("9"))
-    base = np.where(is_digit, ord("0"), layout).astype(np.uint8)
-    pattern = base.tobytes()
-    field = pattern[:len(pattern) // n_values]
-    places = is_digit[:len(field)]
-    digits = int(places.sum())
-    if (pattern != field * n_values or not _VALUE_FIELD.fullmatch(field)
-            or not 0 < digits <= _VALUE_DIGITS):
-        return None
-    powers = np.zeros(len(field))
-    powers[places] = 10.0 ** np.arange(digits - 1, -1, -1)
-    point = field.find(b".")
-    scale = 10.0 ** (len(field) - 1 - point if point >= 0 else 0)
-    return base, np.where(is_digit, 10, 1).astype(np.uint8), powers, scale
-
-
 def _decode_fixed_rows(windows, width: int, size: int):
     """The (timestamps, histograms, luminance) columns of a descriptor
-    CSV's rows decoded as byte blocks, or None when some row does not
-    have the first row's fixed-point layout (see `_value_layout`) after
-    a timestamp of 1-18 digits, or a line does not end in LF alone.
+    CSV's rows decoded as byte blocks, or None when some row is not a
+    timestamp of 1-18 digits and width + 1 `_CELL`s, the `%d` and `%.9f`
+    that `write_descriptor_csv` writes, or a line does not end in LF alone.
 
     `windows` are the file's `size` bytes as `read_windows` gives them,
     whole lines from the header line on. Exact: a value is its digits as
-    one integer m below 2**53 over 10**d for its d decimals. Both are
-    exact doubles, so the division rounds once, to the double nearest the
-    decimal, the one strtod returns (Clinger 1990). Rows of one line
-    length are one zero-copy reshape; increasing timestamps never shrink
-    in width, so a window holds few such runs. Each block of at most
-    _ROW_BLOCK_BYTES is decoded into the columns, allocated once for the
-    most rows `size` bytes can hold; the rows found are views of them.
+    one integer m below 2**53 over 1e9. Both are exact doubles, so the
+    division rounds once, to the double nearest the decimal, the one
+    strtod returns (Clinger 1990). Rows of one line length are one
+    zero-copy reshape; increasing timestamps never shrink in width, so a
+    window holds few such runs. Each block of at most _ROW_BLOCK_BYTES is
+    decoded into the columns, allocated once for the most rows `size`
+    bytes can hold; the rows found are views of them.
     """
-    timestamps, row = None, 0
+    base, limit = np.tile(_CELL, width + 1), np.tile(_CELL_LIMITS, width + 1)
+    row = 0
     for i, window in enumerate(windows):
         at = 0
         if not i:  # the header line, with no CR
@@ -417,20 +396,11 @@ def _decode_fixed_rows(windows, width: int, size: int):
             if header is None:
                 return None
             at = header.end()
+            most = (size - at) // (base.size + 2)
+            timestamps = np.empty(most, dtype=np.int64)
+            histograms, luminance = np.empty((most, width)), np.empty(most)
         buf = np.frombuffer(window, dtype=np.uint8)
         while at < buf.size:
-            if timestamps is None:  # the first row sets the layout
-                lf = _LF.search(window, at)
-                if lf is None:
-                    return None
-                _, comma, rest = bytes(window[at:lf.start()]).partition(b",")
-                layout = _value_layout(comma + rest, width + 1)
-                if layout is None:
-                    return None
-                base, limit, powers, scale = layout
-                most = (size - at) // (base.size + 2)
-                timestamps = np.empty(most, dtype=np.int64)
-                histograms, luminance = np.empty((most, width)), np.empty(most)
             lf = _LF.search(window, at, at + base.size + _STAMP_DIGITS + 1)
             line = lf.end() - at if lf else 0
             if not 0 < line - 1 - base.size <= _STAMP_DIGITS:
@@ -452,18 +422,16 @@ def _decode_fixed_rows(windows, width: int, size: int):
                     return None
                 block = slice(row, row + rows.shape[0])
                 timestamps[block] = stamp @ _STAMP_POWERS[-stamp_width:]
-                # one matrix-vector product over every field of the block;
+                # one matrix-vector product over every cell of the block;
                 # each sum is an integer below 2**53, exact in any order
-                values = (tail.reshape(-1, powers.size) @ powers).reshape(
-                    rows.shape[0], width + 1)
-                values /= scale
+                values = (tail.reshape(-1, _CELL.size) @ _CELL_POWERS
+                          ).reshape(rows.shape[0], width + 1)
+                values /= 1e9
                 histograms[block] = values[:, :width]
                 luminance[block] = values[:, width]
                 row = block.stop
             at += line * count
         size -= buf.size
-    if timestamps is None:
-        return None
     return timestamps[:row], histograms[:row], luminance[:row]
 
 

@@ -38,7 +38,6 @@ class SnapRule(enum.Enum):
 class CutPoint:
     cut_ms: int
     source_shot_ms: int
-    shifted_ms: int
     snap_rule: SnapRule
 
 
@@ -158,9 +157,9 @@ def derive_cut_points(shots: list[int], transcript: Transcript,
     for shot, at, i, j in zip(shots, shifted.tolist(), active, later):
         if i < j or (j < len(starts) and starts[j] <= at + cfg.silence_ms):
             cut = CutPoint(cut_ms=ends[min(i, j)], source_shot_ms=shot,
-                           shifted_ms=at, snap_rule=SnapRule.SENTENCE_END)
+                           snap_rule=SnapRule.SENTENCE_END)
         else:
-            cut = CutPoint(cut_ms=at, source_shot_ms=shot, shifted_ms=at,
+            cut = CutPoint(cut_ms=at, source_shot_ms=shot,
                            snap_rule=SnapRule.SILENCE_PASSTHROUGH)
         cuts.setdefault(cut.cut_ms, cut)  # collapse duplicate cut times
     return [cuts[ms] for ms in sorted(cuts)]

@@ -43,11 +43,9 @@ class Partition:
 
     @staticmethod
     def from_mapping(mapping: dict) -> "Partition":
-        labels = {}
-        for obj, grp in sorted(mapping.items(), key=lambda kv: str(kv[0])):
-            labels.setdefault(grp, len(labels))
+        labels = {}  # groups numbered in order of first appearance
         return Partition(tuple(
-            (str(obj), labels[grp])
+            (str(obj), labels.setdefault(grp, len(labels)))
             for obj, grp in sorted(mapping.items(), key=lambda kv: str(kv[0]))))
 
     @staticmethod

@@ -1,6 +1,9 @@
 import codecs
+import importlib.util
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,15 @@ from gelid.frames import (VideoTrack, compute_histogram, load_track,
                           write_descriptor_csv)
 from gelid.segmentation import SegmenterConfig, segment_video
 from gelid.subtitles import Transcript
+
+# the benchmark's world generator, by path: `benchmarks/run.py`, which
+# sets BLAS threads in os.environ on import, is not imported. Its
+# dataclasses look their module up in sys.modules.
+_SPEC = importlib.util.spec_from_file_location(
+    "worlds", Path(__file__).resolve().parents[1] / "benchmarks"
+    / "worlds.py")
+worlds = sys.modules["worlds"] = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(worlds)
 
 
 def _solid(value, h=2, w=2):
@@ -237,6 +249,27 @@ def test_written_descriptor_csv_takes_the_block_decoder(tmp_path):
                                    again.luminance)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert again.timestamps_ms.tolist() == [0, 5, 40, 700, 1500, 9999]
+
+
+@pytest.mark.parametrize("step", [200, 1000])
+def test_benchmark_world_csvs_take_the_block_decoder(tmp_path, monkeypatch,
+                                                     step):
+    """Every descriptor CSV a benchmark world writes is decoded as byte
+    blocks: the benchmark times the block decoder, not np.loadtxt."""
+    worlds.generate(tmp_path, worlds.WorldSpec(
+        videos=2, scenes_per_video=3, scene_ms=(8000, 12000),
+        frame_step_ms=step, contexts=2, informative=0.5, probed=0.5,
+        cue_every_ms=(2000, 4000)), seed=3)
+    paths = sorted(tmp_path.glob("*.descriptors.csv"))
+    assert len(paths) == 2
+
+    def refuse(*args):
+        raise AssertionError("np.loadtxt fallback reached")
+
+    monkeypatch.setattr(frames, "_load_rows", refuse)
+    for path in paths:
+        assert load_track(path).timestamps_ms.size > 1
+
 
 def _columns(track):
     return [(c.dtype.str, c.tobytes())

@@ -227,10 +227,9 @@ def ref_derive_cut_points(shots, transcript, cfg):
         end_ms = _ref_sentence_end_for(spans, shifted, cfg.silence_ms)
         if end_ms is not None:
             cut = CutPoint(cut_ms=end_ms, source_shot_ms=shot,
-                           shifted_ms=shifted, snap_rule=SnapRule.SENTENCE_END)
+                           snap_rule=SnapRule.SENTENCE_END)
         else:
             cut = CutPoint(cut_ms=shifted, source_shot_ms=shot,
-                           shifted_ms=shifted,
                            snap_rule=SnapRule.SILENCE_PASSTHROUGH)
         cuts.setdefault(cut.cut_ms, cut)
     return [cuts[ms] for ms in sorted(cuts)]
@@ -1114,7 +1113,7 @@ def test_segment_cues_match_loop_reference(spec, seed, n_cuts,
     cut_ms = sorted({int(c) for c in rng.integers(1, max(duration, 2),
                                                   size=n_cuts)
                      if 0 < c < duration})
-    cuts = [CutPoint(c, c, c, SnapRule.SENTENCE_END) for c in cut_ms]
+    cuts = [CutPoint(c, c, SnapRule.SENTENCE_END) for c in cut_ms]
     edges = [0, duration] + cut_ms
     cues = []
     for _ in range(int(rng.integers(0, 30))):
@@ -1164,7 +1163,7 @@ def _tiling_case(rng):
             shots[-1] if shots else cut])))
     if cut_ms and rng.random() < 0.3:
         cut_ms[-1] = cut_ms[0]
-    cuts = [CutPoint(c, shot, c, SnapRule.SENTENCE_END)
+    cuts = [CutPoint(c, shot, SnapRule.SENTENCE_END)
             for c, shot in zip(cut_ms, shots)]
     pieces = np.diff([0] + sorted(set(cut_ms)) + [duration]).tolist()
     cfg = SegmenterConfig(
@@ -1273,7 +1272,7 @@ def test_derive_cut_points_matches_loop_reference(block):
         got = derive_cut_points(shots, transcript, cfg)
         assert got == ref_derive_cut_points(shots, transcript, cfg)
         assert all(type(v) is int for cut in got
-                   for v in (cut.cut_ms, cut.source_shot_ms, cut.shifted_ms))
+                   for v in (cut.cut_ms, cut.source_shot_ms))
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 25))
@@ -2115,6 +2114,49 @@ def test_windowed_descriptor_csv_takes_the_block_decoder(tmp_path,
     monkeypatch.setattr(frames, "_load_rows", _refuse)
     for path in (plain, marked):
         assert _csv_outcome(_read_columns, path) == want
+
+
+def _eighths_track(n=30):
+    """A track of n frames, timestamps of 1 to 5 digits, whose values are
+    multiples of 1/8: `%.3f`, `%.6f` and `%.9f` all write them exactly."""
+    rng = np.random.default_rng(9)
+    hists = rng.multinomial(8, [1 / 16] * 16, size=(n, 3)) / 8
+    stamps = np.arange(n, dtype=np.int64) ** 3 * 3
+    return VideoTrack("vid", stamps, hists.reshape(n, 48),
+                      rng.integers(0, 9, size=n) / 8, int(stamps[-1]))
+
+
+@pytest.mark.parametrize("layout", ["written", "%.6f", "%.3f", "per column"])
+def test_the_block_decoder_takes_only_the_written_layout(tmp_path,
+                                                         monkeypatch, layout):
+    """The rows `write_descriptor_csv` writes are decoded as byte blocks,
+    without np.loadtxt; the same track written with `%.6f`, `%.3f` or one
+    format per column is declined, and np.loadtxt reads it to the same
+    columns as the reference, the written file's."""
+    track = _eighths_track()
+    path = tmp_path / "d.csv"
+    if layout == "written":
+        path.write_bytes(write_descriptor_csv(track))
+    else:
+        formats = [("%.9f", "%.6f", "%.3f")[c % 3] if layout == "per column"
+                   else layout for c in range(49)]
+        values = np.column_stack([track.histograms, track.luminance])
+        rows = [",".join([str(ts)] + [f % v for f, v in zip(formats, row)])
+                for ts, row in zip(track.timestamps_ms.tolist(),
+                                   values.tolist())]
+        path.write_text(
+            "\n".join([",".join(descriptor_csv_header())] + rows) + "\n")
+    data = path.read_bytes()
+    decoded = frames._decode_fixed_rows([data], 48, len(data))
+    assert (decoded is not None) == (layout == "written")
+    want = _csv_outcome(ref_read_descriptor_csv, path)
+    assert isinstance(want, list)
+    if decoded is not None:
+        monkeypatch.setattr(frames, "_load_rows", _refuse)
+    assert _csv_outcome(_read_columns, path) == want
+    written = tmp_path / "written.csv"
+    written.write_bytes(write_descriptor_csv(track))
+    assert want == _csv_outcome(ref_read_descriptor_csv, written)
 
 
 @pytest.mark.parametrize("fault, line", [

@@ -97,7 +97,6 @@ def test_cut_snaps_to_sentence_end_worked_example():
     assert len(cuts) == 1
     assert cuts[0].cut_ms == 845000
     assert cuts[0].snap_rule is SnapRule.SENTENCE_END
-    assert cuts[0].shifted_ms == 830000
 
 
 def test_cut_passes_through_silence():
@@ -105,7 +104,6 @@ def test_cut_passes_through_silence():
     shots = [600000]
     cuts = derive_cut_points(shots, transcript, SegmenterConfig(k_seconds=0))
     assert cuts == [CutPoint(cut_ms=600000, source_shot_ms=600000,
-                             shifted_ms=600000,
                              snap_rule=SnapRule.SILENCE_PASSTHROUGH)]
 
 
@@ -129,7 +127,7 @@ def test_two_shots_in_same_sentence_collapse_to_one_cut():
 
 def _cuts_at(times):
     return [CutPoint(cut_ms=t, source_shot_ms=max(t - 1000, 1),
-                     shifted_ms=t, snap_rule=SnapRule.SILENCE_PASSTHROUGH)
+                     snap_rule=SnapRule.SILENCE_PASSTHROUGH)
             for t in times]
 
 
@@ -185,7 +183,7 @@ def test_segments_carry_cues_by_midpoint():
 
 def test_keyframes_first_frame_after_each_inside_shot():
     track = _constant_track(n=61)
-    cuts = [CutPoint(cut_ms=30000, source_shot_ms=24500, shifted_ms=29500,
+    cuts = [CutPoint(cut_ms=30000, source_shot_ms=24500,
                      snap_rule=SnapRule.SENTENCE_END)]
     segs = build_segments(track, cuts, EMPTY_T, SegmenterConfig())
     # shot at 24500 lies in segment [0, 30000): first frame at/after is 25000
@@ -198,7 +196,7 @@ def test_keyframes_capped_at_max():
     track = _constant_track(n=61)
     cuts = []
     for t in range(1000, 25000, 1000):
-        cuts.append(CutPoint(cut_ms=59000, source_shot_ms=t, shifted_ms=t,
+        cuts.append(CutPoint(cut_ms=59000, source_shot_ms=t,
                              snap_rule=SnapRule.SENTENCE_END))
     cfg = SegmenterConfig(max_keyframes=10)
     segs = build_segments(track, cuts[:1] + cuts, EMPTY_T, cfg)
@@ -255,7 +253,7 @@ def test_snap_monotone_in_k(data):
         cfg = SegmenterConfig(k_seconds=k)
         cuts_by_k[k] = derive_cut_points(shots, transcript, cfg)
         for cut in cuts_by_k[k]:
-            assert cut.cut_ms >= cut.shifted_ms >= cut.source_shot_ms
+            assert cut.cut_ms >= cut.source_shot_ms + k * 1000
     # increasing k never moves the cut derived from a given shot earlier
     for k_small, k_big in ((0, 5), (5, 10)):
         small = {c.source_shot_ms: c.cut_ms for c in cuts_by_k[k_small]}

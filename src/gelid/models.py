@@ -6,9 +6,10 @@ deterministic. The two gradient-trained models, logistic regression and
 the feed-forward net, inline their gradients and step in place on their
 own arrays, computing no loss; the tests hold each trainer to the bits of
 a loop of plain steps on its objective's reference loss and gradient,
-which finite-difference checks exercise. Logistic regression holds each
-step's logits label-major, one contiguous row per label, and takes their
-softmax inline; every value keeps the bits of the row-major step.
+which finite-difference checks exercise. One softmax kernel, reduced
+down the label axis, serves training and prediction; logistic regression
+holds each step's logits label-major, one contiguous row per label, and
+every value keeps the bits of the row-major step.
 
 A random forest is one set of node arrays over all its trees, each tree's
 nodes depth first, left first: `feature` (int64, -1 at a leaf),
@@ -104,19 +105,14 @@ def standardize_fit(x: np.ndarray, names: tuple[str, ...]
 def _softmax(z: np.ndarray) -> np.ndarray:
     """Row softmax of an (n, K) float array, written over z and returned.
 
-    The row max and sum are folded over the label columns in order, so a
-    row sums as ((e0 + e1) + e2) + ..., the order of ``e.sum(axis=1)`` on
-    rows this short; NumPy's own axis-1 reductions take a slow path here."""
-    cols = z.T  # cols[k]: label k's column, a view
-    top = cols[0].copy()
-    for col in cols[1:]:
-        np.maximum(top, col, out=top)
-    z -= top[:, None]
-    np.exp(z, out=z)
-    total = cols[0].copy()
-    for col in cols[1:]:
-        total += col
-    z /= total[:, None]
+    Reduced down axis 0 of `z.T`, so a row-major z and the `.T` of a
+    label-major array take the same calls; either way a row sums as
+    ``((e0 + e1) + e2) + ...``, the order of ``e.sum(axis=1)`` on rows
+    this short."""
+    t = z.T
+    t -= np.maximum.reduce(t, axis=0)
+    np.exp(t, out=t)
+    t /= np.add.reduce(t, axis=0)
     return z
 
 
@@ -130,7 +126,7 @@ def _train_logistic(x: np.ndarray, y_idx: np.ndarray, hyper: dict,
     unpenalized), in buffers allocated once and without the loss.
 
     A step holds its logits label-major, one contiguous row of `z` per
-    label, and takes the softmax down the label axis inline. Each value
+    label, and `_softmax` writes over it through `z.T`. Each value
     keeps the bits of the row-major step: ``w.T @ x.T`` gives those of
     ``x @ w``, a max is exact, five terms add as ``((e0 + e1) + e2) + ...``
     in any reduction, and an elementwise op rounds once in any layout. The
@@ -144,16 +140,11 @@ def _train_logistic(x: np.ndarray, y_idx: np.ndarray, hyper: dict,
     hot[y_idx, np.arange(n)] = 1.0
     x_t = x.T  # a view, as in x.T @ delta, so BLAS sums in that order
     z, delta = np.empty((N_LABELS, n)), np.empty((n, N_LABELS))
-    top, total = np.empty(n), np.empty(n)
     grad, shrink = np.empty((d, N_LABELS)), np.empty((d, N_LABELS))
     for _ in range(hyper["iterations"]):
         np.matmul(w.T, x_t, out=z)
         z += b[:, None]
-        np.maximum.reduce(z, axis=0, out=top)
-        z -= top
-        np.exp(z, out=z)
-        np.add.reduce(z, axis=0, out=total)
-        z /= total
+        _softmax(z.T)
         z -= hot
         np.divide(z, n, out=delta.T)
         np.matmul(x_t, delta, out=grad)

@@ -61,8 +61,10 @@ SEGMENT_SHAPE = {"segment_id": file_name, "video_id": str,
                  "keyframe_timestamps": [count]}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SegmenterConfig:
+    """Checked once, when made: a value out of range is a DataError."""
+
     k_seconds: int = 5          # streamer reaction shift; evaluated set {0, 5, 10}
     alpha: float = 3.0          # adaptive threshold multiplier
     window: int = 24            # sliding window length, in distances
@@ -72,7 +74,7 @@ class SegmenterConfig:
     gap_ms: int = DEFAULT_GAP_MS
     max_keyframes: int = 10
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_shape(vars(self), SEGMENTER_SHAPE, "segmenter")
 
 
@@ -117,7 +119,6 @@ def detect_shot_transitions(track: VideoTrack,
     over the previous `window` distances (at least one required) and the
     previous accepted transition is at least min_shot_ms back.
     """
-    cfg.validate()
     stamps = track.timestamps_ms
     if stamps.size < 2:
         log.warning("track %s has %d frame(s); no transitions detectable",
@@ -142,7 +143,6 @@ def derive_cut_points(shots: list[int], transcript: Transcript,
     The cues must be in start order, as `Transcript` holds them, so that
     sentence starts never decrease.
     """
-    cfg.validate()
     starts, ends = sentence_bounds(transcript, cfg.gap_ms)
     shifted = np.array(shots, dtype=np.int64) + cfg.k_seconds * 1000
     # the running maximum of ends first passes t at the first sentence
@@ -175,7 +175,6 @@ def build_segments(track: VideoTrack, cuts: list[CutPoint],
     min_segment_ms merges into its predecessor (into its successor when it
     is the first).
     """
-    cfg.validate()
     duration = track.duration_ms
     if duration <= 0:
         raise DataError(f"video {track.video_id} has no duration")

@@ -130,7 +130,8 @@ def parse_vtt(text: str, video_id: str = "") -> Transcript:
             line_no, lines = line_no + 1, lines[1:]
         left, _, right = lines[0].partition("-->")
         # cue settings (e.g. "align:start") follow the end timestamp
-        right = right.strip().split(" ", 1)[0]
+        # after spaces or tabs; with nothing after "-->", right stays ""
+        right = (right.split(None, 1) or [""])[0]
         raw_cues.append((_timestamp(left, _VTT_TIME_RE, "WebVTT", line_no),
                          _timestamp(right, _VTT_TIME_RE, "WebVTT", line_no),
                          line_no, _clean_text(" ".join(lines[1:]))))

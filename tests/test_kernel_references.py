@@ -16,11 +16,12 @@ matrices full of tied distances.
 Forest trees must serialize to the same JSON, on tied, adjacent-float,
 constant, overflowing and single-class columns, and forest probabilities
 must be the bits of a walk per row and tree, on rows that sit exactly on
-a split's threshold too. The softmax must give
-its reference's bits, and the logistic and feed-forward trainers the bits
-of plain steps on their reference objectives, on one row or column, all-equal
-logits, logits far enough apart that exp underflows to 0, absent classes,
-zero or one step, one-row batches and no L2 penalty. The SRT and WebVTT
+a split's threshold too. The softmax must give its reference's bits on
+row-major and label-major logits, and the logistic and feed-forward
+trainers the bits of plain steps on their reference objectives, on one
+row or column, all-equal logits, logits far enough apart that exp
+underflows to 0, absent classes, zero or one step, one-row batches and no
+L2 penalty. The SRT and WebVTT
 parsers must return the transcript their index-loop references return, or
 raise the same ParseError message and line, on random documents, and the
 PPM parser the image its byte-at-a-time reference returns, or the same
@@ -667,7 +668,8 @@ def ref_parse_vtt(data, video_id=""):
         timing_line_no = i + 1
         left, _, right = lines[i].partition("-->")
         # cue settings (e.g. "align:start") follow the end timestamp
-        right = right.strip().split(" ", 1)[0] if right.strip() else right
+        # after spaces or tabs
+        right = right.split()[0] if right.strip() else right
         start_ms = _ref_vtt_timestamp(left, timing_line_no)
         end_ms = _ref_vtt_timestamp(right, timing_line_no)
         i += 1
@@ -1609,12 +1611,15 @@ def _random_logits(seed, n, kind):
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
-       st.sampled_from(_LOGIT_KINDS))
+       st.sampled_from(_LOGIT_KINDS), st.sampled_from(["rows", "labels"]))
 @settings(max_examples=200, deadline=None)
-def test_softmax_matches_reference(seed, n, kind):
+def test_softmax_matches_reference(seed, n, kind, layout):
+    """Row-major logits as drawn, or held label-major (K, n) and passed as
+    the `.T` view, as `_train_logistic` passes its logits."""
     z = _random_logits(seed, n, kind)
     want = ref_softmax(z)
-    got = _softmax(z.copy())
+    got = _softmax(z.copy() if layout == "rows"
+                   else np.ascontiguousarray(z.T).T)
     assert _same_bits(got, want)
     assert kind != "underflow" or (want == 0).any(axis=1).all()
 

@@ -40,6 +40,11 @@ def _constant_track(n=20, step=1000):
 EMPTY_T = Transcript(video_id="vid")
 
 
+def test_segmenter_config_is_checked_when_made():
+    with pytest.raises(DataError, match=r"^segmenter\.window: "):
+        SegmenterConfig(window=0)
+
+
 def test_constant_track_has_no_transitions():
     assert detect_shot_transitions(_constant_track(), SegmenterConfig()) == []
 

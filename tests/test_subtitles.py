@@ -112,6 +112,22 @@ def test_parse_vtt_settings_discarded_text_kept():
     assert t.cues[0].text == "hi"
 
 
+@pytest.mark.parametrize("gap", ["\t", "\t\t"])
+def test_parse_vtt_settings_after_a_tab(gap):
+    t = parse_vtt(f"WEBVTT\n\n00:00:01.000 --> 00:00:02.000{gap}"
+                  f"align:start\nhi\n")
+    assert t.cues == [Cue(start_ms=1000, end_ms=2000, text="hi")]
+
+
+@pytest.mark.parametrize("timing", ["00:00:01.000 -->",
+                                    "00:00:01.000 --> \t"])
+def test_parse_vtt_nothing_after_arrow_is_error(timing):
+    with pytest.raises(ParseError, match="malformed WebVTT timestamp ''") \
+            as err:
+        parse_vtt(f"WEBVTT\n\nid\n{timing}\nhi\n")
+    assert err.value.line == 4
+
+
 def test_parse_vtt_skips_note_and_style_blocks():
     src = ("WEBVTT\n\nNOTE this is a comment\nspanning lines\n\n"
            "STYLE\n::cue { color: red }\n\n"

@@ -8,11 +8,16 @@ methods consume it as a plain dissimilarity. The issue measure blends
 cosine distance on tf-idf text with the context measure.
 
 Both matrices are built as block operations and equal, bit for bit, a loop
-over segment pairs in `ids` order. The context kernel visits segments in
-order of keyframe count, but averages each pair's keyframe similarities in
-the order of the segment that comes first in `ids`, its keyframes the
-major axis (the orientation rule). The text term keeps one BLAS dot per
-pair, because a matrix product rounds differently.
+over segment pairs in `ids` order. The context kernel yields its distances
+one checked tile at a time and visits segments in order of keyframe count,
+but averages each pair's keyframe similarities in the order of the segment
+that comes first in `ids`, its keyframes the major axis (the orientation
+rule). The text term keeps one BLAS dot per pair, because a matrix product
+rounds differently.
+
+DBSCAN contexts keep of each tile only the pairs within eps, so they hold
+O(n + pairs within eps) memory, never an n x n matrix; OPTICS contexts and
+the issue matrices fill a dense matrix from the same tiles.
 
 Determinism: every tie (border points, mode merge order, cluster numbering)
 breaks on item id, so results are independent of input order.
@@ -59,6 +64,17 @@ def blend_weight(value) -> bool:
     return non_negative(value) and value <= 1
 
 
+def _check_distances(values: np.ndarray) -> None:
+    """Distances are finite and lie in [0, 1], up to 1e-12."""
+    # a NaN carries through min and max, and an infinity is one of them
+    low = np.minimum.reduce(values, axis=None, initial=0.0)
+    high = np.maximum.reduce(values, axis=None, initial=0.0)
+    if not (np.isfinite(low) and np.isfinite(high)):
+        raise DataError("distance matrix has non-finite entries")
+    if low < -1e-12 or high > 1 + 1e-12:
+        raise DataError("distances must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class DistanceMatrix:
     """Checked once, when made: a malformed matrix is a DataError."""
@@ -75,10 +91,7 @@ class DistanceMatrix:
         if v.shape != (n, n):
             raise DataError(f"distance matrix shape {v.shape} does not "
                             f"match {n} ids")
-        if not np.isfinite(v).all():
-            raise DataError("distance matrix has non-finite entries")
-        if (v < -1e-12).any() or (v > 1 + 1e-12).any():
-            raise DataError("distances must lie in [0, 1]")
+        _check_distances(v)
         # finite entries, so this is allclose(v, v.T, atol=1e-12, rtol=0)
         if not (np.abs(v - v.T) <= 1e-12).all():
             raise DataError("distance matrix must be symmetric")
@@ -149,7 +162,11 @@ def _cosine_values(vectors) -> np.ndarray:
 
 # Keyframe-pair similarities are computed one tile of segment blocks at a
 # time; a tile's (rows, cols, D) intermediate stays near this many bytes.
-_BLOCK_BYTES = 4 << 20
+# Near a core's L2 cache is fastest: the 407 context segments of the
+# benchmark's catalog world took 16.3 ms at 4 MiB, 14.6 ms at 512 KiB and
+# 26.6 ms at 64 KiB (2-core x86 VM, NumPy 2.4). Every budget gives the same
+# bits, and SMOTE's row blocks share the constant.
+_BLOCK_BYTES = 512 << 10
 
 
 def _segment_blocks(counts: list[int], max_rows: int) -> list[list[range]]:
@@ -178,11 +195,14 @@ def _block_means(four: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     return (rows.sum(axis=1) / (ka * kb)).reshape(na, nb)
 
 
-def _context_values(ids: tuple[str, ...],
-                    keyframes: dict[str, np.ndarray]) -> np.ndarray:
-    """Context distance of every segment pair: 1 minus the mean, over
-    every pair of their keyframes, of the histogram intersection (the sum
-    of bin minima / 3), clipped to [0, 1].
+def _context_tiles(ids: tuple[str, ...], keyframes: dict[str, np.ndarray]):
+    """Context distance of every segment pair, one tile at a time: yields
+    (i, j, d), where positions i and j in `ids` broadcast to the shape of
+    d, the distances of the segments there. Each unordered pair of
+    distinct segments comes once, and each tile is checked as
+    `DistanceMatrix.validate` checks a matrix. The distance is 1 minus the
+    mean, over every pair of their keyframes, of the histogram
+    intersection (the sum of bin minima / 3), clipped to [0, 1].
 
     Segments are taken in order of keyframe count (a stable sort), so the
     pairs of a run of ka-keyframe segments and a run of kb-keyframe
@@ -192,15 +212,14 @@ def _context_values(ids: tuple[str, ...],
     `ids`, its keyframes the major axis, as a loop over pairs in `ids`
     order would. The two orders round differently only when both counts
     exceed 1."""
-    n = len(ids)
-    if n < 2:
-        return np.zeros((n, n))
     stacks = [np.atleast_2d(keyframes[i]) for i in ids]
     counts = np.array([k.shape[0] for k in stacks])
     if not counts.all():
         raise DataError("context distance needs at least one keyframe per "
                         "segment")
-    order = np.argsort(counts, kind="stable")
+    if len(ids) < 2:
+        return
+    order = np.argsort(counts, kind="stable").astype(np.int32)
     counts = counts[order].tolist()
     stacked = np.concatenate([stacks[k] for k in order.tolist()])
     offsets = np.concatenate([[0], np.cumsum(counts)]).tolist()
@@ -209,7 +228,6 @@ def _context_values(ids: tuple[str, ...],
     max_rows = math.isqrt(_BLOCK_BYTES // (stacked.itemsize
                                             * stacked.shape[1]))
     blocks = _segment_blocks(counts, max_rows)
-    values = np.zeros((n, n))  # in count order until the last line
     for bi, rows in enumerate(blocks):
         for cols in blocks[bi:]:
             c1 = offsets[cols[-1].stop]
@@ -227,21 +245,34 @@ def _context_values(ids: tuple[str, ...],
                     four = sims[:, offsets[b.start] - c0:offsets[b.stop] - c0
                                 ].reshape(len(a), ka, len(b), kb)
                     means = _block_means(four, (0, 2, 1, 3))
+                    at_a, at_b = order[a.start:a.stop], order[b.start:b.stop]
                     if 1 < ka < kb:
                         # pairs whose column segment comes first in ids;
                         # the stable sort keeps equal counts in ids order
-                        flip = order[a][:, None] > order[b][None, :]
+                        flip = at_a[:, None] > at_b[None, :]
                         if flip.any():
                             means = np.where(
                                 flip, _block_means(four, (0, 2, 3, 1)),
                                 means)
-                    values[a.start:a.stop, b.start:b.stop] = np.clip(
-                        1.0 - means, 0.0, 1.0)
-    values = np.triu(values, 1)
-    values += values.T
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    return values[np.ix_(rank, rank)]
+                    d = np.clip(1.0 - means, 0.0, 1.0)
+                    _check_distances(d)
+                    if b == a:  # a run against itself: above the diagonal
+                        i, j = np.nonzero(np.arange(len(a))[:, None]
+                                          < np.arange(len(a)))
+                        yield at_a[i], at_a[j], d[i, j]
+                    else:
+                        yield at_a[:, None], at_b[None, :], d
+
+
+def _context_values(ids: tuple[str, ...],
+                    keyframes: dict[str, np.ndarray]) -> np.ndarray:
+    """The (n, n) context distance matrix of `_context_tiles`, with a zero
+    diagonal."""
+    values = np.zeros((len(ids), len(ids)))
+    for i, j, d in _context_tiles(ids, keyframes):
+        values[i, j] = d
+        values[j, i] = d
+    return values
 
 
 def build_context_matrix(ids, keyframes: dict[str, np.ndarray]
@@ -279,20 +310,12 @@ def _renumber(ids, raw_labels: dict[str, int]) -> dict[str, int]:
             for item, lbl in raw_labels.items()}
 
 
-def dbscan(matrix: DistanceMatrix, eps: float, min_pts: int
-           ) -> ClusterAssignment:
-    """Density clustering on a precomputed dissimilarity matrix.
-
-    A point's eps-neighborhood includes itself. Core points within eps of
-    each other share a cluster; border points attach to the core neighbor
-    with the lowest id; the rest is noise.
-    """
-    check_params("dbscan", {"eps": eps, "min_pts": min_pts}, "dbscan")
-    ids = matrix.ids
+def _dbscan(ids: tuple[str, ...], indptr: np.ndarray, indices: np.ndarray,
+            eps: float, min_pts: int) -> ClusterAssignment:
+    """`dbscan` given each point's eps-neighbourhood, itself included:
+    point i's neighbours are indices[indptr[i]:indptr[i + 1]]."""
     n = len(ids)
-    d = matrix.values
-    within = d <= eps
-    core = within.sum(axis=1) >= min_pts
+    core = np.diff(indptr) >= min_pts
     # connected components over core points, explored in id order
     raw: dict[str, int] = {item: NOISE for item in ids}
     id_order = sorted(range(n), key=lambda i: ids[i])
@@ -306,20 +329,68 @@ def dbscan(matrix: DistanceMatrix, eps: float, min_pts: int
         while stack:
             i = stack.pop()
             raw[ids[i]] = component
-            for j in np.flatnonzero(within[i] & core & ~seen):
-                seen[j] = True
-                stack.append(int(j))
+            near = indices[indptr[i]:indptr[i + 1]]
+            near = near[core[near] & ~seen[near]]
+            seen[near] = True
+            stack.extend(near.tolist())
         component += 1
     # each border point joins its core neighbour of lowest id rank
     rank = np.empty(n, dtype=np.intp)
     rank[id_order] = np.arange(n)
-    core_near = within & core
-    anchors = np.where(core_near, rank, n).argmin(axis=1)
-    for i in np.flatnonzero(~core & core_near.any(axis=1)).tolist():
-        raw[ids[i]] = raw[ids[anchors[i]]]
+    for i in np.flatnonzero(~core).tolist():
+        near = indices[indptr[i]:indptr[i + 1]]
+        near = near[core[near]]
+        if near.size:
+            raw[ids[i]] = raw[ids[near[rank[near].argmin()]]]
     return ClusterAssignment(ids=ids, labels=_renumber(ids, raw),
                              algorithm="dbscan",
                              params={"eps": eps, "min_pts": min_pts})
+
+
+def _indptr(sources: np.ndarray, n: int) -> np.ndarray:
+    """Offsets into `sources` sorted: point i's run is out[i]:out[i + 1]."""
+    return np.concatenate([[0], np.cumsum(np.bincount(sources,
+                                                      minlength=n))])
+
+
+def dbscan(matrix: DistanceMatrix, eps: float, min_pts: int
+           ) -> ClusterAssignment:
+    """Density clustering on a precomputed dissimilarity matrix.
+
+    A point's eps-neighborhood includes itself. Core points within eps of
+    each other share a cluster; border points attach to the core neighbor
+    with the lowest id; the rest is noise.
+    """
+    check_params("dbscan", {"eps": eps, "min_pts": min_pts}, "dbscan")
+    # row-major, so each point's neighbours are one run of `near`
+    points, near = np.nonzero(matrix.values <= eps)
+    return _dbscan(matrix.ids, _indptr(points, len(matrix.ids)), near, eps,
+                   min_pts)
+
+
+def _context_dbscan(ids: tuple[str, ...], keyframes: dict[str, np.ndarray],
+                    eps: float, min_pts: int) -> ClusterAssignment:
+    """`dbscan` on the context measure, keeping of each tile only the
+    pairs within eps: memory is O(n + pairs within eps), never n x n."""
+    check_params("dbscan", {"eps": eps, "min_pts": min_pts}, "dbscan")
+    n = len(ids)
+    firsts, seconds = [], []
+    for i, j, d in _context_tiles(ids, keyframes):
+        within = d <= eps
+        firsts.append(np.broadcast_to(i, d.shape)[within])
+        seconds.append(np.broadcast_to(j, d.shape)[within])
+    # each pair in both directions, and each point in its own neighbourhood
+    itself = [np.arange(n, dtype=np.int32)]
+    points = np.concatenate(firsts + seconds + itself)
+    near = np.concatenate(seconds + firsts + itself)
+    # each buffer goes once read, so the sort's int64 order sets the peak
+    del firsts, seconds
+    by_point = np.argsort(points)
+    indptr = _indptr(points, n)
+    del points
+    near = near[by_point]
+    del by_point
+    return _dbscan(ids, indptr, near, eps, min_pts)
 
 
 def optics(matrix: DistanceMatrix, min_pts: int, eps_max: float,
@@ -457,10 +528,9 @@ def group_by_context(segment_ids, keyframes: dict[str, np.ndarray],
         points = np.stack([segment_embedding(keyframes[s])
                            for s in segment_ids])
         return mean_shift(segment_ids, points, **params)
-    matrix = build_context_matrix(segment_ids, keyframes)
     if algorithm == "dbscan":
-        return dbscan(matrix, **params)
-    return optics(matrix, **params)
+        return _context_dbscan(segment_ids, keyframes, **params)
+    return optics(build_context_matrix(segment_ids, keyframes), **params)
 
 
 def _medoids(assignment: ClusterAssignment,

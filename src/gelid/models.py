@@ -390,7 +390,9 @@ def train(kind: str, x: np.ndarray, y, *, seed: int,
     if len(names) != x.shape[1]:
         raise DataError(f"{len(names)} feature names for {x.shape[1]} columns")
     mean, std = standardize_fit(x, names)
-    xs = (x - mean) / std
+    # one (n, d) buffer: (x - mean) / std would hold two
+    xs = np.subtract(x, mean)
+    xs /= std
     if kind == KIND_LOGISTIC:
         parameters = _train_logistic(xs, y_idx, merged, seed)
     elif kind == KIND_FFN:
@@ -410,7 +412,8 @@ def predict_proba(model: TrainedModel, x: np.ndarray,
     if x.shape[1] != len(model.feature_names):
         raise DataError(f"expected {len(model.feature_names)} features, "
                         f"got {x.shape[1]}")
-    xs = (x - model.mean) / model.std
+    xs = np.subtract(x, model.mean)
+    xs /= model.std
     if model.kind == KIND_LOGISTIC:
         return _softmax(xs @ model.parameters["weights"]
                         + model.parameters["bias"])

@@ -67,6 +67,17 @@ def test_context_distance_requires_keyframes():
         context_distance(np.zeros((0, 48)), np.array([BLACK]))
 
 
+@pytest.mark.parametrize("algorithm", ["dbscan", "optics"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_group_by_context_refuses_a_segment_without_keyframes(algorithm, n):
+    """At any n, as mean shift does: one segment alone has no pair."""
+    keyframes = {"a": np.empty((0, 48)), "b": np.array([BLACK])}
+    with pytest.raises(DataError, match="at least one keyframe"):
+        group_by_context(["a", "b"][:n], keyframes, algorithm,
+                         RunConfig(context_algorithm=algorithm
+                                   ).cluster_params("context"))
+
+
 def test_issue_distance_alpha_one_is_cosine():
     ta, tb = np.array([1.0, 0.0]), np.array([1.0, 1.0])
     got = issue_distance(ta, np.array([BLACK]), tb, np.array([WHITE]),
@@ -137,6 +148,27 @@ def test_random_context_matrices_always_valid(n_segments, seed):
 def test_malformed_distance_matrix_is_refused_when_made(values, message):
     with pytest.raises(DataError, match=message):
         DistanceMatrix(ids=("a", "b"), values=np.array(values, dtype=float))
+
+
+@pytest.mark.parametrize("algorithm", ["dbscan", "optics"])
+def test_a_nan_keyframe_is_refused_in_its_tile(algorithm):
+    keyframes = {"a": np.array([BLACK]), "b": np.array([np.full(48, np.nan)]),
+                 "c": np.array([WHITE])}
+    with pytest.raises(DataError, match="non-finite"):
+        group_by_context(["a", "b", "c"], keyframes, algorithm,
+                         RunConfig(context_algorithm=algorithm
+                                   ).cluster_params("context"))
+
+
+@pytest.mark.parametrize("tile,message", [
+    ([0.5, np.inf], "non-finite"),
+    ([0.5, 1.5], r"must lie in \[0, 1\]"),
+    ([-0.5, 0.5], r"must lie in \[0, 1\]"),
+], ids=["inf", "above_one", "below_zero"])
+def test_a_tile_out_of_range_is_refused(tile, message):
+    """The check each context tile passes, with `validate`'s messages."""
+    with pytest.raises(DataError, match=message):
+        clustering._check_distances(np.array(tile))
 
 
 # --- dbscan -----------------------------------------------------------------------

@@ -12,7 +12,9 @@ sets of up to 40 segments whose keyframe counts run in an order unlike the
 ids', and distance matrices computed one segment block at a time; the
 `cosine_distance` oracle is the scalar text distance the issue matrix
 replaced. OPTICS must give the labels of its per-point seed-update loop on
-matrices full of tied distances.
+matrices full of tied distances, and DBSCAN, on a dense matrix or on the
+context tiles' pairs within eps, the labels of a dense-mask reference
+with eps at one of the distances.
 Forest trees must serialize to the same JSON, on tied, adjacent-float,
 constant, overflowing and single-class columns, and forest probabilities
 must be the bits of a walk per row and tree, on rows that sit exactly on
@@ -51,6 +53,8 @@ import heapq
 import json
 import math
 import re
+import time
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -62,7 +66,8 @@ from hypothesis import strategies as st
 
 from gelid import clustering, errors, features, frames
 from gelid.clustering import (NOISE, DistanceMatrix, build_context_matrix,
-                              build_issue_matrix, optics)
+                              build_issue_matrix, dbscan, group_by_context,
+                              optics)
 from gelid.errors import DataError, ParseError, naming, utf8_text
 from gelid.features import (BLANK_LUMINANCE, Vocabulary, document_terms,
                             fit_vocabulary, segment_text, smote_oversample,
@@ -348,6 +353,40 @@ def ref_issue_matrix(ids, texts, keyframes, alpha):
             values[i, j] = values[j, i] = (alpha * text
                                            + (1.0 - alpha) * visual[i, j])
     return values
+
+
+def ref_dbscan(matrix, eps, min_pts):
+    """DBSCAN on the dense matrix: an n x n mask of the pairs within eps,
+    components of core points walked one row at a time in id order, and
+    each border point's core neighbour of lowest id rank from an argmin
+    over its whole row."""
+    ids = matrix.ids
+    n = len(ids)
+    within = matrix.values <= eps
+    core = within.sum(axis=1) >= min_pts
+    raw = {item: NOISE for item in ids}
+    id_order = sorted(range(n), key=lambda i: ids[i])
+    component = 0
+    seen = np.zeros(n, dtype=bool)
+    for start in id_order:
+        if not core[start] or seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        while stack:
+            i = stack.pop()
+            raw[ids[i]] = component
+            for j in np.flatnonzero(within[i] & core & ~seen):
+                seen[j] = True
+                stack.append(int(j))
+        component += 1
+    rank = np.empty(n, dtype=np.intp)
+    rank[id_order] = np.arange(n)
+    core_near = within & core
+    anchors = np.where(core_near, rank, n).argmin(axis=1)
+    for i in np.flatnonzero(~core & core_near.any(axis=1)).tolist():
+        raw[ids[i]] = raw[ids[anchors[i]]]
+    return clustering._renumber(ids, raw)
 
 
 def ref_optics(matrix, min_pts, eps_max, eps_cut):
@@ -1387,11 +1426,13 @@ _segment_sets = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 40),
                           st.sampled_from([2, 16]), st.integers(1, 12))
 
 
-@given(_segment_sets, st.booleans())
+@given(_segment_sets, st.sampled_from([1, 512 << 10, 4 << 20]))
 @settings(max_examples=120, deadline=None)
-def test_context_matrix_matches_loop_reference(spec, one_row_blocks):
+def test_context_matrix_matches_loop_reference(spec, budget):
+    """At a budget of one segment per block, the default budget and one
+    that puts up to about 100 keyframes in a block."""
     ids, keyframes, _ = _random_segments(*spec)
-    with _one_segment_blocks(one_row_blocks):
+    with mock.patch.object(clustering, "_BLOCK_BYTES", budget):
         got = build_context_matrix(ids, keyframes)
     assert got.ids == tuple(ids)
     assert np.array_equal(got.values, ref_context_matrix(ids, keyframes))
@@ -1478,6 +1519,88 @@ def test_optics_matches_loop_reference(seed, n, levels, min_pts, eps_max,
     eps_cut = eps_max * cut / 4 or 1e-6
     got = optics(matrix, min_pts=min_pts, eps_max=eps_max, eps_cut=eps_cut)
     assert got.labels == ref_optics(matrix, min_pts, eps_max, eps_cut)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(1, 5),
+       st.integers(1, 6), st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_dbscan_matches_loop_reference(seed, n, levels, min_pts, level):
+    """eps at one of the matrix's levels: many pairs at exactly eps."""
+    matrix = _tied_matrix(seed, n, levels)
+    eps = min(level, levels) / levels
+    got = dbscan(matrix, eps=eps, min_pts=min_pts)
+    assert got.labels == ref_dbscan(matrix, eps, min_pts)
+
+
+@given(st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+                 st.sampled_from([2, 16]), st.integers(1, 3)),
+       st.integers(0, 2 ** 16), st.integers(1, 5), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_context_dbscan_matches_dense_reference(spec, pick, min_pts,
+                                                one_row_blocks):
+    """DBSCAN contexts, kept to the pairs within eps of each tile, give the
+    labels of the dense reference on the whole matrix. eps is one of the
+    computed distances, so some pairs sit exactly at eps; 1-3 keyframes
+    per segment exercise the orientation rule."""
+    ids, keyframes, _ = _random_segments(*spec)
+    matrix = build_context_matrix(ids, keyframes)
+    distances = np.unique(matrix.values)
+    distances = distances[distances > 0]
+    eps = float(distances[pick % distances.size]) if distances.size else 0.3
+    want = ref_dbscan(matrix, eps, min_pts)
+    assert dbscan(matrix, eps=eps, min_pts=min_pts).labels == want
+    with _one_segment_blocks(one_row_blocks):
+        got = group_by_context(ids, keyframes, "dbscan",
+                               {"eps": eps, "min_pts": min_pts})
+    assert got.labels == want
+
+
+def _context_world(n, seed):
+    """n segments of 16 planted contexts, 48 bins each; about 6% of the
+    pairs lie within 0.3 and 5% of the segments carry two keyframes."""
+    rng = np.random.default_rng(seed)
+    contexts = rng.dirichlet(np.full(16, 0.3), size=(16, 3))
+    ids = [f"seg_{k:05d}" for k in rng.permutation(n)]
+    keyframes = {}
+    for sid in ids:
+        count = 2 if rng.random() < 0.05 else 1
+        raw = contexts[rng.integers(16)] + rng.random((count, 3, 16)) * 0.05
+        keyframes[sid] = (raw / raw.sum(axis=2, keepdims=True)).reshape(
+            count, 48)
+    return ids, keyframes
+
+
+def _traced_context_grouping(n):
+    """The labels, traced peak bytes and seconds of DBSCAN contexts."""
+    ids, keyframes = _context_world(n, seed=5)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        out = group_by_context(ids, keyframes, "dbscan",
+                               {"eps": 0.3, "min_pts": 3})
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak, seconds
+
+
+def test_context_dbscan_holds_no_n_by_n_array():
+    """At 1,200 segments the whole step stays under one n x n float64
+    matrix: it keeps only the pairs within eps."""
+    n = 1200
+    out, peak, _ = _traced_context_grouping(n)
+    assert len(out.clusters()) == 16
+    assert peak < n * n * 8
+
+
+@pytest.mark.exhaustive
+def test_context_dbscan_at_8000_segments_stays_small():
+    """A dense 8,000 x 8,000 matrix traced a 1,465 MiB peak; the pairs
+    within eps stay under a tenth of that."""
+    out, peak, seconds = _traced_context_grouping(8000)
+    assert len(out.clusters()) == 16
+    assert peak < 146 << 20, f"{peak / 2 ** 20:.1f} MiB in {seconds:.1f} s"
 
 
 _COLUMN_KINDS = ("ties", "adjacent", "constant", "continuous", "huge")

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -204,6 +205,20 @@ def test_probabilities_sum_to_one():
         probs = predict_proba(model, x)
         assert np.all(probs >= 0)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_prediction_standardizes_in_one_buffer():
+    """At catalog's classify shape the standardized features are one
+    (n, d) array: `(x - mean) / std` would hold two."""
+    x, y = _blobs(n_per_class=103, seed=4, d=341)
+    model = train(KIND_LOGISTIC, x, y, hyper={"iterations": 0}, seed=0)
+    tracemalloc.start()
+    try:
+        predict_proba(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * x.nbytes
 
 
 def test_unanimous_forest_gives_probability_one():

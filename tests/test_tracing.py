@@ -11,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import gelid.features
+import pytest
 from conftest import THREE_VIDEO_WORLD, write_world
 from gelid.cli import main
 from gelid.config import load_config
@@ -41,11 +42,16 @@ def test_tracer_wraps_every_target_but_the_names_cli_lacks():
     assert not hasattr(gelid.features.video_features, "__wrapped__")
 
 
-def test_tracer_counts_what_a_run_did(tmp_path):
+@pytest.mark.parametrize("context_algorithm", ["dbscan", "optics"])
+def test_tracer_counts_what_a_run_did(tmp_path, context_algorithm):
     """`gelid run` under the tracer: each counter equals the run's own
     count, so a renamed attribute that a counter reads fails here, not
-    only in a traced benchmark run."""
-    paths = write_world(tmp_path / "world", THREE_VIDEO_WORLD)
+    only in a traced benchmark run. The context pairs are counted from
+    `build_context_matrix`, which DBSCAN contexts do not call: they keep
+    only the pairs within eps."""
+    paths = write_world(tmp_path / "world", THREE_VIDEO_WORLD,
+                        config_overrides={"clustering.context_algorithm":
+                                          context_algorithm})
     out = tmp_path / "out"
     tracer = tracing.Tracer()
     tracer.install()
@@ -76,9 +82,12 @@ def test_tracer_counts_what_a_run_did(tmp_path):
     assert counts["subtitles.cues"] == cues
     assert counts["segmentation.segments"] == segments
     assert counts["models.predict_rows"] == labels == segments
-    # every informative segment of this world has a keyframe
-    assert counts["clustering.context_pairs"] == \
-        informative * (informative - 1) // 2
+    if context_algorithm == "dbscan":
+        assert "clustering.context_pairs" not in counts
+    else:
+        # every informative segment of this world has a keyframe
+        assert counts["clustering.context_pairs"] == \
+            informative * (informative - 1) // 2
     for rule in ("sentence_end", "silence_passthrough"):
         key = f"segmentation.cuts_{rule}"
         assert key in counts and counts[key] == cuts[key]

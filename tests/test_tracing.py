@@ -11,7 +11,6 @@ from collections import Counter
 from pathlib import Path
 
 import gelid.features
-import pytest
 from conftest import THREE_VIDEO_WORLD, write_world
 from gelid.cli import main
 from gelid.config import load_config
@@ -42,16 +41,11 @@ def test_tracer_wraps_every_target_but_the_names_cli_lacks():
     assert not hasattr(gelid.features.video_features, "__wrapped__")
 
 
-@pytest.mark.parametrize("context_algorithm", ["dbscan", "optics"])
-def test_tracer_counts_what_a_run_did(tmp_path, context_algorithm):
-    """`gelid run` under the tracer: each counter equals the run's own
-    count, so a renamed attribute that a counter reads fails here, not
-    only in a traced benchmark run. The context pairs are counted from
-    `build_context_matrix`, which DBSCAN contexts do not call: they keep
-    only the pairs within eps."""
+def _traced_run(tmp_path, config_overrides=None):
+    """Run `gelid run` on the three-video world under the tracer; return
+    the tracer's counts, the world's paths and the run's output folder."""
     paths = write_world(tmp_path / "world", THREE_VIDEO_WORLD,
-                        config_overrides={"clustering.context_algorithm":
-                                          context_algorithm})
+                        config_overrides=config_overrides)
     out = tmp_path / "out"
     tracer = tracing.Tracer()
     tracer.install()
@@ -61,6 +55,16 @@ def test_tracer_counts_what_a_run_did(tmp_path, context_algorithm):
                      "--out", str(out)]) == 0
     finally:
         tracer.uninstall()
+    return tracer.counts, paths, out
+
+
+def test_tracer_counts_what_a_run_did(tmp_path):
+    """`gelid run` under the tracer: each counter equals the run's own
+    count, so a renamed attribute that a counter reads fails here, not
+    only in a traced benchmark run. The default DBSCAN contexts do not
+    call `build_context_matrix`, which counts the context pairs: they keep
+    only the pairs within eps."""
+    counts, paths, out = _traced_run(tmp_path)
     cfg = load_config(str(paths["config"])).segmenter_config()
     frames = cues = 0
     cuts = Counter()
@@ -75,19 +79,23 @@ def test_tracer_counts_what_a_run_did(tmp_path, context_algorithm):
                                       transcript, cfg))
     segments = len((out / "segments.jsonl").read_text().splitlines())
     labels = len((out / "labels.jsonl").read_text().splitlines())
-    informative = json.loads((out / "hierarchy.json").read_text())[
-        "counts"]["n_informative"]
-    counts = tracer.counts
     assert counts["frames.frames"] == frames
     assert counts["subtitles.cues"] == cues
     assert counts["segmentation.segments"] == segments
     assert counts["models.predict_rows"] == labels == segments
-    if context_algorithm == "dbscan":
-        assert "clustering.context_pairs" not in counts
-    else:
-        # every informative segment of this world has a keyframe
-        assert counts["clustering.context_pairs"] == \
-            informative * (informative - 1) // 2
+    assert "clustering.context_pairs" not in counts
     for rule in ("sentence_end", "silence_passthrough"):
         key = f"segmentation.cuts_{rule}"
         assert key in counts and counts[key] == cuts[key]
+
+
+def test_tracer_counts_the_context_pairs_of_optics(tmp_path):
+    """OPTICS contexts build the full context matrix, so the tracer
+    counts every pair of informative segments."""
+    counts, _, out = _traced_run(
+        tmp_path, {"clustering.context_algorithm": "optics"})
+    informative = json.loads((out / "hierarchy.json").read_text())[
+        "counts"]["n_informative"]
+    # every informative segment of this world has a keyframe
+    assert counts["clustering.context_pairs"] == \
+        informative * (informative - 1) // 2
